@@ -8,10 +8,22 @@ which nodes each treatment manipulated.
 
 All three canonicalize to name-sorted column order internally, so the
 result is bit-identical under any permutation of the input columns.
+
+PC freezes the adjacencies of each level (PC-stable), so every test of a
+level is known before any result is read: the level is evaluated as one
+batch, then each pair's tests are read in the sequential order up to its
+first separating set.  ``ci_tests`` and the warning counters count only the
+tests read, i.e. the sequential-equivalent numbers.  The greedy searches
+keep, per node, the sorted insertions that pass every check local to that
+node and rebuild a node's list only when its neighbourhood changes (as in
+fGES); the global semi-directed-path check runs lazily along the merged
+order.  Patterns, sepsets, counts and sweeps are those of evaluating
+everything afresh at every step.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -23,15 +35,15 @@ from .graphs import (
     Dag,
     consistent_extension,
     meek_closure,
+    reachable,
     v_structures,
 )
 from .stats import (
     GLOBAL_WARNINGS,
+    CIBatch,
     GaussianSuffStat,
     WarningCounter,
-    bic_local_stat,
-    fisher_z_test,
-    partial_correlation,
+    bic_local_stats,
     suff_stat,
 )
 
@@ -61,10 +73,17 @@ class DiscoveryConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pc_core(names, indep, max_cond_size):
-    """Edge pruning with level-frozen adjacencies and batched removals,
-    then collider orientation and closure.  ``indep(i, j, S)`` answers the
-    test for the name-indexed columns."""
+def _pc_core(names, level_tests, max_cond_size):
+    """Edge pruning with level-frozen adjacencies (PC-stable), then collider
+    orientation and closure.
+
+    Each level's (i, j, S) triples are gathered in the sequential order:
+    pairs in index order, S over i's side then j's, each S once per pair.
+    ``level_tests(triples)`` evaluates them in one batch and returns
+    ``independent(k)``, which reads triple k.  Only the triples a sequential
+    loop would run are read, up to each pair's first separating set, so the
+    test count, the fallback counters and any error are the sequential ones.
+    """
     d = len(names)
     adj = [set(range(d)) - {k} for k in range(d)]
     sepset: dict[tuple[int, int], frozenset] = {}
@@ -72,37 +91,30 @@ def _pc_core(names, indep, max_cond_size):
 
     for level in range(max_cond_size + 1):
         frozen = [sorted(a) for a in adj]
-        candidates = [
-            (i, j) for i in range(d) for j in frozen[i] if i < j
-        ]
-        testable = False
-        removals = []
-        for i, j in candidates:
-            seen = set()
-            found = None
-            for side, other in ((i, j), (j, i)):
-                pool = [k for k in frozen[side] if k != other]
-                if len(pool) < level:
+        triples, spans = [], []
+        for i in range(d):
+            for j in frozen[i]:
+                if j < i:
                     continue
-                testable = True
-                for S in itertools.combinations(pool, level):
-                    if S in seen:
-                        continue
-                    seen.add(S)
-                    tests += 1
-                    if indep(i, j, S):
-                        found = frozenset(S)
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                sepset[(i, j)] = found
-                removals.append((i, j))
-        for i, j in removals:
-            adj[i].discard(j)
-            adj[j].discard(i)
-        if not testable:
+                start, seen = len(triples), set()
+                for side, other in ((i, j), (j, i)):
+                    pool = [k for k in frozen[side] if k != other]
+                    for S in itertools.combinations(pool, level):
+                        if S not in seen:
+                            seen.add(S)
+                            triples.append((i, j, *S))
+                spans.append((i, j, start, len(triples)))
+        if not triples:
             break
+        independent = level_tests(triples)
+        for i, j, start, end in spans:
+            for k in range(start, end):
+                tests += 1
+                if independent(k):
+                    sepset[(i, j)] = frozenset(triples[k][2:])
+                    adj[i].discard(j)
+                    adj[j].discard(i)
+                    break
 
     # v-structures: a - c - b with a, b non-adjacent and c outside their
     # separating set.  Proposals applied in sorted order; an orientation is
@@ -117,22 +129,9 @@ def _pc_core(names, indep, max_cond_size):
                 proposals.append((a, c))
                 proposals.append((b, c))
     directed: set[tuple[int, int]] = set()
-    children: dict[int, set[int]] = {k: set() for k in range(d)}
-
-    def reaches(src, dst):
-        stack, hit = [src], {src}
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                return True
-            for v in children[u]:
-                if v not in hit:
-                    hit.add(v)
-                    stack.append(v)
-        return False
-
+    children = [set() for _ in range(d)]
     for x, y in sorted(set(proposals)):
-        if (y, x) in directed or reaches(y, x):
+        if (y, x) in directed or x in reachable(children.__getitem__, y):
             continue
         directed.add((x, y))
         children[x].add(y)
@@ -170,10 +169,11 @@ def pc(
     names = tuple(sorted(columns if columns is not None else table.names))
     stat = suff_stat(table, names)
 
-    def indep(i, j, S):
-        return fisher_z_test(i, j, S, stat, alpha=cfg.alpha, warn=warn).independent
+    def level_tests(triples):
+        batch = CIBatch(stat, triples)
+        return lambda k: batch.test(k, cfg.alpha, warn).independent
 
-    return _pc_core(names, indep, cfg.max_cond_size)
+    return _pc_core(names, level_tests, cfg.max_cond_size)
 
 
 def pc_oracle(
@@ -204,10 +204,11 @@ def pc_oracle(
         n=2, mean=np.zeros(len(names)), cov=cov, columns=sorted_names
     )
 
-    def indep(i, j, S):
-        return abs(partial_correlation(i, j, S, stat, warn=warn)) < tol
+    def level_tests(triples):
+        batch = CIBatch(stat, triples)
+        return lambda k: abs(batch.partial_correlation(k, warn)) < tol
 
-    return _pc_core(sorted_names, indep, cfg.max_cond_size)
+    return _pc_core(sorted_names, level_tests, cfg.max_cond_size)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +231,17 @@ class _Scorer:
 
     def local(self, y: int, parents: frozenset) -> float:
         key = (y, parents)
-        got = self.cache.get(key)
-        if got is None:
+        if key not in self.cache:
+            self.prefetch(y, [parents])
+        return self.cache[key]
+
+    def prefetch(self, y: int, parent_sets) -> None:
+        """Score the parent sets of y that are not cached yet, in one batch."""
+        missing = [p for p in dict.fromkeys(parent_sets) if (y, p) not in self.cache]
+        if missing:
             st = self.stats[y]
-            got = 0.0 if st is None else bic_local_stat(y, parents, st, warn=self.warn)
-            self.cache[key] = got
-        return got
+            scores = [0.0] * len(missing) if st is None else bic_local_stats(y, missing, st, self.warn)
+            self.cache.update(zip([(y, p) for p in missing], scores))
 
 
 _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
@@ -273,15 +279,19 @@ class _State:
         )
         d = len(self.names)
         self.pa = [set() for _ in range(d)]
+        self.ch = [set() for _ in range(d)]
         self.und = [set() for _ in range(d)]
         self.adj = [set() for _ in range(d)]
+        # y -> (insert_key(y), y's sorted locally valid insertions)
+        self.inserts: dict[int, tuple[tuple, list]] = {}
 
     def load(self, pattern: Cpdag):
-        for s in (*self.pa, *self.und, *self.adj):
+        for s in (*self.pa, *self.ch, *self.und, *self.adj):
             s.clear()
         for a, b in pattern.directed:
             i, j = self.index[a], self.index[b]
             self.pa[j].add(i)
+            self.ch[i].add(j)
             self.adj[i].add(j)
             self.adj[j].add(i)
         for a, b in pattern.undirected:
@@ -290,6 +300,16 @@ class _State:
             self.und[j].add(i)
             self.adj[i].add(j)
             self.adj[j].add(i)
+
+    def insert_key(self, y: int) -> tuple:
+        """Everything y's candidate insertions Insert(x, y, T) and their
+        local checks read: y's parents, neighbours and adjacencies, and the
+        adjacencies of y's neighbours."""
+        return (
+            frozenset(self.pa[y]),
+            frozenset(self.adj[y]),
+            tuple((n, frozenset(self.adj[n])) for n in sorted(self.und[y])),
+        )
 
     def pattern(self) -> Cpdag:
         directed = frozenset(
@@ -335,57 +355,66 @@ def _is_clique(nodes, adj) -> bool:
     )
 
 
-def _blocked_semidirected(st: _State, src: int, dst: int, block) -> bool:
-    """True when every semi-directed path src ~> dst (following directed
-    edges forward and undirected edges either way) hits ``block``."""
-    if src in block:
-        return True
-    stack, seen = [src], {src}
-    while stack:
-        u = stack.pop()
-        if u == dst:
-            return False
-        for v in itertools.chain(st.und[u], (w for w in range(len(st.names)) if u in st.pa[w])):
-            if v not in seen and v not in block:
-                seen.add(v)
-                stack.append(v)
-    return True
-
-
 def _subsets(pool, cap):
     pool = sorted(pool)
     for size in range(0, min(len(pool), cap) + 1):
         yield from itertools.combinations(pool, size)
 
 
+def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
+    """Insert(x, y, T) candidates that pass every check local to y, as
+    sorted (-gain, x, y, T, base) tuples: gain above tolerance, at most
+    ``max_parents`` parents, and base = NA(y, x) | T a clique."""
+    pa_y = frozenset(st.pa[y])
+    moves = []
+    for x in range(len(st.names)):
+        if x == y or x in st.adj[y]:
+            continue
+        na = frozenset(n for n in st.und[y] if n in st.adj[x])
+        t_pool = [n for n in st.und[y] if n not in st.adj[x] and n != x]
+        for t in _subsets(t_pool, _NEIGHBOR_SET_CAP):
+            base = na | set(t)
+            scored = pa_y | base
+            if len(scored) + 1 <= max_parents:
+                moves.append((x, t, base, scored, scored | {x}))
+    sc.prefetch(y, [s for *_, scored, grown in moves for s in (grown, scored)])
+    out = []
+    for x, t, base, scored, grown in moves:
+        gain = sc.local(y, grown) - sc.local(y, scored)
+        if gain > _GAIN_TOL and _is_clique(base, st.adj):
+            out.append((-gain, x, y, t, base))
+    out.sort()
+    return out
+
+
 def _insert_candidates(st: _State, sc: _Scorer, max_parents):
-    """Valid single-edge insertions, Chickering-style: Insert(x, y, T)."""
-    d = len(st.names)
-    best = None
-    for y in range(d):
-        pa_y = frozenset(st.pa[y])
-        for x in range(d):
-            if x == y or x in st.adj[y]:
-                continue
-            na = frozenset(n for n in st.und[y] if n in st.adj[x])
-            t_pool = [n for n in st.und[y] if n not in st.adj[x] and n != x]
-            for t in _subsets(t_pool, _NEIGHBOR_SET_CAP):
-                base = na | set(t)
-                scored = pa_y | base
-                if len(scored) + 1 > max_parents:
-                    continue
-                gain = sc.local(y, scored | {x}) - sc.local(y, scored)
-                if gain <= _GAIN_TOL:
-                    continue
-                cand = (-gain, x, y, t)
-                if best is not None and cand >= best[0]:
-                    continue
-                if not _is_clique(base, st.adj):
-                    continue
-                if not _blocked_semidirected(st, y, x, base):
-                    continue
-                best = (cand, x, y, t)
-    return best
+    """Best valid single-edge insertion, Chickering-style: Insert(x, y, T).
+
+    Each node's locally valid candidates are kept sorted and recomputed only
+    when its ``insert_key`` changes (as in fGES).  The global check, that
+    every semi-directed path y ~> x (directed edges forward, undirected
+    either way) passes through base, is applied along the merged order, so
+    the first candidate that passes is the minimum of (-gain, x, y, T) over
+    all valid insertions."""
+    per_node = []
+    for y in range(len(st.names)):
+        key = st.insert_key(y)
+        cached = st.inserts.get(y)
+        if cached is None or cached[0] != key:
+            cached = st.inserts[y] = (key, _local_inserts(st, sc, y, max_parents))
+        per_node.append(cached[1])
+
+    def semi(u):
+        return itertools.chain(st.und[u], st.ch[u])
+
+    reach = {}
+    for cand in heapq.merge(*per_node):
+        _, x, y, t, base = cand
+        if (y, base) not in reach:
+            reach[(y, base)] = reachable(semi, y, base)
+        if x not in reach[(y, base)]:
+            return cand[:4], x, y, t
+    return None
 
 
 def _delete_candidates(st: _State, sc: _Scorer):
@@ -475,23 +504,13 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
             pa[b].add(a)
             ch[a].add(b)
 
-        def reaches(a, b, skip):
-            stack, seen = [a], {a}
-            while stack:
-                u = stack.pop()
-                if u == b:
-                    return True
-                for v in ch[u]:
-                    if (u, v) != skip and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            return False
-
         best = None
         for a, b in sorted(ext.edges):
             if len(pa[a]) + 1 > cfg.max_parents:
                 continue
-            if reaches(a, b, skip=(a, b)):
+            # reversing a -> b closes a cycle when another parent of b
+            # descends from a
+            if (pa[b] - {a}) & reachable(ch.__getitem__, a):
                 continue
             i, j = idx[a], idx[b]
             pa_b = frozenset(idx[p] for p in pa[b])

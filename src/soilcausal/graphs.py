@@ -15,7 +15,7 @@ Conventions
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -130,6 +130,21 @@ def in_neighbors(g: Dag, node: str) -> frozenset[str]:
     return frozenset(a for a, b in g.edges if b == node)
 
 
+def reachable(succ, src, blocked=()) -> set:
+    """Nodes reachable from ``src`` by following ``succ`` (a callable giving
+    a node's successors) through nodes outside ``blocked``.  Includes
+    ``src`` itself unless it is blocked."""
+    if src in blocked:
+        return set()
+    seen, stack = {src}, [src]
+    while stack:
+        for v in succ(stack.pop()):
+            if v not in seen and v not in blocked:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def ancestors(g: Dag, node: str) -> frozenset[str]:
     """All proper ancestors of ``node`` (excludes the node itself)."""
     if node not in g.nodes:
@@ -137,15 +152,7 @@ def ancestors(g: Dag, node: str) -> frozenset[str]:
     par: dict[str, set[str]] = defaultdict(set)
     for a, b in g.edges:
         par[b].add(a)
-    seen: set[str] = set()
-    frontier = deque(par[node])
-    while frontier:
-        v = frontier.popleft()
-        if v in seen:
-            continue
-        seen.add(v)
-        frontier.extend(par[v])
-    return frozenset(seen)
+    return frozenset(reachable(par.__getitem__, node) - {node})
 
 
 def descendants(g: Dag, node: str) -> frozenset[str]:
@@ -155,15 +162,7 @@ def descendants(g: Dag, node: str) -> frozenset[str]:
     ch: dict[str, set[str]] = defaultdict(set)
     for a, b in g.edges:
         ch[a].add(b)
-    seen: set[str] = set()
-    frontier = deque(ch[node])
-    while frontier:
-        v = frontier.popleft()
-        if v in seen:
-            continue
-        seen.add(v)
-        frontier.extend(ch[v])
-    return frozenset(seen)
+    return frozenset(reachable(ch.__getitem__, node) - {node})
 
 
 def _colliders(
@@ -237,20 +236,8 @@ def meek_closure(g: Cpdag) -> Cpdag:
         und[a].add(b)
         und[b].add(a)
 
-    def reaches(src: str, dst: str) -> bool:
-        frontier, seen = deque([src]), {src}
-        while frontier:
-            v = frontier.popleft()
-            if v == dst:
-                return True
-            for w in children[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return False
-
     def orient(a: str, b: str) -> bool:
-        if reaches(b, a):  # would close a directed cycle
+        if a in reachable(children.__getitem__, b):  # would close a directed cycle
             return False
         for z in parents[b]:  # would create a collider z->b<-a not in the pattern
             if z != a and z not in adj[a]:

@@ -5,6 +5,18 @@ constraint-based and score-based searches never touch raw rows more than
 once.  Singular covariance submatrices (expected under one-hot collinearity
 and duplicated lag columns) fall back to a tiny ridge and are counted on a
 warning counter that benchmark reports surface.
+
+Tests and scores are evaluated in stacks.  ``CIBatch`` gathers the
+correlation submatrices of many (i, j, S) triples of one conditioning-set
+size, as PC's level-batched evaluation hands them over, into one
+(k, |S|+2, |S|+2) array and inverts them with one stacked call;
+``bic_local_stats`` does the same for one node's parent sets of each size.
+Every member of a stack gets what evaluating it alone gives, bit for bit,
+and the scalar functions (``partial_correlation``, ``fisher_z_test``,
+``bic_local_stat``) are stacks of one.  Evaluating a stack of tests counts
+nothing; reading a member counts its fallback and raises its error, so a
+caller that reads only the tests a sequential loop would have run reports
+that loop's counters.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ConfigError, NumericError
 
@@ -93,13 +105,144 @@ def suff_stat(table, columns: Sequence[str] | None = None) -> GaussianSuffStat:
     return GaussianSuffStat(n=n, mean=mean, cov=cov, columns=names)
 
 
-def _spd_inverse(m: np.ndarray, warn: WarningCounter) -> np.ndarray:
+def _failing(fn, stack: np.ndarray) -> np.ndarray:
+    """Mask of the members of a (k, p, p) stack on which ``fn`` raises
+    LinAlgError.  A stacked ``numpy.linalg`` call raises for the whole stack
+    when one member fails, so a failing stack is halved until every failing
+    member stands alone."""
     try:
-        np.linalg.cholesky(m)
+        fn(stack)
     except np.linalg.LinAlgError:
-        warn.singular_fallbacks += 1
-        m = m + RIDGE * np.eye(m.shape[0])
-    return np.linalg.inv(m)
+        if len(stack) == 1:
+            return np.ones(1, dtype=bool)
+        half = len(stack) // 2
+        return np.concatenate((_failing(fn, stack[:half]), _failing(fn, stack[half:])))
+    return np.zeros(len(stack), dtype=bool)
+
+
+def _spd_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (k, p, p) stack of symmetric matrices, and the mask of
+    the members that were inverted with a ridge because their Cholesky
+    factorisation or their plain inverse failed.  Each member's result is
+    what inverting it alone gives, bit for bit."""
+    ridge = _failing(np.linalg.cholesky, m)
+    if not ridge.any():
+        try:
+            return np.linalg.inv(m), ridge
+        except np.linalg.LinAlgError:
+            pass
+    ok = ~ridge
+    ridge[ok] = _failing(np.linalg.inv, m[ok])
+    m = m.copy()
+    m[ridge] += RIDGE * np.eye(m.shape[-1])
+    return np.linalg.inv(m), ridge
+
+
+def _partial_correlations(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partial correlation of columns ``idx[k, 0]`` and ``idx[k, 1]`` given
+    the columns ``idx[k, 2:]``, for every row k, read off the precision of
+    the correlation submatrix; NaN where it diverged.  Also returns the mask
+    of rows that took a counted fallback: a constant tested column, or a
+    ridged inverse."""
+    sub = cov[idx[:, :, None], idx[:, None, :]]
+    d = np.sqrt(np.clip(np.diagonal(sub, axis1=1, axis2=2), 0.0, None))
+    dead = (d[:, 0] == 0.0) | (d[:, 1] == 0.0)  # constant column: no linear signal
+    live = ~dead
+    sub, d = sub[live], d[live]
+    # Work on the correlation scale: partial correlation is invariant to
+    # per-column scaling and the ridge fallback then has a scale-free effect.
+    dsafe = np.where(d > 0.0, d, 1.0)
+    corr = sub / (dsafe[:, :, None] * dsafe[:, None, :])
+    diag = np.arange(idx.shape[1])
+    corr[:, diag, diag] = 1.0
+    prec, ridge = _spd_inverses(corr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = -prec[:, 0, 1] / np.sqrt(prec[:, 0, 0] * prec[:, 1, 1])
+    finite = np.isfinite(r)
+    r = np.clip(r, -1.0, 1.0)
+    # collapse ridge-sized fuzz at the boundary so exact proportionality
+    # reports |r| = 1
+    r = np.where(np.abs(r) > 1.0 - 1e-8, np.copysign(1.0, r), r)
+    out = np.zeros(len(idx))
+    out[live] = np.where(finite, r, np.nan)
+    fallback = dead.copy()
+    fallback[live] = ridge
+    return out, fallback
+
+
+def _fisher_z(r: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """z = 0.5 * sqrt(dof) * ln((1+r)/(1-r)) and its two-sided p-value;
+    |r| = 1 gives z = +-inf and p = 0."""
+    z = np.copysign(np.inf, r)
+    inside = np.abs(r) < 1.0
+    ratio = (1.0 + r[inside]) / (1.0 - r[inside])
+    # math.log per element, not np.log: numpy's SIMD log differs from it in
+    # the last bit for some arguments, which would move p-values off the
+    # one-test-at-a-time values
+    z[inside] = 0.5 * math.sqrt(dof) * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+    return z, 2.0 * ndtr(-np.abs(z))
+
+
+@dataclass(frozen=True)
+class CITestResult:
+    statistic: float
+    p_value: float
+    independent: bool
+
+
+class CIBatch:
+    """Partial correlations and Fisher-z tests of a stack of (i, j, S)
+    triples that share one conditioning-set size, evaluated together.
+
+    ``idx`` has one row ``(i, j, *S)`` per triple, S sorted and excluding i
+    and j.  Evaluation counts nothing and defers every NumericError to the
+    read.  Reading member k does what the scalar call on that triple would:
+    it counts the member's fallback on ``warn`` and raises NumericError when
+    its partial correlation diverged or the sample is too small for the
+    z-test.  A caller that reads exactly the members a sequential loop would
+    have tested therefore sees that loop's results, counters and errors.
+    """
+
+    def __init__(self, stat: GaussianSuffStat, idx):
+        self.idx = np.asarray(idx, dtype=np.intp)
+        self.n = stat.n
+        self.dof = stat.n - (self.idx.shape[1] - 2) - 3
+        r, fallback = _partial_correlations(stat.cov, self.idx)
+        self._r, self._fallback = r.tolist(), fallback.tolist()
+        if self.dof > 0:
+            z, p = _fisher_z(r, self.dof)
+            self._z, self._p = z.tolist(), p.tolist()
+
+    def partial_correlation(self, k: int, warn: WarningCounter = GLOBAL_WARNINGS) -> float:
+        if self._fallback[k]:
+            warn.singular_fallbacks += 1
+        r = self._r[k]
+        if not math.isfinite(r):
+            i, j, *S = self.idx[k].tolist()
+            raise NumericError(f"partial correlation diverged for ({i}, {j} | {tuple(S)})")
+        return r
+
+    def test(
+        self, k: int, alpha: float = 0.05, warn: WarningCounter = GLOBAL_WARNINGS
+    ) -> CITestResult:
+        if self.dof <= 0:
+            raise NumericError(
+                f"need n > |S| + 3 for the z-test (n={self.n}, |S|={self.idx.shape[1] - 2})"
+            )
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError("alpha must lie in (0, 1)")
+        self.partial_correlation(k, warn)
+        p = self._p[k]
+        return CITestResult(self._z[k], p, p > alpha)
+
+
+def _triple(i: int, j: int, S: Iterable[int]) -> list[list[int]]:
+    S = sorted(S)
+    if i == j:
+        raise ConfigError("partial correlation needs two distinct columns")
+    if i in S or j in S:
+        raise ConfigError("conditioning set must exclude the tested pair")
+    return [[i, j, *S]]
 
 
 def partial_correlation(
@@ -112,38 +255,7 @@ def partial_correlation(
     """Correlation of the residuals of columns i and j after linearly
     removing the columns in S, read off the precision of the covariance
     submatrix on {i, j} | S."""
-    S = tuple(sorted(S))
-    if i == j:
-        raise ConfigError("partial correlation needs two distinct columns")
-    if i in S or j in S:
-        raise ConfigError("conditioning set must exclude the tested pair")
-    idx = [i, j, *S]
-    sub = stat.cov[np.ix_(idx, idx)]
-    # Work on the correlation scale: partial correlation is invariant to
-    # per-column scaling and the ridge fallback then has a scale-free effect.
-    d = np.sqrt(np.clip(np.diag(sub), 0.0, None))
-    if d[0] == 0.0 or d[1] == 0.0:  # constant column: no linear signal
-        warn.singular_fallbacks += 1
-        return 0.0
-    dsafe = np.where(d > 0.0, d, 1.0)
-    corr = sub / np.outer(dsafe, dsafe)
-    np.fill_diagonal(corr, 1.0)
-    prec = _spd_inverse(corr, warn)
-    denom = math.sqrt(prec[0, 0] * prec[1, 1])
-    r = float(-prec[0, 1] / denom)
-    if not math.isfinite(r):
-        raise NumericError(f"partial correlation diverged for ({i}, {j} | {S})")
-    r = max(-1.0, min(1.0, r))
-    if abs(r) > 1.0 - 1e-8:  # collapse ridge-sized fuzz at the boundary so
-        r = math.copysign(1.0, r)  # exact proportionality reports |r| = 1
-    return r
-
-
-@dataclass(frozen=True)
-class CITestResult:
-    statistic: float
-    p_value: float
-    independent: bool
+    return CIBatch(stat, _triple(i, j, S)).partial_correlation(0, warn)
 
 
 def fisher_z_test(
@@ -156,25 +268,46 @@ def fisher_z_test(
 ) -> CITestResult:
     """Two-sided test of zero partial correlation via the z-transform
     z = 0.5 * sqrt(n - |S| - 3) * ln((1+r)/(1-r))."""
-    S = tuple(sorted(S))
-    dof = stat.n - len(S) - 3
-    if dof <= 0:
-        raise NumericError(
-            f"need n > |S| + 3 for the z-test (n={stat.n}, |S|={len(S)})"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
-    r = partial_correlation(i, j, S, stat, warn=warn)
-    if abs(r) >= 1.0:
-        return CITestResult(math.copysign(math.inf, r), 0.0, False)
-    z = 0.5 * math.sqrt(dof) * math.log((1.0 + r) / (1.0 - r))
-    p = float(2.0 * norm.sf(abs(z)))
-    return CITestResult(z, p, p > alpha)
+    return CIBatch(stat, _triple(i, j, S)).test(0, alpha, warn)
 
 
 # ---------------------------------------------------------------------------
 # Gaussian BIC structure scores (higher is better)
 # ---------------------------------------------------------------------------
+
+
+def bic_local_stats(
+    y: int,
+    parent_sets: Sequence[Iterable[int]],
+    stat: GaussianSuffStat,
+    warn: WarningCounter = GLOBAL_WARNINGS,
+) -> list[float]:
+    """Local score of column y under each parent set, from the statistic:
+    -(n/2) ln(RSS/n) - (k/2) ln(n) with k = |parents| + 2.  Sets of one size
+    share one stacked inverse; each score is what scoring its set alone
+    gives, bit for bit, and each ridged inverse is counted once."""
+    sets = [sorted(p) for p in parent_sets]
+    by_size: dict[int, list[int]] = {}
+    for k, parents in enumerate(sets):
+        if y in parents:
+            raise ConfigError("a column cannot parent itself")
+        by_size.setdefault(len(parents), []).append(k)
+    n = stat.n
+    syy = float(stat.cov[y, y])
+    out = [0.0] * len(sets)
+    for size, members in by_size.items():
+        if size:
+            idx = np.array([sets[k] for k in members])
+            spy = stat.cov[idx, y]
+            prec, ridge = _spd_inverses(stat.cov[idx[:, :, None], idx[:, None, :]])
+            warn.singular_fallbacks += int(ridge.sum())
+            explained = [float(spy[m] @ prec[m] @ spy[m]) for m in range(len(members))]
+        else:
+            explained = [0.0] * len(members)
+        for k, e in zip(members, explained):
+            rss = max((n - 1) * (syy - e), _RSS_FLOOR)
+            out[k] = -(n / 2.0) * math.log(rss / n) - ((size + 2) / 2.0) * math.log(n)
+    return out
 
 
 def bic_local_stat(
@@ -183,24 +316,8 @@ def bic_local_stat(
     stat: GaussianSuffStat,
     warn: WarningCounter = GLOBAL_WARNINGS,
 ) -> float:
-    """Local score of column y given parent columns, from the statistic:
-    -(n/2) ln(RSS/n) - (k/2) ln(n) with k = |parents| + 2."""
-    parents = tuple(sorted(parents))
-    if y in parents:
-        raise ConfigError("a column cannot parent itself")
-    n = stat.n
-    syy = float(stat.cov[y, y])
-    if parents:
-        idxp = list(parents)
-        spp = stat.cov[np.ix_(idxp, idxp)]
-        spy = stat.cov[idxp, y]
-        prec = _spd_inverse(spp, warn)
-        explained = float(spy @ prec @ spy)
-    else:
-        explained = 0.0
-    rss = max((n - 1) * (syy - explained), _RSS_FLOOR)
-    k = len(parents) + 2
-    return -(n / 2.0) * math.log(rss / n) - (k / 2.0) * math.log(n)
+    """Local score of column y given one parent set (see ``bic_local_stats``)."""
+    return bic_local_stats(y, [parents], stat, warn)[0]
 
 
 def _masked_local_score(node, parents, table, mask, warn) -> float:

@@ -1,5 +1,6 @@
 """Shared brute-force oracles for the test suite: labeled-DAG enumeration,
-Markov-equivalence classes, extension sets, and random graph generators."""
+Markov-equivalence classes, extension sets, random graph generators, and a
+one-test-at-a-time PC skeleton search."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 from itertools import combinations, product
 
 import soilcausal.graphs as G
+from soilcausal.stats import WarningCounter, fisher_z_test
 
 LABELS4 = ("A", "B", "C", "D")
 
@@ -90,3 +92,47 @@ def random_pattern(rng: random.Random, labels) -> G.Cpdag:
         else:
             undirected.add(tuple(sorted((a, b))))
     return G.Cpdag(labels, frozenset(directed), frozenset(undirected))
+
+
+def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
+    """Reference PC-stable edge pruning: one scalar ``fisher_z_test`` per
+    (i, j, S) triple in the sequential order, stopping at each pair's first
+    separating set, removals applied after each level.
+
+    Returns the adjacency sets, the sepsets keyed by index pairs, the number
+    of tests run, and the singular fallbacks that the triples after each
+    pair's first separating set would have counted had they been run (they
+    are evaluated on a separate counter, so ``warn`` sees only the run tests).
+    """
+    d = len(stat.columns)
+    adj = [set(range(d)) - {k} for k in range(d)]
+    sepset, tests, skipped_fallbacks = {}, 0, 0
+    for level in range(max_cond_size + 1):
+        frozen = [sorted(a) for a in adj]
+        testable, removals = False, []
+        for i in range(d):
+            for j in (j for j in frozen[i] if j > i):
+                order = []
+                for side, other in ((i, j), (j, i)):
+                    pool = [k for k in frozen[side] if k != other]
+                    testable |= len(pool) >= level
+                    order += [S for S in combinations(pool, level) if S not in order]
+                found = None
+                for S in order:
+                    if found is None:
+                        tests += 1
+                        if fisher_z_test(i, j, S, stat, alpha, warn).independent:
+                            found = frozenset(S)
+                    else:
+                        skipped = WarningCounter()
+                        fisher_z_test(i, j, S, stat, alpha, skipped)
+                        skipped_fallbacks += skipped.singular_fallbacks
+                if found is not None:
+                    sepset[(i, j)] = found
+                    removals.append((i, j))
+        for i, j in removals:
+            adj[i].discard(j)
+            adj[j].discard(i)
+        if not testable:
+            break
+    return adj, sepset, tests, skipped_fallbacks

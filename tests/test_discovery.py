@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,8 @@ from soilcausal.discovery import (
 )
 from soilcausal.errors import ConfigError
 from soilcausal.graphs import Cpdag, Dag, cpdag_of, shd
-from soilcausal.ingest import Table, concat_tables
-from soilcausal.stats import GLOBAL_WARNINGS
+from soilcausal.ingest import Table, add_field_onehots, concat_tables
+from soilcausal.stats import GLOBAL_WARNINGS, WarningCounter, suff_stat
 from soilcausal.synth import (
     EnvironmentSpec,
     Mechanism,
@@ -23,9 +27,12 @@ from soilcausal.synth import (
     induced_subdag,
     sample_environment,
     sample_environments,
+    TRAIN_TREATMENTS,
     targets_by_treatment,
     true_cpdag,
 )
+
+from enumutil import sequential_pc_skeleton
 
 
 def _linear_scm(nodes, edges, weight=1.0, sd=0.5):
@@ -176,6 +183,77 @@ def test_pc_column_order_invariance():
     assert a.nodes == b.nodes  # both name-sorted
     assert a.directed == b.directed
     assert a.undirected == b.undirected
+
+
+def test_pc_counters_match_a_sequential_loop():
+    # a duplicated column makes conditioning sets holding both copies
+    # singular, and a constant column takes the constant-column fallback
+    rng = np.random.default_rng(21)
+    n = 400
+    a = rng.normal(size=n)
+    b = a + 0.5 * rng.normal(size=n)
+    c = b + 0.5 * rng.normal(size=n)
+    e = a + c + 0.5 * rng.normal(size=n)
+    names = ("a", "b", "c", "c_copy", "const", "e")
+    data = np.column_stack([a, b, c, c, np.full(n, 2.0), e])
+    warn = WarningCounter()
+    got = pc((data, names), columns=names, warn=warn)
+
+    stat = suff_stat((data, names), sorted(names))
+    ref_warn = WarningCounter()
+    adj, sepset, tests, skipped_fallbacks = sequential_pc_skeleton(stat, 0.05, 3, ref_warn)
+    # the batches also evaluate triples past a pair's separating set, some
+    # of which would count a fallback: those must not reach the counter
+    assert skipped_fallbacks > 0
+    assert got.meta["ci_tests"] == tests
+    assert warn.singular_fallbacks == ref_warn.singular_fallbacks > 0
+    col = stat.columns
+    assert got.meta["sepsets"] == {
+        (col[i], col[j]): tuple(sorted(col[k] for k in S)) for (i, j), S in sepset.items()
+    }
+    skeleton = {frozenset(p) for p in got.directed | got.undirected}
+    assert skeleton == {frozenset((col[i], col[j])) for i in range(len(col)) for j in adj[i]}
+
+
+def test_discovery_at_width_matches_recorded_outputs():
+    """pc, ges and gies on 34 columns (the farm plus its 22 field one-hots,
+    train rows only, so the 7 held-out fields' one-hots are constant)
+    reproduce the outputs recorded from the one-test-at-a-time, rescore-
+    everything implementation: patterns, sepsets, CI test count, sweeps and
+    warning counts."""
+    want = json.loads((Path(__file__).parent / "data" / "discovery_golden.json").read_text())
+    scm, envs = default_farm_benchmark(n_days=60)
+    table = add_field_onehots(sample_environments(scm, envs))
+    keep = np.isin(table.treatment, TRAIN_TREATMENTS)
+    table = replace(
+        table,
+        rows=table.rows[keep],
+        timestamps=table.timestamps[keep],
+        field_id=table.field_id[keep],
+        treatment=table.treatment[keep],
+    )
+    assert (table.n, len(table.names)) == (want["rows"], want["columns"])
+    targets = {t: sorted(nodes) for t, nodes in targets_by_treatment(envs).items()}
+    learners = {
+        "pc": lambda w: pc(table, warn=w),
+        "ges": lambda w: ges(table, warn=w),
+        "gies": lambda w: gies(table, DiscoveryConfig(use_interventions=True), targets, warn=w),
+    }
+    for name, learn in learners.items():
+        warn = WarningCounter()
+        pat = learn(warn)
+        got = {
+            "directed": sorted(map(list, pat.directed)),
+            "undirected": sorted(map(list, pat.undirected)),
+            "singular_fallbacks": warn.singular_fallbacks,
+            "empty_interventional": warn.empty_interventional,
+        }
+        if name == "pc":
+            got["ci_tests"] = pat.meta["ci_tests"]
+            got["sepsets"] = sorted([list(p), list(s)] for p, s in pat.meta["sepsets"].items())
+        else:
+            got["sweeps"] = pat.meta["sweeps"]
+        assert got == want[name], name
 
 
 # --- GES --------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_empty_graph_ancestors():
     assert G.ancestors(dag, "x") == frozenset()
 
 
+def test_reachable_stops_at_blocked_nodes():
+    succ = {"a": "bc", "b": "d", "c": "d", "d": "", "e": "a"}.__getitem__
+    assert G.reachable(succ, "a") == {"a", "b", "c", "d"}
+    assert G.reachable(succ, "a", blocked={"b"}) == {"a", "c", "d"}
+    assert G.reachable(succ, "a", blocked={"b", "c"}) == {"a"}
+    assert G.reachable(succ, "a", blocked={"a"}) == set()
+
+
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_ancestors_equal_reachability_closure(seed):

@@ -111,6 +111,71 @@ def test_singular_submatrix_falls_back_with_warning():
     assert -1.0 <= r <= 1.0
 
 
+# Cholesky accepts this matrix (its last pivot rounds to about 1.5e-8) while
+# the LU factorisation behind np.linalg.inv meets an exact zero pivot: the
+# shape two identical lag columns give on a table shorter than the window.
+CHOL_OK_INV_SINGULAR = np.array([[1.0, 0.25, 0.25], [0.25, 1.0, 1.0], [0.25, 1.0, 1.0]])
+
+
+def test_inverse_failure_after_cholesky_takes_counted_ridge():
+    np.linalg.cholesky(CHOL_OK_INV_SINGULAR)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(CHOL_OK_INV_SINGULAR)
+    st = S.GaussianSuffStat(n=100, mean=np.zeros(3), cov=CHOL_OK_INV_SINGULAR, columns=("a", "b", "c"))
+    warn = fresh_counter()
+    res = S.fisher_z_test(0, 1, (2,), st, warn=warn)
+    assert warn.singular_fallbacks == 1
+    assert math.isfinite(res.p_value)
+    cov = np.eye(4)
+    cov[:3, :3] = CHOL_OK_INV_SINGULAR
+    cov[3, :3] = cov[:3, 3] = 0.1
+    st4 = S.GaussianSuffStat(n=100, mean=np.zeros(4), cov=cov, columns=("a", "b", "c", "y"))
+    warn = fresh_counter()
+    assert math.isfinite(S.bic_local_stat(3, (0, 1, 2), st4, warn=warn))
+    assert warn.singular_fallbacks == 1
+
+
+def test_batch_ridges_and_counts_only_the_failing_member():
+    cov = np.eye(4)
+    cov[:3, :3] = CHOL_OK_INV_SINGULAR
+    cov[0, 3] = cov[3, 0] = 0.3
+    st = S.GaussianSuffStat(n=100, mean=np.zeros(4), cov=cov, columns=("a", "b", "c", "d"))
+    batch = S.CIBatch(st, [[0, 3, 1], [0, 1, 2], [0, 3, 2]])
+    warn = fresh_counter()
+    assert batch.test(0, warn=warn) == S.fisher_z_test(0, 3, (1,), st)
+    assert warn.singular_fallbacks == 0  # evaluating the batch counted nothing
+    assert batch.test(1, warn=warn) == S.fisher_z_test(0, 1, (2,), st)
+    assert warn.singular_fallbacks == 1
+    assert batch.test(2, warn=warn) == S.fisher_z_test(0, 3, (2,), st)
+    assert warn.singular_fallbacks == 1
+
+
+def test_batch_members_equal_scalar_tests_bit_for_bit():
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(300, 7)) @ rng.normal(size=(7, 7))
+    data[:, 6] = data[:, 5]  # a duplicate, so some members take the ridge
+    st = S.suff_stat(data)
+    triples = [
+        [i, j, *cond]
+        for i in range(7)
+        for j in range(i + 1, 7)
+        for cond in [(k, m) for k in range(7) for m in range(k + 1, 7) if {k, m}.isdisjoint((i, j))]
+    ]
+    batch = S.CIBatch(st, triples)
+    for k, (i, j, *cond) in enumerate(triples):
+        one, many = fresh_counter(), fresh_counter()
+        assert batch.test(k, warn=many) == S.fisher_z_test(i, j, cond, st, warn=one)
+        assert many == one
+
+
+def test_batch_reports_small_samples_only_when_read():
+    st = S.GaussianSuffStat(n=5, mean=np.zeros(4), cov=np.eye(4), columns=("a", "b", "c", "d"))
+    batch = S.CIBatch(st, [[0, 1, 2, 3]])  # n - |S| - 3 = 0
+    with pytest.raises(NumericError):
+        batch.test(0)
+    assert batch.partial_correlation(0) == 0.0
+
+
 def test_partial_correlation_argument_validation():
     st = S.suff_stat(np.random.default_rng(0).normal(size=(50, 3)))
     with pytest.raises(ConfigError):
