@@ -7,29 +7,15 @@
 They are not part of the tier-1 suite (``testpaths`` is ``tests``).
 """
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
-from soilcausal import discovery, ingest, stats, synth
+from soilcausal import discovery, stats
 
 
 @pytest.fixture(scope="module")
-def wide():
-    scm, envs = synth.default_farm_benchmark(n_days=400)
-    table = ingest.add_field_onehots(ingest.lag_counts(synth.sample_environments(scm, envs)))
-    train = np.isin(table.treatment, synth.TRAIN_TREATMENTS)
-    table = ingest.min_max_apply(table, ingest.min_max_fit(table, table.names, train))
-    table = replace(
-        table,
-        rows=table.rows[train],
-        timestamps=table.timestamps[train],
-        field_id=table.field_id[train],
-        treatment=table.treatment[train],
-    )
-    names = tuple(sorted(table.names))
-    return names, stats.suff_stat(table, names)
+def wide(wide_train):
+    names = tuple(sorted(wide_train.names))
+    return names, stats.suff_stat(wide_train, names)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,18 @@ column permutations of the table cannot change any model.  Trees are
 deterministic given the master seed: per-tree seeds come from the same
 splitmix derivation the synthesizer uses, so results do not depend on
 training schedule.
+
+Trees are exact CART on variance reduction.  Each tree sorts its design
+once, with a stable argsort per feature, into one (d + 1, n) index buffer:
+row f lists the rows by (x_f, row id), and the last row lists them by row
+id.  A node owns the slice [lo, hi) of every row.  It scores all of its
+candidate features at once from that slice (a cumulative sum along each
+row, the first minimum per row, then the lowest feature), and then
+stably partitions the slice in place, so each row keeps the (x_f, row id)
+order inside both children.  That order is the one a per-node stable
+argsort of the node's ascending row ids gives, and the targets' sums run
+in the same order, so every threshold and leaf value is the one such a
+per-node sort would produce, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,69 +61,88 @@ def _design(table) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     return table.matrix(names), table.column(table.target), names
 
 
-def _best_split(X, y, idx, features, min_leaf):
-    """Exhaustive variance-reduction split over the given features.
-
-    Ties break toward the lowest feature index, then the leftmost
-    threshold (argmin picks the first minimum in sorted-x order).
-    """
-    m = idx.size
-    best_sse, best = np.inf, None
-    for f in features:
-        xv = X[idx, f]
-        order = np.argsort(xv, kind="stable")
-        xs = xv[order]
-        ys = y[idx][order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        total, total_sq = csum[-1], csq[-1]
-        k = np.arange(1, m, dtype=np.float64)
-        left_sse = csq[:-1] - csum[:-1] ** 2 / k
-        right_sse = (total_sq - csq[:-1]) - (total - csum[:-1]) ** 2 / (m - k)
-        sse = left_sse + right_sse
-        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & ((m - k) >= min_leaf)
-        if not valid.any():
-            continue
-        sse = np.where(valid, sse, np.inf)
-        j = int(np.argmin(sse))
-        if sse[j] < best_sse - _SPLIT_EPS:
-            best_sse = sse[j]
-            best = (f, 0.5 * (xs[j] + xs[j + 1]))
-    if best is None:
-        return None
-    parent_sse = float(((y[idx] - y[idx].mean()) ** 2).sum())
-    if best_sse >= parent_sse - _SPLIT_EPS:
-        return None
-    return best
-
-
-def _grow_tree(X, y, idx, depth, max_depth, min_leaf, rng, n_features):
-    value = float(y[idx].mean())
-    if idx.size < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return TreeNode(None, 0.0, None, None, value)
-    d = X.shape[1]
-    if n_features is not None and n_features < d:
-        features = np.sort(rng.choice(d, size=n_features, replace=False))
-    else:
-        features = np.arange(d)
-    split = _best_split(X, y, idx, features, min_leaf)
-    if split is None:
-        return TreeNode(None, 0.0, None, None, value)
-    f, thr = split
-    mask = X[idx, f] <= thr
-    left = _grow_tree(X, y, idx[mask], depth + 1, max_depth, min_leaf, rng, n_features)
-    right = _grow_tree(X, y, idx[~mask], depth + 1, max_depth, min_leaf, rng, n_features)
-    return TreeNode(int(f), float(thr), left, right, value)
-
-
 def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> TreeNode:
+    """One exact CART tree on the presorted buffer of the module docstring.
+
+    ``n_features`` features are drawn from ``rng`` at each node that is
+    not a leaf by size or depth, in pre-order (node, left subtree, right
+    subtree).
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:
         raise NumericError(f"bad design shapes {X.shape} / {y.shape}")
     if rng is None:
         rng = np.random.default_rng(0)
-    return _grow_tree(X, y, np.arange(X.shape[0]), 0, max_depth, min_leaf, rng, n_features)
+    n, d = X.shape
+    xt = np.ascontiguousarray(X.T)
+    order = np.empty((d + 1, n), dtype=np.intp)
+    order[:d] = np.argsort(X, axis=0, kind="stable").T
+    order[d] = np.arange(n)
+    ks = np.arange(1, n, dtype=np.float64)  # left-child sizes of a split
+    all_features = np.arange(d)
+    goes_left = np.zeros(n, dtype=bool)
+    kmin = max(min_leaf, 1)  # smallest child a split may leave
+
+    def best_split(lo, hi, features, ys, mean):
+        """Lowest-SSE split over ``features``: returns (feature, threshold,
+        left size) or None.  Ties break toward the lowest feature, then
+        the leftmost threshold (argmin picks the first minimum)."""
+        m = hi - lo
+        # left sizes k in [kmin, m - kmin], at positions k - 1 of the sums
+        p0, p1 = kmin - 1, m - kmin
+        if p1 <= p0:
+            return None
+        rows = order[features, lo:hi]
+        xs = xt[features[:, None], rows]
+        yr = y[rows]
+        csum = yr.cumsum(axis=1)
+        csq = (yr * yr).cumsum(axis=1)
+        total, total_sq = csum[:, -1:], csq[:, -1:]
+        csum, csq, k = csum[:, p0:p1], csq[:, p0:p1], ks[p0:p1]
+        left_sse = csq - csum**2 / k
+        right_sse = (total_sq - csq) - (total - csum) ** 2 / (m - k)
+        sse = np.where(xs[:, p0 + 1 : p1 + 1] > xs[:, p0:p1], left_sse + right_sse, np.inf)
+        best_sse, best = np.inf, None
+        for r, s in enumerate(sse.min(axis=1).tolist()):
+            if s < best_sse - _SPLIT_EPS:
+                best_sse, best = s, r
+        if best is None or best_sse >= float(((ys - mean) ** 2).sum()) - _SPLIT_EPS:
+            return None
+        x_best = xs[best]
+        j = p0 + int(sse[best].argmin())
+        thr = 0.5 * (x_best[j] + x_best[j + 1])
+        # the left child is what ``x <= thr`` selects, which is not always
+        # j + 1 rows: the midpoint of adjacent doubles can round up
+        return int(features[best]), float(thr), int(np.count_nonzero(x_best <= thr))
+
+    def grow(lo, hi, depth):
+        ys = y[order[d, lo:hi]]
+        mean = ys.sum() / (hi - lo)  # what ys.mean() computes, without its dispatch
+        value = float(mean)
+        if hi - lo < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+            return TreeNode(None, 0.0, None, None, value)
+        if n_features is not None and n_features < d:
+            features = np.sort(rng.choice(d, size=n_features, replace=False))
+        else:
+            features = all_features
+        split = best_split(lo, hi, features, ys, mean)
+        if split is None:
+            return TreeNode(None, 0.0, None, None, value)
+        f, thr, n_left = split
+        # rows sorted by feature f put the left child first; mark them and
+        # move them to the front of every row, keeping each row's order
+        seg = order[:, lo:hi]
+        goes_left[seg[f, :n_left]] = True
+        goes_left[seg[f, n_left:]] = False
+        mask = goes_left[seg]
+        left, right = seg[mask], seg[~mask]
+        seg[:, :n_left] = left.reshape(d + 1, n_left)
+        seg[:, n_left:] = right.reshape(d + 1, hi - lo - n_left)
+        mid = lo + n_left
+        return TreeNode(f, thr, grow(lo, mid, depth + 1), grow(mid, hi, depth + 1), value)
+
+    return grow(0, n, 0)
 
 
 def tree_predict(node: TreeNode, X) -> np.ndarray:
@@ -154,9 +185,7 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
         rng = np.random.default_rng(derive_seed(seed, t))
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         sub_rng = np.random.default_rng(derive_seed(seed, t, 1))
-        trees.append(
-            _grow_tree(X[idx], y[idx], np.arange(n), 0, None, 2, sub_rng, n_features)
-        )
+        trees.append(cart_train(X[idx], y[idx], None, 2, sub_rng, n_features))
     return RandomForest(trees=trees, feature_names=names, target=table.target)
 
 
@@ -190,7 +219,7 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
     current = np.full(y.shape, model.init_value)
     for t in range(n_estimators):
         rng = np.random.default_rng(derive_seed(seed, t))
-        tree = _grow_tree(X, y - current, np.arange(X.shape[0]), 0, max_depth, 1, rng, None)
+        tree = cart_train(X, y - current, max_depth, 1, rng, None)
         model.trees.append(tree)
         current = current + lr * tree_predict(tree, X)
         model.loss_history.append(float(np.mean((y - current) ** 2)))

@@ -30,6 +30,7 @@ import numpy as np
 from . import engine
 from .engine import AdamState, DenseParams, Tensor, adam_step, constant
 from .errors import GraphError, NumericError, SchemaError
+from .graphs import reachable
 
 _NEIGHBORHOODS = ("parents", "ancestors")
 
@@ -74,21 +75,10 @@ class GraphSkeleton:
     def in_neighbors(self, node: str) -> tuple[str, ...]:
         if self.neighborhood == "parents":
             return tuple(sorted(a for a, b in self.edges if b == node))
-        return tuple(sorted(self._ancestors(node)))
-
-    def _ancestors(self, node: str) -> set[str]:
         parents: dict[str, list[str]] = {n: [] for n in self.nodes}
         for a, b in self.edges:
             parents[b].append(a)
-        out: set[str] = set()
-        stack = list(parents[node])
-        while stack:
-            a = stack.pop()
-            if a in out or a == node:
-                continue
-            out.add(a)
-            stack.extend(parents[a])
-        return out
+        return tuple(sorted(reachable(parents.__getitem__, node) - {node}))
 
     def aggregation_matrix(self) -> np.ndarray:
         """Row-normalized in-neighbor indicator: (A h)_i = mean over N(i).
@@ -118,13 +108,15 @@ def skeleton_from_pattern(pattern, nodes, target: str, neighborhood: str = "pare
     """Build a skeleton from a mixed-edge discovery pattern.
 
     Directed edges are kept as-is; an undirected edge carries messages
-    both ways, so it expands to a directed pair.
+    both ways, so it expands to a directed pair.  The skeleton's nodes are
+    the sorted ``nodes``, so the caller's column order cannot reach the
+    models' node layout.
     """
     edges = list(pattern.directed)
     for a, b in pattern.undirected:
         edges.append((a, b))
         edges.append((b, a))
-    return GraphSkeleton(nodes=tuple(nodes), edges=tuple(edges), target=target, neighborhood=neighborhood)
+    return GraphSkeleton(nodes=tuple(sorted(nodes)), edges=tuple(edges), target=target, neighborhood=neighborhood)
 
 
 def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:

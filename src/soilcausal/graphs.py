@@ -107,11 +107,6 @@ class Cpdag:
             raise GraphError("cycle in directed part")
 
 
-def as_cpdag(dag: Dag) -> Cpdag:
-    """View a DAG as a fully directed Cpdag (no equivalence-class projection)."""
-    return Cpdag(dag.nodes, dag.edges, frozenset())
-
-
 def is_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> bool:
     return _kahn(nodes, edges) is not None
 

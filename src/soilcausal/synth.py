@@ -14,7 +14,7 @@ environments are sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -429,10 +429,3 @@ def default_farm_benchmark(
             )
             k += 1
     return scm, envs
-
-
-def resize_environments(envs, n_days: int) -> list[EnvironmentSpec]:
-    """Same environments, different per-field length (for recovery studies)."""
-    if n_days < 1:
-        raise ConfigError("n_days must be at least 1")
-    return [replace(e, n_days=n_days) for e in envs]

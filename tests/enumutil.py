@@ -1,16 +1,35 @@
 """Shared brute-force oracles for the test suite: labeled-DAG enumeration,
-Markov-equivalence classes, extension sets, random graph generators, and a
-one-test-at-a-time PC skeleton search."""
+Markov-equivalence classes, extension sets, random graph generators, a
+one-test-at-a-time PC skeleton search, a per-node-argsort CART grower, and
+a builder for small all-continuous tables."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
 
+import numpy as np
+
 import soilcausal.graphs as G
+from soilcausal.baselines import _SPLIT_EPS, TreeNode
+from soilcausal.ingest import ColumnSpec, Table
 from soilcausal.stats import WarningCounter, fisher_z_test
 
 LABELS4 = ("A", "B", "C", "D")
+
+
+def continuous_table(names, rows, target=None):
+    """One field, one treatment, consecutive days; the target defaults to
+    the last column."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return Table(
+        schema=tuple(ColumnSpec(name=n, kind="continuous") for n in names),
+        rows=rows,
+        timestamps=np.repeat(np.datetime64("2020-06-01"), rows.shape[0]) + np.arange(rows.shape[0]),
+        field_id=np.repeat("f0", rows.shape[0]),
+        treatment=np.repeat("obs", rows.shape[0]),
+        target=target or names[-1],
+    )
 
 
 def all_dags(labels: tuple[str, ...]) -> list[frozenset[tuple[str, str]]]:
@@ -136,3 +155,64 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
         if not testable:
             break
     return adj, sepset, tests, skipped_fallbacks
+
+
+def reference_cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None):
+    """Reference CART with ``cart_train``'s signature: every node re-sorts
+    each candidate feature with a stable argsort of its ascending row ids
+    and scores the features one at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return _reference_grow(X, y, np.arange(X.shape[0]), 0, max_depth, min_leaf, rng, n_features)
+
+
+def _reference_split(X, y, idx, features, min_leaf):
+    m = idx.size
+    best_sse, best = np.inf, None
+    for f in features:
+        xv = X[idx, f]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        ys = y[idx][order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        total, total_sq = csum[-1], csq[-1]
+        k = np.arange(1, m, dtype=np.float64)
+        left_sse = csq[:-1] - csum[:-1] ** 2 / k
+        right_sse = (total_sq - csq[:-1]) - (total - csum[:-1]) ** 2 / (m - k)
+        sse = left_sse + right_sse
+        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & ((m - k) >= min_leaf)
+        if not valid.any():
+            continue
+        sse = np.where(valid, sse, np.inf)
+        j = int(np.argmin(sse))
+        if sse[j] < best_sse - _SPLIT_EPS:
+            best_sse = sse[j]
+            best = (f, 0.5 * (xs[j] + xs[j + 1]))
+    if best is None:
+        return None
+    parent_sse = float(((y[idx] - y[idx].mean()) ** 2).sum())
+    if best_sse >= parent_sse - _SPLIT_EPS:
+        return None
+    return best
+
+
+def _reference_grow(X, y, idx, depth, max_depth, min_leaf, rng, n_features):
+    value = float(y[idx].mean())
+    if idx.size < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+        return TreeNode(None, 0.0, None, None, value)
+    d = X.shape[1]
+    if n_features is not None and n_features < d:
+        features = np.sort(rng.choice(d, size=n_features, replace=False))
+    else:
+        features = np.arange(d)
+    split = _reference_split(X, y, idx, features, min_leaf)
+    if split is None:
+        return TreeNode(None, 0.0, None, None, value)
+    f, thr = split
+    mask = X[idx, f] <= thr
+    left = _reference_grow(X, y, idx[mask], depth + 1, max_depth, min_leaf, rng, n_features)
+    right = _reference_grow(X, y, idx[~mask], depth + 1, max_depth, min_leaf, rng, n_features)
+    return TreeNode(int(f), float(thr), left, right, value)

@@ -22,19 +22,8 @@ from soilcausal.gnn import (
     train,
 )
 from soilcausal.graphs import Cpdag
-from soilcausal.ingest import ColumnSpec, Table
 
-
-def _table(names, rows, target=None):
-    rows = np.asarray(rows, dtype=np.float64)
-    return Table(
-        schema=tuple(ColumnSpec(name=n, kind="continuous") for n in names),
-        rows=rows,
-        timestamps=np.repeat(np.datetime64("2020-06-01"), rows.shape[0]) + np.arange(rows.shape[0]),
-        field_id=np.repeat("f0", rows.shape[0]),
-        treatment=np.repeat("obs", rows.shape[0]),
-        target=target or names[-1],
-    )
+from enumutil import continuous_table
 
 
 def _random_skeleton(rng, n_nodes, n_edges, target_idx=0):
@@ -94,8 +83,31 @@ def test_skeleton_from_pattern_expands_undirected():
     assert set(sk.edges) == {("a", "b"), ("b", "c"), ("c", "b")}
 
 
+@pytest.mark.parametrize("kind", ["sage", "ecc"])
+def test_training_from_pattern_is_bit_identical_under_column_order(kind):
+    rng = np.random.default_rng(11)
+    names = ("a", "b", "c", "d", "e", "t")
+    rows = rng.standard_normal((40, len(names)))
+    pattern = Cpdag(
+        nodes=frozenset(names),
+        directed=frozenset({("a", "t"), ("b", "t"), ("c", "t"), ("d", "c")}),
+        undirected=frozenset({("e", "t"), ("a", "b")}),
+    )
+    results = []
+    for perm in (names, ("t", "e", "c", "a", "d", "b")):
+        cols = [names.index(n) for n in perm]
+        table = continuous_table(perm, rows[:, cols], target="t")
+        sk = skeleton_from_pattern(pattern, table.names, target="t")
+        insts = build_instances(table, sk)
+        res = train(kind, sk, insts, epochs=20, seed=5, hidden=8)
+        results.append((res.loss_history, predict(res.model, sk, insts)))
+    (h1, p1), (h2, p2) = results
+    assert h1 == h2
+    assert np.array_equal(p1, p2)
+
+
 def test_build_instances_masks_target():
-    t = _table(("x", "y"), [[1.5, 3.2], [0.0, -1.0]], target="y")
+    t = continuous_table(("x", "y"), [[1.5, 3.2], [0.0, -1.0]], target="y")
     sk = GraphSkeleton(nodes=("x", "y"), edges=(("x", "y"),), target="y")
     insts = build_instances(t, sk)
     assert len(insts) == 2
@@ -107,9 +119,9 @@ def test_build_instances_masks_target():
 
 def test_build_instances_alignment_by_name():
     rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    t1 = _table(("a", "b", "y"), rows, target="y")
+    t1 = continuous_table(("a", "b", "y"), rows, target="y")
     # same data with shuffled column order
-    t2 = _table(("y", "a", "b"), [[r[2], r[0], r[1]] for r in rows], target="y")
+    t2 = continuous_table(("y", "a", "b"), [[r[2], r[0], r[1]] for r in rows], target="y")
     sk = GraphSkeleton(nodes=("a", "b", "y"), edges=(("a", "y"),), target="y")
     for i1, i2 in zip(build_instances(t1, sk), build_instances(t2, sk)):
         assert np.array_equal(i1.features, i2.features)
@@ -117,7 +129,7 @@ def test_build_instances_alignment_by_name():
 
 
 def test_build_instances_schema_mismatch():
-    t = _table(("a", "b"), [[1.0, 2.0]])
+    t = continuous_table(("a", "b"), [[1.0, 2.0]])
     sk = GraphSkeleton(nodes=("a", "c"), edges=(), target="c")
     with pytest.raises(SchemaError):
         build_instances(t, sk)
@@ -156,7 +168,7 @@ def test_pruned_training_matches_full(kind):
     )
     sk = GraphSkeleton(nodes=nodes, edges=edges, target="n0")
     rows = rng.standard_normal((40, 8))
-    t = _table(nodes, rows, target="n0")
+    t = continuous_table(nodes, rows, target="n0")
 
     full = train(kind, sk, build_instances(t, sk), epochs=40, seed=3)
 
@@ -332,12 +344,12 @@ def test_forward_invariant_to_node_order():
     nodes = ("a", "b", "c", "t")
     edges = (("a", "t"), ("b", "t"), ("c", "b"))
     rows = rng.standard_normal((6, 4))
-    t1 = _table(nodes, rows, target="t")
+    t1 = continuous_table(nodes, rows, target="t")
     sk1 = GraphSkeleton(nodes=nodes, edges=edges, target="t")
 
     perm = ("c", "t", "a", "b")
     cols = {n: rows[:, nodes.index(n)] for n in nodes}
-    t2 = _table(perm, np.stack([cols[n] for n in perm], axis=1), target="t")
+    t2 = continuous_table(perm, np.stack([cols[n] for n in perm], axis=1), target="t")
     sk2 = GraphSkeleton(nodes=perm, edges=edges, target="t")
 
     r1 = train("sage", sk1, build_instances(t1, sk1), epochs=5, seed=4)
@@ -362,8 +374,8 @@ def test_masking_blocks_target_leakage_bit_exactly():
     sk = GraphSkeleton(nodes=nodes, edges=(("x", "y"),), target="y")
     rows = [[0.3, 10.0], [0.6, -4.0]]
     rows2 = [[0.3, 99.0], [0.6, 123.0]]  # only the target column differs
-    i1 = build_instances(_table(nodes, rows, target="y"), sk)
-    i2 = build_instances(_table(nodes, rows2, target="y"), sk)
+    i1 = build_instances(continuous_table(nodes, rows, target="y"), sk)
+    i2 = build_instances(continuous_table(nodes, rows2, target="y"), sk)
     model = init_sage(sk, seed=5)
     p1 = predict(model, sk, i1)
     p2 = predict(model, sk, i2)
