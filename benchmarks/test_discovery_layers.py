@@ -45,12 +45,12 @@ def test_pc_level_batch(benchmark, wide, largest_pc_level):
     benchmark(stats.CIBatch, stat, largest_pc_level)
 
 
-def test_ges_forward_phase(benchmark, wide):
-    names, stat = wide
+def test_ges_forward_phase(benchmark, wide_train, wide):
+    names, _ = wide
 
     def forward():
-        st = discovery._State(names, ())
-        sc = discovery._Scorer([stat] * len(names), stats.WarningCounter())
+        st = discovery._State(len(names), ())
+        sc = discovery._Scorer(wide_train, names, None, stats.WarningCounter())
         discovery._forward_phase(st, sc, discovery.DiscoveryConfig())
         return st
 

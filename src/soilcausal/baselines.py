@@ -109,12 +109,12 @@ def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> T
                 best_sse, best = s, r
         if best is None or best_sse >= float(((ys - mean) ** 2).sum()) - _SPLIT_EPS:
             return None
-        x_best = xs[best]
         j = p0 + int(sse[best].argmin())
-        thr = 0.5 * (x_best[j] + x_best[j + 1])
-        # the left child is what ``x <= thr`` selects, which is not always
-        # j + 1 rows: the midpoint of adjacent doubles can round up
-        return int(features[best]), float(thr), int(np.count_nonzero(x_best <= thr))
+        lo, hi = xs[best, j], xs[best, j + 1]
+        mid = 0.5 * (lo + hi)
+        # the midpoint of adjacent doubles can round up to hi; lo then
+        # splits off the same j + 1 rows
+        return int(features[best]), float(mid if mid < hi else lo), j + 1
 
     def grow(lo, hi, depth):
         ys = y[order[d, lo:hi]]

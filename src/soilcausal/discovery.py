@@ -13,12 +13,18 @@ PC freezes the adjacencies of each level (PC-stable), so every test of a
 level is known before any result is read: the level is evaluated as one
 batch, then each pair's tests are read in the sequential order up to its
 first separating set.  ``ci_tests`` and the warning counters count only the
-tests read, i.e. the sequential-equivalent numbers.  The greedy searches
-keep, per node, the sorted insertions that pass every check local to that
-node and rebuild a node's list only when its neighbourhood changes (as in
-fGES); the global semi-directed-path check runs lazily along the merged
-order.  Patterns, sepsets, counts and sweeps are those of evaluating
-everything afresh at every step.
+tests read, i.e. the sequential-equivalent numbers.
+
+``ges`` and ``gies`` share one greedy core.  It runs on the index labels
+0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
+as it would on the names, and names the final pattern once.  One scorer
+serves both: a node's local BIC comes from the rows where that node was not
+manipulated (every row for ``ges``).  The core keeps, per node, the sorted
+insertions that pass every check local to that node and rebuilds a node's
+list only when its neighbourhood changes (as in fGES); the global
+semi-directed-path check runs lazily along the merged order.  Patterns,
+sepsets, counts and sweeps are those of evaluating everything afresh at
+every step.
 """
 
 from __future__ import annotations
@@ -217,17 +223,33 @@ def pc_oracle(
 
 
 class _Scorer:
-    """Cached local scores; one sufficient statistic per scored node.
+    """Cached local scores, one sufficient statistic per scored node.
 
-    For observational search every node shares one statistic.  With
-    interventions, node i's statistic is computed on the rows where i was
-    NOT manipulated; a node manipulated everywhere scores 0 and is noted.
+    Node i's statistic comes from the rows where i was not manipulated
+    (Hauser & Buehlmann 2012); without ``row_targets`` that is every row.
+    Nodes with the same rows share one statistic.  A node left with fewer
+    than 2 rows scores 0 and is counted once on ``warn``.
     """
 
-    def __init__(self, stats, warn: WarningCounter):
-        self.stats = stats
+    def __init__(self, table, names, row_targets, warn: WarningCounter):
+        data = table.matrix(names)
+        if row_targets is not None and len(row_targets) != len(data):
+            raise ConfigError("one intervention-target set required per row")
         self.warn = warn
         self.cache: dict[tuple[int, frozenset], float] = {}
+        self.stats: list[GaussianSuffStat | None] = []
+        shared: dict[bytes | None, GaussianSuffStat | None] = {}
+        for name in names:
+            keep = None
+            if row_targets is not None:
+                keep = np.fromiter((name not in t for t in row_targets), bool, len(data))
+            key = None if keep is None or keep.all() else keep.tobytes()
+            if key not in shared:
+                rows = data if key is None else data[keep]
+                shared[key] = suff_stat(rows, names) if key is None or len(rows) >= 2 else None
+            if shared[key] is None:
+                warn.empty_interventional += 1
+            self.stats.append(shared[key])
 
     def local(self, y: int, parents: frozenset) -> float:
         key = (y, parents)
@@ -267,17 +289,14 @@ def _essential_pattern(dag: Dag, intervened: frozenset) -> Cpdag:
 
 
 class _State:
-    """Mutable view of the current equivalence-class pattern, indexed over
-    0..d-1 in name-sorted order.  ``pa`` holds directed in-neighbors only,
-    ``und`` the undirected neighborhoods, ``adj`` their union."""
+    """Mutable view of the current equivalence-class pattern over the index
+    labels 0..d-1.  ``pa`` holds directed in-neighbors only, ``ch`` directed
+    out-neighbors, ``und`` the undirected neighborhoods, ``adj`` their
+    union."""
 
-    def __init__(self, names, intervened_names):
-        self.names = tuple(names)
-        self.index = {n: k for k, n in enumerate(self.names)}
-        self.intervened = frozenset(
-            self.index[n] for n in intervened_names if n in self.index
-        )
-        d = len(self.names)
+    def __init__(self, d: int, intervened):
+        self.nodes = tuple(range(d))
+        self.intervened = frozenset(intervened)
         self.pa = [set() for _ in range(d)]
         self.ch = [set() for _ in range(d)]
         self.und = [set() for _ in range(d)]
@@ -288,14 +307,12 @@ class _State:
     def load(self, pattern: Cpdag):
         for s in (*self.pa, *self.ch, *self.und, *self.adj):
             s.clear()
-        for a, b in pattern.directed:
-            i, j = self.index[a], self.index[b]
+        for i, j in pattern.directed:
             self.pa[j].add(i)
             self.ch[i].add(j)
             self.adj[i].add(j)
             self.adj[j].add(i)
-        for a, b in pattern.undirected:
-            i, j = self.index[a], self.index[b]
+        for i, j in pattern.undirected:
             self.und[i].add(j)
             self.und[j].add(i)
             self.adj[i].add(j)
@@ -312,39 +329,17 @@ class _State:
         )
 
     def pattern(self) -> Cpdag:
-        directed = frozenset(
-            (self.names[i], self.names[j])
-            for j in range(len(self.names))
-            for i in self.pa[j]
-        )
-        undirected = frozenset(
-            (self.names[min(i, j)], self.names[max(i, j)])
-            for i in range(len(self.names))
-            for j in self.und[i]
-            if i < j
-        )
-        return Cpdag(self.names, directed, undirected)
+        return Cpdag(self.nodes, *self.edge_sets())
 
     def complete(self, directed, undirected) -> Cpdag:
         """Orient a PDAG into a class member, then re-project to the
         (interventional) pattern of that member's class."""
-        named_dir = frozenset(
-            (self.names[i], self.names[j]) for i, j in directed
-        )
-        named_und = frozenset(
-            (self.names[min(i, j)], self.names[max(i, j)]) for i, j in undirected
-        )
-        ext = consistent_extension(Cpdag(self.names, named_dir, named_und))
-        inter = frozenset(self.names[k] for k in self.intervened)
-        return _essential_pattern(ext, inter)
+        ext = consistent_extension(Cpdag(self.nodes, directed, undirected))
+        return _essential_pattern(ext, self.intervened)
 
     def edge_sets(self):
-        directed = {(i, j) for j in range(len(self.names)) for i in self.pa[j]}
-        undirected = {
-            (min(i, j), max(i, j))
-            for i in range(len(self.names))
-            for j in self.und[i]
-        }
+        directed = {(i, j) for j in self.nodes for i in self.pa[j]}
+        undirected = {(min(i, j), max(i, j)) for i in self.nodes for j in self.und[i]}
         return directed, undirected
 
 
@@ -367,7 +362,7 @@ def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
     ``max_parents`` parents, and base = NA(y, x) | T a clique."""
     pa_y = frozenset(st.pa[y])
     moves = []
-    for x in range(len(st.names)):
+    for x in st.nodes:
         if x == y or x in st.adj[y]:
             continue
         na = frozenset(n for n in st.und[y] if n in st.adj[x])
@@ -397,7 +392,7 @@ def _insert_candidates(st: _State, sc: _Scorer, max_parents):
     the first candidate that passes is the minimum of (-gain, x, y, T) over
     all valid insertions."""
     per_node = []
-    for y in range(len(st.names)):
+    for y in st.nodes:
         key = st.insert_key(y)
         cached = st.inserts.get(y)
         if cached is None or cached[0] != key:
@@ -419,10 +414,9 @@ def _insert_candidates(st: _State, sc: _Scorer, max_parents):
 
 def _delete_candidates(st: _State, sc: _Scorer):
     """Valid single-edge deletions: Delete(x, y, H)."""
-    d = len(st.names)
     best = None
     pairs = []
-    for y in range(d):
+    for y in st.nodes:
         for x in st.pa[y]:
             pairs.append((x, y))
         for x in st.und[y]:
@@ -495,11 +489,9 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
     strictly improves the (interventional) score and keeps acyclicity."""
     changed = False
     while True:
-        inter = frozenset(st.names[k] for k in st.intervened)
         ext = consistent_extension(st.pattern())
-        idx = st.index
-        pa = {n: set() for n in ext.nodes}
-        ch = {n: set() for n in ext.nodes}
+        pa = [set() for _ in ext.nodes]
+        ch = [set() for _ in ext.nodes]
         for a, b in ext.edges:
             pa[b].add(a)
             ch[a].add(b)
@@ -512,14 +504,12 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
             # descends from a
             if (pa[b] - {a}) & reachable(ch.__getitem__, a):
                 continue
-            i, j = idx[a], idx[b]
-            pa_b = frozenset(idx[p] for p in pa[b])
-            pa_a = frozenset(idx[p] for p in pa[a])
+            pa_b, pa_a = frozenset(pa[b]), frozenset(pa[a])
             gain = (
-                sc.local(j, pa_b - {i})
-                + sc.local(i, pa_a | {j})
-                - sc.local(j, pa_b)
-                - sc.local(i, pa_a)
+                sc.local(b, pa_b - {a})
+                + sc.local(a, pa_a | {b})
+                - sc.local(b, pa_b)
+                - sc.local(a, pa_a)
             )
             if gain > _GAIN_TOL:
                 cand = (-gain, a, b)
@@ -529,12 +519,24 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
             return changed
         _, a, b = best
         edges = (ext.edges - {(a, b)}) | {(b, a)}
-        st.load(_essential_pattern(Dag(ext.nodes, edges), inter))
+        st.load(_essential_pattern(Dag(ext.nodes, edges), st.intervened))
         changed = True
 
 
-def _greedy_search(names, sc, cfg, intervened, turning):
-    st = _State(names, intervened)
+def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
+    """The search behind ``ges`` (no ``row_targets``) and ``gies``.
+
+    It runs on the index labels of the name-sorted columns and names the
+    final pattern once; index order is name order, so every label-order
+    tie-break of the graph algebra is the one over names.  With row targets
+    the score is interventional, edges at manipulated nodes keep their
+    orientation, and a turning phase follows the forward and backward
+    phases until a sweep changes nothing."""
+    names = tuple(sorted(columns if columns is not None else table.names))
+    sc = _Scorer(table, names, row_targets, warn)
+    turning = row_targets is not None
+    intervened = frozenset().union(*row_targets) if turning else frozenset()
+    st = _State(len(names), (k for k, n in enumerate(names) if n in intervened))
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
         before = st.edge_sets()
@@ -544,7 +546,13 @@ def _greedy_search(names, sc, cfg, intervened, turning):
             moved |= _turning_phase(st, sc, cfg)
         if not turning or not moved or st.edge_sets() == before:
             break
-    return st.pattern(), sweeps
+    directed, undirected = st.edge_sets()
+    return Cpdag(
+        names,
+        {(names[i], names[j]) for i, j in directed},
+        {(names[i], names[j]) for i, j in undirected},
+        meta={"sweeps": sweeps},
+    )
 
 
 def ges(
@@ -555,13 +563,7 @@ def ges(
 ) -> Cpdag:
     """Greedy DAG-space grow/prune under the Gaussian BIC, reported as the
     pattern of the final graph's equivalence class."""
-    cfg = config or DiscoveryConfig()
-    names = tuple(sorted(columns if columns is not None else table.names))
-    stat = suff_stat(table, names)
-    sc = _Scorer([stat] * len(names), warn)
-    out, sweeps = _greedy_search(names, sc, cfg, frozenset(), turning=False)
-    out.meta["sweeps"] = sweeps
-    return out
+    return _greedy_search(table, columns, config or DiscoveryConfig(), None, warn)
 
 
 def per_row_targets(table, intervention_targets) -> list[frozenset]:
@@ -598,20 +600,6 @@ def gies(
     if not cfg.use_interventions or not intervened:
         return ges(table, cfg, columns=columns, warn=warn)
 
-    names = tuple(sorted(columns if columns is not None else table.names))
-    matrix = table.matrix(names)
-    stats: list[GaussianSuffStat | None] = []
-    for k, name in enumerate(names):
-        mask = np.fromiter((name not in s for s in rows), dtype=bool, count=len(rows))
-        if int(mask.sum()) < 2:
-            warn.empty_interventional += 1
-            stats.append(None)
-        elif mask.all():
-            stats.append(suff_stat((matrix, names)))
-        else:
-            stats.append(suff_stat((matrix[mask], names)))
-    sc = _Scorer(stats, warn)
-    out, sweeps = _greedy_search(names, sc, cfg, intervened, turning=True)
-    out.meta["sweeps"] = sweeps
+    out = _greedy_search(table, columns, cfg, rows, warn)
     out.meta["intervened"] = tuple(sorted(intervened))
     return out

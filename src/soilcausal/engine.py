@@ -6,9 +6,10 @@ float32 cannot hold.  Graphs are built eagerly — every op returns a
 adjoint back one step.  ``backward`` replays the closures in reverse
 topological order.
 
-The op set is intentionally small: dense affine maps, ReLU, concat,
-mean pooling, reshape/slice plumbing, and the two regression losses.
-That is everything the message-passing models need.
+The op set is intentionally small: matmul/add (and the dense affine map
+built from them), ReLU, transpose/reshape/slice/node-select plumbing, and
+the mean squared error.  That is everything the message-passing models and
+the MLP baseline use.
 """
 
 from __future__ import annotations
@@ -27,23 +28,18 @@ __all__ = [
     "Tensor",
     "adam_step",
     "add",
-    "concat",
     "constant",
     "dense",
     "dense_params",
     "finite_diff_check",
     "glorot_uniform",
     "load_params",
-    "mae",
     "matmul",
-    "mean_pool",
     "mse",
-    "mul",
     "parameter",
     "relu",
     "reshape",
     "save_params",
-    "scale",
     "slice_last",
     "take_node",
     "transpose",
@@ -153,25 +149,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_vals, (a, b), push)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values * b.values
-
-    def push(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.values.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.values.shape))
-
-    return _node(out_vals, (a, b), push)
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def push(g):
-        _accumulate(x, g * s)
-
-    return _node(x.values * s, (x,), push)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` with numpy matmul semantics (batched stacks included)."""
     out_vals = a.values @ b.values
@@ -218,42 +195,6 @@ def relu(x: Tensor) -> Tensor:
     return _node(out_vals, (x,), push)
 
 
-def concat(parts: list[Tensor] | tuple[Tensor, ...], axis: int = -1) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise NumericError("concat of zero tensors")
-    out_vals = np.concatenate([p.values for p in parts], axis=axis)
-    sizes = [p.values.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def push(g):
-        for k, p in enumerate(parts):
-            sl = [slice(None)] * g.ndim
-            sl[axis if axis >= 0 else g.ndim + axis] = slice(offsets[k], offsets[k + 1])
-            _accumulate(p, g[tuple(sl)])
-
-    return _node(out_vals, tuple(parts), push)
-
-
-def mean_pool(parts: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
-    """Elementwise mean of same-shaped tensors; backward is 1/n to each."""
-    parts = list(parts)
-    if not parts:
-        raise NumericError("mean_pool of zero tensors")
-    n = len(parts)
-    out_vals = parts[0].values.copy()
-    for p in parts[1:]:
-        out_vals += p.values
-    out_vals /= n
-
-    def push(g):
-        share = g / n
-        for p in parts:
-            _accumulate(p, share)
-
-    return _node(out_vals, tuple(parts), push)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_vals = x.values.reshape(shape)
 
@@ -297,20 +238,6 @@ def mse(pred: Tensor, target) -> Tensor:
 
     def push(g):
         _accumulate(pred, g * 2.0 * diff / n)
-
-    return _node(out_vals, (pred,), push)
-
-
-def mae(pred: Tensor, target) -> Tensor:
-    """Mean absolute error.  Metric first, but it still carries the sign
-    subgradient (0 at exact ties) so it can sit in a graph."""
-    t = np.asarray(target, dtype=np.float64)
-    diff = pred.values - t
-    n = diff.size
-    out_vals = np.array(np.abs(diff).sum() / n)
-
-    def push(g):
-        _accumulate(pred, g * np.sign(diff) / n)
 
     return _node(out_vals, (pred,), push)
 

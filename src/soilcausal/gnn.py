@@ -358,11 +358,6 @@ def relu_kink_margin(model, skeleton: GraphSkeleton, feats: np.ndarray) -> float
     return float(min(np.abs(arr).min() for arr in collected))
 
 
-def forward(model, skeleton: GraphSkeleton, instance: GraphInstance) -> float:
-    pred = _forward_batch(model, skeleton, instance.features[None, :])
-    return float(pred.values[0])
-
-
 def predict(model, skeleton: GraphSkeleton, instances: list[GraphInstance]) -> np.ndarray:
     feats, _ = _features_matrix(model, instances)
     return _forward_batch(model, skeleton, feats).values.copy()
@@ -373,6 +368,13 @@ def predict(model, skeleton: GraphSkeleton, instances: list[GraphInstance]) -> n
 
 
 _DEFAULT_LR = {"sage": 0.0015, "ecc": 0.0020}
+_INIT = {"sage": init_sage, "ecc": init_ecc}
+
+
+def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int):
+    if kind not in _INIT:
+        raise NumericError(f"kind must be one of {sorted(_INIT)}")
+    return _INIT[kind](skeleton, seed=seed, hidden=hidden)
 
 
 @dataclass
@@ -392,11 +394,9 @@ def train(
     hidden: int = 16,
 ) -> TrainResult:
     """Full-batch MSE training with Adam; deterministic given ``seed``."""
-    if kind not in _DEFAULT_LR:
-        raise NumericError(f"kind must be one of {sorted(_DEFAULT_LR)}")
+    model = _init_model(kind, skeleton, seed, hidden)
     if lr is None:
         lr = _DEFAULT_LR[kind]
-    model = init_sage(skeleton, seed=seed, hidden=hidden) if kind == "sage" else init_ecc(skeleton, seed=seed, hidden=hidden)
     feats, labels = _features_matrix(model, instances)
     params = model.params
     state = AdamState.for_params(params, lr=lr)
@@ -424,6 +424,6 @@ def save_model(path, model) -> None:
 
 
 def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16):
-    model = init_sage(skeleton, seed=0, hidden=hidden) if kind == "sage" else init_ecc(skeleton, seed=0, hidden=hidden)
+    model = _init_model(kind, skeleton, 0, hidden)
     engine.assign_params(model.params, engine.load_params(path))
     return model

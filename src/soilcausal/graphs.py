@@ -1,8 +1,12 @@
 """Graph algebra for causal structure learning.
 
-DAGs and CPDAGs over string-labelled nodes: v-structure detection,
-equivalence-class projection, Meek orientation propagation, consistent
-extensions, structural Hamming distance, and DOT / edge-list export.
+DAGs and CPDAGs over hashable, totally ordered node labels: v-structure
+detection, equivalence-class projection, Meek orientation propagation,
+consistent extensions, structural Hamming distance, and DOT / edge-list
+export (the exports need string labels).  Results depend on the labels only
+through their order, so relabelling by an order-preserving map commutes
+with every operation; the greedy searches rely on this and run on column
+indices.
 
 Conventions
 -----------

@@ -6,6 +6,12 @@ once.  Singular covariance submatrices (expected under one-hot collinearity
 and duplicated lag columns) fall back to a tiny ridge and are counted on a
 warning counter that benchmark reports surface.
 
+Every test and score here is a function of column indices into one
+statistic; none reads rows.  Which rows a statistic summarises is the
+caller's choice: the greedy searches' interventional score, a node's BIC
+on the rows where it was not manipulated, is built once, in
+``discovery._Scorer``, from the statistics of the masked rows.
+
 Tests and scores are evaluated in stacks.  ``CIBatch`` gathers the
 correlation submatrices of many (i, j, S) triples of one conditioning-set
 size, as PC's level-batched evaluation hands them over, into one
@@ -68,33 +74,18 @@ class GaussianSuffStat:
             raise ConfigError(f"column {name!r} not in sufficient statistic") from exc
 
 
-def _extract(table, columns: Sequence[str] | None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Accept an ingest Table (via .matrix), a (matrix, names) pair, or a
-    bare matrix; return float64 data plus column names."""
+def suff_stat(table, columns: Sequence[str] | None = None) -> GaussianSuffStat:
+    """Mean and unbiased covariance of the named columns of an ingest Table,
+    or of a bare (n, d) matrix whose columns ``columns`` names (default
+    c0, c1, ...)."""
     if hasattr(table, "matrix"):
-        names = tuple(columns) if columns is not None else tuple(c.name for c in table.schema)
-        return np.asarray(table.matrix(names), dtype=np.float64), names
-    if isinstance(table, tuple) and len(table) == 2:
-        data, names = table
-        data = np.asarray(data, dtype=np.float64)
-        names = tuple(names)
-        if columns is not None:
-            idx = [names.index(c) for c in columns]
-            return data[:, idx], tuple(columns)
-        return data, names
-    data = np.asarray(table, dtype=np.float64)
-    if columns is not None:
-        names = tuple(columns)
+        names = tuple(columns) if columns is not None else table.names
+        data = np.asarray(table.matrix(names), dtype=np.float64)
+    else:
+        data = np.asarray(table, dtype=np.float64)
+        names = tuple(columns) if columns is not None else tuple(f"c{i}" for i in range(data.shape[1]))
         if len(names) != data.shape[1]:
             raise ConfigError("column name count does not match matrix width")
-    else:
-        names = tuple(f"c{i}" for i in range(data.shape[1]))
-    return data, names
-
-
-def suff_stat(table, columns: Sequence[str] | None = None) -> GaussianSuffStat:
-    """Mean and unbiased covariance of the named columns."""
-    data, names = _extract(table, columns)
     n = data.shape[0]
     if n < 2:
         raise NumericError("sufficient statistic needs at least 2 rows")
@@ -318,66 +309,3 @@ def bic_local_stat(
 ) -> float:
     """Local score of column y given one parent set (see ``bic_local_stats``)."""
     return bic_local_stats(y, [parents], stat, warn)[0]
-
-
-def _masked_local_score(node, parents, table, mask, warn) -> float:
-    cols = (node, *sorted(parents))
-    data, _ = _extract(table, cols)
-    sub = data[mask]
-    if sub.shape[0] < 2:
-        warn.empty_interventional += 1
-        return 0.0
-    stat = suff_stat(sub, cols)
-    return bic_local_stat(0, range(1, len(cols)), stat, warn=warn)
-
-
-def bic_local(
-    node: str,
-    parents: Iterable[str],
-    table,
-    warn: WarningCounter = GLOBAL_WARNINGS,
-) -> float:
-    """Observational local score of `node` given `parents` (column names)."""
-    parents = tuple(sorted(parents))
-    if node in parents:
-        raise ConfigError("a column cannot parent itself")
-    data, _ = _extract(table, (node, *parents))
-    mask = np.ones(data.shape[0], dtype=bool)
-    return _masked_local_score(node, parents, table, mask, warn)
-
-
-def bic_graph(dag, table, warn: WarningCounter = GLOBAL_WARNINGS) -> float:
-    """Decomposable graph score: sum of local scores under the DAG's parent
-    sets; equal across Markov-equivalent DAGs up to float error."""
-    stat = suff_stat(table, dag.nodes)
-    idx = {name: k for k, name in enumerate(stat.columns)}
-    parents: dict[str, list[int]] = {v: [] for v in dag.nodes}
-    for a, b in dag.edges:
-        parents[b].append(idx[a])
-    return sum(
-        bic_local_stat(idx[v], parents[v], stat, warn=warn) for v in dag.nodes
-    )
-
-
-def bic_local_interventional(
-    node: str,
-    parents: Iterable[str],
-    table,
-    targets: Sequence[frozenset[str]],
-    warn: WarningCounter = GLOBAL_WARNINGS,
-) -> float:
-    """Local score restricted to rows where `node` was not intervened on;
-    rows whose mechanism was replaced say nothing about the natural one.
-    With no interventions anywhere this equals bic_local bit for bit."""
-    parents = tuple(sorted(parents))
-    if node in parents:
-        raise ConfigError("a column cannot parent itself")
-    data, _ = _extract(table, (node, *parents))
-    n = data.shape[0]
-    if len(targets) != n:
-        raise ConfigError("one intervention-target set required per row")
-    mask = np.fromiter((node not in t for t in targets), dtype=bool, count=n)
-    if not mask.any():
-        warn.empty_interventional += 1
-        return 0.0
-    return _masked_local_score(node, parents, table, mask, warn)

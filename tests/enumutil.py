@@ -190,7 +190,8 @@ def _reference_split(X, y, idx, features, min_leaf):
         j = int(np.argmin(sse))
         if sse[j] < best_sse - _SPLIT_EPS:
             best_sse = sse[j]
-            best = (f, 0.5 * (xs[j] + xs[j + 1]))
+            mid = 0.5 * (xs[j] + xs[j + 1])
+            best = (f, mid if mid < xs[j + 1] else xs[j])
     if best is None:
         return None
     parent_sse = float(((y[idx] - y[idx].mean()) ** 2).sum())

@@ -75,6 +75,18 @@ def test_cart_matches_reference_on_deep_tree():
     assert cart_train(X, y, 20, 1) == reference_cart_train(X, y, 20, 1)
 
 
+def test_cart_threshold_between_adjacent_doubles():
+    # the midpoint of 1 + 2^-52 and 1 + 2^-51 rounds up to the larger value
+    X, y = [[1 + 2**-52], [1 + 2**-51]], [0.0, 1.0]
+    for max_depth in (2, None):
+        tree = cart_train(X, y, max_depth=max_depth, min_leaf=1)
+        assert tree.threshold == 1 + 2**-52
+        assert (tree.left.value, tree.right.value) == (0.0, 1.0)
+        assert tree.left.is_leaf and tree.right.is_leaf
+        assert baselines.tree_predict(tree, [[2.0]]).tolist() == [1.0]
+        assert reference_cart_train(X, y, max_depth=max_depth, min_leaf=1) == tree
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forest_and_boosting_match_reference_models(seed, monkeypatch):
     table = _random_table(seed)

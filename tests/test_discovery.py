@@ -16,7 +16,7 @@ from soilcausal.discovery import (
 from soilcausal.errors import ConfigError
 from soilcausal.graphs import Cpdag, Dag, cpdag_of, shd
 from soilcausal.ingest import Table, add_field_onehots, concat_tables
-from soilcausal.stats import GLOBAL_WARNINGS, WarningCounter, suff_stat
+from soilcausal.stats import WarningCounter, suff_stat
 from soilcausal.synth import (
     EnvironmentSpec,
     Mechanism,
@@ -32,7 +32,7 @@ from soilcausal.synth import (
     true_cpdag,
 )
 
-from enumutil import sequential_pc_skeleton
+from enumutil import continuous_table, sequential_pc_skeleton
 
 
 def _linear_scm(nodes, edges, weight=1.0, sd=0.5):
@@ -120,9 +120,9 @@ def test_pc_oracle_shape_mismatch():
 def test_pc_oracle_degenerate_column():
     scm, _ = default_farm_benchmark()
     sigma = analytic_covariance(scm, {"plough": 0.0})  # plough variance 0
-    before = GLOBAL_WARNINGS.singular_fallbacks
-    pat = pc_oracle(sigma, scm.dag.nodes)
-    assert GLOBAL_WARNINGS.singular_fallbacks > before
+    warn = WarningCounter()
+    pat = pc_oracle(sigma, scm.dag.nodes, warn=warn)
+    assert warn.singular_fallbacks == 1  # the one zero-variance column
     assert not any("plough" in e for e in pat.directed | pat.undirected)
     # everything away from plough is still right
     keep = [n for n in scm.dag.nodes if n != "plough"]
@@ -156,9 +156,9 @@ def test_pc_train_only_drops_constant_plough():
     scm, envs = _pooled(300)
     train = [e for e in envs if e.treatment != "green"]
     t = sample_environments(scm, train)
-    before = GLOBAL_WARNINGS.singular_fallbacks
-    pat = pc(t, DiscoveryConfig(alpha=0.01))
-    assert GLOBAL_WARNINGS.singular_fallbacks > before
+    warn = WarningCounter()
+    pat = pc(t, DiscoveryConfig(alpha=0.01), warn=warn)
+    assert warn.singular_fallbacks > 0
     assert not any("plough" in e for e in pat.directed | pat.undirected)
     # the carbon neighborhood survives without the ploughing signal
     assert ("ph", "total_c") in pat.directed
@@ -196,10 +196,11 @@ def test_pc_counters_match_a_sequential_loop():
     e = a + c + 0.5 * rng.normal(size=n)
     names = ("a", "b", "c", "c_copy", "const", "e")
     data = np.column_stack([a, b, c, c, np.full(n, 2.0), e])
+    table = continuous_table(names, data)
     warn = WarningCounter()
-    got = pc((data, names), columns=names, warn=warn)
+    got = pc(table, warn=warn)
 
-    stat = suff_stat((data, names), sorted(names))
+    stat = suff_stat(table, sorted(names))
     ref_warn = WarningCounter()
     adj, sepset, tests, skipped_fallbacks = sequential_pc_skeleton(stat, 0.05, 3, ref_warn)
     # the batches also evaluate triples past a pair's separating set, some
@@ -411,13 +412,14 @@ def test_gies_all_rows_intervened_scores_zero_for_node():
         EnvironmentSpec(label="b", treatment="c2", interventions=(on,), n_days=2000, seed=2),
     ]
     t = sample_environments(scm, envs)
-    before = GLOBAL_WARNINGS.empty_interventional
+    warn = WarningCounter()
     pat = gies(
         t,
         DiscoveryConfig(use_interventions=True),
         intervention_targets={"c1": ("x",), "c2": ("x",)},
+        warn=warn,
     )
-    assert GLOBAL_WARNINGS.empty_interventional > before
+    assert warn.empty_interventional == 1  # x, counted once
     assert pat.directed == frozenset({("x", "y")})
 
 

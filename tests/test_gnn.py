@@ -11,7 +11,6 @@ from soilcausal.gnn import (
     build_instances,
     ecc_conv,
     ecc_filter_matrix,
-    forward,
     init_ecc,
     init_sage,
     load_model,
@@ -313,7 +312,7 @@ def test_forward_zero_params_predicts_zero():
         for p in model.params:
             p.values[...] = 0.0
         inst = GraphInstance(features=np.array([1.0, -2.0, 0.0]), label=5.0, provenance=("f", 0, "o"))
-        assert forward(model, sk, inst) == 0.0
+        assert predict(model, sk, [inst])[0] == 0.0
 
 
 def test_forward_hand_unrolled_trace():
@@ -336,7 +335,7 @@ def test_forward_hand_unrolled_trace():
     expected = float(z[0])
 
     inst = GraphInstance(features=feats, label=2.0, provenance=("f", 0, "o"))
-    assert abs(forward(model, sk, inst) - expected) < 1e-12
+    assert abs(predict(model, sk, [inst])[0] - expected) < 1e-12
 
 
 def test_forward_invariant_to_node_order():
@@ -366,7 +365,7 @@ def test_forward_invariant_to_edge_order():
     sk2 = GraphSkeleton(nodes=nodes, edges=(("b", "t"), ("a", "t")), target="t")
     model = init_sage(sk1, seed=0, hidden=4)
     inst = GraphInstance(features=np.array([1.0, 2.0, 0.0]), label=1.0, provenance=("f", 0, "o"))
-    assert forward(model, sk1, inst) == forward(model, sk2, inst)
+    assert predict(model, sk1, [inst])[0] == predict(model, sk2, [inst])[0]
 
 
 def test_masking_blocks_target_leakage_bit_exactly():
@@ -482,7 +481,7 @@ def test_predict_preserves_order_and_matches_forward():
     insts = _random_instances(rng, sk, 5)
     model = init_ecc(sk, seed=3, hidden=4)
     batch = predict(model, sk, insts)
-    singles = [forward(model, sk, i) for i in insts]
+    singles = [predict(model, sk, [i])[0] for i in insts]
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -495,3 +494,12 @@ def test_save_load_roundtrip(tmp_path):
     save_model(path, res.model)
     clone = load_model(path, "sage", sk)
     assert np.array_equal(predict(clone, sk, insts), predict(res.model, sk, insts))
+
+
+def test_load_model_rejects_unknown_kind(tmp_path):
+    sk = _random_skeleton(np.random.default_rng(10), 3, 2)
+    path = tmp_path / "ecc.bin"
+    save_model(path, init_ecc(sk, hidden=4))  # loads cleanly as "ecc"
+    load_model(path, "ecc", sk, hidden=4)
+    with pytest.raises(NumericError):
+        load_model(path, "bogus", sk, hidden=4)

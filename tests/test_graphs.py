@@ -124,6 +124,37 @@ def test_meek_closure_preserves_extension_set(seed):
     assert G.meek_closure(closed) == closed
 
 
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.sets(st.text(alphabet="abz_0", min_size=1, max_size=4), min_size=2, max_size=7),
+)
+def test_algebra_commutes_with_index_relabelling(seed, labels):
+    # the greedy searches run the algebra on the indices of name-sorted
+    # columns: every result, mapped back to names, must be the named one
+    names = tuple(sorted(labels))
+    index = {v: k for k, v in enumerate(names)}
+    nodes = tuple(range(len(names)))
+
+    def to_index(pairs):
+        return {(index[a], index[b]) for a, b in pairs}
+
+    def to_names(pairs):
+        return frozenset((names[a], names[b]) for a, b in pairs)
+
+    rng = random.Random(seed)
+    named = random_pattern(rng, names)
+    indexed = G.Cpdag(nodes, to_index(named.directed), to_index(named.undirected))
+    got, want = G.meek_closure(indexed), G.meek_closure(named)
+    assert (to_names(got.directed), to_names(got.undirected)) == (want.directed, want.undirected)
+    got, want = G.consistent_extension(indexed), G.consistent_extension(named)
+    assert to_names(got.edges) == want.edges
+    assert got.meta == want.meta
+    dag = random_dag(rng, names)
+    got, want = G.cpdag_of(G.Dag(nodes, to_index(dag.edges))), G.cpdag_of(dag)
+    assert (to_names(got.directed), to_names(got.undirected)) == (want.directed, want.undirected)
+
+
 def test_consistent_extension_fallback_is_flagged_and_acyclic():
     # An undirected chain is extendable: sanity-check the happy path first.
     cp = G.Cpdag(("a", "b", "c"), frozenset(), {("a", "b"), ("b", "c")})

@@ -2,8 +2,9 @@
 
 Oracles: textbook two-pass covariance, explicit double-regression residual
 correlation, analytic covariances with known zero partial correlations,
-Monte-Carlo calibration under the null, and manual row-partition rescoring
-for the interventional score.
+Monte-Carlo calibration under the null, and least-squares rescoring of the
+BIC scores, which run through the scorer ``ges`` and ``gies`` use, on all
+rows and on the rows an intervention leaves.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import pytest
 
 import soilcausal.graphs as G
 import soilcausal.stats as S
+from soilcausal.discovery import _Scorer
 from soilcausal.errors import ConfigError, NumericError
 
-from enumutil import all_dags, equivalence_classes
+from enumutil import all_dags, continuous_table, equivalence_classes
 
 
 def fresh_counter():
@@ -236,7 +238,7 @@ def test_fisher_z_null_calibration_quick():
 
 
 # ---------------------------------------------------------------------------
-# BIC scores
+# BIC scores, through the greedy searches' scorer
 # ---------------------------------------------------------------------------
 
 
@@ -246,11 +248,33 @@ def _sim_xy(n, rng, slope=2.0, noise=0.1):
     return np.stack([x, y], axis=1)
 
 
+def _scorer(data, labels, targets=None, warn=None):
+    """The scorer ``ges``/``gies`` build, over columns named ``labels``."""
+    table = continuous_table(labels, data)
+    return _Scorer(table, labels, targets, warn or fresh_counter())
+
+
+def _oracle_local(data, y, parents):
+    """BIC of column y regressed on ``parents`` by least squares."""
+    n = len(data)
+    design = np.column_stack([data[:, list(parents)], np.ones(n)])
+    beta = np.linalg.lstsq(design, data[:, y], rcond=None)[0]
+    rss = float(((data[:, y] - design @ beta) ** 2).sum())
+    return -(n / 2) * math.log(rss / n) - ((len(parents) + 2) / 2) * math.log(n)
+
+
+def _dag_score(sc, dag):
+    """Sum of the scorer's local scores over the DAG's parent sets."""
+    idx = {v: k for k, v in enumerate(dag.nodes)}
+    return sum(
+        sc.local(idx[v], frozenset(idx[a] for a, b in dag.edges if b == v)) for v in dag.nodes
+    )
+
+
 def test_bic_parentless_rss_is_total_sum_of_squares():
     rng = np.random.default_rng(4)
     y = rng.normal(size=300)
-    table = (y.reshape(-1, 1), ("y",))
-    score = S.bic_local("y", (), table)
+    score = _scorer(y.reshape(-1, 1), ("y",)).local(0, frozenset())
     n = 300
     tss = float(((y - y.mean()) ** 2).sum())
     oracle = -(n / 2) * math.log(tss / n) - (2 / 2) * math.log(n)
@@ -259,35 +283,35 @@ def test_bic_parentless_rss_is_total_sum_of_squares():
 
 def test_bic_prefers_true_parent():
     rng = np.random.default_rng(5)
-    data = _sim_xy(2000, rng)
-    table = (data, ("x", "y"))
-    assert S.bic_local("y", ("x",), table) > S.bic_local("y", (), table)
+    sc = _scorer(_sim_xy(2000, rng), ("x", "y"))
+    assert sc.local(1, frozenset({0})) > sc.local(1, frozenset())
 
 
 def test_bic_rejects_spurious_parent():
     rng = np.random.default_rng(6)
     wins = 0
     for _ in range(20):
-        data = rng.normal(size=(10_000, 2))
-        table = (data, ("x", "y"))
-        wins += S.bic_local("y", (), table) > S.bic_local("y", ("x",), table)
+        sc = _scorer(rng.normal(size=(10_000, 2)), ("x", "y"))
+        wins += sc.local(1, frozenset()) > sc.local(1, frozenset({0}))
     assert wins >= 19
 
 
 def test_bic_graph_decomposes_and_is_class_invariant():
     rng = np.random.default_rng(8)
     data = _sim_xy(1500, rng)
-    table = (data, ("x", "y"))
+    sc = _scorer(data, ("x", "y"))
     empty = G.Dag(("x", "y"), frozenset())
-    assert math.isclose(
-        S.bic_graph(empty, table),
-        S.bic_local("x", (), table) + S.bic_local("y", (), table),
-        rel_tol=1e-12,
-    )
     fwd = G.Dag(("x", "y"), {("x", "y")})
     rev = G.Dag(("x", "y"), {("y", "x")})
-    assert abs(S.bic_graph(fwd, table) - S.bic_graph(rev, table)) < 1e-8
-    assert S.bic_graph(fwd, table) > S.bic_graph(empty, table)
+    oracle = {
+        empty: _oracle_local(data, 0, ()) + _oracle_local(data, 1, ()),
+        fwd: _oracle_local(data, 0, ()) + _oracle_local(data, 1, (0,)),
+        rev: _oracle_local(data, 0, (1,)) + _oracle_local(data, 1, ()),
+    }
+    for dag, want in oracle.items():
+        assert math.isclose(_dag_score(sc, dag), want, rel_tol=1e-9)
+    assert abs(_dag_score(sc, fwd) - _dag_score(sc, rev)) < 1e-8
+    assert _dag_score(sc, fwd) > _dag_score(sc, empty)
 
 
 def test_bic_score_equivalence_across_4node_classes():
@@ -295,12 +319,11 @@ def test_bic_score_equivalence_across_4node_classes():
     labels = ("A", "B", "C", "D")
     classes = equivalence_classes(labels, all_dags(labels))
     for trial in range(3):
-        data = rng.normal(size=(500, 4)) @ rng.normal(size=(4, 4))
-        table = (data, labels)
+        sc = _scorer(rng.normal(size=(500, 4)) @ rng.normal(size=(4, 4)), labels)
         for members in classes.values():
             if len(members) < 2:
                 continue
-            scores = [S.bic_graph(G.Dag(labels, m), table) for m in members]
+            scores = [_dag_score(sc, G.Dag(labels, m)) for m in members]
             assert max(scores) - min(scores) < 1e-8
 
 
@@ -312,49 +335,45 @@ def test_bic_score_equivalence_across_4node_classes():
 def test_interventional_reduces_to_observational_bitwise():
     rng = np.random.default_rng(10)
     data = _sim_xy(800, rng)
-    table = (data, ("x", "y"))
-    targets = [frozenset()] * 800
-    a = S.bic_local("y", ("x",), table)
-    b = S.bic_local_interventional("y", ("x",), table, targets)
+    a = _scorer(data, ("x", "y")).local(1, frozenset({0}))
+    b = _scorer(data, ("x", "y"), [frozenset()] * 800).local(1, frozenset({0}))
     assert a == b  # bit-for-bit
 
 
 def test_interventional_all_rows_intervened_scores_zero():
     rng = np.random.default_rng(11)
-    data = _sim_xy(100, rng)
-    table = (data, ("x", "y"))
     warn = fresh_counter()
-    targets = [frozenset({"y"})] * 100
-    assert S.bic_local_interventional("y", ("x",), table, targets, warn=warn) == 0.0
-    assert warn.empty_interventional == 1
+    sc = _scorer(_sim_xy(100, rng), ("x", "y"), [frozenset({"y"})] * 100, warn)
+    assert sc.local(1, frozenset({0})) == 0.0
+    assert sc.local(1, frozenset()) == 0.0
+    assert warn.empty_interventional == 1  # once per node, not per score
 
 
 def test_interventional_equals_manual_row_partition():
     rng = np.random.default_rng(12)
     data = _sim_xy(600, rng)
-    table = (data, ("x", "y"))
     targets = [frozenset({"y"}) if i % 3 == 0 else frozenset() for i in range(600)]
     keep = np.array([("y" not in t) for t in targets])
-    sub = data[keep]
-    # manual rescoring on the eligible partition
-    n = int(keep.sum())
-    design = np.column_stack([sub[:, 0], np.ones(n)])
-    beta = np.linalg.lstsq(design, sub[:, 1], rcond=None)[0]
-    rss = float(((sub[:, 1] - design @ beta) ** 2).sum())
-    oracle = -(n / 2) * math.log(rss / n) - (3 / 2) * math.log(n)
-    got = S.bic_local_interventional("y", ("x",), table, targets)
-    assert math.isclose(got, oracle, rel_tol=1e-9)
+    got = _scorer(data, ("x", "y"), targets).local(1, frozenset({0}))
+    assert math.isclose(got, _oracle_local(data[keep], 1, (0,)), rel_tol=1e-9)
+
+
+def test_scorer_shares_one_statistic_per_row_mask():
+    rng = np.random.default_rng(14)
+    data = rng.normal(size=(90, 4))
+    targets = [frozenset({"a", "c"}) if i % 2 else frozenset({"d"}) for i in range(90)]
+    sc = _scorer(data, ("a", "b", "c", "d"), targets)
+    assert sc.stats[0] is sc.stats[2]  # a and c lose the same rows
+    assert sc.stats[0].n == sc.stats[3].n == 45 and sc.stats[1].n == 90
+    assert len({id(st) for st in sc.stats}) == 3
 
 
 def test_interventional_requires_target_per_row():
-    data = np.zeros((10, 2))
     with pytest.raises(ConfigError):
-        S.bic_local_interventional("y", ("x",), (data, ("x", "y")), [frozenset()] * 9)
+        _scorer(np.zeros((10, 2)), ("x", "y"), [frozenset()] * 9)
 
 
 def test_rss_floor_keeps_duplicate_columns_finite():
     x = np.linspace(0, 1, 200)
-    table = (np.stack([x, x], axis=1), ("a", "b"))
-    warn = fresh_counter()
-    score = S.bic_local("b", ("a",), table, warn=warn)
+    score = _scorer(np.stack([x, x], axis=1), ("a", "b")).local(1, frozenset({0}))
     assert math.isfinite(score)
