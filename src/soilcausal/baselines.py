@@ -268,20 +268,10 @@ def _mlp_forward(layers, x: engine.Tensor) -> engine.Tensor:
 
 
 def _mlp_fit(X, y, hidden, lr, epochs, seed):
-    rng = np.random.default_rng(seed)
-    layers = _mlp_build(rng, X.shape[1], hidden)
+    layers = _mlp_build(np.random.default_rng(seed), X.shape[1], hidden)
     params = [t for layer in layers for t in layer.tensors]
-    state = engine.AdamState.for_params(params, lr=lr)
     xc = engine.constant(X)
-    for _ in range(epochs):
-        for p in params:
-            p.zero_grad()
-        loss = engine.mse(_mlp_forward(layers, xc), y)
-        if not np.isfinite(float(loss.values)):
-            raise NumericError(f"mlp diverged (hidden={hidden}, lr={lr})")
-        loss.backward()
-        adam_grads = [p.grad if p.grad is not None else np.zeros(p.values.shape) for p in params]
-        engine.adam_step(params, adam_grads, state)
+    engine.adam_fit(lambda: _mlp_forward(layers, xc), params, y, lr, epochs, f"mlp (hidden={hidden})")
     return layers
 
 

@@ -587,8 +587,8 @@ def gies(
     warn: WarningCounter = GLOBAL_WARNINGS,
 ) -> Cpdag:
     """Greedy search under per-node interventional scores with a turning
-    phase, iterated to a fixed point.  Without any interventions this is
-    exactly ``ges``."""
+    phase, iterated to a fixed point.  Without any interventions on the
+    searched columns this is exactly ``ges``."""
     cfg = config or DiscoveryConfig()
     if cfg.use_interventions and intervention_targets is None:
         raise ConfigError(
@@ -596,7 +596,7 @@ def gies(
             "mapping; pass {} when no rows were manipulated"
         )
     rows = per_row_targets(table, intervention_targets)
-    intervened = frozenset().union(*rows) if rows else frozenset()
+    intervened = frozenset().union(*rows) & set(columns if columns is not None else table.names)
     if not cfg.use_interventions or not intervened:
         return ges(table, cfg, columns=columns, warn=warn)
 

@@ -6,10 +6,12 @@ float32 cannot hold.  Graphs are built eagerly — every op returns a
 adjoint back one step.  ``backward`` replays the closures in reverse
 topological order.
 
-The op set is intentionally small: matmul/add (and the dense affine map
-built from them), ReLU, transpose/reshape/slice/node-select plumbing, and
-the mean squared error.  That is everything the message-passing models and
-the MLP baseline use.
+The op set is intentionally small: ``matmul`` on matrices and stacks of
+matrices (both operands at least 2-D), broadcasting ``add`` (and the dense
+affine map built from the two), ReLU, the ``transpose``/``reshape``/
+``slice_last``/``take_node`` plumbing, and the mean squared error.  That is
+everything the message-passing models and the MLP baseline use, and
+``adam_fit`` is the one full-batch Adam loop both train with.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "DenseParams",
     "FiniteDiffReport",
     "Tensor",
+    "adam_fit",
     "adam_step",
     "add",
     "constant",
@@ -150,36 +153,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` with numpy matmul semantics (batched stacks included)."""
+    """``a @ b`` for operands of at least two dimensions; leading (stack)
+    dimensions broadcast as in numpy."""
+    if a.values.ndim < 2 or b.values.ndim < 2:
+        raise NumericError(f"matmul takes matrices, got shapes {a.values.shape} and {b.values.shape}")
     out_vals = a.values @ b.values
-    a_vec = a.values.ndim == 1
-    b_vec = b.values.ndim == 1
 
     def push(g):
         # guard each side: computing the adjoint of a constant operand
         # (e.g. a fixed aggregation matrix) would be pure wasted GEMMs
-        av, bv = a.values, b.values
-        gg = g
-        if a_vec and b_vec:  # inner product -> scalar adjoint
-            _accumulate(a, gg * bv)
-            _accumulate(b, gg * av)
-            return
-        if a_vec:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(gg @ np.swapaxes(bv, -1, -2), av.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(np.outer(av, gg) if bv.ndim == 2 else av[..., None] * gg[..., None, :], bv.shape))
-            return
-        if b_vec:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(gg[..., None] * bv, av.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(np.swapaxes(av, -1, -2) @ gg if av.ndim == 2 else (av * gg[..., None]).sum(axis=tuple(range(av.ndim - 1))), bv.shape))
-            return
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(gg @ np.swapaxes(bv, -1, -2), av.shape))
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.values.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(av, -1, -2) @ gg, bv.shape))
+            _accumulate(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.values.shape))
 
     return _node(out_vals, (a, b), push)
 
@@ -216,15 +202,13 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     return _node(out_vals, (x,), push)
 
 
-def take_node(x: Tensor, index: int, axis: int = -2) -> Tensor:
-    """Select one slot along ``axis`` (the per-node readout)."""
-    out_vals = np.take(x.values, index, axis=axis)
+def take_node(x: Tensor, index: int) -> Tensor:
+    """Select one node slot, the second-to-last axis (the per-node readout)."""
+    out_vals = np.take(x.values, index, axis=-2)
 
     def push(g):
         full = np.zeros(x.values.shape, dtype=np.float64)
-        sl = [slice(None)] * x.values.ndim
-        sl[axis if axis >= 0 else x.values.ndim + axis] = index
-        full[tuple(sl)] = g
+        full[..., index, :] = g
         _accumulate(x, full)
 
     return _node(out_vals, (x,), push)
@@ -297,14 +281,14 @@ def transpose(w: Tensor) -> Tensor:
 # optimizer
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments for a fixed parameter list."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -322,18 +306,42 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
         raise NumericError("adam_step parameter/moment count mismatch")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            continue
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
     return params
+
+
+def adam_fit(forward, params: list[Tensor], target, lr: float, epochs: int, name: str) -> list[float]:
+    """Full-batch Adam on ``mse(forward(), target)``, one step per epoch.
+
+    ``forward`` builds the prediction graph from the current parameter
+    values.  Returns each epoch's loss, taken before its step.  A
+    non-finite loss raises ``NumericError`` naming ``name``, the epoch and
+    the last losses.
+    """
+    state = AdamState.for_params(params, lr=lr)
+    history: list[float] = []
+    for epoch in range(epochs):
+        for p in params:
+            p.zero_grad()
+        loss = mse(forward(), target)
+        value = float(loss.values)
+        if not np.isfinite(value):
+            tail = ", ".join(f"{v:.6g}" for v in history[-5:])
+            raise NumericError(
+                f"{name} diverged at epoch {epoch} (loss {value}); recent losses [{tail}]; lr={lr}"
+            )
+        history.append(value)
+        loss.backward()
+        grads = [np.zeros(p.values.shape) if p.grad is None else p.grad for p in params]
+        adam_step(params, grads, state)
+    return history
 
 
 # ---------------------------------------------------------------------------

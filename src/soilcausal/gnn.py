@@ -2,8 +2,11 @@
 
 Each table row becomes one graph: nodes are the feature columns, node
 features are the row's scalar values, and the regression target's node is
-masked to zero so its label can never leak through the input side.  Two
-architectures share the encoding:
+masked to zero so its label can never leak through the input side.
+``build_instances`` turns a whole table into one ``GraphBatch``: the
+skeleton's node order, a (rows, nodes) feature matrix with the target slot
+zeroed, the labels, and the rows' field/day/treatment tags.  Training and
+prediction read its arrays directly.  Two architectures share the encoding:
 
 * a GraphSAGE-style stack — three convolutions, each concatenating a
   node's state with the mean of its in-neighbors' states before an
@@ -15,7 +18,7 @@ architectures share the encoding:
   them, then a single linear head.
 
 Mean aggregation is expressed as multiplication by a row-normalized
-in-adjacency matrix, which batches over instances and makes the
+in-adjacency matrix, which batches over rows and makes the
 empty-neighborhood conventions (zero aggregate / bias only) literal:
 an empty row of the matrix is a row of zeros.
 """
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import engine
-from .engine import AdamState, DenseParams, Tensor, adam_step, constant
+from .engine import DenseParams, Tensor, constant
 from .errors import GraphError, NumericError, SchemaError
 from .graphs import reachable
 
@@ -147,38 +150,40 @@ def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
 CONV_DEPTH = {"sage": 3, "ecc": 2}
 
 
-@dataclass(frozen=True)
-class GraphInstance:
-    features: np.ndarray  # (n_nodes,) node scalar inputs, target slot 0
-    label: float
-    provenance: tuple  # (field_id, date, treatment)
+@dataclass(frozen=True, eq=False)
+class GraphBatch:
+    """A table's rows as model inputs over one skeleton's ``nodes``."""
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.features)):
-            raise NumericError(f"non-finite features in instance {self.provenance}")
+    nodes: tuple[str, ...]
+    features: np.ndarray  # (rows, n_nodes) node scalar inputs, target slot 0
+    labels: np.ndarray  # (rows,) target values
+    field_id: np.ndarray  # provenance of each row
+    timestamps: np.ndarray
+    treatment: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-def build_instances(table, skeleton: GraphSkeleton) -> list[GraphInstance]:
-    """One graph instance per table row, aligned to the skeleton by name."""
+def build_instances(table, skeleton: GraphSkeleton) -> GraphBatch:
+    """The table's rows as one batch, its columns aligned to the skeleton
+    by name."""
     if set(table.names) != set(skeleton.nodes):
         missing = sorted(set(skeleton.nodes) - set(table.names))
         extra = sorted(set(table.names) - set(skeleton.nodes))
         raise SchemaError(f"table/skeleton mismatch: missing {missing}, extra {extra}")
-    cols = table.matrix(skeleton.nodes)
+    feats = table.matrix(skeleton.nodes)
     t_idx = skeleton.index(skeleton.target)
-    out = []
-    for r in range(cols.shape[0]):
-        feats = cols[r].copy()
-        label = float(feats[t_idx])
-        feats[t_idx] = 0.0
-        out.append(
-            GraphInstance(
-                features=feats,
-                label=label,
-                provenance=(str(table.field_id[r]), table.timestamps[r], str(table.treatment[r])),
-            )
+    labels = feats[:, t_idx].copy()
+    feats[:, t_idx] = 0.0
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        raise NumericError(
+            f"non-finite features in row {r} "
+            f"({table.field_id[r]}, {table.timestamps[r]}, {table.treatment[r]})"
         )
-    return out
+    return GraphBatch(skeleton.nodes, feats, labels, table.field_id, table.timestamps, table.treatment)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +296,9 @@ def sage_conv(h: Tensor, skeleton: GraphSkeleton, params: DenseParams, activate:
 
 
 def ecc_filter_matrix(layer: EccLayer, edge_attr: float = 1.0) -> Tensor:
-    """Generate the layer's weight matrix from the scalar edge attribute."""
-    theta_flat = engine.dense(constant(np.array([edge_attr])), layer.filter)
+    """Generate the layer's weight matrix from the scalar edge attribute,
+    fed to the filter network as a (1, 1) matrix."""
+    theta_flat = engine.dense(constant([[edge_attr]]), layer.filter)
     return engine.reshape(theta_flat, (layer.out_dim, layer.in_dim))
 
 
@@ -305,62 +311,34 @@ def ecc_conv(h: Tensor, skeleton: GraphSkeleton, layer: EccLayer) -> Tensor:
     return engine.add(agg, layer.bias)
 
 
-def _features_matrix(model, instances: list[GraphInstance]) -> tuple[np.ndarray, np.ndarray]:
-    if not instances:
-        raise NumericError("no instances")
-    n = len(model.nodes)
-    feats = np.stack([inst.features for inst in instances])
-    if feats.shape[1] != n:
-        raise SchemaError(f"instance width {feats.shape[1]} != {n} nodes")
-    labels = np.array([inst.label for inst in instances])
-    return feats, labels
-
-
-def _forward_batch(model, skeleton: GraphSkeleton, feats: np.ndarray, preacts: list | None = None) -> Tensor:
+def _forward_batch(model, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
     if skeleton.nodes != model.nodes or skeleton.target != model.target:
         raise SchemaError("skeleton does not match the model's node layout")
-
-    def _relu(t: Tensor) -> Tensor:
-        if preacts is not None:
-            preacts.append(t.values.copy())
-        return engine.relu(t)
-
-    h = constant(feats[:, :, None])  # (B, n, 1)
+    if batch.nodes != skeleton.nodes:
+        raise SchemaError(f"batch over nodes {batch.nodes} fed to a skeleton over {skeleton.nodes}")
+    if not len(batch):
+        raise NumericError("empty batch")
+    h = constant(batch.features[:, :, None])  # (B, n, 1)
     if isinstance(model, SageModel):
-        h = _relu(sage_conv(h, skeleton, model.convs[0], activate=False))
-        h = _relu(sage_conv(h, skeleton, model.convs[1], activate=False))
+        h = engine.relu(sage_conv(h, skeleton, model.convs[0], activate=False))
+        h = engine.relu(sage_conv(h, skeleton, model.convs[1], activate=False))
         h = sage_conv(h, skeleton, model.convs[2], activate=False)
-        z = engine.take_node(h, skeleton.index(model.target), axis=-2)
-        z = _relu(engine.dense(z, model.ff[0]))
-        z = _relu(engine.dense(z, model.ff[1]))
+        z = engine.take_node(h, skeleton.index(model.target))
+        z = engine.relu(engine.dense(z, model.ff[0]))
+        z = engine.relu(engine.dense(z, model.ff[1]))
         z = engine.dense(z, model.ff[2])
     elif isinstance(model, EccModel):
-        h = _relu(ecc_conv(h, skeleton, model.convs[0]))
+        h = engine.relu(ecc_conv(h, skeleton, model.convs[0]))
         h = ecc_conv(h, skeleton, model.convs[1])
-        z = engine.take_node(h, skeleton.index(model.target), axis=-2)
+        z = engine.take_node(h, skeleton.index(model.target))
         z = engine.dense(z, model.head)
     else:  # pragma: no cover
         raise NumericError(f"unknown model type {type(model).__name__}")
-    return engine.reshape(z, (feats.shape[0],))
+    return engine.reshape(z, (len(batch),))
 
 
-def relu_kink_margin(model, skeleton: GraphSkeleton, feats: np.ndarray) -> float:
-    """Smallest |preactivation| feeding any ReLU in one forward pass.
-
-    Central-difference gradient checks are only meaningful when no unit
-    sits within the difference stencil of the kink; callers screen seeds
-    with this before running finite_diff_check.
-    """
-    collected: list = []
-    _forward_batch(model, skeleton, feats, preacts=collected)
-    if not collected:
-        return np.inf
-    return float(min(np.abs(arr).min() for arr in collected))
-
-
-def predict(model, skeleton: GraphSkeleton, instances: list[GraphInstance]) -> np.ndarray:
-    feats, _ = _features_matrix(model, instances)
-    return _forward_batch(model, skeleton, feats).values.copy()
+def predict(model, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
+    return _forward_batch(model, skeleton, batch).values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +365,7 @@ class TrainResult:
 def train(
     kind: str,
     skeleton: GraphSkeleton,
-    instances: list[GraphInstance],
+    batch: GraphBatch,
     lr: float | None = None,
     epochs: int = 500,
     seed: int = 0,
@@ -397,25 +375,14 @@ def train(
     model = _init_model(kind, skeleton, seed, hidden)
     if lr is None:
         lr = _DEFAULT_LR[kind]
-    feats, labels = _features_matrix(model, instances)
-    params = model.params
-    state = AdamState.for_params(params, lr=lr)
-    history: list[float] = []
-    for epoch in range(epochs):
-        for p in params:
-            p.zero_grad()
-        loss = engine.mse(_forward_batch(model, skeleton, feats), labels)
-        value = float(loss.values)
-        if not np.isfinite(value):
-            tail = ", ".join(f"{v:.6g}" for v in history[-5:])
-            raise NumericError(
-                f"{kind} training diverged at epoch {epoch} (loss {value}); "
-                f"recent losses [{tail}]; lr={lr}, hidden={hidden}"
-            )
-        history.append(value)
-        loss.backward()
-        grads = [p.grad if p.grad is not None else np.zeros(p.values.shape) for p in params]
-        adam_step(params, grads, state)
+    history = engine.adam_fit(
+        lambda: _forward_batch(model, skeleton, batch),
+        model.params,
+        batch.labels,
+        lr,
+        epochs,
+        f"{kind} training (hidden={hidden})",
+    )
     return TrainResult(model=model, skeleton=skeleton, loss_history=history)
 
 

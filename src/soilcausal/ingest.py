@@ -147,8 +147,8 @@ def validate_model_ready(table: Table) -> None:
     (field, day), finite values, a designated target, no raw categoricals."""
     if not table.target:
         raise SchemaError("model-ready table needs a designated target column")
-    if np.isnan(table.rows).any():
-        raise SchemaError("NaN values remain after preprocessing")
+    if not np.isfinite(table.rows).all():
+        raise SchemaError("non-finite values remain after preprocessing")
     for spec in table.schema:
         if spec.kind == "categorical":
             raise SchemaError(f"{spec.name}: categorical column not yet encoded")

@@ -47,13 +47,6 @@ class WarningCounter:
     singular_fallbacks: int = 0
     empty_interventional: int = 0
 
-    def reset(self) -> None:
-        self.singular_fallbacks = 0
-        self.empty_interventional = 0
-
-    def total(self) -> int:
-        return self.singular_fallbacks + self.empty_interventional
-
 
 GLOBAL_WARNINGS = WarningCounter()
 
@@ -66,12 +59,6 @@ class GaussianSuffStat:
     mean: np.ndarray
     cov: np.ndarray
     columns: tuple[str, ...]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError as exc:
-            raise ConfigError(f"column {name!r} not in sufficient statistic") from exc
 
 
 def suff_stat(table, columns: Sequence[str] | None = None) -> GaussianSuffStat:

@@ -396,6 +396,46 @@ def test_gies_pooled_benchmark_orients_plough():
     assert len(pat.directed) >= len(base.directed)
 
 
+def test_gies_two_differently_intervened_nodes_use_their_own_rows():
+    # one environment shifts ph, one shifts total_n (both replace the
+    # node's mechanism, cutting its parents): each node must be scored on
+    # the rows where it, not the other, was left alone
+    scm, _ = default_farm_benchmark()
+    mech = {m.node: m for m in scm.mechanisms}
+
+    def shifted(node):
+        m = mech[node]
+        shift = m.intercept + 3 * m.noise_sd
+        return Mechanism(node=node, kind="linear_gaussian", intercept=shift, noise_sd=m.noise_sd)
+
+    envs = [
+        EnvironmentSpec(label="o", treatment="obs", n_days=200, seed=1),
+        EnvironmentSpec(label="p", treatment="t_ph", interventions=(shifted("ph"),), n_days=200, seed=2),
+        EnvironmentSpec(label="n", treatment="t_n", interventions=(shifted("total_n"),), n_days=200, seed=3),
+    ]
+    t = sample_environments(scm, envs)
+    pat = gies(
+        t,
+        DiscoveryConfig(use_interventions=True),
+        intervention_targets={"t_ph": ("ph",), "t_n": ("total_n",)},
+    )
+    assert pat.meta["intervened"] == ("ph", "total_n")
+    into = {("fertilize", "total_n"), ("graze", "total_n"), ("manure", "total_n")}
+    assert into | {("lime", "ph"), ("plough", "ph")} <= pat.directed
+    assert shd(pat, true_cpdag(scm)) <= 1
+
+
+def test_gies_without_intervened_columns_is_ges():
+    scm, envs = _pooled(60)
+    t = sample_environments(scm, envs[:8])
+    cols = [n for n in t.names if n != "plough"]
+    cfg = DiscoveryConfig(use_interventions=True)
+    pat = gies(t, cfg, intervention_targets=_benchmark_tags(envs), columns=cols)
+    base = ges(t, cfg, columns=cols)
+    assert "intervened" not in pat.meta
+    assert (pat.directed, pat.undirected, pat.meta) == (base.directed, base.undirected, base.meta)
+
+
 def test_gies_requires_tags_when_interventional():
     scm, envs = _pooled(60)
     t = sample_environments(scm, envs[:2])

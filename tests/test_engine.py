@@ -65,13 +65,13 @@ def test_mse_values():
 def test_dense_identity_and_bias():
     w = parameter(np.eye(3))
     b = parameter(np.zeros(3))
-    x = parameter([1.0, -2.0, 0.5])
+    x = parameter([[1.0, -2.0, 0.5]])
     y = dense(x, DenseParams(w, b))
     assert np.allclose(y.values, x.values)
-    x0 = parameter(np.zeros(3))
+    x0 = parameter(np.zeros((1, 3)))
     bias = parameter([1.0, 2.0, 3.0])
     y0 = dense(x0, DenseParams(w, bias))
-    assert np.allclose(y0.values, bias.values)
+    assert np.allclose(y0.values, bias.values[None, :])
 
 
 def test_dense_params_shape_guard():
@@ -89,8 +89,8 @@ def test_dense_gradients_match_fd():
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((4, 3))
     b0 = rng.standard_normal(4)
-    x0 = rng.standard_normal(3)
-    target = rng.standard_normal(4)
+    x0 = rng.standard_normal((1, 3))
+    target = rng.standard_normal((1, 4))
 
     w, b, x = parameter(w0), parameter(b0), parameter(x0)
 
@@ -112,8 +112,8 @@ def test_op_zoo_gradients_match_fd(seed):
     b1 = parameter(rng.standard_normal(4) * 0.3)
     w2 = parameter(rng.standard_normal((2, 4)) * 0.7)
     b2 = parameter(rng.standard_normal(2) * 0.3)
-    v = parameter(rng.standard_normal(2))
-    u = parameter(rng.standard_normal(2))
+    v = parameter(rng.standard_normal((2, 1)))
+    u = parameter(rng.standard_normal((1, 2)))
     x = parameter(rng.standard_normal((5, 3, 3)))
     target = rng.standard_normal(5)
 
@@ -125,7 +125,7 @@ def test_op_zoo_gradients_match_fd(seed):
         )  # (5, 3, 4)
         h = relu(add(h, b1))  # bias broadcast over batch and nodes
         z = dense(take_node(h, 1), DenseParams(w2, b2))  # (5, 2)
-        pred = add(matmul(z, v), matmul(u, transpose(z)))  # vector on each side
+        pred = add(matmul(z, v), transpose(matmul(u, transpose(z))))  # column, row
         return mse(reshape(pred, (5,)), target)
 
     report = finite_diff_check(loss_fn, [w1, b1, w2, b2, v, u, x])
@@ -146,17 +146,13 @@ def test_relu_gradient_matches_fd_away_from_zero():
     assert finite_diff_check(loss_fn, [x]).passed
 
 
-def test_matmul_vector_cases_match_fd():
-    rng = np.random.default_rng(7)
-    a = parameter(rng.standard_normal(4))
-    m = parameter(rng.standard_normal((4, 3)))
-    v = parameter(rng.standard_normal(3))
+def test_matmul_rejects_vectors():
+    from soilcausal.errors import NumericError
 
-    def loss_fn():
-        inner = matmul(matmul(a, m), v)  # scalar chain
-        return mse(reshape(inner, (1,)), np.array([0.3]))
-
-    assert finite_diff_check(loss_fn, [a, m, v]).passed
+    m, v = parameter(np.ones((3, 3))), parameter(np.ones(3))
+    for a, b in ((v, m), (m, v), (v, v)):
+        with pytest.raises(NumericError):
+            matmul(a, b)
 
 
 def test_grad_accumulates_over_shared_subexpression():
@@ -205,6 +201,29 @@ def test_adam_state_count_mismatch():
     st = AdamState.for_params([p], lr=0.01)
     with pytest.raises(NumericError):
         adam_step([p, parameter([1.0])], [np.zeros(1), np.zeros(1)], st)
+
+
+def test_adam_fit_is_the_step_loop_and_names_divergence():
+    from soilcausal.engine import adam_fit
+    from soilcausal.errors import NumericError
+
+    rng = np.random.default_rng(4)
+    x, y = constant(rng.standard_normal((6, 3))), rng.standard_normal(6)
+    w0 = rng.standard_normal((1, 3))
+    w = parameter(w0)
+    history = adam_fit(lambda: reshape(matmul(x, transpose(w)), (6,)), [w], y, 0.05, 5, "toy")
+
+    ref, st, ref_history = parameter(w0), AdamState.for_params([parameter(w0)], lr=0.05), []
+    for _ in range(5):
+        ref.zero_grad()
+        loss = mse(reshape(matmul(x, transpose(ref)), (6,)), y)
+        ref_history.append(loss.item())
+        loss.backward()
+        adam_step([ref], [ref.grad], st)
+    assert history == ref_history
+    assert np.array_equal(w.values, ref.values)
+    with pytest.raises(NumericError, match="toy diverged at epoch 0"):
+        adam_fit(lambda: reshape(matmul(x, transpose(w)), (6,)), [w], np.full(6, np.inf), 0.05, 5, "toy")
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,7 @@ import pytest
 from soilcausal.engine import constant, finite_diff_check, mse
 from soilcausal.errors import GraphError, NumericError, SchemaError
 from soilcausal.gnn import (
-    EccModel,
-    GraphInstance,
     GraphSkeleton,
-    SageModel,
     build_instances,
     ecc_conv,
     ecc_filter_matrix,
@@ -32,14 +29,14 @@ def _random_skeleton(rng, n_nodes, n_edges, target_idx=0):
     return GraphSkeleton(nodes=nodes, edges=tuple(pairs[int(k)] for k in chosen), target=nodes[target_idx])
 
 
-def _random_instances(rng, skeleton, n):
-    out = []
-    t_idx = skeleton.index(skeleton.target)
-    for k in range(n):
-        feats = rng.standard_normal(skeleton.n_nodes)
-        feats[t_idx] = 0.0
-        out.append(GraphInstance(features=feats, label=float(rng.standard_normal()), provenance=("f", k, "obs")))
-    return out
+def _batch(skeleton, rows):
+    """A batch from rows of values in the skeleton's node order, the
+    target's value being the label."""
+    return build_instances(continuous_table(skeleton.nodes, rows, target=skeleton.target), skeleton)
+
+
+def _random_batch(rng, skeleton, n):
+    return _batch(skeleton, rng.standard_normal((n, skeleton.n_nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +94,9 @@ def test_training_from_pattern_is_bit_identical_under_column_order(kind):
         cols = [names.index(n) for n in perm]
         table = continuous_table(perm, rows[:, cols], target="t")
         sk = skeleton_from_pattern(pattern, table.names, target="t")
-        insts = build_instances(table, sk)
-        res = train(kind, sk, insts, epochs=20, seed=5, hidden=8)
-        results.append((res.loss_history, predict(res.model, sk, insts)))
+        batch = build_instances(table, sk)
+        res = train(kind, sk, batch, epochs=20, seed=5, hidden=8)
+        results.append((res.loss_history, predict(res.model, sk, batch)))
     (h1, p1), (h2, p2) = results
     assert h1 == h2
     assert np.array_equal(p1, p2)
@@ -108,12 +105,12 @@ def test_training_from_pattern_is_bit_identical_under_column_order(kind):
 def test_build_instances_masks_target():
     t = continuous_table(("x", "y"), [[1.5, 3.2], [0.0, -1.0]], target="y")
     sk = GraphSkeleton(nodes=("x", "y"), edges=(("x", "y"),), target="y")
-    insts = build_instances(t, sk)
-    assert len(insts) == 2
-    assert insts[0].label == pytest.approx(3.2)
-    assert insts[0].features[sk.index("y")] == 0.0
-    assert insts[0].features[sk.index("x")] == pytest.approx(1.5)
-    assert insts[0].provenance[0] == "f0" and insts[0].provenance[2] == "obs"
+    batch = build_instances(t, sk)
+    assert len(batch) == 2 and batch.nodes == sk.nodes
+    assert batch.labels[0] == pytest.approx(3.2)
+    assert batch.features[0, sk.index("y")] == 0.0
+    assert batch.features[0, sk.index("x")] == pytest.approx(1.5)
+    assert batch.field_id[0] == "f0" and batch.treatment[0] == "obs"
 
 
 def test_build_instances_alignment_by_name():
@@ -122,9 +119,9 @@ def test_build_instances_alignment_by_name():
     # same data with shuffled column order
     t2 = continuous_table(("y", "a", "b"), [[r[2], r[0], r[1]] for r in rows], target="y")
     sk = GraphSkeleton(nodes=("a", "b", "y"), edges=(("a", "y"),), target="y")
-    for i1, i2 in zip(build_instances(t1, sk), build_instances(t2, sk)):
-        assert np.array_equal(i1.features, i2.features)
-        assert i1.label == i2.label
+    b1, b2 = build_instances(t1, sk), build_instances(t2, sk)
+    assert np.array_equal(b1.features, b2.features)
+    assert np.array_equal(b1.labels, b2.labels)
 
 
 def test_build_instances_schema_mismatch():
@@ -132,6 +129,27 @@ def test_build_instances_schema_mismatch():
     sk = GraphSkeleton(nodes=("a", "c"), edges=(), target="c")
     with pytest.raises(SchemaError):
         build_instances(t, sk)
+
+
+def test_build_instances_rejects_non_finite_features_by_row():
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    t = continuous_table(("a", "t"), [[1.0, 0.0], [np.inf, 0.0], [np.nan, 1.0]], target="t")
+    with pytest.raises(NumericError, match="row 1 .f0, 2020-06-02, obs."):
+        build_instances(t, sk)
+    # the target's own value is the label, not an input
+    assert np.isnan(build_instances(continuous_table(("a", "t"), [[1.0, np.nan]], target="t"), sk).labels[0])
+
+
+@pytest.mark.parametrize("nodes", [("a", "c", "t"), ("t", "a", "b")])
+def test_batch_fed_to_other_skeleton_raises(nodes):
+    # same width: other nodes, or the same nodes in another order
+    sk = GraphSkeleton(nodes=("a", "b", "t"), edges=(("a", "t"), ("b", "t")), target="t")
+    batch = _batch(sk, [[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+    other = GraphSkeleton(nodes=nodes, edges=(("a", "t"),), target="t")
+    with pytest.raises(SchemaError):
+        train("sage", other, batch, epochs=1)
+    with pytest.raises(SchemaError):
+        predict(init_ecc(other, hidden=4), other, batch)
 
 
 def test_prune_to_target_closure():
@@ -311,8 +329,7 @@ def test_forward_zero_params_predicts_zero():
         model = init(sk, seed=0, hidden=4)
         for p in model.params:
             p.values[...] = 0.0
-        inst = GraphInstance(features=np.array([1.0, -2.0, 0.0]), label=5.0, provenance=("f", 0, "o"))
-        assert predict(model, sk, [inst])[0] == 0.0
+        assert predict(model, sk, _batch(sk, [[1.0, -2.0, 5.0]]))[0] == 0.0
 
 
 def test_forward_hand_unrolled_trace():
@@ -334,8 +351,8 @@ def test_forward_hand_unrolled_trace():
             z = np.maximum(z, 0.0)
     expected = float(z[0])
 
-    inst = GraphInstance(features=feats, label=2.0, provenance=("f", 0, "o"))
-    assert abs(predict(model, sk, [inst])[0] - expected) < 1e-12
+    batch = _batch(sk, [[0.7, -1.3, 2.0]])
+    assert abs(predict(model, sk, batch)[0] - expected) < 1e-12
 
 
 def test_forward_invariant_to_node_order():
@@ -364,8 +381,8 @@ def test_forward_invariant_to_edge_order():
     sk1 = GraphSkeleton(nodes=nodes, edges=(("a", "t"), ("b", "t")), target="t")
     sk2 = GraphSkeleton(nodes=nodes, edges=(("b", "t"), ("a", "t")), target="t")
     model = init_sage(sk1, seed=0, hidden=4)
-    inst = GraphInstance(features=np.array([1.0, 2.0, 0.0]), label=1.0, provenance=("f", 0, "o"))
-    assert predict(model, sk1, [inst])[0] == predict(model, sk2, [inst])[0]
+    batch = _batch(sk1, [[1.0, 2.0, 1.0]])
+    assert predict(model, sk1, batch)[0] == predict(model, sk2, batch)[0]
 
 
 def test_masking_blocks_target_leakage_bit_exactly():
@@ -386,28 +403,39 @@ def test_masking_blocks_target_leakage_bit_exactly():
 
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])
-def test_model_gradients_match_fd(kind):
-    from soilcausal.gnn import _forward_batch, relu_kink_margin
+def test_model_gradients_match_fd(kind, monkeypatch):
+    import soilcausal.engine as engine
+    from soilcausal.gnn import _forward_batch
 
     rng = np.random.default_rng(17)
     sk = _random_skeleton(rng, 4, 5)
-    insts = _random_instances(rng, sk, 6)
-    feats = np.stack([i.features for i in insts])
-    labels = np.array([i.label for i in insts])
+    batch = _random_batch(rng, sk, 6)
 
     # screen out seeds whose ReLU preactivations sit inside the h=1e-5
     # difference stencil: the subgradient convention and the symmetric
-    # difference legitimately disagree on the kink itself
+    # difference legitimately disagree on the kink itself.  The forward
+    # pass's ReLU inputs are recorded by wrapping engine.relu.
+    preacts = []
+    relu = engine.relu
+
+    def recording_relu(t):
+        preacts.append(np.abs(t.values).min())
+        return relu(t)
+
+    monkeypatch.setattr(engine, "relu", recording_relu)
     model = None
     for seed in range(2, 50):
         cand = (init_sage if kind == "sage" else init_ecc)(sk, seed=seed, hidden=3)
-        if relu_kink_margin(cand, sk, feats) > 1e-3:
+        preacts.clear()
+        predict(cand, sk, batch)
+        if min(preacts) > 1e-3:
             model = cand
             break
+    monkeypatch.undo()
     assert model is not None, "no kink-free seed found"
 
     def loss_fn():
-        return mse(_forward_batch(model, sk, feats), labels)
+        return mse(_forward_batch(model, sk, batch), batch.labels)
 
     report = finite_diff_check(loss_fn, model.params)
     assert report.passed, report
@@ -420,8 +448,7 @@ def test_model_gradients_match_fd(kind):
 def test_train_lr_zero_keeps_params():
     rng = np.random.default_rng(0)
     sk = _random_skeleton(rng, 3, 2)
-    insts = _random_instances(rng, sk, 4)
-    res = train("sage", sk, insts, lr=0.0, epochs=10, seed=1)
+    res = train("sage", sk, _random_batch(rng, sk, 4), lr=0.0, epochs=10, seed=1)
     ref = init_sage(sk, seed=1, hidden=16)
     for p, q in zip(res.model.params, ref.params):
         assert np.array_equal(p.values, q.values)
@@ -430,17 +457,16 @@ def test_train_lr_zero_keeps_params():
 
 def test_train_memorizes_single_instance():
     sk = GraphSkeleton(nodes=("a", "b", "t"), edges=(("a", "t"), ("b", "t")), target="t")
-    inst = GraphInstance(features=np.array([0.8, -0.4, 0.0]), label=1.7, provenance=("f", 0, "o"))
-    res = train("sage", sk, [inst], lr=0.01, epochs=2000, seed=0)
+    res = train("sage", sk, _batch(sk, [[0.8, -0.4, 1.7]]), lr=0.01, epochs=2000, seed=0)
     assert res.loss_history[-1] < 1e-4
 
 
 def test_train_reproducible_from_seed():
     rng = np.random.default_rng(5)
     sk = _random_skeleton(rng, 4, 4)
-    insts = _random_instances(rng, sk, 8)
-    r1 = train("ecc", sk, insts, epochs=20, seed=9)
-    r2 = train("ecc", sk, insts, epochs=20, seed=9)
+    batch = _random_batch(rng, sk, 8)
+    r1 = train("ecc", sk, batch, epochs=20, seed=9)
+    r2 = train("ecc", sk, batch, epochs=20, seed=9)
     assert r1.loss_history == r2.loss_history
     for p, q in zip(r1.model.params, r2.model.params):
         assert np.array_equal(p.values, q.values)
@@ -449,9 +475,9 @@ def test_train_reproducible_from_seed():
 def test_train_nan_aborts_with_diagnostics():
     # a 1e200 feature overflows the squared loss to inf on the first epoch
     sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
-    inst = GraphInstance(features=np.array([1e200, 0.0]), label=0.0, provenance=("f", 0, "o"))
+    batch = _batch(sk, [[1e200, 0.0]])
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="diverged at epoch 0"):
-        train("sage", sk, [inst], epochs=5, seed=0)
+        train("sage", sk, batch, epochs=5, seed=0)
 
 
 def test_train_loss_decreases_on_real_split():
@@ -478,22 +504,22 @@ def test_train_rejects_unknown_kind():
 def test_predict_preserves_order_and_matches_forward():
     rng = np.random.default_rng(8)
     sk = _random_skeleton(rng, 4, 5)
-    insts = _random_instances(rng, sk, 5)
+    rows = rng.standard_normal((5, sk.n_nodes))
     model = init_ecc(sk, seed=3, hidden=4)
-    batch = predict(model, sk, insts)
-    singles = [predict(model, sk, [i])[0] for i in insts]
-    assert np.allclose(batch, singles, atol=1e-12)
+    together = predict(model, sk, _batch(sk, rows))
+    singles = [predict(model, sk, _batch(sk, rows[k : k + 1]))[0] for k in range(5)]
+    assert np.allclose(together, singles, atol=1e-12)
 
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     sk = _random_skeleton(rng, 4, 4)
-    insts = _random_instances(rng, sk, 6)
-    res = train("sage", sk, insts, epochs=15, seed=2)
+    batch = _random_batch(rng, sk, 6)
+    res = train("sage", sk, batch, epochs=15, seed=2)
     path = tmp_path / "sage.bin"
     save_model(path, res.model)
     clone = load_model(path, "sage", sk)
-    assert np.array_equal(predict(clone, sk, insts), predict(res.model, sk, insts))
+    assert np.array_equal(predict(clone, sk, batch), predict(res.model, sk, batch))
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):

@@ -71,10 +71,11 @@ def test_validate_model_ready():
         I.validate_model_ready(
             mk([I.ColumnSpec("x", "continuous")], [[1.0], [2.0]], [0, 1])
         )  # no target
-    with pytest.raises(SchemaError):
-        I.validate_model_ready(
-            mk([I.ColumnSpec("x", "continuous")], [[np.nan], [2.0]], [0, 1], target="x")
-        )
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SchemaError):
+            I.validate_model_ready(
+                mk([I.ColumnSpec("x", "continuous")], [[bad], [2.0]], [0, 1], target="x")
+            )
     with pytest.raises(SchemaError):
         I.validate_model_ready(
             mk([I.ColumnSpec("x", "continuous")], [[1.0], [2.0]], [3, 3], target="x")
