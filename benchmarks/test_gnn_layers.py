@@ -2,7 +2,8 @@
 days, the size of the ``farm-long`` workload: ``build_instances`` over the
 whole table, and one full-batch training epoch (model init, forward,
 backward and one Adam step) of SAGE and of ECC on the skeleton of the
-farm's true DAG.
+farm's true DAG.  The same epoch also runs on the 62-column paper-width
+train table with the skeleton PC finds on it, as ``farm-wide`` trains.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -11,7 +12,7 @@ They are not part of the tier-1 suite (``testpaths`` is ``tests``).
 
 import pytest
 
-from soilcausal import gnn, synth
+from soilcausal import discovery, gnn, stats, synth
 
 
 @pytest.fixture(scope="module")
@@ -30,4 +31,18 @@ def test_epoch_long(benchmark, long_train, skeleton, kind):
     batch = gnn.build_instances(long_train, skeleton)
     fit = benchmark.pedantic(gnn.train, args=(kind, skeleton, batch), kwargs={"epochs": 1}, rounds=5)
     benchmark.extra_info["rows"] = len(batch)
+    assert len(fit.loss_history) == 1
+
+
+@pytest.fixture(scope="module")
+def wide_skeleton(wide_train):
+    pattern = discovery.pc(wide_train, warn=stats.WarningCounter())
+    return gnn.skeleton_from_pattern(pattern, wide_train.names, wide_train.target)
+
+
+@pytest.mark.parametrize("kind", ["sage", "ecc"])
+def test_epoch_wide(benchmark, wide_train, wide_skeleton, kind):
+    batch = gnn.build_instances(wide_train, wide_skeleton)
+    fit = benchmark.pedantic(gnn.train, args=(kind, wide_skeleton, batch), kwargs={"epochs": 1}, rounds=5)
+    benchmark.extra_info["rows"], benchmark.extra_info["nodes"] = batch.features.shape
     assert len(fit.loss_history) == 1

@@ -30,6 +30,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, NumericError
 from .gnn import GraphSkeleton
+from .ingest import require_finite
 from .seeding import derive_seed
 
 _SPLIT_EPS = 1e-12  # require a real variance reduction before splitting
@@ -261,9 +262,7 @@ def _mlp_build(rng, d_in: int, hidden: tuple[int, ...]) -> list[engine.DensePara
 def _mlp_forward(layers, x: engine.Tensor) -> engine.Tensor:
     h = x
     for k, layer in enumerate(layers):
-        h = engine.dense(h, layer)
-        if k < len(layers) - 1:
-            h = engine.relu(h)
+        h = engine.dense(h, layer, relu=k < len(layers) - 1)
     return engine.reshape(h, (h.values.shape[0],))
 
 
@@ -284,6 +283,7 @@ def mlp_train(table, hidden_sizes=None, lr=None, epochs: int = 500, seed: int = 
     selection is replayable; the winner is refit on all rows.
     """
     X, y, names = _design(table)
+    require_finite(y, "label", table)
     if hidden_sizes is not None and lr is not None:
         hidden = tuple(hidden_sizes)
         layers = _mlp_fit(X, y, hidden, lr, epochs, seed)

@@ -6,12 +6,23 @@ float32 cannot hold.  Graphs are built eagerly — every op returns a
 adjoint back one step.  ``backward`` replays the closures in reverse
 topological order.
 
-The op set is intentionally small: ``matmul`` on matrices and stacks of
-matrices (both operands at least 2-D), broadcasting ``add`` (and the dense
-affine map built from the two), ReLU, the ``transpose``/``reshape``/
-``slice_last``/``take_node`` plumbing, and the mean squared error.  That is
-everything the message-passing models and the MLP baseline use, and
-``adam_fit`` is the one full-batch Adam loop both train with.
+The op set is intentionally small, and each model layer is one op with a
+hand-written backward:
+
+* ``dense`` — the affine map x Wᵀ + b on a (rows, in) matrix, with an
+  optional ReLU (the MLP baseline, the GNN heads, the ECC filter network);
+* ``sage_conv`` — a GraphSAGE mean convolution on node-major (nodes,
+  rows, dim) states: each output node's own state concatenated with the
+  mean of its neighbours', through one affine map, optional ReLU;
+* ``ecc_conv`` — an edge-conditioned convolution on the same layout: the
+  mean of the neighbours' states through a generated weight θ, plus a
+  bias, optional ReLU;
+
+plus ``matmul`` on matrices and stacks of matrices (both operands at least
+2-D), ``reshape`` and the mean squared error.  The convolutions take the
+graph as constants: the positions of the output nodes' own states in the
+input, and an (out, in) mean-aggregation block.  ``adam_fit`` is the one
+full-batch Adam loop the models and the MLP baseline train with.
 """
 
 from __future__ import annotations
@@ -30,22 +41,21 @@ __all__ = [
     "Tensor",
     "adam_fit",
     "adam_step",
-    "add",
     "constant",
     "dense",
     "dense_params",
+    "ecc_conv",
     "finite_diff_check",
     "glorot_uniform",
     "load_params",
     "matmul",
     "mse",
+    "pack_params",
     "parameter",
-    "relu",
     "reshape",
+    "sage_conv",
     "save_params",
-    "slice_last",
-    "take_node",
-    "transpose",
+    "unpack_params",
 ]
 
 
@@ -142,16 +152,6 @@ def _node(values, parents, push) -> Tensor:
     return Tensor(values, (), None, requires_grad=False)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values + b.values
-
-    def push(g):
-        _accumulate(a, _unbroadcast(g, a.values.shape))
-        _accumulate(b, _unbroadcast(g, b.values.shape))
-
-    return _node(out_vals, (a, b), push)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` for operands of at least two dimensions; leading (stack)
     dimensions broadcast as in numpy."""
@@ -170,46 +170,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_vals, (a, b), push)
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is 0."""
-    mask = x.values > 0.0
-    out_vals = np.where(mask, x.values, 0.0)
-
-    def push(g):
-        _accumulate(x, g * mask)
-
-    return _node(out_vals, (x,), push)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_vals = x.values.reshape(shape)
 
     def push(g):
         _accumulate(x, g.reshape(x.values.shape))
-
-    return _node(out_vals, (x,), push)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """View of ``x`` restricted to ``start:stop`` along the last axis."""
-    out_vals = x.values[..., start:stop]
-
-    def push(g):
-        full = np.zeros(x.values.shape, dtype=np.float64)
-        full[..., start:stop] = g
-        _accumulate(x, full)
-
-    return _node(out_vals, (x,), push)
-
-
-def take_node(x: Tensor, index: int) -> Tensor:
-    """Select one node slot, the second-to-last axis (the per-node readout)."""
-    out_vals = np.take(x.values, index, axis=-2)
-
-    def push(g):
-        full = np.zeros(x.values.shape, dtype=np.float64)
-        full[..., index, :] = g
-        _accumulate(x, full)
 
     return _node(out_vals, (x,), push)
 
@@ -262,19 +227,108 @@ def dense_params(rng: np.random.Generator, out_dim: int, in_dim: int) -> DensePa
     )
 
 
-def dense(x: Tensor, params: DenseParams) -> Tensor:
-    """y = x W^T + b, applied to the last axis of ``x``."""
-    wt = matmul(x, transpose(params.weight))
-    return add(wt, params.bias)
+def _relu_mask(out: np.ndarray, relu: bool):
+    """Apply max(·, 0) to ``out`` and return the mask its backward needs
+    (None without ReLU); the subgradient at exactly 0 is 0."""
+    if not relu:
+        return out, None
+    mask = out > 0.0
+    return np.where(mask, out, 0.0), mask
 
 
-def transpose(w: Tensor) -> Tensor:
-    out_vals = w.values.T
+def dense(x: Tensor, params: DenseParams, relu: bool = False) -> Tensor:
+    """y = x Wᵀ + b on a (rows, in) matrix, then max(y, 0) if ``relu``."""
+    w, b = params.weight, params.bias
+    if x.values.ndim != 2 or x.values.shape[1] != w.values.shape[1]:
+        raise NumericError(f"dense takes (rows, {w.values.shape[1]}), got {x.values.shape}")
+    out = x.values @ w.values.T
+    out += b.values
+    out, mask = _relu_mask(out, relu)
 
     def push(g):
-        _accumulate(w, g.T)
+        if mask is not None:
+            g = g * mask
+        if x.requires_grad:
+            _accumulate(x, g @ w.values)
+        _accumulate(w, (x.values.T @ g).T)
+        _accumulate(b, g.sum(axis=0))
 
-    return _node(out_vals, (w,), push)
+    return _node(out, (x, w, b), push)
+
+
+def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Mean-aggregate node-major states: (m_out, m_in) @ (m_in, B, d),
+    as one GEMM over the flattened rows."""
+    m_in, rows, d = h.shape
+    return (agg @ h.reshape(m_in, rows * d)).reshape(agg.shape[0], rows, d)
+
+
+def sage_conv(h: Tensor, self_index: np.ndarray, agg: np.ndarray, params: DenseParams, relu: bool) -> Tensor:
+    """GraphSAGE mean convolution on node-major states.
+
+    ``h`` is (m_in, B, d).  Output node i reads its own state
+    ``h[self_index[i]]`` and the mean ``agg[i] @ h`` of its neighbours'
+    states (an all-zero row of ``agg`` is a zero aggregate), and returns
+    concat(self, mean) Wᵀ + b, then max(·, 0) if ``relu``: (m_out, B, out).
+    """
+    m_in, rows, d = h.values.shape
+    w, b = params.weight, params.bias
+    if w.values.shape[1] != 2 * d or agg.shape[1] != m_in:
+        raise NumericError(
+            f"conv weight {w.values.shape} and block {agg.shape} do not fit states {h.values.shape}"
+        )
+    m_out = agg.shape[0]
+    x = np.empty((m_out, rows, 2 * d))
+    x[..., :d] = h.values[self_index]
+    x[..., d:] = _aggregate(agg, h.values)
+    x = x.reshape(m_out * rows, 2 * d)
+    out = x @ w.values.T
+    out += b.values
+    out, mask = _relu_mask(out, relu)
+
+    def push(g):
+        g = g.reshape(m_out * rows, g.shape[-1])
+        if mask is not None:
+            g = g * mask
+        _accumulate(w, g.T @ x)
+        _accumulate(b, g.sum(axis=0))
+        if h.requires_grad:
+            gh = _aggregate(agg.T, (g @ w.values[:, d:]).reshape(m_out, rows, d))
+            gh[self_index] += (g @ w.values[:, :d]).reshape(m_out, rows, d)  # distinct slots
+            _accumulate(h, gh)
+
+    return _node(out.reshape(m_out, rows, out.shape[1]), (h, w, b), push)
+
+
+def ecc_conv(h: Tensor, agg: np.ndarray, theta: Tensor, bias: Tensor, relu: bool) -> Tensor:
+    """Edge-conditioned convolution on node-major states.
+
+    ``h`` is (m_in, B, d).  Output node i is (agg[i] @ h) θᵀ + bias, the
+    mean of its neighbours' states through θ (out, d), so a node with no
+    neighbours (an all-zero row of ``agg``) outputs the bias alone; then
+    max(·, 0) if ``relu``: (m_out, B, out).
+    """
+    m_in, rows, d = h.values.shape
+    if theta.values.shape[1] != d or agg.shape[1] != m_in:
+        raise NumericError(
+            f"filter {theta.values.shape} and block {agg.shape} do not fit states {h.values.shape}"
+        )
+    m_out = agg.shape[0]
+    x = _aggregate(agg, h.values).reshape(m_out * rows, d)
+    out = x @ theta.values.T
+    out += bias.values
+    out, mask = _relu_mask(out, relu)
+
+    def push(g):
+        g = g.reshape(m_out * rows, g.shape[-1])
+        if mask is not None:
+            g = g * mask
+        _accumulate(theta, g.T @ x)
+        _accumulate(bias, g.sum(axis=0))
+        if h.requires_grad:
+            _accumulate(h, _aggregate(agg.T, (g @ theta.values).reshape(m_out, rows, d)))
+
+    return _node(out.reshape(m_out, rows, out.shape[1]), (h, theta, bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +463,16 @@ def finite_diff_check(loss_fn, params: list[Tensor], tol: float = 1e-4, h: float
 #   then P value buffers back to back.
 
 
-def save_params(path, params: list[Tensor]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            dims = p.values.shape
-            fh.write(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
-        for p in params:
-            fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+def pack_params(params: list[Tensor]) -> bytes:
+    head = [struct.pack("<I", len(params))]
+    for p in params:
+        dims = p.values.shape
+        head.append(struct.pack(f"<I{len(dims)}I", len(dims), *dims))
+    body = [np.ascontiguousarray(p.values, dtype="<f8").tobytes() for p in params]
+    return b"".join(head + body)
 
 
-def load_params(path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def unpack_params(raw: bytes) -> list[np.ndarray]:
     off = 0
 
     def take(fmt):
@@ -444,6 +495,16 @@ def load_params(path) -> list[np.ndarray]:
     if off != len(raw):
         raise NumericError(f"checkpoint has {len(raw) - off} trailing bytes")
     return out
+
+
+def save_params(path, params: list[Tensor]) -> None:
+    with open(path, "wb") as fh:
+        fh.write(pack_params(params))
+
+
+def load_params(path) -> list[np.ndarray]:
+    with open(path, "rb") as fh:
+        return unpack_params(fh.read())
 
 
 def assign_params(params: list[Tensor], arrays: list[np.ndarray]) -> None:

@@ -17,16 +17,29 @@ prediction read its arrays directly.  Two architectures share the encoding:
   network, mean-aggregated over in-neighbors plus a bias, ReLU between
   them, then a single linear head.
 
-Mean aggregation is expressed as multiplication by a row-normalized
-in-adjacency matrix, which batches over rows and makes the
-empty-neighborhood conventions (zero aggregate / bias only) literal:
-an empty row of the matrix is a row of zeros.
+Both read only the target's final state, so each convolution computes
+only the node states that the target reads (GraphSAGE's minibatch scheme,
+Hamilton et al. 2017, Alg. 2, exact here because every neighbor is kept).
+``layer_plan`` walks out from the target once per skeleton: the last
+layer outputs the target alone, and each layer's input nodes — its in-set
+— are the outputs of the layer before.  A SAGE layer's in-set is its
+output nodes and their in-neighbors; an ECC layer, having no self term,
+reads the in-neighbors alone.  So SAGE layer k outputs the nodes within
+(depth − k) in-hops of the target.  Each layer carries two constants: the
+position of every output node in the in-set, and an (out, in) block whose
+row i averages node i's in-neighbors.  A node with no in-neighbors has an
+all-zero row there, so its aggregate is zero (SAGE) and its ECC output is
+the bias alone.  States are node-major, (nodes, rows, dim), and each
+convolution is one ``engine`` op.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +47,7 @@ from . import engine
 from .engine import DenseParams, Tensor, constant
 from .errors import GraphError, NumericError, SchemaError
 from .graphs import reachable
+from .ingest import require_finite
 
 _NEIGHBORHOODS = ("parents", "ancestors")
 
@@ -83,29 +97,6 @@ class GraphSkeleton:
             parents[b].append(a)
         return tuple(sorted(reachable(parents.__getitem__, node) - {node}))
 
-    def aggregation_matrix(self) -> np.ndarray:
-        """Row-normalized in-neighbor indicator: (A h)_i = mean over N(i).
-
-        Cached (the skeleton is frozen); the returned array is read-only.
-        """
-        return _aggregation_matrix(self)
-
-
-@lru_cache(maxsize=128)
-def _aggregation_matrix(skeleton: GraphSkeleton) -> np.ndarray:
-    n = skeleton.n_nodes
-    index = {node: i for i, node in enumerate(skeleton.nodes)}
-    mat = np.zeros((n, n), dtype=np.float64)
-    for i, node in enumerate(skeleton.nodes):
-        nbrs = skeleton.in_neighbors(node)
-        if not nbrs:
-            continue
-        w = 1.0 / len(nbrs)
-        for a in nbrs:
-            mat[i, index[a]] = w
-    mat.flags.writeable = False
-    return mat
-
 
 def skeleton_from_pattern(pattern, nodes, target: str, neighborhood: str = "parents") -> GraphSkeleton:
     """Build a skeleton from a mixed-edge discovery pattern.
@@ -122,26 +113,59 @@ def skeleton_from_pattern(pattern, nodes, target: str, neighborhood: str = "pare
     return GraphSkeleton(nodes=tuple(sorted(nodes)), edges=tuple(edges), target=target, neighborhood=neighborhood)
 
 
-def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
-    """Induced subgraph on the target's ``hops``-step in-closure.
+@dataclass(frozen=True, eq=False)
+class ConvLayer:
+    """One convolution's graph constants (read-only arrays)."""
 
-    A stack of ``hops`` convolutions reads the target's final state only;
-    that state is a function of nodes reaching the target within ``hops``
-    in-edges, and every state it actually consumes has its full
-    neighborhood inside the closure.  Training on the pruned graph
-    therefore produces the same predictions and the same parameter
-    gradients as the full graph (unused node states get zero adjoints),
-    while the per-layer buffers shrink from |V| to |closure| slots.
-    """
+    self_index: np.ndarray | None  # (out,) each output node's position in the in-set (SAGE)
+    agg: np.ndarray  # (out, in) row i: mean over output node i's in-neighbors
+
+
+@dataclass(frozen=True, eq=False)
+class LayerPlan:
+    """The node sets a stack of convolutions reads the target through."""
+
+    reads: np.ndarray  # skeleton slots of the first layer's in-set, ascending
+    layers: tuple[ConvLayer, ...]  # input side first; the last outputs the target
+
+
+@lru_cache(maxsize=128)
+def layer_plan(skeleton: GraphSkeleton, depth: int, self_term: bool) -> LayerPlan:
+    """The target's receptive field, layer by layer, for ``depth``
+    convolutions: with ``self_term`` (SAGE) a layer's in-set is its output
+    nodes and their in-neighbors, without (ECC) the in-neighbors alone.
+    Built once per frozen skeleton."""
+    slot = {node: i for i, node in enumerate(skeleton.nodes)}
+    nbrs = [[slot[a] for a in skeleton.in_neighbors(node)] for node in skeleton.nodes]
+    sets = [[slot[skeleton.target]]]  # output sets, from the target outward
+    for _ in range(depth):
+        nxt = {j for i in sets[-1] for j in nbrs[i]}
+        sets.append(sorted(nxt.union(sets[-1]) if self_term else nxt))
+    layers = []
+    for out, ins in zip(sets[-2::-1], sets[::-1]):
+        pos = {j: k for k, j in enumerate(ins)}
+        agg = np.zeros((len(out), len(ins)))
+        for r, i in enumerate(out):
+            for j in nbrs[i]:
+                agg[r, pos[j]] = 1.0 / len(nbrs[i])
+        self_index = _frozen(np.array([pos[i] for i in out], dtype=np.intp)) if self_term else None
+        layers.append(ConvLayer(self_index, _frozen(agg)))
+    return LayerPlan(_frozen(np.array(sets[-1], dtype=np.intp)), tuple(layers))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # the plan is cached and shared
+    return a
+
+
+def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
+    """Induced subgraph on the target's ``hops``-step in-closure: the
+    nodes a stack of ``hops`` SAGE convolutions reads (``layer_plan``'s
+    first in-set).  Training on it gives the same predictions and
+    gradients as on the full skeleton."""
     if hops < 0:
         raise GraphError("hops must be nonnegative")
-    keep = {skeleton.target}
-    frontier = {skeleton.target}
-    for _ in range(hops):
-        frontier = {a for node in frontier for a in skeleton.in_neighbors(node)} - keep
-        if not frontier:
-            break
-        keep |= frontier
+    keep = {skeleton.nodes[i] for i in layer_plan(skeleton, hops, True).reads}
     nodes = tuple(n for n in skeleton.nodes if n in keep)
     edges = tuple((a, b) for a, b in skeleton.edges if a in keep and b in keep)
     return GraphSkeleton(nodes=nodes, edges=edges, target=skeleton.target, neighborhood=skeleton.neighborhood)
@@ -176,13 +200,7 @@ def build_instances(table, skeleton: GraphSkeleton) -> GraphBatch:
     t_idx = skeleton.index(skeleton.target)
     labels = feats[:, t_idx].copy()
     feats[:, t_idx] = 0.0
-    bad = ~np.isfinite(feats).all(axis=1)
-    if bad.any():
-        r = int(bad.argmax())
-        raise NumericError(
-            f"non-finite features in row {r} "
-            f"({table.field_id[r]}, {table.timestamps[r]}, {table.treatment[r]})"
-        )
+    require_finite(feats, "features", table)
     return GraphBatch(skeleton.nodes, feats, labels, table.field_id, table.timestamps, table.treatment)
 
 
@@ -197,6 +215,7 @@ class SageModel:
     convs: tuple[DenseParams, DenseParams, DenseParams]
     ff: tuple[DenseParams, DenseParams, DenseParams]
     hidden: int = 16
+    kind: ClassVar[str] = "sage"
 
     @property
     def params(self) -> list[Tensor]:
@@ -227,6 +246,7 @@ class EccModel:
     convs: tuple[EccLayer, EccLayer]
     head: DenseParams
     hidden: int = 16
+    kind: ClassVar[str] = "ecc"
 
     @property
     def params(self) -> list[Tensor]:
@@ -274,25 +294,7 @@ def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> EccMod
 
 
 # ---------------------------------------------------------------------------
-# convolutions (batched: h is (batch, n_nodes, dim))
-
-
-def sage_conv(h: Tensor, skeleton: GraphSkeleton, params: DenseParams, activate: bool = True) -> Tensor:
-    """One mean-aggregator convolution: affine(concat(self, mean N(i))).
-
-    Evaluated as W_self h + W_agg (A h) + b — the same map with the weight
-    split at the concat boundary, skipping the stacked buffer.
-    """
-    d = h.values.shape[-1]
-    if params.weight.values.shape[1] != 2 * d:
-        raise NumericError(
-            f"conv weight expects width {params.weight.values.shape[1]}, state dim is {d}"
-        )
-    agg = engine.matmul(constant(skeleton.aggregation_matrix()), h)
-    self_part = engine.matmul(h, engine.transpose(engine.slice_last(params.weight, 0, d)))
-    agg_part = engine.matmul(agg, engine.transpose(engine.slice_last(params.weight, d, 2 * d)))
-    mixed = engine.add(engine.add(self_part, agg_part), params.bias)
-    return engine.relu(mixed) if activate else mixed
+# forward
 
 
 def ecc_filter_matrix(layer: EccLayer, edge_attr: float = 1.0) -> Tensor:
@@ -302,15 +304,6 @@ def ecc_filter_matrix(layer: EccLayer, edge_attr: float = 1.0) -> Tensor:
     return engine.reshape(theta_flat, (layer.out_dim, layer.in_dim))
 
 
-def ecc_conv(h: Tensor, skeleton: GraphSkeleton, layer: EccLayer) -> Tensor:
-    """Mean of filter-mapped neighbor states plus bias; bias alone when
-    N(i) is empty (the aggregation matrix row is all zero there)."""
-    theta = ecc_filter_matrix(layer, 1.0)
-    mapped = engine.matmul(h, engine.transpose(theta))
-    agg = engine.matmul(constant(skeleton.aggregation_matrix()), mapped)
-    return engine.add(agg, layer.bias)
-
-
 def _forward_batch(model, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
     if skeleton.nodes != model.nodes or skeleton.target != model.target:
         raise SchemaError("skeleton does not match the model's node layout")
@@ -318,22 +311,21 @@ def _forward_batch(model, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
         raise SchemaError(f"batch over nodes {batch.nodes} fed to a skeleton over {skeleton.nodes}")
     if not len(batch):
         raise NumericError("empty batch")
-    h = constant(batch.features[:, :, None])  # (B, n, 1)
-    if isinstance(model, SageModel):
-        h = engine.relu(sage_conv(h, skeleton, model.convs[0], activate=False))
-        h = engine.relu(sage_conv(h, skeleton, model.convs[1], activate=False))
-        h = sage_conv(h, skeleton, model.convs[2], activate=False)
-        z = engine.take_node(h, skeleton.index(model.target))
-        z = engine.relu(engine.dense(z, model.ff[0]))
-        z = engine.relu(engine.dense(z, model.ff[1]))
+    plan = layer_plan(skeleton, CONV_DEPTH[model.kind], model.kind == "sage")
+    # node-major (in-set, rows, 1)
+    h = constant(np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None])
+    last = len(plan.layers) - 1
+    if model.kind == "sage":
+        for k, (layer, conv) in enumerate(zip(plan.layers, model.convs)):
+            h = engine.sage_conv(h, layer.self_index, layer.agg, conv, relu=k < last)
+        z = engine.reshape(h, (len(batch), model.hidden))
+        z = engine.dense(z, model.ff[0], relu=True)
+        z = engine.dense(z, model.ff[1], relu=True)
         z = engine.dense(z, model.ff[2])
-    elif isinstance(model, EccModel):
-        h = engine.relu(ecc_conv(h, skeleton, model.convs[0]))
-        h = ecc_conv(h, skeleton, model.convs[1])
-        z = engine.take_node(h, skeleton.index(model.target))
-        z = engine.dense(z, model.head)
-    else:  # pragma: no cover
-        raise NumericError(f"unknown model type {type(model).__name__}")
+    else:
+        for k, (layer, conv) in enumerate(zip(plan.layers, model.convs)):
+            h = engine.ecc_conv(h, layer.agg, ecc_filter_matrix(conv), conv.bias, relu=k < last)
+        z = engine.dense(engine.reshape(h, (len(batch), model.hidden)), model.head)
     return engine.reshape(z, (len(batch),))
 
 
@@ -373,6 +365,7 @@ def train(
 ) -> TrainResult:
     """Full-batch MSE training with Adam; deterministic given ``seed``."""
     model = _init_model(kind, skeleton, seed, hidden)
+    require_finite(batch.labels, "label", batch)
     if lr is None:
         lr = _DEFAULT_LR[kind]
     history = engine.adam_fit(
@@ -386,11 +379,43 @@ def train(
     return TrainResult(model=model, skeleton=skeleton, loss_history=history)
 
 
-def save_model(path, model) -> None:
-    engine.save_params(path, model.params)
+def _checkpoint_header(kind: str, hidden: int, skeleton: GraphSkeleton) -> dict:
+    """What a checkpoint is valid for: the model, and the graph that fixes
+    its layer plan."""
+    return {
+        "kind": kind,
+        "hidden": hidden,
+        "nodes": list(skeleton.nodes),
+        "target": skeleton.target,
+        "edges_sha256": hashlib.sha256(json.dumps(skeleton.edges).encode()).hexdigest(),
+        "neighborhood": skeleton.neighborhood,
+    }
+
+
+def save_model(path, model, skeleton: GraphSkeleton) -> None:
+    """A one-line JSON header naming the model and its graph, then the
+    parameters in ``engine.pack_params``'s layout."""
+    if skeleton.nodes != model.nodes or skeleton.target != model.target:
+        raise SchemaError("skeleton does not match the model's node layout")
+    header = json.dumps(_checkpoint_header(model.kind, model.hidden, skeleton), sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n" + engine.pack_params(model.params))
 
 
 def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16):
+    """The model saved at ``path``; ``SchemaError`` unless it was saved as
+    this ``kind`` and ``hidden`` size on this skeleton."""
     model = _init_model(kind, skeleton, 0, hidden)
-    engine.assign_params(model.params, engine.load_params(path))
+    with open(path, "rb") as fh:
+        line, _, payload = fh.read().partition(b"\n")
+    try:
+        header = json.loads(line)
+    except ValueError:  # no JSON header line: raw parameters or another file
+        header = None
+    expected = _checkpoint_header(kind, hidden, skeleton)
+    if header != expected:
+        found = header if isinstance(header, dict) else {}
+        wrong = [k for k in expected if found.get(k) != expected[k]] or ["header"]
+        raise SchemaError(f"{path} is not a checkpoint of this model and graph: {', '.join(wrong)} differ")
+    engine.assign_params(model.params, engine.unpack_params(payload))
     return model

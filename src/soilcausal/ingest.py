@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, NumericError, SchemaError
 
 KINDS = ("continuous", "one_hot", "event_count", "categorical")
 CADENCES = ("daily", "sub_daily", "sparse_event")
@@ -140,6 +140,20 @@ def _field_slices(fid: np.ndarray) -> list[tuple[int, int]]:
             out.append((start, i))
             start = i
     return out
+
+
+def require_finite(values: np.ndarray, what: str, rows) -> None:
+    """Raise ``NumericError`` naming the first row of ``values`` (one entry
+    or one row per row of ``rows``) that holds NaN or ±inf, by its
+    (field, day, treatment) tags in ``rows``."""
+    finite = np.isfinite(values)
+    bad = ~(finite if finite.ndim == 1 else finite.all(axis=1))
+    if bad.any():
+        r = int(bad.argmax())
+        raise NumericError(
+            f"non-finite {what} in row {r} "
+            f"({rows.field_id[r]}, {rows.timestamps[r]}, {rows.treatment[r]})"
+        )
 
 
 def validate_model_ready(table: Table) -> None:

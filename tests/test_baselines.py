@@ -13,7 +13,7 @@ from soilcausal.baselines import (
     rf_predict,
     rf_train,
 )
-from soilcausal.errors import ConfigError
+from soilcausal.errors import ConfigError, NumericError
 from soilcausal.ingest import select_columns
 
 # few distinct values, so x ties, duplicated rows and equal-SSE splits are common
@@ -121,3 +121,13 @@ def test_random_skeleton_rejects_too_many_edges():
 def test_mlp_train_needs_both_or_neither_of_hidden_and_lr(kwargs):
     with pytest.raises(ConfigError):
         mlp_train(_random_table(0), epochs=1, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"hidden_sizes": (4,), "lr": 0.01}])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mlp_train_rejects_non_finite_labels_by_row(kwargs, bad):
+    rows = np.random.default_rng(1).standard_normal((8, 3))
+    rows[3, 2] = bad
+    table = continuous_table(("a", "b", "t"), rows, target="t")
+    with pytest.raises(NumericError, match="label in row 3 .f0, 2020-06-04, obs."):
+        mlp_train(table, epochs=1, **kwargs)

@@ -6,23 +6,20 @@ from soilcausal.engine import (
     DenseParams,
     Tensor,
     adam_step,
-    add,
     assign_params,
     constant,
     dense,
     dense_params,
+    ecc_conv,
     finite_diff_check,
     glorot_uniform,
     load_params,
     matmul,
     mse,
     parameter,
-    relu,
     reshape,
+    sage_conv,
     save_params,
-    slice_last,
-    take_node,
-    transpose,
 )
 
 
@@ -46,13 +43,19 @@ def _fd_scalar(fn, x, h=1e-5):
 # forward values
 
 
+def _relu(x: Tensor) -> Tensor:
+    """dense's ReLU alone: identity weight, zero bias."""
+    n = x.values.shape[1]
+    return dense(x, DenseParams(constant(np.eye(n)), constant(np.zeros(n))), relu=True)
+
+
 def test_relu_values_and_mask():
-    x = parameter([-1.0, 0.0, 2.0])
-    y = relu(x)
-    assert np.array_equal(y.values, [0.0, 0.0, 2.0])
-    loss = mse(y, np.zeros(3))
+    x = parameter([[-1.0, 0.0, 2.0]])
+    y = _relu(x)
+    assert np.array_equal(y.values, [[0.0, 0.0, 2.0]])
+    loss = mse(y, np.zeros((1, 3)))
     loss.backward()
-    assert x.grad[0] == 0.0 and x.grad[1] == 0.0 and x.grad[2] != 0.0
+    assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0 and x.grad[0, 2] != 0.0
 
 
 def test_mse_values():
@@ -110,25 +113,23 @@ def test_op_zoo_gradients_match_fd(seed):
     agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # row-normalized
     w1 = parameter(rng.standard_normal((4, 6)) * 0.7)
     b1 = parameter(rng.standard_normal(4) * 0.3)
-    w2 = parameter(rng.standard_normal((2, 4)) * 0.7)
+    theta = parameter(rng.standard_normal((2, 4)) * 0.7)
     b2 = parameter(rng.standard_normal(2) * 0.3)
+    w3 = parameter(rng.standard_normal((2, 2)) * 0.7)
+    b3 = parameter(rng.standard_normal(2) * 0.3)
     v = parameter(rng.standard_normal((2, 1)))
-    u = parameter(rng.standard_normal((1, 2)))
-    x = parameter(rng.standard_normal((5, 3, 3)))
+    x = parameter(rng.standard_normal((3, 5, 3)))
     target = rng.standard_normal(5)
 
     def loss_fn():
-        neigh = matmul(constant(agg), x)  # (5, 3, 3): constant left operand
-        h = add(
-            matmul(x, transpose(slice_last(w1, 0, 3))),
-            matmul(neigh, transpose(slice_last(w1, 3, 6))),
-        )  # (5, 3, 4)
-        h = relu(add(h, b1))  # bias broadcast over batch and nodes
-        z = dense(take_node(h, 1), DenseParams(w2, b2))  # (5, 2)
-        pred = add(matmul(z, v), transpose(matmul(u, transpose(z))))  # column, row
+        h = sage_conv(x, np.arange(3), agg, DenseParams(w1, b1), relu=True)  # (3, 5, 4)
+        h = ecc_conv(h, agg[:1], theta, b2, relu=False)  # (1, 5, 2)
+        z = dense(reshape(h, (5, 2)), DenseParams(w3, b3), relu=True)
+        mixed = matmul(constant(np.eye(5)[::-1] + 0.2), z)  # constant left operand
+        pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1): stack times matrix
         return mse(reshape(pred, (5,)), target)
 
-    report = finite_diff_check(loss_fn, [w1, b1, w2, b2, v, u, x])
+    report = finite_diff_check(loss_fn, [w1, b1, theta, b2, w3, b3, v, x])
     assert report.passed, report
     assert report.max_rel_err < 1e-4
 
@@ -137,13 +138,52 @@ def test_relu_gradient_matches_fd_away_from_zero():
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(20)
     x0 = x0[np.abs(x0) > 1e-3]  # keep the kink out of the difference stencil
-    x = parameter(x0)
-    target = rng.standard_normal(x0.size)
+    x = parameter(x0[None, :])
+    target = rng.standard_normal((1, x0.size))
 
     def loss_fn():
-        return mse(relu(x), target)
+        return mse(_relu(x), target)
 
     assert finite_diff_check(loss_fn, [x]).passed
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_conv_ops_gradients_match_fd(relu):
+    # one row (B = 1); a SAGE block whose second output node has no
+    # neighbours and whose in-slot 2 is both a self slot and a neighbour,
+    # then an ECC layer over its output
+    rng = np.random.default_rng(31)
+    h = parameter(rng.standard_normal((3, 1, 2)))
+    sage_p = DenseParams(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
+    theta, bias = parameter(rng.standard_normal((2, 3))), parameter(rng.standard_normal(2))
+    target = rng.standard_normal(4)
+
+    def loss_fn():
+        s = sage_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]]), sage_p, relu=relu)
+        e = ecc_conv(s, np.array([[0.5, 0.5], [0.0, 1.0]]), theta, bias, relu=relu)  # (2, 1, 2)
+        return mse(reshape(e, (4,)), target)
+
+    report = finite_diff_check(loss_fn, [h, *sage_p.tensors, theta, bias])
+    assert report.passed, report
+    assert report.n_entries == 6 + 12 + 3 + 6 + 2
+
+
+def test_ecc_conv_on_zero_width_in_set():
+    # a target with no in-neighbours reads no node: its output is the
+    # bias alone, and the filter gets a zero gradient
+    rng = np.random.default_rng(32)
+    empty = parameter(np.zeros((0, 3, 2)))
+    theta, bias = parameter(rng.standard_normal((2, 2))), parameter(rng.standard_normal(2))
+    target = rng.standard_normal(6)
+
+    def loss_fn():
+        return mse(reshape(ecc_conv(empty, np.zeros((1, 0)), theta, bias, relu=False), (6,)), target)
+
+    out = ecc_conv(empty, np.zeros((1, 0)), theta, bias, relu=False)
+    assert np.array_equal(out.values, np.broadcast_to(bias.values, (1, 3, 2)))
+    report = finite_diff_check(loss_fn, [theta, bias])
+    assert report.passed, report
+    assert np.array_equal(theta.grad, np.zeros((2, 2))) and empty.grad.shape == (0, 3, 2)
 
 
 def test_matmul_rejects_vectors():
@@ -156,12 +196,12 @@ def test_matmul_rejects_vectors():
 
 
 def test_grad_accumulates_over_shared_subexpression():
-    x = parameter([2.0])
-    y = add(x, x)  # dy/dx = 2
-    loss = mse(y, np.zeros(1))
+    x = parameter([[2.0]])
+    y = matmul(x, x)  # x^2
+    loss = mse(reshape(y, (1,)), np.zeros(1))
     loss.backward()
-    # d/dx (2x)^2 = 8x = 16 at x=2: both add branches must accumulate
-    assert x.grad[0] == pytest.approx(16.0)
+    # d/dx (x^2)^2 = 4x^3 = 32 at x=2: both operand branches must accumulate
+    assert x.grad[0, 0] == pytest.approx(32.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +249,21 @@ def test_adam_fit_is_the_step_loop_and_names_divergence():
 
     rng = np.random.default_rng(4)
     x, y = constant(rng.standard_normal((6, 3))), rng.standard_normal(6)
-    w0 = rng.standard_normal((1, 3))
+    w0 = rng.standard_normal((3, 1))
     w = parameter(w0)
-    history = adam_fit(lambda: reshape(matmul(x, transpose(w)), (6,)), [w], y, 0.05, 5, "toy")
+    history = adam_fit(lambda: reshape(matmul(x, w), (6,)), [w], y, 0.05, 5, "toy")
 
     ref, st, ref_history = parameter(w0), AdamState.for_params([parameter(w0)], lr=0.05), []
     for _ in range(5):
         ref.zero_grad()
-        loss = mse(reshape(matmul(x, transpose(ref)), (6,)), y)
+        loss = mse(reshape(matmul(x, ref), (6,)), y)
         ref_history.append(loss.item())
         loss.backward()
         adam_step([ref], [ref.grad], st)
     assert history == ref_history
     assert np.array_equal(w.values, ref.values)
     with pytest.raises(NumericError, match="toy diverged at epoch 0"):
-        adam_fit(lambda: reshape(matmul(x, transpose(w)), (6,)), [w], np.full(6, np.inf), 0.05, 5, "toy")
+        adam_fit(lambda: reshape(matmul(x, w), (6,)), [w], np.full(6, np.inf), 0.05, 5, "toy")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +342,7 @@ def test_backward_requires_scalar():
 
 
 def test_constants_collect_no_gradient():
-    # a fixed aggregation matrix in matmul, as in sage_conv
+    # a constant left operand in matmul
     agg = constant([[0.0, 1.0], [0.5, 0.5]])
     x = parameter([[3.0], [4.0]])
     loss = mse(reshape(matmul(agg, x), (2,)), np.zeros(2))

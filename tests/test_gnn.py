@@ -1,18 +1,22 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import soilcausal.engine as engine
 from soilcausal.engine import constant, finite_diff_check, mse
 from soilcausal.errors import GraphError, NumericError, SchemaError
 from soilcausal.gnn import (
     GraphSkeleton,
     build_instances,
-    ecc_conv,
     ecc_filter_matrix,
     init_ecc,
     init_sage,
+    layer_plan,
     load_model,
     predict,
-    sage_conv,
     save_model,
     skeleton_from_pattern,
     train,
@@ -37,6 +41,18 @@ def _batch(skeleton, rows):
 
 def _random_batch(rng, skeleton, n):
     return _batch(skeleton, rng.standard_normal((n, skeleton.n_nodes)))
+
+
+def _full_graph(skeleton):
+    """Every node's state from every node's: self slots 0..n-1 and the
+    row-normalized in-neighbor matrix, built from ``in_neighbors``."""
+    n = skeleton.n_nodes
+    agg = np.zeros((n, n))
+    for i, node in enumerate(skeleton.nodes):
+        nbrs = skeleton.in_neighbors(node)
+        for a in nbrs:
+            agg[i, skeleton.index(a)] = 1.0 / len(nbrs)
+    return np.arange(n), agg
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +85,31 @@ def test_ancestor_neighborhood_reaches_past_parents():
         nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")), target="c", neighborhood="ancestors"
     )
     assert deep.in_neighbors("c") == ("a", "b")
-    row = deep.aggregation_matrix()[2]
-    assert row[0] == pytest.approx(0.5) and row[1] == pytest.approx(0.5)
+    # one layer reading "c": in-set (a, b, c), "c" averaging a and b
+    (last,) = layer_plan(deep, 1, True).layers
+    assert last.agg.tolist() == [[0.5, 0.5, 0.0]] and last.self_index.tolist() == [2]
+
+
+def test_layer_plan_node_sets():
+    sk = GraphSkeleton(
+        nodes=("far", "a", "b", "t", "unrelated"),
+        edges=(("far", "a"), ("a", "b"), ("b", "t"), ("far", "t"), ("t", "unrelated")),
+        target="t",
+    )
+    # SAGE: layer k outputs the nodes within (3 - k) in-hops of t
+    sage = layer_plan(sk, 3, True)
+    assert sage.reads.tolist() == [0, 1, 2, 3]
+    assert [layer.agg.shape for layer in sage.layers] == [(4, 4), (3, 4), (1, 3)]
+    assert sage.layers[2].agg.tolist() == [[0.5, 0.5, 0.0]]  # t over (far, b, t)
+    assert sage.layers[2].self_index.tolist() == [2]
+    # ECC reads the in-neighbors alone: t <- (far, b) <- (a) <- ()
+    ecc = layer_plan(sk, 2, False)
+    assert ecc.reads.tolist() == [1]
+    assert [layer.agg.tolist() for layer in ecc.layers] == [[[0.0], [1.0]], [[0.5, 0.5]]]
+    assert all(layer.self_index is None for layer in ecc.layers)
+    # a target with no in-neighbors reads nothing
+    lone = layer_plan(GraphSkeleton(nodes=("a", "t"), edges=(("t", "a"),), target="t"), 2, False)
+    assert lone.reads.size == 0 and [layer.agg.shape for layer in lone.layers] == [(0, 0), (1, 0)]
 
 
 def test_skeleton_from_pattern_expands_undirected():
@@ -237,22 +276,20 @@ def test_sage_conv_zero_weights():
     model = init_sage(sk, seed=0, hidden=4)
     model.convs[0].weight.values[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
-    h = constant(np.ones((3, 2, 1)))
-    out = sage_conv(h, sk, model.convs[0])
-    assert np.array_equal(out.values, np.zeros((3, 2, 4)))
+    h = constant(np.ones((2, 3, 1)))  # node-major: 2 nodes, 3 rows
+    out = engine.sage_conv(h, *_full_graph(sk), model.convs[0], relu=True)
+    assert np.array_equal(out.values, np.zeros((2, 3, 4)))
 
 
 def test_sage_conv_isolated_node_passthrough():
     # W = [I | I], nonneg input: self part + zero aggregate, ReLU no-op
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
-    import soilcausal.engine as engine
-
     params = engine.DenseParams(
         engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1)),
         engine.parameter(np.zeros(3)),
     )
-    v = np.array([[0.5, 0.0, 2.0]])[None, :, :] * 0 + np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    out = sage_conv(constant(v), sk, params)
+    v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
+    out = engine.sage_conv(constant(v), *_full_graph(sk), params, relu=True)
     assert np.allclose(out.values[0, 0], [0.5, 0.0, 2.0])
 
 
@@ -262,10 +299,11 @@ def test_sage_conv_matches_naive_loop(seed):
     sk = _random_skeleton(rng, 5, 7)
     model = init_sage(sk, seed=seed, hidden=3)
     feats = rng.standard_normal((4, 5, 3))
-    out = sage_conv(constant(feats), sk, model.convs[1], activate=(seed % 2 == 0))
+    h = constant(feats.transpose(1, 0, 2))  # node-major
+    out = engine.sage_conv(h, *_full_graph(sk), model.convs[1], relu=(seed % 2 == 0))
     for b in range(4):
         ref = _naive_sage(feats[b], sk, model.convs[1], activate=(seed % 2 == 0))
-        assert np.max(np.abs(out.values[b] - ref)) < 1e-12
+        assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
 
 
 def test_ecc_conv_empty_neighborhood_is_bias():
@@ -274,14 +312,13 @@ def test_ecc_conv_empty_neighborhood_is_bias():
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
     h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = ecc_conv(h, sk, layer)
+    out = engine.ecc_conv(h, _full_graph(sk)[1], ecc_filter_matrix(layer), layer.bias, relu=False)
     # node "a" has no in-neighbors
-    assert np.array_equal(out.values[:, 0, :], np.tile(layer.bias.values, (2, 1)))
+    assert np.array_equal(out.values[0], np.tile(layer.bias.values, (2, 1)))
 
 
 def test_ecc_conv_identity_filter_copies_neighbor():
     sk = GraphSkeleton(nodes=("j", "i"), edges=(("j", "i"),), target="i")
-    import soilcausal.engine as engine
     from soilcausal.gnn import EccLayer
 
     d = 3
@@ -294,9 +331,9 @@ def test_ecc_conv_identity_filter_copies_neighbor():
         out_dim=d,
         in_dim=d,
     )
-    h = np.random.default_rng(2).standard_normal((5, 2, d))
-    out = ecc_conv(constant(h), sk, layer)
-    assert np.max(np.abs(out.values[:, 1, :] - h[:, 0, :])) < 1e-12
+    h = np.random.default_rng(2).standard_normal((2, 5, d))
+    out = engine.ecc_conv(constant(h), _full_graph(sk)[1], ecc_filter_matrix(layer), layer.bias, relu=False)
+    assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -306,10 +343,12 @@ def test_ecc_conv_matches_naive_loop(seed):
     model = init_ecc(sk, seed=seed, hidden=3)
     model.convs[1].bias.values[...] = rng.standard_normal(3)
     feats = rng.standard_normal((4, 5, 3))
-    out = ecc_conv(constant(feats), sk, model.convs[1])
+    layer = model.convs[1]
+    h = constant(feats.transpose(1, 0, 2))  # node-major
+    out = engine.ecc_conv(h, _full_graph(sk)[1], ecc_filter_matrix(layer), layer.bias, relu=False)
     for b in range(4):
-        ref = _naive_ecc(feats[b], sk, model.convs[1])
-        assert np.max(np.abs(out.values[b] - ref)) < 1e-12
+        ref = _naive_ecc(feats[b], sk, layer)
+        assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
 
 
 def test_ecc_filter_matrix_shape():
@@ -317,6 +356,45 @@ def test_ecc_filter_matrix_shape():
     model = init_ecc(sk, seed=0, hidden=4)
     theta = ecc_filter_matrix(model.convs[1])
     assert theta.values.shape == (4, 4)
+
+
+def _naive_forward(model, skeleton, feats):
+    """The full-graph loops over every node, read at the target."""
+    h = feats[:, None]
+    if hasattr(model, "ff"):
+        for k, conv in enumerate(model.convs):
+            h = _naive_sage(h, skeleton, conv, activate=k < 2)
+        z = h[skeleton.index(skeleton.target)]
+        for k, ff in enumerate(model.ff):
+            z = ff.weight.values @ z + ff.bias.values
+            z = np.maximum(z, 0.0) if k < 2 else z
+        return z[0]
+    h = np.maximum(_naive_ecc(h, skeleton, model.convs[0]), 0.0)
+    h = _naive_ecc(h, skeleton, model.convs[1])
+    z = model.head.weight.values @ h[skeleton.index(skeleton.target)] + model.head.bias.values
+    return z[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    edge_bits=st.integers(0, 2**30 - 1),
+    target=st.integers(0, 5),
+    neighborhood=st.sampled_from(["parents", "ancestors"]),
+    seed=st.integers(0, 2**16),
+)
+def test_layer_wise_forward_matches_full_graph_loops(n, edge_bits, target, neighborhood, seed):
+    nodes = tuple(f"n{k}" for k in range(n))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    edges = tuple(p for k, p in enumerate(pairs) if edge_bits >> k & 1)
+    sk = GraphSkeleton(nodes=nodes, edges=edges, target=nodes[target % n], neighborhood=neighborhood)
+    rng = np.random.default_rng(seed)
+    batch = _random_batch(rng, sk, 3)
+    for init in (init_sage, init_ecc):
+        model = init(sk, seed=seed, hidden=3)
+        got = predict(model, sk, batch)
+        ref = np.array([_naive_forward(model, sk, row) for row in batch.features])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +417,7 @@ def test_forward_hand_unrolled_trace():
     feats = np.array([0.7, -1.3, 0.0])
 
     h = feats[:, None]  # (3, 1)
-    A = sk.aggregation_matrix()
+    _, A = _full_graph(sk)
     for k, conv in enumerate(model.convs):
         agg = A @ h
         z = np.concatenate([h, agg], axis=1) @ conv.weight.values.T + conv.bias.values
@@ -404,30 +482,39 @@ def test_masking_blocks_target_leakage_bit_exactly():
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])
 def test_model_gradients_match_fd(kind, monkeypatch):
-    import soilcausal.engine as engine
     from soilcausal.gnn import _forward_batch
 
     rng = np.random.default_rng(17)
-    sk = _random_skeleton(rng, 4, 5)
+    # target n2 reads n0 and n3, which read n1: every convolution computes
+    # some node state, so every conv parameter gets a gradient
+    sk = _random_skeleton(rng, 4, 5, target_idx=2)
     batch = _random_batch(rng, sk, 6)
+    assert sk.in_neighbors("n2") == ("n0", "n3") and sk.in_neighbors("n0") == ()
 
     # screen out seeds whose ReLU preactivations sit inside the h=1e-5
     # difference stencil: the subgradient convention and the symmetric
-    # difference legitimately disagree on the kink itself.  The forward
-    # pass's ReLU inputs are recorded by wrapping engine.relu.
+    # difference legitimately disagree on the kink itself.  Every op that
+    # applies a ReLU (the fused convolutions and the dense head layers) is
+    # wrapped to record its preactivations in the forward pass.
     preacts = []
-    relu = engine.relu
 
-    def recording_relu(t):
-        preacts.append(np.abs(t.values).min())
-        return relu(t)
+    def recording(op):
+        def wrapped(*args, relu=False):
+            if relu:
+                preacts.append(np.abs(op(*args, relu=False).values).min(initial=np.inf))
+            return op(*args, relu=relu)
 
-    monkeypatch.setattr(engine, "relu", recording_relu)
+        return wrapped
+
+    for name in ("dense", "sage_conv", "ecc_conv"):
+        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
     model = None
     for seed in range(2, 50):
         cand = (init_sage if kind == "sage" else init_ecc)(sk, seed=seed, hidden=3)
         preacts.clear()
         predict(cand, sk, batch)
+        # SAGE: two ReLU convolutions and two ReLU head layers; ECC: one ReLU convolution
+        assert len(preacts) == {"sage": 4, "ecc": 1}[kind]
         if min(preacts) > 1e-3:
             model = cand
             break
@@ -495,6 +582,15 @@ def test_train_loss_decreases_on_real_split():
     assert res.loss_history[-1] < 0.5 * res.loss_history[0]
 
 
+@pytest.mark.parametrize("kind", ["sage", "ecc"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_labels_by_row(kind, bad):
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    batch = _batch(sk, [[1.0, 0.0], [0.5, bad], [0.2, 1.0]])
+    with pytest.raises(NumericError, match="label in row 1 .f0, 2020-06-02, obs."):
+        train(kind, sk, batch, epochs=1)
+
+
 def test_train_rejects_unknown_kind():
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     with pytest.raises(NumericError):
@@ -517,15 +613,42 @@ def test_save_load_roundtrip(tmp_path):
     batch = _random_batch(rng, sk, 6)
     res = train("sage", sk, batch, epochs=15, seed=2)
     path = tmp_path / "sage.bin"
-    save_model(path, res.model)
+    save_model(path, res.model, sk)
     clone = load_model(path, "sage", sk)
     assert np.array_equal(predict(clone, sk, batch), predict(res.model, sk, batch))
+
+
+def test_checkpoint_pins_its_graph(tmp_path):
+    sk = GraphSkeleton(nodes=("a", "b", "t"), edges=(("a", "t"), ("b", "a")), target="t")
+    path = tmp_path / "sage.bin"
+    save_model(path, init_sage(sk, hidden=4), sk)
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    assert header["nodes"] == ["a", "b", "t"] and header["target"] == "t"
+    load_model(path, "sage", sk, hidden=4)
+    # the same nodes under other edges: same parameter shapes, other layer plan
+    other_edges = replace(sk, edges=(("b", "t"), ("a", "b")))
+    for kind, skeleton, hidden in (
+        ("sage", other_edges, 4),
+        ("sage", replace(sk, neighborhood="ancestors"), 4),
+        ("sage", replace(sk, target="a"), 4),
+        ("sage", replace(sk, nodes=("t", "b", "a")), 4),
+        ("sage", sk, 8),
+        ("ecc", sk, 4),
+    ):
+        with pytest.raises(SchemaError):
+            load_model(path, kind, skeleton, hidden=hidden)
+    # raw parameters without the header are no model checkpoint
+    engine.save_params(path, init_sage(sk, hidden=4).params)
+    with pytest.raises(SchemaError):
+        load_model(path, "sage", sk, hidden=4)
+    with pytest.raises(SchemaError):
+        save_model(path, init_sage(sk, hidden=4), replace(sk, target="a"))
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):
     sk = _random_skeleton(np.random.default_rng(10), 3, 2)
     path = tmp_path / "ecc.bin"
-    save_model(path, init_ecc(sk, hidden=4))  # loads cleanly as "ecc"
+    save_model(path, init_ecc(sk, hidden=4), sk)  # loads cleanly as "ecc"
     load_model(path, "ecc", sk, hidden=4)
     with pytest.raises(NumericError):
         load_model(path, "bogus", sk, hidden=4)

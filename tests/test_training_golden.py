@@ -4,8 +4,11 @@ On a small default-farm split (10 days, min-max scaled on the red/blue
 rows, trained on red/blue and predicted on green), with the true DAG as
 the skeleton, it records SAGE, ECC and random-edges SAGE ``loss_history``
 and predictions, and the MLP grid log and predictions, in
-``tests/data/training_golden.json``.  Any change to the model layer that
-moves one bit of these fails here.  To re-record after an intended change:
+``tests/data/training_golden.json``.  The MLP entries must match bit for
+bit.  The graph models' entries must match within rtol 1e-9: their
+convolutions compute only the target's receptive field, in GEMMs of other
+shapes than the full-graph ones the file was recorded with, which moves
+the last bits.  To re-record after an intended change:
 
     PYTHONPATH=src python tests/test_training_golden.py
 """
@@ -62,7 +65,13 @@ def _outputs() -> dict:
 def test_training_outputs_match_recorded_golden():
     # json round-trips a float64 through its repr, so equality is exact
     expected = json.loads(GOLDEN.read_text())
-    assert json.loads(json.dumps(_outputs())) == expected
+    got = json.loads(json.dumps(_outputs()))
+    assert got.keys() == expected.keys()
+    assert got["mlp"] == expected["mlp"]
+    for name in ("sage", "ecc", "random_edges"):
+        for key in ("loss_history", "predictions"):
+            assert len(got[name][key]) == len(expected[name][key])
+            np.testing.assert_allclose(got[name][key], expected[name][key], rtol=1e-9, atol=0)
 
 
 if __name__ == "__main__":
