@@ -7,6 +7,7 @@
 They are not part of the tier-1 suite (``testpaths`` is ``tests``).
 """
 
+import numpy as np
 import pytest
 
 from soilcausal import discovery, stats
@@ -19,8 +20,8 @@ def wide(wide_train):
 
 
 @pytest.fixture(scope="module")
-def largest_pc_level(wide):
-    """The (i, j, S) triples of PC's largest level on the wide table."""
+def pc_levels(wide):
+    """The (i, j, S) triples of each PC level on the wide table."""
     names, stat = wide
     levels = []
 
@@ -30,13 +31,27 @@ def largest_pc_level(wide):
         return lambda k: batch.test(k, warn=stats.WarningCounter()).independent
 
     discovery._pc_core(names, level_tests, discovery.DiscoveryConfig().max_cond_size)
-    return max(levels, key=len)
+    return levels
+
+
+@pytest.fixture(scope="module")
+def largest_pc_level(pc_levels):
+    return max(pc_levels, key=len)
 
 
 def test_fisher_z_scalar(benchmark, wide):
     _, stat = wide
     warn = stats.WarningCounter()
     benchmark(stats.fisher_z_test, 0, 1, (2, 3), stat, warn=warn)
+
+
+def test_fisher_z_stack(benchmark, wide, pc_levels):
+    """z and p-values of every partial correlation PC evaluates on the wide
+    table (173,499 on the 400-day farm) as one stack, at level 0's dof."""
+    _, stat = wide
+    r = np.concatenate([stats._partial_correlations(stat.cov, np.asarray(t))[0] for t in pc_levels])
+    benchmark.extra_info["tests"] = len(r)
+    benchmark(stats._fisher_z, r, stat.n - 3)
 
 
 def test_pc_level_batch(benchmark, wide, largest_pc_level):

@@ -122,10 +122,16 @@ def constant(values) -> Tensor:
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=False)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` to ``t.grad``.  ``owned`` hands over a float64 array of
+    t's shape that the pushing op has just allocated and keeps no reference
+    to: it becomes the grad buffer as it is."""
     if not t.requires_grad:
         return
     if t.grad is None:
+        if owned:
+            t.grad = g
+            return
         # copy, not alias: g is often a view into a consumer's grad buffer
         t.grad = np.array(g, dtype=np.float64)
         if t.grad.shape != t.values.shape:
@@ -228,12 +234,12 @@ def dense_params(rng: np.random.Generator, out_dim: int, in_dim: int) -> DensePa
 
 
 def _relu_mask(out: np.ndarray, relu: bool):
-    """Apply max(·, 0) to ``out`` and return the mask its backward needs
-    (None without ReLU); the subgradient at exactly 0 is 0."""
+    """Apply max(·, 0) to ``out`` in place and return it with the mask its
+    backward needs (None without ReLU); the subgradient at exactly 0 is 0."""
     if not relu:
         return out, None
     mask = out > 0.0
-    return np.where(mask, out, 0.0), mask
+    return np.fmax(out, 0.0, out=out), mask  # in place; NaN -> 0
 
 
 def dense(x: Tensor, params: DenseParams, relu: bool = False) -> Tensor:
@@ -249,9 +255,9 @@ def dense(x: Tensor, params: DenseParams, relu: bool = False) -> Tensor:
         if mask is not None:
             g = g * mask
         if x.requires_grad:
-            _accumulate(x, g @ w.values)
+            _accumulate(x, g @ w.values, owned=True)
         _accumulate(w, (x.values.T @ g).T)
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(b, g.sum(axis=0), owned=True)
 
     return _node(out, (x, w, b), push)
 
@@ -290,12 +296,12 @@ def sage_conv(h: Tensor, self_index: np.ndarray, agg: np.ndarray, params: DenseP
         g = g.reshape(m_out * rows, g.shape[-1])
         if mask is not None:
             g = g * mask
-        _accumulate(w, g.T @ x)
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(w, g.T @ x, owned=True)
+        _accumulate(b, g.sum(axis=0), owned=True)
         if h.requires_grad:
             gh = _aggregate(agg.T, (g @ w.values[:, d:]).reshape(m_out, rows, d))
             gh[self_index] += (g @ w.values[:, :d]).reshape(m_out, rows, d)  # distinct slots
-            _accumulate(h, gh)
+            _accumulate(h, gh, owned=True)
 
     return _node(out.reshape(m_out, rows, out.shape[1]), (h, w, b), push)
 
@@ -323,10 +329,10 @@ def ecc_conv(h: Tensor, agg: np.ndarray, theta: Tensor, bias: Tensor, relu: bool
         g = g.reshape(m_out * rows, g.shape[-1])
         if mask is not None:
             g = g * mask
-        _accumulate(theta, g.T @ x)
-        _accumulate(bias, g.sum(axis=0))
+        _accumulate(theta, g.T @ x, owned=True)
+        _accumulate(bias, g.sum(axis=0), owned=True)
         if h.requires_grad:
-            _accumulate(h, _aggregate(agg.T, (g @ theta.values).reshape(m_out, rows, d)))
+            _accumulate(h, _aggregate(agg.T, (g @ theta.values).reshape(m_out, rows, d)), owned=True)
 
     return _node(out.reshape(m_out, rows, out.shape[1]), (h, theta, bias), push)
 

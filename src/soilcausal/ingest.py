@@ -547,24 +547,32 @@ def write_schema(table: Table, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path: str, newline: str | None = None) -> list[str]:
+    """The lines of a text file; a file that is not UTF-8 is a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_schema(path: str) -> tuple[tuple[ColumnSpec, ...], str]:
     specs: list[ColumnSpec] = []
     target = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if parts[0] == "target":
-                target = parts[1] if len(parts) > 1 else ""
-            elif parts[0] == "col":
-                if len(parts) != 6:
-                    raise SchemaError(f"{path}:{ln}: malformed column line")
-                cats = tuple(p for p in parts[5].split(",") if p)
-                specs.append(ColumnSpec(parts[1], parts[2], parts[4], parts[3], cats))
-            else:
-                raise SchemaError(f"{path}:{ln}: unknown record {parts[0]!r}")
+    for ln, raw in enumerate(_read_lines(path), 1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if parts[0] == "target":
+            target = parts[1] if len(parts) > 1 else ""
+        elif parts[0] == "col":
+            if len(parts) != 6:
+                raise SchemaError(f"{path}:{ln}: malformed column line")
+            cats = tuple(p for p in parts[5].split(",") if p)
+            specs.append(ColumnSpec(parts[1], parts[2], parts[4], parts[3], cats))
+        else:
+            raise SchemaError(f"{path}:{ln}: unknown record {parts[0]!r}")
     return tuple(specs), target
 
 
@@ -591,72 +599,66 @@ def write_csv(table: Table, path: str, schema_path: str | None = None) -> None:
             w.writerow(row)
 
 
+def _first_bad_cell(cells: Sequence[str], codes: dict[str, float] | None) -> int:
+    """Row of the first cell of a column that ``float`` (or, for a
+    categorical column, its code table) rejects."""
+    for i, cell in enumerate(cells):
+        try:
+            codes[cell] if codes is not None else float(cell)
+        except (KeyError, ValueError):
+            return i
+
+
 def read_csv(path: str, schema_path: str | None = None) -> Table:
+    """Table from a CSV and its sidecar schema.  Each column is parsed in
+    one pass; a malformed file raises SchemaError for its first bad cell
+    in row-major order."""
     schema_path = schema_path or default_schema_path(path)
     specs, target = read_schema(schema_path)
     by_name = {c.name: c for c in specs}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        rows = list(csv.reader(_read_lines(path, newline="")))
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise SchemaError(f"{path}: {exc}") from exc
+    if not rows:
+        raise SchemaError(f"{path}: empty CSV")
+    header, raw_rows = rows[0], rows[1:]
+    if header[: len(_RESERVED)] != list(_RESERVED):
+        raise SchemaError(f"{path}: header must start with {_RESERVED}")
+    value_names = header[len(_RESERVED):]
+    if len(set(value_names)) != len(value_names):
+        raise SchemaError(f"{path}: CSV header names a column twice")
+    if set(value_names) != set(by_name):
+        missing = sorted(set(by_name) - set(value_names))
+        extra = sorted(set(value_names) - set(by_name))
+        raise SchemaError(
+            f"{path}: CSV/schema column mismatch (missing {missing}, extra {extra})"
+        )
+    # the rows before the first one of the wrong width, column by column
+    widths = np.fromiter(map(len, raw_rows), np.intp, len(raw_rows))
+    bad_width = np.flatnonzero(widths != len(header))
+    n = int(bad_width[0]) if len(bad_width) else len(raw_rows)
+    dates, fids, trts, *columns = list(zip(*raw_rows[:n])) or [()] * len(header)
+    values, derived, errors = {}, {}, []
+    for j, (name, col) in enumerate(zip(value_names, columns)):
+        spec = by_name[name]
+        cats = spec.categories
+        if spec.kind == "categorical" and not cats:
+            # declared without a vocabulary: build one from the data
+            cats = derived[name] = tuple(sorted(set(col)))
+        codes = {lab: float(k) for k, lab in enumerate(cats)} if cats else None
         try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise SchemaError(f"{path}: empty CSV") from exc
-        if header[: len(_RESERVED)] != list(_RESERVED):
-            raise SchemaError(f"{path}: header must start with {_RESERVED}")
-        value_names = header[len(_RESERVED):]
-        if set(value_names) != set(by_name):
-            missing = sorted(set(by_name) - set(value_names))
-            extra = sorted(set(value_names) - set(by_name))
-            raise SchemaError(
-                f"{path}: CSV/schema column mismatch (missing {missing}, extra {extra})"
-            )
-        raw_rows = list(reader)
-    n = len(raw_rows)
-    dates, fids, trts = [], [], []
-    data = np.empty((n, len(value_names)), dtype=np.float64)
-    cat_codes = {
-        name: {lab: float(k) for k, lab in enumerate(by_name[name].categories)}
-        for name in value_names
-        if by_name[name].categories
-    }
-    # categorical columns declared without a vocabulary: build one from the data
-    pending: dict[str, set[str]] = {
-        name: set()
-        for name in value_names
-        if by_name[name].kind == "categorical" and not by_name[name].categories
-    }
-    for name in pending:
-        j = value_names.index(name)
-        for rec in raw_rows:
-            pending[name].add(rec[len(_RESERVED) + j])
-    derived = {}
-    for name, labels in pending.items():
-        cats = tuple(sorted(labels))
-        derived[name] = cats
-        cat_codes[name] = {lab: float(k) for k, lab in enumerate(cats)}
-    for i, rec in enumerate(raw_rows):
-        if len(rec) != len(header):
-            raise SchemaError(f"{path}: row {i + 2} has {len(rec)} cells")
-        dates.append(rec[0])
-        fids.append(rec[1])
-        trts.append(rec[2])
-        for j, name in enumerate(value_names):
-            cell = rec[len(_RESERVED) + j]
-            if name in cat_codes:
-                if cell not in cat_codes[name]:
-                    raise SchemaError(
-                        f"{path}: row {i + 2}: unknown category {cell!r} for {name}"
-                    )
-                data[i, j] = cat_codes[name][cell]
-            else:
-                try:
-                    data[i, j] = float(cell)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{path}: row {i + 2}: non-numeric value {cell!r} for {name}"
-                    ) from exc
-    # schema order defines column order; reorder CSV columns to match
-    order = [value_names.index(c.name) for c in specs]
+            values[name] = list(map(float, col) if codes is None else map(codes.__getitem__, col))
+        except (KeyError, ValueError):
+            i = _first_bad_cell(col, codes)
+            what = "non-numeric value" if codes is None else "unknown category"
+            errors.append((i, j, f"{path}: row {i + 2}: {what} {col[i]!r} for {name}"))
+    if errors:
+        raise SchemaError(min(errors)[2])
+    if n < len(raw_rows):
+        raise SchemaError(f"{path}: row {n + 2} has {len(raw_rows[n])} cells")
+    # schema order defines column order
+    data = np.array([values[c.name] for c in specs], dtype=np.float64).reshape(len(specs), n).T
     out_specs = tuple(
         replace(c, categories=derived.get(c.name, c.categories)) for c in specs
     )
@@ -664,5 +666,5 @@ def read_csv(path: str, schema_path: str | None = None) -> Table:
         ts = np.asarray(dates, dtype="datetime64[D]")
     except ValueError as exc:
         raise SchemaError(f"{path}: unparseable ISO date in date column") from exc
-    return Table(out_specs, data[:, order], ts, np.asarray(fids, dtype=str),
+    return Table(out_specs, data, ts, np.asarray(fids, dtype=str),
                  np.asarray(trts, dtype=str), target=target)

@@ -168,6 +168,30 @@ def test_conv_ops_gradients_match_fd(relu):
     assert report.n_entries == 6 + 12 + 3 + 6 + 2
 
 
+def test_handed_over_gradient_buffers_take_a_second_sum():
+    # dense and sage_conv hand their freshly allocated input gradients over
+    # as grad buffers.  The reshaped states feed two dense ops and the
+    # states feed two sage_convs, so in either backward order one
+    # handed-over buffer of each kind takes the other op's sum
+    rng = np.random.default_rng(33)
+    h = parameter(rng.standard_normal((3, 4, 2)))
+    d1, d2 = dense_params(rng, 3, 2), dense_params(rng, 3, 2)
+    c1, c2 = dense_params(rng, 3, 4), dense_params(rng, 3, 4)
+    target = rng.standard_normal((8, 4))
+
+    def loss_fn():
+        flat = reshape(h, (12, 2))
+        mix = matmul(reshape(dense(flat, d1, relu=True), (3, 12)), dense(flat, d2))  # (3, 3)
+        s1 = sage_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), c1, relu=True)
+        s2 = sage_conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), c2, relu=False)  # (1, 4, 3)
+        pred = matmul(matmul(reshape(s1, (8, 3)), mix), reshape(s2, (3, 4)))
+        return mse(pred, target)
+
+    report = finite_diff_check(loss_fn, [h, *d1.tensors, *d2.tensors, *c1.tensors, *c2.tensors])
+    assert report.passed, report
+    assert report.n_entries == 24 + 2 * (6 + 3) + 2 * (12 + 3)
+
+
 def test_ecc_conv_on_zero_width_in_set():
     # a target with no in-neighbours reads no node: its output is the
     # bias alone, and the filter gets a zero gradient

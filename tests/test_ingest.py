@@ -4,8 +4,12 @@ group-by reimplementations."""
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soilcausal.ingest as I
 from soilcausal.errors import ConfigError, SchemaError
@@ -421,3 +425,89 @@ def test_csv_reader_errors(tmp_path):
     )
     with pytest.raises(SchemaError):
         I.read_csv(str(path))
+
+
+def test_csv_reader_reports_the_first_bad_cell_in_row_major_order(tmp_path):
+    path = tmp_path / "bad.csv"
+    (tmp_path / "bad.csv.schema").write_text(
+        "target\t\ncol\tx\tcontinuous\tdaily\t\t\ncol\top\tcategorical\tdaily\t\tplough,sow\n",
+        encoding="utf-8",
+    )
+    ok, short = "2020-01-01,f1,red,1.0,plough", "2020-01-02,f1,red"
+    bad_op, bad_both = "2020-01-03,f1,red,2.0,mow", "2020-01-04,f1,red,oops,mow"
+    cases = [
+        ([ok, bad_op, bad_both, short], "row 3: unknown category 'mow' for op"),
+        ([ok, bad_both, bad_op], "row 3: non-numeric value 'oops' for x"),
+        ([ok, short, bad_both], "row 3 has 3 cells"),
+    ]
+    for rows, message in cases:
+        path.write_text("\n".join(["date,field_id,treatment,x,op", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            I.read_csv(str(path))
+    path.write_text(f"date,field_id,treatment,x,op,x\n{ok},1.0\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="names a column twice"):
+        I.read_csv(str(path))
+
+
+# Malformed inputs: small schemas and CSVs assembled from valid and broken
+# pieces, the CSV header mostly naming the schema's columns.  Whatever the
+# reader makes of them, it returns a Table or raises SchemaError; a bare
+# ValueError, IndexError or KeyError is a bug.
+_NAMES = st.sampled_from(["x", "op", "date", "", "y\tz"])
+_CELLS = st.sampled_from(
+    ["1.5", "-0.0", "nan", "1e999", "oops", "", "plough", "sow", "2020-01-01", "2020-13-01", "f1", '"',
+     "9" * 131_073]  # longer than the csv module's field limit
+)
+_COL_LINES = st.builds(
+    lambda n, kind, cad, group, cats: f"col\t{n}\t{kind}\t{cad}\t{group}\t{cats}",
+    _NAMES,
+    st.sampled_from([*I.KINDS, "bogus"]),
+    st.sampled_from([*I.CADENCES, "bogus"]),
+    st.sampled_from(["", "g"]),
+    st.sampled_from(["", "plough,sow", "plough,,sow", "sow"]),
+)
+_OTHER_LINES = st.one_of(
+    st.builds(lambda n: f"target\t{n}", _NAMES),
+    st.sampled_from(["target", "col\tx", "bogus\tx", "# comment", ""]),
+    st.text(alphabet="ab,\t#", max_size=8),
+)
+
+
+@st.composite
+def _malformed_inputs(draw):
+    cols = draw(st.lists(_COL_LINES, max_size=3))
+    schema = cols + draw(st.lists(_OTHER_LINES, max_size=2))
+    if draw(st.booleans()):
+        schema = draw(st.permutations(schema))
+    names = [line.split("\t")[1] for line in cols]
+    if draw(st.integers(0, 3)):
+        header = ["date", "field_id", "treatment", *draw(st.permutations(names))]
+    else:
+        header = draw(st.lists(_NAMES, max_size=6))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        width = len(header) if draw(st.integers(0, 3)) else draw(st.integers(0, len(header) + 1))
+        cells = draw(st.lists(_CELLS, min_size=width, max_size=width))
+        if draw(st.booleans()):
+            cells[:3] = ["2020-01-01", "f1", "red"][:width]  # valid reserved cells
+        rows.append(",".join(cells))
+    csv_text = "\n".join([",".join(header), *rows]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    texts = [("\n".join(schema) + "\n").encode(), csv_text.encode()]
+    if draw(st.booleans()):
+        texts[draw(st.integers(0, 1))] += b"\xe9"  # not UTF-8
+    return texts
+
+
+@settings(max_examples=400, deadline=None)
+@given(_malformed_inputs())
+def test_csv_reader_raises_only_schema_errors(inputs):
+    schema_bytes, csv_bytes = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        for name, raw in ((path, csv_bytes), (path + ".schema", schema_bytes)):
+            with open(name, "wb") as fh:
+                fh.write(raw)
+        try:
+            I.read_csv(path)
+        except SchemaError:
+            pass

@@ -9,8 +9,13 @@ rows and on the rows an intervention leaves.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,58 @@ def test_fisher_z_null_calibration_quick():
         rejections += not res.independent
     rate = rejections / repeats
     assert 0.02 <= rate <= 0.09  # tight calibration is asserted at n=1000 repeats
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(11)
+    maxlog_cut = -math.sqrt(2.0 * S._MAXLOG)  # erfc underflows to 0 below it
+    parts = [
+        np.linspace(-45.0, 0.0, 2_000_001),
+        *(rng.standard_normal(100_000) * scale for scale in (0.1, 1.0, 3.0, 10.0, 30.0)),
+        np.array([-np.inf, np.inf, 0.0, -0.0, np.nan, 1.0, 12.0]),
+    ]
+    # both sides of each branch boundary: |a| = 1, sqrt 2, 8 sqrt 2, the cut
+    for edge in (-1.0, -math.sqrt(2.0), -8.0 * math.sqrt(2.0), maxlog_cut):
+        parts.append(edge + np.arange(-200, 201) * abs(edge) * 2.0**-52)  # ulp steps
+        parts.append(edge + np.arange(-1000, 1001) * 1e-9)
+    a = np.concatenate(parts)
+    got, want = S._ndtr(a), ndtr(a)
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), a[~same][:5]
+
+
+def test_importing_soilcausal_does_not_load_scipy():
+    src = str(Path(S.__file__).resolve().parents[1])
+    code = (
+        "import importlib, json, pkgutil, sys, soilcausal\n"
+        "names = [m.name for m in pkgutil.iter_modules(soilcausal.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('soilcausal.' + name)\n"
+        "print(json.dumps([names, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    names, scipy_modules = json.loads(out.stdout)
+    assert {"stats", "discovery", "ingest", "gnn", "engine", "baselines", "synth"} <= set(names)
+    assert scipy_modules == []
+
+
+def test_spd_inverses_skip_bisection_for_non_positive_diagonals(monkeypatch):
+    dead = np.eye(3)
+    dead[1, 1] = 0.0  # a constant column's zero variance
+    spd = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
+    stack = np.stack([spd, dead, CHOL_OK_INV_SINGULAR, 2.0 * spd, -dead])
+    alone = [S._spd_inverses(m[None]) for m in stack]
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(len(m)) or real(m))
+    inv, ridge = S._spd_inverses(stack)
+    assert calls == [3]  # one call on the three members that may pass
+    assert ridge.tolist() == [False, True, True, False, True]
+    for k, (inv_k, ridge_k) in enumerate(alone):
+        assert inv[k].tobytes() == inv_k[0].tobytes() and ridge[k] == ridge_k[0]
 
 
 # ---------------------------------------------------------------------------
