@@ -39,13 +39,13 @@ from .errors import ConfigError
 from .graphs import (
     Cpdag,
     Dag,
+    _neighbour_maps,
     consistent_extension,
+    cpdag_of,
     meek_closure,
     reachable,
-    v_structures,
 )
 from .stats import (
-    GLOBAL_WARNINGS,
     CIBatch,
     GaussianSuffStat,
     WarningCounter,
@@ -55,7 +55,6 @@ from .stats import (
 
 _GAIN_TOL = 1e-9
 _MAX_SWEEPS = 50
-_ORACLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,8 @@ def pc(
     table,
     config: DiscoveryConfig | None = None,
     columns=None,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> Cpdag:
     """PC over Fisher-z tests on the table's Gaussian statistic."""
     cfg = config or DiscoveryConfig()
@@ -177,44 +177,9 @@ def pc(
 
     def level_tests(triples):
         batch = CIBatch(stat, triples)
-        return lambda k: batch.test(k, cfg.alpha, warn).independent
+        return lambda k: batch.test(k, cfg.alpha, warn=warn).independent
 
     return _pc_core(names, level_tests, cfg.max_cond_size)
-
-
-def pc_oracle(
-    cov: np.ndarray,
-    names,
-    config: DiscoveryConfig | None = None,
-    tol: float = _ORACLE_TOL,
-    warn: WarningCounter = GLOBAL_WARNINGS,
-) -> Cpdag:
-    """PC with tests answered exactly from a model covariance matrix."""
-    cfg = config or DiscoveryConfig()
-    names = tuple(names)
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.shape != (len(names), len(names)):
-        raise ConfigError("covariance shape does not match the name list")
-    order = sorted(range(len(names)), key=lambda k: names[k])
-    sorted_names = tuple(names[k] for k in order)
-    cov = cov[np.ix_(order, order)]
-    # Degenerate (zero-variance) columns carry no signal; give them unit
-    # variance so the precision stays finite, their correlations are 0.
-    dead = np.diag(cov) <= 0.0
-    if dead.any():
-        warn.singular_fallbacks += int(dead.sum())
-        cov = cov.copy()
-        for k in np.flatnonzero(dead):
-            cov[k, k] = 1.0
-    stat = GaussianSuffStat(
-        n=2, mean=np.zeros(len(names)), cov=cov, columns=sorted_names
-    )
-
-    def level_tests(triples):
-        batch = CIBatch(stat, triples)
-        return lambda k: abs(batch.partial_correlation(k, warn)) < tol
-
-    return _pc_core(sorted_names, level_tests, cfg.max_cond_size)
 
 
 # ---------------------------------------------------------------------------
@@ -262,30 +227,11 @@ class _Scorer:
         missing = [p for p in dict.fromkeys(parent_sets) if (y, p) not in self.cache]
         if missing:
             st = self.stats[y]
-            scores = [0.0] * len(missing) if st is None else bic_local_stats(y, missing, st, self.warn)
+            scores = [0.0] * len(missing) if st is None else bic_local_stats(y, missing, st, warn=self.warn)
             self.cache.update(zip([(y, p) for p in missing], scores))
 
 
 _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
-
-
-def _essential_pattern(dag: Dag, intervened: frozenset) -> Cpdag:
-    """Class pattern of ``dag`` that additionally keeps the orientation of
-    every edge touching an intervened node (those are pinned by the
-    interventional score, not just by colliders)."""
-    forced = set()
-    for a, c, b in v_structures(dag):
-        forced.add((a, c))
-        forced.add((b, c))
-    for x, y in dag.edges:
-        if x in intervened or y in intervened:
-            forced.add((x, y))
-    und = frozenset(
-        (min(a, b), max(a, b))
-        for a, b in dag.edges
-        if (a, b) not in forced
-    )
-    return meek_closure(Cpdag(dag.nodes, frozenset(forced), und))
 
 
 class _State:
@@ -335,7 +281,7 @@ class _State:
         """Orient a PDAG into a class member, then re-project to the
         (interventional) pattern of that member's class."""
         ext = consistent_extension(Cpdag(self.nodes, directed, undirected))
-        return _essential_pattern(ext, self.intervened)
+        return cpdag_of(ext, self.intervened)
 
     def edge_sets(self):
         directed = {(i, j) for j in self.nodes for i in self.pa[j]}
@@ -490,11 +436,7 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
     changed = False
     while True:
         ext = consistent_extension(st.pattern())
-        pa = [set() for _ in ext.nodes]
-        ch = [set() for _ in ext.nodes]
-        for a, b in ext.edges:
-            pa[b].add(a)
-            ch[a].add(b)
+        _, pa, ch, _ = _neighbour_maps(ext.edges, ())
 
         best = None
         for a, b in sorted(ext.edges):
@@ -519,7 +461,7 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
             return changed
         _, a, b = best
         edges = (ext.edges - {(a, b)}) | {(b, a)}
-        st.load(_essential_pattern(Dag(ext.nodes, edges), st.intervened))
+        st.load(cpdag_of(Dag(ext.nodes, edges), st.intervened))
         changed = True
 
 
@@ -559,7 +501,8 @@ def ges(
     table,
     config: DiscoveryConfig | None = None,
     columns=None,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> Cpdag:
     """Greedy DAG-space grow/prune under the Gaussian BIC, reported as the
     pattern of the final graph's equivalence class."""
@@ -584,7 +527,8 @@ def gies(
     config: DiscoveryConfig | None = None,
     intervention_targets=None,
     columns=None,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> Cpdag:
     """Greedy search under per-node interventional scores with a turning
     phase, iterated to a fixed point.  Without any interventions on the

@@ -22,7 +22,9 @@ plus ``matmul`` on matrices and stacks of matrices (both operands at least
 2-D), ``reshape`` and the mean squared error.  The convolutions take the
 graph as constants: the positions of the output nodes' own states in the
 input, and an (out, in) mean-aggregation block.  ``adam_fit`` is the one
-full-batch Adam loop the models and the MLP baseline train with.
+full-batch Adam loop the models and the MLP baseline train with, and
+``pack_params``/``unpack_params`` are the byte layout of the parameters in
+a model checkpoint.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import NumericError
 __all__ = [
     "AdamState",
     "DenseParams",
-    "FiniteDiffReport",
     "Tensor",
     "adam_fit",
     "adam_step",
@@ -45,16 +46,13 @@ __all__ = [
     "dense",
     "dense_params",
     "ecc_conv",
-    "finite_diff_check",
     "glorot_uniform",
-    "load_params",
     "matmul",
     "mse",
     "pack_params",
     "parameter",
     "reshape",
     "sage_conv",
-    "save_params",
     "unpack_params",
 ]
 
@@ -405,61 +403,6 @@ def adam_fit(forward, params: list[Tensor], target, lr: float, epochs: int, name
 
 
 # ---------------------------------------------------------------------------
-# gradient verification
-
-
-@dataclass(frozen=True)
-class FiniteDiffReport:
-    max_rel_err: float
-    worst_param: int
-    worst_entry: int
-    n_entries: int
-    passed: bool
-
-
-def finite_diff_check(loss_fn, params: list[Tensor], tol: float = 1e-4, h: float = 1e-5) -> FiniteDiffReport:
-    """Compare reverse-mode gradients against central differences.
-
-    ``loss_fn`` rebuilds the forward graph from the current parameter
-    values and returns the scalar loss tensor.  Relative error uses
-    max(|analytic|, |numeric|, 1e-5) as the denominator, so entries whose
-    gradient sits below 1e-5 are effectively compared absolutely — the
-    cancellation noise of the central difference itself (~1e-11 per unit
-    of loss) lives far under that floor.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    analytic = [np.zeros(p.values.shape) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = (0.0, -1, -1)
-    n_entries = 0
-    for k, p in enumerate(params):
-        flat = p.values.reshape(-1)
-        for j in range(flat.size):
-            n_entries += 1
-            keep = flat[j]
-            flat[j] = keep + h
-            up = float(loss_fn().values)
-            flat[j] = keep - h
-            down = float(loss_fn().values)
-            flat[j] = keep
-            fd = (up - down) / (2.0 * h)
-            a = analytic[k].reshape(-1)[j]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
-            if rel > worst[0]:
-                worst = (rel, k, j)
-    return FiniteDiffReport(
-        max_rel_err=worst[0],
-        worst_param=worst[1],
-        worst_entry=worst[2],
-        n_entries=n_entries,
-        passed=worst[0] < tol,
-    )
-
-
-# ---------------------------------------------------------------------------
 # checkpoints
 #
 # Layout (all integers little-endian uint32, all floats little-endian
@@ -501,16 +444,6 @@ def unpack_params(raw: bytes) -> list[np.ndarray]:
     if off != len(raw):
         raise NumericError(f"checkpoint has {len(raw) - off} trailing bytes")
     return out
-
-
-def save_params(path, params: list[Tensor]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(pack_params(params))
-
-
-def load_params(path) -> list[np.ndarray]:
-    with open(path, "rb") as fh:
-        return unpack_params(fh.read())
 
 
 def assign_params(params: list[Tensor], arrays: list[np.ndarray]) -> None:

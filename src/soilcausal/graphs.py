@@ -2,11 +2,10 @@
 
 DAGs and CPDAGs over hashable, totally ordered node labels: v-structure
 detection, equivalence-class projection, Meek orientation propagation,
-consistent extensions, structural Hamming distance, and DOT / edge-list
-export (the exports need string labels).  Results depend on the labels only
-through their order, so relabelling by an order-preserving map commutes
-with every operation; the greedy searches rely on this and run on column
-indices.
+consistent extensions and structural Hamming distance.  Results depend on
+the labels only through their order, so relabelling by an order-preserving
+map commutes with every operation; the greedy searches rely on this and run
+on column indices.
 
 Conventions
 -----------
@@ -22,7 +21,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import GraphError
 
@@ -154,16 +153,6 @@ def ancestors(g: Dag, node: str) -> frozenset[str]:
     return frozenset(reachable(par.__getitem__, node) - {node})
 
 
-def descendants(g: Dag, node: str) -> frozenset[str]:
-    """All proper descendants of ``node``."""
-    if node not in g.nodes:
-        raise GraphError(f"unknown node {node!r}")
-    ch: dict[str, set[str]] = defaultdict(set)
-    for a, b in g.edges:
-        ch[a].add(b)
-    return frozenset(reachable(ch.__getitem__, node) - {node})
-
-
 def _colliders(
     directed: Iterable[tuple[str, str]], adjacent: set[tuple[str, str]]
 ) -> frozenset[tuple[str, str, str]]:
@@ -190,16 +179,39 @@ def pattern_v_structures(g: Cpdag) -> frozenset[tuple[str, str, str]]:
     return _colliders(g.directed, adjacent)
 
 
-def cpdag_of(dag: Dag) -> Cpdag:
+def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:
     """Project a DAG onto its Markov equivalence class representative:
-    skeleton + compelled v-structure edges, closed under the Meek rules."""
-    skeleton = {_canon(a, b) for a, b in dag.edges}
+    skeleton + compelled v-structure edges, closed under the Meek rules.
+    Edges touching a node in ``pinned`` keep their orientation as well: an
+    intervention on a node fixes the direction of its edges (the
+    interventional class of Hauser & Buehlmann 2012)."""
     forced: set[tuple[str, str]] = set()
     for a, c, b in v_structures(dag):
         forced.add((a, c))
         forced.add((b, c))
-    undirected = skeleton - {_canon(a, b) for a, b in forced}
+    forced.update((a, b) for a, b in dag.edges if a in pinned or b in pinned)
+    undirected = {_canon(a, b) for a, b in dag.edges if (a, b) not in forced}
     return meek_closure(Cpdag(dag.nodes, frozenset(forced), frozenset(undirected)))
+
+
+def _neighbour_maps(directed, undirected):
+    """Adjacency, parent, child and undirected-neighbour sets per node of
+    a graph with the given directed and undirected edges."""
+    adj: dict[str, set[str]] = defaultdict(set)
+    parents: dict[str, set[str]] = defaultdict(set)
+    children: dict[str, set[str]] = defaultdict(set)
+    und: dict[str, set[str]] = defaultdict(set)
+    for a, b in directed:
+        adj[a].add(b)
+        adj[b].add(a)
+        children[a].add(b)
+        parents[b].add(a)
+    for a, b in undirected:
+        adj[a].add(b)
+        adj[b].add(a)
+        und[a].add(b)
+        und[b].add(a)
+    return adj, parents, children, und
 
 
 def meek_closure(g: Cpdag) -> Cpdag:
@@ -220,20 +232,7 @@ def meek_closure(g: Cpdag) -> Cpdag:
     """
     directed = set(g.directed)
     undirected = set(g.undirected)
-    adj: dict[str, set[str]] = defaultdict(set)
-    parents: dict[str, set[str]] = defaultdict(set)
-    children: dict[str, set[str]] = defaultdict(set)
-    und: dict[str, set[str]] = defaultdict(set)
-    for a, b in directed:
-        adj[a].add(b)
-        adj[b].add(a)
-        children[a].add(b)
-        parents[b].add(a)
-    for a, b in undirected:
-        adj[a].add(b)
-        adj[b].add(a)
-        und[a].add(b)
-        und[b].add(a)
+    adj, parents, children, und = _neighbour_maps(directed, undirected)
 
     def orient(a: str, b: str) -> bool:
         if a in reachable(children.__getitem__, b):  # would close a directed cycle
@@ -300,20 +299,7 @@ def consistent_extension(g: Cpdag) -> Dag:
     remaining = set(g.nodes)
     oriented: set[tuple[str, str]] = set(g.directed)
     undirected = set(g.undirected)
-    adj: dict[str, set[str]] = defaultdict(set)
-    parents: dict[str, set[str]] = defaultdict(set)
-    children: dict[str, set[str]] = defaultdict(set)
-    und: dict[str, set[str]] = defaultdict(set)
-    for a, b in g.directed:
-        adj[a].add(b)
-        adj[b].add(a)
-        children[a].add(b)
-        parents[b].add(a)
-    for a, b in undirected:
-        adj[a].add(b)
-        adj[b].add(a)
-        und[a].add(b)
-        und[b].add(a)
+    adj, parents, children, und = _neighbour_maps(g.directed, undirected)
 
     def qualifies(x: str) -> bool:
         if children[x]:
@@ -368,102 +354,3 @@ def shd(a: Cpdag, b: Cpdag) -> int:
         raise GraphError("graphs compare over different node sets")
     sa, sb = _edge_status(a), _edge_status(b)
     return sum(1 for k in set(sa) | set(sb) if sa.get(k) != sb.get(k))
-
-
-# ---------------------------------------------------------------------------
-# export / serial formats
-# ---------------------------------------------------------------------------
-
-_ROLE_STYLE = {
-    "management": 'shape=box style=filled fillcolor="#d6e4f0"',
-    "soil": 'shape=ellipse style=filled fillcolor="#dff0d8"',
-    "target": 'shape=doubleoctagon style=filled fillcolor="#f5deb3"',
-}
-
-
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def to_dot(g: Dag | Cpdag, roles: Mapping[str, str] | None = None) -> str:
-    """Render as a DOT digraph; undirected edges use ``dir=none``.
-    Output ordering is canonical so identical graphs render identically."""
-    roles = roles or {}
-    lines = ["digraph G {"]
-    for v in g.nodes:
-        style = _ROLE_STYLE.get(roles.get(v, ""), "shape=ellipse")
-        lines.append(f"  {_dot_quote(v)} [{style}];")
-    if isinstance(g, Dag):
-        directed, undirected = sorted(g.edges), []
-    else:
-        directed, undirected = sorted(g.directed), sorted(g.undirected)
-    for a, b in directed:
-        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
-    for a, b in undirected:
-        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)} [dir=none];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def write_edge_list(dag: Dag, path: str) -> None:
-    """One ``src<TAB>dst<TAB>attr`` line per directed edge, attr fixed at 1.0."""
-    lines = [f"{a}\t{b}\t1.0" for a, b in sorted(dag.edges)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_edge_list(path: str) -> tuple[tuple[str, str, float], ...]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphError(f"{path}:{ln}: expected 'src<TAB>dst<TAB>attr'")
-            try:
-                attr = float(parts[2])
-            except ValueError as exc:
-                raise GraphError(f"{path}:{ln}: bad edge attribute {parts[2]!r}") from exc
-            out.append((parts[0], parts[1], attr))
-    return tuple(out)
-
-
-def write_cpdag_list(g: Cpdag, path: str) -> None:
-    """Sectioned plain-text form: node labels, then directed, then undirected."""
-    lines = ["# nodes"]
-    lines += list(g.nodes)
-    lines.append("# directed")
-    lines += [f"{a}\t{b}" for a, b in sorted(g.directed)]
-    lines.append("# undirected")
-    lines += [f"{a}\t{b}" for a, b in sorted(g.undirected)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_cpdag_list(path: str) -> Cpdag:
-    nodes: list[str] = []
-    directed: list[tuple[str, str]] = []
-    undirected: list[tuple[str, str]] = []
-    section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                section = line[1:].strip()
-                continue
-            if section == "nodes":
-                nodes.append(line)
-            elif section in ("directed", "undirected"):
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise GraphError(f"{path}:{ln}: expected 'src<TAB>dst'")
-                (directed if section == "directed" else undirected).append(
-                    (parts[0], parts[1])
-                )
-            else:
-                raise GraphError(f"{path}:{ln}: content before a section header")
-    return Cpdag(tuple(nodes), frozenset(directed), frozenset(undirected))

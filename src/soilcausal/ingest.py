@@ -303,17 +303,6 @@ def min_max_apply(table: Table, params: ScalerParams) -> Table:
     return replace(table, rows=rows)
 
 
-def min_max_invert(table: Table, params: ScalerParams) -> Table:
-    """Inverse of min_max_apply on non-degenerate columns."""
-    rows = np.array(table.rows)
-    for name, lo, hi in zip(params.columns, params.mins, params.maxs):
-        j = table.col_index(name)
-        span = hi - lo
-        if span != 0.0:
-            rows[:, j] = rows[:, j] * span + lo
-    return replace(table, rows=rows)
-
-
 def select_columns(table: Table, names: Sequence[str]) -> Table:
     """Sub-table with just ``names`` (in the given order), same rows/tags."""
     idx = [table.col_index(n) for n in names]
@@ -325,31 +314,6 @@ def select_columns(table: Table, names: Sequence[str]) -> Table:
         rows=table.rows[:, idx],
         target=table.target if table.target in names else "",
     )
-
-
-def write_scaler(params: ScalerParams, path: str) -> None:
-    lines = [f"fitted_on\t{params.fitted_on}"]
-    for c, lo, hi in zip(params.columns, params.mins, params.maxs):
-        lines.append(f"{c}\t{lo!r}\t{hi!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_scaler(path: str) -> ScalerParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("fitted_on\t"):
-        raise SchemaError(f"{path}: missing fitted_on header")
-    fitted_on = int(lines[0].split("\t")[1])
-    cols, mins, maxs = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if len(parts) != 3:
-            raise SchemaError(f"{path}: expected 'name<TAB>min<TAB>max'")
-        cols.append(parts[0])
-        mins.append(float(parts[1]))
-        maxs.append(float(parts[2]))
-    return ScalerParams(tuple(cols), tuple(mins), tuple(maxs), fitted_on)
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +573,23 @@ def _first_bad_cell(cells: Sequence[str], codes: dict[str, float] | None) -> int
             return i
 
 
+def _first_bad_date(dates: Sequence[str]) -> int | None:
+    """Row of the first date that is not an ISO ``YYYY-MM-DD`` day, or None:
+    a date must parse and print back as the same text."""
+    try:
+        ts = np.asarray(dates, dtype="datetime64[D]")
+    except ValueError:  # some text does not parse: try the dates one by one
+        if len(dates) == 1:
+            return 0
+        return next(i for i, d in enumerate(dates) if _first_bad_date((d,)) == 0)
+    bad = np.flatnonzero(np.isnat(ts) | (np.datetime_as_string(ts) != np.asarray(dates, dtype=str)))
+    return int(bad[0]) if len(bad) else None
+
+
 def read_csv(path: str, schema_path: str | None = None) -> Table:
     """Table from a CSV and its sidecar schema.  Each column is parsed in
-    one pass; a malformed file raises SchemaError for its first bad cell
-    in row-major order."""
+    one pass, and every date must be a ``YYYY-MM-DD`` day; a malformed file
+    raises SchemaError for its first bad cell in row-major order."""
     schema_path = schema_path or default_schema_path(path)
     specs, target = read_schema(schema_path)
     by_name = {c.name: c for c in specs}
@@ -640,6 +617,9 @@ def read_csv(path: str, schema_path: str | None = None) -> Table:
     n = int(bad_width[0]) if len(bad_width) else len(raw_rows)
     dates, fids, trts, *columns = list(zip(*raw_rows[:n])) or [()] * len(header)
     values, derived, errors = {}, {}, []
+    i = _first_bad_date(dates)
+    if i is not None:
+        errors.append((i, -1, f"{path}: row {i + 2}: date {dates[i]!r} is not YYYY-MM-DD"))
     for j, (name, col) in enumerate(zip(value_names, columns)):
         spec = by_name[name]
         cats = spec.categories
@@ -662,9 +642,6 @@ def read_csv(path: str, schema_path: str | None = None) -> Table:
     out_specs = tuple(
         replace(c, categories=derived.get(c.name, c.categories)) for c in specs
     )
-    try:
-        ts = np.asarray(dates, dtype="datetime64[D]")
-    except ValueError as exc:
-        raise SchemaError(f"{path}: unparseable ISO date in date column") from exc
+    ts = np.asarray(dates, dtype="datetime64[D]")
     return Table(out_specs, data, ts, np.asarray(fids, dtype=str),
                  np.asarray(trts, dtype=str), target=target)

@@ -3,8 +3,8 @@
 Everything runs off a (n, mean, covariance) sufficient statistic, so the
 constraint-based and score-based searches never touch raw rows more than
 once.  Singular covariance submatrices (expected under one-hot collinearity
-and duplicated lag columns) fall back to a tiny ridge and are counted on a
-warning counter that benchmark reports surface.
+and duplicated lag columns) fall back to a tiny ridge and are counted on
+the ``WarningCounter`` that the caller passes in.
 
 Every test and score here is a function of column indices into one
 statistic; none reads rows.  Which rows a statistic summarises is the
@@ -46,13 +46,10 @@ _RSS_FLOOR = 1e-12  # keeps log-likelihoods finite under exact collinearity
 
 @dataclass
 class WarningCounter:
-    """Mutable tally of numerical fallbacks, surfaced in benchmark reports."""
+    """Mutable tally of the numerical fallbacks of one run."""
 
     singular_fallbacks: int = 0
     empty_interventional: int = 0
-
-
-GLOBAL_WARNINGS = WarningCounter()
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +260,7 @@ class CIBatch:
             z, p = _fisher_z(r, self.dof)
             self._z, self._p = z.tolist(), p.tolist()
 
-    def partial_correlation(self, k: int, warn: WarningCounter = GLOBAL_WARNINGS) -> float:
+    def partial_correlation(self, k: int, *, warn: WarningCounter) -> float:
         if self._fallback[k]:
             warn.singular_fallbacks += 1
         r = self._r[k]
@@ -272,16 +269,14 @@ class CIBatch:
             raise NumericError(f"partial correlation diverged for ({i}, {j} | {tuple(S)})")
         return r
 
-    def test(
-        self, k: int, alpha: float = 0.05, warn: WarningCounter = GLOBAL_WARNINGS
-    ) -> CITestResult:
+    def test(self, k: int, alpha: float = 0.05, *, warn: WarningCounter) -> CITestResult:
         if self.dof <= 0:
             raise NumericError(
                 f"need n > |S| + 3 for the z-test (n={self.n}, |S|={self.idx.shape[1] - 2})"
             )
         if not 0.0 < alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        self.partial_correlation(k, warn)
+        self.partial_correlation(k, warn=warn)
         p = self._p[k]
         return CITestResult(self._z[k], p, p > alpha)
 
@@ -300,12 +295,13 @@ def partial_correlation(
     j: int,
     S: Iterable[int],
     stat: GaussianSuffStat,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> float:
     """Correlation of the residuals of columns i and j after linearly
     removing the columns in S, read off the precision of the covariance
     submatrix on {i, j} | S."""
-    return CIBatch(stat, _triple(i, j, S)).partial_correlation(0, warn)
+    return CIBatch(stat, _triple(i, j, S)).partial_correlation(0, warn=warn)
 
 
 def fisher_z_test(
@@ -314,11 +310,12 @@ def fisher_z_test(
     S: Iterable[int],
     stat: GaussianSuffStat,
     alpha: float = 0.05,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> CITestResult:
     """Two-sided test of zero partial correlation via the z-transform
     z = 0.5 * sqrt(n - |S| - 3) * ln((1+r)/(1-r))."""
-    return CIBatch(stat, _triple(i, j, S)).test(0, alpha, warn)
+    return CIBatch(stat, _triple(i, j, S)).test(0, alpha, warn=warn)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +327,8 @@ def bic_local_stats(
     y: int,
     parent_sets: Sequence[Iterable[int]],
     stat: GaussianSuffStat,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> list[float]:
     """Local score of column y under each parent set, from the statistic:
     -(n/2) ln(RSS/n) - (k/2) ln(n) with k = |parents| + 2.  Sets of one size
@@ -364,7 +362,8 @@ def bic_local_stat(
     y: int,
     parents: Iterable[int],
     stat: GaussianSuffStat,
-    warn: WarningCounter = GLOBAL_WARNINGS,
+    *,
+    warn: WarningCounter,
 ) -> float:
     """Local score of column y given one parent set (see ``bic_local_stats``)."""
-    return bic_local_stats(y, [parents], stat, warn)[0]
+    return bic_local_stats(y, [parents], stat, warn=warn)[0]

@@ -2,8 +2,8 @@
 
 A structural causal model over daily management events and soil state,
 sampled per field under per-treatment interventions on the ploughing
-regime.  The generating graph is available to tests and to oracle variants
-of the discovery algorithms, so recovered structure and downstream
+regime.  The generating graph and its equivalence-class pattern are
+available to tests and benchmarks, so recovered structure and downstream
 predictive claims can be checked against truth rather than eyeballed.
 
 Sampling is ancestral: each node draws once per field in topological
@@ -255,75 +255,6 @@ def targets_by_treatment(envs) -> dict[str, frozenset]:
             )
         out[e.treatment] = hit
     return out
-
-
-def analytic_covariance(
-    scm: SCMSpec, rate_overrides: dict[str, float] | None = None
-) -> np.ndarray:
-    """Exact covariance of the induced linear system, in ``dag.nodes`` order.
-
-    Every event node must be a root (a logistic link with parents has no
-    linear reduction).  Root events contribute exogenous variance p(1-p);
-    ``rate_overrides`` substitutes intervened rates without resampling.
-    """
-    nodes = scm.dag.nodes
-    idx = {n: i for i, n in enumerate(nodes)}
-    d = len(nodes)
-    w = np.zeros((d, d))
-    var = np.zeros(d)
-    overrides = dict(rate_overrides or {})
-    unknown = sorted(set(overrides) - set(nodes))
-    if unknown:
-        raise ConfigError(f"rate overrides for unknown nodes {unknown}")
-    for m in scm.mechanisms:
-        i = idx[m.node]
-        if m.kind == "bernoulli_event":
-            if m.parents:
-                raise ConfigError(
-                    f"analytic covariance needs event node {m.node!r} to be a root"
-                )
-            p = overrides.get(m.node, m.base_rate)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"override rate for {m.node!r} outside [0, 1]")
-            var[i] = p * (1.0 - p)
-        else:
-            if m.node in overrides:
-                raise ConfigError(f"rate override for non-event node {m.node!r}")
-            var[i] = m.noise_sd**2
-            for par, wt in zip(m.parents, m.weights):
-                w[idx[par], i] = wt
-    a = np.linalg.inv(np.eye(d) - w.T)
-    return a @ np.diag(var) @ a.T
-
-
-def is_ancestrally_closed(dag: Dag, nodes) -> bool:
-    """True when every parent of a member is itself a member."""
-    keep = set(nodes)
-    unknown = keep - set(dag.nodes)
-    if unknown:
-        raise GraphError(f"unknown nodes {sorted(unknown)}")
-    return all(a in keep for a, b in dag.edges if b in keep)
-
-
-def induced_subdag(dag: Dag, nodes) -> Dag:
-    keep = [n for n in dag.nodes if n in set(nodes)]
-    edges = frozenset((a, b) for a, b in dag.edges if a in set(keep) and b in set(keep))
-    return Dag(tuple(keep), edges)
-
-
-def ancestral_subsets(dag: Dag, max_size: int):
-    """All ancestrally closed node subsets of size 1..max_size, sorted."""
-    order = topological_sort(dag)
-    parents = {n: frozenset(in_neighbors(dag, n)) for n in dag.nodes}
-    found = {frozenset()}
-    for n in order:
-        fresh = set()
-        for s in found:
-            if parents[n] <= s and len(s) < max_size:
-                fresh.add(s | {n})
-        found |= fresh
-    out = [tuple(n for n in dag.nodes if n in s) for s in found if s]
-    return sorted(out, key=lambda t: (len(t), t))
 
 
 # --- the default farm benchmark --------------------------------------------

@@ -1,19 +1,24 @@
 """Shared brute-force oracles for the test suite: labeled-DAG enumeration,
-Markov-equivalence classes, extension sets, random graph generators, a
-one-test-at-a-time PC skeleton search, a per-node-argsort CART grower, and
-a builder for small all-continuous tables."""
+Markov-equivalence classes, extension sets, random graph generators, the
+exact covariance of a linear SCM and its ancestral subgraphs, PC answered
+exactly from that covariance, a one-test-at-a-time PC skeleton search, a
+per-node-argsort CART grower, a central-difference gradient check, and a
+builder for small all-continuous tables."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
 import soilcausal.graphs as G
 from soilcausal.baselines import _SPLIT_EPS, TreeNode
+from soilcausal.discovery import DiscoveryConfig, _pc_core
+from soilcausal.errors import ConfigError, GraphError
 from soilcausal.ingest import ColumnSpec, Table
-from soilcausal.stats import WarningCounter, fisher_z_test
+from soilcausal.stats import CIBatch, GaussianSuffStat, WarningCounter, fisher_z_test
 
 LABELS4 = ("A", "B", "C", "D")
 
@@ -113,6 +118,106 @@ def random_pattern(rng: random.Random, labels) -> G.Cpdag:
     return G.Cpdag(labels, frozenset(directed), frozenset(undirected))
 
 
+def analytic_covariance(scm, rate_overrides: dict[str, float] | None = None) -> np.ndarray:
+    """Exact covariance of the induced linear system, in ``dag.nodes`` order.
+
+    Every event node must be a root (a logistic link with parents has no
+    linear reduction).  Root events contribute exogenous variance p(1-p);
+    ``rate_overrides`` substitutes intervened rates without resampling.
+    """
+    nodes = scm.dag.nodes
+    idx = {n: i for i, n in enumerate(nodes)}
+    d = len(nodes)
+    w = np.zeros((d, d))
+    var = np.zeros(d)
+    overrides = dict(rate_overrides or {})
+    unknown = sorted(set(overrides) - set(nodes))
+    if unknown:
+        raise ConfigError(f"rate overrides for unknown nodes {unknown}")
+    for m in scm.mechanisms:
+        i = idx[m.node]
+        if m.kind == "bernoulli_event":
+            if m.parents:
+                raise ConfigError(
+                    f"analytic covariance needs event node {m.node!r} to be a root"
+                )
+            p = overrides.get(m.node, m.base_rate)
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"override rate for {m.node!r} outside [0, 1]")
+            var[i] = p * (1.0 - p)
+        else:
+            if m.node in overrides:
+                raise ConfigError(f"rate override for non-event node {m.node!r}")
+            var[i] = m.noise_sd**2
+            for par, wt in zip(m.parents, m.weights):
+                w[idx[par], i] = wt
+    a = np.linalg.inv(np.eye(d) - w.T)
+    return a @ np.diag(var) @ a.T
+
+
+def is_ancestrally_closed(dag: G.Dag, nodes) -> bool:
+    """True when every parent of a member is itself a member."""
+    keep = set(nodes)
+    unknown = keep - set(dag.nodes)
+    if unknown:
+        raise GraphError(f"unknown nodes {sorted(unknown)}")
+    return all(a in keep for a, b in dag.edges if b in keep)
+
+
+def induced_subdag(dag: G.Dag, nodes) -> G.Dag:
+    keep = [n for n in dag.nodes if n in set(nodes)]
+    edges = frozenset((a, b) for a, b in dag.edges if a in set(keep) and b in set(keep))
+    return G.Dag(tuple(keep), edges)
+
+
+def ancestral_subsets(dag: G.Dag, max_size: int):
+    """All ancestrally closed node subsets of size 1..max_size, sorted."""
+    order = G.topological_sort(dag)
+    parents = {n: frozenset(G.in_neighbors(dag, n)) for n in dag.nodes}
+    found = {frozenset()}
+    for n in order:
+        fresh = set()
+        for s in found:
+            if parents[n] <= s and len(s) < max_size:
+                fresh.add(s | {n})
+        found |= fresh
+    out = [tuple(n for n in dag.nodes if n in s) for s in found if s]
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+_ORACLE_TOL = 1e-9
+
+
+def pc_oracle(cov: np.ndarray, names, *, warn: WarningCounter) -> G.Cpdag:
+    """PC with tests answered exactly from a model covariance matrix: the
+    library's PC core with ``|partial correlation| < _ORACLE_TOL`` as its
+    test, at the default conditioning-set bound."""
+    names = tuple(names)
+    cov = np.asarray(cov, dtype=np.float64)
+    if cov.shape != (len(names), len(names)):
+        raise ConfigError("covariance shape does not match the name list")
+    order = sorted(range(len(names)), key=lambda k: names[k])
+    sorted_names = tuple(names[k] for k in order)
+    cov = cov[np.ix_(order, order)]
+    # Degenerate (zero-variance) columns carry no signal; give them unit
+    # variance so the precision stays finite, their correlations are 0.
+    dead = np.diag(cov) <= 0.0
+    if dead.any():
+        warn.singular_fallbacks += int(dead.sum())
+        cov = cov.copy()
+        for k in np.flatnonzero(dead):
+            cov[k, k] = 1.0
+    stat = GaussianSuffStat(
+        n=2, mean=np.zeros(len(names)), cov=cov, columns=sorted_names
+    )
+
+    def level_tests(triples):
+        batch = CIBatch(stat, triples)
+        return lambda k: abs(batch.partial_correlation(k, warn=warn)) < _ORACLE_TOL
+
+    return _pc_core(sorted_names, level_tests, DiscoveryConfig().max_cond_size)
+
+
 def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
     """Reference PC-stable edge pruning: one scalar ``fisher_z_test`` per
     (i, j, S) triple in the sequential order, stopping at each pair's first
@@ -140,11 +245,11 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
                 for S in order:
                     if found is None:
                         tests += 1
-                        if fisher_z_test(i, j, S, stat, alpha, warn).independent:
+                        if fisher_z_test(i, j, S, stat, alpha, warn=warn).independent:
                             found = frozenset(S)
                     else:
                         skipped = WarningCounter()
-                        fisher_z_test(i, j, S, stat, alpha, skipped)
+                        fisher_z_test(i, j, S, stat, alpha, warn=skipped)
                         skipped_fallbacks += skipped.singular_fallbacks
                 if found is not None:
                     sepset[(i, j)] = found
@@ -217,3 +322,54 @@ def _reference_grow(X, y, idx, depth, max_depth, min_leaf, rng, n_features):
     left = _reference_grow(X, y, idx[mask], depth + 1, max_depth, min_leaf, rng, n_features)
     right = _reference_grow(X, y, idx[~mask], depth + 1, max_depth, min_leaf, rng, n_features)
     return TreeNode(int(f), float(thr), left, right, value)
+
+
+@dataclass(frozen=True)
+class FiniteDiffReport:
+    max_rel_err: float
+    worst_param: int
+    worst_entry: int
+    n_entries: int
+    passed: bool
+
+
+def finite_diff_check(loss_fn, params, tol: float = 1e-4, h: float = 1e-5) -> FiniteDiffReport:
+    """Compare reverse-mode gradients against central differences.
+
+    ``loss_fn`` rebuilds the forward graph from the current parameter
+    values and returns the scalar loss tensor.  Relative error uses
+    max(|analytic|, |numeric|, 1e-5) as the denominator, so entries whose
+    gradient sits below 1e-5 are effectively compared absolutely — the
+    cancellation noise of the central difference itself (~1e-11 per unit
+    of loss) lives far under that floor.
+    """
+    for p in params:
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    analytic = [np.zeros(p.values.shape) if p.grad is None else p.grad.copy() for p in params]
+
+    worst = (0.0, -1, -1)
+    n_entries = 0
+    for k, p in enumerate(params):
+        flat = p.values.reshape(-1)
+        for j in range(flat.size):
+            n_entries += 1
+            keep = flat[j]
+            flat[j] = keep + h
+            up = float(loss_fn().values)
+            flat[j] = keep - h
+            down = float(loss_fn().values)
+            flat[j] = keep
+            fd = (up - down) / (2.0 * h)
+            a = analytic[k].reshape(-1)[j]
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
+            if rel > worst[0]:
+                worst = (rel, k, j)
+    return FiniteDiffReport(
+        max_rel_err=worst[0],
+        worst_param=worst[1],
+        worst_entry=worst[2],
+        n_entries=n_entries,
+        passed=worst[0] < tol,
+    )

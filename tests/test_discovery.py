@@ -10,7 +10,6 @@ from soilcausal.discovery import (
     ges,
     gies,
     pc,
-    pc_oracle,
     per_row_targets,
 )
 from soilcausal.errors import ConfigError
@@ -21,10 +20,7 @@ from soilcausal.synth import (
     EnvironmentSpec,
     Mechanism,
     SCMSpec,
-    analytic_covariance,
-    ancestral_subsets,
     default_farm_benchmark,
-    induced_subdag,
     sample_environment,
     sample_environments,
     TRAIN_TREATMENTS,
@@ -32,7 +28,14 @@ from soilcausal.synth import (
     true_cpdag,
 )
 
-from enumutil import continuous_table, sequential_pc_skeleton
+from enumutil import (
+    analytic_covariance,
+    ancestral_subsets,
+    continuous_table,
+    induced_subdag,
+    pc_oracle,
+    sequential_pc_skeleton,
+)
 
 
 def _linear_scm(nodes, edges, weight=1.0, sd=0.5):
@@ -77,7 +80,7 @@ def test_config_validation():
 
 def test_pc_oracle_chain_is_undirected():
     scm = _linear_scm(("a", "b", "c"), {("a", "b"), ("b", "c")})
-    pat = pc_oracle(analytic_covariance(scm), scm.dag.nodes)
+    pat = pc_oracle(analytic_covariance(scm), scm.dag.nodes, warn=WarningCounter())
     assert pat.directed == frozenset()
     assert pat.undirected == frozenset({("a", "b"), ("b", "c")})
     assert pat.meta["sepsets"][("a", "c")] == ("b",)
@@ -85,7 +88,7 @@ def test_pc_oracle_chain_is_undirected():
 
 def test_pc_oracle_collider_is_directed():
     scm = _linear_scm(("a", "b", "c"), {("a", "c"), ("b", "c")})
-    pat = pc_oracle(analytic_covariance(scm), scm.dag.nodes)
+    pat = pc_oracle(analytic_covariance(scm), scm.dag.nodes, warn=WarningCounter())
     assert pat.directed == frozenset({("a", "c"), ("b", "c")})
     assert pat.undirected == frozenset()
     assert pat.meta["sepsets"][("a", "b")] == ()
@@ -93,7 +96,7 @@ def test_pc_oracle_collider_is_directed():
 
 def test_pc_oracle_recovers_benchmark_exactly():
     scm, _ = default_farm_benchmark()
-    pat = pc_oracle(analytic_covariance(scm), scm.dag.nodes)
+    pat = pc_oracle(analytic_covariance(scm), scm.dag.nodes, warn=WarningCounter())
     truth = true_cpdag(scm)
     assert shd(pat, truth) == 0
     assert pat.directed == truth.directed
@@ -107,14 +110,14 @@ def test_pc_oracle_on_every_small_ancestral_subgraph():
     assert len(subsets) > 100
     for nodes in subsets:
         cols = [idx[n] for n in nodes]
-        pat = pc_oracle(sigma[np.ix_(cols, cols)], nodes)
+        pat = pc_oracle(sigma[np.ix_(cols, cols)], nodes, warn=WarningCounter())
         want = cpdag_of(induced_subdag(scm.dag, nodes))
         assert shd(pat, want) == 0, f"mismatch on {nodes}"
 
 
 def test_pc_oracle_shape_mismatch():
     with pytest.raises(ConfigError):
-        pc_oracle(np.eye(3), ("a", "b"))
+        pc_oracle(np.eye(3), ("a", "b"), warn=WarningCounter())
 
 
 def test_pc_oracle_degenerate_column():
@@ -141,14 +144,14 @@ def test_pc_sample_collider():
     t = sample_environment(
         scm, EnvironmentSpec(label="e", treatment="x", n_days=4000, seed=2)
     )
-    pat = pc(t, DiscoveryConfig(alpha=0.01))
+    pat = pc(t, DiscoveryConfig(alpha=0.01), warn=WarningCounter())
     assert pat.directed == frozenset({("a", "c"), ("b", "c")})
 
 
 def test_pc_pooled_benchmark_close_to_truth():
     scm, envs = _pooled(500)
     t = sample_environments(scm, envs)
-    pat = pc(t, DiscoveryConfig(alpha=0.01))
+    pat = pc(t, DiscoveryConfig(alpha=0.01), warn=WarningCounter())
     assert shd(pat, true_cpdag(scm)) <= 1
 
 
@@ -178,8 +181,8 @@ def test_pc_column_order_invariance():
         treatment=t.treatment,
         target=t.target,
     )
-    a = pc(t, DiscoveryConfig(alpha=0.05))
-    b = pc(t2, DiscoveryConfig(alpha=0.05))
+    a = pc(t, DiscoveryConfig(alpha=0.05), warn=WarningCounter())
+    b = pc(t2, DiscoveryConfig(alpha=0.05), warn=WarningCounter())
     assert a.nodes == b.nodes  # both name-sorted
     assert a.directed == b.directed
     assert a.undirected == b.undirected
@@ -265,7 +268,7 @@ def test_ges_two_node_dependence():
     t = sample_environment(
         scm, EnvironmentSpec(label="e", treatment="x", n_days=2000, seed=4)
     )
-    pat = ges(t)
+    pat = ges(t, warn=WarningCounter())
     assert pat.undirected == frozenset({("x", "y")})
     assert pat.directed == frozenset()
 
@@ -275,7 +278,7 @@ def test_ges_collider():
     t = sample_environment(
         scm, EnvironmentSpec(label="e", treatment="x", n_days=4000, seed=5)
     )
-    pat = ges(t)
+    pat = ges(t, warn=WarningCounter())
     assert pat.directed == frozenset({("a", "c"), ("b", "c")})
 
 
@@ -294,7 +297,7 @@ def test_ges_independent_nodes_stay_empty():
         field_id=np.repeat("f", 5000),
         treatment=np.repeat("t", 5000),
     )
-    pat = ges(t)
+    pat = ges(t, warn=WarningCounter())
     assert pat.directed == frozenset() and pat.undirected == frozenset()
 
 
@@ -304,7 +307,7 @@ def test_ges_pooled_benchmark_close_to_truth():
     # was allowed to finish building an independence map around it.
     scm, envs = _pooled(500)
     t = sample_environments(scm, envs)
-    pat = ges(t, DiscoveryConfig(max_parents=8))
+    pat = ges(t, DiscoveryConfig(max_parents=8), warn=WarningCounter())
     assert shd(pat, true_cpdag(scm)) <= 2
 
 
@@ -315,7 +318,7 @@ def test_ges_respects_max_parents():
     t = sample_environment(
         scm, EnvironmentSpec(label="e", treatment="x", n_days=3000, seed=6)
     )
-    pat = ges(t, DiscoveryConfig(max_parents=2))
+    pat = ges(t, DiscoveryConfig(max_parents=2), warn=WarningCounter())
     y_parents = {a for a, b in pat.directed if b == "y"}
     y_links = y_parents | {a for a, b in pat.undirected if b == "y"}
     y_links |= {b for a, b in pat.undirected if a == "y"}
@@ -336,8 +339,8 @@ def test_ges_column_order_invariance():
         treatment=t.treatment,
         target=t.target,
     )
-    a = ges(t)
-    b = ges(t2)
+    a = ges(t, warn=WarningCounter())
+    b = ges(t2, warn=WarningCounter())
     assert a.directed == b.directed
     assert a.undirected == b.undirected
 
@@ -352,10 +355,10 @@ def _benchmark_tags(envs):
 def test_gies_without_interventions_is_ges():
     scm, envs = _pooled(300)
     t = sample_environments(scm, envs[:8])
-    base = ges(t)
+    base = ges(t, warn=WarningCounter())
     for pat in (
-        gies(t, DiscoveryConfig(use_interventions=True), intervention_targets={}),
-        gies(t, DiscoveryConfig(use_interventions=False), intervention_targets=_benchmark_tags(envs)),
+        gies(t, DiscoveryConfig(use_interventions=True), intervention_targets={}, warn=WarningCounter()),
+        gies(t, DiscoveryConfig(use_interventions=False), intervention_targets=_benchmark_tags(envs), warn=WarningCounter()),
     ):
         assert pat.directed == base.directed
         assert pat.undirected == base.undirected
@@ -375,6 +378,7 @@ def test_gies_orients_chain_by_intervention():
         t,
         DiscoveryConfig(use_interventions=True),
         intervention_targets={"cut": ("x",)},
+        warn=WarningCounter(),
     )
     assert pat.directed == frozenset({("x", "y")})
     assert pat.undirected == frozenset()
@@ -388,11 +392,12 @@ def test_gies_pooled_benchmark_orients_plough():
         t,
         DiscoveryConfig(use_interventions=True, max_parents=8),
         intervention_targets=_benchmark_tags(envs),
+        warn=WarningCounter(),
     )
     truth = true_cpdag(scm)
     assert ("plough", "ph") in pat.directed
     assert shd(pat, truth) <= 2
-    base = ges(t, DiscoveryConfig(max_parents=8))
+    base = ges(t, DiscoveryConfig(max_parents=8), warn=WarningCounter())
     assert len(pat.directed) >= len(base.directed)
 
 
@@ -418,6 +423,7 @@ def test_gies_two_differently_intervened_nodes_use_their_own_rows():
         t,
         DiscoveryConfig(use_interventions=True),
         intervention_targets={"t_ph": ("ph",), "t_n": ("total_n",)},
+        warn=WarningCounter(),
     )
     assert pat.meta["intervened"] == ("ph", "total_n")
     into = {("fertilize", "total_n"), ("graze", "total_n"), ("manure", "total_n")}
@@ -430,8 +436,8 @@ def test_gies_without_intervened_columns_is_ges():
     t = sample_environments(scm, envs[:8])
     cols = [n for n in t.names if n != "plough"]
     cfg = DiscoveryConfig(use_interventions=True)
-    pat = gies(t, cfg, intervention_targets=_benchmark_tags(envs), columns=cols)
-    base = ges(t, cfg, columns=cols)
+    pat = gies(t, cfg, intervention_targets=_benchmark_tags(envs), columns=cols, warn=WarningCounter())
+    base = ges(t, cfg, columns=cols, warn=WarningCounter())
     assert "intervened" not in pat.meta
     assert (pat.directed, pat.undirected, pat.meta) == (base.directed, base.undirected, base.meta)
 
@@ -440,7 +446,7 @@ def test_gies_requires_tags_when_interventional():
     scm, envs = _pooled(60)
     t = sample_environments(scm, envs[:2])
     with pytest.raises(ConfigError):
-        gies(t, DiscoveryConfig(use_interventions=True))
+        gies(t, DiscoveryConfig(use_interventions=True), warn=WarningCounter())
 
 
 def test_gies_all_rows_intervened_scores_zero_for_node():
@@ -487,7 +493,7 @@ def test_gies_column_order_invariance():
     )
     tags = _benchmark_tags(pick)
     cfg = DiscoveryConfig(use_interventions=True)
-    a = gies(t, cfg, intervention_targets=tags)
-    b = gies(t2, cfg, intervention_targets=tags)
+    a = gies(t, cfg, intervention_targets=tags, warn=WarningCounter())
+    b = gies(t2, cfg, intervention_targets=tags, warn=WarningCounter())
     assert a.directed == b.directed
     assert a.undirected == b.undirected

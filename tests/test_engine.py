@@ -11,16 +11,17 @@ from soilcausal.engine import (
     dense,
     dense_params,
     ecc_conv,
-    finite_diff_check,
     glorot_uniform,
-    load_params,
     matmul,
     mse,
+    pack_params,
     parameter,
     reshape,
     sage_conv,
-    save_params,
+    unpack_params,
 )
+
+from enumutil import finite_diff_check
 
 
 def _fd_scalar(fn, x, h=1e-5):
@@ -303,16 +304,14 @@ def test_glorot_bounds():
     assert np.abs(w).max() > 0.8 * lim  # actually fills the range
 
 
-def test_checkpoint_roundtrip(tmp_path):
+def test_checkpoint_roundtrip():
     rng = np.random.default_rng(5)
     params = [
         parameter(rng.standard_normal((3, 4))),
         parameter(rng.standard_normal(7)),
         parameter(rng.standard_normal((2, 2, 2))),
     ]
-    path = tmp_path / "model.bin"
-    save_params(path, params)
-    arrays = load_params(path)
+    arrays = unpack_params(pack_params(params))
     assert len(arrays) == 3
     for p, a in zip(params, arrays):
         assert a.shape == p.values.shape
@@ -323,11 +322,9 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(fresh[0].values, params[0].values)
 
 
-def test_checkpoint_layout_is_pinned(tmp_path):
+def test_checkpoint_layout_is_pinned():
     # one 2x1 matrix: header 4 + (4 + 8) bytes, then 16 bytes of data
-    path = tmp_path / "tiny.bin"
-    save_params(path, [parameter([[1.5], [-2.0]])])
-    raw = path.read_bytes()
+    raw = pack_params([parameter([[1.5], [-2.0]])])
     assert len(raw) == 4 + 4 + 8 + 16
     assert raw[:4] == b"\x01\x00\x00\x00"
     assert raw[4:8] == b"\x02\x00\x00\x00"  # ndim
@@ -335,14 +332,11 @@ def test_checkpoint_layout_is_pinned(tmp_path):
     assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.5, -2.0]
 
 
-def test_checkpoint_trailing_bytes_rejected(tmp_path):
+def test_checkpoint_trailing_bytes_rejected():
     from soilcausal.errors import NumericError
 
-    path = tmp_path / "bad.bin"
-    save_params(path, [parameter([1.0])])
-    path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(NumericError):
-        load_params(path)
+        unpack_params(pack_params([parameter([1.0])]) + b"\x00")
 
 
 def test_assign_params_shape_guard():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import soilcausal.engine as engine
-from soilcausal.engine import constant, finite_diff_check, mse
+from soilcausal import baselines
+from soilcausal.engine import constant, mse
 from soilcausal.errors import GraphError, NumericError, SchemaError
 from soilcausal.gnn import (
     GraphSkeleton,
@@ -23,7 +24,7 @@ from soilcausal.gnn import (
 )
 from soilcausal.graphs import Cpdag
 
-from enumutil import continuous_table
+from enumutil import continuous_table, finite_diff_check
 
 
 def _random_skeleton(rng, n_nodes, n_edges, target_idx=0):
@@ -559,6 +560,50 @@ def test_train_reproducible_from_seed():
         assert np.array_equal(p.values, q.values)
 
 
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    n_fields=st.integers(2, 3),
+    n_days=st.integers(3, 4),
+    n_cols=st.integers(3, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_row_shuffle_leaves_training_and_predictions_unchanged(n_fields, n_days, n_cols, seed):
+    # a train table with several fields and days, and the same rows in
+    # another order: every model trains and predicts the same
+    rng = np.random.default_rng(seed)
+    names = tuple(f"n{k}" for k in range(n_cols))  # _random_skeleton's labels
+    n = n_fields * n_days
+    base = replace(
+        continuous_table(names, rng.standard_normal((n, n_cols))),
+        field_id=np.repeat([f"f{k}" for k in range(n_fields)], n_days),
+        timestamps=np.tile(np.datetime64("2020-06-01") + np.arange(n_days), n_fields),
+    )
+    perm = rng.permutation(n)
+    shuffled = replace(
+        base,
+        rows=base.rows[perm],
+        timestamps=base.timestamps[perm],
+        field_id=base.field_id[perm],
+        treatment=base.treatment[perm],
+    )
+    sk = _random_skeleton(rng, n_cols, 2 * n_cols, target_idx=n_cols - 1)
+
+    def fits(table):
+        batch = build_instances(table, sk)
+        graph = [train(kind, sk, batch, epochs=3, hidden=4, seed=1) for kind in ("sage", "ecc")]
+        rf = baselines.rf_train(table, n_trees=2, seed=1)
+        gbt = baselines.gbt_train(table, n_estimators=2, max_depth=3, seed=1)
+        mlp = baselines.mlp_train(table, epochs=2, seed=1)
+        preds = [baselines.rf_predict(rf, base), baselines.gbt_predict(gbt, base), baselines.mlp_predict(mlp, base)]
+        return [g.loss_history for g in graph], preds
+
+    (loss_a, pred_a), (loss_b, pred_b) = fits(base), fits(shuffled)
+    for a, b in zip(loss_a, loss_b):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=0)
+    for a, b in zip(pred_a, pred_b):
+        assert np.array_equal(a, b)
+
+
 def test_train_nan_aborts_with_diagnostics():
     # a 1e200 feature overflows the squared loss to inf on the first epoch
     sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
@@ -638,7 +683,7 @@ def test_checkpoint_pins_its_graph(tmp_path):
         with pytest.raises(SchemaError):
             load_model(path, kind, skeleton, hidden=hidden)
     # raw parameters without the header are no model checkpoint
-    engine.save_params(path, init_sage(sk, hidden=4).params)
+    path.write_bytes(engine.pack_params(init_sage(sk, hidden=4).params))
     with pytest.raises(SchemaError):
         load_model(path, "sage", sk, hidden=4)
     with pytest.raises(SchemaError):

@@ -75,7 +75,7 @@ def test_empty_conditioning_set_is_pearson():
     x = rng.normal(size=500)
     y = 0.6 * x + rng.normal(size=500)
     st = S.suff_stat(np.stack([x, y], axis=1))
-    r = S.partial_correlation(0, 1, (), st)
+    r = S.partial_correlation(0, 1, (), st, warn=fresh_counter())
     assert math.isclose(r, float(np.corrcoef(x, y)[0, 1]), abs_tol=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_chain_partial_correlation_vanishes_analytically():
     # precision matrix has a structural zero between X and Z.
     cov = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
     st = S.GaussianSuffStat(n=100, mean=np.zeros(3), cov=cov, columns=("x", "y", "z"))
-    assert abs(S.partial_correlation(0, 2, (1,), st)) < 1e-12
+    assert abs(S.partial_correlation(0, 2, (1,), st, warn=fresh_counter())) < 1e-12
 
 
 def test_partial_correlation_matches_double_regression():
@@ -96,15 +96,15 @@ def test_partial_correlation_matches_double_regression():
         ri = data[:, i] - design @ np.linalg.lstsq(design, data[:, i], rcond=None)[0]
         rj = data[:, j] - design @ np.linalg.lstsq(design, data[:, j], rcond=None)[0]
         oracle = float(np.corrcoef(ri, rj)[0, 1])
-        assert abs(S.partial_correlation(i, j, cond, st) - oracle) < 1e-8
+        assert abs(S.partial_correlation(i, j, cond, st, warn=fresh_counter()) - oracle) < 1e-8
 
 
 def test_partial_correlation_symmetry():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(300, 4))
     st = S.suff_stat(data)
-    a = S.partial_correlation(0, 3, (1, 2), st)
-    b = S.partial_correlation(3, 0, (1, 2), st)
+    a = S.partial_correlation(0, 3, (1, 2), st, warn=fresh_counter())
+    b = S.partial_correlation(3, 0, (1, 2), st, warn=fresh_counter())
     assert abs(a - b) < 1e-12
 
 
@@ -149,11 +149,11 @@ def test_batch_ridges_and_counts_only_the_failing_member():
     st = S.GaussianSuffStat(n=100, mean=np.zeros(4), cov=cov, columns=("a", "b", "c", "d"))
     batch = S.CIBatch(st, [[0, 3, 1], [0, 1, 2], [0, 3, 2]])
     warn = fresh_counter()
-    assert batch.test(0, warn=warn) == S.fisher_z_test(0, 3, (1,), st)
+    assert batch.test(0, warn=warn) == S.fisher_z_test(0, 3, (1,), st, warn=fresh_counter())
     assert warn.singular_fallbacks == 0  # evaluating the batch counted nothing
-    assert batch.test(1, warn=warn) == S.fisher_z_test(0, 1, (2,), st)
+    assert batch.test(1, warn=warn) == S.fisher_z_test(0, 1, (2,), st, warn=fresh_counter())
     assert warn.singular_fallbacks == 1
-    assert batch.test(2, warn=warn) == S.fisher_z_test(0, 3, (2,), st)
+    assert batch.test(2, warn=warn) == S.fisher_z_test(0, 3, (2,), st, warn=fresh_counter())
     assert warn.singular_fallbacks == 1
 
 
@@ -179,16 +179,16 @@ def test_batch_reports_small_samples_only_when_read():
     st = S.GaussianSuffStat(n=5, mean=np.zeros(4), cov=np.eye(4), columns=("a", "b", "c", "d"))
     batch = S.CIBatch(st, [[0, 1, 2, 3]])  # n - |S| - 3 = 0
     with pytest.raises(NumericError):
-        batch.test(0)
-    assert batch.partial_correlation(0) == 0.0
+        batch.test(0, warn=fresh_counter())
+    assert batch.partial_correlation(0, warn=fresh_counter()) == 0.0
 
 
 def test_partial_correlation_argument_validation():
     st = S.suff_stat(np.random.default_rng(0).normal(size=(50, 3)))
     with pytest.raises(ConfigError):
-        S.partial_correlation(1, 1, (), st)
+        S.partial_correlation(1, 1, (), st, warn=fresh_counter())
     with pytest.raises(ConfigError):
-        S.partial_correlation(0, 1, (1,), st)
+        S.partial_correlation(0, 1, (1,), st, warn=fresh_counter())
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_partial_correlation_argument_validation():
 def test_fisher_z_zero_correlation():
     cov = np.eye(2)
     st = S.GaussianSuffStat(n=200, mean=np.zeros(2), cov=cov, columns=("a", "b"))
-    res = S.fisher_z_test(0, 1, (), st, alpha=0.05)
+    res = S.fisher_z_test(0, 1, (), st, alpha=0.05, warn=fresh_counter())
     assert res.statistic == 0.0
     assert res.p_value == 1.0
     assert res.independent
@@ -209,7 +209,7 @@ def test_fisher_z_known_value():
     # r = 0.5, n = 103, empty conditioning set: z = 0.5 * 10 * ln 3.
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     st = S.GaussianSuffStat(n=103, mean=np.zeros(2), cov=cov, columns=("a", "b"))
-    res = S.fisher_z_test(0, 1, (), st, alpha=0.05)
+    res = S.fisher_z_test(0, 1, (), st, alpha=0.05, warn=fresh_counter())
     assert math.isclose(res.statistic, 0.5 * 10.0 * math.log(3.0), rel_tol=1e-12)
     assert not res.independent
 
@@ -217,7 +217,7 @@ def test_fisher_z_known_value():
 def test_fisher_z_perfect_correlation_is_dependent():
     x = np.linspace(0, 1, 80)
     st = S.suff_stat(np.stack([x, 2 * x], axis=1))
-    res = S.fisher_z_test(0, 1, (), st)
+    res = S.fisher_z_test(0, 1, (), st, warn=fresh_counter())
     assert math.isinf(res.statistic)
     assert res.p_value == 0.0
     assert not res.independent
@@ -227,7 +227,7 @@ def test_fisher_z_insufficient_sample():
     # n - |S| - 3 must stay positive: n = 4 with one conditioning column is 0.
     st3 = S.GaussianSuffStat(n=4, mean=np.zeros(3), cov=np.eye(3), columns=("a", "b", "c"))
     with pytest.raises(NumericError):
-        S.fisher_z_test(0, 1, (2,), st3)
+        S.fisher_z_test(0, 1, (2,), st3, warn=fresh_counter())
 
 
 def test_fisher_z_null_calibration_quick():
@@ -236,7 +236,7 @@ def test_fisher_z_null_calibration_quick():
     rejections = 0
     for _ in range(repeats):
         data = rng.normal(size=(n, 2))
-        res = S.fisher_z_test(0, 1, (), S.suff_stat(data), alpha=0.05)
+        res = S.fisher_z_test(0, 1, (), S.suff_stat(data), alpha=0.05, warn=fresh_counter())
         rejections += not res.independent
     rate = rejections / repeats
     assert 0.02 <= rate <= 0.09  # tight calibration is asserted at n=1000 repeats

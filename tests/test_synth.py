@@ -10,16 +10,14 @@ from soilcausal.synth import (
     EnvironmentSpec,
     Mechanism,
     SCMSpec,
-    analytic_covariance,
-    ancestral_subsets,
     default_farm_benchmark,
-    induced_subdag,
-    is_ancestrally_closed,
     sample_environment,
     sample_environments,
     targets_by_treatment,
     true_cpdag,
 )
+
+from enumutil import analytic_covariance, ancestral_subsets, induced_subdag, is_ancestrally_closed
 
 
 def _chain_scm(weight=2.0, sd=0.01):
