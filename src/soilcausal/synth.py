@@ -204,7 +204,7 @@ def sample_environment(scm: SCMSpec, env: EnvironmentSpec) -> Table:
     specs = []
     for node in scm.dag.nodes:
         kind = "event_count" if mechs[node].kind == "bernoulli_event" else "continuous"
-        specs.append(ColumnSpec(name=node, kind=kind, cadence="daily"))
+        specs.append(ColumnSpec(name=node, kind=kind))
 
     days = _EPOCH + np.arange(env.n_days)
     blocks, stamps, fids, trts = [], [], [], []

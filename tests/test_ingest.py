@@ -1,12 +1,14 @@
-"""Tabular-ingestion tests: encodings, scaling, lag windows, daily merge,
-and the CSV + sidecar round trip.  Oracles are naive per-row rescans and
-group-by reimplementations."""
+"""Tabular-ingestion tests: the one-row-per-(field, day) table, field
+indicators, scaling, lag windows, and the CSV + sidecar round trip.  Oracles
+are naive per-row rescans."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +69,42 @@ def test_schema_validation():
         mk([I.ColumnSpec("x", "one_hot")], [[1.0]], [0])  # needs source_group
     with pytest.raises(SchemaError):
         mk([I.ColumnSpec("x", "continuous")], [[1.0]], [0], target="missing")
+    nat_first = np.array(["NaT", "2020-01-01"], dtype="datetime64[D]")
+    with pytest.raises(SchemaError, match=re.escape("row 0 of field 'f1' has no day (NaT)")):
+        I.Table((I.ColumnSpec("ev", "event_count"),), [[1.0], [1.0]], nat_first,
+                ["f1", "f1"], ["red", "red"])
+
+
+def test_one_row_per_field_and_day():
+    spec = [I.ColumnSpec("x", "continuous")]
+    recs = [("a", 0), ("a", 1), ("b", 1), ("a", 1)]  # (a, day 1) twice
+    for perm in itertools.permutations(range(len(recs))):
+        with pytest.raises(SchemaError, match="field 'a' has more than one row on 2020-01-02"):
+            mk(spec, [[float(k)] for k in perm], [recs[k][1] for k in perm],
+               fields=[recs[k][0] for k in perm])
+    # the duplicate-day cases of validate_model_ready and lag_counts now
+    # fail where the table is built
+    with pytest.raises(SchemaError):
+        mk(spec, [[1.0], [2.0]], [3, 3], target="x")
+    with pytest.raises(SchemaError):
+        _event_table([1, 1], [1.0, 1.0])
+
+    t1 = mk(spec, [[1.0], [2.0]], [0, 1], fields=["a", "a"])
+    t2 = mk(spec, [[3.0], [4.0]], [1, 2], fields=["a", "b"])
+    with pytest.raises(SchemaError, match="field 'a' has more than one row on 2020-01-02"):
+        I.concat_tables([t1, t2])
+    with pytest.raises(SchemaError):
+        replace(t1, timestamps=days(5, 5))
+
+    # a row-mask subset, built by `replace` on the masked arrays as the
+    # benchmark protocol builds its train and test tables, stays valid
+    t = mk(spec, [[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1],
+           fields=["a", "a", "b", "b"], treatments=["red", "red", "green", "green"])
+    mask = t.treatment == "red"
+    sub = replace(t, rows=t.rows[mask], timestamps=t.timestamps[mask],
+                  field_id=t.field_id[mask], treatment=t.treatment[mask])
+    assert sub.field_id.tolist() == ["a", "a"]
+    assert sub.column("x").tolist() == [1.0, 2.0]
 
 
 def test_validate_model_ready():
@@ -81,62 +119,11 @@ def test_validate_model_ready():
             I.validate_model_ready(
                 mk([I.ColumnSpec("x", "continuous")], [[bad], [2.0]], [0, 1], target="x")
             )
-    with pytest.raises(SchemaError):
-        I.validate_model_ready(
-            mk([I.ColumnSpec("x", "continuous")], [[1.0], [2.0]], [3, 3], target="x")
-        )  # duplicate (field, day)
 
 
 # ---------------------------------------------------------------------------
-# one-hot encoding
+# field indicators
 # ---------------------------------------------------------------------------
-
-
-def test_one_hot_basic():
-    spec = I.ColumnSpec("op", "categorical", categories=("plough", "sow"))
-    t = mk([spec], [[0.0], [1.0], [0.0]], [0, 1, 2])
-    enc = I.one_hot_encode(t, ["op"])
-    assert enc.names == ("op=plough", "op=sow")
-    assert enc.column("op=plough").tolist() == [1.0, 0.0, 1.0]
-    assert enc.column("op=sow").tolist() == [0.0, 1.0, 0.0]
-    assert all(c.kind == "one_hot" and c.source_group == "op" for c in enc.schema)
-
-
-def test_one_hot_single_category_still_emits_column():
-    spec = I.ColumnSpec("op", "categorical", categories=("plough",))
-    t = mk([spec], [[0.0], [0.0]], [0, 1])
-    enc = I.one_hot_encode(t, ["op"])
-    assert enc.names == ("op=plough",)
-    assert enc.column("op=plough").tolist() == [1.0, 1.0]
-
-
-def test_one_hot_rows_sum_to_one_per_group():
-    rng = np.random.default_rng(0)
-    codes = rng.integers(0, 4, size=40).astype(np.float64)
-    spec = I.ColumnSpec("field", "categorical", categories=("a", "b", "c", "d"))
-    t = mk([spec], codes.reshape(-1, 1), range(40))
-    enc = I.one_hot_encode(t, ["field"])
-    group = [c.name for c in enc.schema if c.source_group == "field"]
-    assert np.all(enc.matrix(group).sum(axis=1) == 1.0)
-
-
-def test_one_hot_unknown_column_and_bad_codes():
-    t = mk([I.ColumnSpec("x", "continuous")], [[0.5]], [0])
-    with pytest.raises(SchemaError):
-        I.one_hot_encode(t, ["nope"])
-    with pytest.raises(SchemaError):
-        I.one_hot_encode(t, ["x"])  # 0.5 is not an integer code
-
-
-def test_one_hot_preserves_surrounding_column_order():
-    specs = [
-        I.ColumnSpec("a", "continuous"),
-        I.ColumnSpec("op", "categorical", categories=("x", "y")),
-        I.ColumnSpec("b", "continuous"),
-    ]
-    t = mk(specs, [[1.0, 0.0, 2.0], [1.0, 1.0, 2.0]], [0, 1])
-    enc = I.one_hot_encode(t, ["op"])
-    assert enc.names == ("a", "op=x", "op=y", "b")
 
 
 def test_add_field_onehots():
@@ -252,105 +239,15 @@ def test_lag_does_not_leak_across_fields():
     assert lag.tolist() == [1.0, 1.0, 1.0, 2.0]
 
 
-def test_lag_rejects_bad_windows_and_duplicate_days():
+def test_lag_rejects_bad_windows():
     t = _event_table([0, 1], [1.0, 0.0])
     with pytest.raises(ConfigError):
         I.lag_counts(t, [0])
-    dup = _event_table([1, 1], [1.0, 1.0])
-    with pytest.raises(SchemaError):
-        I.lag_counts(dup, [5])
 
 
 # ---------------------------------------------------------------------------
-# daily merge
+# concatenation
 # ---------------------------------------------------------------------------
-
-
-def test_merge_averages_subdaily_readings():
-    t = mk([I.ColumnSpec("pH", "continuous", cadence="sub_daily")],
-           [[6.0], [7.0]], [0, 0])
-    out = I.daily_merge([t])
-    assert out.n == 1
-    assert out.column("pH")[0] == 6.5
-    assert out.spec("pH").cadence == "daily"
-
-
-def test_merge_sums_same_day_events():
-    t = mk([I.ColumnSpec("plough", "event_count", cadence="sparse_event")],
-           [[1.0], [1.0]], [0, 0])
-    out = I.daily_merge([t])
-    assert out.column("plough")[0] == 2.0
-
-
-def test_merge_is_idempotent_bitwise_on_daily_table():
-    rng = np.random.default_rng(4)
-    t = mk(
-        [I.ColumnSpec("x", "continuous"), I.ColumnSpec("e", "event_count")],
-        np.column_stack([rng.normal(size=6), rng.integers(0, 2, 6)]),
-        [0, 1, 2, 0, 1, 2],
-        fields=["a"] * 3 + ["b"] * 3,
-        target="x",
-    )
-    assert I.daily_merge([t]).equals(t)
-
-
-def test_merge_three_tables_matches_naive_groupby():
-    rng = np.random.default_rng(5)
-    fields = ["a", "b"]
-    # table 1: sub-daily pH readings; table 2: sparse events; table 3: daily soil
-    recs1, recs2, recs3 = [], [], []
-    for f in fields:
-        for d in range(10):
-            for _ in range(rng.integers(1, 3)):
-                recs1.append((f, d, rng.normal()))
-            if rng.random() < 0.4:
-                recs2.append((f, d, 1.0))
-            if rng.random() < 0.7:
-                recs3.append((f, d, rng.normal()))
-    def tab(recs, spec):
-        vals = np.asarray([r[2] for r in recs]).reshape(-1, 1)
-        return mk([spec], vals, [r[1] for r in recs], fields=[r[0] for r in recs])
-    t1 = tab(recs1, I.ColumnSpec("pH", "continuous", cadence="sub_daily"))
-    t2 = tab(recs2, I.ColumnSpec("ev", "event_count", cadence="sparse_event"))
-    t3 = tab(recs3, I.ColumnSpec("soil", "continuous"))
-    out = I.daily_merge([t1, t2, t3])
-
-    # naive group-by oracle
-    keys = sorted({(f, d) for f, d, _ in recs1 + recs2 + recs3})
-    assert [(f, (D0 + d)) for f, d in keys] == list(zip(out.field_id.tolist(), out.timestamps.tolist()))
-    ph = {k: [] for k in keys}
-    for f, d, v in recs1:
-        ph[(f, d)].append(v)
-    for k, i in zip(keys, range(out.n)):
-        if ph[k]:
-            assert abs(out.column("pH")[i] - np.mean(ph[k])) < 1e-12
-    ev = {k: 0.0 for k in keys}
-    for f, d, v in recs2:
-        ev[(f, d)] += v
-    assert out.column("ev").tolist() == [ev[k] for k in keys]
-
-
-def test_merge_forward_fills_gaps_within_field():
-    t1 = mk([I.ColumnSpec("x", "continuous")], [[1.0], [3.0]], [0, 2])
-    t2 = mk([I.ColumnSpec("e", "event_count", cadence="sparse_event")], [[1.0]], [1])
-    out = I.daily_merge([t1, t2])
-    assert out.n == 3
-    assert out.column("x").tolist() == [1.0, 1.0, 3.0]  # day 1 forward-filled
-    assert out.column("e").tolist() == [0.0, 1.0, 0.0]
-
-
-def test_merge_backfills_leading_gap():
-    t1 = mk([I.ColumnSpec("x", "continuous")], [[5.0]], [2])
-    t2 = mk([I.ColumnSpec("e", "event_count")], [[1.0], [1.0], [0.0]], [0, 1, 2])
-    out = I.daily_merge([t1, t2])
-    assert out.column("x").tolist() == [5.0, 5.0, 5.0]
-
-
-def test_merge_rejects_duplicate_columns():
-    t1 = mk([I.ColumnSpec("x", "continuous")], [[1.0]], [0])
-    t2 = mk([I.ColumnSpec("x", "continuous")], [[2.0]], [0])
-    with pytest.raises(SchemaError):
-        I.daily_merge([t1, t2])
 
 
 def test_concat_tables_restores_canonical_order():
@@ -373,7 +270,7 @@ def test_csv_roundtrip_is_value_exact(tmp_path):
         [
             I.ColumnSpec("x", "continuous"),
             I.ColumnSpec("ev", "event_count"),
-            I.ColumnSpec("op", "categorical", categories=("mow", "plough")),
+            I.ColumnSpec("op=plough", "one_hot", source_group="op"),
         ],
         np.column_stack(
             [rng.normal(size=5) * 1e3, rng.integers(0, 3, 5), rng.integers(0, 2, 5)]
@@ -389,61 +286,51 @@ def test_csv_roundtrip_is_value_exact(tmp_path):
     assert back.equals(t)
 
 
-def test_csv_reader_derives_categorical_vocabulary(tmp_path):
-    path = tmp_path / "raw.csv"
-    path.write_text(
-        "date,field_id,treatment,op\n"
-        "2020-01-01,f1,red,plough\n"
-        "2020-01-02,f1,red,sow\n"
-        "2020-01-03,f1,red,plough\n",
-        encoding="utf-8",
-    )
-    (tmp_path / "raw.csv.schema").write_text(
-        "target\t\ncol\top\tcategorical\tdaily\t\t\n", encoding="utf-8"
-    )
-    t = I.read_csv(str(path))
-    assert t.spec("op").categories == ("plough", "sow")
-    assert t.column("op").tolist() == [0.0, 1.0, 0.0]
-
-
 def test_csv_reader_errors(tmp_path):
     path = tmp_path / "bad.csv"
+    schema = tmp_path / "bad.csv.schema"
     path.write_text("date,field_id,treatment,x\n2020-01-01,f1,red,oops\n", encoding="utf-8")
-    (tmp_path / "bad.csv.schema").write_text(
-        "target\t\ncol\tx\tcontinuous\tdaily\t\t\n", encoding="utf-8"
-    )
+    schema.write_text("target\t\ncol\tx\tcontinuous\t\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         I.read_csv(str(path))
-    (tmp_path / "bad.csv.schema").write_text(
-        "target\t\ncol\ty\tcontinuous\tdaily\t\t\n", encoding="utf-8"
-    )
+    schema.write_text("target\t\ncol\ty\tcontinuous\t\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         I.read_csv(str(path))
+    # a target line has two fields and comes at most once
+    path.write_text("date,field_id,treatment,x\n2020-01-01,f1,red,1.0\n", encoding="utf-8")
+    schema.write_text("target\tx\ncol\tx\tcontinuous\t\n", encoding="utf-8")
+    assert I.read_csv(str(path)).target == "x"
+    for text, message in [
+        ("target\tx\ntarget\tx\ncol\tx\tcontinuous\t\n", ":2: second target line"),
+        ("col\tx\tcontinuous\t\ntarget\tx\ty\n", ":2: malformed target line"),
+    ]:
+        schema.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(str(schema) + message)):
+            I.read_csv(str(path))
 
 
 def test_csv_reader_reports_the_first_bad_cell_in_row_major_order(tmp_path):
     path = tmp_path / "bad.csv"
     (tmp_path / "bad.csv.schema").write_text(
-        "target\t\ncol\tx\tcontinuous\tdaily\t\t\ncol\top\tcategorical\tdaily\t\tplough,sow\n",
-        encoding="utf-8",
+        "target\t\ncol\tx\tcontinuous\t\ncol\ty\tcontinuous\t\n", encoding="utf-8"
     )
-    ok, short = "2020-01-01,f1,red,1.0,plough", "2020-01-02,f1,red"
-    bad_op, bad_both = "2020-01-03,f1,red,2.0,mow", "2020-01-04,f1,red,oops,mow"
+    ok, short = "2020-01-01,f1,red,1.0,2.0", "2020-01-02,f1,red"
+    bad_y, bad_both = "2020-01-03,f1,red,2.0,nope", "2020-01-04,f1,red,oops,nope"
     cases = [
-        ([ok, bad_op, bad_both, short], "row 3: unknown category 'mow' for op"),
-        ([ok, bad_both, bad_op], "row 3: non-numeric value 'oops' for x"),
+        ([ok, bad_y, bad_both, short], "row 3: non-numeric value 'nope' for y"),
+        ([ok, bad_both, bad_y], "row 3: non-numeric value 'oops' for x"),
         ([ok, short, bad_both], "row 3 has 3 cells"),
-        ([ok, bad_op, ",f1,red,1.0,plough"], "row 3: unknown category 'mow' for op"),
-        ([ok, "2020-01,f1,red,oops,mow"], "row 3: date '2020-01' is not YYYY-MM-DD"),
+        ([ok, bad_y, ",f1,red,1.0,2.0"], "row 3: non-numeric value 'nope' for y"),
+        ([ok, "2020-01,f1,red,oops,nope"], "row 3: date '2020-01' is not YYYY-MM-DD"),
     ]
     # a date must be a YYYY-MM-DD day, not a year, a month, a time or NaT
     for date in ("", "NaT", "2020", "2020-01", "2020-01-01T10", " 2020-01-01", "+2020-01-01", "2020-13-01"):
-        cases.append(([ok, f"{date},f1,red,1.0,plough"], f"row 3: date {date!r} is not YYYY-MM-DD"))
+        cases.append(([ok, f"{date},f1,red,1.0,2.0"], f"row 3: date {date!r} is not YYYY-MM-DD"))
     for rows, message in cases:
-        path.write_text("\n".join(["date,field_id,treatment,x,op", *rows]) + "\n", encoding="utf-8")
+        path.write_text("\n".join(["date,field_id,treatment,x,y", *rows]) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=re.escape(message)):
             I.read_csv(str(path))
-    path.write_text(f"date,field_id,treatment,x,op,x\n{ok},1.0\n", encoding="utf-8")
+    path.write_text(f"date,field_id,treatment,x,y,x\n{ok},1.0\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="names a column twice"):
         I.read_csv(str(path))
 
@@ -458,16 +345,16 @@ _CELLS = st.sampled_from(
      "9" * 131_073]  # longer than the csv module's field limit
 )
 _COL_LINES = st.builds(
-    lambda n, kind, cad, group, cats: f"col\t{n}\t{kind}\t{cad}\t{group}\t{cats}",
+    lambda n, kind, group: f"col\t{n}\t{kind}\t{group}",
     _NAMES,
-    st.sampled_from([*I.KINDS, "bogus"]),
-    st.sampled_from([*I.CADENCES, "bogus"]),
+    st.sampled_from([*I.KINDS, "categorical", "bogus"]),
     st.sampled_from(["", "g"]),
-    st.sampled_from(["", "plough,sow", "plough,,sow", "sow"]),
 )
 _OTHER_LINES = st.one_of(
     st.builds(lambda n: f"target\t{n}", _NAMES),
-    st.sampled_from(["target", "col\tx", "bogus\tx", "# comment", ""]),
+    st.builds(lambda n: f"col\t{n}\tcontinuous\tdaily\t\t", _NAMES),  # the old 6-field line
+    st.sampled_from(["target", "target\tx\tx", "col\tx", "col\top\tcategorical\tdaily\t\tplough,sow",
+                     "bogus\tx", "# comment", ""]),
     st.text(alphabet="ab,\t#", max_size=8),
 )
 
@@ -484,11 +371,11 @@ def _malformed_inputs(draw):
     else:
         header = draw(st.lists(_NAMES, max_size=6))
     rows = []
-    for _ in range(draw(st.integers(0, 4))):
+    for day in range(1, draw(st.integers(0, 4)) + 1):
         width = len(header) if draw(st.integers(0, 3)) else draw(st.integers(0, len(header) + 1))
         cells = draw(st.lists(_CELLS, min_size=width, max_size=width))
         if draw(st.booleans()):
-            cells[:3] = ["2020-01-01", "f1", "red"][:width]  # valid reserved cells
+            cells[:3] = [f"2020-01-0{day}", "f1", "red"][:width]  # valid reserved cells, one row a day
         rows.append(",".join(cells))
     csv_text = "\n".join([",".join(header), *rows]) + draw(st.sampled_from(["", "\n", "\n\n"]))
     texts = [("\n".join(schema) + "\n").encode(), csv_text.encode()]
