@@ -1,8 +1,9 @@
 """Micro-benchmarks of the tree layer: one depth-20 boosting-style tree
 (all features, min leaf 1) on the 12-column train design at 400 days, the
-size of the ``farm-long`` workload, and one random-forest tree (bootstrap,
-sqrt(d) features per node, unlimited depth) on the 62-column paper-width
-train design.
+size of the ``farm-long`` workload; ``gbt_train`` and ``rf_train`` with the
+``farm-long`` budgets (2 depth-20 rounds, 3 trees) on that design; and one
+random-forest tree (bootstrap, sqrt(d) features per node, unlimited depth)
+on the 62-column paper-width train design.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -25,6 +26,18 @@ def test_cart_depth20_long(benchmark, long_train):
     )
     benchmark.extra_info["rows"], benchmark.extra_info["features"] = X.shape
     benchmark.extra_info["nodes"] = _count_nodes(tree)
+
+
+def test_gbt_long(benchmark, long_train):
+    model = benchmark.pedantic(
+        baselines.gbt_train, args=(long_train,), kwargs={"n_estimators": 2, "max_depth": 20}, rounds=5
+    )
+    benchmark.extra_info["nodes"] = sum(_count_nodes(tree) for tree in model.trees)
+
+
+def test_rf_long(benchmark, long_train):
+    forest = benchmark.pedantic(baselines.rf_train, args=(long_train,), kwargs={"n_trees": 3}, rounds=5)
+    benchmark.extra_info["nodes"] = sum(_count_nodes(tree) for tree in forest.trees)
 
 
 def test_rf_tree_wide(benchmark, wide_train):

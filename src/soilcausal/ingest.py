@@ -34,6 +34,8 @@ class ColumnSpec:
     def __post_init__(self) -> None:
         if not self.name or any(ch in self.name for ch in "\t\n\r"):
             raise SchemaError(f"bad column name {self.name!r}")
+        if any(ch in self.source_group for ch in "\t\n\r"):
+            raise SchemaError(f"{self.name}: bad source_group {self.source_group!r}")
         if self.kind not in KINDS:
             raise SchemaError(f"{self.name}: unknown kind {self.kind!r}")
         if self.kind == "one_hot" and not self.source_group:
@@ -129,13 +131,8 @@ def _day_numbers(ts: np.ndarray) -> np.ndarray:
 
 def _field_slices(fid: np.ndarray) -> list[tuple[int, int]]:
     """(start, stop) of each field's contiguous block in canonical order."""
-    out = []
-    start = 0
-    for i in range(1, len(fid) + 1):
-        if i == len(fid) or fid[i] != fid[start]:
-            out.append((start, i))
-            start = i
-    return out
+    bounds = [0, *(np.flatnonzero(fid[1:] != fid[:-1]) + 1).tolist(), len(fid)]
+    return list(zip(bounds[:-1], bounds[1:])) if len(fid) else []
 
 
 def require_finite(values: np.ndarray, what: str, rows) -> None:

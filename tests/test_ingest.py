@@ -67,6 +67,9 @@ def test_schema_validation():
         mk([I.ColumnSpec("x", "nonsense")], [[1.0]], [0])
     with pytest.raises(SchemaError):
         mk([I.ColumnSpec("x", "one_hot")], [[1.0]], [0])  # needs source_group
+    for bad in ("a\tb", "a\nb", "a\rb"):  # the sidecar's separators
+        with pytest.raises(SchemaError, match="bad source_group"):
+            I.ColumnSpec("x", "one_hot", source_group=bad)
     with pytest.raises(SchemaError):
         mk([I.ColumnSpec("x", "continuous")], [[1.0]], [0], target="missing")
     nat_first = np.array(["NaT", "2020-01-01"], dtype="datetime64[D]")
@@ -237,6 +240,24 @@ def test_lag_does_not_leak_across_fields():
     lag = out.column("ev_last30d")
     # canonical order: (a,0), (a,1), (b,0), (b,1)
     assert lag.tolist() == [1.0, 1.0, 1.0, 2.0]
+
+
+def _field_slices_loop(fid):
+    """The row-by-row scan ``_field_slices`` replaced."""
+    out, start = [], 0
+    for i in range(1, len(fid) + 1):
+        if i == len(fid) or fid[i] != fid[start]:
+            out.append((start, i))
+            start = i
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_field_slices_match_a_row_by_row_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 3)) if seed < 6 else int(rng.integers(3, 200))  # empty and single-row tables too
+    fid = np.array([f"f{k}" for k in np.sort(rng.integers(0, 1 + seed % 7, size=n))])
+    assert I._field_slices(fid) == _field_slices_loop(fid)
 
 
 def test_lag_rejects_bad_windows():
