@@ -1,18 +1,21 @@
 """Micro-benchmarks of the GNN layer on the 12-column train table at 400
 days, the size of the ``farm-long`` workload: ``build_instances`` over the
-whole table, and one full-batch training epoch (model init, forward,
-backward and one Adam step) of SAGE and of ECC on the skeleton of the
-farm's true DAG.  The same epoch also runs on the 62-column paper-width
-train table with the skeleton PC finds on it, as ``farm-wide`` trains.
+whole table, one forward and backward of ``engine.graph_conv`` on the first
+layer of the SAGE plan (with the self term) and of the ECC plan (without),
+and one full-batch training epoch (model init, forward, backward and one
+Adam step) of SAGE and of ECC, all on the skeleton of the farm's true DAG.
+The same epoch also runs on the 62-column paper-width train table with the
+skeleton PC finds on it, as ``farm-wide`` trains.
 
     PYTHONPATH=src python -m pytest benchmarks
 
 They are not part of the tier-1 suite (``testpaths`` is ``tests``).
 """
 
+import numpy as np
 import pytest
 
-from soilcausal import discovery, gnn, stats, synth
+from soilcausal import discovery, engine, gnn, stats, synth
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +27,28 @@ def skeleton(long_train):
 def test_build_instances_long(benchmark, long_train, skeleton):
     batch = benchmark.pedantic(gnn.build_instances, args=(long_train, skeleton), rounds=20)
     benchmark.extra_info["rows"], benchmark.extra_info["nodes"] = batch.features.shape
+
+
+@pytest.mark.parametrize("kind", ["sage", "ecc"])
+def test_graph_conv_long(benchmark, long_train, skeleton, kind):
+    # the plan's input-side layer, the widest, on hidden-width states of
+    # every train row, ReLU on, backward through the mean squared error
+    self_term = kind == "sage"
+    layer = gnn.layer_plan(skeleton, gnn.CONV_DEPTH[kind], self_term).layers[0]
+    rows, width = long_train.rows.shape[0], 16
+    rng = np.random.default_rng(0)
+    h = engine.parameter(rng.standard_normal((layer.agg.shape[1], rows, width)))
+    conv = engine.dense_params(rng, width, (1 + self_term) * width)
+    zeros = np.zeros(layer.agg.shape[0] * rows * width)
+
+    def forward_backward():
+        for t in (h, *conv.tensors):
+            t.zero_grad()
+        out = engine.graph_conv(h, layer.self_index, layer.agg, *conv.tensors, relu=True)
+        engine.mse(engine.reshape(out, zeros.shape), zeros).backward()
+
+    benchmark.pedantic(forward_backward, rounds=30, warmup_rounds=2)
+    benchmark.extra_info["in_nodes"], benchmark.extra_info["rows"], _ = h.values.shape
 
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])

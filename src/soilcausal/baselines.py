@@ -453,6 +453,8 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
     the table itself, so bootstrap indices are order-independent.  The
     trees grow side by side, as many at a time as ``_FOREST_BYTES``
     holds."""
+    if n_trees < 1:
+        raise ConfigError(f"a forest needs at least one tree, got n_trees={n_trees}")
     X, y, names = _design(table)
     n, d = X.shape
     n_features = max(1, int(np.sqrt(d)))
@@ -491,13 +493,13 @@ class GbtModel:
     loss_history: list[float] = field(default_factory=list)
 
 
-def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0.1, seed: int = 0) -> GbtModel:
+def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0.1) -> GbtModel:
     """Squared-error boosting: each round fits a depth-capped tree to the
     current residuals; shrinkage lr; initial prediction = train mean.
 
-    The trees draw no features, so boosting is deterministic and ``seed``
-    has no effect.  The design is presorted once for all rounds, and each
-    round takes the training rows' predictions from its grown leaves.
+    The trees draw no features, so boosting is deterministic.  The design
+    is presorted once for all rounds, and each round takes the training
+    rows' predictions from its grown leaves.
     """
     X, y, names = _design(table)
     model = GbtModel(init_value=float(y.mean()), trees=[], lr=lr, feature_names=names, target=table.target)
@@ -539,43 +541,24 @@ class MlpModel:
     # grid_log rows: (hidden widths, lr, validation MSE)
 
 
-def _mlp_build(rng, d_in: int, hidden: tuple[int, ...]) -> list[engine.DenseParams]:
-    dims = [d_in, *hidden, 1]
-    return [engine.dense_params(rng, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
-
-
-def _mlp_forward(layers, x: engine.Tensor) -> engine.Tensor:
-    h = x
-    for k, layer in enumerate(layers):
-        h = engine.dense(h, layer, relu=k < len(layers) - 1)
-    return engine.reshape(h, (h.values.shape[0],))
-
-
 def _mlp_fit(X, y, hidden, lr, epochs, seed):
-    layers = _mlp_build(np.random.default_rng(seed), X.shape[1], hidden)
+    layers = engine.dense_stack_params(np.random.default_rng(seed), X.shape[1], hidden)
     params = [t for layer in layers for t in layer.tensors]
     xc = engine.constant(X)
-    engine.adam_fit(lambda: _mlp_forward(layers, xc), params, y, lr, epochs, f"mlp (hidden={hidden})")
+    engine.adam_fit(lambda: engine.dense_stack(xc, layers), params, y, lr, epochs, f"mlp (hidden={hidden})")
     return layers
 
 
-def mlp_train(table, hidden_sizes=None, lr=None, epochs: int = 500, seed: int = 0) -> MlpModel:
-    """Dense ReLU stack on the flat features.
+def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
+    """``engine.dense_stack`` on the flat features, chosen by grid search.
 
-    With explicit ``hidden_sizes`` and ``lr``: a single fit.  Otherwise a
-    full grid search {1,2,3} layers x {16,64,128} width x {1e-3,1e-2} lr,
-    scored by MSE on a held-out 20% of the training rows, logged so the
-    selection is replayable; the winner is refit on all rows.
+    The grid is {1,2,3} layers x {16,64,128} width x {1e-3,1e-2} lr, each
+    point fit on 80% of the training rows and scored by MSE on the held-out
+    20%, logged so the selection is replayable; the winner is refit on all
+    rows.
     """
     X, y, names = _design(table)
     require_finite(y, "label", table)
-    if hidden_sizes is not None and lr is not None:
-        hidden = tuple(hidden_sizes)
-        layers = _mlp_fit(X, y, hidden, lr, epochs, seed)
-        return MlpModel(layers=layers, feature_names=names, target=table.target, hidden=hidden, lr=lr)
-    if (hidden_sizes is None) != (lr is None):
-        raise ConfigError("give both hidden_sizes and lr, or neither (grid search)")
-
     n = X.shape[0]
     if n < 5:
         raise NumericError(f"grid search needs >= 5 rows, got {n}")
@@ -590,7 +573,7 @@ def mlp_train(table, hidden_sizes=None, lr=None, epochs: int = 500, seed: int = 
             for glr in _GRID_LRS:
                 hidden = (width,) * depth
                 layers = _mlp_fit(X[fit_idx], y[fit_idx], hidden, glr, epochs, seed)
-                pred = _mlp_forward(layers, engine.constant(X[val_idx])).values
+                pred = engine.dense_stack(engine.constant(X[val_idx]), layers).values
                 val_mse = float(np.mean((pred - y[val_idx]) ** 2))
                 log.append((hidden, glr, val_mse))
                 if best is None or val_mse < best[2]:
@@ -604,7 +587,7 @@ def mlp_train(table, hidden_sizes=None, lr=None, epochs: int = 500, seed: int = 
 
 def mlp_predict(model: MlpModel, table) -> np.ndarray:
     X = table.matrix(model.feature_names)
-    return _mlp_forward(model.layers, engine.constant(X)).values.copy()
+    return engine.dense_stack(engine.constant(X), model.layers).values.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,19 @@ The op set is intentionally small, and each model layer is one op with a
 hand-written backward:
 
 * ``dense`` — the affine map x Wᵀ + b on a (rows, in) matrix, with an
-  optional ReLU (the MLP baseline, the GNN heads, the ECC filter network);
-* ``sage_conv`` — a GraphSAGE mean convolution on node-major (nodes,
-  rows, dim) states: each output node's own state concatenated with the
-  mean of its neighbours', through one affine map, optional ReLU;
-* ``ecc_conv`` — an edge-conditioned convolution on the same layout: the
-  mean of the neighbours' states through a generated weight θ, plus a
-  bias, optional ReLU;
+  optional ReLU (the layers of a dense stack, the ECC filter network);
+* ``graph_conv`` — a mean-aggregation convolution on node-major (nodes,
+  rows, dim) states: each output node's mean of its neighbours' states,
+  after its own state when the caller passes the self positions
+  (GraphSAGE) and alone when it does not (edge-conditioned), through one
+  affine map, optional ReLU;
 
 plus ``matmul`` on matrices and stacks of matrices (both operands at least
-2-D), ``reshape`` and the mean squared error.  The convolutions take the
-graph as constants: the positions of the output nodes' own states in the
-input, and an (out, in) mean-aggregation block.  ``adam_fit`` is the one
+2-D), ``reshape`` and the mean squared error.  ``dense_stack`` chains
+``dense`` layers with ReLU between them down to one output per row: the
+MLP baseline and both GNN heads.  The convolution takes the graph as
+constants: the positions of the output nodes' own states in the input, or
+None, and an (out, in) mean-aggregation block.  ``adam_fit`` is the one
 full-batch Adam loop the models and the MLP baseline train with, and
 ``pack_params``/``unpack_params`` are the byte layout of the parameters in
 a model checkpoint.
@@ -45,14 +46,15 @@ __all__ = [
     "constant",
     "dense",
     "dense_params",
-    "ecc_conv",
+    "dense_stack",
+    "dense_stack_params",
     "glorot_uniform",
+    "graph_conv",
     "matmul",
     "mse",
     "pack_params",
     "parameter",
     "reshape",
-    "sage_conv",
     "unpack_params",
 ]
 
@@ -260,6 +262,21 @@ def dense(x: Tensor, params: DenseParams, relu: bool = False) -> Tensor:
     return _node(out, (x, w, b), push)
 
 
+def dense_stack_params(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...]) -> list[DenseParams]:
+    """The layers of a dense stack from ``in_dim`` through the ``hidden``
+    widths to one output, drawn input side first."""
+    dims = [in_dim, *hidden, 1]
+    return [dense_params(rng, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
+
+
+def dense_stack(x: Tensor, layers: list[DenseParams]) -> Tensor:
+    """The stack on a (rows, in) matrix, ReLU after every layer but the
+    last: one output per row, (rows,)."""
+    for k, layer in enumerate(layers):
+        x = dense(x, layer, relu=k < len(layers) - 1)
+    return reshape(x, (x.values.shape[0],))
+
+
 def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Mean-aggregate node-major states: (m_out, m_in) @ (m_in, B, d),
     as one GEMM over the flattened rows."""
@@ -267,59 +284,32 @@ def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (agg @ h.reshape(m_in, rows * d)).reshape(agg.shape[0], rows, d)
 
 
-def sage_conv(h: Tensor, self_index: np.ndarray, agg: np.ndarray, params: DenseParams, relu: bool) -> Tensor:
-    """GraphSAGE mean convolution on node-major states.
+def graph_conv(
+    h: Tensor, self_index: np.ndarray | None, agg: np.ndarray, weight: Tensor, bias: Tensor, relu: bool
+) -> Tensor:
+    """Mean-aggregation graph convolution on node-major states.
 
-    ``h`` is (m_in, B, d).  Output node i reads its own state
-    ``h[self_index[i]]`` and the mean ``agg[i] @ h`` of its neighbours'
-    states (an all-zero row of ``agg`` is a zero aggregate), and returns
-    concat(self, mean) Wᵀ + b, then max(·, 0) if ``relu``: (m_out, B, out).
+    ``h`` is (m_in, B, d).  Output node i reads the mean ``agg[i] @ h`` of
+    its neighbours' states (an all-zero row of ``agg`` is a zero mean) and,
+    given ``self_index``, its own state ``h[self_index[i]]`` before it
+    (GraphSAGE); without it the mean alone (edge-conditioned).  It returns
+    x Wᵀ + b, then max(·, 0) if ``relu``: (m_out, B, out).
     """
     m_in, rows, d = h.values.shape
-    w, b = params.weight, params.bias
-    if w.values.shape[1] != 2 * d or agg.shape[1] != m_in:
+    width = d if self_index is None else 2 * d
+    if weight.values.shape[1] != width or agg.shape[1] != m_in:
         raise NumericError(
-            f"conv weight {w.values.shape} and block {agg.shape} do not fit states {h.values.shape}"
+            f"conv weight {weight.values.shape} and block {agg.shape} do not fit states {h.values.shape}"
         )
     m_out = agg.shape[0]
-    x = np.empty((m_out, rows, 2 * d))
-    x[..., :d] = h.values[self_index]
-    x[..., d:] = _aggregate(agg, h.values)
-    x = x.reshape(m_out * rows, 2 * d)
-    out = x @ w.values.T
-    out += b.values
-    out, mask = _relu_mask(out, relu)
-
-    def push(g):
-        g = g.reshape(m_out * rows, g.shape[-1])
-        if mask is not None:
-            g = g * mask
-        _accumulate(w, g.T @ x, owned=True)
-        _accumulate(b, g.sum(axis=0), owned=True)
-        if h.requires_grad:
-            gh = _aggregate(agg.T, (g @ w.values[:, d:]).reshape(m_out, rows, d))
-            gh[self_index] += (g @ w.values[:, :d]).reshape(m_out, rows, d)  # distinct slots
-            _accumulate(h, gh, owned=True)
-
-    return _node(out.reshape(m_out, rows, out.shape[1]), (h, w, b), push)
-
-
-def ecc_conv(h: Tensor, agg: np.ndarray, theta: Tensor, bias: Tensor, relu: bool) -> Tensor:
-    """Edge-conditioned convolution on node-major states.
-
-    ``h`` is (m_in, B, d).  Output node i is (agg[i] @ h) θᵀ + bias, the
-    mean of its neighbours' states through θ (out, d), so a node with no
-    neighbours (an all-zero row of ``agg``) outputs the bias alone; then
-    max(·, 0) if ``relu``: (m_out, B, out).
-    """
-    m_in, rows, d = h.values.shape
-    if theta.values.shape[1] != d or agg.shape[1] != m_in:
-        raise NumericError(
-            f"filter {theta.values.shape} and block {agg.shape} do not fit states {h.values.shape}"
-        )
-    m_out = agg.shape[0]
-    x = _aggregate(agg, h.values).reshape(m_out * rows, d)
-    out = x @ theta.values.T
+    if self_index is None:
+        x = _aggregate(agg, h.values)
+    else:
+        x = np.empty((m_out, rows, width))
+        x[..., :d] = h.values[self_index]
+        x[..., d:] = _aggregate(agg, h.values)
+    x = x.reshape(m_out * rows, width)
+    out = x @ weight.values.T
     out += bias.values
     out, mask = _relu_mask(out, relu)
 
@@ -327,12 +317,16 @@ def ecc_conv(h: Tensor, agg: np.ndarray, theta: Tensor, bias: Tensor, relu: bool
         g = g.reshape(m_out * rows, g.shape[-1])
         if mask is not None:
             g = g * mask
-        _accumulate(theta, g.T @ x, owned=True)
+        _accumulate(weight, g.T @ x, owned=True)
         _accumulate(bias, g.sum(axis=0), owned=True)
         if h.requires_grad:
-            _accumulate(h, _aggregate(agg.T, (g @ theta.values).reshape(m_out, rows, d)), owned=True)
+            w = weight.values
+            gh = _aggregate(agg.T, (g @ w[:, width - d :]).reshape(m_out, rows, d))
+            if self_index is not None:
+                gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
+            _accumulate(h, gh, owned=True)
 
-    return _node(out.reshape(m_out, rows, out.shape[1]), (h, theta, bias), push)
+    return _node(out.reshape(m_out, rows, out.shape[1]), (h, weight, bias), push)
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,35 @@ masked to zero so its label can never leak through the input side.
 ``build_instances`` turns a whole table into one ``GraphBatch``: the
 skeleton's node order, a (rows, nodes) feature matrix with the target slot
 zeroed, the labels, and the rows' field/day/treatment tags.  Training and
-prediction read its arrays directly.  Two architectures share the encoding:
+prediction read its arrays directly.  Two architectures share the encoding
+and one model type, a stack of graph convolutions and a dense head read off
+the target node:
 
-* a GraphSAGE-style stack — three convolutions, each concatenating a
-  node's state with the mean of its in-neighbors' states before an
-  affine map (ReLU on the first two, identity on the last), then a
-  three-layer feed-forward head read off the target node;
-* an edge-conditioned stack — two convolutions whose weight matrix is
+* GraphSAGE-style — three convolutions, each concatenating a node's state
+  with the mean of its in-neighbors' states before an affine map (ReLU on
+  the first two, identity on the last), then a three-layer head;
+* edge-conditioned (ECC) — two convolutions whose weight matrix is
   generated from the (constant 1.0) edge attribute by a small filter
   network, mean-aggregated over in-neighbors plus a bias, ReLU between
-  them, then a single linear head.
+  them, then a one-layer head.
 
-Both read only the target's final state, so each convolution computes
-only the node states that the target reads (GraphSAGE's minibatch scheme,
-Hamilton et al. 2017, Alg. 2, exact here because every neighbor is kept).
-``layer_plan`` walks out from the target once per skeleton: the last
-layer outputs the target alone, and each layer's input nodes — its in-set
-— are the outputs of the layer before.  A SAGE layer's in-set is its
-output nodes and their in-neighbors; an ECC layer, having no self term,
-reads the in-neighbors alone.  So SAGE layer k outputs the nodes within
-(depth − k) in-hops of the target.  Each layer carries two constants: the
-position of every output node in the in-set, and an (out, in) block whose
-row i averages node i's in-neighbors.  A node with no in-neighbors has an
-all-zero row there, so its aggregate is zero (SAGE) and its ECC output is
-the bias alone.  States are node-major, (nodes, rows, dim), and each
-convolution is one ``engine`` op.
+The forward pass is the same for both: each convolution is one
+``engine.graph_conv`` on node-major (nodes, rows, dim) states, given the
+self positions (SAGE) or none (ECC) and the layer's weight (ECC's is
+generated per pass), and the head is ``engine.dense_stack``, the stack the
+MLP baseline uses.  Both read only the target's final state, so each
+convolution computes only the node states that the target reads
+(GraphSAGE's minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here
+because every neighbor is kept).  ``layer_plan`` walks out from the target
+once per skeleton: the last layer outputs the target alone, and each
+layer's input nodes — its in-set — are the outputs of the layer before.  A
+SAGE layer's in-set is its output nodes and their in-neighbors; an ECC
+layer, having no self term, reads the in-neighbors alone.  So SAGE layer k
+outputs the nodes within (depth − k) in-hops of the target.  Each layer
+carries two constants: the position of every output node in the in-set,
+and an (out, in) block whose row i averages node i's in-neighbors.  A node
+with no in-neighbors has an all-zero row there, so its aggregate is zero
+(SAGE) and its ECC output is the bias alone.
 """
 
 from __future__ import annotations
@@ -39,17 +43,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
 from . import engine
 from .engine import DenseParams, Tensor, constant
 from .errors import GraphError, NumericError, SchemaError
-from .graphs import reachable
 from .ingest import require_finite
-
-_NEIGHBORHOODS = ("parents", "ancestors")
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,13 @@ class GraphSkeleton:
     """Directed feature graph over the model table's columns.
 
     ``edges`` are canonicalized to a sorted tuple so downstream passes
-    are invariant to the order the edges were listed in.  ``neighborhood``
-    selects what counts as N(i): direct parents (default) or all
-    ancestors (transitive closure).
+    are invariant to the order the edges were listed in.  A node's
+    neighbors N(i) are its parents.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     target: str
-    neighborhood: str = "parents"
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -78,8 +76,6 @@ class GraphSkeleton:
                 raise GraphError(f"edge ({a!r}, {b!r}) leaves the node set")
             if a == b:
                 raise GraphError(f"self-loop on {a!r}")
-        if self.neighborhood not in _NEIGHBORHOODS:
-            raise GraphError(f"neighborhood must be one of {_NEIGHBORHOODS}")
         object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
 
     @property
@@ -90,15 +86,10 @@ class GraphSkeleton:
         return self.nodes.index(node)
 
     def in_neighbors(self, node: str) -> tuple[str, ...]:
-        if self.neighborhood == "parents":
-            return tuple(sorted(a for a, b in self.edges if b == node))
-        parents: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            parents[b].append(a)
-        return tuple(sorted(reachable(parents.__getitem__, node) - {node}))
+        return tuple(sorted(a for a, b in self.edges if b == node))
 
 
-def skeleton_from_pattern(pattern, nodes, target: str, neighborhood: str = "parents") -> GraphSkeleton:
+def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:
     """Build a skeleton from a mixed-edge discovery pattern.
 
     Directed edges are kept as-is; an undirected edge carries messages
@@ -110,7 +101,7 @@ def skeleton_from_pattern(pattern, nodes, target: str, neighborhood: str = "pare
     for a, b in pattern.undirected:
         edges.append((a, b))
         edges.append((b, a))
-    return GraphSkeleton(nodes=tuple(sorted(nodes)), edges=tuple(edges), target=target, neighborhood=neighborhood)
+    return GraphSkeleton(nodes=tuple(sorted(nodes)), edges=tuple(edges), target=target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +159,7 @@ def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
     keep = {skeleton.nodes[i] for i in layer_plan(skeleton, hops, True).reads}
     nodes = tuple(n for n in skeleton.nodes if n in keep)
     edges = tuple((a, b) for a, b in skeleton.edges if a in keep and b in keep)
-    return GraphSkeleton(nodes=nodes, edges=edges, target=skeleton.target, neighborhood=skeleton.neighborhood)
+    return GraphSkeleton(nodes=nodes, edges=edges, target=skeleton.target)
 
 
 CONV_DEPTH = {"sage": 3, "ecc": 2}
@@ -209,23 +200,6 @@ def build_instances(table, skeleton: GraphSkeleton) -> GraphBatch:
 
 
 @dataclass
-class SageModel:
-    nodes: tuple[str, ...]
-    target: str
-    convs: tuple[DenseParams, DenseParams, DenseParams]
-    ff: tuple[DenseParams, DenseParams, DenseParams]
-    hidden: int = 16
-    kind: ClassVar[str] = "sage"
-
-    @property
-    def params(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for p in (*self.convs, *self.ff):
-            out.extend(p.tensors)
-        return out
-
-
-@dataclass
 class EccLayer:
     """Edge filter (scalar attribute -> flat out*in weight) plus bias."""
 
@@ -238,40 +212,41 @@ class EccLayer:
         if self.filter.weight.values.shape != (self.out_dim * self.in_dim, 1):
             raise NumericError("filter output does not reshape to out x in")
 
+    @property
+    def weight(self) -> Tensor:
+        """The (out, in) weight the filter network generates from the edge
+        attribute 1.0, fed to it as a (1, 1) matrix."""
+        theta_flat = engine.dense(constant([[1.0]]), self.filter)
+        return engine.reshape(theta_flat, (self.out_dim, self.in_dim))
+
+    @property
+    def tensors(self) -> tuple[Tensor, Tensor, Tensor]:
+        return (*self.filter.tensors, self.bias)
+
 
 @dataclass
-class EccModel:
+class GnnModel:
+    """A stack of convolutions (``DenseParams`` for SAGE, ``EccLayer`` for
+    ECC; input side first) and the dense head read off the target."""
+
+    kind: str
     nodes: tuple[str, ...]
     target: str
-    convs: tuple[EccLayer, EccLayer]
-    head: DenseParams
+    convs: tuple[DenseParams | EccLayer, ...]
+    head: list[DenseParams]
     hidden: int = 16
-    kind: ClassVar[str] = "ecc"
 
     @property
     def params(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.convs:
-            out.extend(layer.filter.tensors)
-            out.append(layer.bias)
-        out.extend(self.head.tensors)
-        return out
+        return [t for layer in (*self.convs, *self.head) for t in layer.tensors]
 
 
-def init_sage(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> SageModel:
+def init_sage(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnModel:
     rng = np.random.default_rng(seed)
     h = hidden
-    convs = (
-        engine.dense_params(rng, h, 2 * 1),
-        engine.dense_params(rng, h, 2 * h),
-        engine.dense_params(rng, h, 2 * h),
-    )
-    ff = (
-        engine.dense_params(rng, h, h),
-        engine.dense_params(rng, h, h),
-        engine.dense_params(rng, 1, h),
-    )
-    return SageModel(nodes=skeleton.nodes, target=skeleton.target, convs=convs, ff=ff, hidden=h)
+    convs = tuple(engine.dense_params(rng, h, 2 * d) for d in (1, h, h))
+    head = engine.dense_stack_params(rng, h, (h, h))
+    return GnnModel("sage", skeleton.nodes, skeleton.target, convs, head, h)
 
 
 def _ecc_layer(rng, out_dim: int, in_dim: int) -> EccLayer:
@@ -285,26 +260,19 @@ def _ecc_layer(rng, out_dim: int, in_dim: int) -> EccLayer:
     )
 
 
-def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> EccModel:
+def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnModel:
     rng = np.random.default_rng(seed)
     h = hidden
     convs = (_ecc_layer(rng, h, 1), _ecc_layer(rng, h, h))
-    head = engine.dense_params(rng, 1, h)
-    return EccModel(nodes=skeleton.nodes, target=skeleton.target, convs=convs, head=head, hidden=h)
+    head = engine.dense_stack_params(rng, h, ())
+    return GnnModel("ecc", skeleton.nodes, skeleton.target, convs, head, h)
 
 
 # ---------------------------------------------------------------------------
 # forward
 
 
-def ecc_filter_matrix(layer: EccLayer, edge_attr: float = 1.0) -> Tensor:
-    """Generate the layer's weight matrix from the scalar edge attribute,
-    fed to the filter network as a (1, 1) matrix."""
-    theta_flat = engine.dense(constant([[edge_attr]]), layer.filter)
-    return engine.reshape(theta_flat, (layer.out_dim, layer.in_dim))
-
-
-def _forward_batch(model, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
+def _forward_batch(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
     if skeleton.nodes != model.nodes or skeleton.target != model.target:
         raise SchemaError("skeleton does not match the model's node layout")
     if batch.nodes != skeleton.nodes:
@@ -315,21 +283,12 @@ def _forward_batch(model, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
     # node-major (in-set, rows, 1)
     h = constant(np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None])
     last = len(plan.layers) - 1
-    if model.kind == "sage":
-        for k, (layer, conv) in enumerate(zip(plan.layers, model.convs)):
-            h = engine.sage_conv(h, layer.self_index, layer.agg, conv, relu=k < last)
-        z = engine.reshape(h, (len(batch), model.hidden))
-        z = engine.dense(z, model.ff[0], relu=True)
-        z = engine.dense(z, model.ff[1], relu=True)
-        z = engine.dense(z, model.ff[2])
-    else:
-        for k, (layer, conv) in enumerate(zip(plan.layers, model.convs)):
-            h = engine.ecc_conv(h, layer.agg, ecc_filter_matrix(conv), conv.bias, relu=k < last)
-        z = engine.dense(engine.reshape(h, (len(batch), model.hidden)), model.head)
-    return engine.reshape(z, (len(batch),))
+    for k, (layer, conv) in enumerate(zip(plan.layers, model.convs)):
+        h = engine.graph_conv(h, layer.self_index, layer.agg, conv.weight, conv.bias, relu=k < last)
+    return engine.dense_stack(engine.reshape(h, (len(batch), model.hidden)), model.head)
 
 
-def predict(model, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
+def predict(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
     return _forward_batch(model, skeleton, batch).values.copy()
 
 
@@ -341,7 +300,7 @@ _DEFAULT_LR = {"sage": 0.0015, "ecc": 0.0020}
 _INIT = {"sage": init_sage, "ecc": init_ecc}
 
 
-def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int):
+def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int) -> GnnModel:
     if kind not in _INIT:
         raise NumericError(f"kind must be one of {sorted(_INIT)}")
     return _INIT[kind](skeleton, seed=seed, hidden=hidden)
@@ -349,7 +308,7 @@ def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int):
 
 @dataclass
 class TrainResult:
-    model: object
+    model: GnnModel
     skeleton: GraphSkeleton
     loss_history: list[float] = field(default_factory=list)
 
@@ -388,11 +347,10 @@ def _checkpoint_header(kind: str, hidden: int, skeleton: GraphSkeleton) -> dict:
         "nodes": list(skeleton.nodes),
         "target": skeleton.target,
         "edges_sha256": hashlib.sha256(json.dumps(skeleton.edges).encode()).hexdigest(),
-        "neighborhood": skeleton.neighborhood,
     }
 
 
-def save_model(path, model, skeleton: GraphSkeleton) -> None:
+def save_model(path, model: GnnModel, skeleton: GraphSkeleton) -> None:
     """A one-line JSON header naming the model and its graph, then the
     parameters in ``engine.pack_params``'s layout."""
     if skeleton.nodes != model.nodes or skeleton.target != model.target:
@@ -402,7 +360,7 @@ def save_model(path, model, skeleton: GraphSkeleton) -> None:
         fh.write(header.encode() + b"\n" + engine.pack_params(model.params))
 
 
-def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16):
+def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16) -> GnnModel:
     """The model saved at ``path``; ``SchemaError`` unless it was saved as
     this ``kind`` and ``hidden`` size on this skeleton."""
     model = _init_model(kind, skeleton, 0, hidden)

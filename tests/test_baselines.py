@@ -133,7 +133,7 @@ def _reference_boosting(table, n_estimators, max_depth, lr=0.1):
 def test_forest_and_boosting_match_reference_models(seed):
     table = _random_table(seed)
     assert rf_train(table, n_trees=4, seed=seed).trees == _reference_forest(table, 4, seed, True)
-    gbt = gbt_train(table, n_estimators=4, max_depth=5, seed=seed)
+    gbt = gbt_train(table, n_estimators=4, max_depth=5)
     assert (gbt.trees, gbt.loss_history) == _reference_boosting(table, 4, 5)
 
 
@@ -148,7 +148,7 @@ def test_forest_and_boosting_match_reference_models(seed):
 def test_forest_and_boosting_match_reference_on_tied_designs(n, seed, n_trees, bootstrap, max_depth):
     table = _random_table(seed, n=n)
     assert rf_train(table, n_trees, seed, bootstrap).trees == _reference_forest(table, n_trees, seed, bootstrap)
-    gbt = gbt_train(table, n_estimators=2, max_depth=max_depth, seed=seed)
+    gbt = gbt_train(table, n_estimators=2, max_depth=max_depth)
     assert (gbt.trees, gbt.loss_history) == _reference_boosting(table, 2, max_depth)
 
 
@@ -217,7 +217,7 @@ def test_forest_and_boosting_invariant_to_column_order():
     permuted = select_columns(table, ("x3", "y", "x0", "x4", "x2", "x1"))
     for train, predict in (
         (lambda t: rf_train(t, n_trees=3, seed=1), rf_predict),
-        (lambda t: gbt_train(t, n_estimators=3, max_depth=4, seed=1), gbt_predict),
+        (lambda t: gbt_train(t, n_estimators=3, max_depth=4), gbt_predict),
     ):
         assert np.array_equal(
             predict(train(table), table), predict(train(permuted), permuted)
@@ -237,13 +237,14 @@ def test_random_skeleton_rejects_too_many_edges():
         random_skeleton(("a", "b", "c"), "c", n_edges=7)
 
 
-@pytest.mark.parametrize("kwargs", [{"hidden_sizes": (4,)}, {"lr": 1e-2}])
-def test_mlp_train_needs_both_or_neither_of_hidden_and_lr(kwargs):
-    with pytest.raises(ConfigError):
-        mlp_train(_random_table(0), epochs=1, **kwargs)
+def test_rf_train_rejects_an_empty_forest():
+    # zero trees would average no predictions into all-NaN ones
+    for n_trees in (0, -1):
+        with pytest.raises(ConfigError, match="at least one tree"):
+            rf_train(_random_table(0), n_trees=n_trees)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"hidden_sizes": (4,), "lr": 0.01}])
+@pytest.mark.parametrize("kwargs", [{}])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mlp_train_rejects_non_finite_labels_by_row(kwargs, bad):
     rows = np.random.default_rng(1).standard_normal((8, 3))

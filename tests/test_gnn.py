@@ -12,7 +12,6 @@ from soilcausal.errors import GraphError, NumericError, SchemaError
 from soilcausal.gnn import (
     GraphSkeleton,
     build_instances,
-    ecc_filter_matrix,
     init_ecc,
     init_sage,
     layer_plan,
@@ -69,26 +68,12 @@ def test_skeleton_validation():
         GraphSkeleton(nodes=("a", "b"), edges=(("a", "c"),), target="a")
     with pytest.raises(GraphError):
         GraphSkeleton(nodes=("a", "b"), edges=(("a", "a"),), target="a")
-    with pytest.raises(GraphError):
-        GraphSkeleton(nodes=("a", "b"), edges=(), target="a", neighborhood="cousins")
 
 
 def test_skeleton_edges_canonicalized():
     s1 = GraphSkeleton(nodes=("a", "b", "c"), edges=(("b", "c"), ("a", "b"), ("b", "c")), target="c")
     s2 = GraphSkeleton(nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")), target="c")
     assert s1.edges == s2.edges
-
-
-def test_ancestor_neighborhood_reaches_past_parents():
-    chain = GraphSkeleton(nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")), target="c")
-    assert chain.in_neighbors("c") == ("b",)
-    deep = GraphSkeleton(
-        nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")), target="c", neighborhood="ancestors"
-    )
-    assert deep.in_neighbors("c") == ("a", "b")
-    # one layer reading "c": in-set (a, b, c), "c" averaging a and b
-    (last,) = layer_plan(deep, 1, True).layers
-    assert last.agg.tolist() == [[0.5, 0.5, 0.0]] and last.self_index.tolist() == [2]
 
 
 def test_layer_plan_node_sets():
@@ -278,19 +263,16 @@ def test_sage_conv_zero_weights():
     model.convs[0].weight.values[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
     h = constant(np.ones((2, 3, 1)))  # node-major: 2 nodes, 3 rows
-    out = engine.sage_conv(h, *_full_graph(sk), model.convs[0], relu=True)
+    out = engine.graph_conv(h, *_full_graph(sk), *model.convs[0].tensors, relu=True)
     assert np.array_equal(out.values, np.zeros((2, 3, 4)))
 
 
 def test_sage_conv_isolated_node_passthrough():
     # W = [I | I], nonneg input: self part + zero aggregate, ReLU no-op
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
-    params = engine.DenseParams(
-        engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1)),
-        engine.parameter(np.zeros(3)),
-    )
+    weight = engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1))
     v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    out = engine.sage_conv(constant(v), *_full_graph(sk), params, relu=True)
+    out = engine.graph_conv(constant(v), *_full_graph(sk), weight, engine.parameter(np.zeros(3)), relu=True)
     assert np.allclose(out.values[0, 0], [0.5, 0.0, 2.0])
 
 
@@ -301,7 +283,7 @@ def test_sage_conv_matches_naive_loop(seed):
     model = init_sage(sk, seed=seed, hidden=3)
     feats = rng.standard_normal((4, 5, 3))
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.sage_conv(h, *_full_graph(sk), model.convs[1], relu=(seed % 2 == 0))
+    out = engine.graph_conv(h, *_full_graph(sk), *model.convs[1].tensors, relu=(seed % 2 == 0))
     for b in range(4):
         ref = _naive_sage(feats[b], sk, model.convs[1], activate=(seed % 2 == 0))
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
@@ -313,7 +295,7 @@ def test_ecc_conv_empty_neighborhood_is_bias():
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
     h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = engine.ecc_conv(h, _full_graph(sk)[1], ecc_filter_matrix(layer), layer.bias, relu=False)
+    out = engine.graph_conv(h, None, _full_graph(sk)[1], layer.weight, layer.bias, relu=False)
     # node "a" has no in-neighbors
     assert np.array_equal(out.values[0], np.tile(layer.bias.values, (2, 1)))
 
@@ -333,7 +315,7 @@ def test_ecc_conv_identity_filter_copies_neighbor():
         in_dim=d,
     )
     h = np.random.default_rng(2).standard_normal((2, 5, d))
-    out = engine.ecc_conv(constant(h), _full_graph(sk)[1], ecc_filter_matrix(layer), layer.bias, relu=False)
+    out = engine.graph_conv(constant(h), None, _full_graph(sk)[1], layer.weight, layer.bias, relu=False)
     assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
 
 
@@ -346,7 +328,7 @@ def test_ecc_conv_matches_naive_loop(seed):
     feats = rng.standard_normal((4, 5, 3))
     layer = model.convs[1]
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.ecc_conv(h, _full_graph(sk)[1], ecc_filter_matrix(layer), layer.bias, relu=False)
+    out = engine.graph_conv(h, None, _full_graph(sk)[1], layer.weight, layer.bias, relu=False)
     for b in range(4):
         ref = _naive_ecc(feats[b], sk, layer)
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
@@ -355,24 +337,27 @@ def test_ecc_conv_matches_naive_loop(seed):
 def test_ecc_filter_matrix_shape():
     sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
     model = init_ecc(sk, seed=0, hidden=4)
-    theta = ecc_filter_matrix(model.convs[1])
-    assert theta.values.shape == (4, 4)
+    assert [layer.weight.values.shape for layer in model.convs] == [(4, 1), (4, 4)]
+    # the filter network's output at edge attribute 1.0, row-major
+    flat = model.convs[1].filter.weight.values[:, 0] + model.convs[1].filter.bias.values
+    assert np.array_equal(model.convs[1].weight.values, flat.reshape(4, 4))
 
 
 def _naive_forward(model, skeleton, feats):
     """The full-graph loops over every node, read at the target."""
     h = feats[:, None]
-    if hasattr(model, "ff"):
+    if model.kind == "sage":
         for k, conv in enumerate(model.convs):
             h = _naive_sage(h, skeleton, conv, activate=k < 2)
         z = h[skeleton.index(skeleton.target)]
-        for k, ff in enumerate(model.ff):
+        for k, ff in enumerate(model.head):
             z = ff.weight.values @ z + ff.bias.values
             z = np.maximum(z, 0.0) if k < 2 else z
         return z[0]
     h = np.maximum(_naive_ecc(h, skeleton, model.convs[0]), 0.0)
     h = _naive_ecc(h, skeleton, model.convs[1])
-    z = model.head.weight.values @ h[skeleton.index(skeleton.target)] + model.head.bias.values
+    (head,) = model.head
+    z = head.weight.values @ h[skeleton.index(skeleton.target)] + head.bias.values
     return z[0]
 
 
@@ -381,14 +366,13 @@ def _naive_forward(model, skeleton, feats):
     n=st.integers(1, 6),
     edge_bits=st.integers(0, 2**30 - 1),
     target=st.integers(0, 5),
-    neighborhood=st.sampled_from(["parents", "ancestors"]),
     seed=st.integers(0, 2**16),
 )
-def test_layer_wise_forward_matches_full_graph_loops(n, edge_bits, target, neighborhood, seed):
+def test_layer_wise_forward_matches_full_graph_loops(n, edge_bits, target, seed):
     nodes = tuple(f"n{k}" for k in range(n))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     edges = tuple(p for k, p in enumerate(pairs) if edge_bits >> k & 1)
-    sk = GraphSkeleton(nodes=nodes, edges=edges, target=nodes[target % n], neighborhood=neighborhood)
+    sk = GraphSkeleton(nodes=nodes, edges=edges, target=nodes[target % n])
     rng = np.random.default_rng(seed)
     batch = _random_batch(rng, sk, 3)
     for init in (init_sage, init_ecc):
@@ -424,7 +408,7 @@ def test_forward_hand_unrolled_trace():
         z = np.concatenate([h, agg], axis=1) @ conv.weight.values.T + conv.bias.values
         h = np.maximum(z, 0.0) if k < 2 else z
     z = h[2]
-    for k, ff in enumerate(model.ff):
+    for k, ff in enumerate(model.head):
         z = z @ ff.weight.values.T + ff.bias.values
         if k < 2:
             z = np.maximum(z, 0.0)
@@ -495,7 +479,7 @@ def test_model_gradients_match_fd(kind, monkeypatch):
     # screen out seeds whose ReLU preactivations sit inside the h=1e-5
     # difference stencil: the subgradient convention and the symmetric
     # difference legitimately disagree on the kink itself.  Every op that
-    # applies a ReLU (the fused convolutions and the dense head layers) is
+    # applies a ReLU (the convolutions and the dense head layers) is
     # wrapped to record its preactivations in the forward pass.
     preacts = []
 
@@ -507,7 +491,7 @@ def test_model_gradients_match_fd(kind, monkeypatch):
 
         return wrapped
 
-    for name in ("dense", "sage_conv", "ecc_conv"):
+    for name in ("dense", "graph_conv"):
         monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
     model = None
     for seed in range(2, 50):
@@ -592,7 +576,7 @@ def test_row_shuffle_leaves_training_and_predictions_unchanged(n_fields, n_days,
         batch = build_instances(table, sk)
         graph = [train(kind, sk, batch, epochs=3, hidden=4, seed=1) for kind in ("sage", "ecc")]
         rf = baselines.rf_train(table, n_trees=2, seed=1)
-        gbt = baselines.gbt_train(table, n_estimators=2, max_depth=3, seed=1)
+        gbt = baselines.gbt_train(table, n_estimators=2, max_depth=3)
         mlp = baselines.mlp_train(table, epochs=2, seed=1)
         preds = [baselines.rf_predict(rf, base), baselines.gbt_predict(gbt, base), baselines.mlp_predict(mlp, base)]
         return [g.loss_history for g in graph], preds
@@ -663,6 +647,22 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(predict(clone, sk, batch), predict(res.model, sk, batch))
 
 
+def test_parameter_lists_keep_the_checkpoint_layout():
+    # the order and shapes a checkpoint stores: the convolutions input side
+    # first (SAGE: weight, bias; ECC: filter weight, filter bias, bias),
+    # then the head layers (weight, bias)
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    sage = [(4, 2), (4,), (4, 8), (4,), (4, 8), (4,), (4, 4), (4,), (4, 4), (4,), (1, 4), (1,)]
+    ecc = [(4, 1), (4,), (4,), (16, 1), (16,), (4,), (1, 4), (1,)]
+    assert [p.values.shape for p in init_sage(sk, hidden=4).params] == sage
+    assert [p.values.shape for p in init_ecc(sk, hidden=4).params] == ecc
+    # and each tensor once, as the model's fields hold it
+    model = init_ecc(sk, hidden=4)
+    fields = [t for layer in model.convs for t in (layer.filter.weight, layer.filter.bias, layer.bias)]
+    fields += [t for layer in model.head for t in (layer.weight, layer.bias)]
+    assert all(p is q for p, q in zip(model.params, fields, strict=True))
+
+
 def test_checkpoint_pins_its_graph(tmp_path):
     sk = GraphSkeleton(nodes=("a", "b", "t"), edges=(("a", "t"), ("b", "a")), target="t")
     path = tmp_path / "sage.bin"
@@ -674,7 +674,6 @@ def test_checkpoint_pins_its_graph(tmp_path):
     other_edges = replace(sk, edges=(("b", "t"), ("a", "b")))
     for kind, skeleton, hidden in (
         ("sage", other_edges, 4),
-        ("sage", replace(sk, neighborhood="ancestors"), 4),
         ("sage", replace(sk, target="a"), 4),
         ("sage", replace(sk, nodes=("t", "b", "a")), 4),
         ("sage", sk, 8),
