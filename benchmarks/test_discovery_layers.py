@@ -1,6 +1,10 @@
 """Micro-benchmarks of the discovery layers on the paper-width table: the
 22 field one-hots and 7 events x 4 lag windows added to the 12-column farm
 (62 columns), 400 days, min-max scaled on and restricted to the train rows.
+They time one CI test, the Fisher-z and batch layers of PC, GES's forward
+phase, whole ``pc``/``ges``/``gies`` calls as ``farm-wide`` runs them, and
+one sink elimination plus class projection of the GIES pattern, the step
+each greedy move takes.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -10,7 +14,7 @@ They are not part of the tier-1 suite (``testpaths`` is ``tests``).
 import numpy as np
 import pytest
 
-from soilcausal import discovery, stats
+from soilcausal import discovery, graphs, stats, synth
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +32,7 @@ def pc_levels(wide):
     def level_tests(triples):
         levels.append(triples)
         batch = stats.CIBatch(stat, triples)
-        return lambda k: batch.test(k, warn=stats.WarningCounter()).independent
+        return batch.independent(), lambda mask: batch.read(mask, warn=stats.WarningCounter())
 
     discovery._pc_core(names, level_tests, discovery.DiscoveryConfig().max_cond_size)
     return levels
@@ -71,3 +75,29 @@ def test_ges_forward_phase(benchmark, wide_train, wide):
 
     st = benchmark.pedantic(forward, rounds=3, iterations=1)
     assert any(st.pa) or any(st.und)
+
+
+@pytest.fixture(scope="module")
+def targets():
+    _, envs = synth.default_farm_benchmark(n_days=400)
+    return {t: sorted(nodes) for t, nodes in synth.targets_by_treatment(envs).items()}
+
+
+@pytest.mark.parametrize("learner", ["pc", "ges", "gies"])
+def test_learner_wide(benchmark, wide_train, targets, learner):
+    cfg = discovery.DiscoveryConfig(use_interventions=True)
+    learn = {
+        "pc": lambda: discovery.pc(wide_train, warn=stats.WarningCounter()),
+        "ges": lambda: discovery.ges(wide_train, warn=stats.WarningCounter()),
+        "gies": lambda: discovery.gies(wide_train, cfg, targets, warn=stats.WarningCounter()),
+    }[learner]
+    pattern = benchmark.pedantic(learn, rounds=3, iterations=1)
+    benchmark.extra_info["edges"] = len(pattern.directed) + len(pattern.undirected)
+
+
+def test_extension_step_wide(benchmark, wide_train, targets):
+    cfg = discovery.DiscoveryConfig(use_interventions=True)
+    pattern = discovery.gies(wide_train, cfg, targets, warn=stats.WarningCounter())
+    pinned = frozenset(pattern.meta["intervened"])
+    out = benchmark(lambda: graphs.cpdag_of(graphs.consistent_extension(pattern), pinned))
+    assert (out.directed, out.undirected) == (pattern.directed, pattern.undirected)

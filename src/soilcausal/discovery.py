@@ -11,9 +11,12 @@ result is bit-identical under any permutation of the input columns.
 
 PC freezes the adjacencies of each level (PC-stable), so every test of a
 level is known before any result is read: the level is evaluated as one
-batch, then each pair's tests are read in the sequential order up to its
-first separating set.  ``ci_tests`` and the warning counters count only the
-tests read, i.e. the sequential-equivalent numbers.
+batch and its verdicts are read as arrays.  Each pair's first separating
+set is found by a search on the mask of independent triples, and the
+triples a sequential loop would run, each pair's up to that set, are read
+as one mask.  ``ci_tests`` and the warning counters count only those
+triples, and an error is raised at the first of them that fails, so every
+number and error is the sequential loop's.
 
 ``ges`` and ``gies`` share one greedy core.  It runs on the index labels
 0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
@@ -22,9 +25,12 @@ serves both: a node's local BIC comes from the rows where that node was not
 manipulated (every row for ``ges``).  The core keeps, per node, the sorted
 insertions that pass every check local to that node and rebuilds a node's
 list only when its neighbourhood changes (as in fGES); the global
-semi-directed-path check runs lazily along the merged order.  Patterns,
-sepsets, counts and sweeps are those of evaluating everything afresh at
-every step.
+semi-directed-path check runs lazily along the merged order.  A node's
+list is enumerated by groups: the candidate parents x with one set of
+neighbours NA(y, x) share every (T, base) and its score and clique check,
+and each x adds only its own grown parent set.  Patterns, sepsets, counts,
+sweeps and scores are those of evaluating everything afresh, one candidate
+at a time, at every step.
 """
 
 from __future__ import annotations
@@ -85,9 +91,13 @@ def _pc_core(names, level_tests, max_cond_size):
     Each level's (i, j, S) triples are gathered in the sequential order:
     pairs in index order, S over i's side then j's, each S once per pair.
     ``level_tests(triples)`` evaluates them in one batch and returns
-    ``independent(k)``, which reads triple k.  Only the triples a sequential
-    loop would run are read, up to each pair's first separating set, so the
-    test count, the fallback counters and any error are the sequential ones.
+    ``(stop, read)``: the mask of triples that separate their pair, and
+    ``read(mask)``, which reads the masked triples in order, counting their
+    fallbacks and raising at the first that fails.  The triples read are
+    those a sequential loop would run, each pair's up to its first
+    separating set (the first stop at or after the pair's first triple), so
+    the test count, the fallback counters and any error are the sequential
+    ones.
     """
     d = len(names)
     adj = [set(range(d)) - {k} for k in range(d)]
@@ -108,18 +118,24 @@ def _pc_core(names, level_tests, max_cond_size):
                         if S not in seen:
                             seen.add(S)
                             triples.append((i, j, *S))
-                spans.append((i, j, start, len(triples)))
+                spans.append((start, len(triples)))
         if not triples:
             break
-        independent = level_tests(triples)
-        for i, j, start, end in spans:
-            for k in range(start, end):
-                tests += 1
-                if independent(k):
-                    sepset[(i, j)] = frozenset(triples[k][2:])
-                    adj[i].discard(j)
-                    adj[j].discard(i)
-                    break
+        stop, read = level_tests(triples)
+        starts, ends = np.array(spans, dtype=np.intp).T
+        stops = np.append(np.flatnonzero(stop), len(triples))
+        first = stops[np.searchsorted(stops, starts)]
+        found = first < ends
+        last = np.where(found, first, ends - 1)
+        # triple k is read when it does not lie past its pair's last read
+        mask = np.arange(len(triples)) <= np.repeat(last, ends - starts)
+        read(mask)
+        tests += int(np.count_nonzero(mask))
+        for k in first[found].tolist():
+            i, j, *S = triples[k]
+            sepset[(i, j)] = frozenset(S)
+            adj[i].discard(j)
+            adj[j].discard(i)
 
     # v-structures: a - c - b with a, b non-adjacent and c outside their
     # separating set.  Proposals applied in sorted order; an orientation is
@@ -177,7 +193,7 @@ def pc(
 
     def level_tests(triples):
         batch = CIBatch(stat, triples)
-        return lambda k: batch.test(k, cfg.alpha, warn=warn).independent
+        return batch.independent(cfg.alpha), lambda mask: batch.read(mask, warn=warn)
 
     return _pc_core(names, level_tests, cfg.max_cond_size)
 
@@ -204,10 +220,14 @@ class _Scorer:
         self.cache: dict[tuple[int, frozenset], float] = {}
         self.stats: list[GaussianSuffStat | None] = []
         shared: dict[bytes | None, GaussianSuffStat | None] = {}
+        if row_targets is not None:
+            # one mask per distinct target set, indexed by row
+            target_sets = {t: k for k, t in enumerate(dict.fromkeys(row_targets))}
+            row_set = np.array([target_sets[t] for t in row_targets], dtype=np.intp)
         for name in names:
             keep = None
             if row_targets is not None:
-                keep = np.fromiter((name not in t for t in row_targets), bool, len(data))
+                keep = np.array([name not in t for t in target_sets], dtype=bool)[row_set]
             key = None if keep is None or keep.all() else keep.tobytes()
             if key not in shared:
                 rows = data if key is None else data[keep]
@@ -305,25 +325,39 @@ def _subsets(pool, cap):
 def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
     """Insert(x, y, T) candidates that pass every check local to y, as
     sorted (-gain, x, y, T, base) tuples: gain above tolerance, at most
-    ``max_parents`` parents, and base = NA(y, x) | T a clique."""
-    pa_y = frozenset(st.pa[y])
-    moves = []
+    ``max_parents`` parents, and base = NA(y, x) | T a clique.
+
+    NA(y, x), the neighbours of y adjacent to x, fixes the pool of T (y's
+    other neighbours), so the x with one NA share every (base, T): each
+    such pair builds its sets, scores its base and checks its clique once,
+    and only ``scored | {x}`` varies per x."""
+    pa_y, und_y = frozenset(st.pa[y]), st.und[y]
+    by_na: dict[frozenset, list] = {}
     for x in st.nodes:
-        if x == y or x in st.adj[y]:
-            continue
-        na = frozenset(n for n in st.und[y] if n in st.adj[x])
-        t_pool = [n for n in st.und[y] if n not in st.adj[x] and n != x]
-        for t in _subsets(t_pool, _NEIGHBOR_SET_CAP):
+        if x != y and x not in st.adj[y]:
+            by_na.setdefault(frozenset(und_y & st.adj[x]), []).append(x)
+    groups, wanted = [], []
+    for na, xs in by_na.items():
+        for t in _subsets(und_y - na, _NEIGHBOR_SET_CAP):
             base = na | set(t)
             scored = pa_y | base
             if len(scored) + 1 <= max_parents:
-                moves.append((x, t, base, scored, scored | {x}))
-    sc.prefetch(y, [s for *_, scored, grown in moves for s in (grown, scored)])
+                grown = [scored | {x} for x in xs]
+                groups.append((t, base, scored, xs, grown))
+                wanted += grown
+                wanted.append(scored)
+    sc.prefetch(y, wanted)
     out = []
-    for x, t, base, scored, grown in moves:
-        gain = sc.local(y, grown) - sc.local(y, scored)
-        if gain > _GAIN_TOL and _is_clique(base, st.adj):
-            out.append((-gain, x, y, t, base))
+    for t, base, scored, xs, grown in groups:
+        score = sc.local(y, scored)
+        clique = None
+        for x, g in zip(xs, grown):
+            gain = sc.local(y, g) - score
+            if gain > _GAIN_TOL:
+                if clique is None:
+                    clique = _is_clique(base, st.adj)
+                if clique:
+                    out.append((-gain, x, y, t, base))
     out.sort()
     return out
 

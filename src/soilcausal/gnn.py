@@ -371,9 +371,18 @@ def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16) -> Gn
     except ValueError:  # no JSON header line: raw parameters or another file
         header = None
     expected = _checkpoint_header(kind, hidden, skeleton)
+    if not isinstance(header, dict):
+        raise SchemaError(f"{path} is not a checkpoint of this model and graph: no header")
     if header != expected:
-        found = header if isinstance(header, dict) else {}
-        wrong = [k for k in expected if found.get(k) != expected[k]] or ["header"]
-        raise SchemaError(f"{path} is not a checkpoint of this model and graph: {', '.join(wrong)} differ")
+        problems = [
+            f"{what} {', '.join(keys)}"
+            for what, keys in (
+                ("missing", [k for k in expected if k not in header]),
+                ("unexpected", sorted(k for k in header if k not in expected)),
+                ("differing", [k for k in expected if k in header and header[k] != expected[k]]),
+            )
+            if keys
+        ]
+        raise SchemaError(f"{path} is not a checkpoint of this model and graph: {'; '.join(problems)}")
     engine.assign_params(model.params, engine.unpack_params(payload))
     return model

@@ -289,14 +289,16 @@ def consistent_extension(g: Cpdag) -> Dag:
     Each round removes the largest-label node x that (a) has no outgoing
     directed edge and (b) whose undirected neighbours are adjacent to every
     other neighbour of x, orienting x's undirected edges into x.  For a lone
-    undirected edge this yields the label-order orientation a->b.
+    undirected edge this yields the label-order orientation a->b.  The set
+    of qualifying nodes is kept across rounds: removing x changes only its
+    neighbours' edges, and a node not adjacent to x keeps its verdict, so
+    only x's neighbours are tested again.
 
     If no node qualifies the pattern admits no consistent extension; the
     leftover undirected edges are then oriented along a topological order of
     the already-directed part (label ties first) and the result is flagged
     with ``meta["extension_fallback"] = True``.
     """
-    remaining = set(g.nodes)
     oriented: set[tuple[str, str]] = set(g.directed)
     undirected = set(g.undirected)
     adj, parents, children, und = _neighbour_maps(g.directed, undirected)
@@ -311,30 +313,33 @@ def consistent_extension(g: Cpdag) -> Dag:
         return True
 
     def drop(x: str) -> None:
-        remaining.discard(x)
-        for y in list(adj[x]):
+        for y in adj[x]:
             adj[y].discard(x)
             und[y].discard(x)
             children[y].discard(x)
             parents[y].discard(x)
             undirected.discard(_canon(x, y))
-        adj.pop(x, None)
-        und.pop(x, None)
-        children.pop(x, None)
-        parents.pop(x, None)
+        for m in (adj, und, children, parents):
+            m.pop(x, None)
 
-    while remaining:
-        x = next((v for v in sorted(remaining, reverse=True) if qualifies(v)), None)
-        if x is None:
-            order = _kahn(g.nodes, oriented)
-            assert order is not None  # oriented grows only by sink insertion
-            pos = {v: i for i, v in enumerate(order)}
-            for a, b in sorted(undirected):
-                oriented.add((a, b) if pos[a] < pos[b] else (b, a))
-            return Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": True})
+    remaining = set(g.nodes)
+    sinks = {v for v in remaining if qualifies(v)}
+    while sinks:
+        x = max(sinks)
         for y in und[x]:
             oriented.add((y, x))
+        touched = adj[x]
         drop(x)
+        remaining.discard(x)
+        sinks.discard(x)
+        sinks.update(y for y in touched if qualifies(y))
+    if remaining:
+        order = _kahn(g.nodes, oriented)
+        assert order is not None  # oriented grows only by sink insertion
+        pos = {v: i for i, v in enumerate(order)}
+        for a, b in sorted(undirected):
+            oriented.add((a, b) if pos[a] < pos[b] else (b, a))
+        return Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": True})
     return Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": False})
 
 

@@ -20,9 +20,9 @@ size, as PC's level-batched evaluation hands them over, into one
 Every member of a stack gets what evaluating it alone gives, bit for bit,
 and the scalar functions (``partial_correlation``, ``fisher_z_test``,
 ``bic_local_stat``) are stacks of one.  Evaluating a stack of tests counts
-nothing; reading a member counts its fallback and raises its error, so a
-caller that reads only the tests a sequential loop would have run reports
-that loop's counters.
+nothing; reading a mask of members counts their fallbacks and raises the
+first error among them, so a caller that reads only the tests a sequential
+loop would have run reports that loop's counters.
 
 Fisher-z p-values come from ``_ndtr``, a numpy port of the Cephes normal
 CDF that ``scipy.special.ndtr`` evaluates.  It returns scipy's values bit
@@ -243,42 +243,50 @@ class CIBatch:
 
     ``idx`` has one row ``(i, j, *S)`` per triple, S sorted and excluding i
     and j.  Evaluation counts nothing and defers every NumericError to the
-    read.  Reading member k does what the scalar call on that triple would:
-    it counts the member's fallback on ``warn`` and raises NumericError when
-    its partial correlation diverged or the sample is too small for the
-    z-test.  A caller that reads exactly the members a sequential loop would
-    have tested therefore sees that loop's results, counters and errors.
+    read.  ``r`` holds every member's partial correlation (NaN where it
+    diverged) and ``p`` its two-sided p-value.  ``read(mask)`` reads the
+    masked members in index order as one scalar call each would: it counts
+    their fallbacks on ``warn`` and raises NumericError at the first whose
+    partial correlation diverged, after counting up to it.  ``independent``
+    gives every member's verdict and raises, before anything is read, when
+    the sample is too small for the z-test or ``alpha`` is out of range.  A
+    caller that reads exactly the members a sequential loop would have
+    tested therefore sees that loop's results, counters and errors.
     """
 
     def __init__(self, stat: GaussianSuffStat, idx):
         self.idx = np.asarray(idx, dtype=np.intp)
         self.n = stat.n
         self.dof = stat.n - (self.idx.shape[1] - 2) - 3
-        r, fallback = _partial_correlations(stat.cov, self.idx)
-        self._r, self._fallback = r.tolist(), fallback.tolist()
+        self.r, self._fallback = _partial_correlations(stat.cov, self.idx)
         if self.dof > 0:
-            z, p = _fisher_z(r, self.dof)
-            self._z, self._p = z.tolist(), p.tolist()
+            self.z, self.p = _fisher_z(self.r, self.dof)
 
-    def partial_correlation(self, k: int, *, warn: WarningCounter) -> float:
-        if self._fallback[k]:
-            warn.singular_fallbacks += 1
-        r = self._r[k]
-        if not math.isfinite(r):
-            i, j, *S = self.idx[k].tolist()
+    def read(self, mask: np.ndarray, *, warn: WarningCounter) -> None:
+        bad = np.flatnonzero(mask & ~np.isfinite(self.r))
+        upto = len(mask) if not bad.size else bad[0] + 1
+        warn.singular_fallbacks += int(np.count_nonzero(self._fallback[:upto] & mask[:upto]))
+        if bad.size:
+            i, j, *S = self.idx[bad[0]].tolist()
             raise NumericError(f"partial correlation diverged for ({i}, {j} | {tuple(S)})")
-        return r
 
-    def test(self, k: int, alpha: float = 0.05, *, warn: WarningCounter) -> CITestResult:
+    def independent(self, alpha: float = 0.05) -> np.ndarray:
         if self.dof <= 0:
             raise NumericError(
                 f"need n > |S| + 3 for the z-test (n={self.n}, |S|={self.idx.shape[1] - 2})"
             )
         if not 0.0 < alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
+        return self.p > alpha
+
+    def partial_correlation(self, k: int, *, warn: WarningCounter) -> float:
+        self.read(np.arange(len(self.r)) == k, warn=warn)
+        return float(self.r[k])
+
+    def test(self, k: int, alpha: float = 0.05, *, warn: WarningCounter) -> CITestResult:
+        independent = bool(self.independent(alpha)[k])
         self.partial_correlation(k, warn=warn)
-        p = self._p[k]
-        return CITestResult(self._z[k], p, p > alpha)
+        return CITestResult(float(self.z[k]), float(self.p[k]), independent)
 
 
 def _triple(i: int, j: int, S: Iterable[int]) -> list[list[int]]:
@@ -332,8 +340,11 @@ def bic_local_stats(
 ) -> list[float]:
     """Local score of column y under each parent set, from the statistic:
     -(n/2) ln(RSS/n) - (k/2) ln(n) with k = |parents| + 2.  Sets of one size
-    share one stacked inverse; each score is what scoring its set alone
-    gives, bit for bit, and each ridged inverse is counted once."""
+    share one stacked inverse of their covariance blocks and one stacked
+    quadratic form s' P s for the variance the parents explain (s the
+    parents' covariances with y, P the block's inverse); each score is what
+    scoring its set alone gives, bit for bit, and each ridged inverse is
+    counted once."""
     sets = [sorted(p) for p in parent_sets]
     by_size: dict[int, list[int]] = {}
     for k, parents in enumerate(sets):
@@ -349,7 +360,7 @@ def bic_local_stats(
             spy = stat.cov[idx, y]
             prec, ridge = _spd_inverses(stat.cov[idx[:, :, None], idx[:, None, :]])
             warn.singular_fallbacks += int(ridge.sum())
-            explained = [float(spy[m] @ prec[m] @ spy[m]) for m in range(len(members))]
+            explained = ((spy[:, None, :] @ prec) @ spy[:, :, None])[:, 0, 0].tolist()
         else:
             explained = [0.0] * len(members)
         for k, e in zip(members, explained):

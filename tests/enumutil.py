@@ -1,9 +1,10 @@
 """Shared brute-force oracles for the test suite: labeled-DAG enumeration,
-Markov-equivalence classes, extension sets, random graph generators, the
-exact covariance of a linear SCM and its ancestral subgraphs, PC answered
-exactly from that covariance, a one-test-at-a-time PC skeleton search, a
-per-node-argsort CART grower, a central-difference gradient check, and a
-builder for small all-continuous tables."""
+Markov-equivalence classes, extension sets, random graph generators, a
+sorted-scan sink elimination, the exact covariance of a linear SCM and its
+ancestral subgraphs, PC answered exactly from that covariance, a
+one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
+GES insertions, a per-node-argsort CART grower, a central-difference
+gradient check, and a builder for small all-continuous tables."""
 
 from __future__ import annotations
 
@@ -15,7 +16,14 @@ import numpy as np
 
 import soilcausal.graphs as G
 from soilcausal.baselines import _SPLIT_EPS, TreeNode
-from soilcausal.discovery import DiscoveryConfig, _pc_core
+from soilcausal.discovery import (
+    _GAIN_TOL,
+    _NEIGHBOR_SET_CAP,
+    DiscoveryConfig,
+    _is_clique,
+    _pc_core,
+    _subsets,
+)
 from soilcausal.errors import ConfigError, GraphError
 from soilcausal.ingest import ColumnSpec, Table
 from soilcausal.stats import CIBatch, GaussianSuffStat, WarningCounter, fisher_z_test
@@ -118,6 +126,40 @@ def random_pattern(rng: random.Random, labels) -> G.Cpdag:
     return G.Cpdag(labels, frozenset(directed), frozenset(undirected))
 
 
+def reference_consistent_extension(g: G.Cpdag) -> G.Dag:
+    """``graphs.consistent_extension`` by rescanning: each round sorts the
+    remaining nodes and takes the first, largest label, that qualifies as a
+    sink, testing every remaining node again."""
+    remaining = set(g.nodes)
+    oriented = set(g.directed)
+    undirected = set(g.undirected)
+    adj, _, children, und = G._neighbour_maps(g.directed, undirected)
+
+    def qualifies(x):
+        if children[x]:
+            return False
+        return all(z == y or z in adj[y] for y in und[x] for z in adj[x])
+
+    while remaining:
+        x = next((v for v in sorted(remaining, reverse=True) if qualifies(v)), None)
+        if x is None:
+            order = G._kahn(g.nodes, oriented)
+            pos = {v: i for i, v in enumerate(order)}
+            for a, b in sorted(undirected):
+                oriented.add((a, b) if pos[a] < pos[b] else (b, a))
+            return G.Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": True})
+        oriented.update((y, x) for y in und[x])
+        remaining.discard(x)
+        for y in adj.pop(x, set()):
+            adj[y].discard(x)
+            und[y].discard(x)
+            children[y].discard(x)
+            undirected.discard(G._canon(x, y))
+        und.pop(x, None)
+        children.pop(x, None)
+    return G.Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": False})
+
+
 def analytic_covariance(scm, rate_overrides: dict[str, float] | None = None) -> np.ndarray:
     """Exact covariance of the induced linear system, in ``dag.nodes`` order.
 
@@ -213,7 +255,7 @@ def pc_oracle(cov: np.ndarray, names, *, warn: WarningCounter) -> G.Cpdag:
 
     def level_tests(triples):
         batch = CIBatch(stat, triples)
-        return lambda k: abs(batch.partial_correlation(k, warn=warn)) < _ORACLE_TOL
+        return np.abs(batch.r) < _ORACLE_TOL, lambda mask: batch.read(mask, warn=warn)
 
     return _pc_core(sorted_names, level_tests, DiscoveryConfig().max_cond_size)
 
@@ -260,6 +302,31 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
         if not testable:
             break
     return adj, sepset, tests, skipped_fallbacks
+
+
+def reference_local_inserts(st, sc, y, max_parents) -> list:
+    """``discovery._local_inserts`` one x at a time: every x not adjacent to
+    y builds its own NA(y, x), T pool, sets and clique checks."""
+    pa_y = frozenset(st.pa[y])
+    moves = []
+    for x in st.nodes:
+        if x == y or x in st.adj[y]:
+            continue
+        na = frozenset(n for n in st.und[y] if n in st.adj[x])
+        t_pool = [n for n in st.und[y] if n not in st.adj[x] and n != x]
+        for t in _subsets(t_pool, _NEIGHBOR_SET_CAP):
+            base = na | set(t)
+            scored = pa_y | base
+            if len(scored) + 1 <= max_parents:
+                moves.append((x, t, base, scored, scored | {x}))
+    sc.prefetch(y, [s for *_, scored, grown in moves for s in (grown, scored)])
+    out = []
+    for x, t, base, scored, grown in moves:
+        gain = sc.local(y, grown) - sc.local(y, scored)
+        if gain > _GAIN_TOL and _is_clique(base, st.adj):
+            out.append((-gain, x, y, t, base))
+    out.sort()
+    return out
 
 
 def reference_cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None):

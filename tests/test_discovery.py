@@ -1,19 +1,24 @@
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soilcausal.discovery import (
     DiscoveryConfig,
+    _local_inserts,
+    _Scorer,
+    _State,
     ges,
     gies,
     pc,
     per_row_targets,
 )
-from soilcausal.errors import ConfigError
-from soilcausal.graphs import Cpdag, Dag, cpdag_of, shd
+from soilcausal.errors import ConfigError, NumericError
+from soilcausal.graphs import Cpdag, Dag, consistent_extension, cpdag_of, shd
 from soilcausal.ingest import Table, add_field_onehots, concat_tables
 from soilcausal.stats import WarningCounter, suff_stat
 from soilcausal.synth import (
@@ -34,6 +39,9 @@ from enumutil import (
     continuous_table,
     induced_subdag,
     pc_oracle,
+    random_pattern,
+    reference_consistent_extension,
+    reference_local_inserts,
     sequential_pc_skeleton,
 )
 
@@ -219,6 +227,46 @@ def test_pc_counters_match_a_sequential_loop():
     assert skeleton == {frozenset((col[i], col[j])) for i in range(len(col)) for j in adj[i]}
 
 
+def _huge_correlated_pair(n):
+    # two columns near 1e160 whose covariance overflows: the partial
+    # correlation of the pair is NaN, read at level 0 after the constant
+    # column's fallbacks of a, b and c and before those of h1 and h2
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=n)
+    b = a + rng.normal(size=n)
+    h = rng.normal(size=n)
+    cols = [a, b, b + rng.normal(size=n), 1e160 * h, 1e160 * (h + 0.5 * rng.normal(size=n)), np.full(n, 1.0)]
+    return ("a", "b", "c", "h1", "h2", "zconst"), np.column_stack(cols)
+
+
+def _four_rows(n):
+    # near-copies stay dependent at level 0 (dof 1); level 1 has dof 0
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=n)
+    cols = [x + 0.001 * rng.normal(size=n) for _ in range(4)]
+    return ("a", "b", "c", "const", "d"), np.column_stack(cols[:3] + [np.full(n, 1.0), cols[3]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, n, message",
+    [
+        (_huge_correlated_pair, 300, r"diverged for \(3, 4 \| \(\)\)"),
+        (_four_rows, 4, r"need n > \|S\| \+ 3 .*\|S\|=1"),
+    ],
+)
+def test_pc_raises_where_a_sequential_loop_does(case, n, message):
+    names, data = case(n)
+    table = continuous_table(names, data)
+    warn, ref_warn = WarningCounter(), WarningCounter()
+    with pytest.raises(NumericError, match=message) as got:
+        pc(table, warn=warn)
+    with pytest.raises(NumericError) as want:
+        sequential_pc_skeleton(suff_stat(table, sorted(names)), 0.05, 3, ref_warn)
+    assert str(got.value) == str(want.value)
+    assert warn == ref_warn and warn.singular_fallbacks > 0
+
+
 def test_discovery_at_width_matches_recorded_outputs():
     """pc, ges and gies on 34 columns (the farm plus its 22 field one-hots,
     train rows only, so the 7 held-out fields' one-hots are constant)
@@ -343,6 +391,33 @@ def test_ges_column_order_invariance():
     b = ges(t2, warn=WarningCounter())
     assert a.directed == b.directed
     assert a.undirected == b.undirected
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 9), st.integers(1, 5))
+def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
+    # a random PDAG state over mixed Gaussian columns (one column a copy,
+    # so some scores take the ridge): every node's candidate list, the
+    # scores computed and the counters equal the one-x-at-a-time ones
+    rng = random.Random(seed)
+    nodes = tuple(range(d))
+    np_rng = np.random.default_rng(seed)
+    data = np_rng.normal(size=(150, d)) @ np_rng.normal(size=(d, d))
+    data[:, -1] = data[:, 0]
+    names = tuple(f"c{k}" for k in nodes)
+    pattern = random_pattern(rng, nodes)
+    state = _State(d, ())
+    state.load(pattern)
+    got_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
+    want_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
+    for y in nodes:
+        assert _local_inserts(state, got_sc, y, max_parents) == reference_local_inserts(
+            state, want_sc, y, max_parents
+        )
+    assert got_sc.cache == want_sc.cache
+    assert got_sc.warn == want_sc.warn
+    got, want = consistent_extension(pattern), reference_consistent_extension(pattern)
+    assert (got, got.meta) == (want, want.meta)
 
 
 # --- GIES -------------------------------------------------------------------

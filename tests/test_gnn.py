@@ -689,6 +689,26 @@ def test_checkpoint_pins_its_graph(tmp_path):
         save_model(path, init_sage(sk, hidden=4), replace(sk, target="a"))
 
 
+def test_load_model_names_the_header_keys_that_do_not_match(tmp_path):
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    path = tmp_path / "sage.bin"
+    save_model(path, init_sage(sk, hidden=4), sk)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+
+    def load_with(h):
+        path.write_bytes(json.dumps(h).encode() + b"\n" + payload)
+        with pytest.raises(SchemaError) as err:
+            load_model(path, "sage", sk, hidden=4)
+        return str(err.value).rpartition(": ")[2]
+
+    # a key this version does not write, as an older checkpoint's neighborhood
+    assert load_with({**header, "neighborhood": "parents"}) == "unexpected neighborhood"
+    assert load_with({k: v for k, v in header.items() if k != "target"}) == "missing target"
+    both = {**{k: v for k, v in header.items() if k != "nodes"}, "hidden": 8, "zz": 1}
+    assert load_with(both) == "missing nodes; unexpected zz; differing hidden"
+
+
 def test_load_model_rejects_unknown_kind(tmp_path):
     sk = _random_skeleton(np.random.default_rng(10), 3, 2)
     path = tmp_path / "ecc.bin"

@@ -25,6 +25,7 @@ from enumutil import (
     extension_set,
     random_dag,
     random_pattern,
+    reference_consistent_extension,
 )
 
 
@@ -179,6 +180,19 @@ def test_consistent_extension_fallback_is_flagged_and_acyclic():
     ext = G.consistent_extension(stuck)
     assert ext.meta["extension_fallback"] is True
     assert ext.edges == frozenset({("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")})
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 12))
+def test_consistent_extension_matches_the_sorted_scan(seed, n):
+    # random PDAGs, most of them no CPDAG and many with no extension, and
+    # their Meek closures: the kept sink set picks the scan's node each round
+    rng = random.Random(seed)
+    pattern = random_pattern(rng, tuple(f"v{k:02d}" for k in range(n)))
+    for g in (pattern, G.meek_closure(pattern)):
+        got, want = G.consistent_extension(g), reference_consistent_extension(g)
+        assert got == want
+        assert got.meta == want.meta
 
 
 def test_single_undirected_edge_orients_by_label():

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import soilcausal.graphs as G
 import soilcausal.stats as S
@@ -326,6 +327,33 @@ def _dag_score(sc, dag):
     return sum(
         sc.local(idx[v], frozenset(idx[a] for a, b in dag.edges if b == v)) for v in dag.nodes
     )
+
+
+def _one_by_one_local(y, parents, stat):
+    """One parent set's BIC from its own inverse and a per-member product."""
+    idx = sorted(parents)
+    prec = np.linalg.inv(stat.cov[np.ix_(idx, idx)])
+    spy = stat.cov[idx, y]
+    rss = max((stat.n - 1) * (float(stat.cov[y, y]) - float(spy @ prec @ spy)), S._RSS_FLOOR)
+    return -(stat.n / 2) * math.log(rss / stat.n) - ((len(idx) + 2) / 2) * math.log(stat.n)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(hst.integers(1, 6), hst.integers(1, 400), hst.integers(0, 2**32 - 1))
+def test_stacked_bic_equals_per_member_products_bit_for_bit(size, members, seed):
+    # one stack of ``members`` parent sets of one size over an SPD
+    # covariance: every score equals its own inverse and vector products
+    rng = np.random.default_rng(seed)
+    d = 8
+    a = rng.normal(size=(d, d))
+    stat = S.GaussianSuffStat(n=500, mean=np.zeros(d), cov=a @ a.T + 0.1 * np.eye(d), columns=tuple("abcdefgh"))
+    y = int(rng.integers(d))
+    others = [k for k in range(d) if k != y]
+    sets = [frozenset(rng.choice(others, size, replace=False).tolist()) for _ in range(members)]
+    warn = fresh_counter()
+    got = S.bic_local_stats(y, sets, stat, warn=warn)
+    assert got == [_one_by_one_local(y, p, stat) for p in sets]
+    assert warn.singular_fallbacks == 0
 
 
 def test_bic_parentless_rss_is_total_sum_of_squares():
