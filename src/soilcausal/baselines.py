@@ -599,8 +599,8 @@ def random_skeleton(nodes, target: str, n_edges: int = 50, seed: int = 0) -> Gra
     replacement; cycles allowed (message passing does not need a DAG)."""
     nodes = tuple(nodes)
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
-    if n_edges > len(pairs):
-        raise ConfigError(f"asked for {n_edges} edges, only {len(pairs)} ordered pairs exist")
+    if not 0 <= n_edges <= len(pairs):
+        raise ConfigError(f"asked for {n_edges} edges, between 0 and {len(pairs)} ordered pairs exist")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(pairs), size=n_edges, replace=False)
     return GraphSkeleton(nodes=nodes, edges=tuple(pairs[int(k)] for k in chosen), target=target)

@@ -18,6 +18,14 @@ as one mask.  ``ci_tests`` and the warning counters count only those
 triples, and an error is raised at the first of them that fails, so every
 number and error is the sequential loop's.
 
+PC and the greedy core hold their graph as one ``graphs._Pdag`` over the
+index labels 0..d-1 and edit it in place.  PC cuts the pairs its tests
+separate, orients the colliders and runs the Meek rules on it.  Each greedy
+move edits a copy of the current state and completes that copy in place:
+it extends it to a DAG and projects the DAG onto its class pattern.  No
+``Dag`` or ``Cpdag`` is built on the way; each learner validates one
+``Cpdag``, when it names its result.
+
 ``ges`` and ``gies`` share one greedy core.  It runs on the index labels
 0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
 as it would on the names, and names the final pattern once.  One scorer
@@ -42,15 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import (
-    Cpdag,
-    Dag,
-    _neighbour_maps,
-    consistent_extension,
-    cpdag_of,
-    meek_closure,
-    reachable,
-)
+from .graphs import Cpdag, _extend, _meek, _Pdag, _project, complete, reachable
 from .stats import (
     CIBatch,
     GaussianSuffStat,
@@ -100,12 +100,12 @@ def _pc_core(names, level_tests, max_cond_size):
     ones.
     """
     d = len(names)
-    adj = [set(range(d)) - {k} for k in range(d)]
+    g = _Pdag(range(d), undirected=itertools.combinations(range(d), 2))
     sepset: dict[tuple[int, int], frozenset] = {}
     tests = 0
 
     for level in range(max_cond_size + 1):
-        frozen = [sorted(a) for a in adj]
+        frozen = [sorted(g.adj[k]) for k in range(d)]
         triples, spans = [], []
         for i in range(d):
             for j in frozen[i]:
@@ -134,49 +134,37 @@ def _pc_core(names, level_tests, max_cond_size):
         for k in first[found].tolist():
             i, j, *S = triples[k]
             sepset[(i, j)] = frozenset(S)
-            adj[i].discard(j)
-            adj[j].discard(i)
+            g.cut(i, j)
 
     # v-structures: a - c - b with a, b non-adjacent and c outside their
     # separating set.  Proposals applied in sorted order; an orientation is
     # skipped rather than allowed to contradict an earlier one or close a
     # directed cycle.
-    proposals = []
+    proposals = set()
     for c in range(d):
-        for a, b in itertools.combinations(sorted(adj[c]), 2):
-            if b in adj[a]:
-                continue
-            if c not in sepset.get((min(a, b), max(a, b)), frozenset()):
-                proposals.append((a, c))
-                proposals.append((b, c))
-    directed: set[tuple[int, int]] = set()
-    children = [set() for _ in range(d)]
-    for x, y in sorted(set(proposals)):
-        if (y, x) in directed or x in reachable(children.__getitem__, y):
-            continue
-        directed.add((x, y))
-        children[x].add(y)
+        for a, b in itertools.combinations(sorted(g.adj[c]), 2):
+            if b not in g.adj[a] and c not in sepset.get((a, b), ()):
+                proposals.update(((a, c), (b, c)))
+    for x, y in sorted(proposals):
+        if x not in reachable(g.ch.__getitem__, y):
+            g.orient(x, y)
+    _meek(g)
 
-    directed_named = frozenset((names[x], names[y]) for x, y in directed)
-    skeleton = {(min(i, j), max(i, j)) for i in range(d) for j in adj[i]}
-    undirected_named = frozenset(
-        (names[i], names[j])
-        for i, j in skeleton
-        if (i, j) not in directed and (j, i) not in directed
-    )
     sep_named = {
         (names[i], names[j]): tuple(sorted(names[k] for k in S))
         for (i, j), S in sepset.items()
     }
-    pat = Cpdag(
-        tuple(names),
-        directed_named,
-        undirected_named,
-        meta={"sepsets": sep_named, "ci_tests": tests},
+    return _named(g, names, sepsets=sep_named, ci_tests=tests)
+
+
+def _named(g: _Pdag, names, **meta) -> Cpdag:
+    """The pattern of a graph over the index labels 0..d-1, on ``names``."""
+    return Cpdag(
+        names,
+        {(names[a], names[b]) for a, b in g.directed()},
+        {(names[a], names[b]) for a, b in g.undirected()},
+        meta=meta,
     )
-    out = meek_closure(pat)
-    out.meta.update(pat.meta)
-    return out
 
 
 def pc(
@@ -254,35 +242,16 @@ class _Scorer:
 _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
 
 
-class _State:
-    """Mutable view of the current equivalence-class pattern over the index
-    labels 0..d-1.  ``pa`` holds directed in-neighbors only, ``ch`` directed
-    out-neighbors, ``und`` the undirected neighborhoods, ``adj`` their
-    union."""
+class _State(_Pdag):
+    """The current equivalence-class pattern over the index labels 0..d-1,
+    the nodes whose edges interventions pin, and each node's cached
+    insertions, which every copy shares."""
 
-    def __init__(self, d: int, intervened):
-        self.nodes = tuple(range(d))
+    def __init__(self, d: int, intervened, directed=(), undirected=()):
+        super().__init__(range(d), directed, undirected)
         self.intervened = frozenset(intervened)
-        self.pa = [set() for _ in range(d)]
-        self.ch = [set() for _ in range(d)]
-        self.und = [set() for _ in range(d)]
-        self.adj = [set() for _ in range(d)]
         # y -> (insert_key(y), y's sorted locally valid insertions)
         self.inserts: dict[int, tuple[tuple, list]] = {}
-
-    def load(self, pattern: Cpdag):
-        for s in (*self.pa, *self.ch, *self.und, *self.adj):
-            s.clear()
-        for i, j in pattern.directed:
-            self.pa[j].add(i)
-            self.ch[i].add(j)
-            self.adj[i].add(j)
-            self.adj[j].add(i)
-        for i, j in pattern.undirected:
-            self.und[i].add(j)
-            self.und[j].add(i)
-            self.adj[i].add(j)
-            self.adj[j].add(i)
 
     def insert_key(self, y: int) -> tuple:
         """Everything y's candidate insertions Insert(x, y, T) and their
@@ -293,20 +262,6 @@ class _State:
             frozenset(self.adj[y]),
             tuple((n, frozenset(self.adj[n])) for n in sorted(self.und[y])),
         )
-
-    def pattern(self) -> Cpdag:
-        return Cpdag(self.nodes, *self.edge_sets())
-
-    def complete(self, directed, undirected) -> Cpdag:
-        """Orient a PDAG into a class member, then re-project to the
-        (interventional) pattern of that member's class."""
-        ext = consistent_extension(Cpdag(self.nodes, directed, undirected))
-        return cpdag_of(ext, self.intervened)
-
-    def edge_sets(self):
-        directed = {(i, j) for j in self.nodes for i in self.pa[j]}
-        undirected = {(min(i, j), max(i, j)) for i in self.nodes for j in self.und[i]}
-        return directed, undirected
 
 
 def _is_clique(nodes, adj) -> bool:
@@ -419,66 +374,54 @@ def _delete_candidates(st: _State, sc: _Scorer):
     return best
 
 
-def _apply_insert(st: _State, x, y, t):
-    directed, undirected = st.edge_sets()
-    directed.add((x, y))
+def _apply_insert(st: _State, x, y, t) -> _State:
+    g = st.copy()
+    g.orient(x, y)
     for n in t:
-        undirected.discard((min(n, y), max(n, y)))
-        directed.add((n, y))
-    return st.complete(directed, undirected)
+        g.orient(n, y)
+    complete(g, g.intervened)
+    return g
 
 
-def _apply_delete(st: _State, x, y, h):
-    directed, undirected = st.edge_sets()
-    directed.discard((x, y))
-    undirected.discard((min(x, y), max(x, y)))
+def _apply_delete(st: _State, x, y, h) -> _State:
+    g = st.copy()
+    g.cut(x, y)
     for n in h:
-        if (min(n, y), max(n, y)) in undirected:
-            undirected.discard((min(n, y), max(n, y)))
-            directed.add((y, n))
-        if (min(n, x), max(n, x)) in undirected:
-            undirected.discard((min(n, x), max(n, x)))
-            directed.add((x, n))
-    return st.complete(directed, undirected)
+        if n in g.und[y]:
+            g.orient(y, n)
+        if n in g.und[x]:
+            g.orient(x, n)
+    complete(g, g.intervened)
+    return g
 
 
-def _forward_phase(st: _State, sc, cfg) -> bool:
-    changed = False
-    while True:
-        got = _insert_candidates(st, sc, cfg.max_parents)
-        if got is None:
-            return changed
-        _, x, y, t = got
-        st.load(_apply_insert(st, x, y, t))
-        changed = True
+def _forward_phase(st: _State, sc, cfg) -> _State:
+    while (got := _insert_candidates(st, sc, cfg.max_parents)) is not None:
+        st = _apply_insert(st, *got[1:])
+    return st
 
 
-def _backward_phase(st: _State, sc) -> bool:
-    changed = False
-    while True:
-        got = _delete_candidates(st, sc)
-        if got is None:
-            return changed
-        _, x, y, h = got
-        st.load(_apply_delete(st, x, y, h))
-        changed = True
+def _backward_phase(st: _State, sc) -> _State:
+    while (got := _delete_candidates(st, sc)) is not None:
+        st = _apply_delete(st, *got[1:])
+    return st
 
 
-def _turning_phase(st: _State, sc, cfg) -> bool:
+def _turning_phase(st: _State, sc, cfg) -> _State:
     """Reverse directed edges of a class representative whenever the swap
     strictly improves the (interventional) score and keeps acyclicity."""
-    changed = False
     while True:
-        ext = consistent_extension(st.pattern())
-        _, pa, ch, _ = _neighbour_maps(ext.edges, ())
+        ext = st.copy()
+        _extend(ext)
+        pa = ext.pa
 
         best = None
-        for a, b in sorted(ext.edges):
+        for a, b in sorted(ext.directed()):
             if len(pa[a]) + 1 > cfg.max_parents:
                 continue
             # reversing a -> b closes a cycle when another parent of b
             # descends from a
-            if (pa[b] - {a}) & reachable(ch.__getitem__, a):
+            if (pa[b] - {a}) & reachable(ext.ch.__getitem__, a):
                 continue
             pa_b, pa_a = frozenset(pa[b]), frozenset(pa[a])
             gain = (
@@ -492,11 +435,12 @@ def _turning_phase(st: _State, sc, cfg) -> bool:
                 if best is None or cand < best:
                     best = cand
         if best is None:
-            return changed
+            return st
         _, a, b = best
-        edges = (ext.edges - {(a, b)}) | {(b, a)}
-        st.load(cpdag_of(Dag(ext.nodes, edges), st.intervened))
-        changed = True
+        ext.cut(a, b)
+        ext.orient(b, a)
+        _project(ext, ext.intervened)
+        st = ext
 
 
 def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
@@ -515,20 +459,13 @@ def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
     st = _State(len(names), (k for k, n in enumerate(names) if n in intervened))
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        before = st.edge_sets()
-        moved = _forward_phase(st, sc, cfg)
-        moved |= _backward_phase(st, sc)
+        before = st  # moves edit copies, so this stays the sweep's start
+        st = _backward_phase(_forward_phase(st, sc, cfg), sc)
         if turning:
-            moved |= _turning_phase(st, sc, cfg)
-        if not turning or not moved or st.edge_sets() == before:
+            st = _turning_phase(st, sc, cfg)
+        if not turning or (st.directed(), st.undirected()) == (before.directed(), before.undirected()):
             break
-    directed, undirected = st.edge_sets()
-    return Cpdag(
-        names,
-        {(names[i], names[j]) for i, j in directed},
-        {(names[i], names[j]) for i, j in undirected},
-        meta={"sweeps": sweeps},
-    )
+    return _named(st, names, sweeps=sweeps)
 
 
 def ges(

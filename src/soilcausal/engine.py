@@ -134,8 +134,6 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
             return
         # copy, not alias: g is often a view into a consumer's grad buffer
         t.grad = np.array(g, dtype=np.float64)
-        if t.grad.shape != t.values.shape:
-            t.grad = np.broadcast_to(t.grad, t.values.shape).copy()
     else:
         t.grad += g
 

@@ -86,6 +86,8 @@ class GraphSkeleton:
         return self.nodes.index(node)
 
     def in_neighbors(self, node: str) -> tuple[str, ...]:
+        if node not in self.nodes:
+            raise GraphError(f"unknown node {node!r}")
         return tuple(sorted(a for a, b in self.edges if b == node))
 
 

@@ -7,6 +7,12 @@ the labels only through their order, so relabelling by an order-preserving
 map commutes with every operation; the greedy searches rely on this and run
 on column indices.
 
+Every edit goes through one editable graph, ``_Pdag``: Meek closure, sink
+elimination and class projection orient, extend and project it in place,
+and so do the learners in ``discovery``.  The validated frozen types
+``Dag`` and ``Cpdag`` are built only at the boundary, once per public
+result.
+
 Conventions
 -----------
 * Directed edges are ordered ``(src, dst)`` pairs.
@@ -17,8 +23,8 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -110,16 +116,70 @@ class Cpdag:
             raise GraphError("cycle in directed part")
 
 
+class _Pdag:
+    """The one editable partially directed graph: per node its parents
+    ``pa``, children ``ch``, undirected neighbours ``und`` and their union
+    ``adj``.  Meek closure, sink elimination, class projection and the
+    learners edit it in place.  It is not validated; ``Dag`` and ``Cpdag``
+    are built from it where a result leaves the graph algebra."""
+
+    def __init__(self, nodes, directed=(), undirected=()):
+        self.nodes = tuple(nodes)
+        self.pa = {v: set() for v in self.nodes}
+        self.ch = {v: set() for v in self.nodes}
+        self.und = {v: set() for v in self.nodes}
+        self.adj = {v: set() for v in self.nodes}
+        for a, b in directed:
+            self.orient(a, b)
+        for a, b in undirected:
+            self.join(a, b)
+
+    def copy(self):
+        """A copy whose edits leave this graph as it is; any other
+        attribute (of a subclass) is shared."""
+        g = copy.copy(self)
+        g.pa, g.ch, g.und, g.adj = (
+            {v: set(s) for v, s in m.items()} for m in (self.pa, self.ch, self.und, self.adj)
+        )
+        return g
+
+    def join(self, a, b) -> None:
+        """Add the undirected edge a-b."""
+        self.und[a].add(b)
+        self.und[b].add(a)
+        self.adj[a].add(b)
+        self.adj[b].add(a)
+
+    def orient(self, a, b) -> None:
+        """Make the edge a->b, replacing an undirected a-b."""
+        self.und[a].discard(b)
+        self.und[b].discard(a)
+        self.ch[a].add(b)
+        self.pa[b].add(a)
+        self.adj[a].add(b)
+        self.adj[b].add(a)
+
+    def cut(self, a, b) -> None:
+        """Remove the edge between a and b, whichever kind it is."""
+        for m in (self.pa, self.ch, self.und, self.adj):
+            m[a].discard(b)
+            m[b].discard(a)
+
+    def directed(self) -> set:
+        return {(a, b) for a in self.nodes for b in self.ch[a]}
+
+    def undirected(self) -> set:
+        """Undirected edges as (min, max) pairs."""
+        return {(a, b) for a in self.nodes for b in self.und[a] if a < b}
+
+
 def is_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> bool:
     return _kahn(nodes, edges) is not None
 
 
 def topological_sort(g: Dag) -> tuple[str, ...]:
     """Deterministic topological order, ties broken by label."""
-    order = _kahn(g.nodes, g.edges)
-    if order is None:  # unreachable for a validated Dag; kept for raw callers
-        raise GraphError("cannot topologically sort a cyclic graph")
-    return tuple(order)
+    return tuple(_kahn(g.nodes, g.edges))
 
 
 def in_neighbors(g: Dag, node: str) -> frozenset[str]:
@@ -147,36 +207,132 @@ def ancestors(g: Dag, node: str) -> frozenset[str]:
     """All proper ancestors of ``node`` (excludes the node itself)."""
     if node not in g.nodes:
         raise GraphError(f"unknown node {node!r}")
-    par: dict[str, set[str]] = defaultdict(set)
-    for a, b in g.edges:
-        par[b].add(a)
-    return frozenset(reachable(par.__getitem__, node) - {node})
+    return frozenset(reachable(_Pdag(g.nodes, g.edges).pa.__getitem__, node) - {node})
 
 
-def _colliders(
-    directed: Iterable[tuple[str, str]], adjacent: set[tuple[str, str]]
-) -> frozenset[tuple[str, str, str]]:
+def _colliders(g: _Pdag) -> frozenset[tuple[str, str, str]]:
     """Triples (a, c, b), a < b, with a->c<-b directed and a, b non-adjacent."""
-    par: dict[str, set[str]] = defaultdict(set)
-    for a, b in directed:
-        par[b].add(a)
-    out = set()
-    for c, ps in par.items():
-        for a, b in combinations(sorted(ps), 2):
-            if (a, b) not in adjacent:
-                out.add((a, c, b))
-    return frozenset(out)
+    return frozenset(
+        (a, c, b)
+        for c in g.nodes
+        for a, b in combinations(sorted(g.pa[c]), 2)
+        if b not in g.adj[a]
+    )
 
 
 def v_structures(g: Dag) -> frozenset[tuple[str, str, str]]:
-    adjacent = {_canon(a, b) for a, b in g.edges}
-    return _colliders(g.edges, adjacent)
+    return _colliders(_Pdag(g.nodes, g.edges))
 
 
 def pattern_v_structures(g: Cpdag) -> frozenset[tuple[str, str, str]]:
     """Colliders formed by the *directed* part of a partially directed graph."""
-    adjacent = {_canon(a, b) for a, b in g.directed} | set(g.undirected)
-    return _colliders(g.directed, adjacent)
+    return _colliders(_Pdag(g.nodes, g.directed, g.undirected))
+
+
+def _meek(g: _Pdag) -> None:
+    """Close g under the Meek rules in place (see ``meek_closure``)."""
+    pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
+
+    def allowed(a: str, b: str) -> bool:
+        if a in reachable(ch.__getitem__, b):  # would close a directed cycle
+            return False
+        for z in pa[b]:  # would create a collider z->b<-a not in the pattern
+            if z != a and z not in adj[a]:
+                return False
+        return True
+
+    def rule_applies(a: str, b: str) -> bool:
+        # R1
+        for c in pa[a]:
+            if c != b and b not in adj[c]:
+                return True
+        # R2
+        if ch[a] & pa[b]:
+            return True
+        # R3
+        shared = sorted(und[a] & pa[b])
+        for c, d in combinations(shared, 2):
+            if d not in adj[c]:
+                return True
+        # R4
+        for c in sorted(adj[a]):
+            if c == b or b in adj[c]:
+                continue
+            if ch[c] & pa[b]:
+                return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for a, b in sorted(g.undirected()):
+            for x, y in ((a, b), (b, a)):
+                if y not in und[x]:
+                    break
+                if rule_applies(x, y) and allowed(x, y):
+                    g.orient(x, y)
+                    changed = True
+                    break
+
+
+def _extend(g: _Pdag) -> bool:
+    """Orient every undirected edge of g in place by sink elimination (see
+    ``consistent_extension``).  True when no node qualified as a sink and
+    the fallback oriented the rest."""
+    rest = g.copy()  # the graph over the nodes not yet eliminated
+
+    def qualifies(x: str) -> bool:
+        if rest.ch[x]:
+            return False
+        for y in rest.und[x]:
+            for z in rest.adj[x]:
+                if z != y and z not in rest.adj[y]:
+                    return False
+        return True
+
+    remaining = set(g.nodes)
+    sinks = {v for v in remaining if qualifies(v)}
+    while sinks:
+        x = max(sinks)
+        for y in rest.und[x]:
+            g.orient(y, x)
+        touched = list(rest.adj[x])
+        for y in touched:
+            rest.cut(x, y)
+        remaining.discard(x)
+        sinks.discard(x)
+        sinks.update(y for y in touched if qualifies(y))
+    if not remaining:
+        return False
+    order = _kahn(g.nodes, g.directed())
+    if order is None:  # sinks add no cycle, so the input had one
+        raise GraphError("cycle in directed part")
+    pos = {v: i for i, v in enumerate(order)}
+    for a, b in sorted(g.undirected()):
+        g.orient(*((a, b) if pos[a] < pos[b] else (b, a)))
+    return True
+
+
+def _project(g: _Pdag, pinned) -> None:
+    """Turn the DAG g in place into the pattern of its class (see
+    ``cpdag_of``)."""
+    forced: set = set()
+    for a, c, b in _colliders(g):
+        forced.update(((a, c), (b, c)))
+    for a, b in g.directed():
+        if (a, b) not in forced and a not in pinned and b not in pinned:
+            g.cut(a, b)
+            g.join(a, b)
+    _meek(g)
+
+
+def complete(g: _Pdag, pinned=frozenset()) -> None:
+    """Chickering's completion in place: orient the PDAG g into a member of
+    its class, then project that member onto its (interventional) pattern.
+    The result is ``cpdag_of(consistent_extension(p), pinned)`` for the
+    ``Cpdag`` p with g's edges."""
+    _extend(g)
+    _project(g, pinned)
 
 
 def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:
@@ -185,33 +341,9 @@ def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:
     Edges touching a node in ``pinned`` keep their orientation as well: an
     intervention on a node fixes the direction of its edges (the
     interventional class of Hauser & Buehlmann 2012)."""
-    forced: set[tuple[str, str]] = set()
-    for a, c, b in v_structures(dag):
-        forced.add((a, c))
-        forced.add((b, c))
-    forced.update((a, b) for a, b in dag.edges if a in pinned or b in pinned)
-    undirected = {_canon(a, b) for a, b in dag.edges if (a, b) not in forced}
-    return meek_closure(Cpdag(dag.nodes, frozenset(forced), frozenset(undirected)))
-
-
-def _neighbour_maps(directed, undirected):
-    """Adjacency, parent, child and undirected-neighbour sets per node of
-    a graph with the given directed and undirected edges."""
-    adj: dict[str, set[str]] = defaultdict(set)
-    parents: dict[str, set[str]] = defaultdict(set)
-    children: dict[str, set[str]] = defaultdict(set)
-    und: dict[str, set[str]] = defaultdict(set)
-    for a, b in directed:
-        adj[a].add(b)
-        adj[b].add(a)
-        children[a].add(b)
-        parents[b].add(a)
-    for a, b in undirected:
-        adj[a].add(b)
-        adj[b].add(a)
-        und[a].add(b)
-        und[b].add(a)
-    return adj, parents, children, und
+    g = _Pdag(dag.nodes, dag.edges)
+    _project(g, pinned)
+    return Cpdag(dag.nodes, g.directed(), g.undirected())
 
 
 def meek_closure(g: Cpdag) -> Cpdag:
@@ -230,56 +362,9 @@ def meek_closure(g: Cpdag) -> Cpdag:
     sample-based skeletons with conflicting colliders) degrade gracefully
     instead of corrupting the graph.  The closure never un-orients an edge.
     """
-    directed = set(g.directed)
-    undirected = set(g.undirected)
-    adj, parents, children, und = _neighbour_maps(directed, undirected)
-
-    def orient(a: str, b: str) -> bool:
-        if a in reachable(children.__getitem__, b):  # would close a directed cycle
-            return False
-        for z in parents[b]:  # would create a collider z->b<-a not in the pattern
-            if z != a and z not in adj[a]:
-                return False
-        undirected.discard(_canon(a, b))
-        und[a].discard(b)
-        und[b].discard(a)
-        directed.add((a, b))
-        children[a].add(b)
-        parents[b].add(a)
-        return True
-
-    def rule_applies(a: str, b: str) -> bool:
-        # R1
-        for c in parents[a]:
-            if c != b and b not in adj[c]:
-                return True
-        # R2
-        if children[a] & parents[b]:
-            return True
-        # R3
-        shared = sorted(und[a] & parents[b])
-        for c, d in combinations(shared, 2):
-            if d not in adj[c]:
-                return True
-        # R4
-        for c in sorted(adj[a]):
-            if c == b or b in adj[c]:
-                continue
-            if children[c] & parents[b]:
-                return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for a, b in sorted(undirected):
-            for x, y in ((a, b), (b, a)):
-                if _canon(x, y) not in undirected:
-                    break
-                if rule_applies(x, y) and orient(x, y):
-                    changed = True
-                    break
-    return Cpdag(g.nodes, frozenset(directed), frozenset(undirected), meta=dict(g.meta))
+    out = _Pdag(g.nodes, g.directed, g.undirected)
+    _meek(out)
+    return Cpdag(g.nodes, out.directed(), out.undirected(), meta=dict(g.meta))
 
 
 def consistent_extension(g: Cpdag) -> Dag:
@@ -299,48 +384,9 @@ def consistent_extension(g: Cpdag) -> Dag:
     the already-directed part (label ties first) and the result is flagged
     with ``meta["extension_fallback"] = True``.
     """
-    oriented: set[tuple[str, str]] = set(g.directed)
-    undirected = set(g.undirected)
-    adj, parents, children, und = _neighbour_maps(g.directed, undirected)
-
-    def qualifies(x: str) -> bool:
-        if children[x]:
-            return False
-        for y in und[x]:
-            for z in adj[x]:
-                if z != y and z not in adj[y]:
-                    return False
-        return True
-
-    def drop(x: str) -> None:
-        for y in adj[x]:
-            adj[y].discard(x)
-            und[y].discard(x)
-            children[y].discard(x)
-            parents[y].discard(x)
-            undirected.discard(_canon(x, y))
-        for m in (adj, und, children, parents):
-            m.pop(x, None)
-
-    remaining = set(g.nodes)
-    sinks = {v for v in remaining if qualifies(v)}
-    while sinks:
-        x = max(sinks)
-        for y in und[x]:
-            oriented.add((y, x))
-        touched = adj[x]
-        drop(x)
-        remaining.discard(x)
-        sinks.discard(x)
-        sinks.update(y for y in touched if qualifies(y))
-    if remaining:
-        order = _kahn(g.nodes, oriented)
-        assert order is not None  # oriented grows only by sink insertion
-        pos = {v: i for i, v in enumerate(order)}
-        for a, b in sorted(undirected):
-            oriented.add((a, b) if pos[a] < pos[b] else (b, a))
-        return Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": True})
-    return Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": False})
+    out = _Pdag(g.nodes, g.directed, g.undirected)
+    fallback = _extend(out)
+    return Dag(g.nodes, out.directed(), meta={"extension_fallback": fallback})
 
 
 def _edge_status(g: Cpdag) -> dict[tuple[str, str], tuple[str, str | None]]:

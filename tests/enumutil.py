@@ -129,11 +129,13 @@ def random_pattern(rng: random.Random, labels) -> G.Cpdag:
 def reference_consistent_extension(g: G.Cpdag) -> G.Dag:
     """``graphs.consistent_extension`` by rescanning: each round sorts the
     remaining nodes and takes the first, largest label, that qualifies as a
-    sink, testing every remaining node again."""
+    sink, testing every remaining node again.  It takes the neighbour maps
+    of a ``graphs._Pdag`` but runs its own elimination loop."""
     remaining = set(g.nodes)
     oriented = set(g.directed)
     undirected = set(g.undirected)
-    adj, _, children, und = G._neighbour_maps(g.directed, undirected)
+    maps = G._Pdag(g.nodes, g.directed, g.undirected)
+    adj, children, und = maps.adj, maps.ch, maps.und
 
     def qualifies(x):
         if children[x]:

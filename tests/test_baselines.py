@@ -237,6 +237,13 @@ def test_random_skeleton_rejects_too_many_edges():
         random_skeleton(("a", "b", "c"), "c", n_edges=7)
 
 
+def test_random_skeleton_rejects_a_negative_edge_count():
+    # numpy's own error here would be an untyped ValueError
+    with pytest.raises(ConfigError, match="asked for -1 edges"):
+        random_skeleton(("a", "b", "c"), "c", n_edges=-1)
+    assert random_skeleton(("a", "b", "c"), "c", n_edges=0).edges == ()
+
+
 def test_rf_train_rejects_an_empty_forest():
     # zero trees would average no predictions into all-NaN ones
     for n_trees in (0, -1):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from soilcausal.discovery import (
     DiscoveryConfig,
+    _apply_delete,
+    _apply_insert,
     _local_inserts,
     _Scorer,
     _State,
@@ -18,7 +21,7 @@ from soilcausal.discovery import (
     per_row_targets,
 )
 from soilcausal.errors import ConfigError, NumericError
-from soilcausal.graphs import Cpdag, Dag, consistent_extension, cpdag_of, shd
+from soilcausal.graphs import Cpdag, Dag, consistent_extension, cpdag_of, is_acyclic, shd
 from soilcausal.ingest import Table, add_field_onehots, concat_tables
 from soilcausal.stats import WarningCounter, suff_stat
 from soilcausal.synth import (
@@ -39,6 +42,7 @@ from enumutil import (
     continuous_table,
     induced_subdag,
     pc_oracle,
+    random_dag,
     random_pattern,
     reference_consistent_extension,
     reference_local_inserts,
@@ -406,8 +410,7 @@ def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
     data[:, -1] = data[:, 0]
     names = tuple(f"c{k}" for k in nodes)
     pattern = random_pattern(rng, nodes)
-    state = _State(d, ())
-    state.load(pattern)
+    state = _State(d, (), pattern.directed, pattern.undirected)
     got_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
     want_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
     for y in nodes:
@@ -418,6 +421,75 @@ def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
     assert got_sc.warn == want_sc.warn
     got, want = consistent_extension(pattern), reference_consistent_extension(pattern)
     assert (got, got.meta) == (want, want.meta)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 8))
+def test_moves_complete_a_copy_and_leave_the_state(seed, d):
+    # every insert and delete on a random CPDAG state, with random T/H sets
+    # and pinned nodes, that keeps the directed part acyclic: the move
+    # returns its own completed graph, equal to extending and projecting the
+    # edited edge sets through the validated types, and the state it copied
+    # keeps every neighbour set (a shallow copy would share them)
+    rng = random.Random(seed)
+    pattern = cpdag_of(random_dag(rng, tuple(range(d))))
+    pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
+    state = _State(d, pinned, pattern.directed, pattern.undirected)
+
+    def maps(s):
+        return [{v: set(m[v]) for v in s.nodes} for m in (s.pa, s.ch, s.und, s.adj)]
+
+    before = maps(state)
+    for x, y in itertools.permutations(range(d), 2):
+        directed, undirected = set(pattern.directed), set(pattern.undirected)
+        if x not in state.adj[y]:
+            t = tuple(n for n in sorted(state.und[y] - state.adj[x]) if rng.random() < 0.5)
+            move, sets = _apply_insert, t
+            directed |= {(x, y)} | {(n, y) for n in t}
+            undirected -= {(min(n, y), max(n, y)) for n in t}
+        elif x in state.pa[y] or x in state.und[y]:
+            h = tuple(n for n in sorted(state.und[y] & state.adj[x]) if rng.random() < 0.5)
+            move, sets = _apply_delete, h
+            directed.discard((x, y))
+            undirected.discard((min(x, y), max(x, y)))
+            for n in h:
+                for a in (y, x):
+                    if (min(n, a), max(n, a)) in undirected:
+                        undirected.remove((min(n, a), max(n, a)))
+                        directed.add((a, n))
+        else:
+            continue
+        if not is_acyclic(state.nodes, directed):
+            continue
+        got = move(state, x, y, sets)
+        assert maps(state) == before
+        want = cpdag_of(consistent_extension(Cpdag(state.nodes, directed, undirected)), pinned)
+        assert (got.directed(), got.undirected()) == (want.directed, want.undirected)
+
+
+def test_each_learner_validates_one_pattern_per_call(monkeypatch):
+    # the learners edit one graph in place and name their result once
+    built = {Dag: 0, Cpdag: 0}
+    for cls in built:
+        check = cls.__post_init__
+
+        def counted(self, cls=cls, check=check):
+            built[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    scm, envs = _pooled(200)
+    t = sample_environments(scm, envs)
+    cfg = DiscoveryConfig(use_interventions=True)
+    for learn in (
+        lambda: pc(t, warn=WarningCounter()),
+        lambda: ges(t, warn=WarningCounter()),
+        lambda: gies(t, cfg, intervention_targets=_benchmark_tags(envs), warn=WarningCounter()),
+    ):
+        built.update({Dag: 0, Cpdag: 0})
+        out = learn()
+        assert built == {Dag: 0, Cpdag: 1}
+    assert out.meta["sweeps"] >= 2  # GIES ran a turning phase
 
 
 # --- GIES -------------------------------------------------------------------

@@ -70,6 +70,15 @@ def test_skeleton_validation():
         GraphSkeleton(nodes=("a", "b"), edges=(("a", "a"),), target="a")
 
 
+def test_in_neighbors_rejects_an_unknown_node():
+    # like graphs.in_neighbors: a misspelt node must not read as "no parents"
+    sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
+    assert sk.in_neighbors("b") == ("a",)
+    assert sk.in_neighbors("a") == ()
+    with pytest.raises(GraphError, match="unknown node 'no-such-node'"):
+        sk.in_neighbors("no-such-node")
+
+
 def test_skeleton_edges_canonicalized():
     s1 = GraphSkeleton(nodes=("a", "b", "c"), edges=(("b", "c"), ("a", "b"), ("b", "c")), target="c")
     s2 = GraphSkeleton(nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")), target="c")

@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import soilcausal.graphs as G
 from soilcausal.errors import GraphError
@@ -193,6 +193,33 @@ def test_consistent_extension_matches_the_sorted_scan(seed, n):
         got, want = G.consistent_extension(g), reference_consistent_extension(g)
         assert got == want
         assert got.meta == want.meta
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 12))
+@example(0, 3)  # every node is eliminated as a sink
+@example(0, 12)  # no sink is left: the fallback orients the rest
+def test_complete_in_place_equals_the_public_composition(seed, n):
+    # Chickering's step on one editable graph, with a random pinned set,
+    # equals extending to a validated Dag and projecting that, and the
+    # extension keeps the sorted scan's fallback flag
+    rng = random.Random(seed)
+    pattern = random_pattern(rng, tuple(f"v{k:02d}" for k in range(n)))
+    pinned = frozenset(v for v in pattern.nodes if rng.random() < 0.3)
+    ext = G.consistent_extension(pattern)
+    assert ext.meta == reference_consistent_extension(pattern).meta
+    want = G.cpdag_of(ext, pinned)
+    g = G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
+    G.complete(g, pinned)
+    assert (g.directed(), g.undirected()) == (want.directed, want.undirected)
+
+
+def test_complete_rejects_a_directed_cycle():
+    # the editable graph is not validated; its completion refuses a cycle
+    # as the validated Cpdag would
+    g = G._Pdag(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")})
+    with pytest.raises(GraphError, match="cycle in directed part"):
+        G.complete(g)
 
 
 def test_single_undirected_edge_orients_by_label():
