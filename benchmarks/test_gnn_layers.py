@@ -1,9 +1,9 @@
 """Micro-benchmarks of the GNN layer on the 12-column train table at 400
 days, the size of the ``farm-long`` workload: ``build_instances`` over the
 whole table, one forward and backward of ``engine.graph_conv`` on the first
-layer of the SAGE plan (with the self term) and of the ECC plan (without),
-and one full-batch training epoch (model init, forward, backward and one
-Adam step) of SAGE and of ECC, all on the skeleton of the farm's true DAG.
+layer of the SAGE plan (depth 3) and of the ECC plan (depth 2), and one
+full-batch training epoch (model init, forward, backward and one Adam
+step) of SAGE and of ECC, all on the skeleton of the farm's true DAG.
 The same epoch also runs on the 62-column paper-width train table with the
 skeleton PC finds on it, as ``farm-wide`` trains.
 
@@ -33,12 +33,11 @@ def test_build_instances_long(benchmark, long_train, skeleton):
 def test_graph_conv_long(benchmark, long_train, skeleton, kind):
     # the plan's input-side layer, the widest, on hidden-width states of
     # every train row, ReLU on, backward through the mean squared error
-    self_term = kind == "sage"
-    layer = gnn.layer_plan(skeleton, gnn.CONV_DEPTH[kind], self_term).layers[0]
+    layer = gnn.layer_plan(skeleton, gnn.CONV_DEPTH[kind]).layers[0]
     rows, width = long_train.rows.shape[0], 16
     rng = np.random.default_rng(0)
     h = engine.parameter(rng.standard_normal((layer.agg.shape[1], rows, width)))
-    conv = engine.dense_params(rng, width, (1 + self_term) * width)
+    conv = engine.dense_params(rng, width, 2 * width)
     zeros = np.zeros(layer.agg.shape[0] * rows * width)
 
     def forward_backward():

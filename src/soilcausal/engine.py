@@ -12,17 +12,16 @@ hand-written backward:
 * ``dense`` — the affine map x Wᵀ + b on a (rows, in) matrix, with an
   optional ReLU (the layers of a dense stack, the ECC filter network);
 * ``graph_conv`` — a mean-aggregation convolution on node-major (nodes,
-  rows, dim) states: each output node's mean of its neighbours' states,
-  after its own state when the caller passes the self positions
-  (GraphSAGE) and alone when it does not (edge-conditioned), through one
-  affine map, optional ReLU;
+  rows, dim) states: each output node's own state and the mean of its
+  neighbours' states, through one affine map on [self | mean], optional
+  ReLU (both GNNs' convolutions);
 
 plus ``matmul`` on matrices and stacks of matrices (both operands at least
 2-D), ``reshape`` and the mean squared error.  ``dense_stack`` chains
 ``dense`` layers with ReLU between them down to one output per row: the
 MLP baseline and both GNN heads.  The convolution takes the graph as
-constants: the positions of the output nodes' own states in the input, or
-None, and an (out, in) mean-aggregation block.  ``adam_fit`` is the one
+constants: the positions of the output nodes' own states in the input and
+an (out, in) mean-aggregation block.  ``adam_fit`` is the one
 full-batch Adam loop the models and the MLP baseline train with, and
 ``pack_params``/``unpack_params`` are the byte layout of the parameters in
 a model checkpoint.
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "AdamState",
@@ -282,31 +281,25 @@ def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (agg @ h.reshape(m_in, rows * d)).reshape(agg.shape[0], rows, d)
 
 
-def graph_conv(
-    h: Tensor, self_index: np.ndarray | None, agg: np.ndarray, weight: Tensor, bias: Tensor, relu: bool
-) -> Tensor:
+def graph_conv(h: Tensor, self_index: np.ndarray, agg: np.ndarray, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
     """Mean-aggregation graph convolution on node-major states.
 
-    ``h`` is (m_in, B, d).  Output node i reads the mean ``agg[i] @ h`` of
-    its neighbours' states (an all-zero row of ``agg`` is a zero mean) and,
-    given ``self_index``, its own state ``h[self_index[i]]`` before it
-    (GraphSAGE); without it the mean alone (edge-conditioned).  It returns
-    x Wᵀ + b, then max(·, 0) if ``relu``: (m_out, B, out).
+    ``h`` is (m_in, B, d).  Output node i reads its own state
+    ``h[self_index[i]]`` and the mean ``agg[i] @ h`` of its neighbours'
+    states (an all-zero row of ``agg`` is a zero mean), and returns
+    [self | mean] Wᵀ + b, then max(·, 0) if ``relu``: (m_out, B, out).
     """
     m_in, rows, d = h.values.shape
-    width = d if self_index is None else 2 * d
-    if weight.values.shape[1] != width or agg.shape[1] != m_in:
-        raise NumericError(
-            f"conv weight {weight.values.shape} and block {agg.shape} do not fit states {h.values.shape}"
-        )
     m_out = agg.shape[0]
-    if self_index is None:
-        x = _aggregate(agg, h.values)
-    else:
-        x = np.empty((m_out, rows, width))
-        x[..., :d] = h.values[self_index]
-        x[..., d:] = _aggregate(agg, h.values)
-    x = x.reshape(m_out * rows, width)
+    if weight.values.shape[1] != 2 * d or agg.shape[1] != m_in or self_index.shape != (m_out,):
+        raise NumericError(
+            f"conv weight {weight.values.shape}, block {agg.shape} and self positions {self_index.shape} "
+            f"do not fit states {h.values.shape}"
+        )
+    x = np.empty((m_out, rows, 2 * d))
+    x[..., :d] = h.values[self_index]
+    x[..., d:] = _aggregate(agg, h.values)
+    x = x.reshape(m_out * rows, 2 * d)
     out = x @ weight.values.T
     out += bias.values
     out, mask = _relu_mask(out, relu)
@@ -319,9 +312,8 @@ def graph_conv(
         _accumulate(bias, g.sum(axis=0), owned=True)
         if h.requires_grad:
             w = weight.values
-            gh = _aggregate(agg.T, (g @ w[:, width - d :]).reshape(m_out, rows, d))
-            if self_index is not None:
-                gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
+            gh = _aggregate(agg.T, (g @ w[:, d:]).reshape(m_out, rows, d))
+            gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
             _accumulate(h, gh, owned=True)
 
     return _node(out.reshape(m_out, rows, out.shape[1]), (h, weight, bias), push)
@@ -373,8 +365,13 @@ def adam_fit(forward, params: list[Tensor], target, lr: float, epochs: int, name
     ``forward`` builds the prediction graph from the current parameter
     values.  Returns each epoch's loss, taken before its step.  A
     non-finite loss raises ``NumericError`` naming ``name``, the epoch and
-    the last losses.
+    the last losses.  ``ConfigError`` unless ``epochs`` is at least 0 and
+    ``lr`` is finite and at least 0.
     """
+    if epochs < 0:
+        raise ConfigError(f"{name}: epochs must be >= 0, got {epochs}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"{name}: lr must be finite and >= 0, got {lr}")
     state = AdamState.for_params(params, lr=lr)
     history: list[float] = []
     for epoch in range(epochs):

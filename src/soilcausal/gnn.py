@@ -13,28 +13,28 @@ the target node:
 * GraphSAGE-style — three convolutions, each concatenating a node's state
   with the mean of its in-neighbors' states before an affine map (ReLU on
   the first two, identity on the last), then a three-layer head;
-* edge-conditioned (ECC) — two convolutions whose weight matrix is
+* edge-conditioned (ECC) — two convolutions whose weight [W_root | Θ] is
   generated from the (constant 1.0) edge attribute by a small filter
-  network, mean-aggregated over in-neighbors plus a bias, ReLU between
-  them, then a one-layer head.
+  network: x_i' = W_root x_i + mean_j Θ x_j + b over in-neighbors j (the
+  root weight of ECC and MPNN, PyG's ``NNConv``), ReLU between them, then
+  a one-layer head.
 
 The forward pass is the same for both: each convolution is one
-``engine.graph_conv`` on node-major (nodes, rows, dim) states, given the
-self positions (SAGE) or none (ECC) and the layer's weight (ECC's is
-generated per pass), and the head is ``engine.dense_stack``, the stack the
-MLP baseline uses.  Both read only the target's final state, so each
-convolution computes only the node states that the target reads
-(GraphSAGE's minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here
-because every neighbor is kept).  ``layer_plan`` walks out from the target
-once per skeleton: the last layer outputs the target alone, and each
-layer's input nodes — its in-set — are the outputs of the layer before.  A
-SAGE layer's in-set is its output nodes and their in-neighbors; an ECC
-layer, having no self term, reads the in-neighbors alone.  So SAGE layer k
-outputs the nodes within (depth − k) in-hops of the target.  Each layer
-carries two constants: the position of every output node in the in-set,
-and an (out, in) block whose row i averages node i's in-neighbors.  A node
-with no in-neighbors has an all-zero row there, so its aggregate is zero
-(SAGE) and its ECC output is the bias alone.
+``engine.graph_conv`` on node-major (nodes, rows, dim) states, reading the
+layer's weight (ECC's is generated per pass) against [self | mean], and
+the head is ``engine.dense_stack``, the stack the MLP baseline uses.  Both
+read only the target's final state, so each convolution computes only the
+node states that the target reads (GraphSAGE's minibatch scheme, Hamilton
+et al. 2017, Alg. 2, exact here because every neighbor is kept).
+``layer_plan`` walks out from the target once per skeleton: the last layer
+outputs the target alone, and each layer's input nodes — its in-set — are
+its output nodes and their in-neighbors, the outputs of the layer before.
+So layer k outputs the nodes within (depth − k) in-hops of the target.
+Each layer carries two constants: the position of every output node in the
+in-set, and an (out, in) block whose row i averages node i's in-neighbors.
+A node with no in-neighbors has an all-zero row there, so its aggregate is
+zero: its SAGE output reads its own state alone, its ECC output is
+W_root x_self + b.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import engine
 from .engine import DenseParams, Tensor, constant
-from .errors import GraphError, NumericError, SchemaError
+from .errors import ConfigError, GraphError, NumericError, SchemaError
 from .ingest import require_finite
 
 
@@ -110,7 +110,7 @@ def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:
 class ConvLayer:
     """One convolution's graph constants (read-only arrays)."""
 
-    self_index: np.ndarray | None  # (out,) each output node's position in the in-set (SAGE)
+    self_index: np.ndarray  # (out,) each output node's position in the in-set
     agg: np.ndarray  # (out, in) row i: mean over output node i's in-neighbors
 
 
@@ -123,17 +123,16 @@ class LayerPlan:
 
 
 @lru_cache(maxsize=128)
-def layer_plan(skeleton: GraphSkeleton, depth: int, self_term: bool) -> LayerPlan:
+def layer_plan(skeleton: GraphSkeleton, depth: int) -> LayerPlan:
     """The target's receptive field, layer by layer, for ``depth``
-    convolutions: with ``self_term`` (SAGE) a layer's in-set is its output
-    nodes and their in-neighbors, without (ECC) the in-neighbors alone.
-    Built once per frozen skeleton."""
+    convolutions: a layer's in-set is its output nodes and their
+    in-neighbors.  Built once per frozen skeleton."""
     slot = {node: i for i, node in enumerate(skeleton.nodes)}
     nbrs = [[slot[a] for a in skeleton.in_neighbors(node)] for node in skeleton.nodes]
     sets = [[slot[skeleton.target]]]  # output sets, from the target outward
     for _ in range(depth):
         nxt = {j for i in sets[-1] for j in nbrs[i]}
-        sets.append(sorted(nxt.union(sets[-1]) if self_term else nxt))
+        sets.append(sorted(nxt.union(sets[-1])))
     layers = []
     for out, ins in zip(sets[-2::-1], sets[::-1]):
         pos = {j: k for k, j in enumerate(ins)}
@@ -141,8 +140,7 @@ def layer_plan(skeleton: GraphSkeleton, depth: int, self_term: bool) -> LayerPla
         for r, i in enumerate(out):
             for j in nbrs[i]:
                 agg[r, pos[j]] = 1.0 / len(nbrs[i])
-        self_index = _frozen(np.array([pos[i] for i in out], dtype=np.intp)) if self_term else None
-        layers.append(ConvLayer(self_index, _frozen(agg)))
+        layers.append(ConvLayer(_frozen(np.array([pos[i] for i in out], dtype=np.intp)), _frozen(agg)))
     return LayerPlan(_frozen(np.array(sets[-1], dtype=np.intp)), tuple(layers))
 
 
@@ -153,12 +151,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
     """Induced subgraph on the target's ``hops``-step in-closure: the
-    nodes a stack of ``hops`` SAGE convolutions reads (``layer_plan``'s
+    nodes a stack of ``hops`` convolutions reads (``layer_plan``'s
     first in-set).  Training on it gives the same predictions and
     gradients as on the full skeleton."""
     if hops < 0:
         raise GraphError("hops must be nonnegative")
-    keep = {skeleton.nodes[i] for i in layer_plan(skeleton, hops, True).reads}
+    keep = {skeleton.nodes[i] for i in layer_plan(skeleton, hops).reads}
     nodes = tuple(n for n in skeleton.nodes if n in keep)
     edges = tuple((a, b) for a, b in skeleton.edges if a in keep and b in keep)
     return GraphSkeleton(nodes=nodes, edges=edges, target=skeleton.target)
@@ -203,7 +201,7 @@ def build_instances(table, skeleton: GraphSkeleton) -> GraphBatch:
 
 @dataclass
 class EccLayer:
-    """Edge filter (scalar attribute -> flat out*in weight) plus bias."""
+    """Edge filter (scalar attribute -> flat out*2in weight) plus bias."""
 
     filter: DenseParams
     bias: Tensor
@@ -211,15 +209,15 @@ class EccLayer:
     in_dim: int
 
     def __post_init__(self):
-        if self.filter.weight.values.shape != (self.out_dim * self.in_dim, 1):
-            raise NumericError("filter output does not reshape to out x in")
+        if self.filter.weight.values.shape != (self.out_dim * 2 * self.in_dim, 1):
+            raise NumericError("filter output does not reshape to out x 2in")
 
     @property
     def weight(self) -> Tensor:
-        """The (out, in) weight the filter network generates from the edge
-        attribute 1.0, fed to it as a (1, 1) matrix."""
-        theta_flat = engine.dense(constant([[1.0]]), self.filter)
-        return engine.reshape(theta_flat, (self.out_dim, self.in_dim))
+        """The (out, 2in) weight [W_root | Θ] the filter network generates
+        from the edge attribute 1.0, fed to it as a (1, 1) matrix."""
+        flat = engine.dense(constant([[1.0]]), self.filter)
+        return engine.reshape(flat, (self.out_dim, 2 * self.in_dim))
 
     @property
     def tensors(self) -> tuple[Tensor, Tensor, Tensor]:
@@ -252,10 +250,10 @@ def init_sage(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnMo
 
 
 def _ecc_layer(rng, out_dim: int, in_dim: int) -> EccLayer:
-    # same small-bias convention as dense_params: keeps empty-neighborhood
-    # outputs (exactly the bias) off the ReLU kink
+    # same small-bias convention as dense_params: keeps preactivations of
+    # all-zero inputs (exactly the bias) off the ReLU kink
     return EccLayer(
-        filter=engine.dense_params(rng, out_dim * in_dim, 1),
+        filter=engine.dense_params(rng, out_dim * 2 * in_dim, 1),
         bias=engine.parameter(rng.uniform(-0.05, 0.05, size=out_dim)),
         out_dim=out_dim,
         in_dim=in_dim,
@@ -281,7 +279,7 @@ def _forward_batch(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) 
         raise SchemaError(f"batch over nodes {batch.nodes} fed to a skeleton over {skeleton.nodes}")
     if not len(batch):
         raise NumericError("empty batch")
-    plan = layer_plan(skeleton, CONV_DEPTH[model.kind], model.kind == "sage")
+    plan = layer_plan(skeleton, CONV_DEPTH[model.kind])
     # node-major (in-set, rows, 1)
     h = constant(np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None])
     last = len(plan.layers) - 1
@@ -305,6 +303,8 @@ _INIT = {"sage": init_sage, "ecc": init_ecc}
 def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int) -> GnnModel:
     if kind not in _INIT:
         raise NumericError(f"kind must be one of {sorted(_INIT)}")
+    if hidden < 1:
+        raise ConfigError(f"{kind}: hidden must be >= 1, got {hidden}")
     return _INIT[kind](skeleton, seed=seed, hidden=hidden)
 
 

@@ -279,30 +279,29 @@ def _extend(g: _Pdag) -> bool:
     """Orient every undirected edge of g in place by sink elimination (see
     ``consistent_extension``).  True when no node qualified as a sink and
     the fallback oriented the rest."""
-    rest = g.copy()  # the graph over the nodes not yet eliminated
+    # Every edge between a removed node and the rest points into the removed
+    # node, and edges among the rest are never edited, so g itself, read
+    # around ``removed``, is the graph over the nodes not yet eliminated.
+    removed: set = set()
 
     def qualifies(x: str) -> bool:
-        if rest.ch[x]:
+        if not g.ch[x] <= removed:
             return False
-        for y in rest.und[x]:
-            for z in rest.adj[x]:
-                if z != y and z not in rest.adj[y]:
+        for y in g.und[x]:
+            for z in g.adj[x]:
+                if z != y and z not in removed and z not in g.adj[y]:
                     return False
         return True
 
-    remaining = set(g.nodes)
-    sinks = {v for v in remaining if qualifies(v)}
+    sinks = {v for v in g.nodes if qualifies(v)}
     while sinks:
         x = max(sinks)
-        for y in rest.und[x]:
+        for y in list(g.und[x]):
             g.orient(y, x)
-        touched = list(rest.adj[x])
-        for y in touched:
-            rest.cut(x, y)
-        remaining.discard(x)
+        removed.add(x)
         sinks.discard(x)
-        sinks.update(y for y in touched if qualifies(y))
-    if not remaining:
+        sinks.update(y for y in g.adj[x] if y not in removed and qualifies(y))
+    if len(removed) == len(g.nodes):
         return False
     order = _kahn(g.nodes, g.directed())
     if order is None:  # sinks add no cycle, so the input had one

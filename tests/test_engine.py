@@ -113,7 +113,7 @@ def test_op_zoo_gradients_match_fd(seed):
     agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # row-normalized
     w1 = parameter(rng.standard_normal((4, 6)) * 0.7)
     b1 = parameter(rng.standard_normal(4) * 0.3)
-    theta = parameter(rng.standard_normal((2, 4)) * 0.7)
+    theta = parameter(rng.standard_normal((2, 8)) * 0.7)
     b2 = parameter(rng.standard_normal(2) * 0.3)
     w3 = parameter(rng.standard_normal((2, 2)) * 0.7)
     b3 = parameter(rng.standard_normal(2) * 0.3)
@@ -123,7 +123,7 @@ def test_op_zoo_gradients_match_fd(seed):
 
     def loss_fn():
         h = graph_conv(x, np.arange(3), agg, w1, b1, relu=True)  # (3, 5, 4)
-        h = graph_conv(h, None, agg[:1], theta, b2, relu=False)  # (1, 5, 2)
+        h = graph_conv(h, np.array([0]), agg[:1], theta, b2, relu=False)  # (1, 5, 2)
         z = dense(reshape(h, (5, 2)), DenseParams(w3, b3), relu=True)
         mixed = matmul(constant(np.eye(5)[::-1] + 0.2), z)  # constant left operand
         pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1): stack times matrix
@@ -149,35 +149,34 @@ def test_relu_gradient_matches_fd_away_from_zero():
 
 @pytest.mark.parametrize("relu", [False, True])
 def test_conv_ops_gradients_match_fd(relu):
-    # one row (B = 1); a block with self slots (SAGE) whose second output
-    # node has no neighbours and whose in-slot 2 is both a self slot and a
-    # neighbour, then a block without (ECC) over its output
+    # one row (B = 1); a block whose second output node has no neighbours
+    # and whose in-slot 2 is both a self slot and a neighbour, then a block
+    # whose output nodes read their own states in reverse slot order
     rng = np.random.default_rng(31)
     h = parameter(rng.standard_normal((3, 1, 2)))
-    sage_p = DenseParams(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
-    theta, bias = parameter(rng.standard_normal((2, 3))), parameter(rng.standard_normal(2))
+    first = DenseParams(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
+    theta, bias = parameter(rng.standard_normal((2, 6))), parameter(rng.standard_normal(2))
     target = rng.standard_normal(4)
 
     def loss_fn():
-        s = graph_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]]), *sage_p.tensors, relu=relu)
-        e = graph_conv(s, None, np.array([[0.5, 0.5], [0.0, 1.0]]), theta, bias, relu=relu)  # (2, 1, 2)
+        s = graph_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]]), *first.tensors, relu=relu)
+        e = graph_conv(s, np.array([1, 0]), np.array([[0.5, 0.5], [0.0, 1.0]]), theta, bias, relu=relu)  # (2, 1, 2)
         return mse(reshape(e, (4,)), target)
 
-    report = finite_diff_check(loss_fn, [h, *sage_p.tensors, theta, bias])
+    report = finite_diff_check(loss_fn, [h, *first.tensors, theta, bias])
     assert report.passed, report
-    assert report.n_entries == 6 + 12 + 3 + 6 + 2
+    assert report.n_entries == 6 + 12 + 3 + 12 + 2
 
 
 def test_handed_over_gradient_buffers_take_a_second_sum():
     # dense and graph_conv hand their freshly allocated input gradients
     # over as grad buffers.  The reshaped states feed two dense ops and the
-    # states feed three convolutions, with and without self slots, so in
-    # any backward order handed-over buffers of each kind take the other
-    # ops' sums
+    # states feed three convolutions, so in any backward order handed-over
+    # buffers of each kind take the other ops' sums
     rng = np.random.default_rng(33)
     h = parameter(rng.standard_normal((3, 4, 2)))
     d1, d2 = dense_params(rng, 3, 2), dense_params(rng, 3, 2)
-    c1, c2, c3 = dense_params(rng, 3, 4), dense_params(rng, 3, 4), dense_params(rng, 3, 2)
+    c1, c2, c3 = dense_params(rng, 3, 4), dense_params(rng, 3, 4), dense_params(rng, 3, 4)
     target = rng.standard_normal((8, 4))
 
     def loss_fn():
@@ -185,44 +184,29 @@ def test_handed_over_gradient_buffers_take_a_second_sum():
         mix = matmul(reshape(dense(flat, d1, relu=True), (3, 12)), dense(flat, d2))  # (3, 3)
         s1 = graph_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), *c1.tensors, relu=True)
         s2 = graph_conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), *c2.tensors, relu=False)  # (1, 4, 3)
-        s3 = graph_conv(h, None, np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), *c3.tensors, relu=True)  # (2, 4, 3)
+        s3 = graph_conv(h, np.array([2, 1]), np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), *c3.tensors, relu=True)
         gram = matmul(reshape(s3, (3, 8)), reshape(s3, (8, 3)))
         pred = matmul(matmul(reshape(s1, (8, 3)), matmul(mix, gram)), reshape(s2, (3, 4)))
         return mse(pred, target)
 
     report = finite_diff_check(loss_fn, [h, *d1.tensors, *d2.tensors, *c1.tensors, *c2.tensors, *c3.tensors])
     assert report.passed, report
-    assert report.n_entries == 24 + 2 * (6 + 3) + 2 * (12 + 3) + (6 + 3)
-
-
-def test_ecc_conv_on_zero_width_in_set():
-    # a target with no in-neighbours reads no node: its output is the
-    # bias alone, and the filter gets a zero gradient
-    rng = np.random.default_rng(32)
-    empty = parameter(np.zeros((0, 3, 2)))
-    theta, bias = parameter(rng.standard_normal((2, 2))), parameter(rng.standard_normal(2))
-    target = rng.standard_normal(6)
-
-    def loss_fn():
-        return mse(reshape(graph_conv(empty, None, np.zeros((1, 0)), theta, bias, relu=False), (6,)), target)
-
-    out = graph_conv(empty, None, np.zeros((1, 0)), theta, bias, relu=False)
-    assert np.array_equal(out.values, np.broadcast_to(bias.values, (1, 3, 2)))
-    report = finite_diff_check(loss_fn, [theta, bias])
-    assert report.passed, report
-    assert np.array_equal(theta.grad, np.zeros((2, 2))) and empty.grad.shape == (0, 3, 2)
+    assert report.n_entries == 24 + 2 * (6 + 3) + 3 * (12 + 3)
 
 
 def test_graph_conv_checks_weight_and_block_widths():
-    # the weight reads [self | mean] (2d columns) given self slots, the
-    # mean alone (d columns) without; the block reads every input node
+    # the weight reads [self | mean] (2d columns), the block reads every
+    # input node, and every output node has a self position
     from soilcausal.errors import NumericError
 
     h, agg, bias = constant(np.ones((2, 1, 3))), np.full((1, 2), 0.5), constant(np.zeros(4))
     self_slots = np.array([0])
     assert graph_conv(h, self_slots, agg, constant(np.ones((4, 6))), bias, relu=False).shape == (1, 1, 4)
-    assert graph_conv(h, None, agg, constant(np.ones((4, 3))), bias, relu=False).shape == (1, 1, 4)
-    for self_index, block, width in ((self_slots, agg, 3), (None, agg, 6), (None, np.ones((1, 3)), 3)):
+    for self_index, block, width in (
+        (self_slots, agg, 3),
+        (self_slots, np.ones((1, 3)), 6),
+        (np.array([0, 1]), agg, 6),
+    ):
         with pytest.raises(NumericError, match="do not fit"):
             graph_conv(h, self_index, block, constant(np.ones((4, width))), bias, relu=False)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import soilcausal.engine as engine
 from soilcausal import baselines
 from soilcausal.engine import constant, mse
-from soilcausal.errors import GraphError, NumericError, SchemaError
+from soilcausal.errors import ConfigError, GraphError, NumericError, SchemaError
 from soilcausal.gnn import (
     GraphSkeleton,
     build_instances,
@@ -91,20 +91,20 @@ def test_layer_plan_node_sets():
         edges=(("far", "a"), ("a", "b"), ("b", "t"), ("far", "t"), ("t", "unrelated")),
         target="t",
     )
-    # SAGE: layer k outputs the nodes within (3 - k) in-hops of t
-    sage = layer_plan(sk, 3, True)
+    # layer k outputs the nodes within (depth - k) in-hops of t
+    sage = layer_plan(sk, 3)
     assert sage.reads.tolist() == [0, 1, 2, 3]
     assert [layer.agg.shape for layer in sage.layers] == [(4, 4), (3, 4), (1, 3)]
     assert sage.layers[2].agg.tolist() == [[0.5, 0.5, 0.0]]  # t over (far, b, t)
     assert sage.layers[2].self_index.tolist() == [2]
-    # ECC reads the in-neighbors alone: t <- (far, b) <- (a) <- ()
-    ecc = layer_plan(sk, 2, False)
-    assert ecc.reads.tolist() == [1]
-    assert [layer.agg.tolist() for layer in ecc.layers] == [[[0.0], [1.0]], [[0.5, 0.5]]]
-    assert all(layer.self_index is None for layer in ecc.layers)
-    # a target with no in-neighbors reads nothing
-    lone = layer_plan(GraphSkeleton(nodes=("a", "t"), edges=(("t", "a"),), target="t"), 2, False)
-    assert lone.reads.size == 0 and [layer.agg.shape for layer in lone.layers] == [(0, 0), (1, 0)]
+    # ECC's depth 2 reads t's parents (far, b) and theirs (a) with t itself
+    ecc = layer_plan(sk, 2)
+    assert ecc.reads.tolist() == [0, 1, 2, 3]
+    assert [layer.self_index.tolist() for layer in ecc.layers] == [[0, 2, 3], [2]]
+    assert ecc.layers[0].agg.tolist() == [[0.0] * 4, [0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]]
+    # a target with no in-neighbors reads its own (masked) slot alone
+    lone = layer_plan(GraphSkeleton(nodes=("a", "t"), edges=(("t", "a"),), target="t"), 2)
+    assert lone.reads.tolist() == [1] and [layer.agg.tolist() for layer in lone.layers] == [[[0.0]], [[0.0]]]
 
 
 def test_skeleton_from_pattern_expands_undirected():
@@ -254,15 +254,14 @@ def _naive_sage(feats, skeleton, params, activate):
 
 def _naive_ecc(feats, skeleton, layer):
     Wf, bf = layer.filter.weight.values, layer.filter.bias.values
-    theta = (Wf @ np.array([1.0]) + bf).reshape(layer.out_dim, layer.in_dim)
+    root, theta = np.split((Wf @ np.array([1.0]) + bf).reshape(layer.out_dim, 2 * layer.in_dim), 2, axis=1)
     out = []
-    for node in skeleton.nodes:
+    for i, node in enumerate(skeleton.nodes):
+        z = root @ feats[i] + layer.bias.values
         nbrs = skeleton.in_neighbors(node)
-        if not nbrs:
-            out.append(layer.bias.values.copy())
-            continue
-        msgs = [theta @ feats[skeleton.index(j)] for j in nbrs]
-        out.append(np.mean(msgs, axis=0) + layer.bias.values)
+        if nbrs:
+            z = z + np.mean([theta @ feats[skeleton.index(j)] for j in nbrs], axis=0)
+        out.append(z)
     return np.stack(out)
 
 
@@ -298,15 +297,16 @@ def test_sage_conv_matches_naive_loop(seed):
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
 
 
-def test_ecc_conv_empty_neighborhood_is_bias():
+def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
     sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
     model = init_ecc(sk, seed=1, hidden=4)
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
     h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = engine.graph_conv(h, None, _full_graph(sk)[1], layer.weight, layer.bias, relu=False)
-    # node "a" has no in-neighbors
-    assert np.array_equal(out.values[0], np.tile(layer.bias.values, (2, 1)))
+    out = engine.graph_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    # node "a" has no in-neighbors: W_root x_a + b
+    root = layer.weight.values[:, :4]
+    assert np.max(np.abs(out.values[0] - (h.values[0] @ root.T + layer.bias.values))) < 1e-12
 
 
 def test_ecc_conv_identity_filter_copies_neighbor():
@@ -314,17 +314,18 @@ def test_ecc_conv_identity_filter_copies_neighbor():
     from soilcausal.gnn import EccLayer
 
     d = 3
+    copy_neighbor = np.concatenate([np.zeros((d, d)), np.eye(d)], axis=1)  # [W_root | Θ] = [0 | I]
     layer = EccLayer(
         filter=engine.DenseParams(
-            engine.parameter(np.eye(d).reshape(d * d, 1) * 0.0),
-            engine.parameter(np.eye(d).reshape(d * d)),
+            engine.parameter(np.zeros((2 * d * d, 1))),
+            engine.parameter(copy_neighbor.reshape(2 * d * d)),
         ),
         bias=engine.parameter(np.zeros(d)),
         out_dim=d,
         in_dim=d,
     )
     h = np.random.default_rng(2).standard_normal((2, 5, d))
-    out = engine.graph_conv(constant(h), None, _full_graph(sk)[1], layer.weight, layer.bias, relu=False)
+    out = engine.graph_conv(constant(h), *_full_graph(sk), layer.weight, layer.bias, relu=False)
     assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
 
 
@@ -337,7 +338,7 @@ def test_ecc_conv_matches_naive_loop(seed):
     feats = rng.standard_normal((4, 5, 3))
     layer = model.convs[1]
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.graph_conv(h, None, _full_graph(sk)[1], layer.weight, layer.bias, relu=False)
+    out = engine.graph_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
     for b in range(4):
         ref = _naive_ecc(feats[b], sk, layer)
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
@@ -346,10 +347,10 @@ def test_ecc_conv_matches_naive_loop(seed):
 def test_ecc_filter_matrix_shape():
     sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
     model = init_ecc(sk, seed=0, hidden=4)
-    assert [layer.weight.values.shape for layer in model.convs] == [(4, 1), (4, 4)]
+    assert [layer.weight.values.shape for layer in model.convs] == [(4, 2), (4, 8)]
     # the filter network's output at edge attribute 1.0, row-major
     flat = model.convs[1].filter.weight.values[:, 0] + model.convs[1].filter.bias.values
-    assert np.array_equal(model.convs[1].weight.values, flat.reshape(4, 4))
+    assert np.array_equal(model.convs[1].weight.values, flat.reshape(4, 8))
 
 
 def _naive_forward(model, skeleton, feats):
@@ -629,6 +630,50 @@ def test_train_rejects_non_finite_labels_by_row(kind, bad):
         train(kind, sk, batch, epochs=1)
 
 
+@pytest.mark.parametrize("kind", ["sage", "ecc"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"hidden": 0}, "hidden must be >= 1, got 0"),
+        ({"hidden": -2}, "hidden must be >= 1, got -2"),
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"lr": -0.001}, "lr must be finite and >= 0, got -0.001"),
+        ({"lr": np.nan}, "lr must be finite and >= 0, got nan"),
+        ({"lr": np.inf}, "lr must be finite and >= 0, got inf"),
+    ],
+)
+def test_train_rejects_bad_options(kind, options, message):
+    # a zero width, a negative epoch count or an uphill or non-finite step
+    # is a configuration error, not a division by zero or a silent fit
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    batch = _batch(sk, [[1.0, 0.0], [0.5, 1.0]])
+    with pytest.raises(ConfigError, match=message):
+        train(kind, sk, batch, **{"epochs": 1, **options})
+    if "epochs" in options:  # the MLP baseline trains through the same loop
+        with pytest.raises(ConfigError, match=message):
+            baselines.mlp_train(continuous_table(sk.nodes, [[1.0, 0.0], [0.5, 1.0]] * 3, target="t"), **options)
+
+
+def test_ecc_reads_the_target_parents():
+    # on the farm's true DAG, ph, total_n and moisture parent the target;
+    # som is its child, so no stack that reads in-neighbors may see it
+    from soilcausal.synth import default_farm_benchmark, sample_environments
+
+    scm, envs = default_farm_benchmark(n_days=10)
+    table = sample_environments(scm, envs)
+    sk = GraphSkeleton(nodes=tuple(sorted(table.names)), edges=tuple(scm.dag.edges), target=scm.target)
+    assert {"ph", "total_n", "moisture"} <= set(sk.in_neighbors(scm.target))
+    assert scm.target in sk.in_neighbors("som")
+    batch = build_instances(table, sk)
+    model = init_ecc(sk, seed=0)
+    base = predict(model, sk, batch)
+    for column, moves in (("ph", True), ("total_n", True), ("moisture", True), ("som", False)):
+        features = batch.features.copy()
+        features[:, sk.index(column)] += 1.0
+        shifted = predict(model, sk, replace(batch, features=features))
+        assert (not np.array_equal(shifted, base)) == moves, column
+
+
 def test_train_rejects_unknown_kind():
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     with pytest.raises(NumericError):
@@ -662,7 +707,7 @@ def test_parameter_lists_keep_the_checkpoint_layout():
     # then the head layers (weight, bias)
     sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
     sage = [(4, 2), (4,), (4, 8), (4,), (4, 8), (4,), (4, 4), (4,), (4, 4), (4,), (1, 4), (1,)]
-    ecc = [(4, 1), (4,), (4,), (16, 1), (16,), (4,), (1, 4), (1,)]
+    ecc = [(8, 1), (8,), (4,), (32, 1), (32,), (4,), (1, 4), (1,)]
     assert [p.values.shape for p in init_sage(sk, hidden=4).params] == sage
     assert [p.values.shape for p in init_ecc(sk, hidden=4).params] == ecc
     # and each tensor once, as the model's fields hold it

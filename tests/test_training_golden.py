@@ -8,12 +8,16 @@ and predictions, and the MLP grid log and predictions, in
 bit.  The graph models' entries must match within rtol 1e-9: their
 convolutions compute only the target's receptive field, in GEMMs of other
 shapes than the full-graph ones the file was recorded with, which moves
-the last bits.  To re-record after an intended change:
+the last bits.  To re-record the named entries after an intended change,
+keeping the bytes of the others:
 
-    PYTHONPATH=src python tests/test_training_golden.py
+    PYTHONPATH=src python tests/test_training_golden.py ecc
+
+Without names it re-records every entry.
 """
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,4 +79,12 @@ def test_training_outputs_match_recorded_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_outputs(), indent=1) + "\n")
+    outputs = _outputs()
+    names = sys.argv[1:] or list(outputs)
+    unknown = sorted(set(names) - set(outputs))
+    if unknown:
+        sys.exit(f"unknown entries {unknown}; the entries are {list(outputs)}")
+    # json round-trips every float through its repr, so the entries not
+    # named are written back byte for byte
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    GOLDEN.write_text(json.dumps({k: outputs[k] if k in names else recorded[k] for k in outputs}, indent=1) + "\n")
