@@ -25,18 +25,18 @@ scores every candidate feature of every node, and one stable partition
 moves the rows of every node that splits.  A cumulative sum runs along one
 node's slice alone, with padding only after it, and a node's mean and
 squared deviations add up in row-id order exactly as np.sum does (see
-``_sums``).  What a batch holds depends on whether the trees draw features
-per node:
+``_sums``).
 
-- Boosting and ``cart_train`` without ``n_features`` draw none, so a batch
-  is every open node at one depth of the tree.
-- The forest draws ``n_features`` features per node from its tree's
-  generator, in pre-order (node, left subtree, right subtree).  Which draw
-  a node gets depends on how many nodes draw before it, so each tree
-  advances in pre-order one node per step, together with the nodes before
-  it whose children cannot draw, and the trees of a forest grow in
-  lock-step with their buffers side by side: a batch is the next node of
-  each tree.
+Each batch is one pass of a single loop: every tree pops its open nodes
+off a stack in pre-order (node, left subtree, right subtree), and the
+children of every node split are pushed back.  The forest draws
+``n_features`` features per node from its tree's generator, in that
+pre-order, so which draw a node gets depends on how many nodes draw before
+it: a tree stops popping at the first node whose children may be open,
+since they draw next, and the trees of a forest advance in lock-step with
+their buffers side by side.  Boosting and ``cart_train`` without
+``n_features`` draw nothing, so each tree empties its stack and a batch is
+one whole depth of it.
 """
 
 from __future__ import annotations
@@ -194,60 +194,44 @@ class _Grower:
         ok = m >= 2 * self.min_leaf
         return ok if self.max_depth is None else ok & (depth < self.max_depth)
 
-    def grow_levels(self, roots):
-        """Every open node of a depth in one batch."""
-        ids = np.array(roots)
-        lo, hi, depth = np.array(self.lo), np.array(self.hi), np.zeros(ids.size, dtype=np.intp)
-        while ids.size:
-            keep = self.is_open(hi - lo, depth)
-            if not keep.any():
-                return
-            parts = self.expand(ids[keep], lo[keep], hi[keep], depth[keep], None)
-            ids, lo, hi, depth = (np.array([v for part in col for v in part], dtype=np.intp) for col in zip(*parts))
-
-    def grow_lockstep(self, roots, rngs, n_features):
-        """Per batch, the next open node of each tree in pre-order, each
-        drawing its features from its tree's generator.  A node none of
-        whose children can be open draws the only features of its subtree,
-        so the next node of its tree joins the same batch."""
+    def grow(self, roots, rngs, n_features):
+        """Per batch, the open nodes each tree pops off its pre-order stack.
+        A tree that draws ``n_features`` features per node from its
+        generator in ``rngs`` stops at the first node whose children may be
+        open, since they draw next; a tree that draws none empties its
+        stack, so its batch is one whole depth."""
         d = self.xt.shape[0]
+        draws = n_features is not None and n_features < d
+        width = n_features if draws else d
         stacks = [[root] for root in roots]
         while True:
-            batch, feats, last = [], [], []
+            batch, owner, feats = [], [], []
             for t, stack in enumerate(stacks):
                 while stack:
                     i = stack.pop()
                     m, depth = self.hi[i] - self.lo[i], self.depth[i]
                     if not self.is_open(m, depth):
                         continue
-                    feats.append(rngs[t].choice(d, size=n_features, replace=False))
-                    batch.append(i)
-                    if self.is_open(m - self.kmin, depth + 1):
-                        last.append((t, i))  # its children may draw: the tree waits for them
-                        break
+                    batch.append([i, self.lo[i], self.hi[i], depth])
+                    owner.append(t)
+                    if draws:
+                        feats.append(rngs[t].choice(d, size=n_features, replace=False))
+                        if self.is_open(m - self.kmin, depth + 1):
+                            break
             if not batch:
                 return
-            ids, lo, hi, depth = np.array([[i, self.lo[i], self.hi[i], self.depth[i]] for i in batch]).T
-            feats = np.array(feats)
-            feats.sort(axis=1)
-            self.expand(ids, lo, hi, depth, feats)
-            for t, i in last:
+            ids, lo, hi, depth = np.array(batch).T
+            feats = np.sort(feats, axis=1) if draws else None
+            for b in _blocks(hi - lo, width):
+                self._split_block(ids[b], lo[b], hi[b], depth[b], feats[b] if draws else None)
+            for t, i in zip(owner, ids.tolist()):
                 if self.left[i] >= 0:
                     stacks[t] += [self.right[i], self.left[i]]
 
-    def expand(self, ids, lo, hi, depth, feats) -> list[tuple]:
-        """Search and split the nodes ``ids`` of rows [lo, hi) at ``depth``
-        (their candidate features, one row each, or None for all); returns
-        the (ids, lo, hi, depth) of the children made, block by block."""
-        width = self.xt.shape[0] if feats is None else feats.shape[1]
-        return [
-            self._split_block(ids[b], lo[b], hi[b], depth[b], None if feats is None else feats[b])
-            for b in _blocks(hi - lo, width)
-        ]
-
-    def _split_block(self, ids, lo, hi, depth, feats) -> tuple:
-        """Take the means of one padded block of nodes and split those with
-        a split; returns the (ids, lo, hi, depth) of their children."""
+    def _split_block(self, ids, lo, hi, depth, feats) -> None:
+        """Take the means of one padded block of nodes ``ids`` of rows
+        [lo, hi) at ``depth`` (their candidate features, one row each, or
+        None for all) and split those with a split."""
         mean, split, feature, threshold, n_left = self._search(lo, hi, feats)
         ids, lo, hi, depth = ids.tolist(), lo.tolist(), hi.tolist(), depth.tolist()
         for i, v in zip(ids, mean.tolist()):
@@ -262,7 +246,6 @@ class _Grower:
             # leaves by size or depth read only the row-id row
             deeper = any(self.is_open(b - a - self.kmin, e) for a, b, e in zip(lo, hi, depth))
             self._partition(lo, cut, hi, slice(None) if deeper else slice(-1, None))
-        return children, lo + cut, cut + hi, depth + depth
 
     def _search(self, lo, hi, feats):
         """Means of the nodes [lo, hi) of one block, and the best split of
@@ -394,10 +377,7 @@ def _grow(xt, y, n_rows, max_depth, min_leaf, rngs=None, n_features=None, order=
     starts = list(range(0, y.size, n_rows))
     grower = _Grower(xt, y, order, max_depth, min_leaf)
     roots = grower.add(starts, [s + n_rows for s in starts], [0] * len(starts))
-    if n_features is not None and n_features < xt.shape[0]:
-        grower.grow_lockstep(roots, rngs, n_features)
-    else:
-        grower.grow_levels(roots)
+    grower.grow(roots, rngs, n_features)
     nodes, fitted = grower.finish()
     return [nodes[i] for i in roots], fitted
 

@@ -76,13 +76,6 @@ class Tensor:
         self._parents = tuple(parents)
         self._push = push
 
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def item(self) -> float:
-        return float(self.values)
-
     def zero_grad(self) -> None:
         self.grad = None
 

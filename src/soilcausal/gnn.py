@@ -302,7 +302,7 @@ _INIT = {"sage": init_sage, "ecc": init_ecc}
 
 def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int) -> GnnModel:
     if kind not in _INIT:
-        raise NumericError(f"kind must be one of {sorted(_INIT)}")
+        raise ConfigError(f"kind must be one of {sorted(_INIT)}")
     if hidden < 1:
         raise ConfigError(f"{kind}: hidden must be >= 1, got {hidden}")
     return _INIT[kind](skeleton, seed=seed, hidden=hidden)

@@ -1,8 +1,8 @@
 """Graph algebra for causal structure learning.
 
-DAGs and CPDAGs over hashable, totally ordered node labels: v-structure
-detection, equivalence-class projection, Meek orientation propagation,
-consistent extensions and structural Hamming distance.  Results depend on
+DAGs and CPDAGs over hashable, totally ordered node labels:
+equivalence-class projection, Meek orientation propagation, consistent
+extensions, reachability and structural Hamming distance.  Results depend on
 the labels only through their order, so relabelling by an order-preserving
 map commutes with every operation; the greedy searches rely on this and run
 on column indices.
@@ -173,10 +173,6 @@ class _Pdag:
         return {(a, b) for a in self.nodes for b in self.und[a] if a < b}
 
 
-def is_acyclic(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> bool:
-    return _kahn(nodes, edges) is not None
-
-
 def topological_sort(g: Dag) -> tuple[str, ...]:
     """Deterministic topological order, ties broken by label."""
     return tuple(_kahn(g.nodes, g.edges))
@@ -203,13 +199,6 @@ def reachable(succ, src, blocked=()) -> set:
     return seen
 
 
-def ancestors(g: Dag, node: str) -> frozenset[str]:
-    """All proper ancestors of ``node`` (excludes the node itself)."""
-    if node not in g.nodes:
-        raise GraphError(f"unknown node {node!r}")
-    return frozenset(reachable(_Pdag(g.nodes, g.edges).pa.__getitem__, node) - {node})
-
-
 def _colliders(g: _Pdag) -> frozenset[tuple[str, str, str]]:
     """Triples (a, c, b), a < b, with a->c<-b directed and a, b non-adjacent."""
     return frozenset(
@@ -218,15 +207,6 @@ def _colliders(g: _Pdag) -> frozenset[tuple[str, str, str]]:
         for a, b in combinations(sorted(g.pa[c]), 2)
         if b not in g.adj[a]
     )
-
-
-def v_structures(g: Dag) -> frozenset[tuple[str, str, str]]:
-    return _colliders(_Pdag(g.nodes, g.edges))
-
-
-def pattern_v_structures(g: Cpdag) -> frozenset[tuple[str, str, str]]:
-    """Colliders formed by the *directed* part of a partially directed graph."""
-    return _colliders(_Pdag(g.nodes, g.directed, g.undirected))
 
 
 def _meek(g: _Pdag) -> None:

@@ -15,6 +15,8 @@ Column kinds:
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -260,7 +262,7 @@ def lag_counts(events: Table, windows: Sequence[int] = DEFAULT_LAG_WINDOWS) -> T
     Counting sums the event column, so a day with a count of 2 contributes 2.
     """
     for w in windows:
-        if int(w) != w or w <= 0:
+        if not isinstance(w, numbers.Real) or not 0 < w < math.inf or int(w) != w:
             raise ConfigError(f"lag window must be a positive day count, got {w!r}")
     windows = [int(w) for w in windows]
     event_cols = [c.name for c in events.schema if c.kind == "event_count"]

@@ -18,8 +18,8 @@ size, as PC's level-batched evaluation hands them over, into one
 (k, |S|+2, |S|+2) array and inverts them with one stacked call;
 ``bic_local_stats`` does the same for one node's parent sets of each size.
 Every member of a stack gets what evaluating it alone gives, bit for bit,
-and the scalar functions (``partial_correlation``, ``fisher_z_test``,
-``bic_local_stat``) are stacks of one.  Evaluating a stack of tests counts
+and the scalar functions (``fisher_z_test``, ``bic_local_stat``) are stacks
+of one.  Evaluating a stack of tests counts
 nothing; reading a mask of members counts their fallbacks and raises the
 first error among them, so a caller that reads only the tests a sequential
 loop would have run reports that loop's counters.
@@ -296,20 +296,6 @@ def _triple(i: int, j: int, S: Iterable[int]) -> list[list[int]]:
     if i in S or j in S:
         raise ConfigError("conditioning set must exclude the tested pair")
     return [[i, j, *S]]
-
-
-def partial_correlation(
-    i: int,
-    j: int,
-    S: Iterable[int],
-    stat: GaussianSuffStat,
-    *,
-    warn: WarningCounter,
-) -> float:
-    """Correlation of the residuals of columns i and j after linearly
-    removing the columns in S, read off the precision of the covariance
-    submatrix on {i, j} | S."""
-    return CIBatch(stat, _triple(i, j, S)).partial_correlation(0, warn=warn)
 
 
 def fisher_z_test(

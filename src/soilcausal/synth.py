@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphError
+from .errors import ConfigError
 from .graphs import Cpdag, Dag, cpdag_of, in_neighbors, topological_sort
 from .ingest import ColumnSpec, Table, concat_tables
 from .seeding import derive_seed
@@ -114,14 +114,7 @@ class SCMSpec:
         targets = [n for n in self.dag.nodes if self.roles[n] == "target"]
         if len(targets) != 1:
             raise ConfigError(f"expected exactly one target node, got {targets}")
-        self._by_node = by_node
         self.target = targets[0]
-
-    def mechanism(self, node: str) -> Mechanism:
-        try:
-            return self._by_node[node]
-        except KeyError:
-            raise GraphError(f"no mechanism for node {node!r}") from None
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ def all_dags(labels: tuple[str, ...]) -> list[frozenset[tuple[str, str]]]:
                 edges.add((a, b))
             elif state == 2:
                 edges.add((b, a))
-        if G.is_acyclic(labels, edges):
+        if G._kahn(labels, edges) is not None:
             out.append(frozenset(edges))
     return out
 
@@ -65,9 +65,8 @@ def equivalence_classes(labels, dags):
     """Group DAG edge sets by (skeleton, v-structures)."""
     classes: dict[tuple, list[frozenset]] = {}
     for edges in dags:
-        dag = G.Dag(labels, edges)
         skel = frozenset(tuple(sorted(e)) for e in edges)
-        key = (skel, G.v_structures(dag))
+        key = (skel, G._colliders(G._Pdag(labels, edges)))
         classes.setdefault(key, []).append(edges)
     return classes
 
@@ -90,15 +89,15 @@ def class_cpdag(labels, members) -> G.Cpdag:
 def extension_set(pattern: G.Cpdag) -> set[frozenset]:
     """All DAGs with the pattern's skeleton, directed edges, and colliders."""
     und = sorted(pattern.undirected)
-    want = G.pattern_v_structures(pattern)
+    want = G._colliders(G._Pdag(pattern.nodes, pattern.directed, pattern.undirected))
     out = set()
     for bits in range(2 ** len(und)):
         edges = set(pattern.directed)
         for k, (a, b) in enumerate(und):
             edges.add((a, b) if (bits >> k) & 1 else (b, a))
-        if not G.is_acyclic(pattern.nodes, edges):
+        if G._kahn(pattern.nodes, edges) is None:
             continue
-        if G.v_structures(G.Dag(pattern.nodes, frozenset(edges))) == want:
+        if G._colliders(G._Pdag(pattern.nodes, edges)) == want:
             out.add(frozenset(edges))
     return out
 

@@ -60,9 +60,9 @@ def test_relu_values_and_mask():
 
 def test_mse_values():
     p = constant([0.0, 2.0])
-    assert mse(p, np.zeros(2)).item() == pytest.approx(2.0)
+    assert float(mse(p, np.zeros(2)).values) == pytest.approx(2.0)
     q = constant([1.0, 1.0])
-    assert mse(q, np.ones(2)).item() == 0.0
+    assert float(mse(q, np.ones(2)).values) == 0.0
 
 
 def test_dense_identity_and_bias():
@@ -201,7 +201,7 @@ def test_graph_conv_checks_weight_and_block_widths():
 
     h, agg, bias = constant(np.ones((2, 1, 3))), np.full((1, 2), 0.5), constant(np.zeros(4))
     self_slots = np.array([0])
-    assert graph_conv(h, self_slots, agg, constant(np.ones((4, 6))), bias, relu=False).shape == (1, 1, 4)
+    assert graph_conv(h, self_slots, agg, constant(np.ones((4, 6))), bias, relu=False).values.shape == (1, 1, 4)
     for self_index, block, width in (
         (self_slots, agg, 3),
         (self_slots, np.ones((1, 3)), 6),
@@ -282,7 +282,7 @@ def test_adam_fit_is_the_step_loop_and_names_divergence():
     for _ in range(5):
         ref.zero_grad()
         loss = mse(reshape(matmul(x, ref), (6,)), y)
-        ref_history.append(loss.item())
+        ref_history.append(float(loss.values))
         loss.backward()
         adam_step([ref], [ref.grad], st)
     assert history == ref_history

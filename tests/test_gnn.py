@@ -676,7 +676,7 @@ def test_ecc_reads_the_target_parents():
 
 def test_train_rejects_unknown_kind():
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
-    with pytest.raises(NumericError):
+    with pytest.raises(ConfigError):
         train("transformer", sk, [], epochs=1)
 
 
@@ -768,5 +768,5 @@ def test_load_model_rejects_unknown_kind(tmp_path):
     path = tmp_path / "ecc.bin"
     save_model(path, init_ecc(sk, hidden=4), sk)  # loads cleanly as "ecc"
     load_model(path, "ecc", sk, hidden=4)
-    with pytest.raises(NumericError):
+    with pytest.raises(ConfigError):
         load_model(path, "bogus", sk, hidden=4)

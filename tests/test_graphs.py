@@ -65,7 +65,7 @@ def test_consistent_extension_lands_inside_the_class():
         ext = G.consistent_extension(cp)
         assert ext.meta["extension_fallback"] is False
         assert ext.edges in set(members)
-        assert G.v_structures(ext) == G.pattern_v_structures(cp)
+        assert G._colliders(G._Pdag(ext.nodes, ext.edges)) == G._colliders(G._Pdag(cp.nodes, cp.directed, cp.undirected))
 
 
 def test_v_structures_match_triple_scan():
@@ -79,7 +79,7 @@ def test_v_structures_match_triple_scan():
             for z in dag.nodes
             if (x, z) in dag.edges and (y, z) in dag.edges and tuple(sorted((x, y))) not in adj
         }
-        assert G.v_structures(dag) == frozenset(oracle)
+        assert G._colliders(G._Pdag(dag.nodes, dag.edges)) == frozenset(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,9 @@ def test_meek_closure_preserves_extension_set(seed):
     if before:
         assert extension_set(closed) == before
     assert pattern.directed <= closed.directed
-    assert G.pattern_v_structures(closed) == G.pattern_v_structures(pattern)
+    assert G._colliders(G._Pdag(closed.nodes, closed.directed, closed.undirected)) == G._colliders(
+        G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
+    )
     assert G.meek_closure(closed) == closed
 
 
@@ -234,14 +236,15 @@ def test_single_undirected_edge_orients_by_label():
 
 def test_chain_ancestors_and_parents():
     dag = G.Dag(("A", "B", "C"), {("A", "B"), ("B", "C")})
-    assert G.ancestors(dag, "C") == {"A", "B"}
-    assert G.ancestors(dag, "A") == frozenset()
+    parents = G._Pdag(dag.nodes, dag.edges).pa.__getitem__
+    assert G.reachable(parents, "C") == {"A", "B", "C"}
+    assert G.reachable(parents, "A") == {"A"}
     assert G.in_neighbors(dag, "C") == {"B"}
 
 
 def test_empty_graph_ancestors():
     dag = G.Dag(("x", "y"), frozenset())
-    assert G.ancestors(dag, "x") == frozenset()
+    assert G.reachable(lambda v: G.in_neighbors(dag, v), "x") == {"x"}
 
 
 def test_reachable_stops_at_blocked_nodes():
@@ -264,12 +267,15 @@ def test_ancestors_equal_reachability_closure(seed):
     m = np.zeros((10, 10), dtype=bool)
     for a, b in dag.edges:
         m[idx[a], idx[b]] = True
-    reach = m.copy()
-    for _ in range(4):  # repeated squaring covers paths up to length 16 > n
-        reach = reach | (reach @ reach)
-    for v in labels:
-        oracle = {labels[i] for i in range(10) if reach[i, idx[v]]}
-        assert G.ancestors(dag, v) == frozenset(oracle)
+    # ancestors through unblocked nodes: reachability over the parents
+    for blocked in (set(), set(rng.sample(labels, 3))):
+        free = np.array([v not in blocked for v in labels])
+        reach = m & free[:, None] & free[None, :]
+        for _ in range(4):  # repeated squaring covers paths up to length 16 > n
+            reach = reach | (reach @ reach)
+        for v in labels:
+            oracle = set() if v in blocked else {v} | {labels[i] for i in range(10) if reach[i, idx[v]]}
+            assert G.reachable(lambda u: G.in_neighbors(dag, u), v, blocked) == oracle
 
 
 def test_topological_sort_is_deterministic_and_valid():
@@ -293,7 +299,7 @@ def test_validation_errors():
         G.Cpdag(("a", "b"), {("a", "b")}, {("a", "b")})
     with pytest.raises(GraphError):
         G.Cpdag(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")}, frozenset())
-    assert not G.is_acyclic(("a", "b"), {("a", "b"), ("b", "a")})
+    assert G._kahn(("a", "b"), {("a", "b"), ("b", "a")}) is None
 
 
 # ---------------------------------------------------------------------------

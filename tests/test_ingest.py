@@ -262,8 +262,9 @@ def test_field_slices_match_a_row_by_row_scan(seed):
 
 def test_lag_rejects_bad_windows():
     t = _event_table([0, 1], [1.0, 0.0])
-    with pytest.raises(ConfigError):
-        I.lag_counts(t, [0])
+    for bad in (0, float("nan"), float("inf"), 2.5, "30"):
+        with pytest.raises(ConfigError):
+            I.lag_counts(t, [bad])
 
 
 # ---------------------------------------------------------------------------

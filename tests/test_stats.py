@@ -76,7 +76,7 @@ def test_empty_conditioning_set_is_pearson():
     x = rng.normal(size=500)
     y = 0.6 * x + rng.normal(size=500)
     st = S.suff_stat(np.stack([x, y], axis=1))
-    r = S.partial_correlation(0, 1, (), st, warn=fresh_counter())
+    r = S.CIBatch(st, [[0, 1]]).partial_correlation(0, warn=fresh_counter())
     assert math.isclose(r, float(np.corrcoef(x, y)[0, 1]), abs_tol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_chain_partial_correlation_vanishes_analytically():
     # precision matrix has a structural zero between X and Z.
     cov = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
     st = S.GaussianSuffStat(n=100, mean=np.zeros(3), cov=cov, columns=("x", "y", "z"))
-    assert abs(S.partial_correlation(0, 2, (1,), st, warn=fresh_counter())) < 1e-12
+    assert abs(S.CIBatch(st, [[0, 2, 1]]).partial_correlation(0, warn=fresh_counter())) < 1e-12
 
 
 def test_partial_correlation_matches_double_regression():
@@ -97,15 +97,16 @@ def test_partial_correlation_matches_double_regression():
         ri = data[:, i] - design @ np.linalg.lstsq(design, data[:, i], rcond=None)[0]
         rj = data[:, j] - design @ np.linalg.lstsq(design, data[:, j], rcond=None)[0]
         oracle = float(np.corrcoef(ri, rj)[0, 1])
-        assert abs(S.partial_correlation(i, j, cond, st, warn=fresh_counter()) - oracle) < 1e-8
+        r = S.CIBatch(st, [[i, j, *cond]]).partial_correlation(0, warn=fresh_counter())
+        assert abs(r - oracle) < 1e-8
 
 
 def test_partial_correlation_symmetry():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(300, 4))
     st = S.suff_stat(data)
-    a = S.partial_correlation(0, 3, (1, 2), st, warn=fresh_counter())
-    b = S.partial_correlation(3, 0, (1, 2), st, warn=fresh_counter())
+    a = S.CIBatch(st, [[0, 3, 1, 2]]).partial_correlation(0, warn=fresh_counter())
+    b = S.CIBatch(st, [[3, 0, 1, 2]]).partial_correlation(0, warn=fresh_counter())
     assert abs(a - b) < 1e-12
 
 
@@ -114,7 +115,7 @@ def test_singular_submatrix_falls_back_with_warning():
     data = np.stack([x, x.copy(), np.linspace(5, 6, 60)], axis=1)  # col0 == col1
     st = S.suff_stat(data)
     warn = fresh_counter()
-    r = S.partial_correlation(0, 2, (1,), st, warn=warn)
+    r = S.CIBatch(st, [[0, 2, 1]]).partial_correlation(0, warn=warn)
     assert warn.singular_fallbacks >= 1
     assert -1.0 <= r <= 1.0
 
@@ -187,9 +188,9 @@ def test_batch_reports_small_samples_only_when_read():
 def test_partial_correlation_argument_validation():
     st = S.suff_stat(np.random.default_rng(0).normal(size=(50, 3)))
     with pytest.raises(ConfigError):
-        S.partial_correlation(1, 1, (), st, warn=fresh_counter())
+        S.fisher_z_test(1, 1, (), st, warn=fresh_counter())
     with pytest.raises(ConfigError):
-        S.partial_correlation(0, 1, (1,), st, warn=fresh_counter())
+        S.fisher_z_test(0, 1, (1,), st, warn=fresh_counter())
 
 
 # ---------------------------------------------------------------------------
