@@ -387,8 +387,13 @@ def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> T
 
     ``n_features`` features are drawn from ``rng`` at each node that is
     not a leaf by size or depth, in pre-order (node, left subtree, right
-    subtree).
+    subtree).  ``ConfigError`` unless ``n_features`` is None or an int of at
+    least 1; from d on it means every feature.
     """
+    if n_features is not None and (
+        isinstance(n_features, bool) or not isinstance(n_features, (int, np.integer)) or n_features < 1
+    ):
+        raise ConfigError(f"n_features must be None or an int >= 1, got {n_features!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:

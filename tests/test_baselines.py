@@ -251,6 +251,16 @@ def test_rf_train_rejects_an_empty_forest():
             rf_train(_random_table(0), n_trees=n_trees)
 
 
+def test_cart_train_rejects_a_bad_feature_count():
+    rng = np.random.default_rng(5)
+    X, y = rng.standard_normal((50, 4)), rng.standard_normal(50)
+    for n_features in (0, -1, 2.5, True):
+        with pytest.raises(ConfigError, match="n_features"):
+            cart_train(X, y, n_features=n_features)
+    # from d on, every feature: the tree of n_features=None
+    assert cart_train(X, y, n_features=9) == cart_train(X, y, n_features=np.int64(4)) == cart_train(X, y)
+
+
 @pytest.mark.parametrize("kwargs", [{}])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_mlp_train_rejects_non_finite_labels_by_row(kwargs, bad):

@@ -227,6 +227,48 @@ def test_grad_accumulates_over_shared_subexpression():
     loss.backward()
     # d/dx (x^2)^2 = 4x^3 = 32 at x=2: both operand branches must accumulate
     assert x.grad[0, 0] == pytest.approx(32.0)
+    # z feeds a reshape, which hands it a view of its own gradient, and a
+    # dense, which hands it a fresh buffer; in either operand order, z's grad
+    # is their sum.  s = z.w = 2, loss = |z|^2 s^2 / 2, so
+    # dz = z s^2 + |z|^2 s w = (34, -3)
+    z = parameter([[1.0, -2.0]])
+    layer = DenseParams(constant([[3.0, 0.5]]), constant([0.0]))
+    for pred in (
+        lambda: matmul(reshape(z, (2, 1)), dense(z, layer)),
+        lambda: matmul(dense(z, layer), reshape(z, (1, 2))),
+    ):
+        z.zero_grad()
+        out = pred()
+        mse(reshape(out, (2,)), np.zeros(2)).backward()
+        assert np.array_equal(z.grad, [[34.0, -3.0]])
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    # op results drop their grad once pushed, and dense and graph_conv mask
+    # the gradient they were handed in place: that must reach no forward value
+    rng = np.random.default_rng(34)
+    h = parameter(rng.standard_normal((3, 4, 2)))
+    conv, layer = dense_params(rng, 3, 4), dense_params(rng, 2, 3)
+    agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    target = rng.standard_normal(24)
+
+    def build():
+        s = graph_conv(h, np.array([0, 2, 1]), agg, *conv.tensors, relu=True)  # (3, 4, 3)
+        flat = reshape(s, (12, 3))
+        z = dense(flat, layer, relu=True)  # (12, 2)
+        pred = reshape(z, (24,))
+        return [s, flat, z, pred, mse(pred, target)]
+
+    interior = build()
+    before = [t.values.copy() for t in interior]
+    assert all(0 < (t.values > 0).mean() < 1 for t in (interior[0], interior[2]))  # both masks cut
+    leaves = [h, *conv.tensors, *layer.tensors]
+    interior[-1].backward()
+    assert all(t.grad is None for t in interior)
+    assert all(t.grad is not None for t in leaves)
+    assert all(np.array_equal(t.values, v) for t, v in zip(interior, before))
+    report = finite_diff_check(lambda: build()[-1], leaves)
+    assert report.passed, report
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +375,15 @@ def test_checkpoint_layout_is_pinned():
 
 
 def test_checkpoint_trailing_bytes_rejected():
-    from soilcausal.errors import NumericError
+    # a padded or cut payload is malformed data: SchemaError, as a wrong
+    # header is.  Layout: count (4), records (4 + 8, 4 + 4), data (16 + 8)
+    from soilcausal.errors import SchemaError
 
-    with pytest.raises(NumericError):
-        unpack_params(pack_params([parameter([1.0])]) + b"\x00")
+    raw = pack_params([parameter([[1.5], [-2.0]]), parameter([1.0])])
+    assert len(raw) == 48
+    for bad in (raw + b"\x00", raw + bytes(8), raw[:-3], raw[:-8], raw[:20], raw[:10], raw[:2], b""):
+        with pytest.raises(SchemaError, match="checkpoint"):
+            unpack_params(bad)
 
 
 def test_assign_params_shape_guard():

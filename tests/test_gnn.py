@@ -721,9 +721,16 @@ def test_checkpoint_pins_its_graph(tmp_path):
     sk = GraphSkeleton(nodes=("a", "b", "t"), edges=(("a", "t"), ("b", "a")), target="t")
     path = tmp_path / "sage.bin"
     save_model(path, init_sage(sk, hidden=4), sk)
-    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    raw = path.read_bytes()
+    header = json.loads(raw.partition(b"\n")[0])
     assert header["nodes"] == ["a", "b", "t"] and header["target"] == "t"
     load_model(path, "sage", sk, hidden=4)
+    # a payload cut in its data or shape records, or padded, is no checkpoint
+    for bad in (raw[:-3], raw[:-8], raw[: raw.index(b"\n") + 7], raw + bytes(8)):
+        path.write_bytes(bad)
+        with pytest.raises(SchemaError, match="checkpoint"):
+            load_model(path, "sage", sk, hidden=4)
+    path.write_bytes(raw)
     # the same nodes under other edges: same parameter shapes, other layer plan
     other_edges = replace(sk, edges=(("b", "t"), ("a", "b")))
     for kind, skeleton, hidden in (
