@@ -63,7 +63,9 @@ def _farm(n_days, paper_width):
 
 
 class _RecordingScorer(discovery._Scorer):
-    """The greedy searches' scorer, kept so its score cache can be hashed."""
+    """The greedy searches' scorer, kept so its score cache can be hashed.
+    The cache keys parent sets by bitmask; they are decoded to sorted index
+    lists, so each line reads as it did when the keys were sets."""
 
     made: list = []
 
@@ -89,7 +91,8 @@ def _discovery_line(name, learner, learn):
             out += ["sweeps", str(pat.meta["sweeps"])]
     out += ["singular_fallbacks", str(warn.singular_fallbacks), "empty_interventional", str(warn.empty_interventional)]
     if _RecordingScorer.made:
-        cache = sorted((y, sorted(p), s) for sc in _RecordingScorer.made for (y, p), s in sc.cache.items())
+        made = _RecordingScorer.made
+        cache = sorted((y, discovery._members(p), s) for sc in made for (y, p), s in sc.cache.items())
         out += ["scores", str(len(cache)), _json_hash([k[:2] for k in cache]), _hash([k[2] for k in cache])]
     print(*out)
 

@@ -25,17 +25,17 @@ def wide(wide_train):
 
 @pytest.fixture(scope="module")
 def pc_levels(wide):
-    """The (i, j, S) triples of each PC level on the wide table."""
+    """The (i, j, S) triples PC evaluates at each level on the wide table,
+    its rounds joined."""
     names, stat = wide
-    levels = []
+    levels = {}
 
-    def level_tests(triples):
-        levels.append(triples)
-        batch = stats.CIBatch(stat, triples)
-        return batch.independent(), lambda mask: batch.read(mask, warn=stats.WarningCounter())
+    def separates(batch):
+        levels.setdefault(batch.idx.shape[1], []).append(batch.idx)
+        return batch.independent()
 
-    discovery._pc_core(names, level_tests, discovery.DiscoveryConfig().max_cond_size)
-    return levels
+    discovery._pc_core(names, stat, separates, discovery.DiscoveryConfig().max_cond_size, stats.WarningCounter())
+    return [np.concatenate(rounds) for rounds in levels.values()]
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def test_fisher_z_scalar(benchmark, wide):
 
 def test_fisher_z_stack(benchmark, wide, pc_levels):
     """z and p-values of every partial correlation PC evaluates on the wide
-    table (173,499 on the 400-day farm) as one stack, at level 0's dof."""
+    table (128,699 on the 400-day farm) as one stack, at level 0's dof."""
     _, stat = wide
     r = np.concatenate([stats._partial_correlations(stat.cov, np.asarray(t))[0] for t in pc_levels])
     benchmark.extra_info["tests"] = len(r)
@@ -70,7 +70,7 @@ def test_ges_forward_phase(benchmark, wide_train, wide):
     def forward():
         st = discovery._State(len(names), ())
         sc = discovery._Scorer(wide_train, names, None, stats.WarningCounter())
-        return discovery._forward_phase(st, sc, discovery.DiscoveryConfig())
+        return discovery._forward_phase(st, discovery._Inserts(sc, discovery.DiscoveryConfig().max_parents))
 
     st = benchmark.pedantic(forward, rounds=3, iterations=1)
     assert any(st.pa.values()) or any(st.und.values())

@@ -37,6 +37,15 @@ since they draw next, and the trees of a forest advance in lock-step with
 their buffers side by side.  Boosting and ``cart_train`` without
 ``n_features`` draw nothing, so each tree empties its stack and a batch is
 one whole depth of it.
+
+A forest whose ``_FOREST_BYTES`` group holds a single tree (a wide design
+with many rows, such as the 62-column paper-width table) would grow it one
+node per batch and partition every buffer row at every split.  Such a tree
+is grown node by node instead (``_grow_alone``): each node sorts only its
+drawn features, by a stable argsort of its rows in row-id order, which is
+the buffer's order, and scores them with the grower's SSE formula, tie
+rule and threshold rule, so the tree is the same node for node.  Groups of
+two or more trees keep the lock-step grower.
 """
 
 from __future__ import annotations
@@ -72,6 +81,11 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int (not a bool) of at least 1."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
 def _features_of(table) -> tuple[str, ...]:
@@ -382,6 +396,53 @@ def _grow(xt, y, n_rows, max_depth, min_leaf, rngs=None, n_features=None, order=
     return [nodes[i] for i in roots], fitted
 
 
+def _grow_alone(xt, y, min_leaf, rng, n_features) -> TreeNode:
+    """One tree of unlimited depth on the design ``xt`` (features x rows),
+    grown node by node in pre-order.  Each node that may split draws
+    ``n_features`` features from ``rng`` and sorts only those, with a
+    stable argsort of its rows in row-id order, so its x and target orders
+    are the presorted buffer's; the split is chosen by ``_search``'s SSE
+    formula, tie rule and threshold rule, and the tree is ``_grow``'s."""
+    d = xt.shape[0]
+    draws = n_features < d
+    root = TreeNode(None, 0.0, None, None, 0.0)
+    stack = [(root, np.arange(y.size))]
+    while stack:
+        node, idx = stack.pop()
+        ys = y[idx]
+        m = idx.size
+        node.value = float(ys.sum() / m)
+        if m < 2 * min_leaf:
+            continue
+        feats = np.sort(rng.choice(d, size=n_features, replace=False)) if draws else np.arange(d)
+        xs = xt[feats[:, None], idx]
+        order = np.argsort(xs, axis=1, kind="stable")
+        xs = np.take_along_axis(xs, order, axis=1)
+        yr = ys[order]
+        csum, csq = yr.cumsum(axis=1), np.square(yr).cumsum(axis=1)
+        p0, p1 = min_leaf - 1, m - min_leaf  # positions j of the left sizes k = j + 1 allowed
+        k = np.arange(min_leaf, m - min_leaf + 1, dtype=np.float64)
+        c, q = csum[:, p0:p1], csq[:, p0:p1]
+        # left SSE csq - csum^2 / k plus right SSE, in the reference's order
+        sse = (q - np.square(c) / k) + ((csq[:, -1:] - q) - np.square(csum[:, -1:] - c) / (m - k))
+        sse[xs[:, p0 + 1 : p1 + 1] <= xs[:, p0:p1]] = np.inf
+        jmin = sse.argmin(axis=1)  # first minimum: the leftmost threshold
+        best, r = np.inf, -1
+        for f, v in enumerate(sse[np.arange(len(feats)), jmin].tolist()):  # ties go to the lowest feature
+            if v < best - _SPLIT_EPS:
+                best, r = v, f
+        if r < 0 or not best < float(np.square(ys - node.value).sum()) - _SPLIT_EPS:
+            continue
+        j = jmin[r] + p0
+        lo, hi = xs[r, j], xs[r, j + 1]
+        mid = 0.5 * (lo + hi)
+        node.feature, node.threshold = int(feats[r]), float(mid if mid < hi else lo)
+        goes_left = xt[node.feature, idx] <= node.threshold
+        node.left, node.right = TreeNode(None, 0.0, None, None, 0.0), TreeNode(None, 0.0, None, None, 0.0)
+        stack += [(node.right, idx[~goes_left]), (node.left, idx[goes_left])]
+    return root
+
+
 def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> TreeNode:
     """One exact CART tree (see the module docstring).
 
@@ -390,9 +451,7 @@ def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> T
     subtree).  ``ConfigError`` unless ``n_features`` is None or an int of at
     least 1; from d on it means every feature.
     """
-    if n_features is not None and (
-        isinstance(n_features, bool) or not isinstance(n_features, (int, np.integer)) or n_features < 1
-    ):
+    if n_features is not None and not _is_count(n_features):
         raise ConfigError(f"n_features must be None or an int >= 1, got {n_features!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -437,9 +496,9 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
     unlimited depth, min leaf 2.  Rows are already canonically ordered by
     the table itself, so bootstrap indices are order-independent.  The
     trees grow side by side, as many at a time as ``_FOREST_BYTES``
-    holds."""
-    if n_trees < 1:
-        raise ConfigError(f"a forest needs at least one tree, got n_trees={n_trees}")
+    holds; a group of one tree grows node by node."""
+    if not _is_count(n_trees):
+        raise ConfigError(f"a forest needs at least one tree, got n_trees={n_trees!r}")
     X, y, names = _design(table)
     n, d = X.shape
     n_features = max(1, int(np.sqrt(d)))
@@ -452,7 +511,10 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
             for t in members
         ])
         rngs = [np.random.default_rng(derive_seed(seed, t, 1)) for t in members]
-        trees += _grow(X.T[:, idx], y[idx], n, None, 2, rngs, n_features)[0]
+        if group == 1:
+            trees.append(_grow_alone(X.T[:, idx], y[idx], 2, rngs[0], n_features))
+        else:
+            trees += _grow(X.T[:, idx], y[idx], n, None, 2, rngs, n_features)[0]
     return RandomForest(trees=trees, feature_names=names, target=table.target)
 
 
@@ -486,6 +548,10 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
     is presorted once for all rounds, and each round takes the training
     rows' predictions from its grown leaves.
     """
+    if not _is_count(n_estimators):
+        raise ConfigError(f"boosting needs at least one round, got n_estimators={n_estimators!r}")
+    if isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating)) or not (np.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"lr must be finite and >= 0, got {lr!r}")
     X, y, names = _design(table)
     model = GbtModel(init_value=float(y.mean()), trees=[], lr=lr, feature_names=names, target=table.target)
     xt, n = X.T.copy(), X.shape[0]

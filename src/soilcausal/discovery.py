@@ -10,17 +10,22 @@ All three canonicalize to name-sorted column order internally, so the
 result is bit-identical under any permutation of the input columns.
 
 PC freezes the adjacencies of each level (PC-stable), so every test of a
-level is known before any result is read: the level is evaluated as one
-batch and its verdicts are read as arrays.  Each pair's first separating
-set is found by a search on the mask of independent triples, and the
-triples a sequential loop would run, each pair's up to that set, are read
-as one mask.  ``ci_tests`` and the warning counters count only those
-triples, and an error is raised at the first of them that fails, so every
-number and error is the sequential loop's.
+level is known before any result is read.  The level's (i, j, S) triples
+are built as one index array in the sequential order and evaluated in
+rounds: each round is one batch holding the next 2, 6, 18, ... triples of
+every pair whose separating set is not found yet, and its verdicts are
+read as arrays.  A pair is so evaluated up to its first separating set and
+at most twice as far again, not to the end of its list.  After the level,
+the triples a sequential loop would run, each pair's up to that set, are
+read in that loop's order.  ``ci_tests`` and the warning counters count
+only those triples, and an error is raised at the first of them that
+fails, even when a later pair failed in an earlier round, so every number
+and error is the sequential loop's.
 
 PC and the greedy core hold their graph as one ``graphs._Pdag`` over the
-index labels 0..d-1 and edit it in place.  PC cuts the pairs its tests
-separate, orients the colliders and runs the Meek rules on it.  Each greedy
+index labels 0..d-1 and edit it in place.  PC prunes a boolean adjacency
+matrix level by level, then builds the ``_Pdag`` of what is left, orients
+the colliders and runs the Meek rules on it.  Each greedy
 move edits a copy of the current state and completes that copy in place:
 it extends it to a DAG and projects the DAG onto its class pattern.  No
 ``Dag`` or ``Cpdag`` is built on the way; each learner validates one
@@ -30,15 +35,21 @@ it extends it to a DAG and projects the DAG onto its class pattern.  No
 0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
 as it would on the names, and names the final pattern once.  One scorer
 serves both: a node's local BIC comes from the rows where that node was not
-manipulated (every row for ``ges``).  The core keeps, per node, the sorted
-insertions that pass every check local to that node and rebuilds a node's
-list only when its neighbourhood changes (as in fGES); the global
-semi-directed-path check runs lazily along the merged order.  A node's
-list is enumerated by groups: the candidate parents x with one set of
-neighbours NA(y, x) share every (T, base) and its score and clique check,
-and each x adds only its own grown parent set.  Patterns, sepsets, counts,
-sweeps and scores are those of evaluating everything afresh, one candidate
-at a time, at every step.
+manipulated (every row for ``ges``).  Node sets are integer bitmasks over
+the index labels: the NA, T, base and parent sets, and the keys of the
+one score cache, keyed by (node, parent mask), that the forward, backward
+and turning phases share.  The forward phase keeps, per node, the sorted
+insertions that pass every check local to that node (as in fGES), and
+the semi-directed reach set of every (y, base) its global check met.  Each
+step compares the completed state with the one the step before saw and
+drops only what the edits in between changed: the lists of the nodes whose
+neighbourhood changed, and the reach sets holding a node whose children or
+undirected neighbours changed.  The global check then runs lazily along
+the merged order.  A node's list is enumerated by groups: the candidate
+parents x with one set of neighbours NA(y, x) share every (T, base) and
+its score and clique check, and each x adds only its own grown parent set.
+Patterns, sepsets, counts, sweeps and scores are those of evaluating
+everything afresh, one candidate at a time, at every step.
 """
 
 from __future__ import annotations
@@ -73,10 +84,10 @@ class DiscoveryConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.max_cond_size < 0:
-            raise ConfigError("max_cond_size must be >= 0")
-        if self.max_parents < 1:
-            raise ConfigError("max_parents must be >= 1")
+        for name, least in (("max_cond_size", 0), ("max_parents", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,57 +95,86 @@ class DiscoveryConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pc_core(names, level_tests, max_cond_size):
+def _level_triples(adj: np.ndarray, level: int):
+    """The (i, j, *S) rows of one level over the frozen adjacency matrix
+    ``adj``, in the sequential order: pairs i < j in index order, S over the
+    combinations of i's other neighbours and then of j's, each S once per
+    pair.  Also returns each row's pair and each pair's row count."""
+    pi, pj = np.nonzero(np.triu(adj, 1))
+    combos = [list(itertools.combinations(np.flatnonzero(row).tolist(), level)) for row in adj]
+    count = np.array([len(c) for c in combos])
+    combos = np.array([S for c in combos for S in c], dtype=np.intp).reshape(count.sum(), level)
+    offset = np.cumsum(count) - count
+    # the rows of i's combinations, then j's, for every pair
+    seg_start = np.column_stack([offset[pi], offset[pj]]).ravel()
+    seg_len = np.column_stack([count[pi], count[pj]]).ravel()
+    seg_end = np.cumsum(seg_len)
+    k = np.arange(seg_end[-1] if seg_end.size else 0) + np.repeat(seg_start - seg_end + seg_len, seg_len)
+    S = combos[k]
+    pair = np.repeat(np.arange(pi.size).repeat(2), seg_len)
+    j_side = np.repeat(np.tile([False, True], pi.size), seg_len)
+    i, j = pi[pair], pj[pair]
+    # S leaves out the other end of the pair, and j's side drops the S that
+    # i's side already holds: those inside i's neighbours
+    keep = ~(S == np.where(j_side, i, j)[:, None]).any(axis=1)
+    keep &= ~(j_side & adj[i[:, None], S].all(axis=1))
+    triples = np.column_stack([i, j, S])[keep]
+    return triples, pair[keep], np.bincount(pair[keep], minlength=pi.size)
+
+
+def _pc_core(names, stat, separates, max_cond_size, warn):
     """Edge pruning with level-frozen adjacencies (PC-stable), then collider
     orientation and closure.
 
-    Each level's (i, j, S) triples are gathered in the sequential order:
-    pairs in index order, S over i's side then j's, each S once per pair.
-    ``level_tests(triples)`` evaluates them in one batch and returns
-    ``(stop, read)``: the mask of triples that separate their pair, and
-    ``read(mask)``, which reads the masked triples in order, counting their
-    fallbacks and raising at the first that fails.  The triples read are
-    those a sequential loop would run, each pair's up to its first
-    separating set (the first stop at or after the pair's first triple), so
-    the test count, the fallback counters and any error are the sequential
+    Each level's (i, j, S) triples are gathered in the sequential order (see
+    ``_level_triples``) and evaluated as ``CIBatch``es in rounds: round r
+    takes the next 2 * 3^r triples of every pair whose separating set is
+    not found yet, and ``separates(batch)`` marks the triples that separate
+    their pair.  So a pair is evaluated up to its first separating set and
+    at most twice as far again.  After the level the triples a sequential
+    loop would run, each pair's up to its first separating set, are read in
+    that loop's order: their fallbacks are counted on ``warn``, and the
+    first of them that fails raises after the fallbacks before it.  The
+    test count, the fallback counters and any error are the sequential
     ones.
     """
     d = len(names)
-    g = _Pdag(range(d), undirected=itertools.combinations(range(d), 2))
+    adj = ~np.eye(d, dtype=bool)
     sepset: dict[tuple[int, int], frozenset] = {}
     tests = 0
 
     for level in range(max_cond_size + 1):
-        frozen = [sorted(g.adj[k]) for k in range(d)]
-        triples, spans = [], []
-        for i in range(d):
-            for j in frozen[i]:
-                if j < i:
-                    continue
-                start, seen = len(triples), set()
-                for side, other in ((i, j), (j, i)):
-                    pool = [k for k in frozen[side] if k != other]
-                    for S in itertools.combinations(pool, level):
-                        if S not in seen:
-                            seen.add(S)
-                            triples.append((i, j, *S))
-                spans.append((start, len(triples)))
-        if not triples:
+        triples, pair, count = _level_triples(adj, level)
+        if not triples.size:
             break
-        stop, read = level_tests(triples)
-        starts, ends = np.array(spans, dtype=np.intp).T
-        stops = np.append(np.flatnonzero(stop), len(triples))
-        first = stops[np.searchsorted(stops, starts)]
-        found = first < ends
-        last = np.where(found, first, ends - 1)
-        # triple k is read when it does not lie past its pair's last read
-        mask = np.arange(len(triples)) <= np.repeat(last, ends - starts)
-        read(mask)
-        tests += int(np.count_nonzero(mask))
-        for k in first[found].tolist():
-            i, j, *S = triples[k]
+        start = np.cumsum(count) - count
+        rank = np.arange(len(pair)) - start[pair]  # a triple's place in its pair
+        first = np.full(count.size, -1)  # each pair's first separating triple
+        rounds, lo = [], 0
+        while True:
+            hi = 3 * lo + 2
+            k = np.flatnonzero((first[pair] < 0) & (rank >= lo) & (rank < hi))
+            if not k.size:
+                break
+            batch = CIBatch(stat, triples[k])
+            hits = k[separates(batch)]
+            pairs, at = np.unique(pair[hits], return_index=True)
+            first[pairs] = hits[at]
+            rounds.append((k, batch))
+            lo = hi
+        last = np.where(first >= 0, first, start + count - 1)
+        read = np.arange(len(pair)) <= last[pair]
+        fails = [k[read[k] & ~np.isfinite(batch.r)] for k, batch in rounds]
+        stop = min((f[0] for f in fails if f.size), default=len(pair))
+        # the round holding the first failure reads last, and raises
+        for k, batch in sorted(rounds, key=lambda kb: stop in kb[0]):
+            batch.read(read[k] & (k <= stop), warn=warn)
+        tests += int(np.count_nonzero(read))
+        for i, j, *S in triples[first[first >= 0]].tolist():
             sepset[(i, j)] = frozenset(S)
-            g.cut(i, j)
+            adj[i, j] = adj[j, i] = False
+
+    g = _Pdag(range(d), undirected=np.argwhere(np.triu(adj, 1)).tolist())
 
     # v-structures: a - c - b with a, b non-adjacent and c outside their
     # separating set.  Proposals applied in sorted order; an orientation is
@@ -178,12 +218,7 @@ def pc(
     cfg = config or DiscoveryConfig()
     names = tuple(sorted(columns if columns is not None else table.names))
     stat = suff_stat(table, names)
-
-    def level_tests(triples):
-        batch = CIBatch(stat, triples)
-        return batch.independent(cfg.alpha), lambda mask: batch.read(mask, warn=warn)
-
-    return _pc_core(names, level_tests, cfg.max_cond_size)
+    return _pc_core(names, stat, lambda batch: batch.independent(cfg.alpha), cfg.max_cond_size, warn)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +226,27 @@ def pc(
 # ---------------------------------------------------------------------------
 
 
+def _mask(nodes) -> int:
+    """The bitmask of a set of index labels."""
+    m = 0
+    for v in nodes:
+        m |= 1 << v
+    return m
+
+
+def _members(mask: int) -> list:
+    """The index labels of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _Scorer:
-    """Cached local scores, one sufficient statistic per scored node.
+    """Cached local scores, one sufficient statistic per scored node, keyed
+    by (node, bitmask of its parents).
 
     Node i's statistic comes from the rows where i was not manipulated
     (Hauser & Buehlmann 2012); without ``row_targets`` that is every row.
@@ -205,7 +259,7 @@ class _Scorer:
         if row_targets is not None and len(row_targets) != len(data):
             raise ConfigError("one intervention-target set required per row")
         self.warn = warn
-        self.cache: dict[tuple[int, frozenset], float] = {}
+        self.cache: dict[tuple[int, int], float] = {}
         self.stats: list[GaussianSuffStat | None] = []
         shared: dict[bytes | None, GaussianSuffStat | None] = {}
         if row_targets is not None:
@@ -224,18 +278,20 @@ class _Scorer:
                 warn.empty_interventional += 1
             self.stats.append(shared[key])
 
-    def local(self, y: int, parents: frozenset) -> float:
+    def local(self, y: int, parents: int) -> float:
         key = (y, parents)
         if key not in self.cache:
             self.prefetch(y, [parents])
         return self.cache[key]
 
     def prefetch(self, y: int, parent_sets) -> None:
-        """Score the parent sets of y that are not cached yet, in one batch."""
+        """Score the parent sets (bitmasks) of y that are not cached yet, in
+        one batch."""
         missing = [p for p in dict.fromkeys(parent_sets) if (y, p) not in self.cache]
         if missing:
             st = self.stats[y]
-            scores = [0.0] * len(missing) if st is None else bic_local_stats(y, missing, st, warn=self.warn)
+            sets = [_members(p) for p in missing]
+            scores = [0.0] * len(missing) if st is None else bic_local_stats(y, sets, st, warn=self.warn)
             self.cache.update(zip([(y, p) for p in missing], scores))
 
 
@@ -244,24 +300,11 @@ _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
 
 class _State(_Pdag):
     """The current equivalence-class pattern over the index labels 0..d-1,
-    the nodes whose edges interventions pin, and each node's cached
-    insertions, which every copy shares."""
+    and the nodes whose edges interventions pin."""
 
     def __init__(self, d: int, intervened, directed=(), undirected=()):
         super().__init__(range(d), directed, undirected)
         self.intervened = frozenset(intervened)
-        # y -> (insert_key(y), y's sorted locally valid insertions)
-        self.inserts: dict[int, tuple[tuple, list]] = {}
-
-    def insert_key(self, y: int) -> tuple:
-        """Everything y's candidate insertions Insert(x, y, T) and their
-        local checks read: y's parents, neighbours and adjacencies, and the
-        adjacencies of y's neighbours."""
-        return (
-            frozenset(self.pa[y]),
-            frozenset(self.adj[y]),
-            tuple((n, frozenset(self.adj[n])) for n in sorted(self.und[y])),
-        )
 
 
 def _is_clique(nodes, adj) -> bool:
@@ -279,72 +322,109 @@ def _subsets(pool, cap):
 
 def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
     """Insert(x, y, T) candidates that pass every check local to y, as
-    sorted (-gain, x, y, T, base) tuples: gain above tolerance, at most
-    ``max_parents`` parents, and base = NA(y, x) | T a clique.
+    sorted (-gain, x, y, T, base) tuples, base a bitmask: gain above
+    tolerance, at most ``max_parents`` parents, and base = NA(y, x) | T a
+    clique.
 
     NA(y, x), the neighbours of y adjacent to x, fixes the pool of T (y's
     other neighbours), so the x with one NA share every (base, T): each
     such pair builds its sets, scores its base and checks its clique once,
     and only ``scored | {x}`` varies per x."""
-    pa_y, und_y = frozenset(st.pa[y]), st.und[y]
-    by_na: dict[frozenset, list] = {}
+    pa_y, und_y, adj_y = _mask(st.pa[y]), sorted(st.und[y]), st.adj[y]
+    na_of: dict[int, int] = {}
+    for n in und_y:
+        for x in st.adj[n]:
+            na_of[x] = na_of.get(x, 0) | 1 << n
+    by_na: dict[int, list] = {}
     for x in st.nodes:
-        if x != y and x not in st.adj[y]:
-            by_na.setdefault(frozenset(und_y & st.adj[x]), []).append(x)
+        if x != y and x not in adj_y:
+            by_na.setdefault(na_of.get(x, 0), []).append(x)
     groups, wanted = [], []
     for na, xs in by_na.items():
-        for t in _subsets(und_y - na, _NEIGHBOR_SET_CAP):
-            base = na | set(t)
+        for t in _subsets([n for n in und_y if not na >> n & 1], _NEIGHBOR_SET_CAP):
+            base = na | _mask(t)
             scored = pa_y | base
-            if len(scored) + 1 <= max_parents:
-                grown = [scored | {x} for x in xs]
+            if scored.bit_count() + 1 <= max_parents:
+                grown = [scored | 1 << x for x in xs]
                 groups.append((t, base, scored, xs, grown))
                 wanted += grown
                 wanted.append(scored)
     sc.prefetch(y, wanted)
-    out = []
+    cache, out = sc.cache, []
     for t, base, scored, xs, grown in groups:
-        score = sc.local(y, scored)
+        score = cache[y, scored]
         clique = None
         for x, g in zip(xs, grown):
-            gain = sc.local(y, g) - score
+            gain = cache[y, g] - score
             if gain > _GAIN_TOL:
                 if clique is None:
-                    clique = _is_clique(base, st.adj)
+                    clique = _is_clique(_members(base), st.adj)
                 if clique:
                     out.append((-gain, x, y, t, base))
     out.sort()
     return out
 
 
-def _insert_candidates(st: _State, sc: _Scorer, max_parents):
+class _Inserts:
     """Best valid single-edge insertion, Chickering-style: Insert(x, y, T).
 
-    Each node's locally valid candidates are kept sorted and recomputed only
-    when its ``insert_key`` changes (as in fGES).  The global check, that
-    every semi-directed path y ~> x (directed edges forward, undirected
-    either way) passes through base, is applied along the merged order, so
-    the first candidate that passes is the minimum of (-gain, x, y, T) over
-    all valid insertions."""
-    per_node = []
-    for y in st.nodes:
-        key = st.insert_key(y)
-        cached = st.inserts.get(y)
-        if cached is None or cached[0] != key:
-            cached = st.inserts[y] = (key, _local_inserts(st, sc, y, max_parents))
-        per_node.append(cached[1])
+    Each node's locally valid candidates are kept sorted (as in fGES).  The
+    global check, that every semi-directed path y ~> x (directed edges
+    forward, undirected either way) passes through base, is applied along
+    the merged order, so the first candidate that passes is the minimum of
+    (-gain, x, y, T) over all valid insertions.  The reach set of each
+    (y, base) met on the way is kept as a bitmask.
 
-    def semi(u):
-        return itertools.chain(st.und[u], st.ch[u])
+    Each call compares its state with the one the last call saw, and drops
+    only what the edits in between invalidate: the list of a node whose
+    edges changed or whose undirected neighbour gained or lost an
+    adjacency, and the reach sets that hold a node whose children or
+    undirected neighbours changed (a search from y reads the successors of
+    the nodes it reaches, and no others)."""
 
-    reach = {}
-    for cand in heapq.merge(*per_node):
-        _, x, y, t, base = cand
-        if (y, base) not in reach:
-            reach[(y, base)] = reachable(semi, y, base)
-        if x not in reach[(y, base)]:
-            return cand[:4], x, y, t
-    return None
+    def __init__(self, sc: _Scorer, max_parents):
+        self.sc, self.max_parents = sc, max_parents
+        self.seen: _State | None = None
+        self.lists: dict[int, list] = {}
+        self.reach: dict[tuple[int, int], int] = {}
+
+    def _forget(self, st: _State) -> None:
+        old, self.seen = self.seen, st
+        if old is None or old is st:
+            return
+        succ, adj, edges = 0, set(), set()
+        for v in st.nodes:
+            ch, und = st.ch[v], st.und[v]
+            if ch == old.ch[v] and und == old.und[v] and st.pa[v] == old.pa[v]:
+                continue
+            edges.add(v)
+            if ch | und != old.ch[v] | old.und[v]:
+                succ |= 1 << v
+            if st.adj[v] != old.adj[v]:
+                adj.add(v)
+        for y in list(self.lists):
+            if y in edges or not adj.isdisjoint(st.und[y]):
+                del self.lists[y]
+        if succ:
+            self.reach = {k: r for k, r in self.reach.items() if not r & succ}
+
+    def best(self, st: _State):
+        self._forget(st)
+        for y in st.nodes:
+            if y not in self.lists:
+                self.lists[y] = _local_inserts(st, self.sc, y, self.max_parents)
+
+        def semi(u):
+            return itertools.chain(st.und[u], st.ch[u])
+
+        for cand in heapq.merge(*(self.lists[y] for y in st.nodes)):
+            _, x, y, t, base = cand
+            reach = self.reach.get((y, base))
+            if reach is None:
+                reach = self.reach[(y, base)] = _mask(reachable(semi, y, set(_members(base))))
+            if not reach >> x & 1:
+                return cand[:4], x, y, t
+        return None
 
 
 def _delete_candidates(st: _State, sc: _Scorer):
@@ -357,18 +437,18 @@ def _delete_candidates(st: _State, sc: _Scorer):
         for x in st.und[y]:
             pairs.append((x, y))  # both roles of an undirected edge appear
     for x, y in sorted(pairs):
-        pa_y = frozenset(st.pa[y])
-        na = frozenset(n for n in st.und[y] if n in st.adj[x])
+        pa_y = _mask(st.pa[y])
+        na = [n for n in st.und[y] if n in st.adj[x]]
         for h in _subsets(na, _NEIGHBOR_SET_CAP):
-            keep = na - set(h)
-            scored = (pa_y | keep) - {x}
-            gain = sc.local(y, scored) - sc.local(y, scored | {x})
+            keep = _mask(set(na) - set(h))
+            scored = (pa_y | keep) & ~(1 << x)
+            gain = sc.local(y, scored) - sc.local(y, scored | 1 << x)
             if gain <= _GAIN_TOL:
                 continue
             cand = (-gain, x, y, h)
             if best is not None and cand >= best[0]:
                 continue
-            if not _is_clique(keep, st.adj):
+            if not _is_clique(_members(keep), st.adj):
                 continue
             best = (cand, x, y, h)
     return best
@@ -395,8 +475,8 @@ def _apply_delete(st: _State, x, y, h) -> _State:
     return g
 
 
-def _forward_phase(st: _State, sc, cfg) -> _State:
-    while (got := _insert_candidates(st, sc, cfg.max_parents)) is not None:
+def _forward_phase(st: _State, inserts: _Inserts) -> _State:
+    while (got := inserts.best(st)) is not None:
         st = _apply_insert(st, *got[1:])
     return st
 
@@ -423,10 +503,10 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
             # descends from a
             if (pa[b] - {a}) & reachable(ext.ch.__getitem__, a):
                 continue
-            pa_b, pa_a = frozenset(pa[b]), frozenset(pa[a])
+            pa_b, pa_a = _mask(pa[b]), _mask(pa[a])
             gain = (
-                sc.local(b, pa_b - {a})
-                + sc.local(a, pa_a | {b})
+                sc.local(b, pa_b & ~(1 << a))
+                + sc.local(a, pa_a | 1 << b)
                 - sc.local(b, pa_b)
                 - sc.local(a, pa_a)
             )
@@ -457,10 +537,11 @@ def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
     turning = row_targets is not None
     intervened = frozenset().union(*row_targets) if turning else frozenset()
     st = _State(len(names), (k for k, n in enumerate(names) if n in intervened))
+    inserts = _Inserts(sc, cfg.max_parents)
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
         before = st  # moves edit copies, so this stays the sweep's start
-        st = _backward_phase(_forward_phase(st, sc, cfg), sc)
+        st = _backward_phase(_forward_phase(st, inserts), sc)
         if turning:
             st = _turning_phase(st, sc, cfg)
         if not turning or (st.directed(), st.undirected()) == (before.directed(), before.undirected()):

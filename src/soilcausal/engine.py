@@ -433,9 +433,11 @@ def unpack_params(raw: bytes) -> list[np.ndarray]:
 
 
 def assign_params(params: list[Tensor], arrays: list[np.ndarray]) -> None:
+    """Copy a checkpoint's arrays into ``params``; ``SchemaError`` when
+    their count or a shape does not fit the model, as for a cut payload."""
     if len(params) != len(arrays):
-        raise NumericError("checkpoint parameter count mismatch")
+        raise SchemaError(f"checkpoint parameter count mismatch: {len(arrays)} != {len(params)}")
     for p, a in zip(params, arrays):
         if p.values.shape != a.shape:
-            raise NumericError(f"checkpoint shape {a.shape} != {p.values.shape}")
+            raise SchemaError(f"checkpoint shape {a.shape} != {p.values.shape}")
         p.values[...] = a

@@ -3,7 +3,8 @@ Markov-equivalence classes, extension sets, random graph generators, a
 sorted-scan sink elimination, the exact covariance of a linear SCM and its
 ancestral subgraphs, PC answered exactly from that covariance, a
 one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
-GES insertions, a per-node-argsort CART grower, a central-difference
+GES insertions and a move chooser that keeps nothing between steps, a
+per-node-argsort CART grower, a central-difference
 gradient check, and a builder for small all-continuous tables."""
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from soilcausal.discovery import (
     _NEIGHBOR_SET_CAP,
     DiscoveryConfig,
     _is_clique,
+    _mask,
+    _members,
     _pc_core,
     _subsets,
 )
 from soilcausal.errors import ConfigError, GraphError
 from soilcausal.ingest import ColumnSpec, Table
-from soilcausal.stats import CIBatch, GaussianSuffStat, WarningCounter, fisher_z_test
+from soilcausal.stats import GaussianSuffStat, WarningCounter, fisher_z_test
 
 LABELS4 = ("A", "B", "C", "D")
 
@@ -253,12 +256,9 @@ def pc_oracle(cov: np.ndarray, names, *, warn: WarningCounter) -> G.Cpdag:
     stat = GaussianSuffStat(
         n=2, mean=np.zeros(len(names)), cov=cov, columns=sorted_names
     )
-
-    def level_tests(triples):
-        batch = CIBatch(stat, triples)
-        return np.abs(batch.r) < _ORACLE_TOL, lambda mask: batch.read(mask, warn=warn)
-
-    return _pc_core(sorted_names, level_tests, DiscoveryConfig().max_cond_size)
+    return _pc_core(
+        sorted_names, stat, lambda batch: np.abs(batch.r) < _ORACLE_TOL, DiscoveryConfig().max_cond_size, warn
+    )
 
 
 def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
@@ -307,7 +307,8 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
 
 def reference_local_inserts(st, sc, y, max_parents) -> list:
     """``discovery._local_inserts`` one x at a time: every x not adjacent to
-    y builds its own NA(y, x), T pool, sets and clique checks."""
+    y builds its own NA(y, x), T pool, sets and clique checks.  Parent sets
+    and bases are bitmasks, as the scorer keys them."""
     pa_y = frozenset(st.pa[y])
     moves = []
     for x in st.nodes:
@@ -319,15 +320,30 @@ def reference_local_inserts(st, sc, y, max_parents) -> list:
             base = na | set(t)
             scored = pa_y | base
             if len(scored) + 1 <= max_parents:
-                moves.append((x, t, base, scored, scored | {x}))
+                moves.append((x, t, base, _mask(scored), _mask(scored | {x})))
     sc.prefetch(y, [s for *_, scored, grown in moves for s in (grown, scored)])
     out = []
     for x, t, base, scored, grown in moves:
         gain = sc.local(y, grown) - sc.local(y, scored)
         if gain > _GAIN_TOL and _is_clique(base, st.adj):
-            out.append((-gain, x, y, t, base))
+            out.append((-gain, x, y, t, _mask(base)))
     out.sort()
     return out
+
+
+def reference_best_insert(st, sc, max_parents):
+    """``discovery._Inserts.best`` with nothing kept between calls: every
+    node's list from ``reference_local_inserts``, and every candidate, in
+    (-gain, x, y, T) order, checked with a fresh ``graphs.reachable``."""
+    candidates = sorted(c for y in st.nodes for c in reference_local_inserts(st, sc, y, max_parents))
+
+    def semi(u):
+        return [*st.und[u], *st.ch[u]]
+
+    for gain, x, y, t, base in candidates:
+        if x not in G.reachable(semi, y, _members(base)):
+            return (gain, x, y, t), x, y, t
+    return None
 
 
 def reference_cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None):

@@ -152,6 +152,17 @@ def test_forest_and_boosting_match_reference_on_tied_designs(n, seed, n_trees, b
     assert (gbt.trees, gbt.loss_history) == _reference_boosting(table, 2, max_depth)
 
 
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans(), st.integers(1, 7))
+def test_forest_grown_one_tree_at_a_time_matches_reference(n, seed, n_trees, bootstrap, d):
+    """With ``_FOREST_BYTES`` too small for two trees every tree of the
+    forest is grown alone, node by node, and still equals the reference."""
+    table = _random_table(seed, n=n, d=d)
+    with mock.patch.object(baselines, "_FOREST_BYTES", 0):
+        got = rf_train(table, n_trees, seed, bootstrap).trees
+    assert got == _reference_forest(table, n_trees, seed, bootstrap)
+
+
 def _grow_side_by_side_and_check(n, d, n_trees, bootstrap, max_depth, min_leaf, draw, seed):
     rng = np.random.default_rng(seed)
     X, y = _tied_design(rng, n, d)
@@ -246,9 +257,23 @@ def test_random_skeleton_rejects_a_negative_edge_count():
 
 def test_rf_train_rejects_an_empty_forest():
     # zero trees would average no predictions into all-NaN ones
-    for n_trees in (0, -1):
+    for n_trees in (0, -1, 2.5, True):
         with pytest.raises(ConfigError, match="at least one tree"):
             rf_train(_random_table(0), n_trees=n_trees)
+    assert rf_train(_random_table(0), n_trees=np.int64(2)).trees == rf_train(_random_table(0), n_trees=2).trees
+
+
+def test_gbt_train_rejects_bad_budgets():
+    # a NaN rate made every prediction NaN, a negative one diverged, and no
+    # rounds gave a model of no trees, all without an error
+    table = _random_table(0)
+    for kwargs in ({"n_estimators": 0}, {"n_estimators": -3}, {"n_estimators": 2.5}, {"n_estimators": True}):
+        with pytest.raises(ConfigError, match="at least one round"):
+            gbt_train(table, **kwargs)
+    for lr in (np.nan, np.inf, -1.0, True, "0.1"):
+        with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
+            gbt_train(table, n_estimators=1, lr=lr)
+    assert gbt_train(table, n_estimators=np.int64(1), lr=0).loss_history == gbt_train(table, n_estimators=1, lr=0.0).loss_history
 
 
 def test_cart_train_rejects_a_bad_feature_count():

@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soilcausal import stats
 from soilcausal.discovery import (
     DiscoveryConfig,
     _apply_delete,
     _apply_insert,
+    _backward_phase,
+    _Inserts,
     _local_inserts,
     _Scorer,
     _State,
+    _turning_phase,
     ges,
     gies,
     pc,
@@ -44,6 +48,7 @@ from enumutil import (
     pc_oracle,
     random_dag,
     random_pattern,
+    reference_best_insert,
     reference_consistent_extension,
     reference_local_inserts,
     sequential_pc_skeleton,
@@ -85,6 +90,11 @@ def test_config_validation():
         DiscoveryConfig(max_cond_size=-1)
     with pytest.raises(ConfigError):
         DiscoveryConfig(max_parents=0)
+    # budgets are counts: a float or a bool is refused, not used as one
+    for bad in ({"max_cond_size": 2.5}, {"max_cond_size": True}, {"max_parents": True}, {"max_parents": 2.0}):
+        with pytest.raises(ConfigError):
+            DiscoveryConfig(**bad)
+    assert DiscoveryConfig(max_cond_size=np.int64(2), max_parents=np.int64(4)).max_parents == 4
 
 
 # --- oracle-driven PC -------------------------------------------------------
@@ -240,7 +250,7 @@ def _huge_correlated_pair(n):
     b = a + rng.normal(size=n)
     h = rng.normal(size=n)
     cols = [a, b, b + rng.normal(size=n), 1e160 * h, 1e160 * (h + 0.5 * rng.normal(size=n)), np.full(n, 1.0)]
-    return ("a", "b", "c", "h1", "h2", "zconst"), np.column_stack(cols)
+    return ("a", "b", "c", "h1", "h2", "zconst"), np.column_stack(cols), ()
 
 
 def _four_rows(n):
@@ -248,7 +258,21 @@ def _four_rows(n):
     rng = np.random.default_rng(3)
     x = rng.normal(size=n)
     cols = [x + 0.001 * rng.normal(size=n) for _ in range(4)]
-    return ("a", "b", "c", "const", "d"), np.column_stack(cols[:3] + [np.full(n, 1.0), cols[3]])
+    return ("a", "b", "c", "const", "d"), np.column_stack(cols[:3] + [np.full(n, 1.0), cols[3]]), ()
+
+
+def _noisy_copies(n):
+    # five noisy copies of one latent stay dependent given any one other
+    # copy, so every pair of them reaches level 1 and is tested there on
+    # each of its three conditioning sets; the constant column's level-0
+    # fallbacks are counted before the level-1 failure.  The (i, j, *S)
+    # triples returned diverge: (0, 1 | 4) is pair (0, 1)'s third triple,
+    # past its first round, and (2, 3 | 0) is pair (2, 3)'s first, in the
+    # first round, so reading round by round would raise at the later pair
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=n)
+    cols = [z + 0.5 * rng.normal(size=n) for _ in range(5)]
+    return ("a", "b", "c", "d", "e", "zconst"), np.column_stack(cols + [np.full(n, 1.0)]), ((0, 1, 4), (2, 3, 0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -257,11 +281,25 @@ def _four_rows(n):
     [
         (_huge_correlated_pair, 300, r"diverged for \(3, 4 \| \(\)\)"),
         (_four_rows, 4, r"need n > \|S\| \+ 3 .*\|S\|=1"),
+        (_noisy_copies, 300, r"diverged for \(0, 1 \| \(4,\)\)"),
     ],
 )
-def test_pc_raises_where_a_sequential_loop_does(case, n, message):
-    names, data = case(n)
+def test_pc_raises_where_a_sequential_loop_does(monkeypatch, case, n, message):
+    names, data, diverging = case(n)
     table = continuous_table(names, data)
+    if diverging:
+        # the listed (i, j, *S) triples' partial correlations diverge, for
+        # the batches and the one-test-at-a-time loop alike
+        real = stats._partial_correlations
+
+        def patched(cov, idx):
+            r, fallback = real(cov, idx)
+            for triple in diverging:
+                if idx.shape[1] == len(triple):
+                    r[(idx == triple).all(axis=1)] = np.nan
+            return r, fallback
+
+        monkeypatch.setattr(stats, "_partial_correlations", patched)
     warn, ref_warn = WarningCounter(), WarningCounter()
     with pytest.raises(NumericError, match=message) as got:
         pc(table, warn=warn)
@@ -421,6 +459,42 @@ def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
     assert got_sc.warn == want_sc.warn
     got, want = consistent_extension(pattern), reference_consistent_extension(pattern)
     assert (got, got.meta) == (want, want.meta)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 7), st.integers(1, 4), st.booleans())
+def test_kept_inserts_choose_the_reference_move(seed, d, max_parents, interventional):
+    # GES or GIES sweeps on a random small table (one column a copy, so
+    # some scores take the ridge): at every forward step the move chosen
+    # from the kept lists and reach sets, after inserts, deletes and turns,
+    # is the one chosen afresh from every list and a fresh reach search
+    rng = np.random.default_rng(seed)
+    n = 120
+    data = rng.normal(size=(n, d)) @ np.triu(rng.normal(size=(d, d)))
+    data[:, -1] = data[:, 0]
+    names = tuple(f"c{k}" for k in range(d))
+    rows, intervened = None, ()
+    if interventional:
+        k = seed % d
+        data[n // 2 :, k] = rng.normal(size=n - n // 2)
+        rows = [frozenset()] * (n // 2) + [frozenset({names[k]})] * (n - n // 2)
+        intervened = (k,)
+    table = continuous_table(names, data)
+    sc = _Scorer(table, names, rows, WarningCounter())
+    ref_sc = _Scorer(table, names, rows, WarningCounter())
+    cfg = DiscoveryConfig(max_parents=max_parents)
+    inserts, state, steps = _Inserts(sc, max_parents), _State(d, intervened), 0
+    for _ in range(3):
+        while True:
+            got = inserts.best(state)
+            assert got == reference_best_insert(state, ref_sc, max_parents)
+            if got is None:
+                break
+            state, steps = _apply_insert(state, *got[1:]), steps + 1
+        state = _backward_phase(state, sc)
+        if interventional:
+            state = _turning_phase(state, sc, cfg)
+    assert steps > 0
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)

@@ -387,11 +387,15 @@ def test_checkpoint_trailing_bytes_rejected():
 
 
 def test_assign_params_shape_guard():
-    from soilcausal.errors import NumericError
+    # arrays that do not fit the model are malformed checkpoint data
+    from soilcausal.errors import SchemaError
 
     p = parameter(np.zeros((2, 2)))
-    with pytest.raises(NumericError):
+    with pytest.raises(SchemaError, match="checkpoint shape"):
         assign_params([p], [np.zeros(3)])
+    with pytest.raises(SchemaError, match="parameter count mismatch"):
+        assign_params([p, parameter(np.zeros(2))], [np.zeros((2, 2))])
+    assert (p.values == 0).all()
 
 
 # ---------------------------------------------------------------------------

@@ -770,6 +770,19 @@ def test_load_model_names_the_header_keys_that_do_not_match(tmp_path):
     assert load_with(both) == "missing nodes; unexpected zz; differing hidden"
 
 
+def test_load_model_rejects_parameters_that_do_not_fit(tmp_path):
+    # a well-formed header over another model's parameters: a hidden-8
+    # payload, or one array short, is malformed data (SchemaError, exit 3)
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    path = tmp_path / "sage.bin"
+    save_model(path, init_sage(sk, hidden=4), sk)
+    line = path.read_bytes().partition(b"\n")[0]
+    for params in (init_sage(sk, hidden=8).params, init_sage(sk, hidden=4).params[:-1]):
+        path.write_bytes(line + b"\n" + engine.pack_params(params))
+        with pytest.raises(SchemaError, match="checkpoint (shape|parameter count)"):
+            load_model(path, "sage", sk, hidden=4)
+
+
 def test_load_model_rejects_unknown_kind(tmp_path):
     sk = _random_skeleton(np.random.default_rng(10), 3, 2)
     path = tmp_path / "ecc.bin"
