@@ -550,7 +550,8 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
     """
     if not _is_count(n_estimators):
         raise ConfigError(f"boosting needs at least one round, got n_estimators={n_estimators!r}")
-    if isinstance(lr, bool) or not isinstance(lr, (int, float, np.integer, np.floating)) or not (np.isfinite(lr) and lr >= 0):
+    number = not isinstance(lr, bool) and isinstance(lr, (int, float, np.integer, np.floating))
+    if not (number and np.isfinite(lr) and lr >= 0):
         raise ConfigError(f"lr must be finite and >= 0, got {lr!r}")
     X, y, names = _design(table)
     model = GbtModel(init_value=float(y.mean()), trees=[], lr=lr, feature_names=names, target=table.target)

@@ -102,7 +102,7 @@ def _level_triples(adj: np.ndarray, level: int):
     pair.  Also returns each row's pair and each pair's row count."""
     pi, pj = np.nonzero(np.triu(adj, 1))
     combos = [list(itertools.combinations(np.flatnonzero(row).tolist(), level)) for row in adj]
-    count = np.array([len(c) for c in combos])
+    count = np.array([len(c) for c in combos], dtype=np.intp)
     combos = np.array([S for c in combos for S in c], dtype=np.intp).reshape(count.sum(), level)
     offset = np.cumsum(count) - count
     # the rows of i's combinations, then j's, for every pair

@@ -4,8 +4,8 @@ sorted-scan sink elimination, the exact covariance of a linear SCM and its
 ancestral subgraphs, PC answered exactly from that covariance, a
 one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
 GES insertions and a move chooser that keeps nothing between steps, a
-per-node-argsort CART grower, a central-difference
-gradient check, and a builder for small all-continuous tables."""
+per-node-argsort CART grower, a central-difference gradient check, and a
+builder for small all-continuous tables."""
 
 from __future__ import annotations
 

@@ -273,7 +273,8 @@ def test_gbt_train_rejects_bad_budgets():
     for lr in (np.nan, np.inf, -1.0, True, "0.1"):
         with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
             gbt_train(table, n_estimators=1, lr=lr)
-    assert gbt_train(table, n_estimators=np.int64(1), lr=0).loss_history == gbt_train(table, n_estimators=1, lr=0.0).loss_history
+    ints = gbt_train(table, n_estimators=np.int64(1), lr=0)
+    assert ints.loss_history == gbt_train(table, n_estimators=1, lr=0.0).loss_history
 
 
 def test_cart_train_rejects_a_bad_feature_count():
