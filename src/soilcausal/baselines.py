@@ -38,14 +38,16 @@ their buffers side by side.  Boosting and ``cart_train`` without
 ``n_features`` draw nothing, so each tree empties its stack and a batch is
 one whole depth of it.
 
-A forest whose ``_FOREST_BYTES`` group holds a single tree (a wide design
-with many rows, such as the 62-column paper-width table) would grow it one
-node per batch and partition every buffer row at every split.  Such a tree
-is grown node by node instead (``_grow_alone``): each node sorts only its
-drawn features, by a stable argsort of its rows in row-id order, which is
-the buffer's order, and scores them with the grower's SSE formula, tie
-rule and threshold rule, so the tree is the same node for node.  Groups of
-two or more trees keep the lock-step grower.
+A forest whose ``_FOREST_BYTES`` group holds fewer than
+``_LOCKSTEP_TREES`` trees (a design with many rows, such as the 400-day
+tables) grows each tree node by node instead (``_grow_alone``): each node
+sorts only its drawn features, by a stable argsort of its rows in row-id
+order, which is the buffer's order, and ``_best_splits`` chooses its split
+as for a block, so the tree is the same node for node.  A few trees in
+lock-step have a few nodes per batch, and each split partitions every
+buffer row; many trees share a batch's Python work.  Over 12-column
+tables of 900 to 6000 rows, node by node was faster where a group held 3
+to 5 trees, and lock-step where it held 6 or more.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_count, require_rate
 from .gnn import GraphSkeleton
 from .ingest import require_finite
 from .seeding import derive_seed
@@ -66,6 +68,7 @@ _FEW_ROWS = 8  # up to this many nodes, sum each with np.sum itself
 _BLOCK_WASTE = 2048  # padded (feature, row) cells worth one more block's calls
 _BLOCK_CELLS = 1 << 15  # (feature, row) cells of a block of several nodes, at most
 _FOREST_BYTES = 4 << 20  # buffers of the trees a forest grows side by side, at most
+_LOCKSTEP_TREES = 6  # fewest trees grown side by side; smaller groups grow node by node
 
 
 @dataclass
@@ -81,11 +84,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is an int (not a bool) of at least 1."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= 1
 
 
 def _features_of(table) -> tuple[str, ...]:
@@ -184,7 +182,6 @@ class _Grower:
         self.kmin = max(min_leaf, 1)  # smallest child a split may leave
         N = y.size
         self.steps = np.arange(N)
-        self.sizes = np.arange(1, N + 1, dtype=np.float64)  # left-child sizes
         self.all_features = np.arange(xt.shape[0])[:, None, None]
         self.goes_left = np.zeros(N, dtype=bool)
         self.lo, self.hi, self.depth, self.value = [], [], [], []
@@ -265,73 +262,27 @@ class _Grower:
         """Means of the nodes [lo, hi) of one block, and the best split of
         each that splits: their indices, feature, threshold and left size.
         Marks the left rows of those splits in ``goes_left``."""
-        xt, y, order, kmin = self.xt, self.y, self.order, self.kmin
+        xt, y, order = self.xt, self.y, self.order
         m = hi - lo
         ms = m.tolist()
         S, L = len(ms), max(ms)
-        ragged = min(ms) < L
         # one row of buffer positions per node; padding repeats the last
         pos = np.minimum(lo[:, None] + self.steps[:L], (hi - 1)[:, None]) if S > 1 else slice(lo[0], hi[0])
         ys = y[order[-1, pos]].reshape(S, L)  # targets by row id
         mean = _sums(ys, m) / m
-        p0, p1 = kmin - 1, L - kmin  # positions j of the left sizes k = j + 1 allowed
-        if p1 <= p0:
-            return mean, [], [], [], []
         if feats is None:
             fids, frows = self.all_features, order[:-1, pos]
         else:
             fids = feats.T[:, :, None]
             frows = order[fids, pos]
         frows = frows.reshape(len(fids), S, L)
-        xs = xt[fids, frows]
-        yr = y[frows]
-        csum = yr.cumsum(axis=2)
-        csq = np.multiply(yr, yr, out=yr).cumsum(axis=2)
-        if ragged:
-            seg, last = np.arange(S), m - 1
-            total, total_sq = csum[:, seg, last, None], csq[:, seg, last, None]
-        else:
-            total, total_sq = csum[:, :, -1:], csq[:, :, -1:]
-        csum, csq, k = csum[:, :, p0:p1], csq[:, :, p0:p1], self.sizes[p0:p1]
-        # left SSE csq - csum^2 / k plus right SSE, in the reference's order
-        sse = np.square(csum)
-        sse /= k
-        np.subtract(csq, sse, out=sse)
-        np.subtract(total, csum, out=csum)
-        np.square(csum, out=csum)
-        right_size = m[:, None] - k
-        csum /= np.maximum(right_size, 1.0) if ragged else right_size
-        np.subtract(total_sq, csq, out=csq)
-        csq -= csum
-        sse += csq
-        # padding repeats a slice's last x, so it never passes x_j < x_j+1
-        invalid = xs[:, :, p0 + 1 : p1 + 1] <= xs[:, :, p0:p1]
-        if ragged and kmin > 1:
-            invalid |= right_size < kmin
-        np.copyto(sse, np.inf, where=invalid)
-        jmin = sse.argmin(axis=2)  # first minimum: the leftmost threshold
         parent_sse = _sums(np.square(ys - mean[:, None]), m)
-        split, pick = [], []
-        for s, (col, parent) in enumerate(zip(sse.min(axis=2).T.tolist(), parent_sse.tolist())):
-            best, r = np.inf, -1
-            for f, v in enumerate(col):  # ties go to the lowest feature
-                if v < best - _SPLIT_EPS:
-                    best, r = v, f
-            if r >= 0 and best < parent - _SPLIT_EPS:
-                split.append(s)
-                pick.append(r)
+        split, pick, j, threshold = _best_splits(xt[fids, frows], y[frows], m, self.kmin, parent_sse)
         if not split:
             return mean, [], [], [], []
-        sp, r = np.array(split), np.array(pick)
-        j = jmin[r, sp] + p0
-        x = xs[r[:, None], sp[:, None], j[:, None] + (0, 1)]  # the x on each side
-        mid = 0.5 * (x[:, 0] + x[:, 1])
-        # the midpoint of adjacent doubles can round up to the right x; the
-        # left one then splits off the same j + 1 rows
-        threshold = np.where(mid < x[:, 1], mid, x[:, 0])
         # padding repeats a slice's last row by the split feature, which goes right
-        self.goes_left[frows[r, sp]] = self.steps[:L] < (j + 1)[:, None]
-        feature = pick if feats is None else feats[sp, r].tolist()
+        self.goes_left[frows[pick, split]] = self.steps[:L] < (j + 1)[:, None]
+        feature = pick if feats is None else feats[split, pick].tolist()
         return mean, split, feature, threshold.tolist(), (j + 1).tolist()
 
     def _partition(self, lo, cut, hi, buffer_rows):
@@ -396,47 +347,90 @@ def _grow(xt, y, n_rows, max_depth, min_leaf, rngs=None, n_features=None, order=
     return [nodes[i] for i in roots], fitted
 
 
+def _best_splits(xs, yr, m, kmin, parent_sse):
+    """The best split of each node s of a block, from the x of its F
+    candidate features sorted by (x, row id), ``xs`` (F, S, L), and the
+    targets in that order, ``yr`` (squared in place): a slice of m[s] < L
+    rows is padded by repeating its last.  Each left size k from ``kmin``
+    to m[s] - ``kmin`` between two distinct x is scored by left plus right
+    SSE; a feature's first minimum is its leftmost threshold, ties between
+    features go to the lowest, and the node splits only if the best SSE
+    beats ``parent_sse[s]``.  Returns the nodes that split, the chosen
+    feature of each (an index into F), the position j of its last left row
+    and its threshold, the midpoint of the x at j and j + 1 or, where that
+    midpoint rounds up to the right x, the left x."""
+    F, S, L = xs.shape
+    ragged = m.min() < L
+    p0, p1 = kmin - 1, L - kmin  # positions j of the left sizes k = j + 1 allowed
+    if p1 <= p0:
+        return [], [], None, None
+    csum = yr.cumsum(axis=2)
+    csq = np.multiply(yr, yr, out=yr).cumsum(axis=2)
+    if ragged:
+        seg, last = np.arange(S), m - 1
+        total, total_sq = csum[:, seg, last, None], csq[:, seg, last, None]
+    else:
+        total, total_sq = csum[:, :, -1:], csq[:, :, -1:]
+    csum, csq, k = csum[:, :, p0:p1], csq[:, :, p0:p1], np.arange(kmin, L - kmin + 1, dtype=np.float64)
+    # left SSE csq - csum^2 / k plus right SSE, in the reference's order
+    sse = np.square(csum)
+    sse /= k
+    np.subtract(csq, sse, out=sse)
+    np.subtract(total, csum, out=csum)
+    np.square(csum, out=csum)
+    right_size = m[:, None] - k
+    csum /= np.maximum(right_size, 1.0) if ragged else right_size
+    np.subtract(total_sq, csq, out=csq)
+    csq -= csum
+    sse += csq
+    # padding repeats a slice's last x, so it never passes x_j < x_j+1
+    invalid = xs[:, :, p0 + 1 : p1 + 1] <= xs[:, :, p0:p1]
+    if ragged and kmin > 1:
+        invalid |= right_size < kmin
+    np.copyto(sse, np.inf, where=invalid)
+    jmin = sse.argmin(axis=2)  # first minimum: the leftmost threshold
+    split, pick = [], []
+    for s, (col, parent) in enumerate(zip(sse.min(axis=2).T.tolist(), parent_sse.tolist())):
+        best, r = np.inf, -1
+        for f, v in enumerate(col):  # ties go to the lowest feature
+            if v < best - _SPLIT_EPS:
+                best, r = v, f
+        if r >= 0 and best < parent - _SPLIT_EPS:
+            split.append(s)
+            pick.append(r)
+    if not split:
+        return [], [], None, None
+    j = jmin[pick, split] + p0
+    x = xs[np.array(pick)[:, None], np.array(split)[:, None], j[:, None] + (0, 1)]  # the x on each side
+    mid = 0.5 * (x[:, 0] + x[:, 1])
+    # the midpoint of adjacent doubles can round up to the right x; the left
+    # one then splits off the same j + 1 rows
+    return split, pick, j, np.where(mid < x[:, 1], mid, x[:, 0])
+
+
 def _grow_alone(xt, y, min_leaf, rng, n_features) -> TreeNode:
-    """One tree of unlimited depth on the design ``xt`` (features x rows),
-    grown node by node in pre-order.  Each node that may split draws
+    """One forest tree (unlimited depth) on the design ``xt`` (features x
+    rows), grown node by node in pre-order.  Each node that may split draws
     ``n_features`` features from ``rng`` and sorts only those, with a
     stable argsort of its rows in row-id order, so its x and target orders
-    are the presorted buffer's; the split is chosen by ``_search``'s SSE
-    formula, tie rule and threshold rule, and the tree is ``_grow``'s."""
+    are the presorted buffer's and ``_best_splits`` picks ``_grow``'s split."""
     d = xt.shape[0]
-    draws = n_features < d
     root = TreeNode(None, 0.0, None, None, 0.0)
     stack = [(root, np.arange(y.size))]
     while stack:
         node, idx = stack.pop()
         ys = y[idx]
-        m = idx.size
-        node.value = float(ys.sum() / m)
-        if m < 2 * min_leaf:
+        node.value = float(ys.sum() / idx.size)
+        if idx.size < 2 * min_leaf:
             continue
-        feats = np.sort(rng.choice(d, size=n_features, replace=False)) if draws else np.arange(d)
-        xs = xt[feats[:, None], idx]
-        order = np.argsort(xs, axis=1, kind="stable")
-        xs = np.take_along_axis(xs, order, axis=1)
-        yr = ys[order]
-        csum, csq = yr.cumsum(axis=1), np.square(yr).cumsum(axis=1)
-        p0, p1 = min_leaf - 1, m - min_leaf  # positions j of the left sizes k = j + 1 allowed
-        k = np.arange(min_leaf, m - min_leaf + 1, dtype=np.float64)
-        c, q = csum[:, p0:p1], csq[:, p0:p1]
-        # left SSE csq - csum^2 / k plus right SSE, in the reference's order
-        sse = (q - np.square(c) / k) + ((csq[:, -1:] - q) - np.square(csum[:, -1:] - c) / (m - k))
-        sse[xs[:, p0 + 1 : p1 + 1] <= xs[:, p0:p1]] = np.inf
-        jmin = sse.argmin(axis=1)  # first minimum: the leftmost threshold
-        best, r = np.inf, -1
-        for f, v in enumerate(sse[np.arange(len(feats)), jmin].tolist()):  # ties go to the lowest feature
-            if v < best - _SPLIT_EPS:
-                best, r = v, f
-        if r < 0 or not best < float(np.square(ys - node.value).sum()) - _SPLIT_EPS:
+        feats = np.sort(rng.choice(d, size=n_features, replace=False)) if n_features < d else np.arange(d)
+        frows = idx[xt[feats[:, None], idx].argsort(axis=1, kind="stable")][:, None]
+        parent_sse = np.square(ys - node.value).sum(keepdims=True)
+        xs, yr = xt[feats[:, None, None], frows], y[frows]
+        split, pick, _, threshold = _best_splits(xs, yr, np.array([idx.size]), max(min_leaf, 1), parent_sse)
+        if not split:
             continue
-        j = jmin[r] + p0
-        lo, hi = xs[r, j], xs[r, j + 1]
-        mid = 0.5 * (lo + hi)
-        node.feature, node.threshold = int(feats[r]), float(mid if mid < hi else lo)
+        node.feature, node.threshold = int(feats[pick[0]]), float(threshold[0])
         goes_left = xt[node.feature, idx] <= node.threshold
         node.left, node.right = TreeNode(None, 0.0, None, None, 0.0), TreeNode(None, 0.0, None, None, 0.0)
         stack += [(node.right, idx[~goes_left]), (node.left, idx[goes_left])]
@@ -451,8 +445,8 @@ def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> T
     subtree).  ``ConfigError`` unless ``n_features`` is None or an int of at
     least 1; from d on it means every feature.
     """
-    if n_features is not None and not _is_count(n_features):
-        raise ConfigError(f"n_features must be None or an int >= 1, got {n_features!r}")
+    if n_features is not None:
+        require_count(n_features, 1, f"n_features must be None or an int >= 1, got {n_features!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:
@@ -496,9 +490,8 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
     unlimited depth, min leaf 2.  Rows are already canonically ordered by
     the table itself, so bootstrap indices are order-independent.  The
     trees grow side by side, as many at a time as ``_FOREST_BYTES``
-    holds; a group of one tree grows node by node."""
-    if not _is_count(n_trees):
-        raise ConfigError(f"a forest needs at least one tree, got n_trees={n_trees!r}")
+    holds, or node by node when it holds fewer than ``_LOCKSTEP_TREES``."""
+    require_count(n_trees, 1, f"a forest needs at least one tree, got n_trees={n_trees!r}")
     X, y, names = _design(table)
     n, d = X.shape
     n_features = max(1, int(np.sqrt(d)))
@@ -506,14 +499,15 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
     trees = []
     for first in range(0, n_trees, group):
         members = range(first, min(first + group, n_trees))
-        idx = np.concatenate([
+        rows = [
             np.random.default_rng(derive_seed(seed, t)).integers(0, n, size=n) if bootstrap else np.arange(n)
             for t in members
-        ])
+        ]
         rngs = [np.random.default_rng(derive_seed(seed, t, 1)) for t in members]
-        if group == 1:
-            trees.append(_grow_alone(X.T[:, idx], y[idx], 2, rngs[0], n_features))
+        if group < _LOCKSTEP_TREES:
+            trees += [_grow_alone(X.T[:, idx], y[idx], 2, rng, n_features) for idx, rng in zip(rows, rngs)]
         else:
+            idx = np.concatenate(rows)
             trees += _grow(X.T[:, idx], y[idx], n, None, 2, rngs, n_features)[0]
     return RandomForest(trees=trees, feature_names=names, target=table.target)
 
@@ -548,11 +542,8 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
     is presorted once for all rounds, and each round takes the training
     rows' predictions from its grown leaves.
     """
-    if not _is_count(n_estimators):
-        raise ConfigError(f"boosting needs at least one round, got n_estimators={n_estimators!r}")
-    number = not isinstance(lr, bool) and isinstance(lr, (int, float, np.integer, np.floating))
-    if not (number and np.isfinite(lr) and lr >= 0):
-        raise ConfigError(f"lr must be finite and >= 0, got {lr!r}")
+    require_count(n_estimators, 1, f"boosting needs at least one round, got n_estimators={n_estimators!r}")
+    require_rate(lr, f"lr must be finite and >= 0, got {lr!r}")
     X, y, names = _design(table)
     model = GbtModel(init_value=float(y.mean()), trees=[], lr=lr, feature_names=names, target=table.target)
     xt, n = X.T.copy(), X.shape[0]

@@ -35,12 +35,14 @@ it extends it to a DAG and projects the DAG onto its class pattern.  No
 0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
 as it would on the names, and names the final pattern once.  One scorer
 serves both: a node's local BIC comes from the rows where that node was not
-manipulated (every row for ``ges``).  Node sets are integer bitmasks over
-the index labels: the NA, T, base and parent sets, and the keys of the
-one score cache, keyed by (node, parent mask), that the forward, backward
-and turning phases share.  The forward phase keeps, per node, the sorted
-insertions that pass every check local to that node (as in fGES), and
-the semi-directed reach set of every (y, base) its global check met.  Each
+manipulated (every row for ``ges``).  Its one cache, which the forward,
+backward and turning phases share, keys a score by (node, bitmask of the
+parent set over the index labels).  The forward phase, which asks for
+most of the scores, builds its NA, base and parent sets as such bitmasks;
+the backward and turning phases pass label sets.  The forward phase
+keeps, per node, the sorted insertions that pass every check local to
+that node (as in fGES), and the semi-directed reach set of every
+(y, base) its global check met, as a bitmask.  Each
 step compares the completed state with the one the step before saw and
 drops only what the edits in between changed: the lists of the nodes whose
 neighbourhood changed, and the reach sets holding a node whose children or
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 from .graphs import Cpdag, _extend, _meek, _Pdag, _project, complete, reachable
 from .stats import (
     CIBatch,
@@ -86,8 +88,7 @@ class DiscoveryConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         for name, least in (("max_cond_size", 0), ("max_parents", 1)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
+            require_count(value, least, f"{name} must be an int >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,10 @@ def _members(mask: int) -> list:
 
 
 class _Scorer:
-    """Cached local scores, one sufficient statistic per scored node, keyed
-    by (node, bitmask of its parents).
+    """Cached local scores, one sufficient statistic per scored node.  The
+    cache keys a score by (node, bitmask of its parents); ``local`` takes
+    the parents as index labels and ``prefetch``, for the forward phase's
+    batches, as bitmasks.
 
     Node i's statistic comes from the rows where i was not manipulated
     (Hauser & Buehlmann 2012); without ``row_targets`` that is every row.
@@ -278,10 +281,11 @@ class _Scorer:
                 warn.empty_interventional += 1
             self.stats.append(shared[key])
 
-    def local(self, y: int, parents: int) -> float:
-        key = (y, parents)
+    def local(self, y: int, parents) -> float:
+        """The local score of y with the parent set ``parents``."""
+        key = (y, _mask(parents))
         if key not in self.cache:
-            self.prefetch(y, [parents])
+            self.prefetch(y, [key[1]])
         return self.cache[key]
 
     def prefetch(self, y: int, parent_sets) -> None:
@@ -437,18 +441,18 @@ def _delete_candidates(st: _State, sc: _Scorer):
         for x in st.und[y]:
             pairs.append((x, y))  # both roles of an undirected edge appear
     for x, y in sorted(pairs):
-        pa_y = _mask(st.pa[y])
-        na = [n for n in st.und[y] if n in st.adj[x]]
+        pa_y = frozenset(st.pa[y])
+        na = frozenset(n for n in st.und[y] if n in st.adj[x])
         for h in _subsets(na, _NEIGHBOR_SET_CAP):
-            keep = _mask(set(na) - set(h))
-            scored = (pa_y | keep) & ~(1 << x)
-            gain = sc.local(y, scored) - sc.local(y, scored | 1 << x)
+            keep = na - set(h)
+            scored = (pa_y | keep) - {x}
+            gain = sc.local(y, scored) - sc.local(y, scored | {x})
             if gain <= _GAIN_TOL:
                 continue
             cand = (-gain, x, y, h)
             if best is not None and cand >= best[0]:
                 continue
-            if not _is_clique(_members(keep), st.adj):
+            if not _is_clique(keep, st.adj):
                 continue
             best = (cand, x, y, h)
     return best
@@ -503,12 +507,11 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
             # descends from a
             if (pa[b] - {a}) & reachable(ext.ch.__getitem__, a):
                 continue
-            pa_b, pa_a = _mask(pa[b]), _mask(pa[a])
             gain = (
-                sc.local(b, pa_b & ~(1 << a))
-                + sc.local(a, pa_a | 1 << b)
-                - sc.local(b, pa_b)
-                - sc.local(a, pa_a)
+                sc.local(b, pa[b] - {a})
+                + sc.local(a, pa[a] | {b})
+                - sc.local(b, pa[b])
+                - sc.local(a, pa[a])
             )
             if gain > _GAIN_TOL:
                 cand = (-gain, a, b)

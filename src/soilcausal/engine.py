@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, SchemaError
+from .errors import NumericError, SchemaError, require_count, require_rate
 
 __all__ = [
     "AdamState",
@@ -355,13 +355,11 @@ def adam_fit(forward, params: list[Tensor], target, lr: float, epochs: int, name
     ``forward`` builds the prediction graph from the current parameter
     values.  Returns each epoch's loss, taken before its step.  A
     non-finite loss raises ``NumericError`` naming ``name``, the epoch and
-    the last losses.  ``ConfigError`` unless ``epochs`` is at least 0 and
-    ``lr`` is finite and at least 0.
+    the last losses.  ``ConfigError`` unless ``epochs`` is an int of at
+    least 0 and ``lr`` a finite number of at least 0.
     """
-    if epochs < 0:
-        raise ConfigError(f"{name}: epochs must be >= 0, got {epochs}")
-    if not (np.isfinite(lr) and lr >= 0):
-        raise ConfigError(f"{name}: lr must be finite and >= 0, got {lr}")
+    require_count(epochs, 0, f"{name}: epochs must be >= 0, got {epochs}")
+    require_rate(lr, f"{name}: lr must be finite and >= 0, got {lr}")
     state = AdamState.for_params(params, lr=lr)
     history: list[float] = []
     for epoch in range(epochs):

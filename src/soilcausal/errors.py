@@ -1,4 +1,8 @@
-"""Shared exception types, mapped to CLI exit codes in cli.py."""
+"""Shared exception types, mapped to CLI exit codes in cli.py, and the
+checks of count and rate arguments that raise them."""
+
+import math
+from numbers import Integral, Real
 
 
 class SchemaError(ValueError):
@@ -15,3 +19,17 @@ class GraphError(ValueError):
 
 class NumericError(RuntimeError):
     """Numerical failure during fitting or scoring (exit code 4)."""
+
+
+def require_count(value, least: int, message: str) -> None:
+    """``ConfigError(message)`` unless ``value`` is an int, not a bool, of
+    at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ConfigError(message)
+
+
+def require_rate(value, message: str) -> None:
+    """``ConfigError(message)`` unless ``value`` is a finite real number,
+    not a bool, of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value >= 0):
+        raise ConfigError(message)

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import engine
 from .engine import DenseParams, Tensor, constant
-from .errors import ConfigError, GraphError, NumericError, SchemaError
+from .errors import ConfigError, GraphError, NumericError, SchemaError, require_count
 from .ingest import require_finite
 
 
@@ -303,8 +303,7 @@ _INIT = {"sage": init_sage, "ecc": init_ecc}
 def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int) -> GnnModel:
     if kind not in _INIT:
         raise ConfigError(f"kind must be one of {sorted(_INIT)}")
-    if hidden < 1:
-        raise ConfigError(f"{kind}: hidden must be >= 1, got {hidden}")
+    require_count(hidden, 1, f"{kind}: hidden must be >= 1, got {hidden}")
     return _INIT[kind](skeleton, seed=seed, hidden=hidden)
 
 

@@ -22,8 +22,6 @@ from soilcausal.discovery import (
     _NEIGHBOR_SET_CAP,
     DiscoveryConfig,
     _is_clique,
-    _mask,
-    _members,
     _pc_core,
     _subsets,
 )
@@ -307,8 +305,8 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
 
 def reference_local_inserts(st, sc, y, max_parents) -> list:
     """``discovery._local_inserts`` one x at a time: every x not adjacent to
-    y builds its own NA(y, x), T pool, sets and clique checks.  Parent sets
-    and bases are bitmasks, as the scorer keys them."""
+    y builds its own NA(y, x), T pool, sets and clique checks, and each set
+    is scored on its own."""
     pa_y = frozenset(st.pa[y])
     moves = []
     for x in st.nodes:
@@ -320,13 +318,12 @@ def reference_local_inserts(st, sc, y, max_parents) -> list:
             base = na | set(t)
             scored = pa_y | base
             if len(scored) + 1 <= max_parents:
-                moves.append((x, t, base, _mask(scored), _mask(scored | {x})))
-    sc.prefetch(y, [s for *_, scored, grown in moves for s in (grown, scored)])
+                moves.append((x, t, base, scored, scored | {x}))
     out = []
     for x, t, base, scored, grown in moves:
         gain = sc.local(y, grown) - sc.local(y, scored)
         if gain > _GAIN_TOL and _is_clique(base, st.adj):
-            out.append((-gain, x, y, t, _mask(base)))
+            out.append((-gain, x, y, t, base))
     out.sort()
     return out
 
@@ -341,7 +338,7 @@ def reference_best_insert(st, sc, max_parents):
         return [*st.und[u], *st.ch[u]]
 
     for gain, x, y, t, base in candidates:
-        if x not in G.reachable(semi, y, _members(base)):
+        if x not in G.reachable(semi, y, base):
             return (gain, x, y, t), x, y, t
     return None
 

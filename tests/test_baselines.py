@@ -152,12 +152,31 @@ def test_forest_and_boosting_match_reference_on_tied_designs(n, seed, n_trees, b
     assert (gbt.trees, gbt.loss_history) == _reference_boosting(table, 2, max_depth)
 
 
-@settings(deadline=None, max_examples=40, derandomize=True)
-@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans(), st.integers(1, 7))
-def test_forest_grown_one_tree_at_a_time_matches_reference(n, seed, n_trees, bootstrap, d):
+def _decisive_table(seed, n, d):
+    """A design on which the split rules decide the trees: columns 0 and 1
+    are one tied column twice, so two drawn features can reach the same
+    SSE; column 2 holds adjacent doubles, one pair of which has a midpoint
+    that rounds up to the right x; the targets take two levels that are
+    not binary fractions, so equal SSEs are common and their sums depend
+    on the order of tied rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.choice(_LEVELS, size=(n, d))
+    X[:, 1] = X[:, 0]
+    X[:, 2] = 1 + rng.integers(0, 4, size=n) * 2.0**-52
+    high = (X[:, 2] > 1 + 2.0**-52) ^ (X[:, 0] > 0.25) ^ (rng.random(n) < 0.2)
+    y = np.where(high, 0.3, 0.1)
+    names = tuple(f"x{k}" for k in range(d)) + ("y",)
+    return continuous_table(names, np.column_stack([X, y]), target="y")
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans(), st.integers(1, 7), st.booleans())
+def test_forest_grown_one_tree_at_a_time_matches_reference(n, seed, n_trees, bootstrap, d, decisive):
     """With ``_FOREST_BYTES`` too small for two trees every tree of the
-    forest is grown alone, node by node, and still equals the reference."""
-    table = _random_table(seed, n=n, d=d)
+    forest is grown alone, node by node, and still equals the reference,
+    also where feature ties, the order of tied rows and the threshold
+    rule decide the tree (``_decisive_table``, at least 4 columns)."""
+    table = _decisive_table(seed, n, d + 3) if decisive else _random_table(seed, n=n, d=d)
     with mock.patch.object(baselines, "_FOREST_BYTES", 0):
         got = rf_train(table, n_trees, seed, bootstrap).trees
     assert got == _reference_forest(table, n_trees, seed, bootstrap)

@@ -452,9 +452,9 @@ def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
     got_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
     want_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
     for y in nodes:
-        assert _local_inserts(state, got_sc, y, max_parents) == reference_local_inserts(
-            state, want_sc, y, max_parents
-        )
+        # a candidate's base NA(y, x) | T follows from (x, y, T) and the state
+        got = [cand[:4] for cand in _local_inserts(state, got_sc, y, max_parents)]
+        assert got == [cand[:4] for cand in reference_local_inserts(state, want_sc, y, max_parents)]
     assert got_sc.cache == want_sc.cache
     assert got_sc.warn == want_sc.warn
     got, want = consistent_extension(pattern), reference_consistent_extension(pattern)

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as hst
 
 import soilcausal.graphs as G
 import soilcausal.stats as S
-from soilcausal.discovery import _mask, _Scorer
+from soilcausal.discovery import _Scorer
 from soilcausal.errors import ConfigError, NumericError
 
 from enumutil import all_dags, continuous_table, equivalence_classes
@@ -326,7 +326,7 @@ def _dag_score(sc, dag):
     """Sum of the scorer's local scores over the DAG's parent sets."""
     idx = {v: k for k, v in enumerate(dag.nodes)}
     return sum(
-        sc.local(idx[v], _mask(idx[a] for a, b in dag.edges if b == v)) for v in dag.nodes
+        sc.local(idx[v], frozenset(idx[a] for a, b in dag.edges if b == v)) for v in dag.nodes
     )
 
 
@@ -360,7 +360,7 @@ def test_stacked_bic_equals_per_member_products_bit_for_bit(size, members, seed)
 def test_bic_parentless_rss_is_total_sum_of_squares():
     rng = np.random.default_rng(4)
     y = rng.normal(size=300)
-    score = _scorer(y.reshape(-1, 1), ("y",)).local(0, 0)
+    score = _scorer(y.reshape(-1, 1), ("y",)).local(0, frozenset())
     n = 300
     tss = float(((y - y.mean()) ** 2).sum())
     oracle = -(n / 2) * math.log(tss / n) - (2 / 2) * math.log(n)
@@ -370,7 +370,7 @@ def test_bic_parentless_rss_is_total_sum_of_squares():
 def test_bic_prefers_true_parent():
     rng = np.random.default_rng(5)
     sc = _scorer(_sim_xy(2000, rng), ("x", "y"))
-    assert sc.local(1, _mask({0})) > sc.local(1, 0)
+    assert sc.local(1, frozenset({0})) > sc.local(1, frozenset())
 
 
 def test_bic_rejects_spurious_parent():
@@ -378,7 +378,7 @@ def test_bic_rejects_spurious_parent():
     wins = 0
     for _ in range(20):
         sc = _scorer(rng.normal(size=(10_000, 2)), ("x", "y"))
-        wins += sc.local(1, 0) > sc.local(1, _mask({0}))
+        wins += sc.local(1, frozenset()) > sc.local(1, frozenset({0}))
     assert wins >= 19
 
 
@@ -421,8 +421,8 @@ def test_bic_score_equivalence_across_4node_classes():
 def test_interventional_reduces_to_observational_bitwise():
     rng = np.random.default_rng(10)
     data = _sim_xy(800, rng)
-    a = _scorer(data, ("x", "y")).local(1, _mask({0}))
-    b = _scorer(data, ("x", "y"), [frozenset()] * 800).local(1, _mask({0}))
+    a = _scorer(data, ("x", "y")).local(1, frozenset({0}))
+    b = _scorer(data, ("x", "y"), [frozenset()] * 800).local(1, frozenset({0}))
     assert a == b  # bit-for-bit
 
 
@@ -430,8 +430,8 @@ def test_interventional_all_rows_intervened_scores_zero():
     rng = np.random.default_rng(11)
     warn = fresh_counter()
     sc = _scorer(_sim_xy(100, rng), ("x", "y"), [frozenset({"y"})] * 100, warn)
-    assert sc.local(1, _mask({0})) == 0.0
-    assert sc.local(1, 0) == 0.0
+    assert sc.local(1, frozenset({0})) == 0.0
+    assert sc.local(1, frozenset()) == 0.0
     assert warn.empty_interventional == 1  # once per node, not per score
 
 
@@ -440,7 +440,7 @@ def test_interventional_equals_manual_row_partition():
     data = _sim_xy(600, rng)
     targets = [frozenset({"y"}) if i % 3 == 0 else frozenset() for i in range(600)]
     keep = np.array([("y" not in t) for t in targets])
-    got = _scorer(data, ("x", "y"), targets).local(1, _mask({0}))
+    got = _scorer(data, ("x", "y"), targets).local(1, frozenset({0}))
     assert math.isclose(got, _oracle_local(data[keep], 1, (0,)), rel_tol=1e-9)
 
 
@@ -461,5 +461,5 @@ def test_interventional_requires_target_per_row():
 
 def test_rss_floor_keeps_duplicate_columns_finite():
     x = np.linspace(0, 1, 200)
-    score = _scorer(np.stack([x, x], axis=1), ("a", "b")).local(1, _mask({0}))
+    score = _scorer(np.stack([x, x], axis=1), ("a", "b")).local(1, frozenset({0}))
     assert math.isfinite(score)
