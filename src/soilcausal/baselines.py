@@ -276,14 +276,14 @@ class _Grower:
             fids = feats.T[:, :, None]
             frows = order[fids, pos]
         frows = frows.reshape(len(fids), S, L)
-        parent_sse = _sums(np.square(ys - mean[:, None]), m)
-        split, pick, j, threshold = _best_splits(xt[fids, frows], y[frows], m, self.kmin, parent_sse)
+        parent_sse = _sums(np.square(ys - mean[:, None]), m).tolist()
+        split, pick, cut, threshold = _best_splits(xt[fids, frows], y[frows], m, self.kmin, parent_sse)
         if not split:
             return mean, [], [], [], []
         # padding repeats a slice's last row by the split feature, which goes right
-        self.goes_left[frows[pick, split]] = self.steps[:L] < (j + 1)[:, None]
+        self.goes_left[frows[pick, split]] = self.steps[:L] < np.array(cut)[:, None]
         feature = pick if feats is None else feats[split, pick].tolist()
-        return mean, split, feature, threshold.tolist(), (j + 1).tolist()
+        return mean, split, feature, threshold, cut
 
     def _partition(self, lo, cut, hi, buffer_rows):
         """Stably move the rows marked in ``goes_left`` to the front of
@@ -355,15 +355,15 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
     to m[s] - ``kmin`` between two distinct x is scored by left plus right
     SSE; a feature's first minimum is its leftmost threshold, ties between
     features go to the lowest, and the node splits only if the best SSE
-    beats ``parent_sse[s]``.  Returns the nodes that split, the chosen
-    feature of each (an index into F), the position j of its last left row
-    and its threshold, the midpoint of the x at j and j + 1 or, where that
-    midpoint rounds up to the right x, the left x."""
+    beats ``parent_sse[s]``.  Returns lists of the nodes that split, the
+    chosen feature of each (an index into F), its left size j + 1 and its
+    threshold: the midpoint of the x at j and j + 1 or, where that midpoint
+    rounds up to the right x, the left x."""
     F, S, L = xs.shape
-    ragged = m.min() < L
+    ragged = S > 1 and m.min() < L
     p0, p1 = kmin - 1, L - kmin  # positions j of the left sizes k = j + 1 allowed
     if p1 <= p0:
-        return [], [], None, None
+        return [], [], [], []
     csum = yr.cumsum(axis=2)
     csq = np.multiply(yr, yr, out=yr).cumsum(axis=2)
     if ragged:
@@ -378,7 +378,7 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
     np.subtract(csq, sse, out=sse)
     np.subtract(total, csum, out=csum)
     np.square(csum, out=csum)
-    right_size = m[:, None] - k
+    right_size = m[:, None] - k if ragged else L - k
     csum /= np.maximum(right_size, 1.0) if ragged else right_size
     np.subtract(total_sq, csq, out=csq)
     csq -= csum
@@ -388,24 +388,24 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
     if ragged and kmin > 1:
         invalid |= right_size < kmin
     np.copyto(sse, np.inf, where=invalid)
-    jmin = sse.argmin(axis=2)  # first minimum: the leftmost threshold
-    split, pick = [], []
-    for s, (col, parent) in enumerate(zip(sse.min(axis=2).T.tolist(), parent_sse.tolist())):
+    jmin = sse.argmin(axis=2).tolist()  # first minimum: the leftmost threshold
+    split, pick, cut, threshold = [], [], [], []
+    for s, (col, parent) in enumerate(zip(sse.min(axis=2).T.tolist(), parent_sse)):
         best, r = np.inf, -1
         for f, v in enumerate(col):  # ties go to the lowest feature
             if v < best - _SPLIT_EPS:
                 best, r = v, f
         if r >= 0 and best < parent - _SPLIT_EPS:
+            j = jmin[r][s] + p0
+            left, right = xs[r, s, j : j + 2].tolist()
+            mid = 0.5 * (left + right)
             split.append(s)
             pick.append(r)
-    if not split:
-        return [], [], None, None
-    j = jmin[pick, split] + p0
-    x = xs[np.array(pick)[:, None], np.array(split)[:, None], j[:, None] + (0, 1)]  # the x on each side
-    mid = 0.5 * (x[:, 0] + x[:, 1])
-    # the midpoint of adjacent doubles can round up to the right x; the left
-    # one then splits off the same j + 1 rows
-    return split, pick, j, np.where(mid < x[:, 1], mid, x[:, 0])
+            cut.append(j + 1)
+            # the midpoint of adjacent doubles can round up to the right x;
+            # the left one then splits off the same j + 1 rows
+            threshold.append(mid if mid < right else left)
+    return split, pick, cut, threshold
 
 
 def _grow_alone(xt, y, min_leaf, rng, n_features) -> TreeNode:
@@ -425,12 +425,12 @@ def _grow_alone(xt, y, min_leaf, rng, n_features) -> TreeNode:
             continue
         feats = np.sort(rng.choice(d, size=n_features, replace=False)) if n_features < d else np.arange(d)
         frows = idx[xt[feats[:, None], idx].argsort(axis=1, kind="stable")][:, None]
-        parent_sse = np.square(ys - node.value).sum(keepdims=True)
+        parent_sse = [float(np.square(ys - node.value).sum())]
         xs, yr = xt[feats[:, None, None], frows], y[frows]
         split, pick, _, threshold = _best_splits(xs, yr, np.array([idx.size]), max(min_leaf, 1), parent_sse)
         if not split:
             continue
-        node.feature, node.threshold = int(feats[pick[0]]), float(threshold[0])
+        node.feature, node.threshold = int(feats[pick[0]]), threshold[0]
         goes_left = xt[node.feature, idx] <= node.threshold
         node.left, node.right = TreeNode(None, 0.0, None, None, 0.0), TreeNode(None, 0.0, None, None, 0.0)
         stack += [(node.right, idx[~goes_left]), (node.left, idx[goes_left])]

@@ -177,8 +177,11 @@ def test_forest_grown_one_tree_at_a_time_matches_reference(n, seed, n_trees, boo
     also where feature ties, the order of tied rows and the threshold
     rule decide the tree (``_decisive_table``, at least 4 columns)."""
     table = _decisive_table(seed, n, d + 3) if decisive else _random_table(seed, n=n, d=d)
-    with mock.patch.object(baselines, "_FOREST_BYTES", 0):
+    with mock.patch.object(baselines, "_FOREST_BYTES", 0), mock.patch.object(
+        baselines, "_grow_alone", wraps=baselines._grow_alone
+    ) as alone:
         got = rf_train(table, n_trees, seed, bootstrap).trees
+    assert alone.call_count == n_trees
     assert got == _reference_forest(table, n_trees, seed, bootstrap)
 
 
