@@ -1,5 +1,5 @@
 """Train tables shared by the layer benchmarks: the default farm sampled
-at 400 days, min-max scaled on and restricted to the train rows."""
+at 60 or 400 days, min-max scaled on and restricted to the train rows."""
 
 from dataclasses import replace
 
@@ -9,8 +9,8 @@ import pytest
 from soilcausal import ingest, synth
 
 
-def _train_table(paper_width: bool):
-    scm, envs = synth.default_farm_benchmark(n_days=400)
+def _train_table(paper_width: bool, n_days: int = 400):
+    scm, envs = synth.default_farm_benchmark(n_days=n_days)
     table = synth.sample_environments(scm, envs)
     if paper_width:
         table = ingest.add_field_onehots(ingest.lag_counts(table))
@@ -23,6 +23,13 @@ def _train_table(paper_width: bool):
         field_id=table.field_id[train],
         treatment=table.treatment[train],
     )
+
+
+@pytest.fixture(scope="session")
+def narrow_train():
+    """The 12 farm columns at 60 days (the ``farm-narrow`` workload's train
+    table)."""
+    return _train_table(paper_width=False, n_days=60)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Micro-benchmarks of the tree layer: one depth-20 boosting-style tree
 (all features, min leaf 1) on the 12-column train design at 400 days, the
 size of the ``farm-long`` workload; ``gbt_train`` and ``rf_train`` with the
-``farm-long`` budgets (2 depth-20 rounds, 3 trees) on that design; and one
-random-forest tree (bootstrap, sqrt(d) features per node, unlimited depth)
-on the 62-column paper-width train design.
+``farm-long`` budgets (2 depth-20 rounds, 3 trees) on that design;
+``rf_train`` with the ``farm-narrow`` budget (20 trees) on the 12-column
+train design at 60 days; and one random-forest tree (bootstrap, sqrt(d)
+features per node, unlimited depth) on the 62-column paper-width train
+design.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -37,6 +39,11 @@ def test_gbt_long(benchmark, long_train):
 
 def test_rf_long(benchmark, long_train):
     forest = benchmark.pedantic(baselines.rf_train, args=(long_train,), kwargs={"n_trees": 3}, rounds=5)
+    benchmark.extra_info["nodes"] = sum(_count_nodes(tree) for tree in forest.trees)
+
+
+def test_rf_narrow(benchmark, narrow_train):
+    forest = benchmark.pedantic(baselines.rf_train, args=(narrow_train,), kwargs={"n_trees": 20}, rounds=5)
     benchmark.extra_info["nodes"] = sum(_count_nodes(tree) for tree in forest.trees)
 
 

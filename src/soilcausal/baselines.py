@@ -8,46 +8,29 @@ deterministic given the master seed: per-tree seeds come from the same
 splitmix derivation the synthesizer uses, so results do not depend on
 training schedule.
 
-Trees are exact CART on variance reduction, grown on one presorted index
-buffer.  The design is sorted once, with a stable argsort per feature,
-into a (d + 1, n) buffer: row f lists the rows by (x_f, row id), and the
-last row lists them by row id.  A node owns the slice [lo, hi) of every
-row.  Splitting it stably partitions its slice in place, so each row keeps
-the (x_f, row id) order inside both children.  That order is the one a
-per-node stable argsort of the node's ascending row ids gives, and the
-targets' sums run in the same order, so every threshold and leaf value is
-the one such a per-node sort would produce, bit for bit.
+Trees are exact CART on variance reduction.  A node sorts its candidate
+features by (x, row id), with a stable argsort of its rows in row-id
+order, and sums its targets in that order, so every threshold and leaf
+value is the one such a per-node sort gives, bit for bit.  Nodes of
+similar size share a padded block, and one cumulative sum per block scores
+every candidate feature of every node (``_best_splits``): it runs along
+one node's rows alone, padding only after them, and a node's mean and
+squared deviations add up in row-id order as np.sum does (``_sums``).
 
-The grower expands a batch of open nodes per step.  One gather pads the
-slices of a batch's nodes to a common length (nodes of similar size share
-a padded block, so padding stays small), one cumulative sum per block
-scores every candidate feature of every node, and one stable partition
-moves the rows of every node that splits.  A cumulative sum runs along one
-node's slice alone, with padding only after it, and a node's mean and
-squared deviations add up in row-id order exactly as np.sum does (see
-``_sums``).
+Forests grow node by node, trees in lock-step (``_grow_forest``).  A tree
+draws ``n_features`` features per node from its generator in pre-order
+(node, left subtree, right subtree), so each step pops off every tree's
+stack the nodes that may split, up to the first whose children may too,
+since they draw next; one ``_best_splits`` call per block splits the
+step's nodes of all trees.  A node keeps its rows as design columns in
+sample order (its sample position is the row id) and stable-argsorts only
+the features it drew.
 
-Each batch is one pass of a single loop: every tree pops its open nodes
-off a stack in pre-order (node, left subtree, right subtree), and the
-children of every node split are pushed back.  The forest draws
-``n_features`` features per node from its tree's generator, in that
-pre-order, so which draw a node gets depends on how many nodes draw before
-it: a tree stops popping at the first node whose children may be open,
-since they draw next, and the trees of a forest advance in lock-step with
-their buffers side by side.  Boosting and ``cart_train`` without
-``n_features`` draw nothing, so each tree empties its stack and a batch is
-one whole depth of it.
-
-A forest whose ``_FOREST_BYTES`` group holds fewer than
-``_LOCKSTEP_TREES`` trees (a design with many rows, such as the 400-day
-tables) grows each tree node by node instead (``_grow_alone``): each node
-sorts only its drawn features, by a stable argsort of its rows in row-id
-order, which is the buffer's order, and ``_best_splits`` chooses its split
-as for a block, so the tree is the same node for node.  A few trees in
-lock-step have a few nodes per batch, and each split partitions every
-buffer row; many trees share a batch's Python work.  Over 12-column
-tables of 900 to 6000 rows, node by node was faster where a group held 3
-to 5 trees, and lock-step where it held 6 or more.
+Boosting, and ``cart_train`` without ``n_features``, draw nothing: their
+tree grows depth by depth on a presorted index buffer (``_Grower``).  Row
+f of the (d + 1, n) buffer lists the rows by (x_f, row id), the last row
+by row id; a node owns the slice [lo, hi) of every row, and splitting it
+stably partitions that slice, so both children keep the order.
 """
 
 from __future__ import annotations
@@ -67,8 +50,6 @@ _PAIRWISE_BLOCK = 128  # np.sum adds up to this many values in one unrolled run
 _FEW_ROWS = 8  # up to this many nodes, sum each with np.sum itself
 _BLOCK_WASTE = 2048  # padded (feature, row) cells worth one more block's calls
 _BLOCK_CELLS = 1 << 15  # (feature, row) cells of a block of several nodes, at most
-_FOREST_BYTES = 4 << 20  # buffers of the trees a forest grows side by side, at most
-_LOCKSTEP_TREES = 6  # fewest trees grown side by side; smaller groups grow node by node
 
 
 @dataclass
@@ -93,21 +74,24 @@ def _features_of(table) -> tuple[str, ...]:
 
 
 def _design(table) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Features (rows x sorted names), labels and names.  ``NumericError``
+    for no rows, or naming the first row with a non-finite value."""
     names = _features_of(table)
-    return table.matrix(names), table.column(table.target), names
+    X, y = table.matrix(names), table.column(table.target)
+    if X.shape[0] == 0:
+        raise NumericError(f"bad design shapes {X.shape} / {y.shape}")
+    require_finite(y, "label", table)
+    require_finite(X, "features", table)
+    return X, y, names
 
 
-def _presort(xt, n_rows: int) -> np.ndarray:
-    """The index buffer of the trees whose designs are the consecutive
-    ``n_rows``-column blocks of ``xt`` (features x rows), side by side:
-    row f lists each block's rows by (x_f, row id), the last row by row
-    id."""
-    d, N = xt.shape
-    order = np.empty((d + 1, N), dtype=np.intp)
-    order[:d] = np.argsort(xt.reshape(d, -1, max(n_rows, 1)), axis=2, kind="stable").reshape(d, N)
-    if N > n_rows:
-        order[:d] += np.repeat(np.arange(0, N, n_rows), n_rows)
-    order[d] = np.arange(N)
+def _presort(xt) -> np.ndarray:
+    """The index buffer of the design ``xt`` (features x rows): row f lists
+    the rows by (x_f, row id), the last row by row id."""
+    d, n = xt.shape
+    order = np.empty((d + 1, n), dtype=np.intp)
+    order[:d] = np.argsort(xt, axis=1, kind="stable")
+    order[d] = np.arange(n)
     return order
 
 
@@ -146,15 +130,15 @@ def _block_sums(a, m) -> np.ndarray:
 
 
 def _blocks(m, width: int) -> list:
-    """Groups of the slices with lengths ``m`` that are padded together.
-    From the longest down, slices join the current group until padding
-    them to its longest costs more than ``_BLOCK_WASTE`` cells of ``width``
-    features; a group of more than ``_BLOCK_CELLS`` cells is cut in equal
-    parts."""
-    if m.size == 1:
-        return [slice(None)]
-    perm = np.argsort(m, kind="stable")[::-1]
-    ms = m[perm].tolist()
+    """Groups (index lists) of the slices with lengths ``m`` (a list) that
+    are padded together.  From the longest down, slices join the current
+    group until padding them to its longest costs more than
+    ``_BLOCK_WASTE`` cells of ``width`` features; a group of more than
+    ``_BLOCK_CELLS`` cells is cut in equal parts."""
+    if len(m) == 1:
+        return [[0]]
+    perm = sorted(range(len(m)), key=m.__getitem__, reverse=True)
+    ms = [m[s] for s in perm]
     runs = [0] + [i for i in range(1, len(ms)) if ms[i] != ms[i - 1]]  # starts of one length
     cuts, top, waste = [0], ms[0], 0
     for a, b in zip(runs, runs[1:] + [len(ms)]):
@@ -170,20 +154,37 @@ def _blocks(m, width: int) -> list:
     return groups
 
 
+def _is_open(m, depth, max_depth, min_leaf) -> bool:
+    """Whether a node of ``m`` rows at ``depth`` may split: not a leaf by
+    size or depth."""
+    return m >= 2 * min_leaf and (max_depth is None or depth < max_depth)
+
+
+def _stack(parts) -> np.ndarray:
+    """The (F, m_s) arrays ``parts`` as one (F, S, L) array: a view of one,
+    or each padded to the longest by repeating its last column."""
+    if len(parts) == 1:
+        return parts[0][:, None]
+    out = np.empty((len(parts[0]), len(parts), max(part.shape[1] for part in parts)), parts[0].dtype)
+    for k, part in enumerate(parts):
+        out[:, k] = part[:, -1:]
+        out[:, k, : part.shape[1]] = part
+    return out
+
+
 class _Grower:
-    """The trees of one presorted buffer, grown a batch of nodes at a time
-    (see the module docstring).  Node i's fields sit at index i of the
-    lists; ``left``/``right`` are -1 for a leaf, ``value`` None until the
-    node's mean is taken."""
+    """One tree that draws no features, grown depth by depth on its
+    presorted buffer ``order`` (see the module docstring).  Node i's fields
+    sit at index i of the lists; ``left``/``right`` are -1 for a leaf,
+    ``value`` None until the node's mean is taken."""
 
     def __init__(self, xt, y, order, max_depth, min_leaf):
         self.xt, self.y, self.order = xt, y, order
-        self.max_depth, self.min_leaf = max_depth, min_leaf
+        self.limits = max_depth, min_leaf  # of open nodes
         self.kmin = max(min_leaf, 1)  # smallest child a split may leave
-        N = y.size
-        self.steps = np.arange(N)
+        self.steps = np.arange(y.size)
         self.all_features = np.arange(xt.shape[0])[:, None, None]
-        self.goes_left = np.zeros(N, dtype=bool)
+        self.goes_left = np.zeros(y.size, dtype=bool)
         self.lo, self.hi, self.depth, self.value = [], [], [], []
         self.feature, self.threshold, self.left, self.right = [], [], [], []
 
@@ -199,51 +200,22 @@ class _Grower:
         self.right += [-1] * len(lo)
         return ids
 
-    def is_open(self, m, depth):
-        """Whether nodes of ``m`` rows at ``depth`` may split: not leaves
-        by size or depth."""
-        ok = m >= 2 * self.min_leaf
-        return ok if self.max_depth is None else ok & (depth < self.max_depth)
-
-    def grow(self, roots, rngs, n_features):
-        """Per batch, the open nodes each tree pops off its pre-order stack.
-        A tree that draws ``n_features`` features per node from its
-        generator in ``rngs`` stops at the first node whose children may be
-        open, since they draw next; a tree that draws none empties its
-        stack, so its batch is one whole depth."""
-        d = self.xt.shape[0]
-        draws = n_features is not None and n_features < d
-        width = n_features if draws else d
-        stacks = [[root] for root in roots]
+    def grow(self) -> None:
+        """Split the open nodes of each depth, a block at a time."""
+        level = self.add([0], [self.y.size], [0])
         while True:
-            batch, owner, feats = [], [], []
-            for t, stack in enumerate(stacks):
-                while stack:
-                    i = stack.pop()
-                    m, depth = self.hi[i] - self.lo[i], self.depth[i]
-                    if not self.is_open(m, depth):
-                        continue
-                    batch.append([i, self.lo[i], self.hi[i], depth])
-                    owner.append(t)
-                    if draws:
-                        feats.append(rngs[t].choice(d, size=n_features, replace=False))
-                        if self.is_open(m - self.kmin, depth + 1):
-                            break
+            batch = [[i, self.lo[i], self.hi[i], self.depth[i]] for i in level]
+            batch = [b for b in batch if _is_open(b[2] - b[1], b[3], *self.limits)]
             if not batch:
                 return
-            ids, lo, hi, depth = np.array(batch).T
-            feats = np.sort(feats, axis=1) if draws else None
-            for b in _blocks(hi - lo, width):
-                self._split_block(ids[b], lo[b], hi[b], depth[b], feats[b] if draws else None)
-            for t, i in zip(owner, ids.tolist()):
-                if self.left[i] >= 0:
-                    stacks[t] += [self.right[i], self.left[i]]
+            for b in _blocks([hi - lo for _, lo, hi, _ in batch], self.xt.shape[0]):
+                self._split_block(*np.array([batch[s] for s in b]).T)
+            level = [c for i, *_ in batch if self.left[i] >= 0 for c in (self.left[i], self.right[i])]
 
-    def _split_block(self, ids, lo, hi, depth, feats) -> None:
+    def _split_block(self, ids, lo, hi, depth) -> None:
         """Take the means of one padded block of nodes ``ids`` of rows
-        [lo, hi) at ``depth`` (their candidate features, one row each, or
-        None for all) and split those with a split."""
-        mean, split, feature, threshold, n_left = self._search(lo, hi, feats)
+        [lo, hi) at ``depth`` and split those with a split."""
+        mean, split, feature, threshold, n_left = self._search(lo, hi)
         ids, lo, hi, depth = ids.tolist(), lo.tolist(), hi.tolist(), depth.tolist()
         for i, v in zip(ids, mean.tolist()):
             self.value[i] = v
@@ -255,10 +227,10 @@ class _Grower:
             self.feature[i], self.threshold[i], self.left[i], self.right[i] = f, t, l, r
         if split:
             # leaves by size or depth read only the row-id row
-            deeper = any(self.is_open(b - a - self.kmin, e) for a, b, e in zip(lo, hi, depth))
+            deeper = any(_is_open(b - a - self.kmin, e, *self.limits) for a, b, e in zip(lo, hi, depth))
             self._partition(lo, cut, hi, slice(None) if deeper else slice(-1, None))
 
-    def _search(self, lo, hi, feats):
+    def _search(self, lo, hi):
         """Means of the nodes [lo, hi) of one block, and the best split of
         each that splits: their indices, feature, threshold and left size.
         Marks the left rows of those splits in ``goes_left``."""
@@ -270,19 +242,12 @@ class _Grower:
         pos = np.minimum(lo[:, None] + self.steps[:L], (hi - 1)[:, None]) if S > 1 else slice(lo[0], hi[0])
         ys = y[order[-1, pos]].reshape(S, L)  # targets by row id
         mean = _sums(ys, m) / m
-        if feats is None:
-            fids, frows = self.all_features, order[:-1, pos]
-        else:
-            fids = feats.T[:, :, None]
-            frows = order[fids, pos]
-        frows = frows.reshape(len(fids), S, L)
+        frows = order[:-1, pos].reshape(-1, S, L)
         parent_sse = _sums(np.square(ys - mean[:, None]), m).tolist()
-        split, pick, cut, threshold = _best_splits(xt[fids, frows], y[frows], m, self.kmin, parent_sse)
-        if not split:
-            return mean, [], [], [], []
-        # padding repeats a slice's last row by the split feature, which goes right
-        self.goes_left[frows[pick, split]] = self.steps[:L] < np.array(cut)[:, None]
-        feature = pick if feats is None else feats[split, pick].tolist()
+        split, feature, cut, threshold = _best_splits(xt[self.all_features, frows], y[frows], ms, self.kmin, parent_sse)
+        if split:
+            # padding repeats a slice's last row by the split feature, which goes right
+            self.goes_left[frows[feature, split]] = self.steps[:L] < np.array(cut)[:, None]
         return mean, split, feature, threshold, cut
 
     def _partition(self, lo, cut, hi, buffer_rows):
@@ -306,11 +271,11 @@ class _Grower:
         order[:, rights] = right.reshape(len(order), -1)
 
     def finish(self):
-        """Values of the leaves by size or depth, the trees as TreeNodes,
-        and each row's fitted value (its leaf's)."""
-        todo = np.array([i for i, v in enumerate(self.value) if v is None], dtype=np.intp)
+        """The tree's root as a TreeNode, and each row's fitted value (its
+        leaf's)."""
+        todo = np.array([i for i, v in enumerate(self.value) if v is None], dtype=np.intp)  # leaves by size or depth
         lo, hi = np.array(self.lo), np.array(self.hi)
-        for b in _blocks(hi[todo] - lo[todo], 1) if todo.size else []:
+        for b in _blocks((hi[todo] - lo[todo]).tolist(), 1) if todo.size else []:
             ids = todo[b]
             m = hi[ids] - lo[ids]
             pos = np.minimum(lo[ids, None] + self.steps[: m.max()], (hi[ids] - 1)[:, None])
@@ -327,24 +292,62 @@ class _Grower:
         leaves = leaves[np.argsort(lo[leaves])]  # they tile the buffer
         fitted = np.empty(self.y.size)
         fitted[self.order[-1]] = np.repeat(np.array(value)[leaves], hi[leaves] - lo[leaves])
-        return nodes, fitted
+        return nodes[0], fitted
 
 
-def _grow(xt, y, n_rows, max_depth, min_leaf, rngs=None, n_features=None, order=None):
-    """Grow the trees whose designs are the consecutive ``n_rows``-column
-    blocks of ``xt`` (features x rows), on the buffer ``order`` (their
-    ``_presort``, taken if not given; modified in place).  Returns their
-    roots and each row's fitted value."""
-    if n_rows == 0:
-        raise NumericError(f"bad design shapes {xt.T.shape} / {y.shape}")
-    if order is None:
-        order = _presort(xt, n_rows)
-    starts = list(range(0, y.size, n_rows))
-    grower = _Grower(xt, y, order, max_depth, min_leaf)
-    roots = grower.add(starts, [s + n_rows for s in starts], [0] * len(starts))
-    grower.grow(roots, rngs, n_features)
-    nodes, fitted = grower.finish()
-    return [nodes[i] for i in roots], fitted
+def _grow(xt, y, max_depth, min_leaf, order=None):
+    """A tree that draws no features on the design ``xt`` (features x
+    rows), grown on the buffer ``order`` (its ``_presort``, taken if not
+    given; modified in place).  Returns its root and each row's fitted
+    value."""
+    grower = _Grower(xt, y, _presort(xt) if order is None else order, max_depth, min_leaf)
+    grower.grow()
+    return grower.finish()
+
+
+def _grow_forest(xt, y, samples, max_depth, min_leaf, rngs, n_features) -> list:
+    """The roots of the trees on the design ``xt`` (features x rows) whose
+    rows are the design columns ``samples[t]``, grown node by node in
+    lock-step (see the module docstring).  Tree t draws ``n_features``
+    features per node from ``rngs[t]``; from d on it takes every one."""
+    d, kmin = xt.shape[0], max(min_leaf, 1)  # kmin: smallest child a split may leave
+    roots = [TreeNode(None, 0.0, None, None, 0.0) for _ in samples]
+    stacks = [[(root, rows, 0)] for root, rows in zip(roots, samples)]
+    while True:
+        batch = []
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, rows, depth = stack.pop()
+                if not _is_open(rows.size, depth, max_depth, min_leaf):
+                    node.value = float(y[rows].sum() / rows.size)
+                    continue
+                feats = np.sort(rngs[t].choice(d, size=n_features, replace=False)) if n_features < d else np.arange(d)
+                batch.append((t, node, rows, depth, feats))
+                if _is_open(rows.size - kmin, depth + 1, max_depth, min_leaf):
+                    break  # its children draw next
+        if not batch:
+            break
+        x_rows, ranked, sse = [], [], []  # per node
+        for _, node, rows, _, feats in batch:
+            x_rows.append(xt[feats[:, None], rows])  # in sample order
+            ranked.append(rows[x_rows[-1].argsort(axis=1, kind="stable")])  # by (x, sample position)
+            ys = y[rows]
+            node.value = float(ys.sum() / rows.size)
+            sse.append(float(np.square(ys - node.value).sum()))
+        m, children = [rows.size for _, _, rows, _, _ in batch], [[] for _ in batch]
+        for sel in _blocks(m, len(batch[0][4])):
+            fs, fr = _stack([batch[s][4][:, None] for s in sel]), _stack([ranked[s] for s in sel])
+            split, pick, _, thr = _best_splits(xt[fs, fr], y[fr], [m[s] for s in sel], kmin, [sse[s] for s in sel])
+            for k, r, t in zip(split, pick, thr):
+                s = sel[k]
+                _, node, rows, depth, feats = batch[s]
+                goes_left = x_rows[s][r] <= t
+                node.feature, node.threshold = int(feats[r]), t
+                node.left, node.right = TreeNode(None, 0.0, None, None, 0.0), TreeNode(None, 0.0, None, None, 0.0)
+                children[s] = [(node.right, rows[~goes_left], depth + 1), (node.left, rows[goes_left], depth + 1)]
+        for b, pair in zip(batch, children):
+            stacks[b[0]] += pair
+    return roots
 
 
 def _best_splits(xs, yr, m, kmin, parent_sse):
@@ -360,7 +363,9 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
     threshold: the midpoint of the x at j and j + 1 or, where that midpoint
     rounds up to the right x, the left x."""
     F, S, L = xs.shape
-    ragged = S > 1 and m.min() < L
+    ragged = S > 1 and min(m) < L
+    if ragged:
+        m = np.array(m)
     p0, p1 = kmin - 1, L - kmin  # positions j of the left sizes k = j + 1 allowed
     if p1 <= p0:
         return [], [], [], []
@@ -408,35 +413,6 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
     return split, pick, cut, threshold
 
 
-def _grow_alone(xt, y, min_leaf, rng, n_features) -> TreeNode:
-    """One forest tree (unlimited depth) on the design ``xt`` (features x
-    rows), grown node by node in pre-order.  Each node that may split draws
-    ``n_features`` features from ``rng`` and sorts only those, with a
-    stable argsort of its rows in row-id order, so its x and target orders
-    are the presorted buffer's and ``_best_splits`` picks ``_grow``'s split."""
-    d = xt.shape[0]
-    root = TreeNode(None, 0.0, None, None, 0.0)
-    stack = [(root, np.arange(y.size))]
-    while stack:
-        node, idx = stack.pop()
-        ys = y[idx]
-        node.value = float(ys.sum() / idx.size)
-        if idx.size < 2 * min_leaf:
-            continue
-        feats = np.sort(rng.choice(d, size=n_features, replace=False)) if n_features < d else np.arange(d)
-        frows = idx[xt[feats[:, None], idx].argsort(axis=1, kind="stable")][:, None]
-        parent_sse = [float(np.square(ys - node.value).sum())]
-        xs, yr = xt[feats[:, None, None], frows], y[frows]
-        split, pick, _, threshold = _best_splits(xs, yr, np.array([idx.size]), max(min_leaf, 1), parent_sse)
-        if not split:
-            continue
-        node.feature, node.threshold = int(feats[pick[0]]), threshold[0]
-        goes_left = xt[node.feature, idx] <= node.threshold
-        node.left, node.right = TreeNode(None, 0.0, None, None, 0.0), TreeNode(None, 0.0, None, None, 0.0)
-        stack += [(node.right, idx[~goes_left]), (node.left, idx[goes_left])]
-    return root
-
-
 def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> TreeNode:
     """One exact CART tree (see the module docstring).
 
@@ -451,10 +427,10 @@ def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> T
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:
         raise NumericError(f"bad design shapes {X.shape} / {y.shape}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    (tree,), _ = _grow(X.T.copy(), y, X.shape[0], max_depth, min_leaf, [rng], n_features)
-    return tree
+    if n_features is None:
+        return _grow(X.T.copy(), y, max_depth, min_leaf)[0]
+    rngs = [np.random.default_rng(0) if rng is None else rng]
+    return _grow_forest(X.T.copy(), y, [np.arange(X.shape[0])], max_depth, min_leaf, rngs, n_features)[0]
 
 
 def tree_predict(node: TreeNode, X) -> np.ndarray:
@@ -488,27 +464,17 @@ class RandomForest:
 def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -> RandomForest:
     """Bagged variance-reduction trees; sqrt(d) features per split,
     unlimited depth, min leaf 2.  Rows are already canonically ordered by
-    the table itself, so bootstrap indices are order-independent.  The
-    trees grow side by side, as many at a time as ``_FOREST_BYTES``
-    holds, or node by node when it holds fewer than ``_LOCKSTEP_TREES``."""
+    the table itself, so bootstrap indices are order-independent.  All
+    trees grow node by node in lock-step (``_grow_forest``)."""
     require_count(n_trees, 1, f"a forest needs at least one tree, got n_trees={n_trees!r}")
     X, y, names = _design(table)
     n, d = X.shape
-    n_features = max(1, int(np.sqrt(d)))
-    group = max(1, _FOREST_BYTES // (8 * max(n, 1) * (2 * d + 5)))  # buffer, design, node arrays
-    trees = []
-    for first in range(0, n_trees, group):
-        members = range(first, min(first + group, n_trees))
-        rows = [
-            np.random.default_rng(derive_seed(seed, t)).integers(0, n, size=n) if bootstrap else np.arange(n)
-            for t in members
-        ]
-        rngs = [np.random.default_rng(derive_seed(seed, t, 1)) for t in members]
-        if group < _LOCKSTEP_TREES:
-            trees += [_grow_alone(X.T[:, idx], y[idx], 2, rng, n_features) for idx, rng in zip(rows, rngs)]
-        else:
-            idx = np.concatenate(rows)
-            trees += _grow(X.T[:, idx], y[idx], n, None, 2, rngs, n_features)[0]
+    samples = [
+        np.random.default_rng(derive_seed(seed, t)).integers(0, n, size=n) if bootstrap else np.arange(n)
+        for t in range(n_trees)
+    ]
+    rngs = [np.random.default_rng(derive_seed(seed, t, 1)) for t in range(n_trees)]
+    trees = _grow_forest(X.T.copy(), y, samples, None, 2, rngs, max(1, int(np.sqrt(d))))
     return RandomForest(trees=trees, feature_names=names, target=table.target)
 
 
@@ -546,11 +512,11 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
     require_rate(lr, f"lr must be finite and >= 0, got {lr!r}")
     X, y, names = _design(table)
     model = GbtModel(init_value=float(y.mean()), trees=[], lr=lr, feature_names=names, target=table.target)
-    xt, n = X.T.copy(), X.shape[0]
-    presorted = _presort(xt, n)
+    xt = X.T.copy()
+    presorted = _presort(xt)
     current = np.full(y.shape, model.init_value)
     for _ in range(n_estimators):
-        (tree,), fitted = _grow(xt, y - current, n, max_depth, 1, order=presorted.copy())
+        tree, fitted = _grow(xt, y - current, max_depth, 1, presorted.copy())
         model.trees.append(tree)
         current = current + lr * fitted
         model.loss_history.append(float(np.mean((y - current) ** 2)))
@@ -601,7 +567,6 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
     rows.
     """
     X, y, names = _design(table)
-    require_finite(y, "label", table)
     n = X.shape[0]
     if n < 5:
         raise NumericError(f"grid search needs >= 5 rows, got {n}")

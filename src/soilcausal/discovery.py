@@ -493,7 +493,9 @@ def _backward_phase(st: _State, sc) -> _State:
 
 def _turning_phase(st: _State, sc, cfg) -> _State:
     """Reverse directed edges of a class representative whenever the swap
-    strictly improves the (interventional) score and keeps acyclicity."""
+    strictly improves the (interventional) score and keeps acyclicity.
+    The phase ends when a turn projects back onto the pattern it started
+    from: the next pass would pick the same turn again."""
     while True:
         ext = st.copy()
         _extend(ext)
@@ -523,6 +525,8 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
         ext.cut(a, b)
         ext.orient(b, a)
         _project(ext, ext.intervened)
+        if (ext.directed(), ext.undirected()) == (st.directed(), st.undirected()):
+            return st
         st = ext
 
 

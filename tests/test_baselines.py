@@ -1,3 +1,4 @@
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -170,62 +171,52 @@ def _decisive_table(seed, n, d):
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
-@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans(), st.integers(1, 7), st.booleans())
-def test_forest_grown_one_tree_at_a_time_matches_reference(n, seed, n_trees, bootstrap, d, decisive):
-    """With ``_FOREST_BYTES`` too small for two trees every tree of the
-    forest is grown alone, node by node, and still equals the reference,
-    also where feature ties, the order of tied rows and the threshold
-    rule decide the tree (``_decisive_table``, at least 4 columns)."""
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 25), st.booleans(), st.integers(1, 7), st.booleans())
+def test_forest_grown_in_lock_step_matches_reference(n, seed, n_trees, bootstrap, d, decisive):
+    """Every tree of a forest grown node by node, its trees in lock-step,
+    equals the reference, also where feature ties, the order of tied rows
+    and the threshold rule decide the tree (``_decisive_table``, at least 4
+    columns).  The forest is grown again with no padding waste allowed and
+    64 cells a block at most, so that a step's nodes spread over many
+    blocks of mixed lengths."""
     table = _decisive_table(seed, n, d + 3) if decisive else _random_table(seed, n=n, d=d)
-    with mock.patch.object(baselines, "_FOREST_BYTES", 0), mock.patch.object(
-        baselines, "_grow_alone", wraps=baselines._grow_alone
-    ) as alone:
-        got = rf_train(table, n_trees, seed, bootstrap).trees
-    assert alone.call_count == n_trees
-    assert got == _reference_forest(table, n_trees, seed, bootstrap)
-
-
-def _grow_side_by_side_and_check(n, d, n_trees, bootstrap, max_depth, min_leaf, draw, seed):
-    rng = np.random.default_rng(seed)
-    X, y = _tied_design(rng, n, d)
-    idx = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for _ in range(n_trees)]
-    rows = np.concatenate(idx)
-    n_features = max(1, d // 2) if draw else None
-    seeds = rng.integers(0, 2**32, size=n_trees)
-    trees, fitted = baselines._grow(
-        X[rows].T.copy(), y[rows], n, max_depth, min_leaf,
-        [np.random.default_rng(s) for s in seeds], n_features,
-    )
-    for t, (tree, rows_t, s) in enumerate(zip(trees, idx, seeds)):
-        want = reference_cart_train(X[rows_t], y[rows_t], max_depth, min_leaf, np.random.default_rng(s), n_features)
-        assert tree == want
-        assert fitted[t * n : (t + 1) * n].tolist() == baselines.tree_predict(tree, X[rows_t]).tolist()
+    want = _reference_forest(table, n_trees, seed, bootstrap)
+    assert rf_train(table, n_trees, seed, bootstrap).trees == want
+    with mock.patch.multiple(baselines, _BLOCK_WASTE=0, _BLOCK_CELLS=64):
+        assert rf_train(table, n_trees, seed, bootstrap).trees == want
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(
     st.integers(1, 300),
     st.integers(1, 5),
-    st.integers(1, 5),
     st.booleans(),
     st.sampled_from([None, 3, 20]),
     st.sampled_from([1, 2, 5]),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
-def test_trees_grown_side_by_side_match_reference(n, d, n_trees, bootstrap, max_depth, min_leaf, draw, seed, small_blocks):
-    """Several trees in one buffer, with and without per-node feature
-    draws, equal the reference tree by tree, and each row's fitted value
-    is what ``tree_predict`` gives it.  With ``small_blocks`` no padding
-    waste is allowed and a block holds 64 cells at most, so that the nodes
-    of one batch spread over many blocks of mixed lengths."""
-    case = (n, d, n_trees, bootstrap, max_depth, min_leaf, draw, seed)
-    if small_blocks:
-        with mock.patch.multiple(baselines, _BLOCK_WASTE=0, _BLOCK_CELLS=64):
-            _grow_side_by_side_and_check(*case)
-    else:
-        _grow_side_by_side_and_check(*case)
+def test_tree_grown_depth_by_depth_matches_reference(n, d, bootstrap, max_depth, min_leaf, seed, small_blocks):
+    """A tree that draws no features, grown depth by depth on its presorted
+    buffer, equals the reference, and each row's fitted value is what
+    ``tree_predict`` gives it.  With ``small_blocks`` no padding waste is
+    allowed and a block holds 64 cells at most, so that the nodes of one
+    depth spread over many blocks of mixed lengths."""
+    rng = np.random.default_rng(seed)
+    X, y = _tied_design(rng, n, d)
+    rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    X, y = X[rows], y[rows]
+    with mock.patch.multiple(baselines, _BLOCK_WASTE=0, _BLOCK_CELLS=64) if small_blocks else contextlib.nullcontext():
+        tree, fitted = baselines._grow(X.T.copy(), y, max_depth, min_leaf)
+    assert tree == reference_cart_train(X, y, max_depth, min_leaf)
+    assert fitted.tolist() == baselines.tree_predict(tree, X).tolist()
+
+
+def test_blocks_pad_by_repeating_the_last_entry():
+    # a padded copy of x must not pass x_j < x_j+1 where a node has ended
+    a, b = np.array([[1, 2, 3], [4, 5, 6]]), np.array([[7], [8]])
+    assert baselines._stack([a, b]).tolist() == [[[1, 2, 3], [7, 7, 7]], [[4, 5, 6], [8, 8, 8]]]
+    assert baselines._stack([a]).base is a
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -257,7 +248,6 @@ def test_forest_and_boosting_invariant_to_column_order():
         )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gbt_train's mean of no labels
 def test_forest_and_boosting_reject_an_empty_table():
     table = continuous_table(("a", "b", "y"), np.zeros((0, 3)), target="y")
     for train in (lambda: rf_train(table, 2), lambda: rf_train(table, 2, bootstrap=False), lambda: gbt_train(table, 2)):
@@ -309,11 +299,18 @@ def test_cart_train_rejects_a_bad_feature_count():
     assert cart_train(X, y, n_features=9) == cart_train(X, y, n_features=np.int64(4)) == cart_train(X, y)
 
 
-@pytest.mark.parametrize("kwargs", [{}])
+@pytest.mark.parametrize(
+    "train",
+    [lambda t: rf_train(t, n_trees=1), lambda t: gbt_train(t, n_estimators=1), lambda t: mlp_train(t, epochs=1)],
+    ids=["rf", "gbt", "mlp"],
+)
+@pytest.mark.parametrize("column, what", [(2, "label"), (0, "features")])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_mlp_train_rejects_non_finite_labels_by_row(kwargs, bad):
+def test_baselines_reject_non_finite_inputs_by_row(train, column, what, bad):
+    # rf and gbt returned all-NaN predictions for a NaN label; mlp reported
+    # an inf feature as a divergence
     rows = np.random.default_rng(1).standard_normal((8, 3))
-    rows[3, 2] = bad
+    rows[3, column] = bad
     table = continuous_table(("a", "b", "t"), rows, target="t")
-    with pytest.raises(NumericError, match="label in row 3 .f0, 2020-06-04, obs."):
-        mlp_train(table, epochs=1, **kwargs)
+    with pytest.raises(NumericError, match=f"non-finite {what} in row 3 .f0, 2020-06-04, obs."):
+        train(table)

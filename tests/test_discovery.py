@@ -497,6 +497,27 @@ def test_kept_inserts_choose_the_reference_move(seed, d, max_parents, interventi
     assert steps > 0
 
 
+class _RoundingScorer:
+    """Local scores that make reversing 0 -> 1 "gain" 2e-9, just above
+    the gain tolerance, as rounding can; it gives up after 10,000 calls."""
+
+    calls = 0
+
+    def local(self, y, parents):
+        self.calls += 1
+        if self.calls > 10_000:
+            raise RuntimeError("the turning phase did not end")
+        return 2e-9 if (y, set(parents)) == (0, {1}) else 0.0
+
+
+def test_turning_phase_ends_when_a_turn_projects_back_onto_its_pattern():
+    # the turn of the covered edge in 0 - 1 projects back onto 0 - 1, so
+    # every pass would extend the same pattern and pick the same turn
+    state = _State(2, (), (), [(0, 1)])
+    got = _turning_phase(state, _RoundingScorer(), DiscoveryConfig(max_parents=3))
+    assert (got.directed(), got.undirected()) == (set(), {(0, 1)})
+
+
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(2, 8))
 def test_moves_complete_a_copy_and_leave_the_state(seed, d):
