@@ -14,7 +14,9 @@ its error and the counts at the raise.
 Models: on the 60- and 400-day tables (min-max scaled on and trained on the
 red/blue rows, predicted on green) it trains SAGE and ECC on the PC
 skeleton and SAGE on the random-edges skeleton at the benchmark's epochs,
-and the MLP grid at the benchmark's MLP epochs.
+the MLP grid at the benchmark's MLP epochs, and the random forest and
+depth-20 boosting at the benchmark's trees and rounds; each tree line also
+gives the models' total node count.
 
 Each hash is the first 16 hex digits of the SHA-256 of a ``loss_history``,
 predictions or scores as little-endian float64, or of JSON.
@@ -47,6 +49,10 @@ def _hash(arr) -> str:
 
 def _json_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def _nodes(tree) -> int:
+    return 1 if tree.is_leaf else 1 + _nodes(tree.left) + _nodes(tree.right)
 
 
 def _farm(n_days, paper_width):
@@ -116,7 +122,10 @@ def discovery_hashes():
 
 
 def model_hashes():
-    for name, n_days, epochs, mlp_epochs in (("farm-narrow", 60, 100, 20), ("farm-long", 400, 10, 5)):
+    for name, n_days, epochs, mlp_epochs, rf_trees, gbt_rounds in (
+        ("farm-narrow", 60, 100, 20, 20, 10),
+        ("farm-long", 400, 10, 5, 3, 2),
+    ):
         train, test, _ = _farm(n_days, paper_width=False)
         pattern = discovery.pc(train, warn=stats.WarningCounter())
         sk = gnn.skeleton_from_pattern(pattern, train.names, train.target)
@@ -129,6 +138,14 @@ def model_hashes():
         log = json.dumps([[list(hidden), lr, mse] for hidden, lr, mse in mlp.grid_log])
         pred = baselines.mlp_predict(mlp, test)
         print(name, "mlp grid_log", hashlib.sha256(log.encode()).hexdigest()[:16], "pred", _hash(pred))
+        rf = baselines.rf_train(train, n_trees=rf_trees)
+        nodes = sum(_nodes(tree) for tree in rf.trees)
+        pred = baselines.rf_predict(rf, test)
+        print(name, "rf nodes", nodes, "pred", _hash(pred))
+        gbt = baselines.gbt_train(train, n_estimators=gbt_rounds, max_depth=20)
+        nodes = sum(_nodes(tree) for tree in gbt.trees)
+        pred = baselines.gbt_predict(gbt, test)
+        print(name, "gbt nodes", nodes, "loss", _hash(gbt.loss_history), "pred", _hash(pred))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 (all features, min leaf 1) on the 12-column train design at 400 days, the
 size of the ``farm-long`` workload; ``gbt_train`` and ``rf_train`` with the
 ``farm-long`` budgets (2 depth-20 rounds, 3 trees) on that design;
-``rf_train`` with the ``farm-narrow`` budget (20 trees) on the 12-column
-train design at 60 days; and one random-forest tree (bootstrap, sqrt(d)
-features per node, unlimited depth) on the 62-column paper-width train
-design.
+``gbt_train`` and ``rf_train`` with the ``farm-narrow`` budgets (10 depth-20
+rounds, 20 trees) on the 12-column train design at 60 days; and one
+random-forest tree (bootstrap, sqrt(d) features per node, unlimited depth)
+on the 62-column paper-width train design.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -33,6 +33,13 @@ def test_cart_depth20_long(benchmark, long_train):
 def test_gbt_long(benchmark, long_train):
     model = benchmark.pedantic(
         baselines.gbt_train, args=(long_train,), kwargs={"n_estimators": 2, "max_depth": 20}, rounds=5
+    )
+    benchmark.extra_info["nodes"] = sum(_count_nodes(tree) for tree in model.trees)
+
+
+def test_gbt_narrow(benchmark, narrow_train):
+    model = benchmark.pedantic(
+        baselines.gbt_train, args=(narrow_train,), kwargs={"n_estimators": 10, "max_depth": 20}, rounds=5
     )
     benchmark.extra_info["nodes"] = sum(_count_nodes(tree) for tree in model.trees)
 

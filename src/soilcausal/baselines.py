@@ -14,8 +14,9 @@ order, and sums its targets in that order, so every threshold and leaf
 value is the one such a per-node sort gives, bit for bit.  Nodes of
 similar size share a padded block, and one cumulative sum per block scores
 every candidate feature of every node (``_best_splits``): it runs along
-one node's rows alone, padding only after them, and a node's mean and
-squared deviations add up in row-id order as np.sum does (``_sums``).
+one node's rows alone, padding only after them.  A node's mean is taken
+once, when the node is made, and its mean and squared deviations add up
+in row-id order with numpy's row-wise sum, as np.sum does (``_sums``).
 
 Forests grow node by node, trees in lock-step (``_grow_forest``).  A tree
 draws ``n_features`` features per node from its generator in pre-order
@@ -26,11 +27,11 @@ step's nodes of all trees.  A node keeps its rows as design columns in
 sample order (its sample position is the row id) and stable-argsorts only
 the features it drew.
 
-Boosting, and ``cart_train`` without ``n_features``, draw nothing: their
-tree grows depth by depth on a presorted index buffer (``_Grower``).  Row
-f of the (d + 1, n) buffer lists the rows by (x_f, row id), the last row
-by row id; a node owns the slice [lo, hi) of every row, and splitting it
-stably partitions that slice, so both children keep the order.
+Boosting and ``cart_train`` draw nothing: their tree grows depth by depth
+on a presorted index buffer (``_Grower``).  Row f of the (d + 1, n) buffer
+lists the rows by (x_f, row id), the last row by row id; a node owns the
+slice [lo, hi) of every row, and splitting it stably partitions that
+slice, so both children keep the order and are made after it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .ingest import require_finite
 from .seeding import derive_seed
 
 _SPLIT_EPS = 1e-12  # require a real variance reduction before splitting
-_PAIRWISE_BLOCK = 128  # np.sum adds up to this many values in one unrolled run
-_FEW_ROWS = 8  # up to this many nodes, sum each with np.sum itself
 _BLOCK_WASTE = 2048  # padded (feature, row) cells worth one more block's calls
 _BLOCK_CELLS = 1 << 15  # (feature, row) cells of a block of several nodes, at most
 
@@ -70,7 +69,9 @@ class TreeNode:
 def _features_of(table) -> tuple[str, ...]:
     if not table.target:
         raise ConfigError("model table has no target column set")
-    return tuple(sorted(n for n in table.names if n != table.target))
+    if not (names := tuple(sorted(n for n in table.names if n != table.target))):
+        raise ConfigError(f"model table has no feature column besides its target {table.target!r}")
+    return names
 
 
 def _design(table) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -97,36 +98,13 @@ def _presort(xt) -> np.ndarray:
 
 def _sums(a, m) -> np.ndarray:
     """``a[s, :m[s]].sum()`` for every row s of the padded ``a``, bit for
-    bit: np.sum row by row for a few rows; for more, ``_block_sums`` on
-    the rows of up to ``_PAIRWISE_BLOCK`` values and np.sum on the rows of
-    each longer length."""
-    if m.size <= _FEW_ROWS:
-        return np.array([np.add.reduce(row[:n]) for row, n in zip(a, m.tolist())])
-    out = _block_sums(a, m) + 0.0  # np.sum starts from 0.0
-    for length in set(m[m > _PAIRWISE_BLOCK].tolist()):
+    bit: numpy's row-wise sum over the rows of each length, which adds up
+    each row as np.sum does."""
+    out = np.empty(m.size)
+    for length in set(m.tolist()):
         rows = m == length
         out[rows] = a[rows, :length].sum(axis=1)
     return out
-
-
-def _block_sums(a, m) -> np.ndarray:
-    """np.sum of ``a[s, :m[s]]`` for rows of up to ``_PAIRWISE_BLOCK``
-    values (longer rows come out wrong), following numpy's float64 steps:
-    fewer than 8 values in sequence from 0.0; otherwise eight interleaved
-    running sums over the first multiple of 8 values, added as a tree, then
-    the rest in sequence."""
-    S, edge = m.size, a.shape[1] - 1
-    blocks = np.minimum(m, _PAIRWISE_BLOCK) // 8
-    head = np.zeros(S)
-    if blocks.max() > 0:
-        lanes = a[:, : 8 * blocks.max()].reshape(S, -1, 8).cumsum(axis=1)
-        lanes = lanes[np.arange(S), np.maximum(blocks - 1, 0)]
-        pairs = lanes[:, 0::2] + lanes[:, 1::2]
-        quads = pairs[:, 0::2] + pairs[:, 1::2]
-        head = np.where(blocks > 0, quads[:, 0] + quads[:, 1], 0.0)
-    rest = a[np.arange(S)[:, None], np.minimum(8 * blocks[:, None] + np.arange(7), edge)]
-    run = np.column_stack([head, rest]).cumsum(axis=1)
-    return run[np.arange(S), np.minimum(m - 8 * blocks, 7)]
 
 
 def _blocks(m, width: int) -> list:
@@ -175,13 +153,11 @@ def _stack(parts) -> np.ndarray:
 class _Grower:
     """One tree that draws no features, grown depth by depth on its
     presorted buffer ``order`` (see the module docstring).  Node i's fields
-    sit at index i of the lists; ``left``/``right`` are -1 for a leaf,
-    ``value`` None until the node's mean is taken."""
+    sit at index i of the lists; ``left``/``right`` are -1 for a leaf."""
 
     def __init__(self, xt, y, order, max_depth, min_leaf):
         self.xt, self.y, self.order = xt, y, order
-        self.limits = max_depth, min_leaf  # of open nodes
-        self.kmin = max(min_leaf, 1)  # smallest child a split may leave
+        self.limits = max_depth, min_leaf  # of open nodes; a split leaves min_leaf >= 1 rows a side
         self.steps = np.arange(y.size)
         self.all_features = np.arange(xt.shape[0])[:, None, None]
         self.goes_left = np.zeros(y.size, dtype=bool)
@@ -189,11 +165,15 @@ class _Grower:
         self.feature, self.threshold, self.left, self.right = [], [], [], []
 
     def add(self, lo, hi, depth) -> range:
+        """New nodes of the slices [lo, hi) at ``depth``, with their means:
+        their targets add up in the order of the buffer's last row."""
         ids = range(len(self.lo), len(self.lo) + len(lo))
+        m, last = np.subtract(hi, lo), np.subtract(hi, 1)
+        pos = np.minimum(np.array(lo)[:, None] + self.steps[: m.max()], last[:, None])  # padded by the last
+        self.value += (_sums(self.y[self.order[-1, pos]], m) / m).tolist()
         self.lo += lo
         self.hi += hi
         self.depth += depth
-        self.value += [None] * len(lo)
         self.feature += [None] * len(lo)
         self.threshold += [0.0] * len(lo)
         self.left += [-1] * len(lo)
@@ -213,42 +193,39 @@ class _Grower:
             level = [c for i, *_ in batch if self.left[i] >= 0 for c in (self.left[i], self.right[i])]
 
     def _split_block(self, ids, lo, hi, depth) -> None:
-        """Take the means of one padded block of nodes ``ids`` of rows
-        [lo, hi) at ``depth`` and split those with a split."""
-        mean, split, feature, threshold, n_left = self._search(lo, hi)
-        ids, lo, hi, depth = ids.tolist(), lo.tolist(), hi.tolist(), depth.tolist()
-        for i, v in zip(ids, mean.tolist()):
-            self.value[i] = v
-        lo, hi, depth = [lo[s] for s in split], [hi[s] for s in split], [depth[s] + 1 for s in split]
+        """Split those of one padded block of nodes ``ids`` of rows [lo, hi)
+        at ``depth`` that have a split."""
+        split, feature, threshold, n_left = self._search(lo, hi, np.array([self.value[i] for i in ids.tolist()]))
+        if not split:
+            return
+        lo, hi, depth = ([v[s] for s in split] for v in (lo.tolist(), hi.tolist(), (depth + 1).tolist()))
         cut = [a + n for a, n in zip(lo, n_left)]
+        # leaves by size or depth read only the row-id row
+        deeper = any(_is_open(b - a - self.limits[1], e, *self.limits) for a, b, e in zip(lo, hi, depth))
+        self._partition(lo, cut, hi, slice(None) if deeper else slice(-1, None))
         children = self.add(lo + cut, cut + hi, depth + depth)
         for s, f, t, l, r in zip(split, feature, threshold, children, children[len(split) :]):
             i = ids[s]
             self.feature[i], self.threshold[i], self.left[i], self.right[i] = f, t, l, r
-        if split:
-            # leaves by size or depth read only the row-id row
-            deeper = any(_is_open(b - a - self.kmin, e, *self.limits) for a, b, e in zip(lo, hi, depth))
-            self._partition(lo, cut, hi, slice(None) if deeper else slice(-1, None))
 
-    def _search(self, lo, hi):
-        """Means of the nodes [lo, hi) of one block, and the best split of
-        each that splits: their indices, feature, threshold and left size.
-        Marks the left rows of those splits in ``goes_left``."""
-        xt, y, order = self.xt, self.y, self.order
+    def _search(self, lo, hi, mean):
+        """The best split of each of the nodes [lo, hi) of one block, of
+        means ``mean``, that splits: their indices, feature, threshold and
+        left size.  Marks the left rows of those splits in ``goes_left``."""
+        xt, y, order, kmin = self.xt, self.y, self.order, self.limits[1]
         m = hi - lo
         ms = m.tolist()
         S, L = len(ms), max(ms)
         # one row of buffer positions per node; padding repeats the last
         pos = np.minimum(lo[:, None] + self.steps[:L], (hi - 1)[:, None]) if S > 1 else slice(lo[0], hi[0])
         ys = y[order[-1, pos]].reshape(S, L)  # targets by row id
-        mean = _sums(ys, m) / m
         frows = order[:-1, pos].reshape(-1, S, L)
         parent_sse = _sums(np.square(ys - mean[:, None]), m).tolist()
-        split, feature, cut, threshold = _best_splits(xt[self.all_features, frows], y[frows], ms, self.kmin, parent_sse)
+        split, feature, cut, threshold = _best_splits(xt[self.all_features, frows], y[frows], ms, kmin, parent_sse)
         if split:
             # padding repeats a slice's last row by the split feature, which goes right
             self.goes_left[frows[feature, split]] = self.steps[:L] < np.array(cut)[:, None]
-        return mean, split, feature, threshold, cut
+        return split, feature, threshold, cut
 
     def _partition(self, lo, cut, hi, buffer_rows):
         """Stably move the rows marked in ``goes_left`` to the front of
@@ -273,14 +250,6 @@ class _Grower:
     def finish(self):
         """The tree's root as a TreeNode, and each row's fitted value (its
         leaf's)."""
-        todo = np.array([i for i, v in enumerate(self.value) if v is None], dtype=np.intp)  # leaves by size or depth
-        lo, hi = np.array(self.lo), np.array(self.hi)
-        for b in _blocks((hi[todo] - lo[todo]).tolist(), 1) if todo.size else []:
-            ids = todo[b]
-            m = hi[ids] - lo[ids]
-            pos = np.minimum(lo[ids, None] + self.steps[: m.max()], (hi[ids] - 1)[:, None])
-            for i, v in zip(ids.tolist(), (_sums(self.y[self.order[-1, pos]], m) / m).tolist()):
-                self.value[i] = v
         value, left, right = self.value, self.left, self.right
         nodes = [None] * len(value)
         for i in range(len(value) - 1, -1, -1):
@@ -288,6 +257,7 @@ class _Grower:
                 nodes[i] = TreeNode(None, 0.0, None, None, value[i])
             else:
                 nodes[i] = TreeNode(self.feature[i], self.threshold[i], nodes[left[i]], nodes[right[i]], value[i])
+        lo, hi = np.array(self.lo), np.array(self.hi)
         leaves = np.flatnonzero(np.array(left) < 0)
         leaves = leaves[np.argsort(lo[leaves])]  # they tile the buffer
         fitted = np.empty(self.y.size)
@@ -413,24 +383,18 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
     return split, pick, cut, threshold
 
 
-def cart_train(X, y, max_depth=None, min_leaf=2, rng=None, n_features=None) -> TreeNode:
-    """One exact CART tree (see the module docstring).
-
-    ``n_features`` features are drawn from ``rng`` at each node that is
-    not a leaf by size or depth, in pre-order (node, left subtree, right
-    subtree).  ``ConfigError`` unless ``n_features`` is None or an int of at
-    least 1; from d on it means every feature.
-    """
-    if n_features is not None:
-        require_count(n_features, 1, f"n_features must be None or an int >= 1, got {n_features!r}")
+def cart_train(X, y, max_depth=None, min_leaf=2) -> TreeNode:
+    """One exact CART tree on every feature (see the module docstring).
+    ``ConfigError`` unless ``max_depth`` is None or an int >= 0 and
+    ``min_leaf`` an int >= 1; ``NumericError`` for no rows or no columns."""
+    if max_depth is not None:
+        require_count(max_depth, 0, f"max_depth must be None or an int >= 0, got {max_depth!r}")
+    require_count(min_leaf, 1, f"min_leaf must be an int >= 1, got {min_leaf!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.shape != (X.shape[0],) or X.shape[0] == 0:
+    if X.ndim != 2 or y.shape != (X.shape[0],) or 0 in X.shape:
         raise NumericError(f"bad design shapes {X.shape} / {y.shape}")
-    if n_features is None:
-        return _grow(X.T.copy(), y, max_depth, min_leaf)[0]
-    rngs = [np.random.default_rng(0) if rng is None else rng]
-    return _grow_forest(X.T.copy(), y, [np.arange(X.shape[0])], max_depth, min_leaf, rngs, n_features)[0]
+    return _grow(X.T.copy(), y, max_depth, min_leaf)[0]
 
 
 def tree_predict(node: TreeNode, X) -> np.ndarray:
@@ -509,6 +473,8 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
     rows' predictions from its grown leaves.
     """
     require_count(n_estimators, 1, f"boosting needs at least one round, got n_estimators={n_estimators!r}")
+    if max_depth is not None:
+        require_count(max_depth, 0, f"max_depth must be None or an int >= 0, got {max_depth!r}")
     require_rate(lr, f"lr must be finite and >= 0, got {lr!r}")
     X, y, names = _design(table)
     model = GbtModel(init_value=float(y.mean()), trees=[], lr=lr, feature_names=names, target=table.target)

@@ -68,9 +68,15 @@ def _cart_case(draw):
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(_cart_case())
 def test_cart_matches_reference_node_for_node(case):
+    """``cart_train``, and a one-tree forest that draws ``n_features`` per
+    node, equal the reference."""
     X, y, max_depth, min_leaf, n_features, seed = case
-    got = cart_train(X, y, max_depth, min_leaf, np.random.default_rng(seed), n_features)
     want = reference_cart_train(X, y, max_depth, min_leaf, np.random.default_rng(seed), n_features)
+    if n_features is None:
+        got = cart_train(X, y, max_depth, min_leaf)
+    else:
+        rngs, rows = [np.random.default_rng(seed)], [np.arange(len(y))]
+        got = baselines._grow_forest(X.T.copy(), y, rows, max_depth, min_leaf, rngs, n_features)[0]
     assert got == want
 
 
@@ -289,14 +295,51 @@ def test_gbt_train_rejects_bad_budgets():
     assert ints.loss_history == gbt_train(table, n_estimators=1, lr=0.0).loss_history
 
 
-def test_cart_train_rejects_a_bad_feature_count():
+def test_forest_tree_drawing_every_feature_is_the_cart_tree():
+    # from d on, a forest's tree takes every feature at each node
     rng = np.random.default_rng(5)
     X, y = rng.standard_normal((50, 4)), rng.standard_normal(50)
-    for n_features in (0, -1, 2.5, True):
-        with pytest.raises(ConfigError, match="n_features"):
-            cart_train(X, y, n_features=n_features)
-    # from d on, every feature: the tree of n_features=None
-    assert cart_train(X, y, n_features=9) == cart_train(X, y, n_features=np.int64(4)) == cart_train(X, y)
+    for n_features in (4, 9):
+        rngs = [np.random.default_rng(0)]
+        assert baselines._grow_forest(X.T.copy(), y, [np.arange(50)], None, 2, rngs, n_features)[0] == cart_train(X, y)
+
+
+@pytest.mark.parametrize(
+    "train",
+    [lambda t: rf_train(t, n_trees=2), lambda t: gbt_train(t, n_estimators=1), lambda t: mlp_train(t, epochs=1)],
+    ids=["rf", "gbt", "mlp"],
+)
+def test_baselines_reject_a_table_without_features(train):
+    # rf divided by zero features; gbt and mlp fit a constant
+    table = continuous_table(("t",), np.random.default_rng(1).standard_normal((8, 1)), target="t")
+    with pytest.raises(ConfigError, match="no feature column besides its target 't'"):
+        train(table)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_cart_train_rejects_a_design_without_columns(rows):
+    with pytest.raises(NumericError, match="bad design shapes"):
+        cart_train(np.zeros((rows, 0)), np.zeros(rows))
+
+
+@pytest.mark.parametrize(
+    "train",
+    [lambda d: cart_train(np.eye(6), np.arange(6.0), max_depth=d), lambda d: gbt_train(_random_table(0), 1, d)],
+    ids=["cart", "gbt"],
+)
+@pytest.mark.parametrize("max_depth", [-1, True, 2.5, "3"])
+def test_trees_reject_a_bad_max_depth(train, max_depth):
+    # -1 and True were taken as depths, 2.5 grew the trees of 3, "3" raised a TypeError
+    with pytest.raises(ConfigError, match="max_depth must be None or an int >= 0"):
+        train(max_depth)
+
+
+@pytest.mark.parametrize("min_leaf", [0, -3, 1.5, True])
+def test_cart_train_rejects_a_bad_min_leaf(min_leaf):
+    X, y = np.eye(6), np.arange(6.0)
+    with pytest.raises(ConfigError, match="min_leaf must be an int >= 1"):
+        cart_train(X, y, min_leaf=min_leaf)
+    assert cart_train(X, y, np.int64(0), np.int64(1)) == cart_train(X, y, 0, 1)
 
 
 @pytest.mark.parametrize(
