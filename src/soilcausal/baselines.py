@@ -386,7 +386,8 @@ def _best_splits(xs, yr, m, kmin, parent_sse):
 def cart_train(X, y, max_depth=None, min_leaf=2) -> TreeNode:
     """One exact CART tree on every feature (see the module docstring).
     ``ConfigError`` unless ``max_depth`` is None or an int >= 0 and
-    ``min_leaf`` an int >= 1; ``NumericError`` for no rows or no columns."""
+    ``min_leaf`` an int >= 1; ``NumericError`` for no rows or no columns,
+    or naming the first row with a non-finite label or feature."""
     if max_depth is not None:
         require_count(max_depth, 0, f"max_depth must be None or an int >= 0, got {max_depth!r}")
     require_count(min_leaf, 1, f"min_leaf must be an int >= 1, got {min_leaf!r}")
@@ -394,6 +395,9 @@ def cart_train(X, y, max_depth=None, min_leaf=2) -> TreeNode:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],) or 0 in X.shape:
         raise NumericError(f"bad design shapes {X.shape} / {y.shape}")
+    bad = ~(np.isfinite(y) & np.isfinite(X).all(axis=1))
+    if bad.any():
+        raise NumericError(f"non-finite label or features in row {int(bad.argmax())}")
     return _grow(X.T.copy(), y, max_depth, min_leaf)[0]
 
 
@@ -570,8 +574,10 @@ def mlp_predict(model: MlpModel, table) -> np.ndarray:
 
 def random_skeleton(nodes, target: str, n_edges: int = 50, seed: int = 0) -> GraphSkeleton:
     """n_edges distinct directed non-self pairs, uniform without
-    replacement; cycles allowed (message passing does not need a DAG)."""
-    nodes = tuple(nodes)
+    replacement over the sorted nodes, so the edges do not depend on the
+    order ``nodes`` comes in; cycles allowed (message passing does not need
+    a DAG)."""
+    nodes = tuple(sorted(nodes))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     if not 0 <= n_edges <= len(pairs):
         raise ConfigError(f"asked for {n_edges} edges, between 0 and {len(pairs)} ordered pairs exist")

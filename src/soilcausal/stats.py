@@ -24,10 +24,9 @@ nothing; reading a mask of members counts their fallbacks and raises the
 first error among them, so a caller that reads only the tests a sequential
 loop would have run reports that loop's counters.
 
-Fisher-z p-values come from ``_ndtr``, a numpy port of the Cephes normal
-CDF that ``scipy.special.ndtr`` evaluates.  It returns scipy's values bit
-for bit, so the package runs on numpy alone and importing it does not load
-scipy.
+Fisher-z p-values are erfc(|z|/√2) from the standard library's
+``math.erfc``, so the package runs on numpy alone and importing it does not
+load scipy.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 RIDGE = 1e-10
+_SQRT1_2 = math.sqrt(0.5)
 _RSS_FLOOR = 1e-12  # keeps log-likelihoods finite under exact collinearity
 
 
@@ -154,72 +154,9 @@ def _partial_correlations(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray,
     return out, fallback
 
 
-# ---------------------------------------------------------------------------
-# The standard normal CDF, ported from the Cephes ``ndtr``/``erf``/``erfc``
-# that ``scipy.special.ndtr`` evaluates: the same coefficients, Horner order,
-# branch points and libm ``exp``.
-
-_SQRT1_2 = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
-# One row per polynomial, highest power first: erf's T / U, erfc's P / Q
-# below 8 and R / S from 8 up.  Cephes' ``p1evl`` has an implicit leading 1,
-# written out here, and the shorter rows are padded with leading zeros,
-# which change no bit (0 * x + c == c).
-_NDTR_POLYS = np.array([
-    [0.0, 0.0, 0.0, 0.0,
-     9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-     7.00332514112805075473e3, 5.55923013010394962768e4],
-    [0.0, 0.0, 0.0, 1.0,
-     3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-     2.26290000613890934246e4, 4.92673942608635921086e4],
-    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
-    [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-     1.65666309194161350182e3, 5.57535340817727675546e2],
-    [0.0, 0.0, 0.0,
-     5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0],
-    [0.0, 0.0, 1.0,
-     2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0],
-])
-_NDTR_STEPS = tuple(_NDTR_POLYS.T[:, :, None])  # Horner step k: column k of every row
-
-
-def _ndtr(a: np.ndarray) -> np.ndarray:
-    """P(N(0, 1) <= a) elementwise, equal to ``scipy.special.ndtr`` bit for
-    bit.  ``math.exp`` per element, not ``np.exp``: numpy's SIMD exp differs
-    from libm's in the last bit for some arguments."""
-    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
-    z = np.abs(x)
-    zz = z * z
-    args = np.array((zz, zz, z, z, z, z))
-    acc = np.zeros_like(args)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf arguments: rows unused
-        for coef in _NDTR_STEPS:
-            acc *= args
-            acc += coef
-        t, u, p, q, r, s = acc
-        # erfc(z): 1 - erf(z) below 1, e^-z² P/Q below 8, e^-z² R/S from 8,
-        # 0 once e^-z² < e^-MAXLOG; products before quotients, as in Cephes
-        under = -zz < -_MAXLOG
-        tail = (z >= 1.0) & ~under
-        e = np.zeros_like(z)
-        e[tail] = np.fromiter(map(math.exp, (-zz[tail]).tolist()), float, int(tail.sum()))
-        erfc = np.where(under, 0.0, np.where(z < 8.0, e * p / q, e * r / s))
-        erfc = np.where(z < 1.0, 1.0 - z * t / u, erfc)
-        # ndtr(a): 0.5 + 0.5 erf(x) for |x| < √½, else 0.5 erfc(|x|),
-        # reflected for x > 0
-        y = 0.5 * erfc
-        y = np.where(x > 0.0, 1.0 - y, y)
-        return np.where(z < _SQRT1_2, 0.5 + 0.5 * (x * t / u), y)
-
-
 def _fisher_z(r: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
-    """z = 0.5 * sqrt(dof) * ln((1+r)/(1-r)) and its two-sided p-value;
-    |r| = 1 gives z = +-inf and p = 0."""
+    """z = 0.5 * sqrt(dof) * ln((1+r)/(1-r)) and its two-sided p-value
+    erfc(|z|/√2); |r| = 1 or NaN gives z = +-inf and p = 0."""
     z = np.copysign(np.inf, r)
     inside = np.abs(r) < 1.0
     ratio = (1.0 + r[inside]) / (1.0 - r[inside])
@@ -227,7 +164,10 @@ def _fisher_z(r: np.ndarray, dof: int) -> tuple[np.ndarray, np.ndarray]:
     # the last bit for some arguments, which would move p-values off the
     # one-test-at-a-time values
     z[inside] = 0.5 * math.sqrt(dof) * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
-    return z, 2.0 * _ndtr(-np.abs(z))
+    # numpy has no erfc; libm's, per element like the log, gives each
+    # member of a stack the p-value it gets alone
+    p = np.fromiter(map(math.erfc, (np.abs(z) * _SQRT1_2).tolist()), float, len(z))
+    return z, p
 
 
 @dataclass(frozen=True)
@@ -295,6 +235,8 @@ def _triple(i: int, j: int, S: Iterable[int]) -> list[list[int]]:
         raise ConfigError("partial correlation needs two distinct columns")
     if i in S or j in S:
         raise ConfigError("conditioning set must exclude the tested pair")
+    if len(set(S)) < len(S):
+        raise ConfigError(f"conditioning set {tuple(S)} repeats a column")
     return [[i, j, *S]]
 
 
@@ -336,6 +278,8 @@ def bic_local_stats(
     for k, parents in enumerate(sets):
         if y in parents:
             raise ConfigError("a column cannot parent itself")
+        if len(set(parents)) < len(parents):
+            raise ConfigError(f"parent set {tuple(parents)} repeats a column")
         by_size.setdefault(len(parents), []).append(k)
     n = stat.n
     syy = float(stat.cov[y, y])

@@ -261,6 +261,15 @@ def test_forest_and_boosting_reject_an_empty_table():
             train()
 
 
+def test_random_skeleton_does_not_depend_on_node_order():
+    # a permuted node list drew other edges with the same seed
+    nodes = ("a", "b", "c", "t")
+    want = random_skeleton(nodes, "t", n_edges=5, seed=3)
+    assert want.nodes == nodes
+    for perm in (("b", "a", "c", "t"), ("t", "c", "b", "a"), ["c", "t", "a", "b"]):
+        assert random_skeleton(perm, "t", n_edges=5, seed=3) == want
+
+
 def test_random_skeleton_rejects_too_many_edges():
     with pytest.raises(ConfigError):
         random_skeleton(("a", "b", "c"), "c", n_edges=7)
@@ -357,3 +366,18 @@ def test_baselines_reject_non_finite_inputs_by_row(train, column, what, bad):
     table = continuous_table(("a", "b", "t"), rows, target="t")
     with pytest.raises(NumericError, match=f"non-finite {what} in row 3 .f0, 2020-06-04, obs."):
         train(table)
+
+
+@pytest.mark.parametrize("where", ["label", "feature"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cart_train_rejects_non_finite_inputs_by_row(where, bad):
+    # a NaN label grew a single NaN leaf; an inf feature was split on
+    rng = np.random.default_rng(2)
+    X, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+    if where == "label":
+        y[3] = bad
+    else:
+        X[3, 1] = bad
+    X[7, 0] = np.nan  # a later bad row is not the one named
+    with pytest.raises(NumericError, match="non-finite label or features in row 3$"):
+        cart_train(X, y)

@@ -186,11 +186,15 @@ def test_batch_reports_small_samples_only_when_read():
 
 
 def test_partial_correlation_argument_validation():
-    st = S.suff_stat(np.random.default_rng(0).normal(size=(50, 3)))
+    st = S.suff_stat(np.random.default_rng(0).normal(size=(50, 4)))
     with pytest.raises(ConfigError):
         S.fisher_z_test(1, 1, (), st, warn=fresh_counter())
     with pytest.raises(ConfigError):
         S.fisher_z_test(0, 1, (1,), st, warn=fresh_counter())
+    # S = (2, 2) counted the duplicate in the dof and shifted z
+    for cond in ((2, 2), [3, 2, 3]):
+        with pytest.raises(ConfigError, match="repeats a column"):
+            S.fisher_z_test(0, 1, cond, st, warn=fresh_counter())
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +248,26 @@ def test_fisher_z_null_calibration_quick():
     assert 0.02 <= rate <= 0.09  # tight calibration is asserted at n=1000 repeats
 
 
-def test_ndtr_matches_scipy_bit_for_bit():
+def test_fisher_z_p_matches_scipy_ndtr():
+    # p = erfc(|z|/√2) against scipy's 2 * ndtr(-|z|) for z over [0, 45],
+    # through the subnormal range, where scipy underflows to 0 first
     from scipy.special import ndtr
 
     rng = np.random.default_rng(11)
-    maxlog_cut = -math.sqrt(2.0 * S._MAXLOG)  # erfc underflows to 0 below it
-    parts = [
-        np.linspace(-45.0, 0.0, 2_000_001),
-        *(rng.standard_normal(100_000) * scale for scale in (0.1, 1.0, 3.0, 10.0, 30.0)),
-        np.array([-np.inf, np.inf, 0.0, -0.0, np.nan, 1.0, 12.0]),
-    ]
-    # both sides of each branch boundary: |a| = 1, sqrt 2, 8 sqrt 2, the cut
-    for edge in (-1.0, -math.sqrt(2.0), -8.0 * math.sqrt(2.0), maxlog_cut):
-        parts.append(edge + np.arange(-200, 201) * abs(edge) * 2.0**-52)  # ulp steps
-        parts.append(edge + np.arange(-1000, 1001) * 1e-9)
-    a = np.concatenate(parts)
-    got, want = S._ndtr(a), ndtr(a)
-    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
-    assert same.all(), a[~same][:5]
+    for dof in (5, 400):
+        r = np.concatenate([
+            np.tanh(np.linspace(0.0, 45.0, 1_000_001) / math.sqrt(dof)),
+            rng.uniform(-1.0, 1.0, 200_000),
+        ])
+        z, p = S._fisher_z(r, dof)
+        want = 2.0 * ndtr(-np.abs(z))
+        pos = want > 0.0
+        assert (~pos).any() and np.abs(z[pos]).max() > 37.0
+        np.testing.assert_allclose(p[pos], want[pos], rtol=1e-12, atol=0.0)
+        assert (p[~pos] < 1e-300).all()
+    z, p = S._fisher_z(np.array([0.0, -0.0, 1.0, -1.0, np.nan]), 100)
+    assert p.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+    assert np.isinf(z[2:]).all()
 
 
 def test_importing_soilcausal_does_not_load_scipy():
@@ -354,6 +360,20 @@ def test_stacked_bic_equals_per_member_products_bit_for_bit(size, members, seed)
     warn = fresh_counter()
     got = S.bic_local_stats(y, sets, stat, warn=warn)
     assert got == [_one_by_one_local(y, p, stat) for p in sets]
+    assert warn.singular_fallbacks == 0
+
+
+def test_bic_rejects_a_parent_that_is_the_child_or_repeated():
+    # parents [1, 1, 2] scored a singular 3x3 block and counted a fallback
+    st = S.suff_stat(np.random.default_rng(3).normal(size=(40, 4)))
+    warn = fresh_counter()
+    with pytest.raises(ConfigError, match="cannot parent itself"):
+        S.bic_local_stat(0, (0, 1), st, warn=warn)
+    for sets in ([[1, 1, 2]], [[1, 2], (3, 2, 3)]):
+        with pytest.raises(ConfigError, match="repeats a column"):
+            S.bic_local_stats(0, sets, st, warn=warn)
+    with pytest.raises(ConfigError, match="repeats a column"):
+        S.bic_local_stat(0, [2, 2], st, warn=warn)
     assert warn.singular_fallbacks == 0
 
 
