@@ -16,7 +16,8 @@ red/blue rows, predicted on green) it trains SAGE and ECC on the PC
 skeleton and SAGE on the random-edges skeleton at the benchmark's epochs,
 the MLP grid at the benchmark's MLP epochs, and the random forest and
 depth-20 boosting at the benchmark's trees and rounds; each tree line also
-gives the models' total node count.
+gives the models' total node count.  On the paper-width 400-day table it
+trains the three graph models for ``farm-wide``'s one epoch.
 
 Each hash is the first 16 hex digits of the SHA-256 of a ``loss_history``,
 predictions or scores as little-endian float64, or of JSON.
@@ -121,19 +122,24 @@ def discovery_hashes():
             _discovery_line(name, learner, learn)
 
 
+def _graph_model_lines(name, train, test, epochs):
+    """SAGE and ECC on the PC skeleton, SAGE on the random-edges skeleton."""
+    pattern = discovery.pc(train, warn=stats.WarningCounter())
+    sk = gnn.skeleton_from_pattern(pattern, train.names, train.target)
+    rnd = baselines.random_skeleton(sorted(train.names), train.target, n_edges=len(sk.edges))
+    for model, kind, s in (("sage", "sage", sk), ("ecc", "ecc", sk), ("random_edges", "sage", rnd)):
+        fit = gnn.train(kind, s, gnn.build_instances(train, s), epochs=epochs)
+        pred = gnn.predict(fit.model, s, gnn.build_instances(test, s))
+        print(name, model, "loss", _hash(fit.loss_history), "pred", _hash(pred))
+
+
 def model_hashes():
     for name, n_days, epochs, mlp_epochs, rf_trees, gbt_rounds in (
         ("farm-narrow", 60, 100, 20, 20, 10),
         ("farm-long", 400, 10, 5, 3, 2),
     ):
         train, test, _ = _farm(n_days, paper_width=False)
-        pattern = discovery.pc(train, warn=stats.WarningCounter())
-        sk = gnn.skeleton_from_pattern(pattern, train.names, train.target)
-        rnd = baselines.random_skeleton(sorted(train.names), train.target, n_edges=len(sk.edges))
-        for model, kind, s in (("sage", "sage", sk), ("ecc", "ecc", sk), ("random_edges", "sage", rnd)):
-            fit = gnn.train(kind, s, gnn.build_instances(train, s), epochs=epochs)
-            pred = gnn.predict(fit.model, s, gnn.build_instances(test, s))
-            print(name, model, "loss", _hash(fit.loss_history), "pred", _hash(pred))
+        _graph_model_lines(name, train, test, epochs)
         mlp = baselines.mlp_train(train, epochs=mlp_epochs)
         log = json.dumps([[list(hidden), lr, mse] for hidden, lr, mse in mlp.grid_log])
         pred = baselines.mlp_predict(mlp, test)
@@ -146,6 +152,8 @@ def model_hashes():
         nodes = sum(_nodes(tree) for tree in gbt.trees)
         pred = baselines.gbt_predict(gbt, test)
         print(name, "gbt nodes", nodes, "loss", _hash(gbt.loss_history), "pred", _hash(pred))
+    train, test, _ = _farm(400, paper_width=True)
+    _graph_model_lines("farm-wide", train, test, epochs=1)
 
 
 if __name__ == "__main__":

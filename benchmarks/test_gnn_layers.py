@@ -1,7 +1,7 @@
 """Micro-benchmarks of the GNN layer on the 12-column train table at 400
 days, the size of the ``farm-long`` workload: ``build_instances`` over the
-whole table, one forward and backward of ``engine.graph_conv`` on the first
-layer of the SAGE plan (depth 3) and of the ECC plan (depth 2), and one
+whole table, one forward and backward of ``engine.graph_conv_stack``
+through the SAGE plan (3 layers) and the ECC plan (2 layers), and one
 full-batch training epoch (model init, forward, backward and one Adam
 step) of SAGE and of ECC, all on the skeleton of the farm's true DAG.
 The same epoch also runs on the 62-column paper-width train table with the
@@ -30,20 +30,20 @@ def test_build_instances_long(benchmark, long_train, skeleton):
 
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])
-def test_graph_conv_long(benchmark, long_train, skeleton, kind):
-    # the plan's input-side layer, the widest, on hidden-width states of
-    # every train row, ReLU on, backward through the mean squared error
-    layer = gnn.layer_plan(skeleton, gnn.CONV_DEPTH[kind]).layers[0]
-    rows, width = long_train.rows.shape[0], 16
-    rng = np.random.default_rng(0)
-    h = engine.parameter(rng.standard_normal((layer.agg.shape[1], rows, width)))
-    conv = engine.dense_params(rng, width, 2 * width)
-    zeros = np.zeros(layer.agg.shape[0] * rows * width)
+def test_conv_stack_long(benchmark, long_train, skeleton, kind):
+    # the model's whole convolution stack on the node-major input of every
+    # train row, as one training epoch runs it (ECC generating its weights),
+    # backward through the mean squared error of the target's final states
+    batch = gnn.build_instances(long_train, skeleton)
+    model = gnn._init_model(kind, skeleton, 0, 16)
+    plan, h = gnn._node_inputs(model, skeleton, batch)
+    zeros = np.zeros(len(batch) * model.hidden)
 
     def forward_backward():
-        for t in (h, *conv.tensors):
+        for t in model.params:
             t.zero_grad()
-        out = engine.graph_conv(h, layer.self_index, layer.agg, *conv.tensors, relu=True)
+        weights, biases = [c.weight for c in model.convs], [c.bias for c in model.convs]
+        out = engine.graph_conv_stack(h, plan.layers, weights, biases)
         engine.mse(engine.reshape(out, zeros.shape), zeros).backward()
 
     benchmark.pedantic(forward_backward, rounds=30, warmup_rounds=2)

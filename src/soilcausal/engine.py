@@ -9,25 +9,25 @@ topological order.  Each gradient buffer has one owner: leaves keep their
 an op hands a parent (fresh, or a view of the op's own gradient) belongs
 to the parent, which may add to it or mask it in place.
 
-The op set is intentionally small, and each model layer is one op with a
-hand-written backward:
+The op set is intentionally small, and each model layer, or stack of
+convolution layers, is one op with a hand-written backward:
 
 * ``dense`` — the affine map x Wᵀ + b on a (rows, in) matrix, with an
   optional ReLU (the layers of a dense stack, the ECC filter network);
-* ``graph_conv`` — a mean-aggregation convolution on node-major (nodes,
-  rows, dim) states: each output node's own state and the mean of its
-  neighbours' states, through one affine map on [self | mean], optional
-  ReLU (both GNNs' convolutions);
+* ``graph_conv_stack`` — mean-aggregation convolutions on node-major
+  (nodes, rows, dim) states, ReLU between them: each output node's own state
+  and the mean of its neighbours' through an affine map on [self | mean]
+  (both GNNs' convolutions), keeping only each layer's input and mask;
 
 plus ``matmul`` on matrices and stacks of matrices (both operands at least
-2-D), ``reshape`` and the mean squared error.  ``dense_stack`` chains
-``dense`` layers with ReLU between them down to one output per row: the
-MLP baseline and both GNN heads.  The convolution takes the graph as
-constants: the positions of the output nodes' own states in the input and
-an (out, in) mean-aggregation block.  ``adam_fit`` is the one
-full-batch Adam loop the models and the MLP baseline train with, and
-``pack_params``/``unpack_params`` are the byte layout of the parameters in
-a model checkpoint.
+2-D), ``reshape`` and the mean squared error of same-shape arrays.
+``dense_stack`` chains ``dense`` layers with ReLU between them down to one
+output per row: the MLP baseline and both GNN heads.  The convolutions take
+the graph as constants: per layer, the positions of the output nodes' own
+states in the input and an (out, in) mean-aggregation block.  ``adam_fit``
+is the one full-batch Adam loop the models and the MLP baseline train with,
+and ``pack_params``/``unpack_params`` are the byte layout of the parameters
+in a model checkpoint.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "dense_stack",
     "dense_stack_params",
     "glorot_uniform",
-    "graph_conv",
+    "graph_conv_stack",
     "matmul",
     "mse",
     "pack_params",
@@ -174,6 +174,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def mse(pred: Tensor, target) -> Tensor:
     t = np.asarray(target, dtype=np.float64)
+    if t.shape != pred.values.shape:
+        raise NumericError(f"mse of predictions {pred.values.shape} against targets {t.shape}")
     diff = pred.values - t
     n = diff.size
     out_vals = np.array((diff * diff).sum() / n)
@@ -271,42 +273,52 @@ def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (agg @ h.reshape(m_in, rows * d)).reshape(agg.shape[0], rows, d)
 
 
-def graph_conv(h: Tensor, self_index: np.ndarray, agg: np.ndarray, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
-    """Mean-aggregation graph convolution on node-major states.
-
-    ``h`` is (m_in, B, d).  Output node i reads its own state
+def graph_conv_stack(h: Tensor, layers, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """Mean-aggregation graph convolutions on node-major states ``h``,
+    (m_in, B, d), ReLU after every layer but the last.  Layer k is a pair
+    (self_index, agg): its output node i reads its own state
     ``h[self_index[i]]`` and the mean ``agg[i] @ h`` of its neighbours'
-    states (an all-zero row of ``agg`` is a zero mean), and returns
-    [self | mean] Wᵀ + b, then max(·, 0) if ``relu``: (m_out, B, out).
+    states (an all-zero row of ``agg`` is a zero mean) and returns
+    [self | mean] Wₖᵀ + bₖ.  Backward reads only each layer's [self | mean]
+    input and ReLU mask, so a layer's output dies once the next has read it.
     """
-    m_in, rows, d = h.values.shape
-    m_out = agg.shape[0]
-    if weight.values.shape[1] != 2 * d or agg.shape[1] != m_in or self_index.shape != (m_out,):
-        raise NumericError(
-            f"conv weight {weight.values.shape}, block {agg.shape} and self positions {self_index.shape} "
-            f"do not fit states {h.values.shape}"
-        )
-    x = np.empty((m_out, rows, 2 * d))
-    x[..., :d] = h.values[self_index]
-    x[..., d:] = _aggregate(agg, h.values)
-    x = x.reshape(m_out * rows, 2 * d)
-    out = x @ weight.values.T
-    out += bias.values
-    out, mask = _relu_mask(out, relu)
+    if not len(layers) == len(weights) == len(biases) > 0:
+        raise NumericError(f"{len(layers)} conv blocks, {len(weights)} weights and {len(biases)} biases")
+    saved = []
+    out = h.values
+    for k, ((self_index, agg), weight, bias) in enumerate(zip(layers, weights, biases)):
+        m_in, rows, d = out.shape
+        m_out = agg.shape[0]
+        if weight.values.shape[1] != 2 * d or agg.shape[1] != m_in or self_index.shape != (m_out,):
+            shapes = f"weight {weight.values.shape}, block {agg.shape} and self positions {self_index.shape}"
+            raise NumericError(f"conv {k} {shapes} do not fit states {out.shape}")
+        x = np.empty((m_out, rows, 2 * d))
+        x[..., :d] = out[self_index]
+        x[..., d:] = _aggregate(agg, out)
+        x = x.reshape(m_out * rows, 2 * d)
+        del out  # the previous layer's output dies before this one's is made
+        out = x @ weight.values.T
+        out += bias.values
+        out, mask = _relu_mask(out, k < len(layers) - 1)
+        out = out.reshape(m_out, rows, out.shape[1])
+        saved.append((x, mask, m_out, d))
 
     def push(g):
-        g = g.reshape(m_out * rows, g.shape[-1])
-        if mask is not None:
-            g *= mask
-        _accumulate(weight, g.T @ x)
-        _accumulate(bias, g.sum(axis=0))
-        if h.requires_grad:
-            w = weight.values
-            gh = _aggregate(agg.T, (g @ w[:, d:]).reshape(m_out, rows, d))
-            gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
-            _accumulate(h, gh)
+        for k in reversed(range(len(saved))):
+            (self_index, agg), (x, mask, m_out, d) = layers[k], saved[k]
+            g = g.reshape(m_out * rows, g.shape[-1])
+            if mask is not None:
+                g *= mask
+            _accumulate(weights[k], g.T @ x)
+            _accumulate(biases[k], g.sum(axis=0))
+            if k or h.requires_grad:
+                w = weights[k].values
+                gh = _aggregate(agg.T, (g @ w[:, d:]).reshape(m_out, rows, d))
+                gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
+                g = gh
+        _accumulate(h, g)
 
-    return _node(out.reshape(m_out, rows, out.shape[1]), (h, weight, bias), push)
+    return _node(out, (h, *weights, *biases), push)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +378,8 @@ def adam_fit(forward, params: list[Tensor], target, lr: float, epochs: int, name
         for p in params:
             p.zero_grad()
         # the previous epoch's graph lives until `loss` is rebound: freeing it
-        # first hands the heap back to the OS, which re-faults it each epoch
-        # (164k-232k minor faults against 6k-13k, SAGE training about 2x slower)
+        # first hands the heap back to the OS, which re-faults it each epoch (a
+        # SAGE fit: 40k-76k minor faults against 11k-18k, and 17-30% slower)
         loss = mse(forward(), target)
         value = float(loss.values)
         if not np.isfinite(value):

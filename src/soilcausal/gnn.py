@@ -19,10 +19,10 @@ the target node:
   root weight of ECC and MPNN, PyG's ``NNConv``), ReLU between them, then
   a one-layer head.
 
-The forward pass is the same for both: each convolution is one
-``engine.graph_conv`` on node-major (nodes, rows, dim) states, reading the
-layer's weight (ECC's is generated per pass) against [self | mean], and
-the head is ``engine.dense_stack``, the stack the MLP baseline uses.  Both
+The forward pass is the same for both: the convolutions are one
+``engine.graph_conv_stack`` on node-major (nodes, rows, dim) states, each
+layer's weight (ECC's is generated per pass) read against [self | mean],
+and the head is ``engine.dense_stack``, the stack the MLP baseline uses.  Both
 read only the target's final state, so each convolution computes only the
 node states that the target reads (GraphSAGE's minibatch scheme, Hamilton
 et al. 2017, Alg. 2, exact here because every neighbor is kept).
@@ -43,6 +43,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:
     return GraphSkeleton(nodes=tuple(sorted(nodes)), edges=tuple(edges), target=target)
 
 
-@dataclass(frozen=True, eq=False)
-class ConvLayer:
+class ConvLayer(NamedTuple):
     """One convolution's graph constants (read-only arrays)."""
 
     self_index: np.ndarray  # (out,) each output node's position in the in-set
@@ -272,7 +272,8 @@ def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnMod
 # forward
 
 
-def _forward_batch(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> Tensor:
+def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> tuple[LayerPlan, Tensor]:
+    """The batch's layer plan and node-major (in-set, rows, 1) input states."""
     if skeleton.nodes != model.nodes or skeleton.target != model.target:
         raise SchemaError("skeleton does not match the model's node layout")
     if batch.nodes != skeleton.nodes:
@@ -280,16 +281,17 @@ def _forward_batch(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) 
     if not len(batch):
         raise NumericError("empty batch")
     plan = layer_plan(skeleton, CONV_DEPTH[model.kind])
-    # node-major (in-set, rows, 1)
-    h = constant(np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None])
-    last = len(plan.layers) - 1
-    for k, (layer, conv) in enumerate(zip(plan.layers, model.convs)):
-        h = engine.graph_conv(h, layer.self_index, layer.agg, conv.weight, conv.bias, relu=k < last)
-    return engine.dense_stack(engine.reshape(h, (len(batch), model.hidden)), model.head)
+    return plan, constant(np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None])
+
+
+def _forward_batch(model: GnnModel, plan: LayerPlan, h: Tensor) -> Tensor:
+    convs = model.convs
+    h = engine.graph_conv_stack(h, plan.layers, [c.weight for c in convs], [c.bias for c in convs])
+    return engine.dense_stack(engine.reshape(h, (h.values.shape[1], model.hidden)), model.head)
 
 
 def predict(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
-    return _forward_batch(model, skeleton, batch).values.copy()
+    return _forward_batch(model, *_node_inputs(model, skeleton, batch)).values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +330,9 @@ def train(
     require_finite(batch.labels, "label", batch)
     if lr is None:
         lr = _DEFAULT_LR[kind]
+    plan, h = _node_inputs(model, skeleton, batch)  # once per fit
     history = engine.adam_fit(
-        lambda: _forward_batch(model, skeleton, batch),
+        lambda: _forward_batch(model, plan, h),
         model.params,
         batch.labels,
         lr,

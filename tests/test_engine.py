@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from soilcausal.engine import (
     dense,
     dense_params,
     glorot_uniform,
-    graph_conv,
+    graph_conv_stack,
     matmul,
     mse,
     pack_params,
@@ -63,6 +65,19 @@ def test_mse_values():
     assert float(mse(p, np.zeros(2)).values) == pytest.approx(2.0)
     q = constant([1.0, 1.0])
     assert float(mse(q, np.ones(2)).values) == 0.0
+
+
+def test_mse_rejects_a_target_of_another_shape():
+    # a (4, 1) target against (4,) predictions would broadcast to a 4 x 4
+    # difference, averaging 16 pairs and handing back a (4, 4) gradient
+    from soilcausal.errors import NumericError
+
+    p = parameter(np.zeros(4))
+    for target in (np.ones((4, 1)), np.ones(3), np.ones((1, 4)), 1.0):
+        shape = np.shape(target)
+        with pytest.raises(NumericError, match=re.escape(f"predictions (4,) against targets {shape}")):
+            mse(p, target)
+    assert float(mse(p, np.ones(4)).values) == 1.0
 
 
 def test_dense_identity_and_bias():
@@ -122,8 +137,7 @@ def test_op_zoo_gradients_match_fd(seed):
     target = rng.standard_normal(5)
 
     def loss_fn():
-        h = graph_conv(x, np.arange(3), agg, w1, b1, relu=True)  # (3, 5, 4)
-        h = graph_conv(h, np.array([0]), agg[:1], theta, b2, relu=False)  # (1, 5, 2)
+        h = graph_conv_stack(x, [(np.arange(3), agg), (np.array([0]), agg[:1])], [w1, theta], [b1, b2])  # (1, 5, 2)
         z = dense(reshape(h, (5, 2)), DenseParams(w3, b3), relu=True)
         mixed = matmul(constant(np.eye(5)[::-1] + 0.2), z)  # constant left operand
         pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1): stack times matrix
@@ -151,16 +165,25 @@ def test_relu_gradient_matches_fd_away_from_zero():
 def test_conv_ops_gradients_match_fd(relu):
     # one row (B = 1); a block whose second output node has no neighbours
     # and whose in-slot 2 is both a self slot and a neighbour, then a block
-    # whose output nodes read their own states in reverse slot order
+    # whose output nodes read their own states in reverse slot order: one
+    # two-layer stack (ReLU between the layers) or, without ReLU, two
+    # one-layer stacks, the second taking the first's result as its input
     rng = np.random.default_rng(31)
     h = parameter(rng.standard_normal((3, 1, 2)))
     first = DenseParams(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
     theta, bias = parameter(rng.standard_normal((2, 6))), parameter(rng.standard_normal(2))
     target = rng.standard_normal(4)
+    blocks = [
+        (np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]])),
+        (np.array([1, 0]), np.array([[0.5, 0.5], [0.0, 1.0]])),
+    ]
 
     def loss_fn():
-        s = graph_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]]), *first.tensors, relu=relu)
-        e = graph_conv(s, np.array([1, 0]), np.array([[0.5, 0.5], [0.0, 1.0]]), theta, bias, relu=relu)  # (2, 1, 2)
+        if relu:
+            e = graph_conv_stack(h, blocks, [first.weight, theta], [first.bias, bias])  # (2, 1, 2)
+        else:
+            s = graph_conv_stack(h, blocks[:1], [first.weight], [first.bias])
+            e = graph_conv_stack(s, blocks[1:], [theta], [bias])
         return mse(reshape(e, (4,)), target)
 
     report = finite_diff_check(loss_fn, [h, *first.tensors, theta, bias])
@@ -168,8 +191,20 @@ def test_conv_ops_gradients_match_fd(relu):
     assert report.n_entries == 6 + 12 + 3 + 12 + 2
 
 
+def _conv(h, self_index, agg, params, relu):
+    """One convolution as a stack; with ``relu`` a constant [I | 0] layer
+    follows it, so the stack's ReLU between layers applies to its output."""
+    layers, weights, biases = [(self_index, agg)], [params.weight], [params.bias]
+    if relu:
+        m, n = len(self_index), params.bias.values.size
+        layers.append((np.arange(m), np.zeros((m, m))))
+        weights.append(constant(np.hstack([np.eye(n), np.zeros((n, n))])))
+        biases.append(constant(np.zeros(n)))
+    return graph_conv_stack(h, layers, weights, biases)
+
+
 def test_handed_over_gradient_buffers_take_a_second_sum():
-    # dense and graph_conv hand their freshly allocated input gradients
+    # dense and graph_conv_stack hand their freshly allocated input gradients
     # over as grad buffers.  The reshaped states feed two dense ops and the
     # states feed three convolutions, so in any backward order handed-over
     # buffers of each kind take the other ops' sums
@@ -182,9 +217,9 @@ def test_handed_over_gradient_buffers_take_a_second_sum():
     def loss_fn():
         flat = reshape(h, (12, 2))
         mix = matmul(reshape(dense(flat, d1, relu=True), (3, 12)), dense(flat, d2))  # (3, 3)
-        s1 = graph_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), *c1.tensors, relu=True)
-        s2 = graph_conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), *c2.tensors, relu=False)  # (1, 4, 3)
-        s3 = graph_conv(h, np.array([2, 1]), np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), *c3.tensors, relu=True)
+        s1 = _conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), c1, relu=True)
+        s2 = _conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), c2, relu=False)  # (1, 4, 3)
+        s3 = _conv(h, np.array([2, 1]), np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), c3, relu=True)
         gram = matmul(reshape(s3, (3, 8)), reshape(s3, (8, 3)))
         pred = matmul(matmul(reshape(s1, (8, 3)), matmul(mix, gram)), reshape(s2, (3, 4)))
         return mse(pred, target)
@@ -196,19 +231,27 @@ def test_handed_over_gradient_buffers_take_a_second_sum():
 
 def test_graph_conv_checks_weight_and_block_widths():
     # the weight reads [self | mean] (2d columns), the block reads every
-    # input node, and every output node has a self position
+    # input node, every output node has a self position, and each layer
+    # has one weight and one bias
     from soilcausal.errors import NumericError
 
     h, agg, bias = constant(np.ones((2, 1, 3))), np.full((1, 2), 0.5), constant(np.zeros(4))
     self_slots = np.array([0])
-    assert graph_conv(h, self_slots, agg, constant(np.ones((4, 6))), bias, relu=False).values.shape == (1, 1, 4)
+    assert graph_conv_stack(h, [(self_slots, agg)], [constant(np.ones((4, 6)))], [bias]).values.shape == (1, 1, 4)
     for self_index, block, width in (
         (self_slots, agg, 3),
         (self_slots, np.ones((1, 3)), 6),
         (np.array([0, 1]), agg, 6),
     ):
-        with pytest.raises(NumericError, match="do not fit"):
-            graph_conv(h, self_index, block, constant(np.ones((4, width))), bias, relu=False)
+        with pytest.raises(NumericError, match="conv 0 .* do not fit"):
+            graph_conv_stack(h, [(self_index, block)], [constant(np.ones((4, width)))], [bias])
+    # the second layer reads the first's 4-wide states
+    with pytest.raises(NumericError, match=r"conv 1 .* do not fit states \(1, 1, 4\)"):
+        graph_conv_stack(h, [(self_slots, agg)] * 2, [constant(np.ones((4, 6)))] * 2, [bias] * 2)
+    one, weight = [(self_slots, agg)], constant(np.ones((4, 6)))
+    for layers, weights, biases in (([], [], []), (one, [weight], [bias] * 2), (one, [weight] * 2, [bias])):
+        with pytest.raises(NumericError, match="conv blocks"):
+            graph_conv_stack(h, layers, weights, biases)
 
 
 def test_matmul_rejects_vectors():
@@ -244,8 +287,9 @@ def test_grad_accumulates_over_shared_subexpression():
 
 
 def test_backward_keeps_gradients_on_leaves_only():
-    # op results drop their grad once pushed, and dense and graph_conv mask
-    # the gradient they were handed in place: that must reach no forward value
+    # op results drop their grad once pushed, dense masks the gradient it was
+    # handed in place and graph_conv_stack the gradients it passes between
+    # its layers: that must reach no forward value
     rng = np.random.default_rng(34)
     h = parameter(rng.standard_normal((3, 4, 2)))
     conv, layer = dense_params(rng, 3, 4), dense_params(rng, 2, 3)
@@ -253,7 +297,7 @@ def test_backward_keeps_gradients_on_leaves_only():
     target = rng.standard_normal(24)
 
     def build():
-        s = graph_conv(h, np.array([0, 2, 1]), agg, *conv.tensors, relu=True)  # (3, 4, 3)
+        s = _conv(h, np.array([0, 2, 1]), agg, conv, relu=True)  # (3, 4, 3)
         flat = reshape(s, (12, 3))
         z = dense(flat, layer, relu=True)  # (12, 2)
         pred = reshape(z, (24,))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,8 @@ def _random_batch(rng, skeleton, n):
 
 def _full_graph(skeleton):
     """Every node's state from every node's: self slots 0..n-1 and the
-    row-normalized in-neighbor matrix, built from ``in_neighbors``."""
+    row-normalized in-neighbor matrix, built from ``in_neighbors`` (one
+    layer of ``engine.graph_conv_stack``)."""
     n = skeleton.n_nodes
     agg = np.zeros((n, n))
     for i, node in enumerate(skeleton.nodes):
@@ -252,7 +254,7 @@ def _naive_sage(feats, skeleton, params, activate):
     return np.stack(out)
 
 
-def _naive_ecc(feats, skeleton, layer):
+def _naive_ecc(feats, skeleton, layer, activate=False):
     Wf, bf = layer.filter.weight.values, layer.filter.bias.values
     root, theta = np.split((Wf @ np.array([1.0]) + bf).reshape(layer.out_dim, 2 * layer.in_dim), 2, axis=1)
     out = []
@@ -261,7 +263,7 @@ def _naive_ecc(feats, skeleton, layer):
         nbrs = skeleton.in_neighbors(node)
         if nbrs:
             z = z + np.mean([theta @ feats[skeleton.index(j)] for j in nbrs], axis=0)
-        out.append(z)
+        out.append(np.maximum(z, 0.0) if activate else z)
     return np.stack(out)
 
 
@@ -271,16 +273,18 @@ def test_sage_conv_zero_weights():
     model.convs[0].weight.values[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
     h = constant(np.ones((2, 3, 1)))  # node-major: 2 nodes, 3 rows
-    out = engine.graph_conv(h, *_full_graph(sk), *model.convs[0].tensors, relu=True)
+    out = engine.graph_conv_stack(h, [_full_graph(sk)], [model.convs[0].weight], [model.convs[0].bias])
     assert np.array_equal(out.values, np.zeros((2, 3, 4)))
 
 
 def test_sage_conv_isolated_node_passthrough():
-    # W = [I | I], nonneg input: self part + zero aggregate, ReLU no-op
+    # W = [I | I], nonneg input: self part + zero aggregate, through a
+    # second such layer, so the ReLU between them is a no-op
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     weight = engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1))
     v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    out = engine.graph_conv(constant(v), *_full_graph(sk), weight, engine.parameter(np.zeros(3)), relu=True)
+    bias = engine.parameter(np.zeros(3))
+    out = engine.graph_conv_stack(constant(v), [_full_graph(sk)] * 2, [weight] * 2, [bias] * 2)
     assert np.allclose(out.values[0, 0], [0.5, 0.0, 2.0])
 
 
@@ -291,9 +295,9 @@ def test_sage_conv_matches_naive_loop(seed):
     model = init_sage(sk, seed=seed, hidden=3)
     feats = rng.standard_normal((4, 5, 3))
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.graph_conv(h, *_full_graph(sk), *model.convs[1].tensors, relu=(seed % 2 == 0))
+    out = engine.graph_conv_stack(h, [_full_graph(sk)], [model.convs[1].weight], [model.convs[1].bias])
     for b in range(4):
-        ref = _naive_sage(feats[b], sk, model.convs[1], activate=(seed % 2 == 0))
+        ref = _naive_sage(feats[b], sk, model.convs[1], activate=False)
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
 
 
@@ -303,7 +307,7 @@ def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
     h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = engine.graph_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    out = engine.graph_conv_stack(h, [_full_graph(sk)], [layer.weight], [layer.bias])
     # node "a" has no in-neighbors: W_root x_a + b
     root = layer.weight.values[:, :4]
     assert np.max(np.abs(out.values[0] - (h.values[0] @ root.T + layer.bias.values))) < 1e-12
@@ -325,7 +329,7 @@ def test_ecc_conv_identity_filter_copies_neighbor():
         in_dim=d,
     )
     h = np.random.default_rng(2).standard_normal((2, 5, d))
-    out = engine.graph_conv(constant(h), *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    out = engine.graph_conv_stack(constant(h), [_full_graph(sk)], [layer.weight], [layer.bias])
     assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
 
 
@@ -338,10 +342,30 @@ def test_ecc_conv_matches_naive_loop(seed):
     feats = rng.standard_normal((4, 5, 3))
     layer = model.convs[1]
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.graph_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    out = engine.graph_conv_stack(h, [_full_graph(sk)], [layer.weight], [layer.bias])
     for b in range(4):
         ref = _naive_ecc(feats[b], sk, layer)
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_two_layer_conv_stack_matches_naive_loops(seed):
+    # ReLU between the layers, none after the last; ECC's generated weights
+    # are parents of the stack like SAGE's parameters
+    rng = np.random.default_rng(200 + seed)
+    sk = _random_skeleton(rng, 5, 7)
+    feats = rng.standard_normal((4, 5, 3))
+    sage = init_sage(sk, seed=seed, hidden=3)
+    ecc = [init_ecc(sk, seed=seed + k, hidden=3).convs[1] for k in (0, 1)]
+    for conv in (*sage.convs[1:], *ecc):
+        conv.bias.values[...] = rng.standard_normal(3)
+    h = constant(feats.transpose(1, 0, 2))  # node-major
+    for convs, naive in ((sage.convs[1:], _naive_sage), (ecc, _naive_ecc)):
+        out = engine.graph_conv_stack(h, [_full_graph(sk)] * 2, [c.weight for c in convs], [c.bias for c in convs])
+        assert out.values.shape == (5, 4, 3)
+        for b in range(4):
+            ref = naive(naive(feats[b], sk, convs[0], activate=True), sk, convs[1], activate=False)
+            assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
 
 
 def test_ecc_filter_matrix_shape():
@@ -364,7 +388,7 @@ def _naive_forward(model, skeleton, feats):
             z = ff.weight.values @ z + ff.bias.values
             z = np.maximum(z, 0.0) if k < 2 else z
         return z[0]
-    h = np.maximum(_naive_ecc(h, skeleton, model.convs[0]), 0.0)
+    h = _naive_ecc(h, skeleton, model.convs[0], activate=True)
     h = _naive_ecc(h, skeleton, model.convs[1])
     (head,) = model.head
     z = head.weight.values @ h[skeleton.index(skeleton.target)] + head.bias.values
@@ -471,13 +495,48 @@ def test_masking_blocks_target_leakage_bit_exactly():
     assert np.array_equal(p1, p2)
 
 
+@pytest.mark.parametrize("init", [init_sage, init_ecc])
+def test_forward_holds_only_what_backward_reads(init):
+    # a target with 3 parents, 9 grandparents and 18 great-grandparents:
+    # 31 nodes in SAGE's 3-hop field, 13 within 2 hops, 2000 rows.  The
+    # graph a forward pass leaves behind holds each convolution's
+    # [self | mean] input and ReLU mask, the final states and the head's
+    # arrays: no intermediate node state
+    from soilcausal.gnn import _forward_batch, _node_inputs
+
+    tiers = [["t"], [f"p{k}" for k in range(3)], [f"g{k}" for k in range(9)], [f"u{k}" for k in range(18)]]
+    edges = tuple((a, hi[k * len(hi) // len(lo)]) for lo, hi in zip(tiers[1:], tiers) for k, a in enumerate(lo))
+    sk = GraphSkeleton(nodes=tuple(sorted(n for tier in tiers for n in tier)), edges=edges, target="t")
+    rows, hidden = 2000, 16
+    model = init(sk, seed=0, hidden=hidden)
+    plan, h = _node_inputs(model, sk, _random_batch(np.random.default_rng(5), sk, rows))
+    assert h.values.shape == ({3: 31, 2: 13}[len(model.convs)], rows, 1)
+    widths = [1] + [hidden] * len(plan.layers)
+    expected = 8 * rows * hidden  # final states
+    for k, layer in enumerate(plan.layers):
+        m_out = len(layer.self_index)
+        expected += 8 * m_out * rows * 2 * widths[k]  # [self | mean]
+        expected += m_out * rows * hidden * (k < len(plan.layers) - 1)  # bool mask
+    head = [layer.bias.values.size for layer in model.head]
+    expected += sum(rows * (9 * n if k < len(head) - 1 else 8 * n) for k, n in enumerate(head))  # outputs, masks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _forward_batch(model, plan, h)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == (rows,)
+    assert expected <= held <= expected + 64 * 1024, (held, expected)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])
 def test_model_gradients_match_fd(kind, monkeypatch):
-    from soilcausal.gnn import _forward_batch
+    from soilcausal.gnn import _forward_batch, _node_inputs
 
     rng = np.random.default_rng(17)
     # target n2 reads n0 and n3, which read n1: every convolution computes
@@ -489,20 +548,24 @@ def test_model_gradients_match_fd(kind, monkeypatch):
     # screen out seeds whose ReLU preactivations sit inside the h=1e-5
     # difference stencil: the subgradient convention and the symmetric
     # difference legitimately disagree on the kink itself.  Every op that
-    # applies a ReLU (the convolutions and the dense head layers) is
-    # wrapped to record its preactivations in the forward pass.
+    # applies a ReLU is wrapped to record its preactivations in the forward
+    # pass: the dense head layers, and each convolution but the last, whose
+    # preactivations are the output of the stack cut after it.
     preacts = []
+    dense, stack = engine.dense, engine.graph_conv_stack
 
-    def recording(op):
-        def wrapped(*args, relu=False):
-            if relu:
-                preacts.append(np.abs(op(*args, relu=False).values).min(initial=np.inf))
-            return op(*args, relu=relu)
+    def recording_dense(x, params, relu=False):
+        if relu:
+            preacts.append(np.abs(dense(x, params).values).min(initial=np.inf))
+        return dense(x, params, relu=relu)
 
-        return wrapped
+    def recording_stack(h, layers, weights, biases):
+        for k in range(1, len(layers)):
+            preacts.append(np.abs(stack(h, layers[:k], weights[:k], biases[:k]).values).min(initial=np.inf))
+        return stack(h, layers, weights, biases)
 
-    for name in ("dense", "graph_conv"):
-        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
+    monkeypatch.setattr(engine, "dense", recording_dense)
+    monkeypatch.setattr(engine, "graph_conv_stack", recording_stack)
     model = None
     for seed in range(2, 50):
         cand = (init_sage if kind == "sage" else init_ecc)(sk, seed=seed, hidden=3)
@@ -517,7 +580,7 @@ def test_model_gradients_match_fd(kind, monkeypatch):
     assert model is not None, "no kink-free seed found"
 
     def loss_fn():
-        return mse(_forward_batch(model, sk, batch), batch.labels)
+        return mse(_forward_batch(model, *_node_inputs(model, sk, batch)), batch.labels)
 
     report = finite_diff_check(loss_fn, model.params)
     assert report.passed, report
