@@ -22,7 +22,7 @@ from soilcausal.engine import (
     unpack_params,
 )
 
-from enumutil import finite_diff_check
+from enumutil import finite_diff_check, one_conv
 
 
 def _fd_scalar(fn, x, h=1e-5):
@@ -191,18 +191,6 @@ def test_conv_ops_gradients_match_fd(relu):
     assert report.n_entries == 6 + 12 + 3 + 12 + 2
 
 
-def _conv(h, self_index, agg, params, relu):
-    """One convolution as a stack; with ``relu`` a constant [I | 0] layer
-    follows it, so the stack's ReLU between layers applies to its output."""
-    layers, weights, biases = [(self_index, agg)], [params.weight], [params.bias]
-    if relu:
-        m, n = len(self_index), params.bias.values.size
-        layers.append((np.arange(m), np.zeros((m, m))))
-        weights.append(constant(np.hstack([np.eye(n), np.zeros((n, n))])))
-        biases.append(constant(np.zeros(n)))
-    return graph_conv_stack(h, layers, weights, biases)
-
-
 def test_handed_over_gradient_buffers_take_a_second_sum():
     # dense and graph_conv_stack hand their freshly allocated input gradients
     # over as grad buffers.  The reshaped states feed two dense ops and the
@@ -217,9 +205,9 @@ def test_handed_over_gradient_buffers_take_a_second_sum():
     def loss_fn():
         flat = reshape(h, (12, 2))
         mix = matmul(reshape(dense(flat, d1, relu=True), (3, 12)), dense(flat, d2))  # (3, 3)
-        s1 = _conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), c1, relu=True)
-        s2 = _conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), c2, relu=False)  # (1, 4, 3)
-        s3 = _conv(h, np.array([2, 1]), np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), c3, relu=True)
+        s1 = one_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), *c1.tensors, relu=True)
+        s2 = one_conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), *c2.tensors, relu=False)  # (1, 4, 3)
+        s3 = one_conv(h, np.array([2, 1]), np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), *c3.tensors, relu=True)
         gram = matmul(reshape(s3, (3, 8)), reshape(s3, (8, 3)))
         pred = matmul(matmul(reshape(s1, (8, 3)), matmul(mix, gram)), reshape(s2, (3, 4)))
         return mse(pred, target)
@@ -297,7 +285,7 @@ def test_backward_keeps_gradients_on_leaves_only():
     target = rng.standard_normal(24)
 
     def build():
-        s = _conv(h, np.array([0, 2, 1]), agg, conv, relu=True)  # (3, 4, 3)
+        s = one_conv(h, np.array([0, 2, 1]), agg, *conv.tensors, relu=True)  # (3, 4, 3)
         flat = reshape(s, (12, 3))
         z = dense(flat, layer, relu=True)  # (12, 2)
         pred = reshape(z, (24,))

@@ -24,7 +24,7 @@ from soilcausal.gnn import (
 )
 from soilcausal.graphs import Cpdag
 
-from enumutil import continuous_table, finite_diff_check
+from enumutil import continuous_table, finite_diff_check, one_conv
 
 
 def _random_skeleton(rng, n_nodes, n_edges, target_idx=0):
@@ -46,8 +46,7 @@ def _random_batch(rng, skeleton, n):
 
 def _full_graph(skeleton):
     """Every node's state from every node's: self slots 0..n-1 and the
-    row-normalized in-neighbor matrix, built from ``in_neighbors`` (one
-    layer of ``engine.graph_conv_stack``)."""
+    row-normalized in-neighbor matrix, built from ``in_neighbors``."""
     n = skeleton.n_nodes
     agg = np.zeros((n, n))
     for i, node in enumerate(skeleton.nodes):
@@ -273,18 +272,16 @@ def test_sage_conv_zero_weights():
     model.convs[0].weight.values[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
     h = constant(np.ones((2, 3, 1)))  # node-major: 2 nodes, 3 rows
-    out = engine.graph_conv_stack(h, [_full_graph(sk)], [model.convs[0].weight], [model.convs[0].bias])
+    out = one_conv(h, *_full_graph(sk), *model.convs[0].tensors, relu=True)
     assert np.array_equal(out.values, np.zeros((2, 3, 4)))
 
 
 def test_sage_conv_isolated_node_passthrough():
-    # W = [I | I], nonneg input: self part + zero aggregate, through a
-    # second such layer, so the ReLU between them is a no-op
+    # W = [I | I], nonneg input: self part + zero aggregate, ReLU no-op
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     weight = engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1))
     v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    bias = engine.parameter(np.zeros(3))
-    out = engine.graph_conv_stack(constant(v), [_full_graph(sk)] * 2, [weight] * 2, [bias] * 2)
+    out = one_conv(constant(v), *_full_graph(sk), weight, engine.parameter(np.zeros(3)), relu=True)
     assert np.allclose(out.values[0, 0], [0.5, 0.0, 2.0])
 
 
@@ -295,9 +292,9 @@ def test_sage_conv_matches_naive_loop(seed):
     model = init_sage(sk, seed=seed, hidden=3)
     feats = rng.standard_normal((4, 5, 3))
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.graph_conv_stack(h, [_full_graph(sk)], [model.convs[1].weight], [model.convs[1].bias])
+    out = one_conv(h, *_full_graph(sk), *model.convs[1].tensors, relu=(seed % 2 == 0))
     for b in range(4):
-        ref = _naive_sage(feats[b], sk, model.convs[1], activate=False)
+        ref = _naive_sage(feats[b], sk, model.convs[1], activate=(seed % 2 == 0))
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
 
 
@@ -307,7 +304,7 @@ def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
     h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = engine.graph_conv_stack(h, [_full_graph(sk)], [layer.weight], [layer.bias])
+    out = one_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
     # node "a" has no in-neighbors: W_root x_a + b
     root = layer.weight.values[:, :4]
     assert np.max(np.abs(out.values[0] - (h.values[0] @ root.T + layer.bias.values))) < 1e-12
@@ -329,7 +326,7 @@ def test_ecc_conv_identity_filter_copies_neighbor():
         in_dim=d,
     )
     h = np.random.default_rng(2).standard_normal((2, 5, d))
-    out = engine.graph_conv_stack(constant(h), [_full_graph(sk)], [layer.weight], [layer.bias])
+    out = one_conv(constant(h), *_full_graph(sk), layer.weight, layer.bias, relu=False)
     assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
 
 
@@ -342,7 +339,7 @@ def test_ecc_conv_matches_naive_loop(seed):
     feats = rng.standard_normal((4, 5, 3))
     layer = model.convs[1]
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = engine.graph_conv_stack(h, [_full_graph(sk)], [layer.weight], [layer.bias])
+    out = one_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
     for b in range(4):
         ref = _naive_ecc(feats[b], sk, layer)
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
