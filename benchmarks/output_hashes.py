@@ -17,7 +17,8 @@ skeleton and SAGE on the random-edges skeleton at the benchmark's epochs,
 the MLP grid at the benchmark's MLP epochs, and the random forest and
 depth-20 boosting at the benchmark's trees and rounds; each tree line also
 gives the models' total node count.  On the paper-width 400-day table it
-trains the three graph models for ``farm-wide``'s one epoch.
+trains the three graph models and the MLP grid for ``farm-wide``'s one
+epoch.
 
 Each hash is the first 16 hex digits of the SHA-256 of a ``loss_history``,
 predictions or scores as little-endian float64, or of JSON.
@@ -133,6 +134,12 @@ def _graph_model_lines(name, train, test, epochs):
         print(name, model, "loss", _hash(fit.loss_history), "pred", _hash(pred))
 
 
+def _mlp_line(name, train, test, epochs):
+    mlp = baselines.mlp_train(train, epochs=epochs)
+    log = [[list(hidden), lr, mse] for hidden, lr, mse in mlp.grid_log]
+    print(name, "mlp grid_log", _json_hash(log), "pred", _hash(baselines.mlp_predict(mlp, test)))
+
+
 def model_hashes():
     for name, n_days, epochs, mlp_epochs, rf_trees, gbt_rounds in (
         ("farm-narrow", 60, 100, 20, 20, 10),
@@ -140,10 +147,7 @@ def model_hashes():
     ):
         train, test, _ = _farm(n_days, paper_width=False)
         _graph_model_lines(name, train, test, epochs)
-        mlp = baselines.mlp_train(train, epochs=mlp_epochs)
-        log = json.dumps([[list(hidden), lr, mse] for hidden, lr, mse in mlp.grid_log])
-        pred = baselines.mlp_predict(mlp, test)
-        print(name, "mlp grid_log", hashlib.sha256(log.encode()).hexdigest()[:16], "pred", _hash(pred))
+        _mlp_line(name, train, test, mlp_epochs)
         rf = baselines.rf_train(train, n_trees=rf_trees)
         nodes = sum(_nodes(tree) for tree in rf.trees)
         pred = baselines.rf_predict(rf, test)
@@ -154,6 +158,7 @@ def model_hashes():
         print(name, "gbt nodes", nodes, "loss", _hash(gbt.loss_history), "pred", _hash(pred))
     train, test, _ = _farm(400, paper_width=True)
     _graph_model_lines("farm-wide", train, test, epochs=1)
+    _mlp_line("farm-wide", train, test, epochs=1)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the GNN layer on the 12-column train table at 400
 days, the size of the ``farm-long`` workload: ``build_instances`` over the
-whole table, one forward and backward of ``engine.graph_conv_stack``
+whole table, one forward and backward of ``engine.layer_stack``
 through the SAGE plan (3 layers) and the ECC plan (2 layers), and one
 full-batch training epoch (model init, forward, backward and one Adam
 step) of SAGE and of ECC, all on the skeleton of the farm's true DAG.
@@ -43,7 +43,7 @@ def test_conv_stack_long(benchmark, long_train, skeleton, kind):
         for t in model.params:
             t.zero_grad()
         weights, biases = [c.weight for c in model.convs], [c.bias for c in model.convs]
-        out = engine.graph_conv_stack(h, plan.layers, weights, biases)
+        out = engine.layer_stack(h, plan.layers, weights, biases)
         engine.mse(engine.reshape(out, zeros.shape), zeros).backward()
 
     benchmark.pedantic(forward_backward, rounds=30, warmup_rounds=2)

@@ -435,6 +435,7 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
     the table itself, so bootstrap indices are order-independent.  All
     trees grow node by node in lock-step (``_grow_forest``)."""
     require_count(n_trees, 1, f"a forest needs at least one tree, got n_trees={n_trees!r}")
+    require_count(seed, 0, f"seed must be an int >= 0, got {seed!r}")
     X, y, names = _design(table)
     n, d = X.shape
     samples = [
@@ -523,7 +524,7 @@ class MlpModel:
 def _mlp_fit(X, y, hidden, lr, epochs, seed):
     layers = engine.dense_stack_params(np.random.default_rng(seed), X.shape[1], hidden)
     params = [t for layer in layers for t in layer.tensors]
-    xc = engine.constant(X)
+    xc = engine.constant(X[None])
     engine.adam_fit(lambda: engine.dense_stack(xc, layers), params, y, lr, epochs, f"mlp (hidden={hidden})")
     return layers
 
@@ -536,6 +537,7 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
     20%, logged so the selection is replayable; the winner is refit on all
     rows.
     """
+    require_count(seed, 0, f"seed must be an int >= 0, got {seed!r}")
     X, y, names = _design(table)
     n = X.shape[0]
     if n < 5:
@@ -551,7 +553,7 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
             for glr in _GRID_LRS:
                 hidden = (width,) * depth
                 layers = _mlp_fit(X[fit_idx], y[fit_idx], hidden, glr, epochs, seed)
-                pred = engine.dense_stack(engine.constant(X[val_idx]), layers).values
+                pred = engine.dense_stack(engine.constant(X[val_idx][None]), layers).values
                 val_mse = float(np.mean((pred - y[val_idx]) ** 2))
                 log.append((hidden, glr, val_mse))
                 if best is None or val_mse < best[2]:
@@ -565,7 +567,7 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
 
 def mlp_predict(model: MlpModel, table) -> np.ndarray:
     X = table.matrix(model.feature_names)
-    return engine.dense_stack(engine.constant(X), model.layers).values.copy()
+    return engine.dense_stack(engine.constant(X[None]), model.layers).values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +581,11 @@ def random_skeleton(nodes, target: str, n_edges: int = 50, seed: int = 0) -> Gra
     a DAG)."""
     nodes = tuple(sorted(nodes))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
-    if not 0 <= n_edges <= len(pairs):
-        raise ConfigError(f"asked for {n_edges} edges, between 0 and {len(pairs)} ordered pairs exist")
+    message = f"asked for {n_edges!r} edges, an int between 0 and the {len(pairs)} ordered pairs that exist"
+    require_count(n_edges, 0, message)
+    if n_edges > len(pairs):
+        raise ConfigError(message)
+    require_count(seed, 0, f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(pairs), size=n_edges, replace=False)
     return GraphSkeleton(nodes=nodes, edges=tuple(pairs[int(k)] for k in chosen), target=target)

@@ -9,25 +9,23 @@ topological order.  Each gradient buffer has one owner: leaves keep their
 an op hands a parent (fresh, or a view of the op's own gradient) belongs
 to the parent, which may add to it or mask it in place.
 
-The op set is intentionally small, and each model layer, or stack of
-convolution layers, is one op with a hand-written backward:
-
-* ``dense`` — the affine map x Wᵀ + b on a (rows, in) matrix, with an
-  optional ReLU (the layers of a dense stack, the ECC filter network);
-* ``graph_conv_stack`` — mean-aggregation convolutions on node-major
-  (nodes, rows, dim) states, ReLU between them: each output node's own state
-  and the mean of its neighbours' through an affine map on [self | mean]
-  (both GNNs' convolutions), keeping only each layer's input and mask;
-
-plus ``matmul`` on matrices and stacks of matrices (both operands at least
-2-D), ``reshape`` and the mean squared error of same-shape arrays.
-``dense_stack`` chains ``dense`` layers with ReLU between them down to one
-output per row: the MLP baseline and both GNN heads.  The convolutions take
-the graph as constants: per layer, the positions of the output nodes' own
-states in the input and an (out, in) mean-aggregation block.  ``adam_fit``
-is the one full-batch Adam loop the models and the MLP baseline train with,
-and ``pack_params``/``unpack_params`` are the byte layout of the parameters
-in a model checkpoint.
+The op set is intentionally small.  ``layer_stack`` runs a model's
+affine layers as one op with a hand-written backward, on node-major
+(nodes, rows, dim) states with ReLU between the layers: dense layers, the
+map x Wᵀ + b on every node's states (the MLP baseline, both GNN heads, the
+ECC filter network), and mean-aggregation convolutions, each output node's
+own state and the mean of its neighbours' through an affine map on
+[self | mean] (both GNNs' convolutions).  It keeps only each layer's input
+and mask.  Besides it there are ``matmul`` on matrices and stacks of
+matrices (both operands at least 2-D), ``reshape`` and the mean squared
+error of same-shape arrays.  ``dense_stack`` runs dense layers down to one
+output per row on a (1, rows, in) state: the MLP baseline and both GNN
+heads.  The convolutions take the graph as constants: per layer, the
+positions of the output nodes' own states in the input and an (out, in)
+mean-aggregation block.  ``adam_fit`` is the one full-batch Adam loop the
+models and the MLP baseline train with, and ``pack_params``/
+``unpack_params`` are the byte layout of the parameters in a model
+checkpoint.
 """
 
 from __future__ import annotations
@@ -47,12 +45,11 @@ __all__ = [
     "adam_fit",
     "adam_step",
     "constant",
-    "dense",
     "dense_params",
     "dense_stack",
     "dense_stack_params",
     "glorot_uniform",
-    "graph_conv_stack",
+    "layer_stack",
     "matmul",
     "mse",
     "pack_params",
@@ -222,35 +219,6 @@ def dense_params(rng: np.random.Generator, out_dim: int, in_dim: int) -> DensePa
     )
 
 
-def _relu_mask(out: np.ndarray, relu: bool):
-    """Apply max(·, 0) to ``out`` in place and return it with the mask its
-    backward needs (None without ReLU); the subgradient at exactly 0 is 0."""
-    if not relu:
-        return out, None
-    mask = out > 0.0
-    return np.fmax(out, 0.0, out=out), mask  # in place; NaN -> 0
-
-
-def dense(x: Tensor, params: DenseParams, relu: bool = False) -> Tensor:
-    """y = x Wᵀ + b on a (rows, in) matrix, then max(y, 0) if ``relu``."""
-    w, b = params.weight, params.bias
-    if x.values.ndim != 2 or x.values.shape[1] != w.values.shape[1]:
-        raise NumericError(f"dense takes (rows, {w.values.shape[1]}), got {x.values.shape}")
-    out = x.values @ w.values.T
-    out += b.values
-    out, mask = _relu_mask(out, relu)
-
-    def push(g):
-        if mask is not None:
-            g *= mask
-        if x.requires_grad:
-            _accumulate(x, g @ w.values)
-        _accumulate(w, (x.values.T @ g).T)
-        _accumulate(b, g.sum(axis=0))
-
-    return _node(out, (x, w, b), push)
-
-
 def dense_stack_params(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...]) -> list[DenseParams]:
     """The layers of a dense stack from ``in_dim`` through the ``hidden``
     widths to one output, drawn input side first."""
@@ -258,12 +226,11 @@ def dense_stack_params(rng: np.random.Generator, in_dim: int, hidden: tuple[int,
     return [dense_params(rng, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
 
 
-def dense_stack(x: Tensor, layers: list[DenseParams]) -> Tensor:
-    """The stack on a (rows, in) matrix, ReLU after every layer but the
-    last: one output per row, (rows,)."""
-    for k, layer in enumerate(layers):
-        x = dense(x, layer, relu=k < len(layers) - 1)
-    return reshape(x, (x.values.shape[0],))
+def dense_stack(h: Tensor, layers: list[DenseParams]) -> Tensor:
+    """The stack on one node's (1, rows, in) states, ReLU after every layer
+    but the last: one output per row, (rows,)."""
+    out = layer_stack(h, [None] * len(layers), [p.weight for p in layers], [p.bias for p in layers])
+    return reshape(out, (out.values.shape[1],))
 
 
 def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -273,39 +240,54 @@ def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (agg @ h.reshape(m_in, rows * d)).reshape(agg.shape[0], rows, d)
 
 
-def graph_conv_stack(h: Tensor, layers, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
-    """Mean-aggregation graph convolutions on node-major states ``h``,
-    (m_in, B, d), ReLU after every layer but the last.  Layer k is a pair
-    (self_index, agg): its output node i reads its own state
-    ``h[self_index[i]]`` and the mean ``agg[i] @ h`` of its neighbours'
-    states (an all-zero row of ``agg`` is a zero mean) and returns
-    [self | mean] Wₖᵀ + bₖ.  Backward reads only each layer's [self | mean]
-    input and ReLU mask, so a layer's output dies once the next has read it.
+def layer_stack(h: Tensor, layers, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """Affine layers on node-major states ``h``, (m_in, B, d), ReLU after
+    every layer but the last.  Layer k is ``None`` or a pair
+    (self_index, agg).  ``None`` is a dense layer, x Wₖᵀ + bₖ on every
+    node's states.  A pair is a mean-aggregation graph convolution: its
+    output node i reads its own state ``h[self_index[i]]`` and the mean
+    ``agg[i] @ h`` of its neighbours' states (an all-zero row of ``agg`` is a
+    zero mean) and returns [self | mean] Wₖᵀ + bₖ.  Backward reads only each
+    layer's input and ReLU mask: a convolution's output dies once the next
+    layer has read it, a dense layer's input is a view of it.
     """
     if not len(layers) == len(weights) == len(biases) > 0:
-        raise NumericError(f"{len(layers)} conv blocks, {len(weights)} weights and {len(biases)} biases")
+        raise NumericError(f"{len(layers)} layers, {len(weights)} weights and {len(biases)} biases")
+    if h.values.ndim != 3:
+        raise NumericError(f"layer_stack takes node-major (nodes, rows, dim) states, got {h.values.shape}")
     saved = []
     out = h.values
-    for k, ((self_index, agg), weight, bias) in enumerate(zip(layers, weights, biases)):
+    for k, (layer, weight, bias) in enumerate(zip(layers, weights, biases)):
         m_in, rows, d = out.shape
-        m_out = agg.shape[0]
-        if weight.values.shape[1] != 2 * d or agg.shape[1] != m_in or self_index.shape != (m_out,):
-            shapes = f"weight {weight.values.shape}, block {agg.shape} and self positions {self_index.shape}"
-            raise NumericError(f"conv {k} {shapes} do not fit states {out.shape}")
-        x = np.empty((m_out, rows, 2 * d))
-        x[..., :d] = out[self_index]
-        x[..., d:] = _aggregate(agg, out)
-        x = x.reshape(m_out * rows, 2 * d)
-        del out  # the previous layer's output dies before this one's is made
+        w, b = weight.values.shape, bias.values.shape
+        if layer is None:
+            if w[1:] != (d,) or b != w[:1]:
+                raise NumericError(f"dense {k} weight {w} and bias {b} do not fit states {out.shape}")
+            m_out = m_in
+            x = out.reshape(m_in * rows, d)
+        else:
+            self_index, agg = layer
+            m_out = agg.shape[0]
+            if w[1:] != (2 * d,) or b != w[:1] or agg.shape[1] != m_in or self_index.shape != (m_out,):
+                shapes = f"weight {w}, bias {b}, block {agg.shape} and self positions {self_index.shape}"
+                raise NumericError(f"conv {k} {shapes} do not fit states {out.shape}")
+            x = np.empty((m_out, rows, 2 * d))
+            x[..., :d] = out[self_index]
+            x[..., d:] = _aggregate(agg, out)
+            x = x.reshape(m_out * rows, 2 * d)
+        del out  # unless x is a view of it, the previous output dies here
         out = x @ weight.values.T
         out += bias.values
-        out, mask = _relu_mask(out, k < len(layers) - 1)
+        mask = None
+        if k < len(layers) - 1:
+            mask = out > 0.0  # the subgradient at exactly 0 is 0
+            np.fmax(out, 0.0, out=out)  # in place; NaN -> 0
         out = out.reshape(m_out, rows, out.shape[1])
         saved.append((x, mask, m_out, d))
 
     def push(g):
         for k in reversed(range(len(saved))):
-            (self_index, agg), (x, mask, m_out, d) = layers[k], saved[k]
+            layer, (x, mask, m_out, d) = layers[k], saved[k]
             g = g.reshape(m_out * rows, g.shape[-1])
             if mask is not None:
                 g *= mask
@@ -313,9 +295,13 @@ def graph_conv_stack(h: Tensor, layers, weights: list[Tensor], biases: list[Tens
             _accumulate(biases[k], g.sum(axis=0))
             if k or h.requires_grad:
                 w = weights[k].values
-                gh = _aggregate(agg.T, (g @ w[:, d:]).reshape(m_out, rows, d))
-                gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
-                g = gh
+                if layer is None:
+                    g = (g @ w).reshape(m_out, rows, d)
+                else:
+                    self_index, agg = layer
+                    gh = _aggregate(agg.T, (g @ w[:, d:]).reshape(m_out, rows, d))
+                    gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
+                    g = gh
         _accumulate(h, g)
 
     return _node(out, (h, *weights, *biases), push)

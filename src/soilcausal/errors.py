@@ -1,5 +1,6 @@
-"""Shared exception types, mapped to CLI exit codes in cli.py, and the
-checks of count and rate arguments that raise them."""
+"""Shared exception types and the checks of count and rate arguments that
+raise them.  The exit codes named below are those of the command-line
+interface that ROADMAP item 1 plans; no module maps them yet."""
 
 import math
 from numbers import Integral, Real

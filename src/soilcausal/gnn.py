@@ -20,12 +20,13 @@ the target node:
   a one-layer head.
 
 The forward pass is the same for both: the convolutions are one
-``engine.graph_conv_stack`` on node-major (nodes, rows, dim) states, each
+``engine.layer_stack`` on node-major (nodes, rows, dim) states, each
 layer's weight (ECC's is generated per pass) read against [self | mean],
-and the head is ``engine.dense_stack``, the stack the MLP baseline uses.  Both
-read only the target's final state, so each convolution computes only the
-node states that the target reads (GraphSAGE's minibatch scheme, Hamilton
-et al. 2017, Alg. 2, exact here because every neighbor is kept).
+and the head, ``engine.dense_stack`` as in the MLP baseline, reads the
+target's node-major (1, rows, hidden) final states.  So each convolution
+computes only the node states that the target reads (GraphSAGE's
+minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here because every
+neighbor is kept).
 ``layer_plan`` walks out from the target once per skeleton: the last layer
 outputs the target alone, and each layer's input nodes — its in-set — are
 its output nodes and their in-neighbors, the outputs of the layer before.
@@ -57,9 +58,9 @@ from .ingest import require_finite
 class GraphSkeleton:
     """Directed feature graph over the model table's columns.
 
-    ``edges`` are canonicalized to a sorted tuple so downstream passes
-    are invariant to the order the edges were listed in.  A node's
-    neighbors N(i) are its parents.
+    ``nodes`` are kept as a tuple and ``edges`` as a sorted tuple of pairs,
+    so the skeleton hashes whatever sequences it was given and downstream
+    passes are invariant to the edges' order.  N(i) are i's parents.
     """
 
     nodes: tuple[str, ...]
@@ -67,17 +68,19 @@ class GraphSkeleton:
     target: str
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        edges = tuple(map(tuple, self.edges))
         if len(set(self.nodes)) != len(self.nodes):
             raise GraphError("duplicate node labels")
         known = set(self.nodes)
         if self.target not in known:
             raise GraphError(f"target {self.target!r} not among nodes")
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in known or b not in known:
                 raise GraphError(f"edge ({a!r}, {b!r}) leaves the node set")
             if a == b:
                 raise GraphError(f"self-loop on {a!r}")
-        object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
+        object.__setattr__(self, "edges", tuple(sorted(set(edges))))
 
     @property
     def n_nodes(self) -> int:
@@ -215,8 +218,8 @@ class EccLayer:
     @property
     def weight(self) -> Tensor:
         """The (out, 2in) weight [W_root | Θ] the filter network generates
-        from the edge attribute 1.0, fed to it as a (1, 1) matrix."""
-        flat = engine.dense(constant([[1.0]]), self.filter)
+        from the edge attribute 1.0, fed to it as one (1, 1, 1) state."""
+        flat = engine.layer_stack(constant([[[1.0]]]), [None], [self.filter.weight], [self.filter.bias])
         return engine.reshape(flat, (self.out_dim, 2 * self.in_dim))
 
     @property
@@ -286,8 +289,8 @@ def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) ->
 
 def _forward_batch(model: GnnModel, plan: LayerPlan, h: Tensor) -> Tensor:
     convs = model.convs
-    h = engine.graph_conv_stack(h, plan.layers, [c.weight for c in convs], [c.bias for c in convs])
-    return engine.dense_stack(engine.reshape(h, (h.values.shape[1], model.hidden)), model.head)
+    h = engine.layer_stack(h, plan.layers, [c.weight for c in convs], [c.bias for c in convs])
+    return engine.dense_stack(h, model.head)  # the target's (1, rows, hidden) states
 
 
 def predict(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
@@ -306,6 +309,7 @@ def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int) -> G
     if kind not in _INIT:
         raise ConfigError(f"kind must be one of {sorted(_INIT)}")
     require_count(hidden, 1, f"{kind}: hidden must be >= 1, got {hidden}")
+    require_count(seed, 0, f"{kind}: seed must be an int >= 0, got {seed!r}")
     return _INIT[kind](skeleton, seed=seed, hidden=hidden)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 from .graphs import Cpdag, Dag, cpdag_of, in_neighbors, topological_sort
 from .ingest import ColumnSpec, Table, concat_tables
 from .seeding import derive_seed
@@ -130,8 +130,9 @@ class EnvironmentSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "interventions", tuple(self.interventions))
-        if self.n_fields < 1 or self.n_days < 1:
-            raise ConfigError("n_fields and n_days must be at least 1")
+        for name, least in (("n_fields", 1), ("n_days", 1), ("seed", 0)):
+            value = getattr(self, name)
+            require_count(value, least, f"{self.label!r}: {name} must be an int >= {least}, got {value!r}")
         seen = set()
         for m in self.interventions:
             if m.node in seen:

@@ -456,17 +456,18 @@ def finite_diff_check(loss_fn, params, tol: float = 1e-4, h: float = 1e-5) -> Fi
     )
 
 
-def one_conv(h, self_index, agg, weight, bias, relu):
-    """One convolution through ``engine.graph_conv_stack``.  With ``relu``
-    a constant [I | 0] layer with zero bias follows it, so the ReLU the
-    stack applies between layers is applied to the convolution's output,
-    and the identity layer passes it on exactly."""
-    from soilcausal.engine import constant, graph_conv_stack
+def one_layer(h, layer, weight, bias, relu):
+    """One layer, dense (``None``) or a convolution (a (self_index, agg)
+    pair), through ``engine.layer_stack``.  With ``relu`` a constant identity
+    dense layer with zero bias follows it, so the ReLU the stack applies
+    between layers is applied to the first layer's output, and the identity
+    layer passes it on exactly."""
+    from soilcausal.engine import constant, layer_stack
 
-    layers, weights, biases = [(self_index, agg)], [weight], [bias]
+    layers, weights, biases = [layer], [weight], [bias]
     if relu:
-        m, n = len(self_index), bias.values.size
-        layers.append((np.arange(m), np.zeros((m, m))))
-        weights.append(constant(np.hstack([np.eye(n), np.zeros((n, n))])))
+        n = bias.values.size
+        layers.append(None)
+        weights.append(constant(np.eye(n)))
         biases.append(constant(np.zeros(n)))
-    return graph_conv_stack(h, layers, weights, biases)
+    return layer_stack(h, layers, weights, biases)

@@ -1,4 +1,5 @@
 import contextlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -280,6 +281,44 @@ def test_random_skeleton_rejects_a_negative_edge_count():
     with pytest.raises(ConfigError, match="asked for -1 edges"):
         random_skeleton(("a", "b", "c"), "c", n_edges=-1)
     assert random_skeleton(("a", "b", "c"), "c", n_edges=0).edges == ()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _environment(n_days=2.5), "n_days must be an int >= 1, got 2.5"),
+        (lambda: _environment(n_days=True), "n_days must be an int >= 1, got True"),
+        (lambda: _environment(n_fields=1.5), "n_fields must be an int >= 1, got 1.5"),
+        (lambda: _environment(seed=-1), "seed must be an int >= 0, got -1"),
+        (lambda: random_skeleton("abc", "c", n_edges=True), "asked for True edges"),
+        (lambda: random_skeleton("abc", "c", n_edges=2.5), "asked for 2.5 edges"),
+        (lambda: random_skeleton("abc", "c", seed=-1, n_edges=2), "seed must be an int >= 0, got -1"),
+        (lambda: rf_train(_random_table(0), seed=1.5), "seed must be an int >= 0, got 1.5"),
+        (lambda: rf_train(_random_table(0), seed=-1), "seed must be an int >= 0, got -1"),
+        (lambda: mlp_train(_random_table(0), seed=-1), "seed must be an int >= 0, got -1"),
+        (lambda: mlp_train(_random_table(0), seed=1.5), "seed must be an int >= 0, got 1.5"),
+        (lambda: _gnn_train("sage", seed=-1), "sage: seed must be an int >= 0, got -1"),
+        (lambda: _gnn_train("ecc", seed=2.0), "ecc: seed must be an int >= 0, got 2.0"),
+    ],
+)
+def test_sizes_and_seeds_raise_config_errors(build, message):
+    # each of these once raised numpy's or Python's own untyped error
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build()
+
+
+def _environment(**options):
+    from soilcausal.synth import EnvironmentSpec
+
+    return EnvironmentSpec(label="a", treatment="red", **options)
+
+
+def _gnn_train(kind, seed):
+    from soilcausal import gnn
+
+    sk = gnn.GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    batch = gnn.build_instances(continuous_table(sk.nodes, np.ones((3, 2)), target="t"), sk)
+    return gnn.train(kind, sk, batch, epochs=1, seed=seed)
 
 
 def test_rf_train_rejects_an_empty_forest():

@@ -10,10 +10,9 @@ from soilcausal.engine import (
     adam_step,
     assign_params,
     constant,
-    dense,
     dense_params,
     glorot_uniform,
-    graph_conv_stack,
+    layer_stack,
     matmul,
     mse,
     pack_params,
@@ -22,7 +21,7 @@ from soilcausal.engine import (
     unpack_params,
 )
 
-from enumutil import finite_diff_check, one_conv
+from enumutil import finite_diff_check, one_layer
 
 
 def _fd_scalar(fn, x, h=1e-5):
@@ -46,18 +45,19 @@ def _fd_scalar(fn, x, h=1e-5):
 
 
 def _relu(x: Tensor) -> Tensor:
-    """dense's ReLU alone: identity weight, zero bias."""
-    n = x.values.shape[1]
-    return dense(x, DenseParams(constant(np.eye(n)), constant(np.zeros(n))), relu=True)
+    """layer_stack's ReLU alone: a dense layer with identity weight and zero
+    bias, and the identity layer after it."""
+    n = x.values.shape[-1]
+    return one_layer(x, None, constant(np.eye(n)), constant(np.zeros(n)), relu=True)
 
 
 def test_relu_values_and_mask():
-    x = parameter([[-1.0, 0.0, 2.0]])
+    x = parameter([[[-1.0, 0.0, 2.0]]])
     y = _relu(x)
-    assert np.array_equal(y.values, [[0.0, 0.0, 2.0]])
-    loss = mse(y, np.zeros((1, 3)))
+    assert np.array_equal(y.values, [[[0.0, 0.0, 2.0]]])
+    loss = mse(y, np.zeros((1, 1, 3)))
     loss.backward()
-    assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0 and x.grad[0, 2] != 0.0
+    assert x.grad[0, 0, 0] == 0.0 and x.grad[0, 0, 1] == 0.0 and x.grad[0, 0, 2] != 0.0
 
 
 def test_mse_values():
@@ -81,15 +81,16 @@ def test_mse_rejects_a_target_of_another_shape():
 
 
 def test_dense_identity_and_bias():
+    # a dense layer maps every node's states: here two nodes, one row each
     w = parameter(np.eye(3))
     b = parameter(np.zeros(3))
-    x = parameter([[1.0, -2.0, 0.5]])
-    y = dense(x, DenseParams(w, b))
+    x = parameter([[[1.0, -2.0, 0.5]], [[0.25, 3.0, -1.0]]])
+    y = layer_stack(x, [None], [w], [b])
     assert np.allclose(y.values, x.values)
-    x0 = parameter(np.zeros((1, 3)))
+    x0 = parameter(np.zeros((2, 1, 3)))
     bias = parameter([1.0, 2.0, 3.0])
-    y0 = dense(x0, DenseParams(w, bias))
-    assert np.allclose(y0.values, bias.values[None, :])
+    y0 = layer_stack(x0, [None], [w], [bias])
+    assert np.allclose(y0.values, np.broadcast_to(bias.values, (2, 1, 3)))
 
 
 def test_dense_params_shape_guard():
@@ -107,13 +108,13 @@ def test_dense_gradients_match_fd():
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal((4, 3))
     b0 = rng.standard_normal(4)
-    x0 = rng.standard_normal((1, 3))
-    target = rng.standard_normal((1, 4))
+    x0 = rng.standard_normal((1, 1, 3))
+    target = rng.standard_normal((1, 1, 4))
 
     w, b, x = parameter(w0), parameter(b0), parameter(x0)
 
     def loss_fn():
-        return mse(dense(x, DenseParams(w, b)), target)
+        return mse(layer_stack(x, [None], [w], [b]), target)
 
     report = finite_diff_check(loss_fn, [w, b, x])
     assert report.passed, report
@@ -137,9 +138,9 @@ def test_op_zoo_gradients_match_fd(seed):
     target = rng.standard_normal(5)
 
     def loss_fn():
-        h = graph_conv_stack(x, [(np.arange(3), agg), (np.array([0]), agg[:1])], [w1, theta], [b1, b2])  # (1, 5, 2)
-        z = dense(reshape(h, (5, 2)), DenseParams(w3, b3), relu=True)
-        mixed = matmul(constant(np.eye(5)[::-1] + 0.2), z)  # constant left operand
+        h = layer_stack(x, [(np.arange(3), agg), (np.array([0]), agg[:1])], [w1, theta], [b1, b2])  # (1, 5, 2)
+        z = layer_stack(h, [None], [w3], [b3])  # dense on the conv output
+        mixed = matmul(constant(np.eye(5)[::-1] + 0.2), reshape(z, (5, 2)))  # constant left operand
         pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1): stack times matrix
         return mse(reshape(pred, (5,)), target)
 
@@ -152,8 +153,8 @@ def test_relu_gradient_matches_fd_away_from_zero():
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(20)
     x0 = x0[np.abs(x0) > 1e-3]  # keep the kink out of the difference stencil
-    x = parameter(x0[None, :])
-    target = rng.standard_normal((1, x0.size))
+    x = parameter(x0[None, None, :])
+    target = rng.standard_normal((1, 1, x0.size))
 
     def loss_fn():
         return mse(_relu(x), target)
@@ -180,10 +181,10 @@ def test_conv_ops_gradients_match_fd(relu):
 
     def loss_fn():
         if relu:
-            e = graph_conv_stack(h, blocks, [first.weight, theta], [first.bias, bias])  # (2, 1, 2)
+            e = layer_stack(h, blocks, [first.weight, theta], [first.bias, bias])  # (2, 1, 2)
         else:
-            s = graph_conv_stack(h, blocks[:1], [first.weight], [first.bias])
-            e = graph_conv_stack(s, blocks[1:], [theta], [bias])
+            s = layer_stack(h, blocks[:1], [first.weight], [first.bias])
+            e = layer_stack(s, blocks[1:], [theta], [bias])
         return mse(reshape(e, (4,)), target)
 
     report = finite_diff_check(loss_fn, [h, *first.tensors, theta, bias])
@@ -192,54 +193,104 @@ def test_conv_ops_gradients_match_fd(relu):
 
 
 def test_handed_over_gradient_buffers_take_a_second_sum():
-    # dense and graph_conv_stack hand their freshly allocated input gradients
-    # over as grad buffers.  The reshaped states feed two dense ops and the
-    # states feed three convolutions, so in any backward order handed-over
-    # buffers of each kind take the other ops' sums
+    # layer_stack hands its freshly allocated input gradient over as a grad
+    # buffer, from a dense first layer or a convolution.  The states feed two
+    # dense stacks and three convolutions, so in any backward order
+    # handed-over buffers of each kind take the other ops' sums
     rng = np.random.default_rng(33)
     h = parameter(rng.standard_normal((3, 4, 2)))
-    d1, d2 = dense_params(rng, 3, 2), dense_params(rng, 3, 2)
+    d1, d2, d3 = dense_params(rng, 3, 2), dense_params(rng, 3, 2), dense_params(rng, 3, 3)
     c1, c2, c3 = dense_params(rng, 3, 4), dense_params(rng, 3, 4), dense_params(rng, 3, 4)
     target = rng.standard_normal((8, 4))
 
     def loss_fn():
-        flat = reshape(h, (12, 2))
-        mix = matmul(reshape(dense(flat, d1, relu=True), (3, 12)), dense(flat, d2))  # (3, 3)
-        s1 = one_conv(h, np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]), *c1.tensors, relu=True)
-        s2 = one_conv(h, np.array([1]), np.array([[0.5, 0.0, 0.5]]), *c2.tensors, relu=False)  # (1, 4, 3)
-        s3 = one_conv(h, np.array([2, 1]), np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]), *c3.tensors, relu=True)
+        deep = layer_stack(h, [None, None], [d1.weight, d3.weight], [d1.bias, d3.bias])  # (3, 4, 3)
+        mix = matmul(reshape(deep, (3, 12)), reshape(one_layer(h, None, *d2.tensors, relu=False), (12, 3)))
+        s1 = one_layer(h, (np.array([0, 2]), np.array([[0, 0.5, 0.5], [1, 0, 0]])), *c1.tensors, relu=True)
+        s2 = one_layer(h, (np.array([1]), np.array([[0.5, 0, 0.5]])), *c2.tensors, relu=False)  # (1, 4, 3)
+        s3 = one_layer(h, (np.array([2, 1]), np.array([[0, 1, 0], [0.5, 0, 0.5]])), *c3.tensors, relu=True)
         gram = matmul(reshape(s3, (3, 8)), reshape(s3, (8, 3)))
         pred = matmul(matmul(reshape(s1, (8, 3)), matmul(mix, gram)), reshape(s2, (3, 4)))
         return mse(pred, target)
 
-    report = finite_diff_check(loss_fn, [h, *d1.tensors, *d2.tensors, *c1.tensors, *c2.tensors, *c3.tensors])
+    leaves = [h, *d1.tensors, *d2.tensors, *d3.tensors, *c1.tensors, *c2.tensors, *c3.tensors]
+    report = finite_diff_check(loss_fn, leaves)
     assert report.passed, report
-    assert report.n_entries == 24 + 2 * (6 + 3) + 3 * (12 + 3)
+    assert report.n_entries == 24 + 2 * (6 + 3) + (9 + 3) + 3 * (12 + 3)
 
 
 def test_graph_conv_checks_weight_and_block_widths():
-    # the weight reads [self | mean] (2d columns), the block reads every
-    # input node, every output node has a self position, and each layer
-    # has one weight and one bias
+    # the weight reads [self | mean] (2d columns), the bias has a row per
+    # output column, the block reads every input node, every output node
+    # has a self position, and each layer has one weight and one bias
     from soilcausal.errors import NumericError
 
     h, agg, bias = constant(np.ones((2, 1, 3))), np.full((1, 2), 0.5), constant(np.zeros(4))
     self_slots = np.array([0])
-    assert graph_conv_stack(h, [(self_slots, agg)], [constant(np.ones((4, 6)))], [bias]).values.shape == (1, 1, 4)
-    for self_index, block, width in (
-        (self_slots, agg, 3),
-        (self_slots, np.ones((1, 3)), 6),
-        (np.array([0, 1]), agg, 6),
+    assert layer_stack(h, [(self_slots, agg)], [constant(np.ones((4, 6)))], [bias]).values.shape == (1, 1, 4)
+    for self_index, block, width, b in (
+        (self_slots, agg, 3, bias),
+        (self_slots, agg, 6, constant(np.zeros(3))),
+        (self_slots, np.ones((1, 3)), 6, bias),
+        (np.array([0, 1]), agg, 6, bias),
     ):
         with pytest.raises(NumericError, match="conv 0 .* do not fit"):
-            graph_conv_stack(h, [(self_index, block)], [constant(np.ones((4, width)))], [bias])
+            layer_stack(h, [(self_index, block)], [constant(np.ones((4, width)))], [b])
     # the second layer reads the first's 4-wide states
     with pytest.raises(NumericError, match=r"conv 1 .* do not fit states \(1, 1, 4\)"):
-        graph_conv_stack(h, [(self_slots, agg)] * 2, [constant(np.ones((4, 6)))] * 2, [bias] * 2)
+        layer_stack(h, [(self_slots, agg)] * 2, [constant(np.ones((4, 6)))] * 2, [bias] * 2)
     one, weight = [(self_slots, agg)], constant(np.ones((4, 6)))
     for layers, weights, biases in (([], [], []), (one, [weight], [bias] * 2), (one, [weight] * 2, [bias])):
-        with pytest.raises(NumericError, match="conv blocks"):
-            graph_conv_stack(h, layers, weights, biases)
+        with pytest.raises(NumericError, match="layers, .* weights and .* biases"):
+            layer_stack(h, layers, weights, biases)
+
+
+def test_dense_layer_checks_weight_and_bias_widths():
+    # a dense layer reads its input's d columns and names its position in
+    # the stack (in the loop the first layer fits and the second does not),
+    # and the stack reads node-major states
+    from soilcausal.errors import NumericError
+
+    h, w, b = constant(np.ones((2, 5, 3))), constant(np.ones((4, 3))), constant(np.zeros(4))
+    assert layer_stack(h, [None], [w], [b]).values.shape == (2, 5, 4)
+    for weight, bias in (((2, 3), (2,)), ((2, 5), (2,)), ((2, 4), (3,))):
+        message = f"dense 1 weight {weight} and bias {bias} do not fit states (2, 5, 4)"
+        with pytest.raises(NumericError, match=re.escape(message)):
+            layer_stack(h, [None, None], [w, constant(np.ones(weight))], [b, constant(np.zeros(bias))])
+    with pytest.raises(NumericError, match=r"dense 0 .* do not fit states \(2, 5, 3\)"):
+        layer_stack(h, [None], [constant(np.ones((4, 2)))], [b])
+    with pytest.raises(NumericError, match=r"node-major .* got \(5, 3\)"):  # a (rows, in) matrix
+        layer_stack(constant(np.ones((5, 3))), [None], [w], [b])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mixed_stack_equals_its_two_call_composition(seed):
+    # two convolutions then two dense layers in one call: the dense layers
+    # read the second convolution's states after the ReLU between them, so
+    # the same layers as two calls need a ReLU on the first call's output,
+    # which a trailing identity layer gives exactly
+    rng = np.random.default_rng(40 + seed)
+    agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    convs = [(np.array([2, 0, 1]), agg), (np.array([1, 2]), np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]))]
+    h = parameter(rng.standard_normal((3, 5, 2)))
+    weights = [parameter(rng.standard_normal(shape) * 0.7) for shape in ((4, 4), (3, 8), (3, 3), (2, 3))]
+    biases = [parameter(rng.standard_normal(n) * 0.3) for n in (4, 3, 3, 2)]
+    target = rng.standard_normal((2, 5, 2))
+    eye = constant(np.eye(3))
+
+    def one_call():
+        return layer_stack(h, [*convs, None, None], weights, biases)
+
+    def two_calls():
+        s = layer_stack(h, [*convs, None], [*weights[:2], eye], [*biases[:2], constant(np.zeros(3))])
+        return layer_stack(s, [None, None], weights[2:], biases[2:])
+
+    assert np.array_equal(one_call().values, two_calls().values)
+    assert one_call().values.shape == (2, 5, 2)
+    for build in (one_call, two_calls):
+        report = finite_diff_check(lambda: mse(build(), target), [h, *weights, *biases])
+        assert report.passed, report
+        assert report.n_entries == 30 + 16 + 24 + 9 + 6 + 4 + 3 + 3 + 2
 
 
 def test_matmul_rejects_vectors():
@@ -259,42 +310,44 @@ def test_grad_accumulates_over_shared_subexpression():
     # d/dx (x^2)^2 = 4x^3 = 32 at x=2: both operand branches must accumulate
     assert x.grad[0, 0] == pytest.approx(32.0)
     # z feeds a reshape, which hands it a view of its own gradient, and a
-    # dense, which hands it a fresh buffer; in either operand order, z's grad
-    # is their sum.  s = z.w = 2, loss = |z|^2 s^2 / 2, so
+    # dense layer, which hands it a fresh buffer; in either operand order,
+    # z's grad is their sum.  s = z.w = 2, loss = |z|^2 s^2 / 2, so
     # dz = z s^2 + |z|^2 s w = (34, -3)
-    z = parameter([[1.0, -2.0]])
-    layer = DenseParams(constant([[3.0, 0.5]]), constant([0.0]))
+    z = parameter([[[1.0, -2.0]]])
+    weight, bias = constant([[3.0, 0.5]]), constant([0.0])
     for pred in (
-        lambda: matmul(reshape(z, (2, 1)), dense(z, layer)),
-        lambda: matmul(dense(z, layer), reshape(z, (1, 2))),
+        lambda: matmul(reshape(z, (2, 1)), layer_stack(z, [None], [weight], [bias])),
+        lambda: matmul(layer_stack(z, [None], [weight], [bias]), reshape(z, (1, 2))),
     ):
         z.zero_grad()
         out = pred()
         mse(reshape(out, (2,)), np.zeros(2)).backward()
-        assert np.array_equal(z.grad, [[34.0, -3.0]])
+        assert np.array_equal(z.grad, [[[34.0, -3.0]]])
 
 
 def test_backward_keeps_gradients_on_leaves_only():
-    # op results drop their grad once pushed, dense masks the gradient it was
-    # handed in place and graph_conv_stack the gradients it passes between
-    # its layers: that must reach no forward value
+    # op results drop their grad once pushed, and layer_stack masks the
+    # gradients it passes between its layers in place, dense or conv: that
+    # must reach no forward value, not even the states a dense layer reads
+    # as a view of the layer before
     rng = np.random.default_rng(34)
     h = parameter(rng.standard_normal((3, 4, 2)))
     conv, layer = dense_params(rng, 3, 4), dense_params(rng, 2, 3)
+    mid, out = dense_params(rng, 2, 2), dense_params(rng, 2, 2)
     agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     target = rng.standard_normal(24)
 
     def build():
-        s = one_conv(h, np.array([0, 2, 1]), agg, *conv.tensors, relu=True)  # (3, 4, 3)
-        flat = reshape(s, (12, 3))
-        z = dense(flat, layer, relu=True)  # (12, 2)
-        pred = reshape(z, (24,))
-        return [s, flat, z, pred, mse(pred, target)]
+        s = one_layer(h, (np.array([0, 2, 1]), agg), *conv.tensors, relu=True)  # (3, 4, 3)
+        z = one_layer(s, None, *layer.tensors, relu=True)  # (3, 4, 2)
+        y = layer_stack(z, [None, None], [mid.weight, out.weight], [mid.bias, out.bias])  # (3, 4, 2)
+        pred = reshape(y, (24,))
+        return [s, z, y, pred, mse(pred, target)]
 
     interior = build()
     before = [t.values.copy() for t in interior]
-    assert all(0 < (t.values > 0).mean() < 1 for t in (interior[0], interior[2]))  # both masks cut
-    leaves = [h, *conv.tensors, *layer.tensors]
+    assert all(0 < (t.values > 0).mean() < 1 for t in (interior[0], interior[1]))  # both masks cut
+    leaves = [h, *conv.tensors, *layer.tensors, *mid.tensors, *out.tensors]
     interior[-1].backward()
     assert all(t.grad is None for t in interior)
     assert all(t.grad is not None for t in leaves)

@@ -24,7 +24,7 @@ from soilcausal.gnn import (
 )
 from soilcausal.graphs import Cpdag
 
-from enumutil import continuous_table, finite_diff_check, one_conv
+from enumutil import continuous_table, finite_diff_check, one_layer
 
 
 def _random_skeleton(rng, n_nodes, n_edges, target_idx=0):
@@ -84,6 +84,25 @@ def test_skeleton_edges_canonicalized():
     s1 = GraphSkeleton(nodes=("a", "b", "c"), edges=(("b", "c"), ("a", "b"), ("b", "c")), target="c")
     s2 = GraphSkeleton(nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")), target="c")
     assert s1.edges == s2.edges
+
+
+def test_skeleton_takes_lists_as_tuples():
+    # lists once failed: as nodes in layer_plan's cache (unhashable), as an
+    # edge in the skeleton's own edge set
+    nodes, edges = ["far", "a", "b", "t"], [["far", "a"], ["a", "b"], ["b", "t"], ["far", "t"]]
+    listed = GraphSkeleton(nodes=nodes, edges=edges, target="t")
+    tupled = GraphSkeleton(nodes=tuple(nodes), edges=tuple(map(tuple, edges)), target="t")
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert type(listed.nodes) is tuple and all(type(edge) is tuple for edge in listed.edges)
+    for depth in (1, 2, 3):
+        plans = []
+        for sk in (listed, tupled):
+            layer_plan.cache_clear()  # build each plan, not the other's cached one
+            plans.append(layer_plan(sk, depth))
+        got, want = plans
+        assert np.array_equal(got.reads, want.reads) and len(got.layers) == len(want.layers) == depth
+        for a, b in zip(got.layers, want.layers):
+            assert np.array_equal(a.self_index, b.self_index) and np.array_equal(a.agg, b.agg)
 
 
 def test_layer_plan_node_sets():
@@ -272,7 +291,7 @@ def test_sage_conv_zero_weights():
     model.convs[0].weight.values[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
     h = constant(np.ones((2, 3, 1)))  # node-major: 2 nodes, 3 rows
-    out = one_conv(h, *_full_graph(sk), *model.convs[0].tensors, relu=True)
+    out = one_layer(h, _full_graph(sk), *model.convs[0].tensors, relu=True)
     assert np.array_equal(out.values, np.zeros((2, 3, 4)))
 
 
@@ -281,7 +300,7 @@ def test_sage_conv_isolated_node_passthrough():
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     weight = engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1))
     v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    out = one_conv(constant(v), *_full_graph(sk), weight, engine.parameter(np.zeros(3)), relu=True)
+    out = one_layer(constant(v), _full_graph(sk), weight, engine.parameter(np.zeros(3)), relu=True)
     assert np.allclose(out.values[0, 0], [0.5, 0.0, 2.0])
 
 
@@ -292,7 +311,7 @@ def test_sage_conv_matches_naive_loop(seed):
     model = init_sage(sk, seed=seed, hidden=3)
     feats = rng.standard_normal((4, 5, 3))
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = one_conv(h, *_full_graph(sk), *model.convs[1].tensors, relu=(seed % 2 == 0))
+    out = one_layer(h, _full_graph(sk), *model.convs[1].tensors, relu=(seed % 2 == 0))
     for b in range(4):
         ref = _naive_sage(feats[b], sk, model.convs[1], activate=(seed % 2 == 0))
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
@@ -304,7 +323,7 @@ def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
     h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = one_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    out = one_layer(h, _full_graph(sk), layer.weight, layer.bias, relu=False)
     # node "a" has no in-neighbors: W_root x_a + b
     root = layer.weight.values[:, :4]
     assert np.max(np.abs(out.values[0] - (h.values[0] @ root.T + layer.bias.values))) < 1e-12
@@ -326,7 +345,7 @@ def test_ecc_conv_identity_filter_copies_neighbor():
         in_dim=d,
     )
     h = np.random.default_rng(2).standard_normal((2, 5, d))
-    out = one_conv(constant(h), *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    out = one_layer(constant(h), _full_graph(sk), layer.weight, layer.bias, relu=False)
     assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
 
 
@@ -339,7 +358,7 @@ def test_ecc_conv_matches_naive_loop(seed):
     feats = rng.standard_normal((4, 5, 3))
     layer = model.convs[1]
     h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = one_conv(h, *_full_graph(sk), layer.weight, layer.bias, relu=False)
+    out = one_layer(h, _full_graph(sk), layer.weight, layer.bias, relu=False)
     for b in range(4):
         ref = _naive_ecc(feats[b], sk, layer)
         assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
@@ -358,7 +377,7 @@ def test_two_layer_conv_stack_matches_naive_loops(seed):
         conv.bias.values[...] = rng.standard_normal(3)
     h = constant(feats.transpose(1, 0, 2))  # node-major
     for convs, naive in ((sage.convs[1:], _naive_sage), (ecc, _naive_ecc)):
-        out = engine.graph_conv_stack(h, [_full_graph(sk)] * 2, [c.weight for c in convs], [c.bias for c in convs])
+        out = engine.layer_stack(h, [_full_graph(sk)] * 2, [c.weight for c in convs], [c.bias for c in convs])
         assert out.values.shape == (5, 4, 3)
         for b in range(4):
             ref = naive(naive(feats[b], sk, convs[0], activate=True), sk, convs[1], activate=False)
@@ -546,23 +565,18 @@ def test_model_gradients_match_fd(kind, monkeypatch):
     # difference stencil: the subgradient convention and the symmetric
     # difference legitimately disagree on the kink itself.  Every op that
     # applies a ReLU is wrapped to record its preactivations in the forward
-    # pass: the dense head layers, and each convolution but the last, whose
-    # preactivations are the output of the stack cut after it.
+    # pass: every layer stack (the convolutions, the dense head and ECC's
+    # filter networks).  Its ReLU layers are all but its last, and each one's
+    # preactivations are the output of the stack cut after that layer.
     preacts = []
-    dense, stack = engine.dense, engine.graph_conv_stack
-
-    def recording_dense(x, params, relu=False):
-        if relu:
-            preacts.append(np.abs(dense(x, params).values).min(initial=np.inf))
-        return dense(x, params, relu=relu)
+    stack = engine.layer_stack
 
     def recording_stack(h, layers, weights, biases):
         for k in range(1, len(layers)):
             preacts.append(np.abs(stack(h, layers[:k], weights[:k], biases[:k]).values).min(initial=np.inf))
         return stack(h, layers, weights, biases)
 
-    monkeypatch.setattr(engine, "dense", recording_dense)
-    monkeypatch.setattr(engine, "graph_conv_stack", recording_stack)
+    monkeypatch.setattr(engine, "layer_stack", recording_stack)
     model = None
     for seed in range(2, 50):
         cand = (init_sage if kind == "sage" else init_ecc)(sk, seed=seed, hidden=3)
