@@ -6,8 +6,10 @@ under a Gaussian BIC, and ``gies`` extends the greedy search with
 interventional scores, an edge-turning phase, and orientations forced by
 which nodes each treatment manipulated.
 
-All three canonicalize to name-sorted column order internally, so the
-result is bit-identical under any permutation of the input columns.
+All three search every column of the table they are given; a caller who
+wants fewer narrows the table with ``ingest.select_columns``.  They
+canonicalize to name-sorted column order internally, so the result is
+bit-identical under any permutation of the input columns.
 
 PC freezes the adjacencies of each level (PC-stable), so every test of a
 level is known before any result is read.  The level's (i, j, S) triples
@@ -58,11 +60,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_count
+from .errors import ConfigError, require_count, require_level
 from .graphs import Cpdag, _extend, _meek, _Pdag, _project, complete, reachable
 from .stats import (
     CIBatch,
@@ -84,8 +87,7 @@ class DiscoveryConfig:
     use_interventions: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
+        require_level(self.alpha, f"alpha must be a number in (0, 1), got {self.alpha!r}")
         for name, least in (("max_cond_size", 0), ("max_parents", 1)):
             value = getattr(self, name)
             require_count(value, least, f"{name} must be an int >= {least}, got {value!r}")
@@ -208,16 +210,10 @@ def _named(g: _Pdag, names, **meta) -> Cpdag:
     )
 
 
-def pc(
-    table,
-    config: DiscoveryConfig | None = None,
-    columns=None,
-    *,
-    warn: WarningCounter,
-) -> Cpdag:
-    """PC over Fisher-z tests on the table's Gaussian statistic."""
+def pc(table, config: DiscoveryConfig | None = None, *, warn: WarningCounter) -> Cpdag:
+    """PC over Fisher-z tests on the Gaussian statistic of the table's columns."""
     cfg = config or DiscoveryConfig()
-    names = tuple(sorted(columns if columns is not None else table.names))
+    names = tuple(sorted(table.names))
     stat = suff_stat(table, names)
     return _pc_core(names, stat, lambda batch: batch.independent(cfg.alpha), cfg.max_cond_size, warn)
 
@@ -530,7 +526,7 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
         st = ext
 
 
-def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
+def _greedy_search(table, cfg, row_targets, warn) -> Cpdag:
     """The search behind ``ges`` (no ``row_targets``) and ``gies``.
 
     It runs on the index labels of the name-sorted columns and names the
@@ -539,7 +535,7 @@ def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
     the score is interventional, edges at manipulated nodes keep their
     orientation, and a turning phase follows the forward and backward
     phases until a sweep changes nothing."""
-    names = tuple(sorted(columns if columns is not None else table.names))
+    names = tuple(sorted(table.names))
     sc = _Scorer(table, names, row_targets, warn)
     turning = row_targets is not None
     intervened = frozenset().union(*row_targets) if turning else frozenset()
@@ -556,23 +552,24 @@ def _greedy_search(table, columns, cfg, row_targets, warn) -> Cpdag:
     return _named(st, names, sweeps=sweeps)
 
 
-def ges(
-    table,
-    config: DiscoveryConfig | None = None,
-    columns=None,
-    *,
-    warn: WarningCounter,
-) -> Cpdag:
-    """Greedy DAG-space grow/prune under the Gaussian BIC, reported as the
-    pattern of the final graph's equivalence class."""
-    return _greedy_search(table, columns, config or DiscoveryConfig(), None, warn)
+def ges(table, config: DiscoveryConfig | None = None, *, warn: WarningCounter) -> Cpdag:
+    """Greedy DAG-space grow/prune over the table's columns under the Gaussian
+    BIC, reported as the pattern of the final graph's equivalence class."""
+    return _greedy_search(table, config or DiscoveryConfig(), None, warn)
 
 
 def per_row_targets(table, intervention_targets) -> list[frozenset]:
-    """Expand a treatment -> intervened-nodes mapping to one set per row."""
-    mapping = {
-        str(t): frozenset(nodes) for t, nodes in (intervention_targets or {}).items()
-    }
+    """Expand a treatment -> intervened-columns mapping (None for no
+    treatment) to one set per row.  Each treatment names a collection of
+    columns, not one string."""
+    targets = {} if intervention_targets is None else intervention_targets
+    if not isinstance(targets, Mapping):
+        raise ConfigError(f"intervention targets must map treatment -> columns, got {targets!r}")
+    mapping = {}
+    for t, nodes in targets.items():
+        if isinstance(nodes, str) or not isinstance(nodes, Iterable):
+            raise ConfigError(f"treatment {t!r} must name a collection of columns, got {nodes!r}")
+        mapping[str(t)] = frozenset(nodes)
     unknown = sorted(
         n for s in mapping.values() for n in s if n not in set(table.names)
     )
@@ -585,13 +582,14 @@ def gies(
     table,
     config: DiscoveryConfig | None = None,
     intervention_targets=None,
-    columns=None,
     *,
     warn: WarningCounter,
 ) -> Cpdag:
-    """Greedy search under per-node interventional scores with a turning
-    phase, iterated to a fixed point.  Without any interventions on the
-    searched columns this is exactly ``ges``."""
+    """Greedy search over the table's columns under per-node interventional
+    scores with a turning phase, iterated to a fixed point; exactly ``ges``
+    when no row is intervened.  The targets name columns of the table: to
+    search fewer, narrow the table with ``ingest.select_columns`` and drop
+    the removed columns from the targets."""
     cfg = config or DiscoveryConfig()
     if cfg.use_interventions and intervention_targets is None:
         raise ConfigError(
@@ -599,10 +597,10 @@ def gies(
             "mapping; pass {} when no rows were manipulated"
         )
     rows = per_row_targets(table, intervention_targets)
-    intervened = frozenset().union(*rows) & set(columns if columns is not None else table.names)
+    intervened = frozenset().union(*rows)
     if not cfg.use_interventions or not intervened:
-        return ges(table, cfg, columns=columns, warn=warn)
+        return ges(table, cfg, warn=warn)
 
-    out = _greedy_search(table, columns, cfg, rows, warn)
+    out = _greedy_search(table, cfg, rows, warn)
     out.meta["intervened"] = tuple(sorted(intervened))
     return out

@@ -1,5 +1,5 @@
-"""Shared exception types and the checks of count and rate arguments that
-raise them.  The exit codes named below are those of the command-line
+"""Shared exception types and the checks of count, rate and level arguments
+that raise them.  The exit codes named below are those of the command-line
 interface that ROADMAP item 1 plans; no module maps them yet."""
 
 import math
@@ -33,4 +33,11 @@ def require_rate(value, message: str) -> None:
     """``ConfigError(message)`` unless ``value`` is a finite real number,
     not a bool, of at least 0."""
     if isinstance(value, bool) or not isinstance(value, Real) or not (math.isfinite(value) and value >= 0):
+        raise ConfigError(message)
+
+
+def require_level(value, message: str) -> None:
+    """``ConfigError(message)`` unless ``value`` is a real number, not a
+    bool, strictly between 0 and 1 (a significance level)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < 1.0:
         raise ConfigError(message)

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import engine
+from . import engine, graphs
 from .engine import DenseParams, Tensor, constant
 from .errors import ConfigError, GraphError, NumericError, SchemaError, require_count
 from .ingest import require_finite
@@ -68,19 +68,11 @@ class GraphSkeleton:
     target: str
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        edges = tuple(map(tuple, self.edges))
-        if len(set(self.nodes)) != len(self.nodes):
-            raise GraphError("duplicate node labels")
-        known = set(self.nodes)
-        if self.target not in known:
+        nodes, edges = graphs.checked_graph(self.nodes, self.edges)
+        if self.target not in nodes:
             raise GraphError(f"target {self.target!r} not among nodes")
-        for a, b in edges:
-            if a not in known or b not in known:
-                raise GraphError(f"edge ({a!r}, {b!r}) leaves the node set")
-            if a == b:
-                raise GraphError(f"self-loop on {a!r}")
-        object.__setattr__(self, "edges", tuple(sorted(set(edges))))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def n_nodes(self) -> int:
@@ -90,9 +82,7 @@ class GraphSkeleton:
         return self.nodes.index(node)
 
     def in_neighbors(self, node: str) -> tuple[str, ...]:
-        if node not in self.nodes:
-            raise GraphError(f"unknown node {node!r}")
-        return tuple(sorted(a for a, b in self.edges if b == node))
+        return tuple(sorted(graphs.in_neighbors(self, node)))
 
 
 def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:

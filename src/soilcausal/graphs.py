@@ -15,6 +15,9 @@ result.
 
 Conventions
 -----------
+* An edge is a non-string pair, a 2-tuple or 2-list, of known and distinct
+  labels; ``checked_graph`` checks the labels and edges of ``Dag``,
+  ``Cpdag`` and ``gnn.GraphSkeleton`` in this one place.
 * Directed edges are ordered ``(src, dst)`` pairs.
 * Undirected edges are stored canonically as ``(min, max)`` pairs and are
   never represented as two opposing directed edges.
@@ -57,6 +60,29 @@ def _kahn(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str] |
     return order if len(order) == len(nodes) else None
 
 
+def checked_graph(nodes, *edge_sets):
+    """The labels ``nodes`` as a tuple, then each of ``edge_sets`` as a
+    frozenset of ``(a, b)`` tuples.  GraphError on a repeated label, an edge
+    that is not a tuple or list of two labels, a self-loop or an endpoint
+    outside ``nodes``."""
+    nodes = tuple(nodes)
+    known = set(nodes)
+    if len(known) != len(nodes):
+        raise GraphError("duplicate node labels")
+
+    def pair(e):
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise GraphError(f"edge {e!r} is not an (a, b) pair")
+        a, b = e
+        if a == b:
+            raise GraphError(f"self-loop at {a!r}")
+        if a not in known or b not in known:
+            raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
+        return a, b
+
+    return (nodes, *(frozenset(map(pair, edges)) for edges in edge_sets))
+
+
 @dataclass(frozen=True)
 class Dag:
     """Directed acyclic graph.  ``meta`` is ignored by equality and hashing."""
@@ -66,16 +92,9 @@ class Dag:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", frozenset((a, b) for a, b in self.edges))
-        if len(set(self.nodes)) != len(self.nodes):
-            raise GraphError("duplicate node labels")
-        known = set(self.nodes)
-        for a, b in self.edges:
-            if a == b:
-                raise GraphError(f"self-loop at {a!r}")
-            if a not in known or b not in known:
-                raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
+        nodes, edges = checked_graph(self.nodes, self.edges)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
         if _kahn(self.nodes, self.edges) is None:
             raise GraphError("directed cycle")
 
@@ -94,19 +113,10 @@ class Cpdag:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "directed", frozenset((a, b) for a, b in self.directed))
-        object.__setattr__(
-            self, "undirected", frozenset(_canon(a, b) for a, b in self.undirected)
-        )
-        if len(set(self.nodes)) != len(self.nodes):
-            raise GraphError("duplicate node labels")
-        known = set(self.nodes)
-        for a, b in self.directed | self.undirected:
-            if a == b:
-                raise GraphError(f"self-loop at {a!r}")
-            if a not in known or b not in known:
-                raise GraphError(f"edge ({a!r}, {b!r}) references unknown node")
+        nodes, directed, undirected = checked_graph(self.nodes, self.directed, self.undirected)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "directed", directed)
+        object.__setattr__(self, "undirected", frozenset(_canon(a, b) for a, b in undirected))
         dir_pairs = {_canon(a, b) for a, b in self.directed}
         if len(dir_pairs) != len(self.directed):
             raise GraphError("pair directed in both directions")
@@ -179,6 +189,7 @@ def topological_sort(g: Dag) -> tuple[str, ...]:
 
 
 def in_neighbors(g: Dag, node: str) -> frozenset[str]:
+    """The parents of ``node`` in g, a ``Dag`` or a ``gnn.GraphSkeleton``."""
     if node not in g.nodes:
         raise GraphError(f"unknown node {node!r}")
     return frozenset(a for a, b in g.edges if b == node)

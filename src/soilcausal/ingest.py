@@ -260,9 +260,11 @@ def lag_counts(events: Table, windows: Sequence[int] = DEFAULT_LAG_WINDOWS) -> T
     event occurrences in the half-open day window (t - w, t].
 
     Counting sums the event column, so a day with a count of 2 contributes 2.
+    A window is a positive whole number of days, such as 30 or 30.0; a bool
+    is not one.
     """
     for w in windows:
-        if not isinstance(w, numbers.Real) or not 0 < w < math.inf or int(w) != w:
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0 < w < math.inf or int(w) != w:
             raise ConfigError(f"lag window must be a positive day count, got {w!r}")
     windows = [int(w) for w in windows]
     event_cols = [c.name for c in events.schema if c.kind == "event_count"]

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_level
 
 RIDGE = 1e-10
 _SQRT1_2 = math.sqrt(0.5)
@@ -215,8 +215,7 @@ class CIBatch:
             raise NumericError(
                 f"need n > |S| + 3 for the z-test (n={self.n}, |S|={self.idx.shape[1] - 2})"
             )
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
+        require_level(alpha, f"alpha must be a number in (0, 1), got {alpha!r}")
         return self.p > alpha
 
     def partial_correlation(self, k: int, *, warn: WarningCounter) -> float:

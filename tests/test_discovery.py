@@ -26,7 +26,7 @@ from soilcausal.discovery import (
 )
 from soilcausal.errors import ConfigError, NumericError
 from soilcausal.graphs import Cpdag, Dag, _kahn, consistent_extension, cpdag_of, shd
-from soilcausal.ingest import Table, add_field_onehots, concat_tables
+from soilcausal.ingest import Table, add_field_onehots, concat_tables, select_columns
 from soilcausal.stats import WarningCounter, suff_stat
 from soilcausal.synth import (
     EnvironmentSpec,
@@ -95,6 +95,18 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             DiscoveryConfig(**bad)
     assert DiscoveryConfig(max_cond_size=np.int64(2), max_parents=np.int64(4)).max_parents == 4
+
+
+@pytest.mark.parametrize("alpha", ["0.05", None, True, 0.0, 1.0, float("nan"), -0.1])
+def test_alpha_must_be_a_level(alpha):
+    with pytest.raises(ConfigError, match="alpha must be a number in"):
+        DiscoveryConfig(alpha=alpha)
+    stat = stats.suff_stat(np.random.default_rng(0).normal(size=(50, 3)))
+    with pytest.raises(ConfigError, match="alpha must be a number in"):
+        stats.CIBatch(stat, [[0, 1, 2]]).independent(alpha)
+    with pytest.raises(ConfigError, match="alpha must be a number in"):
+        stats.fisher_z_test(0, 1, (2,), stat, alpha=alpha, warn=WarningCounter())
+    assert DiscoveryConfig(alpha=np.float64(0.01)).alpha == 0.01
 
 
 # --- oracle-driven PC -------------------------------------------------------
@@ -674,14 +686,21 @@ def test_gies_two_differently_intervened_nodes_use_their_own_rows():
 
 
 def test_gies_without_intervened_columns_is_ges():
+    # a caller narrows the table and drops the removed columns from the
+    # targets; with plough gone no row is intervened
     scm, envs = _pooled(60)
-    t = sample_environments(scm, envs[:8])
-    cols = [n for n in t.names if n != "plough"]
+    full = sample_environments(scm, envs[:8])
+    t = select_columns(full, [n for n in full.names if n != "plough"])
+    tags = {k: [n for n in v if n in t.names] for k, v in _benchmark_tags(envs).items()}
     cfg = DiscoveryConfig(use_interventions=True)
-    pat = gies(t, cfg, intervention_targets=_benchmark_tags(envs), columns=cols, warn=WarningCounter())
-    base = ges(t, cfg, columns=cols, warn=WarningCounter())
+    warn_gies, warn_ges = WarningCounter(), WarningCounter()
+    pat = gies(t, cfg, intervention_targets=tags, warn=warn_gies)
+    base = ges(t, cfg, warn=warn_ges)
     assert "intervened" not in pat.meta
     assert (pat.directed, pat.undirected, pat.meta) == (base.directed, base.undirected, base.meta)
+    assert warn_gies == warn_ges
+    with pytest.raises(ConfigError, match="unknown columns"):
+        gies(t, cfg, intervention_targets=_benchmark_tags(envs), warn=WarningCounter())
 
 
 def test_gies_requires_tags_when_interventional():
@@ -718,6 +737,24 @@ def test_per_row_targets_validation():
     assert all(s == frozenset({"plough"}) for s in rows)
     with pytest.raises(ConfigError):
         per_row_targets(t, {"red": ("not_a_column",)})
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        (["plough"], "must map treatment"),
+        ({"red": "plough"}, "treatment 'red' must name a collection"),
+        ({"red": None}, "treatment 'red' must name a collection"),
+    ],
+)
+def test_per_row_targets_rejects_malformed_targets(targets, message):
+    # a string is one column name, not the characters of one
+    scm, envs = _pooled(30)
+    t = sample_environments(scm, envs[:2])
+    with pytest.raises(ConfigError, match=message):
+        per_row_targets(t, targets)
+    with pytest.raises(ConfigError, match=message):
+        gies(t, DiscoveryConfig(use_interventions=True), intervention_targets=targets, warn=WarningCounter())
 
 
 def test_gies_column_order_invariance():

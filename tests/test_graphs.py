@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import soilcausal.graphs as G
 from soilcausal.errors import GraphError
+from soilcausal.gnn import GraphSkeleton
 
 from enumutil import (
     LABELS4,
@@ -300,6 +301,28 @@ def test_validation_errors():
     with pytest.raises(GraphError):
         G.Cpdag(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")}, frozenset())
     assert G._kahn(("a", "b"), {("a", "b"), ("b", "a")}) is None
+
+
+# each graph type's edge input, as a function of one edge set over a, b, c
+EDGE_INPUTS = {
+    "Dag.edges": lambda edges: G.Dag(("a", "b", "c"), edges),
+    "Cpdag.directed": lambda edges: G.Cpdag(("a", "b", "c"), edges, frozenset()),
+    "Cpdag.undirected": lambda edges: G.Cpdag(("a", "b", "c"), frozenset(), edges),
+    "GraphSkeleton.edges": lambda edges: GraphSkeleton(("a", "b", "c"), edges, target="c"),
+}
+
+
+@pytest.mark.parametrize("make", EDGE_INPUTS.values(), ids=EDGE_INPUTS.keys())
+@pytest.mark.parametrize("edge", ["ab", ("a",), ("a", "b", "c"), 1, ("a", "a"), ("a", "z")], ids=repr)
+def test_every_edge_input_rejects_a_malformed_edge(make, edge):
+    # a string such as 'ab' is one label, not the edge a -> b
+    with pytest.raises(GraphError):
+        make([("b", "c"), edge])
+
+
+@pytest.mark.parametrize("make", EDGE_INPUTS.values(), ids=EDGE_INPUTS.keys())
+def test_every_edge_input_reads_list_pairs_as_tuples(make):
+    assert make([["a", "b"], ["b", "c"]]) == make({("a", "b"), ("b", "c")})
 
 
 # ---------------------------------------------------------------------------

@@ -262,9 +262,11 @@ def test_field_slices_match_a_row_by_row_scan(seed):
 
 def test_lag_rejects_bad_windows():
     t = _event_table([0, 1], [1.0, 0.0])
-    for bad in (0, float("nan"), float("inf"), 2.5, "30"):
+    # a bool is not a day count, though True == 1 would add ev_last1d
+    for bad in (0, float("nan"), float("inf"), 2.5, "30", True, False):
         with pytest.raises(ConfigError):
             I.lag_counts(t, [bad])
+    assert I.lag_counts(t, [3.0]).equals(I.lag_counts(t, [3]))
 
 
 # ---------------------------------------------------------------------------
