@@ -22,7 +22,8 @@ the MLP grid at the benchmark's MLP epochs, and the random forest and
 depth-20 boosting at the benchmark's trees and rounds; each tree line also
 gives the models' total node count.  On the paper-width 400-day table it
 trains the three graph models and the MLP grid for ``farm-wide``'s one
-epoch.
+epoch.  Each ``farm-narrow`` graph model also prints the hash of its
+``save_model`` checkpoint bytes, which pins the checkpoint format.
 
 Each hash is the first 16 hex digits of the SHA-256 of a ``loss_history``,
 predictions or scores as little-endian float64, or of JSON.
@@ -32,7 +33,9 @@ predictions or scores as little-endian float64, or of JSON.
 
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -133,7 +136,14 @@ def discovery_hashes():
                 _discovery_line(label, learner, learn)
 
 
-def _graph_model_lines(name, train, test, epochs):
+def _checkpoint_hash(model) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        gnn.save_model(path, model)
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def _graph_model_lines(name, train, test, epochs, checkpoints=False):
     """SAGE and ECC on the PC skeleton, SAGE on the random-edges skeleton."""
     pattern = discovery.pc(train, warn=stats.WarningCounter())
     sk = gnn.skeleton_from_pattern(pattern, train.names, train.target)
@@ -142,6 +152,8 @@ def _graph_model_lines(name, train, test, epochs):
         fit = gnn.train(kind, s, gnn.build_instances(train, s), epochs=epochs)
         pred = gnn.predict(fit.model, s, gnn.build_instances(test, s))
         print(name, model, "loss", _hash(fit.loss_history), "pred", _hash(pred))
+        if checkpoints:
+            print(name, model, "checkpoint", _checkpoint_hash(fit.model))
 
 
 def _mlp_line(name, train, test, epochs):
@@ -156,7 +168,7 @@ def model_hashes():
         ("farm-long", 400, 10, 5, 3, 2),
     ):
         train, test, _ = _farm(n_days, paper_width=False)
-        _graph_model_lines(name, train, test, epochs)
+        _graph_model_lines(name, train, test, epochs, checkpoints=name == "farm-narrow")
         _mlp_line(name, train, test, mlp_epochs)
         rf = baselines.rf_train(train, n_trees=rf_trees)
         nodes = sum(_nodes(tree) for tree in rf.trees)

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,16 +454,16 @@ def _delete_candidates(st: _State, sc: _Scorer):
     return best
 
 
-def _apply_insert(st: _State, x, y, t) -> _State:
+def _apply_insert(st: _State, x, y, t, warn: WarningCounter) -> _State:
     g = st.copy()
     g.orient(x, y)
     for n in t:
         g.orient(n, y)
-    complete(g, g.intervened)
+    warn.extension_fallbacks += complete(g, g.intervened)
     return g
 
 
-def _apply_delete(st: _State, x, y, h) -> _State:
+def _apply_delete(st: _State, x, y, h, warn: WarningCounter) -> _State:
     g = st.copy()
     g.cut(x, y)
     for n in h:
@@ -471,19 +471,19 @@ def _apply_delete(st: _State, x, y, h) -> _State:
             g.orient(y, n)
         if n in g.und[x]:
             g.orient(x, n)
-    complete(g, g.intervened)
+    warn.extension_fallbacks += complete(g, g.intervened)
     return g
 
 
 def _forward_phase(st: _State, inserts: _Inserts) -> _State:
     while (got := inserts.best(st)) is not None:
-        st = _apply_insert(st, *got[1:])
+        st = _apply_insert(st, *got[1:], inserts.sc.warn)
     return st
 
 
 def _backward_phase(st: _State, sc) -> _State:
     while (got := _delete_candidates(st, sc)) is not None:
-        st = _apply_delete(st, *got[1:])
+        st = _apply_delete(st, *got[1:], sc.warn)
     return st
 
 
@@ -494,7 +494,7 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
     from: the next pass would pick the same turn again."""
     while True:
         ext = st.copy()
-        _extend(ext)
+        sc.warn.extension_fallbacks += _extend(ext)
         pa = ext.pa
 
         best = None
@@ -561,15 +561,18 @@ def ges(table, config: DiscoveryConfig | None = None, *, warn: WarningCounter) -
 def per_row_targets(table, intervention_targets) -> list[frozenset]:
     """Expand a treatment -> intervened-columns mapping (None for no
     treatment) to one set per row.  Each treatment names a collection of
-    columns, not one string."""
+    column names, not one string."""
     targets = {} if intervention_targets is None else intervention_targets
     if not isinstance(targets, Mapping):
         raise ConfigError(f"intervention targets must map treatment -> columns, got {targets!r}")
     mapping = {}
     for t, nodes in targets.items():
-        if isinstance(nodes, str) or not isinstance(nodes, Iterable):
-            raise ConfigError(f"treatment {t!r} must name a collection of columns, got {nodes!r}")
-        mapping[str(t)] = frozenset(nodes)
+        try:
+            if isinstance(nodes, str):
+                raise TypeError
+            mapping[str(t)] = frozenset(nodes)  # TypeError: no iterable, or unhashable items
+        except TypeError:
+            raise ConfigError(f"treatment {t!r} must name a collection of columns, got {nodes!r}") from None
     unknown = sorted(
         n for s in mapping.values() for n in s if n not in set(table.names)
     )

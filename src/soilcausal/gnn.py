@@ -27,10 +27,13 @@ target's node-major (1, rows, hidden) final states.  So each convolution
 computes only the node states that the target reads (GraphSAGE's
 minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here because every
 neighbor is kept).
-``layer_plan`` walks out from the target once per skeleton: the last layer
-outputs the target alone, and each layer's input nodes — its in-set — are
-its output nodes and their in-neighbors, the outputs of the layer before.
-So layer k outputs the nodes within (depth − k) in-hops of the target.
+A model owns the skeleton it was built on: prediction refuses any other
+skeleton, and a checkpoint's header is written from the model's own.
+``layer_plan`` walks out from the target, once per fit and once per
+prediction: the last layer outputs the target alone, and each layer's
+input nodes — its in-set — are its output nodes and their in-neighbors,
+the outputs of the layer before.  So layer k outputs the nodes within
+(depth − k) in-hops of the target.
 Each layer carries two constants: the position of every output node in the
 in-set, and an (out, in) block whose row i averages node i's in-neighbors.
 A node with no in-neighbors has an all-zero row there, so its aggregate is
@@ -43,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,7 +103,7 @@ def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:
 
 
 class ConvLayer(NamedTuple):
-    """One convolution's graph constants (read-only arrays)."""
+    """One convolution's graph constants."""
 
     self_index: np.ndarray  # (out,) each output node's position in the in-set
     agg: np.ndarray  # (out, in) row i: mean over output node i's in-neighbors
@@ -115,11 +117,10 @@ class LayerPlan:
     layers: tuple[ConvLayer, ...]  # input side first; the last outputs the target
 
 
-@lru_cache(maxsize=128)
 def layer_plan(skeleton: GraphSkeleton, depth: int) -> LayerPlan:
     """The target's receptive field, layer by layer, for ``depth``
     convolutions: a layer's in-set is its output nodes and their
-    in-neighbors.  Built once per frozen skeleton."""
+    in-neighbors.  Each fit and each prediction builds its own."""
     slot = {node: i for i, node in enumerate(skeleton.nodes)}
     nbrs = [[slot[a] for a in skeleton.in_neighbors(node)] for node in skeleton.nodes]
     sets = [[slot[skeleton.target]]]  # output sets, from the target outward
@@ -133,13 +134,8 @@ def layer_plan(skeleton: GraphSkeleton, depth: int) -> LayerPlan:
         for r, i in enumerate(out):
             for j in nbrs[i]:
                 agg[r, pos[j]] = 1.0 / len(nbrs[i])
-        layers.append(ConvLayer(_frozen(np.array([pos[i] for i in out], dtype=np.intp)), _frozen(agg)))
-    return LayerPlan(_frozen(np.array(sets[-1], dtype=np.intp)), tuple(layers))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # the plan is cached and shared
-    return a
+        layers.append(ConvLayer(np.array([pos[i] for i in out], dtype=np.intp), agg))
+    return LayerPlan(np.array(sets[-1], dtype=np.intp), tuple(layers))
 
 
 def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
@@ -220,11 +216,11 @@ class EccLayer:
 @dataclass
 class GnnModel:
     """A stack of convolutions (``DenseParams`` for SAGE, ``EccLayer`` for
-    ECC; input side first) and the dense head read off the target."""
+    ECC; input side first) and the dense head read off the target, over
+    the skeleton the model was built on."""
 
     kind: str
-    nodes: tuple[str, ...]
-    target: str
+    skeleton: GraphSkeleton
     convs: tuple[DenseParams | EccLayer, ...]
     head: list[DenseParams]
     hidden: int = 16
@@ -239,7 +235,7 @@ def init_sage(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnMo
     h = hidden
     convs = tuple(engine.dense_params(rng, h, 2 * d) for d in (1, h, h))
     head = engine.dense_stack_params(rng, h, (h, h))
-    return GnnModel("sage", skeleton.nodes, skeleton.target, convs, head, h)
+    return GnnModel("sage", skeleton, convs, head, h)
 
 
 def _ecc_layer(rng, out_dim: int, in_dim: int) -> EccLayer:
@@ -258,7 +254,7 @@ def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnMod
     h = hidden
     convs = (_ecc_layer(rng, h, 1), _ecc_layer(rng, h, h))
     head = engine.dense_stack_params(rng, h, ())
-    return GnnModel("ecc", skeleton.nodes, skeleton.target, convs, head, h)
+    return GnnModel("ecc", skeleton, convs, head, h)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +263,8 @@ def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnMod
 
 def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> tuple[LayerPlan, Tensor]:
     """The batch's layer plan and node-major (in-set, rows, 1) input states."""
-    if skeleton.nodes != model.nodes or skeleton.target != model.target:
-        raise SchemaError("skeleton does not match the model's node layout")
+    if skeleton != model.skeleton:
+        raise SchemaError("skeleton is not the graph the model was built on")
     if batch.nodes != skeleton.nodes:
         raise SchemaError(f"batch over nodes {batch.nodes} fed to a skeleton over {skeleton.nodes}")
     if not len(batch):
@@ -306,8 +302,11 @@ def _init_model(kind: str, skeleton: GraphSkeleton, seed: int, hidden: int) -> G
 @dataclass
 class TrainResult:
     model: GnnModel
-    skeleton: GraphSkeleton
     loss_history: list[float] = field(default_factory=list)
+
+    @property
+    def skeleton(self) -> GraphSkeleton:
+        return self.model.skeleton
 
 
 def train(
@@ -333,27 +332,26 @@ def train(
         epochs,
         f"{kind} training (hidden={hidden})",
     )
-    return TrainResult(model=model, skeleton=skeleton, loss_history=history)
+    return TrainResult(model=model, loss_history=history)
 
 
-def _checkpoint_header(kind: str, hidden: int, skeleton: GraphSkeleton) -> dict:
+def _checkpoint_header(model: GnnModel) -> dict:
     """What a checkpoint is valid for: the model, and the graph that fixes
     its layer plan."""
+    skeleton = model.skeleton
     return {
-        "kind": kind,
-        "hidden": hidden,
+        "kind": model.kind,
+        "hidden": model.hidden,
         "nodes": list(skeleton.nodes),
         "target": skeleton.target,
         "edges_sha256": hashlib.sha256(json.dumps(skeleton.edges).encode()).hexdigest(),
     }
 
 
-def save_model(path, model: GnnModel, skeleton: GraphSkeleton) -> None:
-    """A one-line JSON header naming the model and its graph, then the
-    parameters in ``engine.pack_params``'s layout."""
-    if skeleton.nodes != model.nodes or skeleton.target != model.target:
-        raise SchemaError("skeleton does not match the model's node layout")
-    header = json.dumps(_checkpoint_header(model.kind, model.hidden, skeleton), sort_keys=True)
+def save_model(path, model: GnnModel) -> None:
+    """A one-line JSON header naming the model and the graph it owns, then
+    the parameters in ``engine.pack_params``'s layout."""
+    header = json.dumps(_checkpoint_header(model), sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n" + engine.pack_params(model.params))
 
@@ -368,7 +366,7 @@ def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16) -> Gn
         header = json.loads(line)
     except ValueError:  # no JSON header line: raw parameters or another file
         header = None
-    expected = _checkpoint_header(kind, hidden, skeleton)
+    expected = _checkpoint_header(model)
     if not isinstance(header, dict):
         raise SchemaError(f"{path} is not a checkpoint of this model and graph: no header")
     if header != expected:

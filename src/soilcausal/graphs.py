@@ -316,13 +316,14 @@ def _project(g: _Pdag, pinned) -> None:
     _meek(g)
 
 
-def complete(g: _Pdag, pinned=frozenset()) -> None:
+def complete(g: _Pdag, pinned=frozenset()) -> bool:
     """Chickering's completion in place: orient the PDAG g into a member of
     its class, then project that member onto its (interventional) pattern.
     The result is ``cpdag_of(consistent_extension(p), pinned)`` for the
-    ``Cpdag`` p with g's edges."""
-    _extend(g)
+    ``Cpdag`` p with g's edges; True when that extension fell back."""
+    fallback = _extend(g)
     _project(g, pinned)
+    return fallback
 
 
 def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:

@@ -112,8 +112,9 @@ class Table:
         return self.rows[:, self.col_index(name)].copy()
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
-        idx = [self.col_index(n) for n in names]
-        return self.rows[:, idx].copy()
+        """The named columns as a fresh, writable, row-major array."""
+        # one copy; ``rows[:, idx]`` would be a column-major one
+        return self.rows.take([self.col_index(n) for n in names], axis=1)
 
     def equals(self, other: "Table") -> bool:
         """Bitwise equality of schema, tags, and values (NaN != NaN)."""

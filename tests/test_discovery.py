@@ -502,7 +502,7 @@ def test_kept_inserts_choose_the_reference_move(seed, d, max_parents, interventi
             assert got == reference_best_insert(state, ref_sc, max_parents)
             if got is None:
                 break
-            state, steps = _apply_insert(state, *got[1:]), steps + 1
+            state, steps = _apply_insert(state, *got[1:], sc.warn), steps + 1
         state = _backward_phase(state, sc)
         if interventional:
             state = _turning_phase(state, sc, cfg)
@@ -514,6 +514,9 @@ class _RoundingScorer:
     the gain tolerance, as rounding can; it gives up after 10,000 calls."""
 
     calls = 0
+
+    def __init__(self):
+        self.warn = WarningCounter()
 
     def local(self, y, parents):
         self.calls += 1
@@ -568,10 +571,25 @@ def test_moves_complete_a_copy_and_leave_the_state(seed, d):
             continue
         if _kahn(state.nodes, directed) is None:
             continue
-        got = move(state, x, y, sets)
+        warn = WarningCounter()
+        got = move(state, x, y, sets, warn)
         assert maps(state) == before
-        want = cpdag_of(consistent_extension(Cpdag(state.nodes, directed, undirected)), pinned)
+        ext = consistent_extension(Cpdag(state.nodes, directed, undirected))
+        want = cpdag_of(ext, pinned)
         assert (got.directed(), got.undirected()) == (want.directed, want.undirected)
+        assert warn.extension_fallbacks == ext.meta["extension_fallback"]
+
+
+def test_insert_counts_an_extension_fallback():
+    # test_graphs' chordless 4-cycle 0 - 1 - 2 - 3 - 0, made by inserting
+    # 0 -> 3 into the chain: no orientation of it adds no collider
+    chain = _State(4, (), (), [(0, 1), (1, 2), (2, 3)])
+    warn = WarningCounter()
+    got = _apply_insert(chain, 0, 3, (), warn)
+    assert warn == WarningCounter(extension_fallbacks=1)
+    assert _kahn(got.nodes, got.directed()) is not None
+    _apply_insert(chain, 0, 2, (1,), warn)  # 0 -> 2 <- 1, 1 - 2 - 3: extendable
+    assert warn.extension_fallbacks == 1
 
 
 def test_each_learner_validates_one_pattern_per_call(monkeypatch):
@@ -745,10 +763,12 @@ def test_per_row_targets_validation():
         (["plough"], "must map treatment"),
         ({"red": "plough"}, "treatment 'red' must name a collection"),
         ({"red": None}, "treatment 'red' must name a collection"),
+        ({"red": [["plough"]]}, "treatment 'red' must name a collection"),
     ],
 )
 def test_per_row_targets_rejects_malformed_targets(targets, message):
-    # a string is one column name, not the characters of one
+    # a string is one column name, not the characters of one; a list is
+    # no column name
     scm, envs = _pooled(30)
     t = sample_environments(scm, envs[:2])
     with pytest.raises(ConfigError, match=message):

@@ -87,7 +87,7 @@ def test_skeleton_edges_canonicalized():
 
 
 def test_skeleton_takes_lists_as_tuples():
-    # lists once failed: as nodes in layer_plan's cache (unhashable), as an
+    # lists once failed: as nodes in a hashed skeleton (unhashable), as an
     # edge in the skeleton's own edge set
     nodes, edges = ["far", "a", "b", "t"], [["far", "a"], ["a", "b"], ["b", "t"], ["far", "t"]]
     listed = GraphSkeleton(nodes=nodes, edges=edges, target="t")
@@ -95,11 +95,7 @@ def test_skeleton_takes_lists_as_tuples():
     assert listed == tupled and hash(listed) == hash(tupled)
     assert type(listed.nodes) is tuple and all(type(edge) is tuple for edge in listed.edges)
     for depth in (1, 2, 3):
-        plans = []
-        for sk in (listed, tupled):
-            layer_plan.cache_clear()  # build each plan, not the other's cached one
-            plans.append(layer_plan(sk, depth))
-        got, want = plans
+        got, want = layer_plan(listed, depth), layer_plan(tupled, depth)
         assert np.array_equal(got.reads, want.reads) and len(got.layers) == len(want.layers) == depth
         for a, b in zip(got.layers, want.layers):
             assert np.array_equal(a.self_index, b.self_index) and np.array_equal(a.agg, b.agg)
@@ -765,14 +761,22 @@ def test_predict_preserves_order_and_matches_forward():
 
 
 def test_save_load_roundtrip(tmp_path):
+    # a model keeps the graph it was built on: the same nodes and target
+    # under other edges fit its parameters, not its layer plan
     rng = np.random.default_rng(9)
     sk = _random_skeleton(rng, 4, 4)
+    other = replace(sk, edges=sk.edges[1:])
     batch = _random_batch(rng, sk, 6)
     res = train("sage", sk, batch, epochs=15, seed=2)
+    with pytest.raises(SchemaError, match="not the graph the model was built on"):
+        predict(res.model, other, batch)
+    assert res.skeleton == res.model.skeleton == sk
     path = tmp_path / "sage.bin"
-    save_model(path, res.model, sk)
+    save_model(path, res.model)
     clone = load_model(path, "sage", sk)
     assert np.array_equal(predict(clone, sk, batch), predict(res.model, sk, batch))
+    with pytest.raises(SchemaError, match="differing edges_sha256"):
+        load_model(path, "sage", other)
 
 
 def test_parameter_lists_keep_the_checkpoint_layout():
@@ -794,7 +798,7 @@ def test_parameter_lists_keep_the_checkpoint_layout():
 def test_checkpoint_pins_its_graph(tmp_path):
     sk = GraphSkeleton(nodes=("a", "b", "t"), edges=(("a", "t"), ("b", "a")), target="t")
     path = tmp_path / "sage.bin"
-    save_model(path, init_sage(sk, hidden=4), sk)
+    save_model(path, init_sage(sk, hidden=4))
     raw = path.read_bytes()
     header = json.loads(raw.partition(b"\n")[0])
     assert header["nodes"] == ["a", "b", "t"] and header["target"] == "t"
@@ -820,14 +824,12 @@ def test_checkpoint_pins_its_graph(tmp_path):
     path.write_bytes(engine.pack_params(init_sage(sk, hidden=4).params))
     with pytest.raises(SchemaError):
         load_model(path, "sage", sk, hidden=4)
-    with pytest.raises(SchemaError):
-        save_model(path, init_sage(sk, hidden=4), replace(sk, target="a"))
 
 
 def test_load_model_names_the_header_keys_that_do_not_match(tmp_path):
     sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
     path = tmp_path / "sage.bin"
-    save_model(path, init_sage(sk, hidden=4), sk)
+    save_model(path, init_sage(sk, hidden=4))
     line, _, payload = path.read_bytes().partition(b"\n")
     header = json.loads(line)
 
@@ -849,7 +851,7 @@ def test_load_model_rejects_parameters_that_do_not_fit(tmp_path):
     # payload, or one array short, is malformed data (SchemaError, exit 3)
     sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
     path = tmp_path / "sage.bin"
-    save_model(path, init_sage(sk, hidden=4), sk)
+    save_model(path, init_sage(sk, hidden=4))
     line = path.read_bytes().partition(b"\n")[0]
     for params in (init_sage(sk, hidden=8).params, init_sage(sk, hidden=4).params[:-1]):
         path.write_bytes(line + b"\n" + engine.pack_params(params))
@@ -860,7 +862,7 @@ def test_load_model_rejects_parameters_that_do_not_fit(tmp_path):
 def test_load_model_rejects_unknown_kind(tmp_path):
     sk = _random_skeleton(np.random.default_rng(10), 3, 2)
     path = tmp_path / "ecc.bin"
-    save_model(path, init_ecc(sk, hidden=4), sk)  # loads cleanly as "ecc"
+    save_model(path, init_ecc(sk, hidden=4))  # loads cleanly as "ecc"
     load_model(path, "ecc", sk, hidden=4)
     with pytest.raises(ConfigError):
         load_model(path, "bogus", sk, hidden=4)

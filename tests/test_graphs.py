@@ -183,6 +183,9 @@ def test_consistent_extension_fallback_is_flagged_and_acyclic():
     ext = G.consistent_extension(stuck)
     assert ext.meta["extension_fallback"] is True
     assert ext.edges == frozenset({("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")})
+    # the in-place completion returns the same flags
+    for pattern, flag in ((cp, False), (stuck, True)):
+        assert G.complete(G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)) is flag
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -213,7 +216,7 @@ def test_complete_in_place_equals_the_public_composition(seed, n):
     assert ext.meta == reference_consistent_extension(pattern).meta
     want = G.cpdag_of(ext, pinned)
     g = G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
-    G.complete(g, pinned)
+    assert G.complete(g, pinned) is ext.meta["extension_fallback"]
     assert (g.directed(), g.undirected()) == (want.directed, want.undirected)
 
 

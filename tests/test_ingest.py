@@ -57,6 +57,14 @@ def test_matrix_extracts_by_name():
     assert t.matrix(["y", "x"]).tolist() == [[10.0, 1.0], [20.0, 2.0]]
     with pytest.raises(SchemaError):
         t.matrix(["nope"])
+    # the table's rows are read-only; the matrix is a row-major copy the
+    # caller may edit
+    for names in (["y", "x"], ["x"], ["x", "y"]):
+        m = t.matrix(names)
+        assert m.flags.writeable and m.flags.c_contiguous
+        assert not np.shares_memory(m, t.rows)
+        m[:] = -1.0
+    assert t.rows.tolist() == [[1.0, 10.0], [2.0, 20.0]]
 
 
 def test_schema_validation():
