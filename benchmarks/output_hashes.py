@@ -22,8 +22,9 @@ the MLP grid at the benchmark's MLP epochs, and the random forest and
 depth-20 boosting at the benchmark's trees and rounds; each tree line also
 gives the models' total node count.  On the paper-width 400-day table it
 trains the three graph models and the MLP grid for ``farm-wide``'s one
-epoch.  Each ``farm-narrow`` graph model also prints the hash of its
-``save_model`` checkpoint bytes, which pins the checkpoint format.
+epoch.  Each graph model also prints the hash of its ``save_model``
+checkpoint bytes, which pins the checkpoint format and the trained
+parameters.
 
 Each hash is the first 16 hex digits of the SHA-256 of a ``loss_history``,
 predictions or scores as little-endian float64, or of JSON.
@@ -143,7 +144,7 @@ def _checkpoint_hash(model) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _graph_model_lines(name, train, test, epochs, checkpoints=False):
+def _graph_model_lines(name, train, test, epochs):
     """SAGE and ECC on the PC skeleton, SAGE on the random-edges skeleton."""
     pattern = discovery.pc(train, warn=stats.WarningCounter())
     sk = gnn.skeleton_from_pattern(pattern, train.names, train.target)
@@ -152,8 +153,7 @@ def _graph_model_lines(name, train, test, epochs, checkpoints=False):
         fit = gnn.train(kind, s, gnn.build_instances(train, s), epochs=epochs)
         pred = gnn.predict(fit.model, s, gnn.build_instances(test, s))
         print(name, model, "loss", _hash(fit.loss_history), "pred", _hash(pred))
-        if checkpoints:
-            print(name, model, "checkpoint", _checkpoint_hash(fit.model))
+        print(name, model, "checkpoint", _checkpoint_hash(fit.model))
 
 
 def _mlp_line(name, train, test, epochs):
@@ -168,7 +168,7 @@ def model_hashes():
         ("farm-long", 400, 10, 5, 3, 2),
     ):
         train, test, _ = _farm(n_days, paper_width=False)
-        _graph_model_lines(name, train, test, epochs, checkpoints=name == "farm-narrow")
+        _graph_model_lines(name, train, test, epochs)
         _mlp_line(name, train, test, mlp_epochs)
         rf = baselines.rf_train(train, n_trees=rf_trees)
         nodes = sum(_nodes(tree) for tree in rf.trees)

@@ -1,9 +1,10 @@
 """Micro-benchmarks of the GNN layer on the 12-column train table at 400
 days, the size of the ``farm-long`` workload: ``build_instances`` over the
-whole table, one forward and backward of ``engine.layer_stack``
-through the SAGE plan (3 layers) and the ECC plan (2 layers), and one
-full-batch training epoch (model init, forward, backward and one Adam
-step) of SAGE and of ECC, all on the skeleton of the farm's true DAG.
+whole table, one fused forward and backward (``engine.Step``, one
+epoch of the fit without its Adam step) of SAGE's stack (3 convolutions and
+its head) and of ECC's (2 convolutions and its head), and one full-batch
+training (model init, the fit's buffers, one step and one Adam step) of
+SAGE and of ECC, all on the skeleton of the farm's true DAG.
 The same epoch also runs on the 62-column paper-width train table with the
 skeleton PC finds on it, as ``farm-wide`` trains.
 
@@ -12,7 +13,6 @@ skeleton PC finds on it, as ``farm-wide`` trains.
 They are not part of the tier-1 suite (``testpaths`` is ``tests``).
 """
 
-import numpy as np
 import pytest
 
 from soilcausal import discovery, engine, gnn, stats, synth
@@ -31,23 +31,15 @@ def test_build_instances_long(benchmark, long_train, skeleton):
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])
 def test_conv_stack_long(benchmark, long_train, skeleton, kind):
-    # the model's whole convolution stack on the node-major input of every
-    # train row, as one training epoch runs it (ECC generating its weights),
-    # backward through the mean squared error of the target's final states
+    # the model's whole layer stack on the node-major input of every train
+    # row, as one training epoch runs it (ECC generating its weights), with
+    # the squared error and backward to every parameter's gradient
     batch = gnn.build_instances(long_train, skeleton)
     model = gnn._init_model(kind, skeleton, 0, 16)
     plan, h = gnn._node_inputs(model, skeleton, batch)
-    zeros = np.zeros(len(batch) * model.hidden)
-
-    def forward_backward():
-        for t in model.params:
-            t.zero_grad()
-        weights, biases = [c.weight for c in model.convs], [c.bias for c in model.convs]
-        out = engine.layer_stack(h, plan.layers, weights, biases)
-        engine.mse(engine.reshape(out, zeros.shape), zeros).backward()
-
-    benchmark.pedantic(forward_backward, rounds=30, warmup_rounds=2)
-    benchmark.extra_info["in_nodes"], benchmark.extra_info["rows"], _ = h.values.shape
+    step = engine.Step(h, gnn._stack(model, plan), batch.labels)
+    benchmark.pedantic(step, rounds=30, warmup_rounds=2)
+    benchmark.extra_info["in_nodes"], benchmark.extra_info["rows"], _ = h.shape
 
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])

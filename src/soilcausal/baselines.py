@@ -523,14 +523,17 @@ class MlpModel:
 
 def _mlp_fit(X, y, hidden, lr, epochs, seed):
     layers = engine.dense_stack_params(np.random.default_rng(seed), X.shape[1], hidden)
-    params = [t for layer in layers for t in layer.tensors]
-    xc = engine.constant(X[None])
-    engine.adam_fit(lambda: engine.dense_stack(xc, layers), params, y, lr, epochs, f"mlp (hidden={hidden})")
+    engine.fit(X[None], engine.stack(layers), y, lr, epochs, f"mlp (hidden={hidden})")
     return layers
 
 
+def _mlp_forward(X, layers) -> np.ndarray:
+    return engine.Step(X[None], engine.stack(layers)).forward().reshape(-1)
+
+
 def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
-    """``engine.dense_stack`` on the flat features, chosen by grid search.
+    """A dense ``engine`` layer stack on the flat features, chosen by grid
+    search.
 
     The grid is {1,2,3} layers x {16,64,128} width x {1e-3,1e-2} lr, each
     point fit on 80% of the training rows and scored by MSE on the held-out
@@ -553,7 +556,7 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
             for glr in _GRID_LRS:
                 hidden = (width,) * depth
                 layers = _mlp_fit(X[fit_idx], y[fit_idx], hidden, glr, epochs, seed)
-                pred = engine.dense_stack(engine.constant(X[val_idx][None]), layers).values
+                pred = _mlp_forward(X[val_idx], layers)
                 val_mse = float(np.mean((pred - y[val_idx]) ** 2))
                 log.append((hidden, glr, val_mse))
                 if best is None or val_mse < best[2]:
@@ -567,7 +570,7 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
 
 def mlp_predict(model: MlpModel, table) -> np.ndarray:
     X = table.matrix(model.feature_names)
-    return engine.dense_stack(engine.constant(X[None]), model.layers).values.copy()
+    return _mlp_forward(X, model.layers)
 
 
 # ---------------------------------------------------------------------------

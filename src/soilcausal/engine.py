@@ -1,31 +1,35 @@
-"""Minimal dense reverse-mode differentiation engine.
+"""Layer stacks and the one full-batch training loop, plus a minimal
+reverse-mode engine.
 
 Float64 throughout: downstream gradient checks run at tolerances that
-float32 cannot hold.  Graphs are built eagerly — every op returns a
-``Tensor`` holding its value, its parents, and a closure that pushes the
-adjoint back one step.  ``backward`` replays the closures in reverse
-topological order.  Each gradient buffer has one owner: leaves keep their
-``grad``, an interior tensor drops its ``grad`` once pushed, and a buffer
-an op hands a parent (fresh, or a view of the op's own gradient) belongs
-to the parent, which may add to it or mask it in place.
+float32 cannot hold.  Every model is a stack of affine layers (``Layer``)
+on node-major (nodes, rows, dim) states: dense layers, the map x Wᵀ + b
+on every node's states (the MLP baseline and both GNN heads), and
+mean-aggregation convolutions, each output node's own state and the mean
+of its neighbours' through an affine map on [self | mean] (both GNNs'
+convolutions).  The convolutions take the graph as constants: per layer,
+the positions of the output nodes' own states in the input and an
+(out, in) mean-aggregation block.  ECC's generated weight is the sum of
+its filter's weight and bias, so a layer's weight is the sum of its
+weight tensors.
 
-The op set is intentionally small.  ``layer_stack`` runs a model's
-affine layers as one op with a hand-written backward, on node-major
-(nodes, rows, dim) states with ReLU between the layers: dense layers, the
-map x Wᵀ + b on every node's states (the MLP baseline, both GNN heads, the
-ECC filter network), and mean-aggregation convolutions, each output node's
-own state and the mean of its neighbours' through an affine map on
-[self | mean] (both GNNs' convolutions).  It keeps only each layer's input
-and mask.  Besides it there are ``matmul`` on matrices and stacks of
-matrices (both operands at least 2-D), ``reshape`` and the mean squared
-error of same-shape arrays.  ``dense_stack`` runs dense layers down to one
-output per row on a (1, rows, in) state: the MLP baseline and both GNN
-heads.  The convolutions take the graph as constants: per layer, the
-positions of the output nodes' own states in the input and an (out, in)
-mean-aggregation block.  ``adam_fit`` is the one full-batch Adam loop the
-models and the MLP baseline train with, and ``pack_params``/
-``unpack_params`` are the byte layout of the parameters in a model
-checkpoint.
+``fit`` is the one full-batch Adam loop the models and the MLP baseline
+train with.  Each epoch is one ``Step``: a fused forward, squared error
+and hand-written backward over arrays allocated once per fit (each
+layer's saved input, each ReLU mask, one scratch array for the
+convolution outputs that only feed the next convolution, and the weight
+and bias gradients).  Backward writes each input gradient into the saved
+input it replaces, so an epoch builds no graph.  A prediction runs a
+step's forward half alone.  ``pack_params``/``unpack_params`` are the
+byte layout of the parameters in a model checkpoint.
+
+The parameters stay ``Tensor`` leaves.  ``Tensor``, with ``matmul`` on
+matrices and stacks of matrices, ``reshape`` and the mean squared error
+``mse``, is a small eager autodiff graph: every op returns a ``Tensor``
+holding its value, its parents and a closure that pushes the adjoint
+back one step, and ``backward`` replays the closures in reverse
+topological order.  No model runs through it; ``perfbench``'s inner-layer
+timings do.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,20 +46,21 @@ from .errors import NumericError, SchemaError, require_count, require_rate
 __all__ = [
     "AdamState",
     "DenseParams",
+    "Layer",
+    "Step",
     "Tensor",
-    "adam_fit",
     "adam_step",
     "constant",
     "dense_params",
-    "dense_stack",
     "dense_stack_params",
+    "fit",
     "glorot_uniform",
-    "layer_stack",
     "matmul",
     "mse",
     "pack_params",
     "parameter",
     "reshape",
+    "stack",
     "unpack_params",
 ]
 
@@ -203,6 +209,11 @@ class DenseParams:
     def tensors(self) -> tuple[Tensor, Tensor]:
         return (self.weight, self.bias)
 
+    @property
+    def affine(self) -> tuple[tuple[Tensor], tuple[int, ...], Tensor]:
+        """The layer's weight tensors, weight shape and bias."""
+        return (self.weight,), self.weight.values.shape, self.bias
+
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -226,85 +237,166 @@ def dense_stack_params(rng: np.random.Generator, in_dim: int, hidden: tuple[int,
     return [dense_params(rng, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
 
 
-def dense_stack(h: Tensor, layers: list[DenseParams]) -> Tensor:
-    """The stack on one node's (1, rows, in) states, ReLU after every layer
-    but the last: one output per row, (rows,)."""
-    out = layer_stack(h, [None] * len(layers), [p.weight for p in layers], [p.bias for p in layers])
-    return reshape(out, (out.values.shape[1],))
+class Layer(NamedTuple):
+    """One affine layer of a stack on node-major (nodes, rows, dim) states.
 
-
-def _aggregate(agg: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Mean-aggregate node-major states: (m_out, m_in) @ (m_in, B, d),
-    as one GEMM over the flattened rows."""
-    m_in, rows, d = h.shape
-    return (agg @ h.reshape(m_in, rows * d)).reshape(agg.shape[0], rows, d)
-
-
-def layer_stack(h: Tensor, layers, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
-    """Affine layers on node-major states ``h``, (m_in, B, d), ReLU after
-    every layer but the last.  Layer k is ``None`` or a pair
-    (self_index, agg).  ``None`` is a dense layer, x Wₖᵀ + bₖ on every
-    node's states.  A pair is a mean-aggregation graph convolution: its
-    output node i reads its own state ``h[self_index[i]]`` and the mean
-    ``agg[i] @ h`` of its neighbours' states (an all-zero row of ``agg`` is a
-    zero mean) and returns [self | mean] Wₖᵀ + bₖ.  Backward reads only each
-    layer's input and ReLU mask: a convolution's output dies once the next
-    layer has read it, a dense layer's input is a view of it.
+    Its weight is the sum of the ``weight`` tensors, each read in
+    ``shape`` (out, in).  ``graph`` is None for a dense layer, x Wᵀ + b on
+    every node's states, or a convolution's (self_index, agg): its output
+    node i reads its own state ``h[self_index[i]]`` and the mean
+    ``agg[i] @ h`` of its neighbours' states (an all-zero row of ``agg`` is
+    a zero mean) and returns [self | mean] Wᵀ + b.  A ReLU follows when
+    ``relu``.
     """
-    if not len(layers) == len(weights) == len(biases) > 0:
-        raise NumericError(f"{len(layers)} layers, {len(weights)} weights and {len(biases)} biases")
-    if h.values.ndim != 3:
-        raise NumericError(f"layer_stack takes node-major (nodes, rows, dim) states, got {h.values.shape}")
-    saved = []
-    out = h.values
-    for k, (layer, weight, bias) in enumerate(zip(layers, weights, biases)):
-        m_in, rows, d = out.shape
-        w, b = weight.values.shape, bias.values.shape
-        if layer is None:
-            if w[1:] != (d,) or b != w[:1]:
-                raise NumericError(f"dense {k} weight {w} and bias {b} do not fit states {out.shape}")
-            m_out = m_in
-            x = out.reshape(m_in * rows, d)
-        else:
-            self_index, agg = layer
-            m_out = agg.shape[0]
-            if w[1:] != (2 * d,) or b != w[:1] or agg.shape[1] != m_in or self_index.shape != (m_out,):
-                shapes = f"weight {w}, bias {b}, block {agg.shape} and self positions {self_index.shape}"
-                raise NumericError(f"conv {k} {shapes} do not fit states {out.shape}")
-            x = np.empty((m_out, rows, 2 * d))
-            x[..., :d] = out[self_index]
-            x[..., d:] = _aggregate(agg, out)
-            x = x.reshape(m_out * rows, 2 * d)
-        del out  # unless x is a view of it, the previous output dies here
-        out = x @ weight.values.T
-        out += bias.values
-        mask = None
-        if k < len(layers) - 1:
-            mask = out > 0.0  # the subgradient at exactly 0 is 0
-            np.fmax(out, 0.0, out=out)  # in place; NaN -> 0
-        out = out.reshape(m_out, rows, out.shape[1])
-        saved.append((x, mask, m_out, d))
 
-    def push(g):
-        for k in reversed(range(len(saved))):
-            layer, (x, mask, m_out, d) = layers[k], saved[k]
-            g = g.reshape(m_out * rows, g.shape[-1])
+    weight: tuple[Tensor, ...]
+    shape: tuple[int, ...]
+    bias: Tensor
+    graph: tuple[np.ndarray, np.ndarray] | None = None
+    relu: bool = False
+
+    def matrix(self) -> np.ndarray:
+        """The (out, in) weight: the sum, or a view of a single tensor."""
+        first, *rest = self.weight
+        w = first.values.reshape(self.shape)
+        for t in rest:
+            w = w + t.values.reshape(self.shape)
+        return w
+
+
+def stack(params, graphs=None) -> list[Layer]:
+    """``params``, each with an ``affine`` (weight tensors, weight shape,
+    bias), as layers with a ReLU after every one but the last: dense, or
+    the convolutions ``graphs`` gives one per layer."""
+    graphs = [None] * len(params) if graphs is None else graphs
+    last = len(params) - 1
+    return [Layer(*p.affine, graph, k < last) for k, (p, graph) in enumerate(zip(params, graphs, strict=True))]
+
+
+class Step:
+    """One full-batch epoch of a layer stack, over arrays allocated once.
+
+    ``x`` is the stack's constant node-major input.  ``step()`` runs the
+    forward pass, the mean squared error of the flattened outputs against
+    ``target`` and, when that loss is finite, the backward pass; it
+    returns the loss, and ``grads`` then holds the gradient of each of
+    ``params`` (each layer's weight tensors and bias, input side first).
+
+    The forward pass keeps what backward reads: a convolution's
+    [self | mean] input block in its own array, a dense layer's input as
+    the previous layer's output, and each ReLU mask.  A layer output that
+    only feeds a convolution goes to one scratch array, which is free
+    again once the next block is built.  Backward writes each input
+    gradient into the saved input it replaces: a dense layer's into its
+    input, a convolution's two halves into the two contiguous halves of
+    its block, and the aggregated gradient into the scratch that held its
+    input.  The self states are gathered and their gradients scatter-added
+    one output node at a time.  The first layer's input takes no gradient.
+    """
+
+    def __init__(self, x, layers, target=None):
+        if not layers:
+            raise NumericError("a layer stack needs at least one layer")
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 3:
+            raise NumericError(f"a layer stack takes node-major (nodes, rows, dim) states, got {x.shape}")
+        self.x, self.layers, self.rows = x, list(layers), x.shape[1]
+        m, rows, d = x.shape
+        sizes = []  # each layer's output nodes and width
+        for k, layer in enumerate(self.layers):
+            w, b = layer.shape, layer.bias.values.shape
+            fits = b == w[:1] and all(t.values.size == math.prod(w) for t in layer.weight)
+            if layer.graph is None:
+                if w[1:] != (d,) or not fits:
+                    raise NumericError(f"dense {k} weight {w} and bias {b} do not fit states {(m, rows, d)}")
+            else:
+                self_index, agg = layer.graph
+                if w[1:] != (2 * d,) or not fits or agg.shape[1:] != (m,) or self_index.shape != agg.shape[:1]:
+                    shapes = f"weight {w}, bias {b}, block {agg.shape} and self positions {self_index.shape}"
+                    raise NumericError(f"conv {k} {shapes} do not fit states {(m, rows, d)}")
+                m = agg.shape[0]
+            d = w[0]
+            sizes.append((m, d))
+        feeds_conv = [layer.graph is not None for layer in self.layers[1:]] + [False]
+        scratch = np.empty(max((m * rows * e for (m, e), f in zip(sizes, feeds_conv) if f), default=0))
+        self.inputs, self.outs, self.masks = [], [], []
+        prev = x.reshape(-1, x.shape[2])
+        for layer, (m, e), f in zip(self.layers, sizes, feeds_conv):
+            d = prev.shape[1]
+            self.inputs.append(prev if layer.graph is None else np.empty((m * rows, 2 * d)))
+            prev = scratch[: m * rows * e].reshape(m * rows, e) if f else np.empty((m * rows, e))
+            self.outs.append(prev)
+            self.masks.append(np.empty(prev.shape, dtype=bool) if layer.relu else None)
+        self.dw = [np.empty(layer.shape) for layer in self.layers]
+        self.db = [np.empty(layer.bias.values.shape) for layer in self.layers]
+        self.params = [t for layer in self.layers for t in (*layer.weight, layer.bias)]
+        self.grads = [
+            g
+            for layer, dw, db in zip(self.layers, self.dw, self.db)
+            for g in (*(dw.reshape(t.values.shape) for t in layer.weight), db)
+        ]
+        self.target = None
+        if target is not None:
+            self.target = np.asarray(target, dtype=np.float64)
+            if self.target.shape != (prev.size,):
+                raise NumericError(f"mse of predictions ({prev.size},) against targets {self.target.shape}")
+
+    def forward(self) -> np.ndarray:
+        """The stack's node-major output states, in the last layer's buffer
+        (the next call overwrites them)."""
+        h = self.x
+        self._w = [layer.matrix() for layer in self.layers]
+        for layer, w, x, out, mask in zip(self.layers, self._w, self.inputs, self.outs, self.masks):
+            m_in, rows, d = h.shape
+            if layer.graph is not None:
+                self_index, agg = layer.graph
+                block = x.reshape(len(self_index), rows, 2 * d)
+                for i, j in enumerate(self_index):
+                    block[i, :, :d] = h[j]
+                # a matmul into the strided half could leave BLAS and move the last bits
+                block[..., d:] = (agg @ h.reshape(m_in, rows * d)).reshape(len(self_index), rows, d)
+            np.matmul(x, w.T, out=out)
+            out += layer.bias.values
+            if mask is not None:
+                np.greater(out, 0.0, out=mask)  # the subgradient at exactly 0 is 0
+                np.fmax(out, 0.0, out=out)  # in place; NaN -> 0
+            h = out.reshape(-1, rows, out.shape[1])
+        return h
+
+    def __call__(self) -> float:
+        diff = self.forward().reshape(-1)
+        np.subtract(diff, self.target, out=diff)
+        n = diff.size
+        loss = float((diff * diff).sum() / n)
+        if math.isfinite(loss):
+            np.multiply(diff, 2.0, out=diff)  # the gradient of the loss, in the output's buffer
+            diff /= n
+            self._backward()
+        return loss
+
+    def _backward(self) -> None:
+        for k in reversed(range(len(self.layers))):
+            layer, x, g, mask = self.layers[k], self.inputs[k], self.outs[k], self.masks[k]
             if mask is not None:
                 g *= mask
-            _accumulate(weights[k], g.T @ x)
-            _accumulate(biases[k], g.sum(axis=0))
-            if k or h.requires_grad:
-                w = weights[k].values
-                if layer is None:
-                    g = (g @ w).reshape(m_out, rows, d)
-                else:
-                    self_index, agg = layer
-                    gh = _aggregate(agg.T, (g @ w[:, d:]).reshape(m_out, rows, d))
-                    gh[self_index] += (g @ w[:, :d]).reshape(m_out, rows, d)  # distinct slots
-                    g = gh
-        _accumulate(h, g)
-
-    return _node(out, (h, *weights, *biases), push)
+            np.matmul(g.T, x, out=self.dw[k])
+            np.sum(g, axis=0, out=self.db[k])
+            if k == 0:
+                return
+            w = self._w[k]
+            if layer.graph is None:
+                np.matmul(g, w, out=x)
+                continue
+            self_index, agg = layer.graph
+            m_out, rows, d = len(self_index), self.rows, w.shape[1] // 2
+            own, mean = x.reshape(2, m_out * rows, d)  # the block's memory, as two C-contiguous halves
+            np.matmul(g, w[:, d:], out=mean)
+            np.matmul(g, w[:, :d], out=own)
+            gh = self.outs[k - 1].reshape(-1, rows * d)
+            np.matmul(agg.T, mean.reshape(m_out, rows * d), out=gh)
+            gh, own = gh.reshape(-1, rows, d), own.reshape(m_out, rows, d)
+            for i, j in enumerate(self_index):
+                gh[j] += own[i]
 
 
 # ---------------------------------------------------------------------------
@@ -347,36 +439,29 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
     return params
 
 
-def adam_fit(forward, params: list[Tensor], target, lr: float, epochs: int, name: str) -> list[float]:
-    """Full-batch Adam on ``mse(forward(), target)``, one step per epoch.
+def fit(x, layers, target, lr: float, epochs: int, name: str) -> list[float]:
+    """Full-batch Adam on the mean squared error of ``layers`` on ``x``
+    against ``target``: one ``Step`` and one Adam step per epoch.
 
-    ``forward`` builds the prediction graph from the current parameter
-    values.  Returns each epoch's loss, taken before its step.  A
-    non-finite loss raises ``NumericError`` naming ``name``, the epoch and
-    the last losses.  ``ConfigError`` unless ``epochs`` is an int of at
-    least 0 and ``lr`` a finite number of at least 0.
+    Returns each epoch's loss, taken before its step.  A non-finite loss
+    raises ``NumericError`` naming ``name``, the epoch and the last losses.
+    ``ConfigError`` unless ``epochs`` is an int of at least 0 and ``lr`` a
+    finite number of at least 0.
     """
     require_count(epochs, 0, f"{name}: epochs must be >= 0, got {epochs}")
     require_rate(lr, f"{name}: lr must be finite and >= 0, got {lr}")
-    state = AdamState.for_params(params, lr=lr)
+    step = Step(x, layers, target)
+    state = AdamState.for_params(step.params, lr=lr)
     history: list[float] = []
     for epoch in range(epochs):
-        for p in params:
-            p.zero_grad()
-        # the previous epoch's graph lives until `loss` is rebound: freeing it
-        # first hands the heap back to the OS, which re-faults it each epoch (a
-        # SAGE fit: 40k-76k minor faults against 11k-18k, and 17-30% slower)
-        loss = mse(forward(), target)
-        value = float(loss.values)
-        if not np.isfinite(value):
+        value = step()
+        if not math.isfinite(value):
             tail = ", ".join(f"{v:.6g}" for v in history[-5:])
             raise NumericError(
                 f"{name} diverged at epoch {epoch} (loss {value}); recent losses [{tail}]; lr={lr}"
             )
         history.append(value)
-        loss.backward()
-        grads = [np.zeros(p.values.shape) if p.grad is None else p.grad for p in params]
-        adam_step(params, grads, state)
+        adam_step(step.params, step.grads, state)
     return history
 
 

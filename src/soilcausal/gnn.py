@@ -19,14 +19,14 @@ the target node:
   root weight of ECC and MPNN, PyG's ``NNConv``), ReLU between them, then
   a one-layer head.
 
-The forward pass is the same for both: the convolutions are one
-``engine.layer_stack`` on node-major (nodes, rows, dim) states, each
-layer's weight (ECC's is generated per pass) read against [self | mean],
-and the head, ``engine.dense_stack`` as in the MLP baseline, reads the
-target's node-major (1, rows, hidden) final states.  So each convolution
-computes only the node states that the target reads (GraphSAGE's
-minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here because every
-neighbor is kept).
+Both run as one ``engine`` layer stack on node-major (nodes, rows, dim)
+states: the convolutions, each layer's weight (ECC's, the sum of its
+filter's weight and bias) read against [self | mean], then the head, the
+dense layers of the MLP baseline, on the target's final states.  Training
+is ``engine.fit`` and prediction one ``engine.Step``'s forward half.  So
+each convolution computes only the node states that the target reads
+(GraphSAGE's minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here
+because every neighbor is kept).
 A model owns the skeleton it was built on: prediction refuses any other
 skeleton, and a checkpoint's header is written from the model's own.
 ``layer_plan`` walks out from the target, once per fit and once per
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine, graphs
-from .engine import DenseParams, Tensor, constant
+from .engine import DenseParams, Tensor
 from .errors import ConfigError, GraphError, NumericError, SchemaError, require_count
 from .ingest import require_finite
 
@@ -202,11 +202,11 @@ class EccLayer:
             raise NumericError("filter output does not reshape to out x 2in")
 
     @property
-    def weight(self) -> Tensor:
+    def affine(self) -> tuple[tuple[Tensor, Tensor], tuple[int, int], Tensor]:
         """The (out, 2in) weight [W_root | Θ] the filter network generates
-        from the edge attribute 1.0, fed to it as one (1, 1, 1) state."""
-        flat = engine.layer_stack(constant([[[1.0]]]), [None], [self.filter.weight], [self.filter.bias])
-        return engine.reshape(flat, (self.out_dim, 2 * self.in_dim))
+        from the edge attribute 1.0: its weight column plus its bias, each
+        read in that shape."""
+        return (self.filter.weight, self.filter.bias), (self.out_dim, 2 * self.in_dim), self.bias
 
     @property
     def tensors(self) -> tuple[Tensor, Tensor, Tensor]:
@@ -261,7 +261,7 @@ def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnMod
 # forward
 
 
-def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> tuple[LayerPlan, Tensor]:
+def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> tuple[LayerPlan, np.ndarray]:
     """The batch's layer plan and node-major (in-set, rows, 1) input states."""
     if skeleton != model.skeleton:
         raise SchemaError("skeleton is not the graph the model was built on")
@@ -270,17 +270,18 @@ def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) ->
     if not len(batch):
         raise NumericError("empty batch")
     plan = layer_plan(skeleton, CONV_DEPTH[model.kind])
-    return plan, constant(np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None])
+    return plan, np.ascontiguousarray(batch.features[:, plan.reads].T)[:, :, None]
 
 
-def _forward_batch(model: GnnModel, plan: LayerPlan, h: Tensor) -> Tensor:
-    convs = model.convs
-    h = engine.layer_stack(h, plan.layers, [c.weight for c in convs], [c.bias for c in convs])
-    return engine.dense_stack(h, model.head)  # the target's (1, rows, hidden) states
+def _stack(model: GnnModel, plan: LayerPlan) -> list[engine.Layer]:
+    """The convolutions on the plan's graphs, then the head on the
+    target's (1, rows, hidden) final states."""
+    return engine.stack(model.convs, plan.layers) + engine.stack(model.head)
 
 
 def predict(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
-    return _forward_batch(model, *_node_inputs(model, skeleton, batch)).values.copy()
+    plan, h = _node_inputs(model, skeleton, batch)
+    return engine.Step(h, _stack(model, plan)).forward().reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +325,7 @@ def train(
     if lr is None:
         lr = _DEFAULT_LR[kind]
     plan, h = _node_inputs(model, skeleton, batch)  # once per fit
-    history = engine.adam_fit(
-        lambda: _forward_batch(model, plan, h),
-        model.params,
-        batch.labels,
-        lr,
-        epochs,
-        f"{kind} training (hidden={hidden})",
-    )
+    history = engine.fit(h, _stack(model, plan), batch.labels, lr, epochs, f"{kind} training (hidden={hidden})")
     return TrainResult(model=model, loss_history=history)
 
 
@@ -356,19 +350,23 @@ def save_model(path, model: GnnModel) -> None:
         fh.write(header.encode() + b"\n" + engine.pack_params(model.params))
 
 
-def load_model(path, kind: str, skeleton: GraphSkeleton, hidden: int = 16) -> GnnModel:
-    """The model saved at ``path``; ``SchemaError`` unless it was saved as
-    this ``kind`` and ``hidden`` size on this skeleton."""
-    model = _init_model(kind, skeleton, 0, hidden)
+def load_model(path, skeleton: GraphSkeleton) -> GnnModel:
+    """The model saved at ``path``, of the kind and hidden size its header
+    names; ``SchemaError`` unless it names a known kind and a size of at
+    least 1, and was saved on this skeleton."""
     with open(path, "rb") as fh:
         line, _, payload = fh.read().partition(b"\n")
     try:
         header = json.loads(line)
     except ValueError:  # no JSON header line: raw parameters or another file
         header = None
-    expected = _checkpoint_header(model)
     if not isinstance(header, dict):
         raise SchemaError(f"{path} is not a checkpoint of this model and graph: no header")
+    kind, hidden = header.get("kind"), header.get("hidden")
+    if kind not in tuple(_INIT) or isinstance(hidden, bool) or not isinstance(hidden, int) or hidden < 1:
+        raise SchemaError(f"{path} names no model: kind {kind!r}, hidden size {hidden!r}")
+    model = _INIT[kind](skeleton, seed=0, hidden=hidden)
+    expected = _checkpoint_header(model)
     if header != expected:
         problems = [
             f"{what} {', '.join(keys)}"

@@ -418,18 +418,29 @@ def finite_diff_check(loss_fn, params, tol: float = 1e-4, h: float = 1e-5) -> Fi
     """Compare reverse-mode gradients against central differences.
 
     ``loss_fn`` rebuilds the forward graph from the current parameter
-    values and returns the scalar loss tensor.  Relative error uses
-    max(|analytic|, |numeric|, 1e-5) as the denominator, so entries whose
-    gradient sits below 1e-5 are effectively compared absolutely — the
-    cancellation noise of the central difference itself (~1e-11 per unit
-    of loss) lives far under that floor.
+    values and returns the scalar loss tensor.
     """
     for p in params:
         p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
+    loss_fn().backward()
     analytic = [np.zeros(p.values.shape) if p.grad is None else p.grad.copy() for p in params]
+    return _compare(lambda: float(loss_fn().values), params, analytic, tol, h)
 
+
+def step_gradient_check(step, tol: float = 1e-4, h: float = 1e-5) -> FiniteDiffReport:
+    """Compare the gradients one ``engine.Step`` call leaves in
+    ``step.grads`` against central differences of the step's loss in each
+    of ``step.params``."""
+    step()
+    analytic = [g.copy() for g in step.grads]
+    return _compare(step, step.params, analytic, tol, h)
+
+
+def _compare(loss, params, analytic, tol, h) -> FiniteDiffReport:
+    """Relative error uses max(|analytic|, |numeric|, 1e-5) as the
+    denominator, so entries whose gradient sits below 1e-5 are effectively
+    compared absolutely — the cancellation noise of the central difference
+    itself (~1e-11 per unit of loss) lives far under that floor."""
     worst = (0.0, -1, -1)
     n_entries = 0
     for k, p in enumerate(params):
@@ -438,9 +449,9 @@ def finite_diff_check(loss_fn, params, tol: float = 1e-4, h: float = 1e-5) -> Fi
             n_entries += 1
             keep = flat[j]
             flat[j] = keep + h
-            up = float(loss_fn().values)
+            up = loss()
             flat[j] = keep - h
-            down = float(loss_fn().values)
+            down = loss()
             flat[j] = keep
             fd = (up - down) / (2.0 * h)
             a = analytic[k].reshape(-1)[j]
@@ -456,18 +467,10 @@ def finite_diff_check(loss_fn, params, tol: float = 1e-4, h: float = 1e-5) -> Fi
     )
 
 
-def one_layer(h, layer, weight, bias, relu):
-    """One layer, dense (``None``) or a convolution (a (self_index, agg)
-    pair), through ``engine.layer_stack``.  With ``relu`` a constant identity
-    dense layer with zero bias follows it, so the ReLU the stack applies
-    between layers is applied to the first layer's output, and the identity
-    layer passes it on exactly."""
-    from soilcausal.engine import constant, layer_stack
+def one_layer(h, graph, params, relu):
+    """One layer of ``params`` (``DenseParams`` or an ECC layer), dense
+    (``graph`` None) or a convolution (a (self_index, agg) pair), on the
+    node-major states ``h``: a one-layer step's forward half."""
+    from soilcausal.engine import Layer, Step
 
-    layers, weights, biases = [layer], [weight], [bias]
-    if relu:
-        n = bias.values.size
-        layers.append(None)
-        weights.append(constant(np.eye(n)))
-        biases.append(constant(np.zeros(n)))
-    return layer_stack(h, layers, weights, biases)
+    return Step(h, [Layer(*params.affine, graph, relu)]).forward()

@@ -6,13 +6,15 @@ import pytest
 from soilcausal.engine import (
     AdamState,
     DenseParams,
+    Layer,
+    Step,
     Tensor,
     adam_step,
     assign_params,
     constant,
     dense_params,
+    fit,
     glorot_uniform,
-    layer_stack,
     matmul,
     mse,
     pack_params,
@@ -21,7 +23,7 @@ from soilcausal.engine import (
     unpack_params,
 )
 
-from enumutil import finite_diff_check, one_layer
+from enumutil import finite_diff_check, step_gradient_check
 
 
 def _fd_scalar(fn, x, h=1e-5):
@@ -40,24 +42,30 @@ def _fd_scalar(fn, x, h=1e-5):
     return out.reshape(x.shape)
 
 
+def _layer(weight, bias, graph=None, relu=False):
+    """A layer of one weight tensor (its shape is the layer's) and a bias."""
+    return Layer((weight,), weight.values.shape, bias, graph, relu)
+
+
+def _relu(n):
+    """A ReLU alone: an identity dense layer with zero bias, ReLU after it."""
+    return _layer(parameter(np.eye(n)), parameter(np.zeros(n)), relu=True)
+
+
 # ---------------------------------------------------------------------------
 # forward values
 
 
-def _relu(x: Tensor) -> Tensor:
-    """layer_stack's ReLU alone: a dense layer with identity weight and zero
-    bias, and the identity layer after it."""
-    n = x.values.shape[-1]
-    return one_layer(x, None, constant(np.eye(n)), constant(np.zeros(n)), relu=True)
-
-
 def test_relu_values_and_mask():
-    x = parameter([[[-1.0, 0.0, 2.0]]])
-    y = _relu(x)
-    assert np.array_equal(y.values, [[[0.0, 0.0, 2.0]]])
-    loss = mse(y, np.zeros((1, 1, 3)))
-    loss.backward()
-    assert x.grad[0, 0, 0] == 0.0 and x.grad[0, 0, 1] == 0.0 and x.grad[0, 0, 2] != 0.0
+    x = np.array([[[-1.0, 0.0, 2.0]]])
+    step = Step(x, [_relu(3)], np.zeros(3))
+    assert np.array_equal(step.forward(), [[[0.0, 0.0, 2.0]]])
+    step()
+    # the mask stops the gradient of the two cut outputs: their weight rows
+    # and bias entries get none, the kept one's do
+    dw, db = step.grads
+    assert np.array_equal(dw[:2], np.zeros((2, 3))) and np.array_equal(db[:2], [0.0, 0.0])
+    assert db[2] != 0.0 and dw[2, 0] != 0.0 and dw[2, 2] != 0.0
 
 
 def test_mse_values():
@@ -69,28 +77,30 @@ def test_mse_values():
 
 def test_mse_rejects_a_target_of_another_shape():
     # a (4, 1) target against (4,) predictions would broadcast to a 4 x 4
-    # difference, averaging 16 pairs and handing back a (4, 4) gradient
+    # difference, averaging 16 pairs and handing back a (4, 4) gradient;
+    # a step's squared error reads its outputs flattened, and checks the same
     from soilcausal.errors import NumericError
 
     p = parameter(np.zeros(4))
+    layers = [_layer(parameter(np.zeros((1, 3))), parameter(np.zeros(1)))]  # (1, 4, 1) outputs
     for target in (np.ones((4, 1)), np.ones(3), np.ones((1, 4)), 1.0):
         shape = np.shape(target)
         with pytest.raises(NumericError, match=re.escape(f"predictions (4,) against targets {shape}")):
             mse(p, target)
+        with pytest.raises(NumericError, match=re.escape(f"predictions (4,) against targets {shape}")):
+            Step(np.ones((1, 4, 3)), layers, target)
     assert float(mse(p, np.ones(4)).values) == 1.0
+    assert Step(np.ones((1, 4, 3)), layers, np.ones(4))() == 1.0
 
 
 def test_dense_identity_and_bias():
     # a dense layer maps every node's states: here two nodes, one row each
     w = parameter(np.eye(3))
-    b = parameter(np.zeros(3))
-    x = parameter([[[1.0, -2.0, 0.5]], [[0.25, 3.0, -1.0]]])
-    y = layer_stack(x, [None], [w], [b])
-    assert np.allclose(y.values, x.values)
-    x0 = parameter(np.zeros((2, 1, 3)))
+    x = np.array([[[1.0, -2.0, 0.5]], [[0.25, 3.0, -1.0]]])
+    assert np.allclose(Step(x, [_layer(w, parameter(np.zeros(3)))]).forward(), x)
     bias = parameter([1.0, 2.0, 3.0])
-    y0 = layer_stack(x0, [None], [w], [bias])
-    assert np.allclose(y0.values, np.broadcast_to(bias.values, (2, 1, 3)))
+    y0 = Step(np.zeros((2, 1, 3)), [_layer(w, bias)]).forward()
+    assert np.allclose(y0, np.broadcast_to(bias.values, (2, 1, 3)))
 
 
 def test_dense_params_shape_guard():
@@ -101,50 +111,53 @@ def test_dense_params_shape_guard():
 
 
 # ---------------------------------------------------------------------------
-# gradients vs central differences
+# a step's gradients vs central differences
 
 
 def test_dense_gradients_match_fd():
     rng = np.random.default_rng(0)
-    w0 = rng.standard_normal((4, 3))
-    b0 = rng.standard_normal(4)
-    x0 = rng.standard_normal((1, 1, 3))
-    target = rng.standard_normal((1, 1, 4))
-
-    w, b, x = parameter(w0), parameter(b0), parameter(x0)
-
-    def loss_fn():
-        return mse(layer_stack(x, [None], [w], [b]), target)
-
-    report = finite_diff_check(loss_fn, [w, b, x])
+    w, b = parameter(rng.standard_normal((4, 3))), parameter(rng.standard_normal(4))
+    x = rng.standard_normal((1, 1, 3))
+    report = step_gradient_check(Step(x, [_layer(w, b)], rng.standard_normal(4)))
     assert report.passed, report
-    assert report.n_entries == 12 + 4 + 3
+    assert report.n_entries == 12 + 4
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_op_zoo_gradients_match_fd(seed):
-    # one composite graph touching every differentiable op, in the shapes
-    # the models use them
+    # one stack touching every kind of layer, in the shapes the models use
+    # them: a dense layer handing a convolution its states, a convolution,
+    # a one-node convolution whose weight is the sum of two tensors as ECC's
+    # is, and a two-layer dense head
     rng = np.random.default_rng(seed)
     agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # row-normalized
-    w1 = parameter(rng.standard_normal((4, 6)) * 0.7)
-    b1 = parameter(rng.standard_normal(4) * 0.3)
-    theta = parameter(rng.standard_normal((2, 8)) * 0.7)
-    b2 = parameter(rng.standard_normal(2) * 0.3)
-    w3 = parameter(rng.standard_normal((2, 2)) * 0.7)
-    b3 = parameter(rng.standard_normal(2) * 0.3)
-    v = parameter(rng.standard_normal((2, 1)))
-    x = parameter(rng.standard_normal((3, 5, 3)))
+    first = _layer(parameter(rng.standard_normal((3, 3)) * 0.7), parameter(rng.standard_normal(3) * 0.3))
+    conv = _layer(
+        parameter(rng.standard_normal((4, 6)) * 0.7), parameter(rng.standard_normal(4) * 0.3), (np.arange(3), agg), True
+    )
+    terms = (parameter(rng.standard_normal((16, 1)) * 0.5), parameter(rng.standard_normal(16) * 0.5))
+    ecc = Layer(terms, (2, 8), parameter(rng.standard_normal(2) * 0.3), (np.array([0]), agg[:1]), True)
+    head = [
+        _layer(parameter(rng.standard_normal((2, 2)) * 0.7), parameter(rng.standard_normal(2) * 0.3), relu=True),
+        _layer(parameter(rng.standard_normal((1, 2))), parameter(rng.standard_normal(1) * 0.3)),
+    ]
+    step = Step(rng.standard_normal((3, 5, 3)), [first, conv, ecc, *head], rng.standard_normal(5))
+    report = step_gradient_check(step)
+    assert report.passed, report
+    assert report.max_rel_err < 1e-4
+    assert report.n_entries == 12 + 28 + 32 + 2 + 6 + 3
+
+    # the autodiff ops: matmul with a constant left operand and a stack
+    # times a matrix, reshape and mse
+    z, v = parameter(rng.standard_normal((5, 2))), parameter(rng.standard_normal((2, 1)))
     target = rng.standard_normal(5)
 
     def loss_fn():
-        h = layer_stack(x, [(np.arange(3), agg), (np.array([0]), agg[:1])], [w1, theta], [b1, b2])  # (1, 5, 2)
-        z = layer_stack(h, [None], [w3], [b3])  # dense on the conv output
-        mixed = matmul(constant(np.eye(5)[::-1] + 0.2), reshape(z, (5, 2)))  # constant left operand
-        pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1): stack times matrix
+        mixed = matmul(constant(np.eye(5)[::-1] + 0.2), z)
+        pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1)
         return mse(reshape(pred, (5,)), target)
 
-    report = finite_diff_check(loss_fn, [w1, b1, theta, b2, w3, b3, v, x])
+    report = finite_diff_check(loss_fn, [z, v])
     assert report.passed, report
     assert report.max_rel_err < 1e-4
 
@@ -153,81 +166,71 @@ def test_relu_gradient_matches_fd_away_from_zero():
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(20)
     x0 = x0[np.abs(x0) > 1e-3]  # keep the kink out of the difference stencil
-    x = parameter(x0[None, None, :])
-    target = rng.standard_normal((1, 1, x0.size))
-
-    def loss_fn():
-        return mse(_relu(x), target)
-
-    assert finite_diff_check(loss_fn, [x]).passed
+    step = Step(x0[None, None, :], [_relu(x0.size)], rng.standard_normal(x0.size))
+    assert step_gradient_check(step).passed
 
 
 @pytest.mark.parametrize("relu", [False, True])
 def test_conv_ops_gradients_match_fd(relu):
-    # one row (B = 1); a block whose second output node has no neighbours
-    # and whose in-slot 2 is both a self slot and a neighbour, then a block
-    # whose output nodes read their own states in reverse slot order: one
-    # two-layer stack (ReLU between the layers) or, without ReLU, two
-    # one-layer stacks, the second taking the first's result as its input
+    # one row (B = 1); a dense layer makes the states, so its gradient
+    # reads the convolutions' input gradients; then a block whose second
+    # output node has no neighbours and whose in-slot 2 is both a self slot
+    # and a neighbour, with or without a ReLU, then a block whose output
+    # nodes read their own states in reverse slot order
     rng = np.random.default_rng(31)
-    h = parameter(rng.standard_normal((3, 1, 2)))
+    dense = _layer(parameter(rng.standard_normal((2, 2))), parameter(rng.standard_normal(2)))
     first = DenseParams(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
     theta, bias = parameter(rng.standard_normal((2, 6))), parameter(rng.standard_normal(2))
-    target = rng.standard_normal(4)
     blocks = [
         (np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]])),
         (np.array([1, 0]), np.array([[0.5, 0.5], [0.0, 1.0]])),
     ]
-
-    def loss_fn():
-        if relu:
-            e = layer_stack(h, blocks, [first.weight, theta], [first.bias, bias])  # (2, 1, 2)
-        else:
-            s = layer_stack(h, blocks[:1], [first.weight], [first.bias])
-            e = layer_stack(s, blocks[1:], [theta], [bias])
-        return mse(reshape(e, (4,)), target)
-
-    report = finite_diff_check(loss_fn, [h, *first.tensors, theta, bias])
+    layers = [dense, Layer(*first.affine, blocks[0], relu), _layer(theta, bias, blocks[1])]
+    report = step_gradient_check(Step(rng.standard_normal((3, 1, 2)), layers, rng.standard_normal(4)))
     assert report.passed, report
     assert report.n_entries == 6 + 12 + 3 + 12 + 2
 
 
 def test_handed_over_gradient_buffers_take_a_second_sum():
-    # layer_stack hands its freshly allocated input gradient over as a grad
-    # buffer, from a dense first layer or a convolution.  The states feed two
-    # dense stacks and three convolutions, so in any backward order
-    # handed-over buffers of each kind take the other ops' sums
+    # backward writes each input gradient into the saved input it replaces
+    # (a dense layer's input, a convolution's [self | mean] block, the
+    # scratch that held a convolution's input, the scatter-added self
+    # slots).  A second epoch after new parameters must overwrite those
+    # buffers, not add to what the first left: its gradients equal a fresh
+    # step's bit for bit and central differences
     rng = np.random.default_rng(33)
-    h = parameter(rng.standard_normal((3, 4, 2)))
-    d1, d2, d3 = dense_params(rng, 3, 2), dense_params(rng, 3, 2), dense_params(rng, 3, 3)
-    c1, c2, c3 = dense_params(rng, 3, 4), dense_params(rng, 3, 4), dense_params(rng, 3, 4)
-    target = rng.standard_normal((8, 4))
-
-    def loss_fn():
-        deep = layer_stack(h, [None, None], [d1.weight, d3.weight], [d1.bias, d3.bias])  # (3, 4, 3)
-        mix = matmul(reshape(deep, (3, 12)), reshape(one_layer(h, None, *d2.tensors, relu=False), (12, 3)))
-        s1 = one_layer(h, (np.array([0, 2]), np.array([[0, 0.5, 0.5], [1, 0, 0]])), *c1.tensors, relu=True)
-        s2 = one_layer(h, (np.array([1]), np.array([[0.5, 0, 0.5]])), *c2.tensors, relu=False)  # (1, 4, 3)
-        s3 = one_layer(h, (np.array([2, 1]), np.array([[0, 1, 0], [0.5, 0, 0.5]])), *c3.tensors, relu=True)
-        gram = matmul(reshape(s3, (3, 8)), reshape(s3, (8, 3)))
-        pred = matmul(matmul(reshape(s1, (8, 3)), matmul(mix, gram)), reshape(s2, (3, 4)))
-        return mse(pred, target)
-
-    leaves = [h, *d1.tensors, *d2.tensors, *d3.tensors, *c1.tensors, *c2.tensors, *c3.tensors]
-    report = finite_diff_check(loss_fn, leaves)
+    agg = np.array([[0, 0.5, 0.5], [1, 0, 0], [0.5, 0, 0.5]])
+    layers = [
+        Layer(*dense_params(rng, 3, 2).affine, None, True),
+        Layer(*dense_params(rng, 3, 3).affine, None, True),
+        Layer(*dense_params(rng, 3, 6).affine, (np.array([0, 2, 1]), agg), True),
+        Layer(*dense_params(rng, 3, 6).affine, (np.array([2, 1]), agg[1:]), False),
+        Layer(*dense_params(rng, 2, 3).affine, None, True),
+        Layer(*dense_params(rng, 1, 2).affine, None, False),
+    ]
+    x, target = rng.standard_normal((3, 4, 2)), rng.standard_normal(8)
+    step = Step(x, layers, target)
+    first = step()
+    for p in step.params:
+        p.values += rng.standard_normal(p.values.shape) * 0.1
+    fresh = Step(x, layers, target)
+    assert step() == fresh() != first
+    assert all(np.array_equal(a, b) for a, b in zip(step.grads, fresh.grads))
+    report = step_gradient_check(step)
     assert report.passed, report
-    assert report.n_entries == 24 + 2 * (6 + 3) + (9 + 3) + 3 * (12 + 3)
+    assert report.n_entries == 9 + 12 + 21 + 21 + 8 + 3
 
 
 def test_graph_conv_checks_weight_and_block_widths():
     # the weight reads [self | mean] (2d columns), the bias has a row per
     # output column, the block reads every input node, every output node
-    # has a self position, and each layer has one weight and one bias
+    # has a self position, every weight tensor holds the weight, and a
+    # stack has a layer
     from soilcausal.errors import NumericError
 
-    h, agg, bias = constant(np.ones((2, 1, 3))), np.full((1, 2), 0.5), constant(np.zeros(4))
+    h, agg, bias = np.ones((2, 1, 3)), np.full((1, 2), 0.5), constant(np.zeros(4))
     self_slots = np.array([0])
-    assert layer_stack(h, [(self_slots, agg)], [constant(np.ones((4, 6)))], [bias]).values.shape == (1, 1, 4)
+    assert Step(h, [_layer(constant(np.ones((4, 6))), bias, (self_slots, agg))]).forward().shape == (1, 1, 4)
     for self_index, block, width, b in (
         (self_slots, agg, 3, bias),
         (self_slots, agg, 6, constant(np.zeros(3))),
@@ -235,14 +238,15 @@ def test_graph_conv_checks_weight_and_block_widths():
         (np.array([0, 1]), agg, 6, bias),
     ):
         with pytest.raises(NumericError, match="conv 0 .* do not fit"):
-            layer_stack(h, [(self_index, block)], [constant(np.ones((4, width)))], [b])
+            Step(h, [_layer(constant(np.ones((4, width))), b, (self_index, block))])
+    terms = (constant(np.ones((24, 1))), constant(np.ones(23)))
+    with pytest.raises(NumericError, match="conv 0 .* do not fit"):
+        Step(h, [Layer(terms, (4, 6), bias, (self_slots, agg))])
     # the second layer reads the first's 4-wide states
     with pytest.raises(NumericError, match=r"conv 1 .* do not fit states \(1, 1, 4\)"):
-        layer_stack(h, [(self_slots, agg)] * 2, [constant(np.ones((4, 6)))] * 2, [bias] * 2)
-    one, weight = [(self_slots, agg)], constant(np.ones((4, 6)))
-    for layers, weights, biases in (([], [], []), (one, [weight], [bias] * 2), (one, [weight] * 2, [bias])):
-        with pytest.raises(NumericError, match="layers, .* weights and .* biases"):
-            layer_stack(h, layers, weights, biases)
+        Step(h, [_layer(constant(np.ones((4, 6))), bias, (self_slots, agg))] * 2)
+    with pytest.raises(NumericError, match="at least one layer"):
+        Step(h, [])
 
 
 def test_dense_layer_checks_weight_and_bias_widths():
@@ -251,46 +255,37 @@ def test_dense_layer_checks_weight_and_bias_widths():
     # and the stack reads node-major states
     from soilcausal.errors import NumericError
 
-    h, w, b = constant(np.ones((2, 5, 3))), constant(np.ones((4, 3))), constant(np.zeros(4))
-    assert layer_stack(h, [None], [w], [b]).values.shape == (2, 5, 4)
+    h, w, b = np.ones((2, 5, 3)), constant(np.ones((4, 3))), constant(np.zeros(4))
+    assert Step(h, [_layer(w, b)]).forward().shape == (2, 5, 4)
     for weight, bias in (((2, 3), (2,)), ((2, 5), (2,)), ((2, 4), (3,))):
         message = f"dense 1 weight {weight} and bias {bias} do not fit states (2, 5, 4)"
         with pytest.raises(NumericError, match=re.escape(message)):
-            layer_stack(h, [None, None], [w, constant(np.ones(weight))], [b, constant(np.zeros(bias))])
+            Step(h, [_layer(w, b), _layer(constant(np.ones(weight)), constant(np.zeros(bias)))])
     with pytest.raises(NumericError, match=r"dense 0 .* do not fit states \(2, 5, 3\)"):
-        layer_stack(h, [None], [constant(np.ones((4, 2)))], [b])
+        Step(h, [_layer(constant(np.ones((4, 2))), b)])
     with pytest.raises(NumericError, match=r"node-major .* got \(5, 3\)"):  # a (rows, in) matrix
-        layer_stack(constant(np.ones((5, 3))), [None], [w], [b])
+        Step(np.ones((5, 3)), [_layer(w, b)])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_mixed_stack_equals_its_two_call_composition(seed):
-    # two convolutions then two dense layers in one call: the dense layers
-    # read the second convolution's states after the ReLU between them, so
-    # the same layers as two calls need a ReLU on the first call's output,
-    # which a trailing identity layer gives exactly
+    # two convolutions then two dense layers in one stack: the dense layers
+    # read the second convolution's states after its ReLU, so the same
+    # layers as two forward calls end the first call with that ReLU
     rng = np.random.default_rng(40 + seed)
     agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    convs = [(np.array([2, 0, 1]), agg), (np.array([1, 2]), np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]))]
-    h = parameter(rng.standard_normal((3, 5, 2)))
+    graphs = [(np.array([2, 0, 1]), agg), (np.array([1, 2]), np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])), None, None]
     weights = [parameter(rng.standard_normal(shape) * 0.7) for shape in ((4, 4), (3, 8), (3, 3), (2, 3))]
     biases = [parameter(rng.standard_normal(n) * 0.3) for n in (4, 3, 3, 2)]
-    target = rng.standard_normal((2, 5, 2))
-    eye = constant(np.eye(3))
+    layers = [_layer(w, b, g, k < 3) for k, (w, b, g) in enumerate(zip(weights, biases, graphs))]
+    h, target = rng.standard_normal((3, 5, 2)), rng.standard_normal(20)
 
-    def one_call():
-        return layer_stack(h, [*convs, None, None], weights, biases)
-
-    def two_calls():
-        s = layer_stack(h, [*convs, None], [*weights[:2], eye], [*biases[:2], constant(np.zeros(3))])
-        return layer_stack(s, [None, None], weights[2:], biases[2:])
-
-    assert np.array_equal(one_call().values, two_calls().values)
-    assert one_call().values.shape == (2, 5, 2)
-    for build in (one_call, two_calls):
-        report = finite_diff_check(lambda: mse(build(), target), [h, *weights, *biases])
-        assert report.passed, report
-        assert report.n_entries == 30 + 16 + 24 + 9 + 6 + 4 + 3 + 3 + 2
+    one_call = Step(h, layers).forward()
+    assert np.array_equal(one_call, Step(Step(h, layers[:2]).forward(), layers[2:]).forward())
+    assert one_call.shape == (2, 5, 2)
+    report = step_gradient_check(Step(h, layers, target))
+    assert report.passed, report
+    assert report.n_entries == 16 + 24 + 9 + 6 + 4 + 3 + 3 + 2
 
 
 def test_matmul_rejects_vectors():
@@ -310,49 +305,55 @@ def test_grad_accumulates_over_shared_subexpression():
     # d/dx (x^2)^2 = 4x^3 = 32 at x=2: both operand branches must accumulate
     assert x.grad[0, 0] == pytest.approx(32.0)
     # z feeds a reshape, which hands it a view of its own gradient, and a
-    # dense layer, which hands it a fresh buffer; in either operand order,
-    # z's grad is their sum.  s = z.w = 2, loss = |z|^2 s^2 / 2, so
+    # matmul, which hands it a fresh buffer; in either operand order, z's
+    # grad is their sum.  s = z.w = 2, loss = |z|^2 s^2 / 2, so
     # dz = z s^2 + |z|^2 s w = (34, -3)
-    z = parameter([[[1.0, -2.0]]])
-    weight, bias = constant([[3.0, 0.5]]), constant([0.0])
+    z = parameter([[1.0, -2.0]])
+    weight = constant([[3.0], [0.5]])
     for pred in (
-        lambda: matmul(reshape(z, (2, 1)), layer_stack(z, [None], [weight], [bias])),
-        lambda: matmul(layer_stack(z, [None], [weight], [bias]), reshape(z, (1, 2))),
+        lambda: matmul(reshape(z, (2, 1)), matmul(z, weight)),
+        lambda: matmul(matmul(z, weight), reshape(z, (1, 2))),
     ):
         z.zero_grad()
         out = pred()
         mse(reshape(out, (2,)), np.zeros(2)).backward()
-        assert np.array_equal(z.grad, [[[34.0, -3.0]]])
+        assert np.array_equal(z.grad, [[34.0, -3.0]])
 
 
 def test_backward_keeps_gradients_on_leaves_only():
-    # op results drop their grad once pushed, and layer_stack masks the
-    # gradients it passes between its layers in place, dense or conv: that
-    # must reach no forward value, not even the states a dense layer reads
-    # as a view of the layer before
+    # autodiff op results drop their grad once pushed, and no push reaches
+    # a forward value.  A step's backward masks gradients and writes them
+    # into its own buffers in place, dense or conv: that must reach neither
+    # its input nor a parameter, and the next forward pass rebuilds every
+    # value it overwrote
     rng = np.random.default_rng(34)
-    h = parameter(rng.standard_normal((3, 4, 2)))
-    conv, layer = dense_params(rng, 3, 4), dense_params(rng, 2, 3)
-    mid, out = dense_params(rng, 2, 2), dense_params(rng, 2, 2)
-    agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    target = rng.standard_normal(24)
+    a, w = parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal((4, 2)))
+    s = matmul(a, w)
+    pred = reshape(s, (6,))
+    interior = [s, pred, mse(pred, rng.standard_normal(6))]
 
-    def build():
-        s = one_layer(h, (np.array([0, 2, 1]), agg), *conv.tensors, relu=True)  # (3, 4, 3)
-        z = one_layer(s, None, *layer.tensors, relu=True)  # (3, 4, 2)
-        y = layer_stack(z, [None, None], [mid.weight, out.weight], [mid.bias, out.bias])  # (3, 4, 2)
-        pred = reshape(y, (24,))
-        return [s, z, y, pred, mse(pred, target)]
-
-    interior = build()
     before = [t.values.copy() for t in interior]
-    assert all(0 < (t.values > 0).mean() < 1 for t in (interior[0], interior[1]))  # both masks cut
-    leaves = [h, *conv.tensors, *layer.tensors, *mid.tensors, *out.tensors]
     interior[-1].backward()
-    assert all(t.grad is None for t in interior)
-    assert all(t.grad is not None for t in leaves)
+    assert all(t.grad is None for t in interior) and a.grad is not None and w.grad is not None
     assert all(np.array_equal(t.values, v) for t, v in zip(interior, before))
-    report = finite_diff_check(lambda: build()[-1], leaves)
+
+    agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    layers = [
+        Layer(*dense_params(rng, 3, 4).affine, (np.array([0, 2, 1]), agg), True),  # (3, 4, 3)
+        Layer(*dense_params(rng, 2, 3).affine, None, True),  # (3, 4, 2)
+        Layer(*dense_params(rng, 2, 2).affine, None, True),
+        Layer(*dense_params(rng, 1, 2).affine, None, False),
+    ]
+    x = rng.standard_normal((3, 4, 2))
+    step = Step(x, layers, rng.standard_normal(12))
+    x_before, params_before = x.copy(), [p.values.copy() for p in step.params]
+    out = step.forward().copy()
+    assert all(0 < m.mean() < 1 for m in step.masks[:2])  # both masks cut
+    step()
+    assert np.array_equal(x, x_before)
+    assert all(np.array_equal(p.values, v) for p, v in zip(step.params, params_before))
+    assert np.array_equal(step.forward(), out)
+    report = step_gradient_check(step)
     assert report.passed, report
 
 
@@ -395,27 +396,25 @@ def test_adam_state_count_mismatch():
         adam_step([p, parameter([1.0])], [np.zeros(1), np.zeros(1)], st)
 
 
-def test_adam_fit_is_the_step_loop_and_names_divergence():
-    from soilcausal.engine import adam_fit
+def test_fit_is_the_step_loop_and_names_divergence():
     from soilcausal.errors import NumericError
 
     rng = np.random.default_rng(4)
-    x, y = constant(rng.standard_normal((6, 3))), rng.standard_normal(6)
-    w0 = rng.standard_normal((3, 1))
-    w = parameter(w0)
-    history = adam_fit(lambda: reshape(matmul(x, w), (6,)), [w], y, 0.05, 5, "toy")
+    x, y = rng.standard_normal((1, 6, 3)), rng.standard_normal(6)
+    w0, b0 = rng.standard_normal((1, 3)), rng.standard_normal(1)
+    w, b = parameter(w0), parameter(b0)
+    history = fit(x, [_layer(w, b)], y, 0.05, 5, "toy")
 
-    ref, st, ref_history = parameter(w0), AdamState.for_params([parameter(w0)], lr=0.05), []
+    ref = [parameter(w0), parameter(b0)]
+    step = Step(x, [_layer(*ref)], y)
+    st, ref_history = AdamState.for_params(ref, lr=0.05), []
     for _ in range(5):
-        ref.zero_grad()
-        loss = mse(reshape(matmul(x, ref), (6,)), y)
-        ref_history.append(float(loss.values))
-        loss.backward()
-        adam_step([ref], [ref.grad], st)
+        ref_history.append(step())
+        adam_step(ref, step.grads, st)
     assert history == ref_history
-    assert np.array_equal(w.values, ref.values)
+    assert np.array_equal(w.values, ref[0].values) and np.array_equal(b.values, ref[1].values)
     with pytest.raises(NumericError, match="toy diverged at epoch 0"):
-        adam_fit(lambda: reshape(matmul(x, w), (6,)), [w], np.full(6, np.inf), 0.05, 5, "toy")
+        fit(x, [_layer(w, b)], np.full(6, np.inf), 0.05, 5, "toy")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import soilcausal.engine as engine
 from soilcausal import baselines
-from soilcausal.engine import constant, mse
 from soilcausal.errors import ConfigError, GraphError, NumericError, SchemaError
 from soilcausal.gnn import (
     GraphSkeleton,
@@ -24,7 +23,7 @@ from soilcausal.gnn import (
 )
 from soilcausal.graphs import Cpdag
 
-from enumutil import continuous_table, finite_diff_check, one_layer
+from enumutil import continuous_table, one_layer, step_gradient_check
 
 
 def _random_skeleton(rng, n_nodes, n_edges, target_idx=0):
@@ -54,6 +53,11 @@ def _full_graph(skeleton):
         for a in nbrs:
             agg[i, skeleton.index(a)] = 1.0 / len(nbrs)
     return np.arange(n), agg
+
+
+def _ecc_weight(layer):
+    """The (out, 2in) weight an ECC layer's stack reads."""
+    return engine.Layer(*layer.affine).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +290,9 @@ def test_sage_conv_zero_weights():
     model = init_sage(sk, seed=0, hidden=4)
     model.convs[0].weight.values[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
-    h = constant(np.ones((2, 3, 1)))  # node-major: 2 nodes, 3 rows
-    out = one_layer(h, _full_graph(sk), *model.convs[0].tensors, relu=True)
-    assert np.array_equal(out.values, np.zeros((2, 3, 4)))
+    h = np.ones((2, 3, 1))  # node-major: 2 nodes, 3 rows
+    out = one_layer(h, _full_graph(sk), model.convs[0], relu=True)
+    assert np.array_equal(out, np.zeros((2, 3, 4)))
 
 
 def test_sage_conv_isolated_node_passthrough():
@@ -296,8 +300,8 @@ def test_sage_conv_isolated_node_passthrough():
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     weight = engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1))
     v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    out = one_layer(constant(v), _full_graph(sk), weight, engine.parameter(np.zeros(3)), relu=True)
-    assert np.allclose(out.values[0, 0], [0.5, 0.0, 2.0])
+    out = one_layer(v, _full_graph(sk), engine.DenseParams(weight, engine.parameter(np.zeros(3))), relu=True)
+    assert np.allclose(out[0, 0], [0.5, 0.0, 2.0])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -306,11 +310,11 @@ def test_sage_conv_matches_naive_loop(seed):
     sk = _random_skeleton(rng, 5, 7)
     model = init_sage(sk, seed=seed, hidden=3)
     feats = rng.standard_normal((4, 5, 3))
-    h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = one_layer(h, _full_graph(sk), *model.convs[1].tensors, relu=(seed % 2 == 0))
+    h = feats.transpose(1, 0, 2)  # node-major
+    out = one_layer(h, _full_graph(sk), model.convs[1], relu=(seed % 2 == 0))
     for b in range(4):
         ref = _naive_sage(feats[b], sk, model.convs[1], activate=(seed % 2 == 0))
-        assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
+        assert np.max(np.abs(out[:, b] - ref)) < 1e-12
 
 
 def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
@@ -318,11 +322,11 @@ def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
     model = init_ecc(sk, seed=1, hidden=4)
     layer = model.convs[1]
     layer.bias.values[...] = np.array([1.0, -2.0, 0.5, 3.0])
-    h = constant(np.random.default_rng(0).standard_normal((2, 2, 4)))
-    out = one_layer(h, _full_graph(sk), layer.weight, layer.bias, relu=False)
+    h = np.random.default_rng(0).standard_normal((2, 2, 4))
+    out = one_layer(h, _full_graph(sk), layer, relu=False)
     # node "a" has no in-neighbors: W_root x_a + b
-    root = layer.weight.values[:, :4]
-    assert np.max(np.abs(out.values[0] - (h.values[0] @ root.T + layer.bias.values))) < 1e-12
+    root = _ecc_weight(layer)[:, :4]
+    assert np.max(np.abs(out[0] - (h[0] @ root.T + layer.bias.values))) < 1e-12
 
 
 def test_ecc_conv_identity_filter_copies_neighbor():
@@ -341,8 +345,8 @@ def test_ecc_conv_identity_filter_copies_neighbor():
         in_dim=d,
     )
     h = np.random.default_rng(2).standard_normal((2, 5, d))
-    out = one_layer(constant(h), _full_graph(sk), layer.weight, layer.bias, relu=False)
-    assert np.max(np.abs(out.values[1] - h[0])) < 1e-12
+    out = one_layer(h, _full_graph(sk), layer, relu=False)
+    assert np.max(np.abs(out[1] - h[0])) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -353,17 +357,17 @@ def test_ecc_conv_matches_naive_loop(seed):
     model.convs[1].bias.values[...] = rng.standard_normal(3)
     feats = rng.standard_normal((4, 5, 3))
     layer = model.convs[1]
-    h = constant(feats.transpose(1, 0, 2))  # node-major
-    out = one_layer(h, _full_graph(sk), layer.weight, layer.bias, relu=False)
+    h = feats.transpose(1, 0, 2)  # node-major
+    out = one_layer(h, _full_graph(sk), layer, relu=False)
     for b in range(4):
         ref = _naive_ecc(feats[b], sk, layer)
-        assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
+        assert np.max(np.abs(out[:, b] - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_two_layer_conv_stack_matches_naive_loops(seed):
-    # ReLU between the layers, none after the last; ECC's generated weights
-    # are parents of the stack like SAGE's parameters
+    # ReLU between the layers, none after the last; ECC's weights are
+    # generated from its filters' parameters in the stack
     rng = np.random.default_rng(200 + seed)
     sk = _random_skeleton(rng, 5, 7)
     feats = rng.standard_normal((4, 5, 3))
@@ -371,22 +375,22 @@ def test_two_layer_conv_stack_matches_naive_loops(seed):
     ecc = [init_ecc(sk, seed=seed + k, hidden=3).convs[1] for k in (0, 1)]
     for conv in (*sage.convs[1:], *ecc):
         conv.bias.values[...] = rng.standard_normal(3)
-    h = constant(feats.transpose(1, 0, 2))  # node-major
+    h = feats.transpose(1, 0, 2)  # node-major
     for convs, naive in ((sage.convs[1:], _naive_sage), (ecc, _naive_ecc)):
-        out = engine.layer_stack(h, [_full_graph(sk)] * 2, [c.weight for c in convs], [c.bias for c in convs])
-        assert out.values.shape == (5, 4, 3)
+        out = engine.Step(h, engine.stack(convs, [_full_graph(sk)] * 2)).forward()
+        assert out.shape == (5, 4, 3)
         for b in range(4):
             ref = naive(naive(feats[b], sk, convs[0], activate=True), sk, convs[1], activate=False)
-            assert np.max(np.abs(out.values[:, b] - ref)) < 1e-12
+            assert np.max(np.abs(out[:, b] - ref)) < 1e-12
 
 
 def test_ecc_filter_matrix_shape():
     sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
     model = init_ecc(sk, seed=0, hidden=4)
-    assert [layer.weight.values.shape for layer in model.convs] == [(4, 2), (4, 8)]
+    assert [_ecc_weight(layer).shape for layer in model.convs] == [(4, 2), (4, 8)]
     # the filter network's output at edge attribute 1.0, row-major
     flat = model.convs[1].filter.weight.values[:, 0] + model.convs[1].filter.bias.values
-    assert np.array_equal(model.convs[1].weight.values, flat.reshape(4, 8))
+    assert np.array_equal(_ecc_weight(model.convs[1]), flat.reshape(4, 8))
 
 
 def _naive_forward(model, skeleton, feats):
@@ -510,36 +514,77 @@ def test_masking_blocks_target_leakage_bit_exactly():
 @pytest.mark.parametrize("init", [init_sage, init_ecc])
 def test_forward_holds_only_what_backward_reads(init):
     # a target with 3 parents, 9 grandparents and 18 great-grandparents:
-    # 31 nodes in SAGE's 3-hop field, 13 within 2 hops, 2000 rows.  The
-    # graph a forward pass leaves behind holds each convolution's
-    # [self | mean] input and ReLU mask, the final states and the head's
-    # arrays: no intermediate node state
-    from soilcausal.gnn import _forward_batch, _node_inputs
+    # 31 nodes in SAGE's 3-hop field, 13 within 2 hops, 2000 rows.  A fit's
+    # step allocates once each convolution's [self | mean] input, each ReLU
+    # mask, one scratch array for the convolution outputs that feed the
+    # next convolution, the final states, the head's arrays and the
+    # gradients: no other node state.  An epoch keeps nothing more, and
+    # its peak adds no more than one convolution's mean
+    from soilcausal.gnn import _node_inputs, _stack
 
     tiers = [["t"], [f"p{k}" for k in range(3)], [f"g{k}" for k in range(9)], [f"u{k}" for k in range(18)]]
     edges = tuple((a, hi[k * len(hi) // len(lo)]) for lo, hi in zip(tiers[1:], tiers) for k, a in enumerate(lo))
     sk = GraphSkeleton(nodes=tuple(sorted(n for tier in tiers for n in tier)), edges=edges, target="t")
     rows, hidden = 2000, 16
     model = init(sk, seed=0, hidden=hidden)
-    plan, h = _node_inputs(model, sk, _random_batch(np.random.default_rng(5), sk, rows))
-    assert h.values.shape == ({3: 31, 2: 13}[len(model.convs)], rows, 1)
+    batch = _random_batch(np.random.default_rng(5), sk, rows)
+    plan, h = _node_inputs(model, sk, batch)
+    assert h.shape == ({3: 31, 2: 13}[len(model.convs)], rows, 1)
     widths = [1] + [hidden] * len(plan.layers)
-    expected = 8 * rows * hidden  # final states
-    for k, layer in enumerate(plan.layers):
-        m_out = len(layer.self_index)
+    outs = [len(layer.self_index) for layer in plan.layers]
+    expected = 8 * max(outs[:-1]) * rows * hidden  # the scratch
+    for k, m_out in enumerate(outs):
         expected += 8 * m_out * rows * 2 * widths[k]  # [self | mean]
-        expected += m_out * rows * hidden * (k < len(plan.layers) - 1)  # bool mask
+        expected += m_out * rows * hidden * (k < len(outs) - 1)  # bool mask
+    expected += 8 * rows * hidden  # final states
     head = [layer.bias.values.size for layer in model.head]
     expected += sum(rows * (9 * n if k < len(head) - 1 else 8 * n) for k, n in enumerate(head))  # outputs, masks
+    layers = _stack(model, plan)
+    # gradients: one weight array per layer (ECC's filter weight and bias read it)
+    expected += 8 * sum(np.prod(layer.shape) + layer.bias.values.size for layer in layers)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = _forward_batch(model, plan, h)
+        step = engine.Step(h, layers, batch.labels)
         held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        step()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.values.shape == (rows,)
     assert expected <= held <= expected + 64 * 1024, (held, expected)
+    assert after - before - held <= 64 * 1024
+    mean = max(8 * m_out * rows * widths[k] for k, m_out in enumerate(outs))
+    assert peak - before - held <= mean + 64 * 1024, (peak - before - held, mean)
+
+
+@pytest.mark.parametrize("model", ["sage", "ecc", "mlp"])
+def test_fit_peak_memory_does_not_grow_with_epochs(model):
+    # every epoch of a fit runs over arrays allocated once: on the 30-day
+    # default farm a 10-epoch fit's tracemalloc peak exceeds a 1-epoch
+    # fit's by less than 64 KiB (an autodiff graph per epoch, two of them
+    # alive at once, cost 0.1 MB for SAGE and ECC and 0.95 MB for this MLP)
+    from soilcausal.synth import default_farm_benchmark, sample_environments
+
+    scm, envs = default_farm_benchmark(n_days=30)
+    table = sample_environments(scm, envs)
+    if model == "mlp":
+        X, y, _ = baselines._design(table)
+        fit = lambda epochs: baselines._mlp_fit(X, y, (128, 128, 128), 1e-3, epochs, 0)  # noqa: E731
+    else:
+        sk = GraphSkeleton(nodes=tuple(sorted(table.names)), edges=tuple(scm.dag.edges), target=scm.target)
+        batch = build_instances(table, sk)
+        fit = lambda epochs: train(model, sk, batch, epochs=epochs)  # noqa: E731
+    peaks = []
+    for epochs in (1, 10):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit(epochs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +592,8 @@ def test_forward_holds_only_what_backward_reads(init):
 
 
 @pytest.mark.parametrize("kind", ["sage", "ecc"])
-def test_model_gradients_match_fd(kind, monkeypatch):
-    from soilcausal.gnn import _forward_batch, _node_inputs
+def test_model_gradients_match_fd(kind):
+    from soilcausal.gnn import _node_inputs, _stack
 
     rng = np.random.default_rng(17)
     # target n2 reads n0 and n3, which read n1: every convolution computes
@@ -559,37 +604,30 @@ def test_model_gradients_match_fd(kind, monkeypatch):
 
     # screen out seeds whose ReLU preactivations sit inside the h=1e-5
     # difference stencil: the subgradient convention and the symmetric
-    # difference legitimately disagree on the kink itself.  Every op that
-    # applies a ReLU is wrapped to record its preactivations in the forward
-    # pass: every layer stack (the convolutions, the dense head and ECC's
-    # filter networks).  Its ReLU layers are all but its last, and each one's
-    # preactivations are the output of the stack cut after that layer.
-    preacts = []
-    stack = engine.layer_stack
-
-    def recording_stack(h, layers, weights, biases):
-        for k in range(1, len(layers)):
-            preacts.append(np.abs(stack(h, layers[:k], weights[:k], biases[:k]).values).min(initial=np.inf))
-        return stack(h, layers, weights, biases)
-
-    monkeypatch.setattr(engine, "layer_stack", recording_stack)
+    # difference legitimately disagree on the kink itself.  A ReLU layer's
+    # preactivations are the output of the stack cut after that layer with
+    # its ReLU off
     model = None
     for seed in range(2, 50):
         cand = (init_sage if kind == "sage" else init_ecc)(sk, seed=seed, hidden=3)
-        preacts.clear()
-        predict(cand, sk, batch)
+        plan, h = _node_inputs(cand, sk, batch)
+        layers = _stack(cand, plan)
+        preacts = [
+            np.abs(engine.Step(h, [*layers[:k], layer._replace(relu=False)]).forward()).min()
+            for k, layer in enumerate(layers)
+            if layer.relu
+        ]
         # SAGE: two ReLU convolutions and two ReLU head layers; ECC: one ReLU convolution
         assert len(preacts) == {"sage": 4, "ecc": 1}[kind]
         if min(preacts) > 1e-3:
             model = cand
             break
-    monkeypatch.undo()
     assert model is not None, "no kink-free seed found"
 
-    def loss_fn():
-        return mse(_forward_batch(model, *_node_inputs(model, sk, batch)), batch.labels)
-
-    report = finite_diff_check(loss_fn, model.params)
+    # one epoch of the fit, on every parameter of the model
+    step = engine.Step(h, layers, batch.labels)
+    assert all(p is q for p, q in zip(step.params, model.params, strict=True))
+    report = step_gradient_check(step)
     assert report.passed, report
 
 
@@ -773,10 +811,10 @@ def test_save_load_roundtrip(tmp_path):
     assert res.skeleton == res.model.skeleton == sk
     path = tmp_path / "sage.bin"
     save_model(path, res.model)
-    clone = load_model(path, "sage", sk)
+    clone = load_model(path, sk)
     assert np.array_equal(predict(clone, sk, batch), predict(res.model, sk, batch))
     with pytest.raises(SchemaError, match="differing edges_sha256"):
-        load_model(path, "sage", other)
+        load_model(path, other)
 
 
 def test_parameter_lists_keep_the_checkpoint_layout():
@@ -802,28 +840,28 @@ def test_checkpoint_pins_its_graph(tmp_path):
     raw = path.read_bytes()
     header = json.loads(raw.partition(b"\n")[0])
     assert header["nodes"] == ["a", "b", "t"] and header["target"] == "t"
-    load_model(path, "sage", sk, hidden=4)
+    assert load_model(path, sk).hidden == 4
     # a payload cut in its data or shape records, or padded, is no checkpoint
     for bad in (raw[:-3], raw[:-8], raw[: raw.index(b"\n") + 7], raw + bytes(8)):
         path.write_bytes(bad)
         with pytest.raises(SchemaError, match="checkpoint"):
-            load_model(path, "sage", sk, hidden=4)
+            load_model(path, sk)
     path.write_bytes(raw)
     # the same nodes under other edges: same parameter shapes, other layer plan
     other_edges = replace(sk, edges=(("b", "t"), ("a", "b")))
-    for kind, skeleton, hidden in (
-        ("sage", other_edges, 4),
-        ("sage", replace(sk, target="a"), 4),
-        ("sage", replace(sk, nodes=("t", "b", "a")), 4),
-        ("sage", sk, 8),
-        ("ecc", sk, 4),
-    ):
-        with pytest.raises(SchemaError):
-            load_model(path, kind, skeleton, hidden=hidden)
+    for skeleton in (other_edges, replace(sk, target="a"), replace(sk, nodes=("t", "b", "a"))):
+        with pytest.raises(SchemaError, match="differing"):
+            load_model(path, skeleton)
+    # a header naming another size or kind than its parameters
+    line, _, payload = raw.partition(b"\n")
+    for edit in ({"hidden": 8}, {"kind": "ecc"}):
+        path.write_bytes(json.dumps({**json.loads(line), **edit}).encode() + b"\n" + payload)
+        with pytest.raises(SchemaError, match="checkpoint (shape|parameter count)"):
+            load_model(path, sk)
     # raw parameters without the header are no model checkpoint
     path.write_bytes(engine.pack_params(init_sage(sk, hidden=4).params))
     with pytest.raises(SchemaError):
-        load_model(path, "sage", sk, hidden=4)
+        load_model(path, sk)
 
 
 def test_load_model_names_the_header_keys_that_do_not_match(tmp_path):
@@ -836,14 +874,14 @@ def test_load_model_names_the_header_keys_that_do_not_match(tmp_path):
     def load_with(h):
         path.write_bytes(json.dumps(h).encode() + b"\n" + payload)
         with pytest.raises(SchemaError) as err:
-            load_model(path, "sage", sk, hidden=4)
+            load_model(path, sk)
         return str(err.value).rpartition(": ")[2]
 
     # a key this version does not write, as an older checkpoint's neighborhood
     assert load_with({**header, "neighborhood": "parents"}) == "unexpected neighborhood"
     assert load_with({k: v for k, v in header.items() if k != "target"}) == "missing target"
-    both = {**{k: v for k, v in header.items() if k != "nodes"}, "hidden": 8, "zz": 1}
-    assert load_with(both) == "missing nodes; unexpected zz; differing hidden"
+    both = {**{k: v for k, v in header.items() if k != "nodes"}, "target": "a", "zz": 1}
+    assert load_with(both) == "missing nodes; unexpected zz; differing target"
 
 
 def test_load_model_rejects_parameters_that_do_not_fit(tmp_path):
@@ -856,13 +894,24 @@ def test_load_model_rejects_parameters_that_do_not_fit(tmp_path):
     for params in (init_sage(sk, hidden=8).params, init_sage(sk, hidden=4).params[:-1]):
         path.write_bytes(line + b"\n" + engine.pack_params(params))
         with pytest.raises(SchemaError, match="checkpoint (shape|parameter count)"):
-            load_model(path, "sage", sk, hidden=4)
+            load_model(path, sk)
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):
+    # the header names the model: an unknown kind or a size that is not an
+    # int of at least 1 is malformed data (SchemaError, exit 3)
     sk = _random_skeleton(np.random.default_rng(10), 3, 2)
     path = tmp_path / "ecc.bin"
     save_model(path, init_ecc(sk, hidden=4))  # loads cleanly as "ecc"
-    load_model(path, "ecc", sk, hidden=4)
-    with pytest.raises(ConfigError):
-        load_model(path, "bogus", sk, hidden=4)
+    model = load_model(path, sk)
+    assert (model.kind, model.hidden) == ("ecc", 4)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    for edit in ({"kind": "bogus"}, {"kind": ["ecc"]}, {"hidden": 0}, {"hidden": True}, {"hidden": 4.0}, {"hidden": "4"}):
+        path.write_bytes(json.dumps({**header, **edit}).encode() + b"\n" + payload)
+        with pytest.raises(SchemaError, match="names no model"):
+            load_model(path, sk)
+    for key in ("kind", "hidden"):
+        path.write_bytes(json.dumps({k: v for k, v in header.items() if k != key}).encode() + b"\n" + payload)
+        with pytest.raises(SchemaError, match="names no model"):
+            load_model(path, sk)
