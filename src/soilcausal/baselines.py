@@ -32,6 +32,11 @@ on a presorted index buffer (``_Grower``).  Row f of the (d + 1, n) buffer
 lists the rows by (x_f, row id), the last row by row id; a node owns the
 slice [lo, hi) of every row, and splitting it stably partitions that
 slice, so both children keep the order and are made after it.
+
+The MLP is a dense ``engine`` layer stack on the (1, rows, features)
+design.  Every grid fit and the refit train with ``engine.fit``, the loop
+the graph models use, whose buffers are allocated once per fit; the
+validation scores and predictions run one step's forward half.
 """
 
 from __future__ import annotations
