@@ -33,7 +33,7 @@ lists the rows by (x_f, row id), the last row by row id; a node owns the
 slice [lo, hi) of every row, and splitting it stably partitions that
 slice, so both children keep the order and are made after it.
 
-The MLP is a dense ``engine`` layer stack on the (1, rows, features)
+The MLP is its list of dense ``engine.Layer``s on the (1, rows, features)
 design.  Every grid fit and the refit train with ``engine.fit``, the loop
 the graph models use, whose buffers are allocated once per fit; the
 validation scores and predictions run one step's forward half.
@@ -517,7 +517,7 @@ _GRID_LRS = (1e-3, 1e-2)
 
 @dataclass
 class MlpModel:
-    layers: list[engine.DenseParams]
+    layers: list[engine.Layer]
     feature_names: tuple[str, ...]
     target: str
     hidden: tuple[int, ...]
@@ -527,13 +527,13 @@ class MlpModel:
 
 
 def _mlp_fit(X, y, hidden, lr, epochs, seed):
-    layers = engine.dense_stack_params(np.random.default_rng(seed), X.shape[1], hidden)
-    engine.fit(X[None], engine.stack(layers), y, lr, epochs, f"mlp (hidden={hidden})")
+    layers = engine.dense_layers(np.random.default_rng(seed), X.shape[1], hidden)
+    engine.fit(X[None], layers, y, lr, epochs, f"mlp (hidden={hidden})")
     return layers
 
 
 def _mlp_forward(X, layers) -> np.ndarray:
-    return engine.Step(X[None], engine.stack(layers)).forward().reshape(-1)
+    return engine.Step(X[None], layers).forward().reshape(-1)
 
 
 def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:

@@ -2,16 +2,17 @@
 reverse-mode engine.
 
 Float64 throughout: downstream gradient checks run at tolerances that
-float32 cannot hold.  Every model is a stack of affine layers (``Layer``)
-on node-major (nodes, rows, dim) states: dense layers, the map x Wᵀ + b
-on every node's states (the MLP baseline and both GNN heads), and
-mean-aggregation convolutions, each output node's own state and the mean
-of its neighbours' through an affine map on [self | mean] (both GNNs'
-convolutions).  The convolutions take the graph as constants: per layer,
-the positions of the output nodes' own states in the input and an
-(out, in) mean-aggregation block.  ECC's generated weight is the sum of
-its filter's weight and bias, so a layer's weight is the sum of its
-weight tensors.
+float32 cannot hold.  Every model is a list of affine ``Layer``s on
+node-major (nodes, rows, dim) states, drawn as layers: dense layers, the
+map x Wᵀ + b on every node's states (the MLP baseline and both GNN
+heads), and mean-aggregation convolutions, each output node's own state
+and the mean of its neighbours' through an affine map on [self | mean]
+(both GNNs' convolutions).  A convolution carries its graph as fixed
+arrays: the positions of the output nodes' own states in the input and
+an (out, in) mean-aggregation block.  A layer's weight is the sum of its
+weight tensors: one for a dense layer or a SAGE convolution, two for an
+ECC convolution, whose generated weight is its filter's weight plus its
+filter's bias.
 
 ``fit`` is the one full-batch Adam loop the models and the MLP baseline
 train with.  Each epoch is one ``Step``: a fused forward, squared error
@@ -20,16 +21,17 @@ layer's saved input, each ReLU mask, one scratch array for the
 convolution outputs that only feed the next convolution, and the weight
 and bias gradients).  Backward writes each input gradient into the saved
 input it replaces, so an epoch builds no graph.  A prediction runs a
-step's forward half alone.  ``pack_params``/``unpack_params`` are the
-byte layout of the parameters in a model checkpoint.
+step's forward half alone.  ``layer_params`` lists a stack's tensors in
+checkpoint order, and ``pack_params``/``unpack_params`` are their byte
+layout in a model checkpoint.
 
-The parameters stay ``Tensor`` leaves.  ``Tensor``, with ``matmul`` on
+The parameters are ``Tensor`` leaves.  ``Tensor``, with ``matmul`` on
 matrices and stacks of matrices, ``reshape`` and the mean squared error
 ``mse``, is a small eager autodiff graph: every op returns a ``Tensor``
 holding its value, its parents and a closure that pushes the adjoint
 back one step, and ``backward`` replays the closures in reverse
-topological order.  No model runs through it; ``perfbench``'s inner-layer
-timings do.
+topological order.  Every tensor in it takes a gradient.  No model runs
+through it; ``perfbench``'s inner-layer timings do.
 """
 
 from __future__ import annotations
@@ -45,22 +47,20 @@ from .errors import NumericError, SchemaError, require_count, require_rate
 
 __all__ = [
     "AdamState",
-    "DenseParams",
     "Layer",
     "Step",
     "Tensor",
     "adam_step",
-    "constant",
-    "dense_params",
-    "dense_stack_params",
+    "dense_layer",
+    "dense_layers",
     "fit",
     "glorot_uniform",
+    "layer_params",
     "matmul",
     "mse",
     "pack_params",
     "parameter",
     "reshape",
-    "stack",
     "unpack_params",
 ]
 
@@ -70,15 +70,14 @@ class Tensor:
 
     ``values`` is always a float64 ndarray (scalars become 0-d arrays).
     ``grad`` is set by ``backward``: ``parameter`` leaves keep it, an op's
-    result drops it once it has pushed it, ``constant`` leaves get none.
+    result drops it once it has pushed it.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_push")
+    __slots__ = ("values", "grad", "_parents", "_push")
 
-    def __init__(self, values, parents=(), push=None, requires_grad=True):
+    def __init__(self, values, parents=(), push=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._push = push
 
@@ -114,19 +113,15 @@ class Tensor:
 
 
 def parameter(values) -> Tensor:
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
-
-
-def constant(values) -> Tensor:
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=False)
+    return Tensor(np.array(values, dtype=np.float64))
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g``, a float64 array of t's shape that no other tensor reads,
     to ``t.grad``; the first one becomes the grad buffer as it is."""
-    if t.requires_grad and t.grad is None:
+    if t.grad is None:
         t.grad = g
-    elif t.requires_grad:
+    else:
         t.grad += g
 
 
@@ -141,13 +136,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _node(values, parents, push) -> Tensor:
-    """Op result: participates in backward only if some parent does."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(values, parents, push, requires_grad=True)
-    return Tensor(values, (), None, requires_grad=False)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` for operands of at least two dimensions; leading (stack)
     dimensions broadcast as in numpy."""
@@ -156,14 +144,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_vals = a.values @ b.values
 
     def push(g):
-        # guard each side: computing the adjoint of a constant operand
-        # (e.g. a fixed aggregation matrix) would be pure wasted GEMMs
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.values.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.values.shape))
+        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.values.shape))
+        _accumulate(b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.values.shape))
 
-    return _node(out_vals, (a, b), push)
+    return Tensor(out_vals, (a, b), push)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -172,7 +156,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def push(g):
         _accumulate(x, g.reshape(x.values.shape))
 
-    return _node(out_vals, (x,), push)
+    return Tensor(out_vals, (x,), push)
 
 
 def mse(pred: Tensor, target) -> Tensor:
@@ -186,55 +170,11 @@ def mse(pred: Tensor, target) -> Tensor:
     def push(g):
         _accumulate(pred, g * 2.0 * diff / n)
 
-    return _node(out_vals, (pred,), push)
+    return Tensor(out_vals, (pred,), push)
 
 
 # ---------------------------------------------------------------------------
 # layers
-
-
-@dataclass
-class DenseParams:
-    """Affine layer parameters: weight (out x in) and bias (out,)."""
-
-    weight: Tensor
-    bias: Tensor
-
-    def __post_init__(self):
-        w, b = self.weight.values, self.bias.values
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise NumericError(f"inconsistent dense shapes {w.shape} / {b.shape}")
-
-    @property
-    def tensors(self) -> tuple[Tensor, Tensor]:
-        return (self.weight, self.bias)
-
-    @property
-    def affine(self) -> tuple[tuple[Tensor], tuple[int, ...], Tensor]:
-        """The layer's weight tensors, weight shape and bias."""
-        return (self.weight,), self.weight.values.shape, self.bias
-
-
-def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
-def dense_params(rng: np.random.Generator, out_dim: int, in_dim: int) -> DenseParams:
-    # small nonzero bias keeps ReLU preactivations off the exact kink
-    # (all-zero input slices otherwise land precisely at 0, where central
-    # differences and the subgradient disagree)
-    return DenseParams(
-        weight=parameter(glorot_uniform(rng, out_dim, in_dim)),
-        bias=parameter(rng.uniform(-0.05, 0.05, size=out_dim)),
-    )
-
-
-def dense_stack_params(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...]) -> list[DenseParams]:
-    """The layers of a dense stack from ``in_dim`` through the ``hidden``
-    widths to one output, drawn input side first."""
-    dims = [in_dim, *hidden, 1]
-    return [dense_params(rng, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
 
 
 class Layer(NamedTuple):
@@ -264,19 +204,38 @@ class Layer(NamedTuple):
         return w
 
 
-def stack(params, graphs=None) -> list[Layer]:
-    """``params``, each with an ``affine`` (weight tensors, weight shape,
-    bias), as layers with a ReLU after every one but the last: dense, or
-    the convolutions ``graphs`` gives one per layer."""
-    graphs = [None] * len(params) if graphs is None else graphs
-    last = len(params) - 1
-    return [Layer(*p.affine, graph, k < last) for k, (p, graph) in enumerate(zip(params, graphs, strict=True))]
+def layer_params(layers) -> list[Tensor]:
+    """The tensors of ``layers`` in checkpoint order: each layer's weight
+    tensors, then its bias, input side first."""
+    return [t for layer in layers for t in (*layer.weight, layer.bias)]
+
+
+def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+    limit = np.sqrt(6.0 / (in_dim + out_dim))
+    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
+
+
+def dense_layer(rng: np.random.Generator, out_dim: int, in_dim: int, relu: bool = False) -> Layer:
+    """A dense (out, in) layer: a glorot weight, then a bias."""
+    # small nonzero bias keeps ReLU preactivations off the exact kink
+    # (all-zero input slices otherwise land precisely at 0, where central
+    # differences and the subgradient disagree)
+    weight = parameter(glorot_uniform(rng, out_dim, in_dim))
+    return Layer((weight,), (out_dim, in_dim), parameter(rng.uniform(-0.05, 0.05, size=out_dim)), relu=relu)
+
+
+def dense_layers(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...]) -> list[Layer]:
+    """The dense layers from ``in_dim`` through the ``hidden`` widths to
+    one output, drawn input side first, with a ReLU after every one but
+    the last."""
+    dims = [in_dim, *hidden, 1]
+    return [dense_layer(rng, dims[k + 1], dims[k], relu=k < len(hidden)) for k in range(len(dims) - 1)]
 
 
 class Step:
     """One full-batch epoch of a layer stack, over arrays allocated once.
 
-    ``x`` is the stack's constant node-major input.  ``step()`` runs the
+    ``x`` is the stack's fixed node-major input.  ``step()`` runs the
     forward pass, the mean squared error of the flattened outputs against
     ``target`` and, when that loss is finite, the backward pass; it
     returns the loss, and ``grads`` then holds the gradient of each of
@@ -329,7 +288,7 @@ class Step:
             self.masks.append(np.empty(prev.shape, dtype=bool) if layer.relu else None)
         self.dw = [np.empty(layer.shape) for layer in self.layers]
         self.db = [np.empty(layer.bias.values.shape) for layer in self.layers]
-        self.params = [t for layer in self.layers for t in (*layer.weight, layer.bias)]
+        self.params = layer_params(self.layers)
         self.grads = [
             g
             for layer, dw, db in zip(self.layers, self.dw, self.db)

@@ -19,11 +19,13 @@ the target node:
   root weight of ECC and MPNN, PyG's ``NNConv``), ReLU between them, then
   a one-layer head.
 
-Both run as one ``engine`` layer stack on node-major (nodes, rows, dim)
-states: the convolutions, each layer's weight (ECC's, the sum of its
-filter's weight and bias) read against [self | mean], then the head, the
-dense layers of the MLP baseline, on the target's final states.  Training
-is ``engine.fit`` and prediction one ``engine.Step``'s forward half.  So
+A model is its list of ``engine.Layer``s, drawn as layers: the
+convolutions, each weight read against [self | mean] (an ECC layer holds
+two weight tensors, its filter's weight and bias, whose sum is the
+generated weight), then the head, dense layers as in the MLP baseline, on
+the target's final states.  Both run on node-major (nodes, rows, dim)
+states.  Training is ``engine.fit`` and prediction one ``engine.Step``'s
+forward half, over the convolutions given the plan's graphs.  So
 each convolution computes only the node states that the target reads
 (GraphSAGE's minibatch scheme, Hamilton et al. 2017, Alg. 2, exact here
 because every neighbor is kept).
@@ -34,8 +36,9 @@ prediction: the last layer outputs the target alone, and each layer's
 input nodes — its in-set — are its output nodes and their in-neighbors,
 the outputs of the layer before.  So layer k outputs the nodes within
 (depth − k) in-hops of the target.
-Each layer carries two constants: the position of every output node in the
-in-set, and an (out, in) block whose row i averages node i's in-neighbors.
+Each layer's graph is two fixed arrays: the position of every output node
+in the in-set, and an (out, in) block whose row i averages node i's
+in-neighbors.
 A node with no in-neighbors has an all-zero row there, so its aggregate is
 zero: its SAGE output reads its own state alone, its ECC output is
 W_root x_self + b.
@@ -51,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine, graphs
-from .engine import DenseParams, Tensor
+from .engine import Layer, Tensor
 from .errors import ConfigError, GraphError, NumericError, SchemaError, require_count
 from .ingest import require_finite
 
@@ -103,7 +106,7 @@ def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:
 
 
 class ConvLayer(NamedTuple):
-    """One convolution's graph constants."""
+    """One convolution's graph."""
 
     self_index: np.ndarray  # (out,) each output node's position in the in-set
     agg: np.ndarray  # (out, in) row i: mean over output node i's in-neighbors
@@ -189,72 +192,48 @@ def build_instances(table, skeleton: GraphSkeleton) -> GraphBatch:
 
 
 @dataclass
-class EccLayer:
-    """Edge filter (scalar attribute -> flat out*2in weight) plus bias."""
-
-    filter: DenseParams
-    bias: Tensor
-    out_dim: int
-    in_dim: int
-
-    def __post_init__(self):
-        if self.filter.weight.values.shape != (self.out_dim * 2 * self.in_dim, 1):
-            raise NumericError("filter output does not reshape to out x 2in")
-
-    @property
-    def affine(self) -> tuple[tuple[Tensor, Tensor], tuple[int, int], Tensor]:
-        """The (out, 2in) weight [W_root | Θ] the filter network generates
-        from the edge attribute 1.0: its weight column plus its bias, each
-        read in that shape."""
-        return (self.filter.weight, self.filter.bias), (self.out_dim, 2 * self.in_dim), self.bias
-
-    @property
-    def tensors(self) -> tuple[Tensor, Tensor, Tensor]:
-        return (*self.filter.tensors, self.bias)
-
-
-@dataclass
 class GnnModel:
-    """A stack of convolutions (``DenseParams`` for SAGE, ``EccLayer`` for
-    ECC; input side first) and the dense head read off the target, over
-    the skeleton the model was built on."""
+    """A stack of convolutions (input side first, with no graph: each fit
+    and prediction gives them the plan's) and the dense head read off the
+    target, over the skeleton the model was built on."""
 
     kind: str
     skeleton: GraphSkeleton
-    convs: tuple[DenseParams | EccLayer, ...]
-    head: list[DenseParams]
-    hidden: int = 16
+    convs: tuple[Layer, ...]
+    head: list[Layer]
+
+    @property
+    def hidden(self) -> int:
+        return self.convs[0].shape[0]
 
     @property
     def params(self) -> list[Tensor]:
-        return [t for layer in (*self.convs, *self.head) for t in layer.tensors]
+        return engine.layer_params([*self.convs, *self.head])
 
 
 def init_sage(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnModel:
     rng = np.random.default_rng(seed)
     h = hidden
-    convs = tuple(engine.dense_params(rng, h, 2 * d) for d in (1, h, h))
-    head = engine.dense_stack_params(rng, h, (h, h))
-    return GnnModel("sage", skeleton, convs, head, h)
+    convs = tuple(engine.dense_layer(rng, h, 2 * d, relu=k < 2) for k, d in enumerate((1, h, h)))
+    return GnnModel("sage", skeleton, convs, engine.dense_layers(rng, h, (h, h)))
 
 
-def _ecc_layer(rng, out_dim: int, in_dim: int) -> EccLayer:
-    # same small-bias convention as dense_params: keeps preactivations of
+def _ecc_layer(rng, out_dim: int, in_dim: int, relu: bool) -> Layer:
+    """An ECC convolution: the (out, 2in) weight [W_root | Θ] its filter
+    network generates from the edge attribute 1.0, the filter's weight
+    column plus its bias, each read in that shape, and the layer's bias."""
+    filt = engine.dense_layer(rng, out_dim * 2 * in_dim, 1)
+    # same small-bias convention as dense_layer: keeps preactivations of
     # all-zero inputs (exactly the bias) off the ReLU kink
-    return EccLayer(
-        filter=engine.dense_params(rng, out_dim * 2 * in_dim, 1),
-        bias=engine.parameter(rng.uniform(-0.05, 0.05, size=out_dim)),
-        out_dim=out_dim,
-        in_dim=in_dim,
-    )
+    bias = engine.parameter(rng.uniform(-0.05, 0.05, size=out_dim))
+    return Layer((*filt.weight, filt.bias), (out_dim, 2 * in_dim), bias, relu=relu)
 
 
 def init_ecc(skeleton: GraphSkeleton, seed: int = 0, hidden: int = 16) -> GnnModel:
     rng = np.random.default_rng(seed)
     h = hidden
-    convs = (_ecc_layer(rng, h, 1), _ecc_layer(rng, h, h))
-    head = engine.dense_stack_params(rng, h, ())
-    return GnnModel("ecc", skeleton, convs, head, h)
+    convs = (_ecc_layer(rng, h, 1, relu=True), _ecc_layer(rng, h, h, relu=False))
+    return GnnModel("ecc", skeleton, convs, engine.dense_layers(rng, h, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +255,7 @@ def _node_inputs(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) ->
 def _stack(model: GnnModel, plan: LayerPlan) -> list[engine.Layer]:
     """The convolutions on the plan's graphs, then the head on the
     target's (1, rows, hidden) final states."""
-    return engine.stack(model.convs, plan.layers) + engine.stack(model.head)
+    return [c._replace(graph=g) for c, g in zip(model.convs, plan.layers, strict=True)] + model.head
 
 
 def predict(model: GnnModel, skeleton: GraphSkeleton, batch: GraphBatch) -> np.ndarray:
@@ -358,7 +337,7 @@ def load_model(path, skeleton: GraphSkeleton) -> GnnModel:
         line, _, payload = fh.read().partition(b"\n")
     try:
         header = json.loads(line)
-    except ValueError:  # no JSON header line: raw parameters or another file
+    except (ValueError, RecursionError):  # no JSON header line: raw parameters or another file
         header = None
     if not isinstance(header, dict):
         raise SchemaError(f"{path} is not a checkpoint of this model and graph: no header")

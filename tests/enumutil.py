@@ -467,10 +467,10 @@ def _compare(loss, params, analytic, tol, h) -> FiniteDiffReport:
     )
 
 
-def one_layer(h, graph, params, relu):
-    """One layer of ``params`` (``DenseParams`` or an ECC layer), dense
-    (``graph`` None) or a convolution (a (self_index, agg) pair), on the
-    node-major states ``h``: a one-layer step's forward half."""
-    from soilcausal.engine import Layer, Step
+def one_layer(h, graph, layer, relu):
+    """``layer`` (an ``engine.Layer``) alone, dense (``graph`` None) or a
+    convolution (a (self_index, agg) pair), with or without its ReLU, on
+    the node-major states ``h``: a one-layer step's forward half."""
+    from soilcausal.engine import Step
 
-    return Step(h, [Layer(*params.affine, graph, relu)]).forward()
+    return Step(h, [layer._replace(graph=graph, relu=relu)]).forward()

@@ -5,14 +5,12 @@ import pytest
 
 from soilcausal.engine import (
     AdamState,
-    DenseParams,
     Layer,
     Step,
     Tensor,
     adam_step,
     assign_params,
-    constant,
-    dense_params,
+    dense_layer,
     fit,
     glorot_uniform,
     matmul,
@@ -69,9 +67,9 @@ def test_relu_values_and_mask():
 
 
 def test_mse_values():
-    p = constant([0.0, 2.0])
+    p = parameter([0.0, 2.0])
     assert float(mse(p, np.zeros(2)).values) == pytest.approx(2.0)
-    q = constant([1.0, 1.0])
+    q = parameter([1.0, 1.0])
     assert float(mse(q, np.ones(2)).values) == 0.0
 
 
@@ -101,13 +99,6 @@ def test_dense_identity_and_bias():
     bias = parameter([1.0, 2.0, 3.0])
     y0 = Step(np.zeros((2, 1, 3)), [_layer(w, bias)]).forward()
     assert np.allclose(y0, np.broadcast_to(bias.values, (2, 1, 3)))
-
-
-def test_dense_params_shape_guard():
-    from soilcausal.errors import NumericError
-
-    with pytest.raises(NumericError):
-        DenseParams(parameter(np.zeros((3, 2))), parameter(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +138,13 @@ def test_op_zoo_gradients_match_fd(seed):
     assert report.max_rel_err < 1e-4
     assert report.n_entries == 12 + 28 + 32 + 2 + 6 + 3
 
-    # the autodiff ops: matmul with a constant left operand and a stack
-    # times a matrix, reshape and mse
+    # the autodiff ops: matmul of two matrices and of a stack by a
+    # matrix, reshape and mse
     z, v = parameter(rng.standard_normal((5, 2))), parameter(rng.standard_normal((2, 1)))
     target = rng.standard_normal(5)
 
     def loss_fn():
-        mixed = matmul(constant(np.eye(5)[::-1] + 0.2), z)
+        mixed = matmul(parameter(np.eye(5)[::-1] + 0.2), z)
         pred = matmul(reshape(mixed, (1, 5, 2)), v)  # (1, 5, 1)
         return mse(reshape(pred, (5,)), target)
 
@@ -179,13 +170,13 @@ def test_conv_ops_gradients_match_fd(relu):
     # nodes read their own states in reverse slot order
     rng = np.random.default_rng(31)
     dense = _layer(parameter(rng.standard_normal((2, 2))), parameter(rng.standard_normal(2)))
-    first = DenseParams(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
+    first = _layer(parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal(3)))
     theta, bias = parameter(rng.standard_normal((2, 6))), parameter(rng.standard_normal(2))
     blocks = [
         (np.array([0, 2]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]])),
         (np.array([1, 0]), np.array([[0.5, 0.5], [0.0, 1.0]])),
     ]
-    layers = [dense, Layer(*first.affine, blocks[0], relu), _layer(theta, bias, blocks[1])]
+    layers = [dense, first._replace(graph=blocks[0], relu=relu), _layer(theta, bias, blocks[1])]
     report = step_gradient_check(Step(rng.standard_normal((3, 1, 2)), layers, rng.standard_normal(4)))
     assert report.passed, report
     assert report.n_entries == 6 + 12 + 3 + 12 + 2
@@ -201,12 +192,12 @@ def test_handed_over_gradient_buffers_take_a_second_sum():
     rng = np.random.default_rng(33)
     agg = np.array([[0, 0.5, 0.5], [1, 0, 0], [0.5, 0, 0.5]])
     layers = [
-        Layer(*dense_params(rng, 3, 2).affine, None, True),
-        Layer(*dense_params(rng, 3, 3).affine, None, True),
-        Layer(*dense_params(rng, 3, 6).affine, (np.array([0, 2, 1]), agg), True),
-        Layer(*dense_params(rng, 3, 6).affine, (np.array([2, 1]), agg[1:]), False),
-        Layer(*dense_params(rng, 2, 3).affine, None, True),
-        Layer(*dense_params(rng, 1, 2).affine, None, False),
+        dense_layer(rng, 3, 2, relu=True),
+        dense_layer(rng, 3, 3, relu=True),
+        dense_layer(rng, 3, 6, relu=True)._replace(graph=(np.array([0, 2, 1]), agg)),
+        dense_layer(rng, 3, 6)._replace(graph=(np.array([2, 1]), agg[1:])),
+        dense_layer(rng, 2, 3, relu=True),
+        dense_layer(rng, 1, 2),
     ]
     x, target = rng.standard_normal((3, 4, 2)), rng.standard_normal(8)
     step = Step(x, layers, target)
@@ -228,23 +219,23 @@ def test_graph_conv_checks_weight_and_block_widths():
     # stack has a layer
     from soilcausal.errors import NumericError
 
-    h, agg, bias = np.ones((2, 1, 3)), np.full((1, 2), 0.5), constant(np.zeros(4))
+    h, agg, bias = np.ones((2, 1, 3)), np.full((1, 2), 0.5), parameter(np.zeros(4))
     self_slots = np.array([0])
-    assert Step(h, [_layer(constant(np.ones((4, 6))), bias, (self_slots, agg))]).forward().shape == (1, 1, 4)
+    assert Step(h, [_layer(parameter(np.ones((4, 6))), bias, (self_slots, agg))]).forward().shape == (1, 1, 4)
     for self_index, block, width, b in (
         (self_slots, agg, 3, bias),
-        (self_slots, agg, 6, constant(np.zeros(3))),
+        (self_slots, agg, 6, parameter(np.zeros(3))),
         (self_slots, np.ones((1, 3)), 6, bias),
         (np.array([0, 1]), agg, 6, bias),
     ):
         with pytest.raises(NumericError, match="conv 0 .* do not fit"):
-            Step(h, [_layer(constant(np.ones((4, width))), b, (self_index, block))])
-    terms = (constant(np.ones((24, 1))), constant(np.ones(23)))
+            Step(h, [_layer(parameter(np.ones((4, width))), b, (self_index, block))])
+    terms = (parameter(np.ones((24, 1))), parameter(np.ones(23)))
     with pytest.raises(NumericError, match="conv 0 .* do not fit"):
         Step(h, [Layer(terms, (4, 6), bias, (self_slots, agg))])
     # the second layer reads the first's 4-wide states
     with pytest.raises(NumericError, match=r"conv 1 .* do not fit states \(1, 1, 4\)"):
-        Step(h, [_layer(constant(np.ones((4, 6))), bias, (self_slots, agg))] * 2)
+        Step(h, [_layer(parameter(np.ones((4, 6))), bias, (self_slots, agg))] * 2)
     with pytest.raises(NumericError, match="at least one layer"):
         Step(h, [])
 
@@ -255,14 +246,14 @@ def test_dense_layer_checks_weight_and_bias_widths():
     # and the stack reads node-major states
     from soilcausal.errors import NumericError
 
-    h, w, b = np.ones((2, 5, 3)), constant(np.ones((4, 3))), constant(np.zeros(4))
+    h, w, b = np.ones((2, 5, 3)), parameter(np.ones((4, 3))), parameter(np.zeros(4))
     assert Step(h, [_layer(w, b)]).forward().shape == (2, 5, 4)
     for weight, bias in (((2, 3), (2,)), ((2, 5), (2,)), ((2, 4), (3,))):
         message = f"dense 1 weight {weight} and bias {bias} do not fit states (2, 5, 4)"
         with pytest.raises(NumericError, match=re.escape(message)):
-            Step(h, [_layer(w, b), _layer(constant(np.ones(weight)), constant(np.zeros(bias)))])
+            Step(h, [_layer(w, b), _layer(parameter(np.ones(weight)), parameter(np.zeros(bias)))])
     with pytest.raises(NumericError, match=r"dense 0 .* do not fit states \(2, 5, 3\)"):
-        Step(h, [_layer(constant(np.ones((4, 2))), b)])
+        Step(h, [_layer(parameter(np.ones((4, 2))), b)])
     with pytest.raises(NumericError, match=r"node-major .* got \(5, 3\)"):  # a (rows, in) matrix
         Step(np.ones((5, 3)), [_layer(w, b)])
 
@@ -309,7 +300,7 @@ def test_grad_accumulates_over_shared_subexpression():
     # grad is their sum.  s = z.w = 2, loss = |z|^2 s^2 / 2, so
     # dz = z s^2 + |z|^2 s w = (34, -3)
     z = parameter([[1.0, -2.0]])
-    weight = constant([[3.0], [0.5]])
+    weight = parameter([[3.0], [0.5]])
     for pred in (
         lambda: matmul(reshape(z, (2, 1)), matmul(z, weight)),
         lambda: matmul(matmul(z, weight), reshape(z, (1, 2))),
@@ -339,10 +330,10 @@ def test_backward_keeps_gradients_on_leaves_only():
 
     agg = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     layers = [
-        Layer(*dense_params(rng, 3, 4).affine, (np.array([0, 2, 1]), agg), True),  # (3, 4, 3)
-        Layer(*dense_params(rng, 2, 3).affine, None, True),  # (3, 4, 2)
-        Layer(*dense_params(rng, 2, 2).affine, None, True),
-        Layer(*dense_params(rng, 1, 2).affine, None, False),
+        dense_layer(rng, 3, 4, relu=True)._replace(graph=(np.array([0, 2, 1]), agg)),  # (3, 4, 3)
+        dense_layer(rng, 2, 3, relu=True),  # (3, 4, 2)
+        dense_layer(rng, 2, 2, relu=True),
+        dense_layer(rng, 1, 2),
     ]
     x = rng.standard_normal((3, 4, 2))
     step = Step(x, layers, rng.standard_normal(12))
@@ -494,15 +485,14 @@ def test_backward_requires_scalar():
         x.backward()
 
 
-def test_constants_collect_no_gradient():
-    # a constant left operand in matmul
-    agg = constant([[0.0, 1.0], [0.5, 0.5]])
+def test_matmul_pushes_gradients_to_both_operands():
+    agg = parameter([[0.0, 1.0], [0.5, 0.5]])
     x = parameter([[3.0], [4.0]])
     loss = mse(reshape(matmul(agg, x), (2,)), np.zeros(2))
     loss.backward()
-    assert agg.grad is None
-    # d/dx mean((A x)^2) = A^T (A x) with A x = (4, 3.5)
+    # with A x = (4, 3.5): d/dx mean((A x)^2) = A^T (A x), d/dA = (A x) x^T
     assert np.array_equal(x.grad, [[1.75], [5.75]])
+    assert np.array_equal(agg.grad, [[12.0, 16.0], [10.5, 14.0]])
 
 
 def test_finite_diff_reports_failure():

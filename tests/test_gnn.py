@@ -55,9 +55,10 @@ def _full_graph(skeleton):
     return np.arange(n), agg
 
 
-def _ecc_weight(layer):
-    """The (out, 2in) weight an ECC layer's stack reads."""
-    return engine.Layer(*layer.affine).matrix()
+def _weight(layer):
+    """The values of the one weight tensor of a dense or SAGE layer."""
+    (w,) = layer.weight
+    return w.values
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def test_pruned_training_matches_full(kind):
 
 
 def _naive_sage(feats, skeleton, params, activate):
-    W, b = params.weight.values, params.bias.values
+    W, b = _weight(params), params.bias.values
     out = []
     for i, node in enumerate(skeleton.nodes):
         nbrs = skeleton.in_neighbors(node)
@@ -273,8 +274,8 @@ def _naive_sage(feats, skeleton, params, activate):
 
 
 def _naive_ecc(feats, skeleton, layer, activate=False):
-    Wf, bf = layer.filter.weight.values, layer.filter.bias.values
-    root, theta = np.split((Wf @ np.array([1.0]) + bf).reshape(layer.out_dim, 2 * layer.in_dim), 2, axis=1)
+    Wf, bf = (t.values for t in layer.weight)  # the filter network's weight and bias
+    root, theta = np.split((Wf @ np.array([1.0]) + bf).reshape(layer.shape), 2, axis=1)
     out = []
     for i, node in enumerate(skeleton.nodes):
         z = root @ feats[i] + layer.bias.values
@@ -288,7 +289,7 @@ def _naive_ecc(feats, skeleton, layer, activate=False):
 def test_sage_conv_zero_weights():
     sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
     model = init_sage(sk, seed=0, hidden=4)
-    model.convs[0].weight.values[...] = 0.0
+    _weight(model.convs[0])[...] = 0.0
     model.convs[0].bias.values[...] = 0.0
     h = np.ones((2, 3, 1))  # node-major: 2 nodes, 3 rows
     out = one_layer(h, _full_graph(sk), model.convs[0], relu=True)
@@ -300,7 +301,7 @@ def test_sage_conv_isolated_node_passthrough():
     sk = GraphSkeleton(nodes=("a",), edges=(), target="a")
     weight = engine.parameter(np.concatenate([np.eye(3), np.eye(3)], axis=1))
     v = np.array([0.5, 0.0, 2.0]).reshape(1, 1, 3)
-    out = one_layer(v, _full_graph(sk), engine.DenseParams(weight, engine.parameter(np.zeros(3))), relu=True)
+    out = one_layer(v, _full_graph(sk), engine.Layer((weight,), (3, 6), engine.parameter(np.zeros(3))), relu=True)
     assert np.allclose(out[0, 0], [0.5, 0.0, 2.0])
 
 
@@ -325,25 +326,16 @@ def test_ecc_conv_empty_neighborhood_is_root_plus_bias():
     h = np.random.default_rng(0).standard_normal((2, 2, 4))
     out = one_layer(h, _full_graph(sk), layer, relu=False)
     # node "a" has no in-neighbors: W_root x_a + b
-    root = _ecc_weight(layer)[:, :4]
+    root = layer.matrix()[:, :4]
     assert np.max(np.abs(out[0] - (h[0] @ root.T + layer.bias.values))) < 1e-12
 
 
 def test_ecc_conv_identity_filter_copies_neighbor():
     sk = GraphSkeleton(nodes=("j", "i"), edges=(("j", "i"),), target="i")
-    from soilcausal.gnn import EccLayer
-
     d = 3
     copy_neighbor = np.concatenate([np.zeros((d, d)), np.eye(d)], axis=1)  # [W_root | Θ] = [0 | I]
-    layer = EccLayer(
-        filter=engine.DenseParams(
-            engine.parameter(np.zeros((2 * d * d, 1))),
-            engine.parameter(copy_neighbor.reshape(2 * d * d)),
-        ),
-        bias=engine.parameter(np.zeros(d)),
-        out_dim=d,
-        in_dim=d,
-    )
+    filter_network = (engine.parameter(np.zeros((2 * d * d, 1))), engine.parameter(copy_neighbor.reshape(2 * d * d)))
+    layer = engine.Layer(filter_network, (d, 2 * d), engine.parameter(np.zeros(d)))
     h = np.random.default_rng(2).standard_normal((2, 5, d))
     out = one_layer(h, _full_graph(sk), layer, relu=False)
     assert np.max(np.abs(out[1] - h[0])) < 1e-12
@@ -377,7 +369,8 @@ def test_two_layer_conv_stack_matches_naive_loops(seed):
         conv.bias.values[...] = rng.standard_normal(3)
     h = feats.transpose(1, 0, 2)  # node-major
     for convs, naive in ((sage.convs[1:], _naive_sage), (ecc, _naive_ecc)):
-        out = engine.Step(h, engine.stack(convs, [_full_graph(sk)] * 2)).forward()
+        layers = [conv._replace(graph=_full_graph(sk), relu=k == 0) for k, conv in enumerate(convs)]
+        out = engine.Step(h, layers).forward()
         assert out.shape == (5, 4, 3)
         for b in range(4):
             ref = naive(naive(feats[b], sk, convs[0], activate=True), sk, convs[1], activate=False)
@@ -387,10 +380,11 @@ def test_two_layer_conv_stack_matches_naive_loops(seed):
 def test_ecc_filter_matrix_shape():
     sk = GraphSkeleton(nodes=("a", "b"), edges=(("a", "b"),), target="b")
     model = init_ecc(sk, seed=0, hidden=4)
-    assert [_ecc_weight(layer).shape for layer in model.convs] == [(4, 2), (4, 8)]
+    assert [layer.matrix().shape for layer in model.convs] == [(4, 2), (4, 8)]
     # the filter network's output at edge attribute 1.0, row-major
-    flat = model.convs[1].filter.weight.values[:, 0] + model.convs[1].filter.bias.values
-    assert np.array_equal(_ecc_weight(model.convs[1]), flat.reshape(4, 8))
+    filter_weight, filter_bias = model.convs[1].weight
+    flat = filter_weight.values[:, 0] + filter_bias.values
+    assert np.array_equal(model.convs[1].matrix(), flat.reshape(4, 8))
 
 
 def _naive_forward(model, skeleton, feats):
@@ -401,13 +395,13 @@ def _naive_forward(model, skeleton, feats):
             h = _naive_sage(h, skeleton, conv, activate=k < 2)
         z = h[skeleton.index(skeleton.target)]
         for k, ff in enumerate(model.head):
-            z = ff.weight.values @ z + ff.bias.values
+            z = _weight(ff) @ z + ff.bias.values
             z = np.maximum(z, 0.0) if k < 2 else z
         return z[0]
     h = _naive_ecc(h, skeleton, model.convs[0], activate=True)
     h = _naive_ecc(h, skeleton, model.convs[1])
     (head,) = model.head
-    z = head.weight.values @ h[skeleton.index(skeleton.target)] + head.bias.values
+    z = _weight(head) @ h[skeleton.index(skeleton.target)] + head.bias.values
     return z[0]
 
 
@@ -455,11 +449,11 @@ def test_forward_hand_unrolled_trace():
     _, A = _full_graph(sk)
     for k, conv in enumerate(model.convs):
         agg = A @ h
-        z = np.concatenate([h, agg], axis=1) @ conv.weight.values.T + conv.bias.values
+        z = np.concatenate([h, agg], axis=1) @ _weight(conv).T + conv.bias.values
         h = np.maximum(z, 0.0) if k < 2 else z
     z = h[2]
     for k, ff in enumerate(model.head):
-        z = z @ ff.weight.values.T + ff.bias.values
+        z = z @ _weight(ff).T + ff.bias.values
         if k < 2:
             z = np.maximum(z, 0.0)
     expected = float(z[0])
@@ -826,11 +820,29 @@ def test_parameter_lists_keep_the_checkpoint_layout():
     ecc = [(8, 1), (8,), (4,), (32, 1), (32,), (4,), (1, 4), (1,)]
     assert [p.values.shape for p in init_sage(sk, hidden=4).params] == sage
     assert [p.values.shape for p in init_ecc(sk, hidden=4).params] == ecc
-    # and each tensor once, as the model's fields hold it
+    # and each tensor once, as the model's layers hold it
     model = init_ecc(sk, hidden=4)
-    fields = [t for layer in model.convs for t in (layer.filter.weight, layer.filter.bias, layer.bias)]
-    fields += [t for layer in model.head for t in (layer.weight, layer.bias)]
+    fields = [t for layer in model.convs for t in (layer.weight[0], layer.weight[1], layer.bias)]
+    fields += [t for layer in model.head for t in (layer.weight[0], layer.bias)]
     assert all(p is q for p, q in zip(model.params, fields, strict=True))
+    assert len({id(p) for p in model.params}) == len(model.params)
+    # a fit's step trains those very tensors in that order, so Adam's
+    # updates land in the model that gets saved, whose header names its size
+    from soilcausal.gnn import _checkpoint_header, _node_inputs, _stack
+
+    batch = _random_batch(np.random.default_rng(11), sk, 5)
+    for model in (init_sage(sk, hidden=4), init_ecc(sk, hidden=4)):
+        plan, h = _node_inputs(model, sk, batch)
+        step = engine.Step(h, _stack(model, plan), batch.labels)
+        assert all(p is q for p, q in zip(step.params, model.params, strict=True))
+        before = engine.pack_params(model.params)
+        engine.fit(h, _stack(model, plan), batch.labels, 0.01, 1, model.kind)
+        assert engine.pack_params(model.params) != before
+        assert model.hidden == _checkpoint_header(model)["hidden"] == 4
+    X = np.random.default_rng(12).standard_normal((6, 3))
+    layers = baselines._mlp_fit(X, X[:, 0], (5, 4), 0.01, 2, seed=0)
+    fields = [t for layer in layers for t in (layer.weight[0], layer.bias)]
+    assert all(p is q for p, q in zip(engine.Step(X[None], layers).params, fields, strict=True))
 
 
 def test_checkpoint_pins_its_graph(tmp_path):
@@ -842,7 +854,9 @@ def test_checkpoint_pins_its_graph(tmp_path):
     assert header["nodes"] == ["a", "b", "t"] and header["target"] == "t"
     assert load_model(path, sk).hidden == 4
     # a payload cut in its data or shape records, or padded, is no checkpoint
-    for bad in (raw[:-3], raw[:-8], raw[: raw.index(b"\n") + 7], raw + bytes(8)):
+    # and a header nested too deeply to decode is none
+    deep = b"[" * 100_000 + raw[raw.index(b"\n") :]
+    for bad in (raw[:-3], raw[:-8], raw[: raw.index(b"\n") + 7], raw + bytes(8), deep):
         path.write_bytes(bad)
         with pytest.raises(SchemaError, match="checkpoint"):
             load_model(path, sk)
