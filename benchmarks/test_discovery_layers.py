@@ -2,9 +2,11 @@
 22 field one-hots and 7 events x 4 lag windows added to the 12-column farm
 (62 columns), 400 days, min-max scaled on and restricted to the train rows.
 They time one CI test, the Fisher-z and batch layers of PC, GES's forward
-phase, whole ``pc``/``ges``/``gies`` calls as ``farm-wide`` runs them, and
-one in-place completion (sink elimination plus class projection) of the
-GIES pattern, the step each greedy move takes.
+phase, whole ``pc``/``ges``/``gies`` calls as ``farm-wide`` runs them, one
+GES insert with its local re-completion on a state taken mid-search, and
+one whole-graph completion (sink elimination plus class projection) of the
+GIES pattern, the step a move takes when the local rule does not cover
+it.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -107,3 +109,24 @@ def test_extension_step_wide(benchmark, wide_train, targets):
 
     out = benchmark(step)
     assert (out.directed(), out.undirected()) == (pattern.directed, pattern.undirected)
+
+
+def test_move_wide(benchmark, wide_train, wide):
+    """One GES insert and its local re-completion, from the state the
+    forward phase reaches after 100 inserts on the wide table."""
+    names, _ = wide
+    sc = discovery._Scorer(wide_train, names, None, stats.WarningCounter())
+    inserts = discovery._Inserts(sc, discovery.DiscoveryConfig().max_parents)
+    st = discovery._State(len(names), ())
+    for _ in range(100):
+        st = discovery._apply_insert(st, *inserts.best(st)[1:], sc.warn)
+    move = inserts.best(st)[1:]
+
+    def step():
+        warn = stats.WarningCounter()
+        return discovery._apply_insert(st, *move, warn), warn
+
+    out, warn = benchmark(step)
+    benchmark.extra_info["changed_edges"] = len(out.changed)
+    benchmark.extra_info["fell_back"] = bool(warn.completion_fallbacks)
+    assert warn == stats.WarningCounter()

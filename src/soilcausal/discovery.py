@@ -27,11 +27,17 @@ and error is the sequential loop's.
 PC and the greedy core hold their graph as one ``graphs._Pdag`` over the
 index labels 0..d-1 and edit it in place.  PC prunes a boolean adjacency
 matrix level by level, then builds the ``_Pdag`` of what is left, orients
-the colliders and runs the Meek rules on it.  Each greedy
-move edits a copy of the current state and completes that copy in place:
-it extends it to a DAG and projects the DAG onto its class pattern.  No
-``Dag`` or ``Cpdag`` is built on the way; each learner validates one
-``Cpdag``, when it names its result.
+the colliders and runs the Meek rules on it.  Each greedy move edits a
+copy of the current state and completes that copy in place.  A valid move
+(Chickering's conditions, which the move checks again) from a pattern is
+completed by ``graphs.recomplete``, which re-reads only the edges near the
+ones that change; any other move, such as an invalid one applied by hand,
+is extended to a DAG and projected over the whole graph, and counted in
+``WarningCounter.completion_fallbacks``.  The move records the pairs
+whose edges it changed and the state it was made from, and keeps each
+node's semi-directed successors as a bitmask.  No ``Dag`` or ``Cpdag`` is
+built on the way; each learner validates one ``Cpdag``, when it names its
+result.
 
 ``ges`` and ``gies`` share one greedy core.  It runs on the index labels
 0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
@@ -44,16 +50,18 @@ most of the scores, builds its NA, base and parent sets as such bitmasks;
 the backward and turning phases pass label sets.  The forward phase
 keeps, per node, the sorted insertions that pass every check local to
 that node (as in fGES), and the semi-directed reach set of every
-(y, base) its global check met, as a bitmask.  Each
-step compares the completed state with the one the step before saw and
-drops only what the edits in between changed: the lists of the nodes whose
-neighbourhood changed, and the reach sets holding a node whose children or
-undirected neighbours changed.  The global check then runs lazily along
-the merged order.  A node's list is enumerated by groups: the candidate
-parents x with one set of neighbours NA(y, x) share every (T, base) and
-its score and clique check, and each x adds only its own grown parent set.
-Patterns, sepsets, counts, sweeps and scores are those of evaluating
-everything afresh, one candidate at a time, at every step.
+(y, base) its global check met, as a bitmask found by a bitmask frontier
+search over the state's successor masks.  Each step reads the changed
+pairs that the moves since the step before recorded, and drops only what
+they invalidate: the lists of the nodes whose neighbourhood changed, and
+the reach sets holding a node whose children or undirected neighbours
+changed.  The global check then runs lazily along the merged order.  A
+node's list is enumerated by groups: the candidate parents x with one set
+of neighbours NA(y, x) share every (T, base) and its clique check and
+score, and each x adds only its own grown parent set; a group whose base
+is not a clique is not scored.  Patterns, sepsets, counts, sweeps and
+scores are those of evaluating every insert with a clique base afresh,
+one candidate at a time, at every step.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_count, require_level
-from .graphs import Cpdag, _extend, _meek, _Pdag, _project, complete, reachable
+from .graphs import Cpdag, _canon, _extend, _meek, _Pdag, _project, complete, reachable, recomplete
 from .stats import (
     CIBatch,
     GaussianSuffStat,
@@ -241,6 +249,22 @@ def _members(mask: int) -> list:
     return out
 
 
+def _reach(succ, src: int, blocked: int = 0) -> int:
+    """The bitmask of the nodes reachable from ``src`` along ``succ`` (each
+    node's successors as a bitmask) through nodes outside ``blocked``;
+    ``src`` itself unless it is blocked."""
+    seen = frontier = 1 << src & ~blocked
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= succ[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen & ~blocked
+        seen |= frontier
+    return seen
+
+
 class _Scorer:
     """Cached local scores, one sufficient statistic per scored node.  The
     cache keys a score by (node, bitmask of its parents); ``local`` takes
@@ -298,13 +322,38 @@ class _Scorer:
 _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
 
 
+def _status(g: _Pdag, a: int, b: int) -> int:
+    """The edge between a < b: 0 none, 1 undirected, 2 a->b, 3 b->a."""
+    return 0 if b not in g.adj[a] else 1 if b in g.und[a] else 2 if b in g.ch[a] else 3
+
+
 class _State(_Pdag):
     """The current equivalence-class pattern over the index labels 0..d-1,
-    and the nodes whose edges interventions pin."""
+    the nodes whose edges interventions pin, and each node's semi-directed
+    successors (undirected neighbours and children) as a bitmask ``succ``.
+
+    A state made by a move keeps the state it was made from, ``prev``, and
+    in ``changed`` the status (see ``_status``) there of every (min, max)
+    pair whose edge the move changed.  ``pattern`` is True for the states
+    the search makes, which are the patterns of their classes; a state
+    built from given edges is taken for one only when it has none."""
 
     def __init__(self, d: int, intervened, directed=(), undirected=()):
         super().__init__(range(d), directed, undirected)
         self.intervened = frozenset(intervened)
+        self.succ = [_mask(self.ch[v] | self.und[v]) for v in self.nodes]
+        self.prev, self.changed = None, {}
+        self.pattern = not any(self.adj.values())
+
+    def made(self, prev: _State, pairs) -> _State:
+        """Record this graph as made from ``prev`` by edits at most at
+        ``pairs`` (each (min, max)); returns it."""
+        self.prev, self.pattern = prev, True
+        self.changed = {p: s for p in pairs if (s := _status(prev, *p)) != _status(self, *p)}
+        self.succ = list(prev.succ)
+        for v in {v for p in self.changed for v in p}:
+            self.succ[v] = _mask(self.ch[v] | self.und[v])
+        return self
 
 
 def _is_clique(nodes, adj) -> bool:
@@ -328,8 +377,8 @@ def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
 
     NA(y, x), the neighbours of y adjacent to x, fixes the pool of T (y's
     other neighbours), so the x with one NA share every (base, T): each
-    such pair builds its sets, scores its base and checks its clique once,
-    and only ``scored | {x}`` varies per x."""
+    such pair builds its sets and checks its clique once, and only the
+    pairs whose base is a clique score their base and ``scored | {x}``."""
     pa_y, und_y, adj_y = _mask(st.pa[y]), sorted(st.und[y]), st.adj[y]
     na_of: dict[int, int] = {}
     for n in und_y:
@@ -344,7 +393,7 @@ def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
         for t in _subsets([n for n in und_y if not na >> n & 1], _NEIGHBOR_SET_CAP):
             base = na | _mask(t)
             scored = pa_y | base
-            if scored.bit_count() + 1 <= max_parents:
+            if scored.bit_count() + 1 <= max_parents and _is_clique(_members(base), st.adj):
                 grown = [scored | 1 << x for x in xs]
                 groups.append((t, base, scored, xs, grown))
                 wanted += grown
@@ -353,14 +402,10 @@ def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
     cache, out = sc.cache, []
     for t, base, scored, xs, grown in groups:
         score = cache[y, scored]
-        clique = None
         for x, g in zip(xs, grown):
             gain = cache[y, g] - score
             if gain > _GAIN_TOL:
-                if clique is None:
-                    clique = _is_clique(_members(base), st.adj)
-                if clique:
-                    out.append((-gain, x, y, t, base))
+                out.append((-gain, x, y, t, base))
     out.sort()
     return out
 
@@ -375,12 +420,12 @@ class _Inserts:
     (-gain, x, y, T) over all valid insertions.  The reach set of each
     (y, base) met on the way is kept as a bitmask.
 
-    Each call compares its state with the one the last call saw, and drops
-    only what the edits in between invalidate: the list of a node whose
-    edges changed or whose undirected neighbour gained or lost an
-    adjacency, and the reach sets that hold a node whose children or
-    undirected neighbours changed (a search from y reads the successors of
-    the nodes it reaches, and no others)."""
+    Each call reads the pairs that the moves since the last call changed,
+    from the states' ``changed`` records, and drops only what they
+    invalidate: the list of a node whose edges changed or whose undirected
+    neighbour gained or lost an adjacency, and the reach sets that hold a
+    node whose children or undirected neighbours changed (a search from y
+    reads the successors of the nodes it reaches, and no others)."""
 
     def __init__(self, sc: _Scorer, max_parents):
         self.sc, self.max_parents = sc, max_parents
@@ -388,20 +433,29 @@ class _Inserts:
         self.lists: dict[int, list] = {}
         self.reach: dict[tuple[int, int], int] = {}
 
-    def _forget(self, st: _State) -> None:
-        old, self.seen = self.seen, st
-        if old is None or old is st:
-            return
-        succ, adj, edges = 0, set(), set()
-        for v in st.nodes:
-            ch, und = st.ch[v], st.und[v]
-            if ch == old.ch[v] and und == old.und[v] and st.pa[v] == old.pa[v]:
+    def _catch_up(self, st: _State) -> None:
+        was: dict[tuple[int, int], int] = {}  # each pair's status in the state last seen
+        s = st
+        while s is not self.seen:
+            if s is None:  # not made from the state last seen: keep nothing
+                self.lists.clear()
+                self.reach.clear()
+                break
+            was.update(s.changed)  # the older record wins
+            s = s.prev
+        self.seen, st.prev = st, None  # the states in between are done with
+        edges, adj, succ = set(), set(), 0
+        for (a, b), old in was.items():
+            new = _status(st, a, b)
+            if new == old:
                 continue
-            edges.add(v)
-            if ch | und != old.ch[v] | old.und[v]:
-                succ |= 1 << v
-            if st.adj[v] != old.adj[v]:
-                adj.add(v)
+            edges.update((a, b))
+            if (old == 0) != (new == 0):
+                adj.update((a, b))
+            # a's successors hold b when a->b or a-b, b's hold a when b->a or a-b
+            for v, out in ((a, 2), (b, 3)):
+                if (old in (1, out)) != (new in (1, out)):
+                    succ |= 1 << v
         for y in list(self.lists):
             if y in edges or not adj.isdisjoint(st.und[y]):
                 del self.lists[y]
@@ -409,19 +463,15 @@ class _Inserts:
             self.reach = {k: r for k, r in self.reach.items() if not r & succ}
 
     def best(self, st: _State):
-        self._forget(st)
+        self._catch_up(st)
         for y in st.nodes:
             if y not in self.lists:
                 self.lists[y] = _local_inserts(st, self.sc, y, self.max_parents)
-
-        def semi(u):
-            return itertools.chain(st.und[u], st.ch[u])
-
         for cand in heapq.merge(*(self.lists[y] for y in st.nodes)):
             _, x, y, t, base = cand
             reach = self.reach.get((y, base))
             if reach is None:
-                reach = self.reach[(y, base)] = _mask(reachable(semi, y, set(_members(base))))
+                reach = self.reach[(y, base)] = _reach(st.succ, y, base)
             if not reach >> x & 1:
                 return cand[:4], x, y, t
         return None
@@ -454,16 +504,44 @@ def _delete_candidates(st: _State, sc: _Scorer):
     return best
 
 
+def _complete(st: _State, g: _State, pairs, valid: bool, warn: WarningCounter) -> _State:
+    """Complete the copy g of st whose edges a move edited at the node pairs
+    ``pairs``: locally when the move is valid from a pattern, else over the
+    whole graph."""
+    pairs = {_canon(a, b) for a, b in pairs}
+    if valid and st.pattern:
+        pairs |= recomplete(g, g.intervened, pairs)
+    else:
+        warn.completion_fallbacks += 1
+        warn.extension_fallbacks += complete(g, g.intervened)
+        pairs |= {(a, b) for a in g.nodes for b in st.adj[a] | g.adj[a] if a < b}
+    return g.made(st, pairs)
+
+
 def _apply_insert(st: _State, x, y, t, warn: WarningCounter) -> _State:
+    """Insert(x, y, T): x->y, and T's undirected edges at y oriented into
+    y.  It is valid (Chickering 2002, Theorem 15) when x and y are not
+    adjacent, T holds neighbours of y not adjacent to x, NA(y, x) | T is a
+    clique, and every semi-directed path y ~> x passes through it."""
     g = st.copy()
     g.orient(x, y)
     for n in t:
         g.orient(n, y)
-    warn.extension_fallbacks += complete(g, g.intervened)
-    return g
+    base = st.und[y] & st.adj[x] | set(t)
+    valid = (
+        x != y
+        and x not in st.adj[y]
+        and set(t) <= st.und[y] - st.adj[x]
+        and _is_clique(base, st.adj)
+        and not _reach(st.succ, y, _mask(base)) >> x & 1
+    )
+    return _complete(st, g, [(x, y), *((n, y) for n in t)], valid, warn)
 
 
 def _apply_delete(st: _State, x, y, h, warn: WarningCounter) -> _State:
+    """Delete(x, y, H): cut x->y or x-y and orient y-n and x-n as y->n and
+    x->n for n in H.  It is valid (Chickering 2002, Theorem 17) when H holds
+    neighbours of y adjacent to x and the rest of those is a clique."""
     g = st.copy()
     g.cut(x, y)
     for n in h:
@@ -471,8 +549,9 @@ def _apply_delete(st: _State, x, y, h, warn: WarningCounter) -> _State:
             g.orient(y, n)
         if n in g.und[x]:
             g.orient(x, n)
-    warn.extension_fallbacks += complete(g, g.intervened)
-    return g
+    na = st.und[y] & st.adj[x]
+    valid = (x in st.pa[y] or x in st.und[y]) and set(h) <= na and _is_clique(na - set(h), st.adj)
+    return _complete(st, g, [(x, y), *((a, n) for n in h for a in (x, y))], valid, warn)
 
 
 def _forward_phase(st: _State, inserts: _Inserts) -> _State:
@@ -523,7 +602,7 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
         _project(ext, ext.intervened)
         if (ext.directed(), ext.undirected()) == (st.directed(), st.undirected()):
             return st
-        st = ext
+        st = ext.made(st, {(u, v) for u in st.nodes for v in st.adj[u] if u < v})
 
 
 def _greedy_search(table, cfg, row_targets, warn) -> Cpdag:

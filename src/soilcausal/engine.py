@@ -251,6 +251,8 @@ class Step:
     its block, and the aggregated gradient into the scratch that held its
     input.  The self states are gathered and their gradients scatter-added
     one output node at a time.  The first layer's input takes no gradient.
+    A step built without a target only runs ``forward``: it allocates no
+    ReLU masks and no gradients, and calling it raises NumericError.
     """
 
     def __init__(self, x, layers, target=None):
@@ -276,6 +278,11 @@ class Step:
                 m = agg.shape[0]
             d = w[0]
             sizes.append((m, d))
+        if target is not None:
+            target = np.asarray(target, dtype=np.float64)
+            if target.shape != (m * rows * d,):
+                raise NumericError(f"mse of predictions ({m * rows * d},) against targets {target.shape}")
+        self.target, train = target, target is not None
         feeds_conv = [layer.graph is not None for layer in self.layers[1:]] + [False]
         scratch = np.empty(max((m * rows * e for (m, e), f in zip(sizes, feeds_conv) if f), default=0))
         self.inputs, self.outs, self.masks = [], [], []
@@ -285,20 +292,16 @@ class Step:
             self.inputs.append(prev if layer.graph is None else np.empty((m * rows, 2 * d)))
             prev = scratch[: m * rows * e].reshape(m * rows, e) if f else np.empty((m * rows, e))
             self.outs.append(prev)
-            self.masks.append(np.empty(prev.shape, dtype=bool) if layer.relu else None)
-        self.dw = [np.empty(layer.shape) for layer in self.layers]
-        self.db = [np.empty(layer.bias.values.shape) for layer in self.layers]
+            self.masks.append(np.empty(prev.shape, dtype=bool) if layer.relu and train else None)
+        # a step without a target only runs forward: no masks, no gradients
+        self.dw = [np.empty(layer.shape) for layer in self.layers] if train else []
+        self.db = [np.empty(layer.bias.values.shape) for layer in self.layers] if train else []
         self.params = layer_params(self.layers)
         self.grads = [
             g
             for layer, dw, db in zip(self.layers, self.dw, self.db)
             for g in (*(dw.reshape(t.values.shape) for t in layer.weight), db)
         ]
-        self.target = None
-        if target is not None:
-            self.target = np.asarray(target, dtype=np.float64)
-            if self.target.shape != (prev.size,):
-                raise NumericError(f"mse of predictions ({prev.size},) against targets {self.target.shape}")
 
     def forward(self) -> np.ndarray:
         """The stack's node-major output states, in the last layer's buffer
@@ -316,13 +319,16 @@ class Step:
                 block[..., d:] = (agg @ h.reshape(m_in, rows * d)).reshape(len(self_index), rows, d)
             np.matmul(x, w.T, out=out)
             out += layer.bias.values
-            if mask is not None:
-                np.greater(out, 0.0, out=mask)  # the subgradient at exactly 0 is 0
+            if layer.relu:
+                if mask is not None:
+                    np.greater(out, 0.0, out=mask)  # the subgradient at exactly 0 is 0
                 np.fmax(out, 0.0, out=out)  # in place; NaN -> 0
             h = out.reshape(-1, rows, out.shape[1])
         return h
 
     def __call__(self) -> float:
+        if self.target is None:
+            raise NumericError("a step built without a target only runs forward")
         diff = self.forward().reshape(-1)
         np.subtract(diff, self.target, out=diff)
         n = diff.size

@@ -8,8 +8,9 @@ map commutes with every operation; the greedy searches rely on this and run
 on column indices.
 
 Every edit goes through one editable graph, ``_Pdag``: Meek closure, sink
-elimination and class projection orient, extend and project it in place,
-and so do the learners in ``discovery``.  The validated frozen types
+elimination, class projection and the local re-completion after a greedy
+move orient, extend and project it in place, and so do the learners in
+``discovery``.  The validated frozen types
 ``Dag`` and ``Cpdag`` are built only at the boundary, once per public
 result.
 
@@ -220,6 +221,30 @@ def _colliders(g: _Pdag) -> frozenset[tuple[str, str, str]]:
     )
 
 
+def _meek_rule(g: _Pdag, a, b) -> bool:
+    """Whether a Meek rule orients the undirected edge a-b as a->b."""
+    pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
+    # R1
+    for c in pa[a]:
+        if c != b and b not in adj[c]:
+            return True
+    # R2
+    if ch[a] & pa[b]:
+        return True
+    # R3
+    shared = sorted(und[a] & pa[b])
+    for c, d in combinations(shared, 2):
+        if d not in adj[c]:
+            return True
+    # R4
+    for c in sorted(adj[a]):
+        if c == b or b in adj[c]:
+            continue
+        if ch[c] & pa[b]:
+            return True
+    return False
+
+
 def _meek(g: _Pdag) -> None:
     """Close g under the Meek rules in place (see ``meek_closure``)."""
     pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
@@ -232,27 +257,6 @@ def _meek(g: _Pdag) -> None:
                 return False
         return True
 
-    def rule_applies(a: str, b: str) -> bool:
-        # R1
-        for c in pa[a]:
-            if c != b and b not in adj[c]:
-                return True
-        # R2
-        if ch[a] & pa[b]:
-            return True
-        # R3
-        shared = sorted(und[a] & pa[b])
-        for c, d in combinations(shared, 2):
-            if d not in adj[c]:
-                return True
-        # R4
-        for c in sorted(adj[a]):
-            if c == b or b in adj[c]:
-                continue
-            if ch[c] & pa[b]:
-                return True
-        return False
-
     changed = True
     while changed:
         changed = False
@@ -260,7 +264,7 @@ def _meek(g: _Pdag) -> None:
             for x, y in ((a, b), (b, a)):
                 if y not in und[x]:
                     break
-                if rule_applies(x, y) and allowed(x, y):
+                if _meek_rule(g, x, y) and allowed(x, y):
                     g.orient(x, y)
                     changed = True
                     break
@@ -317,13 +321,89 @@ def _project(g: _Pdag, pinned) -> None:
 
 
 def complete(g: _Pdag, pinned=frozenset()) -> bool:
-    """Chickering's completion in place: orient the PDAG g into a member of
-    its class, then project that member onto its (interventional) pattern.
-    The result is ``cpdag_of(consistent_extension(p), pinned)`` for the
-    ``Cpdag`` p with g's edges; True when that extension fell back."""
+    """Chickering's completion in place, over the whole graph: orient the
+    PDAG g into a member of its class, then project that member onto its
+    (interventional) pattern.  The result is
+    ``cpdag_of(consistent_extension(p), pinned)`` for the ``Cpdag`` p with
+    g's edges; True when that extension fell back.  ``recomplete`` gives
+    the same graph after a valid greedy move, looking only near it."""
     fallback = _extend(g)
     _project(g, pinned)
     return fallback
+
+
+def _protected(g: _Pdag, a, b, pinned) -> bool:
+    """Whether the arrow a->b is strongly protected in g: it touches a
+    pinned node, or it sits in one of the configurations c->a->b (c, b
+    non-adjacent), a->b<-c (c, a non-adjacent), a->c->b, or a-c->b, a-d->b
+    (c, d non-adjacent)."""
+    if a in pinned or b in pinned:
+        return True
+    pa_b, adj = g.pa[b], g.adj
+    if any(b not in adj[c] for c in g.pa[a]) or any(c != a and c not in adj[a] for c in pa_b):
+        return True
+    if g.ch[a] & pa_b:
+        return True
+    return any(d not in adj[c] for c, d in combinations(sorted(g.und[a] & pa_b), 2))
+
+
+def recomplete(g: _Pdag, pinned, pairs) -> set:
+    """``complete`` in place for a graph g that was the (interventional)
+    pattern of its class until the edges of the node pairs ``pairs`` were
+    edited, and whose edited form has a consistent extension, as every
+    valid greedy move's has.  Returns the pairs, as (min, max), whose edges
+    it changed.
+
+    Every consistent extension of g has g's skeleton, its colliders and its
+    arrows at pinned nodes, and the pattern is the Meek closure of those
+    alone, so it does not depend on the extension.  Two local passes reach
+    it.  The Meek rules first orient everything that every extension of g
+    shares; the pattern's arrows are among those.  Then every arrow that is
+    not strongly protected becomes a line again, one at a time, which
+    leaves exactly the pattern's arrows (the ``ReplaceUnprotected`` step of
+    Hauser & Buehlmann 2012).  In the old pattern no rule applied and every
+    arrow was protected, so each pass only re-reads the edges that a
+    changed pair can concern: those at its two ends, and those for which
+    it is the non-adjacent pair of R3 or of the protecting configuration
+    a-c->b, a-d->b, or the middle arrow c->d of R4."""
+    changed, todo = set(), set(pairs)
+    while todo:  # Meek closure
+        check = set()
+        for p, q in todo:
+            for a in (p, q):
+                check.update((a, b) for b in g.und[a])
+            if q not in g.adj[p]:  # R3: p->b<-q, a-p, a-q
+                for a in g.und[p] & g.und[q]:
+                    check.update((a, b) for b in g.und[a] & g.ch[p] & g.ch[q])
+            for c, d in ((p, q), (q, p)):  # R4: a~c, c->d, d->b
+                if d in g.ch[c]:
+                    for a in g.adj[c]:
+                        check.update((a, b) for b in g.und[a] & g.ch[d])
+        todo = set()
+        for a, b in check:
+            for u, v in ((a, b), (b, a)):
+                if v in g.und[u] and _meek_rule(g, u, v):
+                    g.orient(u, v)
+                    todo.add(_canon(u, v))
+        changed |= todo
+    todo = set(pairs) | changed
+    while todo:  # undo the arrows that are not strongly protected
+        check = set()
+        for p, q in todo:
+            for a in (p, q):
+                check.update((a, b) for b in g.ch[a])
+                check.update((b, a) for b in g.pa[a])
+            if q in g.adj[p]:  # a-p->b, a-q->b no longer protects a->b
+                for a in g.und[p] & g.und[q]:
+                    check.update((a, b) for b in g.ch[a] & g.ch[p] & g.ch[q])
+        todo = set()
+        for u, v in check:
+            if v in g.ch[u] and not _protected(g, u, v, pinned):
+                g.cut(u, v)
+                g.join(u, v)
+                todo.add(_canon(u, v))
+        changed |= todo
+    return changed
 
 
 def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:

@@ -51,6 +51,7 @@ class WarningCounter:
     singular_fallbacks: int = 0
     empty_interventional: int = 0
     extension_fallbacks: int = 0  # GES/GIES patterns with no consistent extension
+    completion_fallbacks: int = 0  # GES/GIES moves completed over the whole graph
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +112,19 @@ def _spd_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ridge = (np.diagonal(m, axis1=1, axis2=2) <= 0.0).any(axis=1)
     rest = ~ridge
     ridge[rest] = _failing(np.linalg.cholesky, m[rest] if ridge.any() else m)
-    if not ridge.any():
-        try:
-            return np.linalg.inv(m), ridge
-        except np.linalg.LinAlgError:
-            pass
+
+    def ridged():
+        out = m.copy()
+        out[ridge] += RIDGE * np.eye(m.shape[-1])
+        return out
+
+    try:  # the stack is inverted once, unless a plain inverse fails
+        return np.linalg.inv(ridged() if ridge.any() else m), ridge
+    except np.linalg.LinAlgError:
+        pass
     ok = ~ridge
     ridge[ok] = _failing(np.linalg.inv, m[ok])
-    m = m.copy()
-    m[ridge] += RIDGE * np.eye(m.shape[-1])
-    return np.linalg.inv(m), ridge
+    return np.linalg.inv(ridged()), ridge
 
 
 def _partial_correlations(cov: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -306,7 +306,7 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
 def reference_local_inserts(st, sc, y, max_parents) -> list:
     """``discovery._local_inserts`` one x at a time: every x not adjacent to
     y builds its own NA(y, x), T pool, sets and clique checks, and each set
-    is scored on its own."""
+    whose base is a clique is scored on its own."""
     pa_y = frozenset(st.pa[y])
     moves = []
     for x in st.nodes:
@@ -321,8 +321,10 @@ def reference_local_inserts(st, sc, y, max_parents) -> list:
                 moves.append((x, t, base, scored, scored | {x}))
     out = []
     for x, t, base, scored, grown in moves:
+        if not _is_clique(base, st.adj):  # such an insert is never valid, so it is not scored
+            continue
         gain = sc.local(y, grown) - sc.local(y, scored)
-        if gain > _GAIN_TOL and _is_clique(base, st.adj):
+        if gain > _GAIN_TOL:
             out.append((-gain, x, y, t, base))
     out.sort()
     return out

@@ -526,18 +526,25 @@ def test_forward_holds_only_what_backward_reads(init):
     assert h.shape == ({3: 31, 2: 13}[len(model.convs)], rows, 1)
     widths = [1] + [hidden] * len(plan.layers)
     outs = [len(layer.self_index) for layer in plan.layers]
-    expected = 8 * max(outs[:-1]) * rows * hidden  # the scratch
+    forward = 8 * max(outs[:-1]) * rows * hidden  # the scratch
+    masks = 0
     for k, m_out in enumerate(outs):
-        expected += 8 * m_out * rows * 2 * widths[k]  # [self | mean]
-        expected += m_out * rows * hidden * (k < len(outs) - 1)  # bool mask
-    expected += 8 * rows * hidden  # final states
+        forward += 8 * m_out * rows * 2 * widths[k]  # [self | mean]
+        masks += m_out * rows * hidden * (k < len(outs) - 1)  # bool mask
+    forward += 8 * rows * hidden  # final states
     head = [layer.bias.values.size for layer in model.head]
-    expected += sum(rows * (9 * n if k < len(head) - 1 else 8 * n) for k, n in enumerate(head))  # outputs, masks
+    forward += sum(8 * rows * n for n in head)  # outputs
+    masks += sum(rows * n for n in head[:-1])
     layers = _stack(model, plan)
     # gradients: one weight array per layer (ECC's filter weight and bias read it)
-    expected += 8 * sum(np.prod(layer.shape) + layer.bias.values.size for layer in layers)
+    grads = 8 * sum(np.prod(layer.shape) + layer.bias.values.size for layer in layers)
+    expected = forward + masks + grads
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
+        predict_step = engine.Step(h, layers)
+        held_forward = tracemalloc.get_traced_memory()[0] - before
+        out = predict_step.forward().copy()
         before = tracemalloc.get_traced_memory()[0]
         step = engine.Step(h, layers, batch.labels)
         held = tracemalloc.get_traced_memory()[0] - before
@@ -546,6 +553,12 @@ def test_forward_holds_only_what_backward_reads(init):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # a step without a target, as a prediction builds, holds no masks and no
+    # gradients, computes the same states and cannot be trained
+    assert forward <= held_forward <= forward + 64 * 1024, (held_forward, forward)
+    assert step.forward().tobytes() == out.tobytes()
+    with pytest.raises(NumericError, match="without a target"):
+        predict_step()
     assert expected <= held <= expected + 64 * 1024, (held, expected)
     assert after - before - held <= 64 * 1024
     mean = max(8 * m_out * rows * widths[k] for k, m_out in enumerate(outs))

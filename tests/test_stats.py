@@ -295,11 +295,26 @@ def test_spd_inverses_skip_bisection_for_non_positive_diagonals(monkeypatch):
     calls = []
     real = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(len(m)) or real(m))
+    inverted = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverted.append(len(m)) or real_inv(m))
     inv, ridge = S._spd_inverses(stack)
     assert calls == [3]  # one call on the three members that may pass
+    # the stack fails once; the bisection of its three unridged members
+    # finds the one whose plain inverse fails, and the stack, now ridged
+    # there too, is inverted again
+    assert inverted == [5, 3, 1, 2, 1, 1, 5]
     assert ridge.tolist() == [False, True, True, False, True]
     for k, (inv_k, ridge_k) in enumerate(alone):
         assert inv[k].tobytes() == inv_k[0].tobytes() and ridge[k] == ridge_k[0]
+    # with no plain inverse failing, each member is inverted once, ridged
+    # or not, in one call
+    inverted.clear()
+    inv, ridge = S._spd_inverses(stack[[0, 1, 3, 4]])
+    assert inverted == [4]
+    assert ridge.tolist() == [False, True, False, True]
+    for k, m in zip((0, 1, 3, 4), inv):
+        assert m.tobytes() == alone[k][0][0].tobytes()
 
 
 # ---------------------------------------------------------------------------
