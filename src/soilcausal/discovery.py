@@ -529,8 +529,7 @@ def _apply_insert(st: _State, x, y, t, warn: WarningCounter) -> _State:
         g.orient(n, y)
     base = st.und[y] & st.adj[x] | set(t)
     valid = (
-        x != y
-        and x not in st.adj[y]
+        x not in st.adj[y]
         and set(t) <= st.und[y] - st.adj[x]
         and _is_clique(base, st.adj)
         and not _reach(st.succ, y, _mask(base)) >> x & 1

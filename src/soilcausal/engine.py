@@ -293,7 +293,6 @@ class Step:
             prev = scratch[: m * rows * e].reshape(m * rows, e) if f else np.empty((m * rows, e))
             self.outs.append(prev)
             self.masks.append(np.empty(prev.shape, dtype=bool) if layer.relu and train else None)
-        # a step without a target only runs forward: no masks, no gradients
         self.dw = [np.empty(layer.shape) for layer in self.layers] if train else []
         self.db = [np.empty(layer.bias.values.shape) for layer in self.layers] if train else []
         self.params = layer_params(self.layers)
