@@ -50,8 +50,8 @@ most of the scores, builds its NA, base and parent sets as such bitmasks;
 the backward and turning phases pass label sets.  The forward phase
 keeps, per node, the sorted insertions that pass every check local to
 that node (as in fGES), and the semi-directed reach set of every
-(y, base) its global check met, as a bitmask found by a bitmask frontier
-search over the state's successor masks.  Each step reads the changed
+(y, base) its global check met, as a bitmask found by a frontier search
+over the state's successor bitmasks.  Each step reads the changed
 pairs that the moves since the step before recorded, and drops only what
 they invalidate: the lists of the nodes whose neighbourhood changed, and
 the reach sets holding a node whose children or undirected neighbours

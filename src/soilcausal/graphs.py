@@ -10,9 +10,8 @@ on column indices.
 Every edit goes through one editable graph, ``_Pdag``: Meek closure, sink
 elimination, class projection and the local re-completion after a greedy
 move orient, extend and project it in place, and so do the learners in
-``discovery``.  The validated frozen types
-``Dag`` and ``Cpdag`` are built only at the boundary, once per public
-result.
+``discovery``.  The validated frozen types ``Dag`` and ``Cpdag`` are built
+only at the boundary, once per public result.
 
 Conventions
 -----------
