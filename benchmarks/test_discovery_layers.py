@@ -4,9 +4,8 @@
 They time one CI test, the Fisher-z and batch layers of PC, GES's forward
 phase, whole ``pc``/``ges``/``gies`` calls as ``farm-wide`` runs them, one
 GES insert with its local re-completion on a state taken mid-search, and
-one whole-graph completion (sink elimination plus class projection) of the
-GIES pattern, the step a move takes when the local rule does not cover
-it.
+the projection that GIES's turning phase runs: sink elimination of the GIES
+pattern, then ``recomplete`` over every edge of that extension.
 
     PYTHONPATH=src python -m pytest benchmarks
 
@@ -104,7 +103,8 @@ def test_extension_step_wide(benchmark, wide_train, targets):
 
     def step():
         g = start.copy()
-        graphs.complete(g, pinned)
+        graphs._extend(g)
+        graphs.recomplete(g, pinned, {graphs._canon(a, b) for a, b in g.directed()})
         return g
 
     out = benchmark(step)
@@ -119,14 +119,7 @@ def test_move_wide(benchmark, wide_train, wide):
     inserts = discovery._Inserts(sc, discovery.DiscoveryConfig().max_parents)
     st = discovery._State(len(names), ())
     for _ in range(100):
-        st = discovery._apply_insert(st, *inserts.best(st)[1:], sc.warn)
+        st = discovery._apply_insert(st, *inserts.best(st)[1:])
     move = inserts.best(st)[1:]
-
-    def step():
-        warn = stats.WarningCounter()
-        return discovery._apply_insert(st, *move, warn), warn
-
-    out, warn = benchmark(step)
+    out = benchmark(discovery._apply_insert, st, *move)
     benchmark.extra_info["changed_edges"] = len(out.changed)
-    benchmark.extra_info["fell_back"] = bool(warn.completion_fallbacks)
-    assert warn == stats.WarningCounter()

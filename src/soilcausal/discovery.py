@@ -28,16 +28,15 @@ PC and the greedy core hold their graph as one ``graphs._Pdag`` over the
 index labels 0..d-1 and edit it in place.  PC prunes a boolean adjacency
 matrix level by level, then builds the ``_Pdag`` of what is left, orients
 the colliders and runs the Meek rules on it.  Each greedy move edits a
-copy of the current state and completes that copy in place.  A valid move
-(Chickering's conditions, which the move checks again) from a pattern is
-completed by ``graphs.recomplete``, which re-reads only the edges near the
-ones that change; any other move, such as an invalid one applied by hand,
-is extended to a DAG and projected over the whole graph, and counted in
-``WarningCounter.completion_fallbacks``.  The move records the pairs
-whose edges it changed and the state it was made from, and keeps each
-node's semi-directed successors as a bitmask.  No ``Dag`` or ``Cpdag`` is
-built on the way; each learner validates one ``Cpdag``, when it names its
-result.
+copy of the current state and completes that copy in place with
+``graphs.recomplete``, which re-reads only the edges near the ones that
+change.  A move checks Chickering's validity conditions again first and
+raises ``GraphError`` when they fail.  The turning phase projects its
+turned extension with the same ``recomplete``, over every edge.  The move
+records the pairs whose edges it changed and the state it was made from,
+and keeps each node's semi-directed successors as a bitmask.  No ``Dag``
+or ``Cpdag`` is built on the way; each learner validates one ``Cpdag``,
+when it names its result.
 
 ``ges`` and ``gies`` share one greedy core.  It runs on the index labels
 0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
@@ -73,8 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_count, require_level
-from .graphs import Cpdag, _canon, _extend, _meek, _Pdag, _project, complete, reachable, recomplete
+from .errors import ConfigError, GraphError, require_count, require_level
+from .graphs import Cpdag, _canon, _extend, _meek, _Pdag, reachable, recomplete
 from .stats import (
     CIBatch,
     GaussianSuffStat,
@@ -334,21 +333,20 @@ class _State(_Pdag):
 
     A state made by a move keeps the state it was made from, ``prev``, and
     in ``changed`` the status (see ``_status``) there of every (min, max)
-    pair whose edge the move changed.  ``pattern`` is True for the states
-    the search makes, which are the patterns of their classes; a state
-    built from given edges is taken for one only when it has none."""
+    pair whose edge the move changed.  The moves take a state for the
+    (interventional) pattern of its class, as every state the search makes
+    is; one built from given edges must be one too."""
 
     def __init__(self, d: int, intervened, directed=(), undirected=()):
         super().__init__(range(d), directed, undirected)
         self.intervened = frozenset(intervened)
         self.succ = [_mask(self.ch[v] | self.und[v]) for v in self.nodes]
         self.prev, self.changed = None, {}
-        self.pattern = not any(self.adj.values())
 
     def made(self, prev: _State, pairs) -> _State:
         """Record this graph as made from ``prev`` by edits at most at
         ``pairs`` (each (min, max)); returns it."""
-        self.prev, self.pattern = prev, True
+        self.prev = prev
         self.changed = {p: s for p in pairs if (s := _status(prev, *p)) != _status(self, *p)}
         self.succ = list(prev.succ)
         for v in {v for p in self.changed for v in p}:
@@ -504,64 +502,55 @@ def _delete_candidates(st: _State, sc: _Scorer):
     return best
 
 
-def _complete(st: _State, g: _State, pairs, valid: bool, warn: WarningCounter) -> _State:
-    """Complete the copy g of st whose edges a move edited at the node pairs
-    ``pairs``: locally when the move is valid from a pattern, else over the
-    whole graph."""
-    pairs = {_canon(a, b) for a, b in pairs}
-    if valid and st.pattern:
-        pairs |= recomplete(g, g.intervened, pairs)
-    else:
-        warn.completion_fallbacks += 1
-        warn.extension_fallbacks += complete(g, g.intervened)
-        pairs |= {(a, b) for a in g.nodes for b in st.adj[a] | g.adj[a] if a < b}
-    return g.made(st, pairs)
-
-
-def _apply_insert(st: _State, x, y, t, warn: WarningCounter) -> _State:
+def _apply_insert(st: _State, x, y, t) -> _State:
     """Insert(x, y, T): x->y, and T's undirected edges at y oriented into
     y.  It is valid (Chickering 2002, Theorem 15) when x and y are not
     adjacent, T holds neighbours of y not adjacent to x, NA(y, x) | T is a
-    clique, and every semi-directed path y ~> x passes through it."""
-    g = st.copy()
-    g.orient(x, y)
-    for n in t:
-        g.orient(n, y)
+    clique, and every semi-directed path y ~> x passes through it; else
+    GraphError."""
     base = st.und[y] & st.adj[x] | set(t)
-    valid = (
+    if not (
         x not in st.adj[y]
         and set(t) <= st.und[y] - st.adj[x]
         and _is_clique(base, st.adj)
         and not _reach(st.succ, y, _mask(base)) >> x & 1
-    )
-    return _complete(st, g, [(x, y), *((n, y) for n in t)], valid, warn)
+    ):
+        raise GraphError(f"Insert({x}, {y}, {t}) is not a valid move")
+    g = st.copy()
+    g.orient(x, y)
+    for n in t:
+        g.orient(n, y)
+    pairs = {_canon(x, y), *(_canon(n, y) for n in t)}
+    return g.made(st, pairs | recomplete(g, g.intervened, pairs))
 
 
-def _apply_delete(st: _State, x, y, h, warn: WarningCounter) -> _State:
+def _apply_delete(st: _State, x, y, h) -> _State:
     """Delete(x, y, H): cut x->y or x-y and orient y-n and x-n as y->n and
     x->n for n in H.  It is valid (Chickering 2002, Theorem 17) when H holds
-    neighbours of y adjacent to x and the rest of those is a clique."""
+    neighbours of y adjacent to x and the rest of those is a clique; else
+    GraphError."""
+    na = st.und[y] & st.adj[x]
+    if not ((x in st.pa[y] or x in st.und[y]) and set(h) <= na and _is_clique(na - set(h), st.adj)):
+        raise GraphError(f"Delete({x}, {y}, {h}) is not a valid move")
     g = st.copy()
     g.cut(x, y)
     for n in h:
-        if n in g.und[y]:
-            g.orient(y, n)
+        g.orient(y, n)
         if n in g.und[x]:
             g.orient(x, n)
-    na = st.und[y] & st.adj[x]
-    valid = (x in st.pa[y] or x in st.und[y]) and set(h) <= na and _is_clique(na - set(h), st.adj)
-    return _complete(st, g, [(x, y), *((a, n) for n in h for a in (x, y))], valid, warn)
+    pairs = {_canon(x, y), *(_canon(a, n) for n in h for a in (x, y))}
+    return g.made(st, pairs | recomplete(g, g.intervened, pairs))
 
 
 def _forward_phase(st: _State, inserts: _Inserts) -> _State:
     while (got := inserts.best(st)) is not None:
-        st = _apply_insert(st, *got[1:], inserts.sc.warn)
+        st = _apply_insert(st, *got[1:])
     return st
 
 
 def _backward_phase(st: _State, sc) -> _State:
     while (got := _delete_candidates(st, sc)) is not None:
-        st = _apply_delete(st, *got[1:], sc.warn)
+        st = _apply_delete(st, *got[1:])
     return st
 
 
@@ -598,10 +587,11 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
         _, a, b = best
         ext.cut(a, b)
         ext.orient(b, a)
-        _project(ext, ext.intervened)
+        pairs = {_canon(u, v) for u, v in ext.directed()}
+        recomplete(ext, ext.intervened, pairs)
         if (ext.directed(), ext.undirected()) == (st.directed(), st.undirected()):
             return st
-        st = ext.made(st, {(u, v) for u in st.nodes for v in st.adj[u] if u < v})
+        st = ext.made(st, pairs)
 
 
 def _greedy_search(table, cfg, row_targets, warn) -> Cpdag:

@@ -7,10 +7,11 @@ the labels only through their order, so relabelling by an order-preserving
 map commutes with every operation; the greedy searches rely on this and run
 on column indices.
 
-Every edit goes through one editable graph, ``_Pdag``: Meek closure, sink
-elimination, class projection and the local re-completion after a greedy
-move orient, extend and project it in place, and so do the learners in
-``discovery``.  The validated frozen types ``Dag`` and ``Cpdag`` are built
+Every edit goes through one editable graph, ``_Pdag``: Meek closure and
+sink elimination orient and extend it in place, and so do the learners in
+``discovery``.  One projection, ``recomplete``, turns it into the pattern
+of its class: it serves ``cpdag_of``, GIES's turning phase and every
+greedy move.  The validated frozen types ``Dag`` and ``Cpdag`` are built
 only at the boundary, once per public result.
 
 Conventions
@@ -210,16 +211,6 @@ def reachable(succ, src, blocked=()) -> set:
     return seen
 
 
-def _colliders(g: _Pdag) -> frozenset[tuple[str, str, str]]:
-    """Triples (a, c, b), a < b, with a->c<-b directed and a, b non-adjacent."""
-    return frozenset(
-        (a, c, b)
-        for c in g.nodes
-        for a, b in combinations(sorted(g.pa[c]), 2)
-        if b not in g.adj[a]
-    )
-
-
 def _meek_rule(g: _Pdag, a, b) -> bool:
     """Whether a Meek rule orients the undirected edge a-b as a->b."""
     pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
@@ -306,31 +297,6 @@ def _extend(g: _Pdag) -> bool:
     return True
 
 
-def _project(g: _Pdag, pinned) -> None:
-    """Turn the DAG g in place into the pattern of its class (see
-    ``cpdag_of``)."""
-    forced: set = set()
-    for a, c, b in _colliders(g):
-        forced.update(((a, c), (b, c)))
-    for a, b in g.directed():
-        if (a, b) not in forced and a not in pinned and b not in pinned:
-            g.cut(a, b)
-            g.join(a, b)
-    _meek(g)
-
-
-def complete(g: _Pdag, pinned=frozenset()) -> bool:
-    """Chickering's completion in place, over the whole graph: orient the
-    PDAG g into a member of its class, then project that member onto its
-    (interventional) pattern.  The result is
-    ``cpdag_of(consistent_extension(p), pinned)`` for the ``Cpdag`` p with
-    g's edges; True when that extension fell back.  ``recomplete`` gives
-    the same graph after a valid greedy move, looking only near it."""
-    fallback = _extend(g)
-    _project(g, pinned)
-    return fallback
-
-
 def _protected(g: _Pdag, a, b, pinned) -> bool:
     """Whether the arrow a->b is strongly protected in g: it touches a
     pinned node, or it sits in one of the configurations c->a->b (c, b
@@ -347,11 +313,12 @@ def _protected(g: _Pdag, a, b, pinned) -> bool:
 
 
 def recomplete(g: _Pdag, pinned, pairs) -> set:
-    """``complete`` in place for a graph g that was the (interventional)
-    pattern of its class until the edges of the node pairs ``pairs`` were
-    edited, and whose edited form has a consistent extension, as every
-    valid greedy move's has.  Returns the pairs, as (min, max), whose edges
-    it changed.
+    """Turn g in place into the (interventional) pattern of its class, for
+    a graph g that was such a pattern until the edges of the node pairs
+    ``pairs`` were edited, and whose edited form has a consistent
+    extension, as every valid greedy move's has.  A DAG is the empty
+    pattern with every adjacent pair edited (see ``cpdag_of``).  Returns
+    the pairs, as (min, max), whose edges it changed.
 
     Every consistent extension of g has g's skeleton, its colliders and its
     arrows at pinned nodes, and the pattern is the Meek closure of those
@@ -410,9 +377,11 @@ def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:
     skeleton + compelled v-structure edges, closed under the Meek rules.
     Edges touching a node in ``pinned`` keep their orientation as well: an
     intervention on a node fixes the direction of its edges (the
-    interventional class of Hauser & Buehlmann 2012)."""
+    interventional class of Hauser & Buehlmann 2012).  On a DAG the Meek
+    pass of ``recomplete`` finds no line to orient, and its second pass is
+    ReplaceUnprotected over every arrow."""
     g = _Pdag(dag.nodes, dag.edges)
-    _project(g, pinned)
+    recomplete(g, pinned, {_canon(a, b) for a, b in dag.edges})
     return Cpdag(dag.nodes, g.directed(), g.undirected())
 
 

@@ -203,12 +203,15 @@ class ScalerParams:
         if not (len(self.columns) == len(self.mins) == len(self.maxs)):
             raise SchemaError("scaler column/min/max length mismatch")
         for c, lo, hi in zip(self.columns, self.mins, self.maxs):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise SchemaError(f"{c}: non-finite scaler bounds ({lo}, {hi})")
             if lo > hi:
                 raise SchemaError(f"{c}: scaler min {lo} > max {hi}")
 
 
 def min_max_fit(table: Table, columns: Sequence[str], train_mask: np.ndarray) -> ScalerParams:
-    """Per-column min/max from training rows only."""
+    """Per-column min/max from training rows only; NumericError naming the
+    first training row of a column that holds NaN or ±inf."""
     mask = np.asarray(train_mask, dtype=bool)
     if mask.shape != (table.n,):
         raise ConfigError("train mask length must match row count")
@@ -216,9 +219,10 @@ def min_max_fit(table: Table, columns: Sequence[str], train_mask: np.ndarray) ->
         raise ConfigError("cannot fit a scaler on zero training rows")
     mins, maxs = [], []
     for name in columns:
-        v = table.column(name)[mask]
-        mins.append(float(v.min()))
-        maxs.append(float(v.max()))
+        col = table.column(name)
+        require_finite(np.where(mask, col, 0.0), f"train value of {name!r}", table)
+        mins.append(float(col[mask].min()))
+        maxs.append(float(col[mask].max()))
     return ScalerParams(tuple(columns), tuple(mins), tuple(maxs), int(mask.sum()))
 
 

@@ -50,8 +50,7 @@ class WarningCounter:
 
     singular_fallbacks: int = 0
     empty_interventional: int = 0
-    extension_fallbacks: int = 0  # GES/GIES patterns with no consistent extension
-    completion_fallbacks: int = 0  # GES/GIES moves completed over the whole graph
+    extension_fallbacks: int = 0  # GIES turning-phase patterns with no consistent extension
 
 
 @dataclass(frozen=True, eq=False)

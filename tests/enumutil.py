@@ -1,6 +1,7 @@
 """Shared brute-force oracles for the test suite: labeled-DAG enumeration,
-Markov-equivalence classes, extension sets, random graph generators, a
-sorted-scan sink elimination, the exact covariance of a linear SCM and its
+(interventional) Markov-equivalence classes, extension sets, a whole-graph
+pattern projection and completion, random graph generators, a sorted-scan
+sink elimination, the exact covariance of a linear SCM and its
 ancestral subgraphs, PC answered exactly from that covariance, a
 one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
 GES insertions and a move chooser that keeps nothing between steps, a
@@ -62,12 +63,49 @@ def all_dags(labels: tuple[str, ...]) -> list[frozenset[tuple[str, str]]]:
     return out
 
 
-def equivalence_classes(labels, dags):
-    """Group DAG edge sets by (skeleton, v-structures)."""
+def colliders(g: G._Pdag) -> frozenset[tuple]:
+    """Triples (a, c, b), a < b, with a->c<-b directed and a, b non-adjacent."""
+    return frozenset(
+        (a, c, b)
+        for c in g.nodes
+        for a, b in combinations(sorted(g.pa[c]), 2)
+        if b not in g.adj[a]
+    )
+
+
+def project(g: G._Pdag, pinned=frozenset()) -> None:
+    """Turn the DAG g in place into the (interventional) pattern of its
+    class over the whole graph: every arrow that is neither in a collider
+    nor at a pinned node becomes a line, then the Meek rules close it.
+    ``graphs.recomplete`` reaches the same graph by ReplaceUnprotected."""
+    forced: set = set()
+    for a, c, b in colliders(g):
+        forced.update(((a, c), (b, c)))
+    for a, b in g.directed():
+        if (a, b) not in forced and a not in pinned and b not in pinned:
+            g.cut(a, b)
+            g.join(a, b)
+    G._meek(g)
+
+
+def complete(g: G._Pdag, pinned=frozenset()) -> bool:
+    """Chickering's completion in place, over the whole graph: orient the
+    PDAG g into a member of its class by sink elimination, then ``project``
+    that member.  True when the extension fell back."""
+    fallback = G._extend(g)
+    project(g, pinned)
+    return fallback
+
+
+def equivalence_classes(labels, dags, pinned=frozenset()):
+    """Group DAG edge sets by skeleton, v-structures and the orientation of
+    every edge at a ``pinned`` node: the interventional classes, which are
+    the Markov-equivalence classes when nothing is pinned."""
     classes: dict[tuple, list[frozenset]] = {}
     for edges in dags:
         skel = frozenset(tuple(sorted(e)) for e in edges)
-        key = (skel, G._colliders(G._Pdag(labels, edges)))
+        at_pinned = frozenset(e for e in edges if not pinned.isdisjoint(e))
+        key = (skel, colliders(G._Pdag(labels, edges)), at_pinned)
         classes.setdefault(key, []).append(edges)
     return classes
 
@@ -90,7 +128,7 @@ def class_cpdag(labels, members) -> G.Cpdag:
 def extension_set(pattern: G.Cpdag) -> set[frozenset]:
     """All DAGs with the pattern's skeleton, directed edges, and colliders."""
     und = sorted(pattern.undirected)
-    want = G._colliders(G._Pdag(pattern.nodes, pattern.directed, pattern.undirected))
+    want = colliders(G._Pdag(pattern.nodes, pattern.directed, pattern.undirected))
     out = set()
     for bits in range(2 ** len(und)):
         edges = set(pattern.directed)
@@ -98,7 +136,7 @@ def extension_set(pattern: G.Cpdag) -> set[frozenset]:
             edges.add((a, b) if (bits >> k) & 1 else (b, a))
         if G._kahn(pattern.nodes, edges) is None:
             continue
-        if G._colliders(G._Pdag(pattern.nodes, edges)) == want:
+        if colliders(G._Pdag(pattern.nodes, edges)) == want:
             out.add(frozenset(edges))
     return out
 

@@ -29,13 +29,10 @@ from soilcausal.discovery import (
     pc,
     per_row_targets,
 )
-from soilcausal.errors import ConfigError, NumericError
+from soilcausal.errors import ConfigError, GraphError, NumericError
 from soilcausal.graphs import (
     Cpdag,
     Dag,
-    _colliders,
-    _kahn,
-    complete,
     consistent_extension,
     cpdag_of,
     reachable,
@@ -58,6 +55,8 @@ from soilcausal.synth import (
 from enumutil import (
     analytic_covariance,
     ancestral_subsets,
+    colliders,
+    complete,
     continuous_table,
     induced_subdag,
     pc_oracle,
@@ -519,7 +518,7 @@ def test_kept_inserts_choose_the_reference_move(seed, d, max_parents, interventi
             assert got == reference_best_insert(state, ref_sc, max_parents)
             if got is None:
                 break
-            state, steps = _apply_insert(state, *got[1:], sc.warn), steps + 1
+            state, steps = _apply_insert(state, *got[1:]), steps + 1
         state = _backward_phase(state, sc)
         if interventional:
             state = _turning_phase(state, sc, cfg)
@@ -550,59 +549,13 @@ def test_turning_phase_ends_when_a_turn_projects_back_onto_its_pattern():
     assert (got.directed(), got.undirected()) == (set(), {(0, 1)})
 
 
-@settings(deadline=None, max_examples=60, derandomize=True)
-@given(st.integers(0, 10**6), st.integers(2, 8))
-def test_moves_complete_a_copy_and_leave_the_state(seed, d):
-    # every insert and delete on a random CPDAG state, with random T/H sets
-    # and pinned nodes, that keeps the directed part acyclic: the move
-    # returns its own completed graph, equal to extending and projecting the
-    # edited edge sets through the validated types, and the state it copied
-    # keeps every neighbour set (a shallow copy would share them)
-    rng = random.Random(seed)
-    pattern = cpdag_of(random_dag(rng, tuple(range(d))))
-    pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
-    state = _State(d, pinned, pattern.directed, pattern.undirected)
-
-    def maps(s):
-        return [{v: set(m[v]) for v in s.nodes} for m in (s.pa, s.ch, s.und, s.adj)]
-
-    before = maps(state)
-    for x, y in itertools.permutations(range(d), 2):
-        directed, undirected = set(pattern.directed), set(pattern.undirected)
-        if x not in state.adj[y]:
-            t = tuple(n for n in sorted(state.und[y] - state.adj[x]) if rng.random() < 0.5)
-            move, sets = _apply_insert, t
-            directed |= {(x, y)} | {(n, y) for n in t}
-            undirected -= {(min(n, y), max(n, y)) for n in t}
-        elif x in state.pa[y] or x in state.und[y]:
-            h = tuple(n for n in sorted(state.und[y] & state.adj[x]) if rng.random() < 0.5)
-            move, sets = _apply_delete, h
-            directed.discard((x, y))
-            undirected.discard((min(x, y), max(x, y)))
-            for n in h:
-                for a in (y, x):
-                    if (min(n, a), max(n, a)) in undirected:
-                        undirected.remove((min(n, a), max(n, a)))
-                        directed.add((a, n))
-        else:
-            continue
-        if _kahn(state.nodes, directed) is None:
-            continue
-        warn = WarningCounter()
-        got = move(state, x, y, sets, warn)
-        assert maps(state) == before
-        ext = consistent_extension(Cpdag(state.nodes, directed, undirected))
-        want = cpdag_of(ext, pinned)
-        assert (got.directed(), got.undirected()) == (want.directed, want.undirected)
-        assert warn.extension_fallbacks == ext.meta["extension_fallback"]
-
-
 def test_local_recompletion_is_the_whole_graph_completion():
     # GES and GIES on random linear-Gaussian tables, GIES with one or two
     # blocks of rows that intervene on random columns: every insert and
-    # delete re-completes its copy locally, and the result is the
-    # whole-graph completion of the same edited edges, whose extension
-    # does not fall back.  Each state's change record and successor masks
+    # delete re-completes its copy locally, and every turn projects its
+    # extension, with ``recomplete``; the result is the whole-graph
+    # reference completion of the same edited edges, whose extension does
+    # not fall back.  Each state's change record and successor masks
     # equal a full comparison with the state it was made from.  The moves
     # seen include deletes, moves next to a pinned node, moves after a
     # turn, and moves that shield a collider or create one
@@ -625,9 +578,9 @@ def test_local_recompletion_is_the_whole_graph_completion():
         pairs = itertools.combinations(out.nodes, 2)
         assert out.changed == {p: _status(prev, *p) for p in pairs if _status(prev, *p) != _status(out, *p)}
         assert out.succ == [sum(1 << v for v in out.ch[u] | out.und[u]) for u in out.nodes]
-        before = _colliders(prev)
+        before = colliders(prev)
         seen["shield"] += any(b in out.adj[a] for a, _, b in before)
-        seen["create"] += bool(_colliders(out) - before)
+        seen["create"] += bool(colliders(out) - before)
         seen["after turn"] += turned[0]
         return out
 
@@ -661,7 +614,7 @@ def test_local_recompletion_is_the_whole_graph_completion():
                 rows += [frozenset(names[k] for k in hit)] * 60
         warn = WarningCounter()
         discovery._greedy_search(continuous_table(names, data), DiscoveryConfig(max_parents=max_parents), rows, warn)
-        assert (warn.extension_fallbacks, warn.completion_fallbacks) == (0, 0)
+        assert warn.extension_fallbacks == 0
 
     with (
         mock.patch.object(discovery, "recomplete", checked_recomplete),
@@ -673,19 +626,26 @@ def test_local_recompletion_is_the_whole_graph_completion():
     assert all(seen[k] for k in ("pinned", "shield", "create", "turned", "after turn", "delete")), seen
 
 
+def _maps(s):
+    """Copies of a state's neighbour maps and successor masks."""
+    return [{v: set(m[v]) for v in s.nodes} for m in (s.pa, s.ch, s.und, s.adj)] + [list(s.succ)]
+
+
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(3, 8))
 def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
     # the interventional pattern of a random DAG with random pinned nodes:
     # every insert and delete that meets Chickering's conditions (T or H of
-    # up to three nodes) completes locally, and equals the whole-graph
-    # completion of the same edited edges, whose extension does not fall
-    # back; the move records exactly the pairs whose edges changed
+    # up to three nodes) completes a copy locally, and equals the
+    # whole-graph completion of the same edited edges, whose extension does
+    # not fall back; the move records exactly the pairs whose edges changed,
+    # and the state it copied keeps every neighbour set (a shallow copy
+    # would share them)
     rng = random.Random(seed)
     pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
     pattern = cpdag_of(random_dag(rng, tuple(range(d)), p=rng.uniform(0.2, 0.7)), pinned)
     state = _State(d, pinned, pattern.directed, pattern.undirected)
-    state.pattern = True
+    before = _maps(state)
     moves = []
     for x, y in itertools.permutations(range(d), 2):
         na = state.und[y] & state.adj[x]
@@ -700,8 +660,8 @@ def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
                 if _is_clique(na - set(h), state.adj):
                     moves.append((_apply_delete, x, y, h, [(y, n) for n in h] + [(x, n) for n in h if n in state.und[x]]))
     for move, x, y, sets, oriented in moves:
-        warn = WarningCounter()
-        got = move(state, x, y, sets, warn)
+        got = move(state, x, y, sets)
+        assert _maps(state) == before
         want = state.copy()
         want.cut(x, y)
         for a, b in oriented:
@@ -710,7 +670,6 @@ def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
             want.orient(x, y)
         assert not complete(want, pinned)
         assert (got.directed(), got.undirected()) == (want.directed(), want.undirected())
-        assert warn == WarningCounter()
         pairs = itertools.combinations(range(d), 2)
         assert got.changed == {p: _status(state, *p) for p in pairs if _status(state, *p) != _status(got, *p)}
 
@@ -718,41 +677,38 @@ def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
 def test_moves_from_the_searched_patterns_recomplete_locally():
     # 0 - 2, then Insert(1, 2, {0}) creates the collider 0 -> 2 <- 1,
     # Insert(0, 1, {}) shields it, and Delete(0, 1, {2}) creates it again,
-    # each completed locally; from the chain 0 - 1 - 2 - 3 that inserts
-    # make, Insert(0, 3, {}) fails the semi-directed path check and
-    # completes the whole graph, whose extension falls back
-    warn = WarningCounter()
-    state = _apply_insert(_State(3, ()), 0, 2, (), warn)
+    # each completed locally
+    state = _apply_insert(_State(3, ()), 0, 2, ())
     assert (state.directed(), state.undirected()) == (set(), {(0, 2)})
-    collider = _apply_insert(state, 1, 2, (0,), warn)
+    collider = _apply_insert(state, 1, 2, (0,))
     assert (collider.directed(), collider.undirected()) == ({(0, 2), (1, 2)}, set())
     assert collider.changed == {(0, 2): 1, (1, 2): 0} and collider.prev is state
-    shielded = _apply_insert(collider, 0, 1, (), warn)
+    shielded = _apply_insert(collider, 0, 1, ())
     assert (shielded.directed(), shielded.undirected()) == (set(), {(0, 1), (0, 2), (1, 2)})
-    again = _apply_delete(shielded, 0, 1, (2,), warn)
+    again = _apply_delete(shielded, 0, 1, (2,))
     assert (again.directed(), again.undirected()) == ({(0, 2), (1, 2)}, set())
-    assert warn == WarningCounter()
+
+
+@pytest.mark.parametrize(
+    "move, x, y, sets",
+    [
+        (_apply_insert, 0, 3, ()),  # the semi-directed path 3 - 2 - 1 - 0 avoids NA(3, 0) = {}
+        (_apply_insert, 0, 1, ()),  # 0 and 1 are adjacent
+        (_apply_delete, 1, 2, (3,)),  # 3 is not in NA(2, 1) = {}
+    ],
+    ids=["insert-across-a-path", "insert-between-adjacent", "delete-outside-na"],
+)
+def test_invalid_moves_raise_and_leave_the_state(move, x, y, sets):
+    # a move that fails Chickering's conditions has no local completion,
+    # and the search never makes one: it raises before editing anything.
+    # The state is the chain 0 - 1 - 2 - 3 that inserts make
     chain = _State(4, ())
-    for x, y in ((0, 1), (1, 2), (2, 3)):
-        chain = _apply_insert(chain, x, y, (), warn)
-    assert (chain.directed(), chain.undirected()) == (set(), {(0, 1), (1, 2), (2, 3)})
-    assert warn == WarningCounter()
-    cycle = _apply_insert(chain, 0, 3, (), warn)
-    assert warn == WarningCounter(extension_fallbacks=1, completion_fallbacks=1)
-    assert (cycle.directed(), cycle.undirected()) == ({(0, 3), (2, 3)}, {(0, 1), (1, 2)})
-    assert cycle.changed == {(0, 3): 0, (2, 3): 1} and cycle.pattern
-
-
-def test_insert_counts_an_extension_fallback():
-    # test_graphs' chordless 4-cycle 0 - 1 - 2 - 3 - 0, made by inserting
-    # 0 -> 3 into the chain: no orientation of it adds no collider
-    chain = _State(4, (), (), [(0, 1), (1, 2), (2, 3)])
-    warn = WarningCounter()
-    got = _apply_insert(chain, 0, 3, (), warn)
-    assert warn == WarningCounter(extension_fallbacks=1, completion_fallbacks=1)
-    assert _kahn(got.nodes, got.directed()) is not None
-    _apply_insert(chain, 0, 2, (1,), warn)  # 0 -> 2 <- 1, 1 - 2 - 3: extendable
-    assert warn.extension_fallbacks == 1
+    for a, b in ((0, 1), (1, 2), (2, 3)):
+        chain = _apply_insert(chain, a, b, ())
+    before = _maps(chain), chain.changed, chain.prev
+    with pytest.raises(GraphError, match="is not a valid move"):
+        move(chain, x, y, sets)
+    assert (_maps(chain), chain.changed, chain.prev) == before
 
 
 def test_each_learner_validates_one_pattern_per_call(monkeypatch):

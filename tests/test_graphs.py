@@ -1,9 +1,10 @@
 """Graph-algebra tests.
 
 The load-bearing oracles here are brute-force enumerations: all labeled DAGs
-on up to 4 nodes, their Markov equivalence classes (same skeleton + same
-colliders), and exhaustive orientation enumeration for extension sets.  The
-library must agree with these independent recomputations exactly.
+on up to 4 nodes, their (interventional) Markov equivalence classes (same
+skeleton, colliders and arrows at pinned nodes), and exhaustive orientation
+enumeration for extension sets.  The library must agree with these
+independent recomputations exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from enumutil import (
     LABELS4,
     all_dags,
     class_cpdag,
+    colliders,
+    complete,
     equivalence_classes,
     extension_set,
     random_dag,
@@ -43,11 +46,16 @@ def test_dag_enumeration_counts():
 
 @pytest.mark.parametrize("labels", [("A", "B"), ("A", "B", "C"), LABELS4])
 def test_cpdag_of_matches_class_enumeration(labels):
-    classes = equivalence_classes(labels, all_dags(labels))
-    for members in classes.values():
-        oracle = class_cpdag(labels, members)
-        for edges in members:
-            assert G.cpdag_of(G.Dag(labels, edges)) == oracle
+    # every DAG with every pinned subset (8,900 cases over the three label
+    # sets): the pattern keeps an arrow only where every DAG of its
+    # interventional class agrees
+    dags = all_dags(labels)
+    for size in range(len(labels) + 1):
+        for pinned in map(frozenset, combinations(labels, size)):
+            for members in equivalence_classes(labels, dags, pinned).values():
+                oracle = class_cpdag(labels, members)
+                for edges in members:
+                    assert G.cpdag_of(G.Dag(labels, edges), pinned) == oracle
 
 
 def test_cpdag_of_keeps_the_edges_of_pinned_nodes():
@@ -66,7 +74,7 @@ def test_consistent_extension_lands_inside_the_class():
         ext = G.consistent_extension(cp)
         assert ext.meta["extension_fallback"] is False
         assert ext.edges in set(members)
-        assert G._colliders(G._Pdag(ext.nodes, ext.edges)) == G._colliders(G._Pdag(cp.nodes, cp.directed, cp.undirected))
+        assert colliders(G._Pdag(ext.nodes, ext.edges)) == colliders(G._Pdag(cp.nodes, cp.directed, cp.undirected))
 
 
 def test_v_structures_match_triple_scan():
@@ -80,7 +88,7 @@ def test_v_structures_match_triple_scan():
             for z in dag.nodes
             if (x, z) in dag.edges and (y, z) in dag.edges and tuple(sorted((x, y))) not in adj
         }
-        assert G._colliders(G._Pdag(dag.nodes, dag.edges)) == frozenset(oracle)
+        assert colliders(G._Pdag(dag.nodes, dag.edges)) == frozenset(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +138,7 @@ def test_meek_closure_preserves_extension_set(seed):
     if before:
         assert extension_set(closed) == before
     assert pattern.directed <= closed.directed
-    assert G._colliders(G._Pdag(closed.nodes, closed.directed, closed.undirected)) == G._colliders(
+    assert colliders(G._Pdag(closed.nodes, closed.directed, closed.undirected)) == colliders(
         G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
     )
     assert G.meek_closure(closed) == closed
@@ -183,9 +191,6 @@ def test_consistent_extension_fallback_is_flagged_and_acyclic():
     ext = G.consistent_extension(stuck)
     assert ext.meta["extension_fallback"] is True
     assert ext.edges == frozenset({("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")})
-    # the in-place completion returns the same flags
-    for pattern, flag in ((cp, False), (stuck, True)):
-        assert G.complete(G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)) is flag
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -206,8 +211,9 @@ def test_consistent_extension_matches_the_sorted_scan(seed, n):
 @example(0, 3)  # every node is eliminated as a sink
 @example(0, 12)  # no sink is left: the fallback orients the rest
 def test_complete_in_place_equals_the_public_composition(seed, n):
-    # Chickering's step on one editable graph, with a random pinned set,
-    # equals extending to a validated Dag and projecting that, and the
+    # the whole-graph reference completion on one editable graph, with a
+    # random pinned set, equals extending to a validated Dag and projecting
+    # that with ``cpdag_of`` (``recomplete`` over every edge), and the
     # extension keeps the sorted scan's fallback flag
     rng = random.Random(seed)
     pattern = random_pattern(rng, tuple(f"v{k:02d}" for k in range(n)))
@@ -216,16 +222,16 @@ def test_complete_in_place_equals_the_public_composition(seed, n):
     assert ext.meta == reference_consistent_extension(pattern).meta
     want = G.cpdag_of(ext, pinned)
     g = G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
-    assert G.complete(g, pinned) is ext.meta["extension_fallback"]
+    assert complete(g, pinned) is ext.meta["extension_fallback"]
     assert (g.directed(), g.undirected()) == (want.directed, want.undirected)
 
 
-def test_complete_rejects_a_directed_cycle():
-    # the editable graph is not validated; its completion refuses a cycle
-    # as the validated Cpdag would
+def test_extension_rejects_a_directed_cycle():
+    # the editable graph is not validated; sink elimination refuses a
+    # cycle as the validated Cpdag would
     g = G._Pdag(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")})
     with pytest.raises(GraphError, match="cycle in directed part"):
-        G.complete(g)
+        G._extend(g)
 
 
 def test_single_undirected_edge_orients_by_label():

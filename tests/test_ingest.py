@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import soilcausal.ingest as I
-from soilcausal.errors import ConfigError, SchemaError
+from soilcausal.errors import ConfigError, NumericError, SchemaError
 
 D0 = np.datetime64("2020-01-01")
 
@@ -196,6 +196,24 @@ def test_min_max_errors():
     other = mk([I.ColumnSpec("y", "continuous")], [[1.0]], [0])
     with pytest.raises(SchemaError):
         I.min_max_apply(other, params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+def test_min_max_rejects_non_finite_train_values_and_bounds(bad):
+    # a NaN or infinite train cell would give NaN bounds, and scaling would
+    # turn the whole column into NaN; a masked-out row is not fitted
+    t = mk(
+        [I.ColumnSpec("x", "continuous"), I.ColumnSpec("y", "continuous")],
+        [[1.0, 2.0], [2.0, bad], [3.0, 4.0]],
+        [0, 1, 2],
+    )
+    with pytest.raises(NumericError, match=r"non-finite train value of 'y' in row 1 \(f1, 2020-01-02, red\)"):
+        I.min_max_fit(t, ["x", "y"], np.ones(3, dtype=bool))
+    params = I.min_max_fit(t, ["x", "y"], np.array([True, False, True]))
+    assert (params.mins, params.maxs) == ((1.0, 2.0), (3.0, 4.0))
+    for mins, maxs in (((bad,), (1.0,)), ((0.0,), (bad,))):
+        with pytest.raises(SchemaError, match="non-finite scaler bounds"):
+            I.ScalerParams(("x",), mins, maxs, fitted_on=1)
 
 
 # ---------------------------------------------------------------------------
