@@ -549,6 +549,56 @@ def test_turning_phase_ends_when_a_turn_projects_back_onto_its_pattern():
     assert (got.directed(), got.undirected()) == (set(), {(0, 1)})
 
 
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 8))
+def test_moves_complete_a_copy_and_leave_the_state(seed, d):
+    # every insert and delete on the interventional pattern of a random DAG,
+    # with random T/H sets and pinned nodes: a valid move returns its own
+    # completed graph, equal to extending and projecting the edited edge
+    # sets through the validated types without a fallback, and an invalid
+    # one raises; either way the state it copied keeps every neighbour set
+    # (a shallow copy would share them)
+    rng = random.Random(seed)
+    pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
+    pattern = cpdag_of(random_dag(rng, tuple(range(d))), pinned)
+    state = _State(d, pinned, pattern.directed, pattern.undirected)
+    before = _maps(state)
+    semi = lambda v: state.und[v] | state.ch[v]  # noqa: E731
+    for x, y in itertools.permutations(range(d), 2):
+        directed, undirected = set(pattern.directed), set(pattern.undirected)
+        na = state.und[y] & state.adj[x]
+        if x not in state.adj[y]:
+            t = tuple(n for n in sorted(state.und[y] - state.adj[x]) if rng.random() < 0.5)
+            move, sets = _apply_insert, t
+            valid = _is_clique(na | set(t), state.adj) and x not in reachable(semi, y, na | set(t))
+            directed |= {(x, y)} | {(n, y) for n in t}
+            undirected -= {(min(n, y), max(n, y)) for n in t}
+        elif x in state.pa[y] or x in state.und[y]:
+            h = tuple(n for n in sorted(na) if rng.random() < 0.5)
+            move, sets = _apply_delete, h
+            valid = _is_clique(na - set(h), state.adj)
+            directed.discard((x, y))
+            undirected.discard((min(x, y), max(x, y)))
+            for n in h:
+                for a in (y, x):
+                    if (min(n, a), max(n, a)) in undirected:
+                        undirected.remove((min(n, a), max(n, a)))
+                        directed.add((a, n))
+        else:
+            continue
+        if not valid:
+            with pytest.raises(GraphError, match="is not a valid move"):
+                move(state, x, y, sets)
+            assert _maps(state) == before
+            continue
+        got = move(state, x, y, sets)
+        assert _maps(state) == before
+        ext = consistent_extension(Cpdag(state.nodes, directed, undirected))
+        want = cpdag_of(ext, pinned)
+        assert (got.directed(), got.undirected()) == (want.directed, want.undirected)
+        assert not ext.meta["extension_fallback"]
+
+
 def test_local_recompletion_is_the_whole_graph_completion():
     # GES and GIES on random linear-Gaussian tables, GIES with one or two
     # blocks of rows that intervene on random columns: every insert and
