@@ -24,43 +24,40 @@ only those triples, and an error is raised at the first of them that
 fails, even when a later pair failed in an earlier round, so every number
 and error is the sequential loop's.
 
-PC and the greedy core hold their graph as one ``graphs._Pdag`` over the
-index labels 0..d-1 and edit it in place.  PC prunes a boolean adjacency
-matrix level by level, then builds the ``_Pdag`` of what is left, orients
-the colliders and runs the Meek rules on it.  Each greedy move edits a
-copy of the current state and completes that copy in place with
+PC and the greedy core hold their graph as one ``graphs._Pdag``, whose
+neighbour sets are bitmasks over the index labels 0..d-1 of the
+name-sorted columns, and edit it in place; ``graphs.reachable`` is their
+one reachability search.  PC prunes a boolean adjacency matrix level by
+level, then builds the ``_Pdag`` of what is left, orients the colliders
+and runs the Meek rules on it.  Each greedy move edits a copy of the
+current state and completes that copy in place with
 ``graphs.recomplete``, which re-reads only the edges near the ones that
 change.  A move checks Chickering's validity conditions again first and
 raises ``GraphError`` when they fail.  The turning phase projects its
-turned extension with the same ``recomplete``, over every edge.  The move
-records the pairs whose edges it changed and the state it was made from,
-and keeps each node's semi-directed successors as a bitmask.  No ``Dag``
-or ``Cpdag`` is built on the way; each learner validates one ``Cpdag``,
-when it names its result.
+turned extension with the same ``recomplete``, over every edge.  No
+``Dag`` or ``Cpdag`` is built on the way; each learner names its result
+with ``graphs._labelled`` and validates one ``Cpdag``.
 
-``ges`` and ``gies`` share one greedy core.  It runs on the index labels
-0..d-1 of the name-sorted columns, so the graph algebra breaks ties exactly
-as it would on the names, and names the final pattern once.  One scorer
-serves both: a node's local BIC comes from the rows where that node was not
-manipulated (every row for ``ges``).  Its one cache, which the forward,
-backward and turning phases share, keys a score by (node, bitmask of the
-parent set over the index labels).  The forward phase, which asks for
-most of the scores, builds its NA, base and parent sets as such bitmasks;
-the backward and turning phases pass label sets.  The forward phase
-keeps, per node, the sorted insertions that pass every check local to
-that node (as in fGES), and the semi-directed reach set of every
-(y, base) its global check met, as a bitmask found by a frontier search
-over the state's successor bitmasks.  Each step reads the changed
-pairs that the moves since the step before recorded, and drops only what
-they invalidate: the lists of the nodes whose neighbourhood changed, and
-the reach sets holding a node whose children or undirected neighbours
-changed.  The global check then runs lazily along the merged order.  A
-node's list is enumerated by groups: the candidate parents x with one set
-of neighbours NA(y, x) share every (T, base) and its clique check and
-score, and each x adds only its own grown parent set; a group whose base
-is not a clique is not scored.  Patterns, sepsets, counts, sweeps and
-scores are those of evaluating every insert with a clique base afresh,
-one candidate at a time, at every step.
+``ges`` and ``gies`` share one greedy core.  It runs on the index labels,
+so the graph algebra breaks ties exactly as it would on the names.  One
+scorer serves both: a node's local BIC comes from the rows where that node
+was not manipulated (every row for ``ges``).  Its one cache, which the
+forward, backward and turning phases share, keys a score by (node,
+bitmask of the parent set), and every phase passes its parent sets as
+such bitmasks.  The forward phase keeps, per node, the sorted insertions
+that pass every check local to that node (as in fGES), and the
+semi-directed reach set of every (y, base) its global check met.  Each
+step compares the state with the one the step before saw, node by node,
+and drops only what the difference invalidates: the lists of the nodes
+whose neighbourhood changed, and the reach sets holding a node whose
+children or undirected neighbours changed.  The global check then runs
+lazily along the merged order.  A node's list is enumerated by groups:
+the candidate parents x with one set of neighbours NA(y, x) share every
+(T, base) and its clique check and score, and each x adds only its own
+grown parent set; a group whose base is not a clique is not scored.
+Patterns, sepsets, counts, sweeps and scores are those of evaluating
+every insert with a clique base afresh, one candidate at a time, at every
+step.
 """
 
 from __future__ import annotations
@@ -73,7 +70,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GraphError, require_count, require_level
-from .graphs import Cpdag, _canon, _extend, _meek, _Pdag, reachable, recomplete
+from .graphs import (
+    Cpdag,
+    _canon,
+    _extend,
+    _is_clique,
+    _labelled,
+    _mask,
+    _meek,
+    _members,
+    _Pdag,
+    reachable,
+    recomplete,
+)
 from .stats import (
     CIBatch,
     GaussianSuffStat,
@@ -184,7 +193,7 @@ def _pc_core(names, stat, separates, max_cond_size, warn):
             sepset[(i, j)] = frozenset(S)
             adj[i, j] = adj[j, i] = False
 
-    g = _Pdag(range(d), undirected=np.argwhere(np.triu(adj, 1)).tolist())
+    g = _Pdag(d, undirected=np.argwhere(np.triu(adj, 1)).tolist())
 
     # v-structures: a - c - b with a, b non-adjacent and c outside their
     # separating set.  Proposals applied in sorted order; an orientation is
@@ -192,11 +201,11 @@ def _pc_core(names, stat, separates, max_cond_size, warn):
     # directed cycle.
     proposals = set()
     for c in range(d):
-        for a, b in itertools.combinations(sorted(g.adj[c]), 2):
-            if b not in g.adj[a] and c not in sepset.get((a, b), ()):
+        for a, b in itertools.combinations(_members(g.adj[c]), 2):
+            if not g.adj[a] >> b & 1 and c not in sepset.get((a, b), ()):
                 proposals.update(((a, c), (b, c)))
     for x, y in sorted(proposals):
-        if x not in reachable(g.ch.__getitem__, y):
+        if not reachable(g.ch, y) >> x & 1:
             g.orient(x, y)
     _meek(g)
 
@@ -204,17 +213,7 @@ def _pc_core(names, stat, separates, max_cond_size, warn):
         (names[i], names[j]): tuple(sorted(names[k] for k in S))
         for (i, j), S in sepset.items()
     }
-    return _named(g, names, sepsets=sep_named, ci_tests=tests)
-
-
-def _named(g: _Pdag, names, **meta) -> Cpdag:
-    """The pattern of a graph over the index labels 0..d-1, on ``names``."""
-    return Cpdag(
-        names,
-        {(names[a], names[b]) for a, b in g.directed()},
-        {(names[a], names[b]) for a, b in g.undirected()},
-        meta=meta,
-    )
+    return Cpdag(names, *_labelled(g, names), meta={"sepsets": sep_named, "ci_tests": tests})
 
 
 def pc(table, config: DiscoveryConfig | None = None, *, warn: WarningCounter) -> Cpdag:
@@ -230,45 +229,10 @@ def pc(table, config: DiscoveryConfig | None = None, *, warn: WarningCounter) ->
 # ---------------------------------------------------------------------------
 
 
-def _mask(nodes) -> int:
-    """The bitmask of a set of index labels."""
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
-
-
-def _members(mask: int) -> list:
-    """The index labels of a bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _reach(succ, src: int, blocked: int = 0) -> int:
-    """The bitmask of the nodes reachable from ``src`` along ``succ`` (each
-    node's successors as a bitmask) through nodes outside ``blocked``;
-    ``src`` itself unless it is blocked."""
-    seen = frontier = 1 << src & ~blocked
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= succ[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~seen & ~blocked
-        seen |= frontier
-    return seen
-
-
 class _Scorer:
     """Cached local scores, one sufficient statistic per scored node.  The
-    cache keys a score by (node, bitmask of its parents); ``local`` takes
-    the parents as index labels and ``prefetch``, for the forward phase's
-    batches, as bitmasks.
+    cache keys a score by (node, bitmask of its parents), and ``local`` and
+    ``prefetch`` take parent sets as such bitmasks.
 
     Node i's statistic comes from the rows where i was not manipulated
     (Hauser & Buehlmann 2012); without ``row_targets`` that is every row.
@@ -300,11 +264,11 @@ class _Scorer:
                 warn.empty_interventional += 1
             self.stats.append(shared[key])
 
-    def local(self, y: int, parents) -> float:
-        """The local score of y with the parent set ``parents``."""
-        key = (y, _mask(parents))
+    def local(self, y: int, parents: int) -> float:
+        """The local score of y with the parent set (bitmask) ``parents``."""
+        key = (y, parents)
         if key not in self.cache:
-            self.prefetch(y, [key[1]])
+            self.prefetch(y, [parents])
         return self.cache[key]
 
     def prefetch(self, y: int, parent_sets) -> None:
@@ -321,44 +285,22 @@ class _Scorer:
 _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
 
 
-def _status(g: _Pdag, a: int, b: int) -> int:
-    """The edge between a < b: 0 none, 1 undirected, 2 a->b, 3 b->a."""
-    return 0 if b not in g.adj[a] else 1 if b in g.und[a] else 2 if b in g.ch[a] else 3
-
-
 class _State(_Pdag):
-    """The current equivalence-class pattern over the index labels 0..d-1,
-    the nodes whose edges interventions pin, and each node's semi-directed
-    successors (undirected neighbours and children) as a bitmask ``succ``.
-
-    A state made by a move keeps the state it was made from, ``prev``, and
-    in ``changed`` the status (see ``_status``) there of every (min, max)
-    pair whose edge the move changed.  The moves take a state for the
-    (interventional) pattern of its class, as every state the search makes
-    is; one built from given edges must be one too."""
+    """The current (interventional) pattern over the index labels 0..d-1,
+    and the bitmask ``intervened`` of the nodes whose edges interventions
+    pin.  The moves take a state for the pattern of its class, as every
+    state the search makes is; one built from given edges must be one
+    too."""
 
     def __init__(self, d: int, intervened, directed=(), undirected=()):
-        super().__init__(range(d), directed, undirected)
-        self.intervened = frozenset(intervened)
-        self.succ = [_mask(self.ch[v] | self.und[v]) for v in self.nodes]
-        self.prev, self.changed = None, {}
-
-    def made(self, prev: _State, pairs) -> _State:
-        """Record this graph as made from ``prev`` by edits at most at
-        ``pairs`` (each (min, max)); returns it."""
-        self.prev = prev
-        self.changed = {p: s for p in pairs if (s := _status(prev, *p)) != _status(self, *p)}
-        self.succ = list(prev.succ)
-        for v in {v for p in self.changed for v in p}:
-            self.succ[v] = _mask(self.ch[v] | self.und[v])
-        return self
+        super().__init__(d, directed, undirected)
+        self.intervened = _mask(intervened)
 
 
-def _is_clique(nodes, adj) -> bool:
-    members = sorted(nodes)
-    return all(
-        b in adj[a] for a, b in itertools.combinations(members, 2)
-    )
+def _semi(g: _Pdag) -> list:
+    """Each node's semi-directed successors, its children and undirected
+    neighbours, as bitmasks."""
+    return [c | u for c, u in zip(g.ch, g.und)]
 
 
 def _subsets(pool, cap):
@@ -377,21 +319,17 @@ def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
     other neighbours), so the x with one NA share every (base, T): each
     such pair builds its sets and checks its clique once, and only the
     pairs whose base is a clique score their base and ``scored | {x}``."""
-    pa_y, und_y, adj_y = _mask(st.pa[y]), sorted(st.und[y]), st.adj[y]
-    na_of: dict[int, int] = {}
-    for n in und_y:
-        for x in st.adj[n]:
-            na_of[x] = na_of.get(x, 0) | 1 << n
+    pa_y, und_y, adj_y = st.pa[y], st.und[y], st.adj[y]
     by_na: dict[int, list] = {}
     for x in st.nodes:
-        if x != y and x not in adj_y:
-            by_na.setdefault(na_of.get(x, 0), []).append(x)
+        if x != y and not adj_y >> x & 1:
+            by_na.setdefault(und_y & st.adj[x], []).append(x)
     groups, wanted = [], []
     for na, xs in by_na.items():
-        for t in _subsets([n for n in und_y if not na >> n & 1], _NEIGHBOR_SET_CAP):
+        for t in _subsets(_members(und_y & ~na), _NEIGHBOR_SET_CAP):
             base = na | _mask(t)
             scored = pa_y | base
-            if scored.bit_count() + 1 <= max_parents and _is_clique(_members(base), st.adj):
+            if scored.bit_count() + 1 <= max_parents and _is_clique(base, st.adj):
                 grown = [scored | 1 << x for x in xs]
                 groups.append((t, base, scored, xs, grown))
                 wanted += grown
@@ -418,12 +356,12 @@ class _Inserts:
     (-gain, x, y, T) over all valid insertions.  The reach set of each
     (y, base) met on the way is kept as a bitmask.
 
-    Each call reads the pairs that the moves since the last call changed,
-    from the states' ``changed`` records, and drops only what they
-    invalidate: the list of a node whose edges changed or whose undirected
-    neighbour gained or lost an adjacency, and the reach sets that hold a
-    node whose children or undirected neighbours changed (a search from y
-    reads the successors of the nodes it reaches, and no others)."""
+    Each call compares the state with the one the call before saw, node by
+    node, and drops only what the difference invalidates: the list of a
+    node whose edges changed or whose undirected neighbour gained or lost
+    an adjacency, and the reach sets that hold a node whose children or
+    undirected neighbours changed (a search from y reads the successors of
+    the nodes it reaches, and no others)."""
 
     def __init__(self, sc: _Scorer, max_parents):
         self.sc, self.max_parents = sc, max_parents
@@ -432,30 +370,17 @@ class _Inserts:
         self.reach: dict[tuple[int, int], int] = {}
 
     def _catch_up(self, st: _State) -> None:
-        was: dict[tuple[int, int], int] = {}  # each pair's status in the state last seen
-        s = st
-        while s is not self.seen:
-            if s is None:  # not made from the state last seen: keep nothing
-                self.lists.clear()
-                self.reach.clear()
-                break
-            was.update(s.changed)  # the older record wins
-            s = s.prev
-        self.seen, st.prev = st, None  # the states in between are done with
-        edges, adj, succ = set(), set(), 0
-        for (a, b), old in was.items():
-            new = _status(st, a, b)
-            if new == old:
-                continue
-            edges.update((a, b))
-            if (old == 0) != (new == 0):
-                adj.update((a, b))
-            # a's successors hold b when a->b or a-b, b's hold a when b->a or a-b
-            for v, out in ((a, 2), (b, 3)):
-                if (old in (1, out)) != (new in (1, out)):
-                    succ |= 1 << v
+        old, self.seen = self.seen, st
+        if old is None:  # nothing is kept yet
+            return
+        edges = adj = succ = 0  # the nodes whose edges, adjacency, successors changed
+        for v in st.nodes:
+            if (old.pa[v], old.ch[v], old.und[v]) != (st.pa[v], st.ch[v], st.und[v]):
+                edges |= 1 << v
+                adj |= (old.adj[v] != st.adj[v]) << v
+                succ |= ((old.ch[v] | old.und[v]) != (st.ch[v] | st.und[v])) << v
         for y in list(self.lists):
-            if y in edges or not adj.isdisjoint(st.und[y]):
+            if edges >> y & 1 or adj & st.und[y]:
                 del self.lists[y]
         if succ:
             self.reach = {k: r for k, r in self.reach.items() if not r & succ}
@@ -465,11 +390,12 @@ class _Inserts:
         for y in st.nodes:
             if y not in self.lists:
                 self.lists[y] = _local_inserts(st, self.sc, y, self.max_parents)
+        succ = _semi(st)
         for cand in heapq.merge(*(self.lists[y] for y in st.nodes)):
             _, x, y, t, base = cand
             reach = self.reach.get((y, base))
             if reach is None:
-                reach = self.reach[(y, base)] = _reach(st.succ, y, base)
+                reach = self.reach[(y, base)] = reachable(succ, y, base)
             if not reach >> x & 1:
                 return cand[:4], x, y, t
         return None
@@ -478,19 +404,14 @@ class _Inserts:
 def _delete_candidates(st: _State, sc: _Scorer):
     """Valid single-edge deletions: Delete(x, y, H)."""
     best = None
-    pairs = []
-    for y in st.nodes:
-        for x in st.pa[y]:
-            pairs.append((x, y))
-        for x in st.und[y]:
-            pairs.append((x, y))  # both roles of an undirected edge appear
-    for x, y in sorted(pairs):
-        pa_y = frozenset(st.pa[y])
-        na = frozenset(n for n in st.und[y] if n in st.adj[x])
-        for h in _subsets(na, _NEIGHBOR_SET_CAP):
-            keep = na - set(h)
-            scored = (pa_y | keep) - {x}
-            gain = sc.local(y, scored) - sc.local(y, scored | {x})
+    # both roles of an undirected edge appear
+    pairs = sorted((x, y) for y in st.nodes for x in _members(st.pa[y] | st.und[y]))
+    for x, y in pairs:
+        na = st.und[y] & st.adj[x]
+        for h in _subsets(_members(na), _NEIGHBOR_SET_CAP):
+            keep = na & ~_mask(h)
+            scored = (st.pa[y] | keep) & ~(1 << x)
+            gain = sc.local(y, scored) - sc.local(y, scored | 1 << x)
             if gain <= _GAIN_TOL:
                 continue
             cand = (-gain, x, y, h)
@@ -508,20 +429,20 @@ def _apply_insert(st: _State, x, y, t) -> _State:
     adjacent, T holds neighbours of y not adjacent to x, NA(y, x) | T is a
     clique, and every semi-directed path y ~> x passes through it; else
     GraphError."""
-    base = st.und[y] & st.adj[x] | set(t)
+    base = st.und[y] & st.adj[x] | _mask(t)
     if not (
-        x not in st.adj[y]
-        and set(t) <= st.und[y] - st.adj[x]
+        not st.adj[y] >> x & 1
+        and not _mask(t) & ~(st.und[y] & ~st.adj[x])
         and _is_clique(base, st.adj)
-        and not _reach(st.succ, y, _mask(base)) >> x & 1
+        and not reachable(_semi(st), y, base) >> x & 1
     ):
         raise GraphError(f"Insert({x}, {y}, {t}) is not a valid move")
     g = st.copy()
     g.orient(x, y)
     for n in t:
         g.orient(n, y)
-    pairs = {_canon(x, y), *(_canon(n, y) for n in t)}
-    return g.made(st, pairs | recomplete(g, g.intervened, pairs))
+    recomplete(g, g.intervened, {_canon(x, y), *(_canon(n, y) for n in t)})
+    return g
 
 
 def _apply_delete(st: _State, x, y, h) -> _State:
@@ -530,16 +451,16 @@ def _apply_delete(st: _State, x, y, h) -> _State:
     neighbours of y adjacent to x and the rest of those is a clique; else
     GraphError."""
     na = st.und[y] & st.adj[x]
-    if not ((x in st.pa[y] or x in st.und[y]) and set(h) <= na and _is_clique(na - set(h), st.adj)):
+    if not ((st.pa[y] | st.und[y]) >> x & 1 and not _mask(h) & ~na and _is_clique(na & ~_mask(h), st.adj)):
         raise GraphError(f"Delete({x}, {y}, {h}) is not a valid move")
     g = st.copy()
     g.cut(x, y)
     for n in h:
         g.orient(y, n)
-        if n in g.und[x]:
+        if g.und[x] >> n & 1:
             g.orient(x, n)
-    pairs = {_canon(x, y), *(_canon(a, n) for n in h for a in (x, y))}
-    return g.made(st, pairs | recomplete(g, g.intervened, pairs))
+    recomplete(g, g.intervened, {_canon(x, y), *(_canon(a, n) for n in h for a in (x, y))})
+    return g
 
 
 def _forward_phase(st: _State, inserts: _Inserts) -> _State:
@@ -566,15 +487,16 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
 
         best = None
         for a, b in sorted(ext.directed()):
-            if len(pa[a]) + 1 > cfg.max_parents:
+            if pa[a].bit_count() + 1 > cfg.max_parents:
                 continue
             # reversing a -> b closes a cycle when another parent of b
             # descends from a
-            if (pa[b] - {a}) & reachable(ext.ch.__getitem__, a):
+            others = pa[b] & ~(1 << a)
+            if others & reachable(ext.ch, a):
                 continue
             gain = (
-                sc.local(b, pa[b] - {a})
-                + sc.local(a, pa[a] | {b})
+                sc.local(b, others)
+                + sc.local(a, pa[a] | 1 << b)
                 - sc.local(b, pa[b])
                 - sc.local(a, pa[a])
             )
@@ -587,11 +509,10 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
         _, a, b = best
         ext.cut(a, b)
         ext.orient(b, a)
-        pairs = {_canon(u, v) for u, v in ext.directed()}
-        recomplete(ext, ext.intervened, pairs)
-        if (ext.directed(), ext.undirected()) == (st.directed(), st.undirected()):
+        recomplete(ext, ext.intervened, {_canon(u, v) for u, v in ext.directed()})
+        if (ext.pa, ext.und) == (st.pa, st.und):  # parents and lines fix every edge
             return st
-        st = ext.made(st, pairs)
+        st = ext
 
 
 def _greedy_search(table, cfg, row_targets, warn) -> Cpdag:
@@ -615,9 +536,9 @@ def _greedy_search(table, cfg, row_targets, warn) -> Cpdag:
         st = _backward_phase(_forward_phase(st, inserts), sc)
         if turning:
             st = _turning_phase(st, sc, cfg)
-        if not turning or (st.directed(), st.undirected()) == (before.directed(), before.undirected()):
+        if not turning or (st.pa, st.und) == (before.pa, before.und):
             break
-    return _named(st, names, sweeps=sweeps)
+    return Cpdag(names, *_labelled(st, names), meta={"sweeps": sweeps})
 
 
 def ges(table, config: DiscoveryConfig | None = None, *, warn: WarningCounter) -> Cpdag:

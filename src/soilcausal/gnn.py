@@ -308,13 +308,12 @@ def train(
     return TrainResult(model=model, loss_history=history)
 
 
-def _checkpoint_header(model: GnnModel) -> dict:
+def _checkpoint_header(kind: str, hidden: int, skeleton: GraphSkeleton) -> dict:
     """What a checkpoint is valid for: the model, and the graph that fixes
     its layer plan."""
-    skeleton = model.skeleton
     return {
-        "kind": model.kind,
-        "hidden": model.hidden,
+        "kind": kind,
+        "hidden": hidden,
         "nodes": list(skeleton.nodes),
         "target": skeleton.target,
         "edges_sha256": hashlib.sha256(json.dumps(skeleton.edges).encode()).hexdigest(),
@@ -324,7 +323,7 @@ def _checkpoint_header(model: GnnModel) -> dict:
 def save_model(path, model: GnnModel) -> None:
     """A one-line JSON header naming the model and the graph it owns, then
     the parameters in ``engine.pack_params``'s layout."""
-    header = json.dumps(_checkpoint_header(model), sort_keys=True)
+    header = json.dumps(_checkpoint_header(model.kind, model.hidden, model.skeleton), sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n" + engine.pack_params(model.params))
 
@@ -332,7 +331,9 @@ def save_model(path, model: GnnModel) -> None:
 def load_model(path, skeleton: GraphSkeleton) -> GnnModel:
     """The model saved at ``path``, of the kind and hidden size its header
     names; ``SchemaError`` unless it names a known kind and a size of at
-    least 1, and was saved on this skeleton."""
+    least 1, and was saved on this skeleton.  The header and the payload's
+    size are checked before the model is drawn, so a header naming a
+    large model costs nothing."""
     with open(path, "rb") as fh:
         line, _, payload = fh.read().partition(b"\n")
     try:
@@ -344,8 +345,7 @@ def load_model(path, skeleton: GraphSkeleton) -> GnnModel:
     kind, hidden = header.get("kind"), header.get("hidden")
     if kind not in tuple(_INIT) or isinstance(hidden, bool) or not isinstance(hidden, int) or hidden < 1:
         raise SchemaError(f"{path} names no model: kind {kind!r}, hidden size {hidden!r}")
-    model = _INIT[kind](skeleton, seed=0, hidden=hidden)
-    expected = _checkpoint_header(model)
+    expected = _checkpoint_header(kind, hidden, skeleton)
     if header != expected:
         problems = [
             f"{what} {', '.join(keys)}"
@@ -357,5 +357,9 @@ def load_model(path, skeleton: GraphSkeleton) -> GnnModel:
             if keys
         ]
         raise SchemaError(f"{path} is not a checkpoint of this model and graph: {'; '.join(problems)}")
+    # every model of either kind holds more than hidden^2 float64 weights
+    if len(payload) < 8 * hidden * hidden:
+        raise SchemaError(f"{path}: checkpoint payload of {len(payload)} bytes cannot hold a model of hidden size {hidden}")
+    model = _INIT[kind](skeleton, seed=0, hidden=hidden)
     engine.assign_params(model.params, engine.unpack_params(payload))
     return model

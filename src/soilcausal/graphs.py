@@ -4,15 +4,21 @@ DAGs and CPDAGs over hashable, totally ordered node labels:
 equivalence-class projection, Meek orientation propagation, consistent
 extensions, reachability and structural Hamming distance.  Results depend on
 the labels only through their order, so relabelling by an order-preserving
-map commutes with every operation; the greedy searches rely on this and run
-on column indices.
+map commutes with every operation.
 
-Every edit goes through one editable graph, ``_Pdag``: Meek closure and
-sink elimination orient and extend it in place, and so do the learners in
-``discovery``.  One projection, ``recomplete``, turns it into the pattern
-of its class: it serves ``cpdag_of``, GIES's turning phase and every
-greedy move.  The validated frozen types ``Dag`` and ``Cpdag`` are built
-only at the boundary, once per public result.
+Every edit goes through one editable graph, ``_Pdag``, over the index
+labels 0..d-1, which keeps each node's parents, children, undirected
+neighbours and adjacent nodes as int bitmasks: Meek closure and sink
+elimination orient and extend it in place, and so do the learners in
+``discovery``.  This module owns that format, with ``_mask`` and
+``_members`` to convert a bitmask, and ``reachable``, the one
+reachability search, over successor bitmasks.  The public functions map
+their labels to the indices of the sorted labels and back, through
+``_indexed`` and ``_labelled``; the learners name their results with the
+same ``_labelled``.  One projection, ``recomplete``, turns the graph into
+the pattern of its class: it serves ``cpdag_of``, GIES's turning phase and
+every greedy move.  The validated frozen types ``Dag`` and ``Cpdag`` are
+built only at the boundary, once per public result.
 
 Conventions
 -----------
@@ -30,7 +36,6 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable
 
 from .errors import GraphError
@@ -127,19 +132,36 @@ class Cpdag:
             raise GraphError("cycle in directed part")
 
 
-class _Pdag:
-    """The one editable partially directed graph: per node its parents
-    ``pa``, children ``ch``, undirected neighbours ``und`` and their union
-    ``adj``.  Meek closure, sink elimination, class projection and the
-    learners edit it in place.  It is not validated; ``Dag`` and ``Cpdag``
-    are built from it where a result leaves the graph algebra."""
+def _mask(nodes) -> int:
+    """The bitmask of a set of index labels."""
+    m = 0
+    for v in nodes:
+        m |= 1 << v
+    return m
 
-    def __init__(self, nodes, directed=(), undirected=()):
-        self.nodes = tuple(nodes)
-        self.pa = {v: set() for v in self.nodes}
-        self.ch = {v: set() for v in self.nodes}
-        self.und = {v: set() for v in self.nodes}
-        self.adj = {v: set() for v in self.nodes}
+
+def _members(mask: int) -> list:
+    """The index labels of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _Pdag:
+    """The one editable partially directed graph, over the index labels
+    0..d-1: per node the bitmasks of its parents ``pa``, children ``ch``,
+    undirected neighbours ``und`` and their union ``adj`` (bit w of
+    ``pa[v]`` is set when w->v).  Meek closure, sink elimination, class
+    projection and the learners edit it in place.  It is not validated;
+    ``Dag`` and ``Cpdag`` are built from it where a result leaves the graph
+    algebra."""
+
+    def __init__(self, d: int, directed=(), undirected=()):
+        self.nodes = range(d)
+        self.pa, self.ch, self.und, self.adj = ([0] * d for _ in range(4))
         for a, b in directed:
             self.orient(a, b)
         for a, b in undirected:
@@ -149,39 +171,59 @@ class _Pdag:
         """A copy whose edits leave this graph as it is; any other
         attribute (of a subclass) is shared."""
         g = copy.copy(self)
-        g.pa, g.ch, g.und, g.adj = (
-            {v: set(s) for v, s in m.items()} for m in (self.pa, self.ch, self.und, self.adj)
-        )
+        g.pa, g.ch, g.und, g.adj = list(self.pa), list(self.ch), list(self.und), list(self.adj)
         return g
 
     def join(self, a, b) -> None:
         """Add the undirected edge a-b."""
-        self.und[a].add(b)
-        self.und[b].add(a)
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        self.und[a] |= 1 << b
+        self.und[b] |= 1 << a
+        self.adj[a] |= 1 << b
+        self.adj[b] |= 1 << a
 
     def orient(self, a, b) -> None:
         """Make the edge a->b, replacing an undirected a-b."""
-        self.und[a].discard(b)
-        self.und[b].discard(a)
-        self.ch[a].add(b)
-        self.pa[b].add(a)
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        self.und[a] &= ~(1 << b)
+        self.und[b] &= ~(1 << a)
+        self.ch[a] |= 1 << b
+        self.pa[b] |= 1 << a
+        self.adj[a] |= 1 << b
+        self.adj[b] |= 1 << a
 
     def cut(self, a, b) -> None:
         """Remove the edge between a and b, whichever kind it is."""
         for m in (self.pa, self.ch, self.und, self.adj):
-            m[a].discard(b)
-            m[b].discard(a)
+            m[a] &= ~(1 << b)
+            m[b] &= ~(1 << a)
 
     def directed(self) -> set:
-        return {(a, b) for a in self.nodes for b in self.ch[a]}
+        return {(a, b) for a in self.nodes for b in _members(self.ch[a])}
 
     def undirected(self) -> set:
         """Undirected edges as (min, max) pairs."""
-        return {(a, b) for a in self.nodes for b in self.und[a] if a < b}
+        return {(a, b) for a in self.nodes for b in _members(self.und[a] >> a + 1 << a + 1)}
+
+
+def _indexed(nodes, directed=(), undirected=()) -> tuple[list, _Pdag]:
+    """The labels ``nodes`` sorted, and the ``_Pdag`` of the given edges
+    over their indices.  Index k is the k-th smallest label, so every tie
+    that the algebra breaks by index is the one over labels."""
+    names = sorted(nodes)
+    index = {v: k for k, v in enumerate(names)}
+    return names, _Pdag(
+        len(names),
+        [(index[a], index[b]) for a, b in directed],
+        [(index[a], index[b]) for a, b in undirected],
+    )
+
+
+def _labelled(g: _Pdag, names) -> tuple[set, set]:
+    """The directed and the undirected edges of g on the labels ``names``
+    (index k is ``names[k]``)."""
+    return (
+        {(names[a], names[b]) for a, b in g.directed()},
+        {(names[a], names[b]) for a, b in g.undirected()},
+    )
 
 
 def topological_sort(g: Dag) -> tuple[str, ...]:
@@ -196,63 +238,58 @@ def in_neighbors(g: Dag, node: str) -> frozenset[str]:
     return frozenset(a for a, b in g.edges if b == node)
 
 
-def reachable(succ, src, blocked=()) -> set:
-    """Nodes reachable from ``src`` by following ``succ`` (a callable giving
-    a node's successors) through nodes outside ``blocked``.  Includes
-    ``src`` itself unless it is blocked."""
-    if src in blocked:
-        return set()
-    seen, stack = {src}, [src]
-    while stack:
-        for v in succ(stack.pop()):
-            if v not in seen and v not in blocked:
-                seen.add(v)
-                stack.append(v)
+def reachable(succ, src: int, blocked: int = 0) -> int:
+    """The bitmask of the nodes reachable from ``src`` along ``succ`` (each
+    node's successors as a bitmask, such as a ``_Pdag``'s ``ch``) through
+    nodes outside the bitmask ``blocked``; ``src`` itself unless it is
+    blocked."""
+    seen = frontier = 1 << src & ~blocked
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= succ[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen & ~blocked
+        seen |= frontier
     return seen
+
+
+def _is_clique(nodes: int, adj) -> bool:
+    """Whether the nodes of the bitmask ``nodes`` are pairwise adjacent."""
+    return not any(nodes & ~(adj[c] | 1 << c) for c in _members(nodes))
 
 
 def _meek_rule(g: _Pdag, a, b) -> bool:
     """Whether a Meek rule orients the undirected edge a-b as a->b."""
     pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
     # R1
-    for c in pa[a]:
-        if c != b and b not in adj[c]:
-            return True
+    if pa[a] & ~(adj[b] | 1 << b):
+        return True
     # R2
     if ch[a] & pa[b]:
         return True
     # R3
-    shared = sorted(und[a] & pa[b])
-    for c, d in combinations(shared, 2):
-        if d not in adj[c]:
-            return True
+    if not _is_clique(und[a] & pa[b], adj):
+        return True
     # R4
-    for c in sorted(adj[a]):
-        if c == b or b in adj[c]:
-            continue
-        if ch[c] & pa[b]:
-            return True
-    return False
+    return any(ch[c] & pa[b] for c in _members(adj[a] & ~(adj[b] | 1 << b)))
 
 
 def _meek(g: _Pdag) -> None:
     """Close g under the Meek rules in place (see ``meek_closure``)."""
     pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
 
-    def allowed(a: str, b: str) -> bool:
-        if a in reachable(ch.__getitem__, b):  # would close a directed cycle
-            return False
-        for z in pa[b]:  # would create a collider z->b<-a not in the pattern
-            if z != a and z not in adj[a]:
-                return False
-        return True
+    def allowed(a: int, b: int) -> bool:
+        # no directed cycle, and no collider z->b<-a absent from the pattern
+        return not reachable(ch, b) >> a & 1 and not pa[b] & ~(adj[a] | 1 << a)
 
     changed = True
     while changed:
         changed = False
         for a, b in sorted(g.undirected()):
             for x, y in ((a, b), (b, a)):
-                if y not in und[x]:
+                if not und[x] >> y & 1:
                     break
                 if _meek_rule(g, x, y) and allowed(x, y):
                     g.orient(x, y)
@@ -267,26 +304,23 @@ def _extend(g: _Pdag) -> bool:
     # Every edge between a removed node and the rest points into the removed
     # node, and edges among the rest are never edited, so g itself, read
     # around ``removed``, is the graph over the nodes not yet eliminated.
-    removed: set = set()
+    removed = 0
 
-    def qualifies(x: str) -> bool:
-        if not g.ch[x] <= removed:
+    def qualifies(x: int) -> bool:
+        if g.ch[x] & ~removed:
             return False
-        for y in g.und[x]:
-            for z in g.adj[x]:
-                if z != y and z not in removed and z not in g.adj[y]:
-                    return False
-        return True
+        rest = g.adj[x] & ~removed
+        return not any(rest & ~(g.adj[y] | 1 << y) for y in _members(g.und[x]))
 
-    sinks = {v for v in g.nodes if qualifies(v)}
+    sinks = _mask(v for v in g.nodes if qualifies(v))
     while sinks:
-        x = max(sinks)
-        for y in list(g.und[x]):
+        x = sinks.bit_length() - 1
+        for y in _members(g.und[x]):
             g.orient(y, x)
-        removed.add(x)
-        sinks.discard(x)
-        sinks.update(y for y in g.adj[x] if y not in removed and qualifies(y))
-    if len(removed) == len(g.nodes):
+        removed |= 1 << x
+        sinks &= ~(1 << x)
+        sinks |= _mask(y for y in _members(g.adj[x] & ~removed) if qualifies(y))
+    if removed.bit_count() == len(g.nodes):
         return False
     order = _kahn(g.nodes, g.directed())
     if order is None:  # sinks add no cycle, so the input had one
@@ -297,28 +331,26 @@ def _extend(g: _Pdag) -> bool:
     return True
 
 
-def _protected(g: _Pdag, a, b, pinned) -> bool:
-    """Whether the arrow a->b is strongly protected in g: it touches a
-    pinned node, or it sits in one of the configurations c->a->b (c, b
-    non-adjacent), a->b<-c (c, a non-adjacent), a->c->b, or a-c->b, a-d->b
-    (c, d non-adjacent)."""
-    if a in pinned or b in pinned:
+def _protected(g: _Pdag, a, b, pinned: int) -> bool:
+    """Whether the arrow a->b is strongly protected in g: it touches a node
+    of the bitmask ``pinned``, or it sits in one of the configurations
+    c->a->b (c, b non-adjacent), a->b<-c (c, a non-adjacent), a->c->b, or
+    a-c->b, a-d->b (c, d non-adjacent)."""
+    if (pinned >> a | pinned >> b) & 1:
         return True
     pa_b, adj = g.pa[b], g.adj
-    if any(b not in adj[c] for c in g.pa[a]) or any(c != a and c not in adj[a] for c in pa_b):
+    if g.pa[a] & ~adj[b] or pa_b & ~(adj[a] | 1 << a) or g.ch[a] & pa_b:
         return True
-    if g.ch[a] & pa_b:
-        return True
-    return any(d not in adj[c] for c, d in combinations(sorted(g.und[a] & pa_b), 2))
+    return not _is_clique(g.und[a] & pa_b, adj)
 
 
-def recomplete(g: _Pdag, pinned, pairs) -> set:
+def recomplete(g: _Pdag, pinned: int, pairs) -> None:
     """Turn g in place into the (interventional) pattern of its class, for
     a graph g that was such a pattern until the edges of the node pairs
     ``pairs`` were edited, and whose edited form has a consistent
-    extension, as every valid greedy move's has.  A DAG is the empty
-    pattern with every adjacent pair edited (see ``cpdag_of``).  Returns
-    the pairs, as (min, max), whose edges it changed.
+    extension, as every valid greedy move's has.  ``pinned`` is the
+    bitmask of the nodes whose edges keep their orientation.  A DAG is the
+    empty pattern with every adjacent pair edited (see ``cpdag_of``).
 
     Every consistent extension of g has g's skeleton, its colliders and its
     arrows at pinned nodes, and the pattern is the Meek closure of those
@@ -332,57 +364,58 @@ def recomplete(g: _Pdag, pinned, pairs) -> set:
     changed pair can concern: those at its two ends, and those for which
     it is the non-adjacent pair of R3 or of the protecting configuration
     a-c->b, a-d->b, or the middle arrow c->d of R4."""
-    changed, todo = set(), set(pairs)
+    pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
+    oriented, todo = set(), set(pairs)
     while todo:  # Meek closure
         check = set()
         for p, q in todo:
             for a in (p, q):
-                check.update((a, b) for b in g.und[a])
-            if q not in g.adj[p]:  # R3: p->b<-q, a-p, a-q
-                for a in g.und[p] & g.und[q]:
-                    check.update((a, b) for b in g.und[a] & g.ch[p] & g.ch[q])
+                check.update((a, b) for b in _members(und[a]))
+            if not adj[p] >> q & 1:  # R3: p->b<-q, a-p, a-q
+                for a in _members(und[p] & und[q]):
+                    check.update((a, b) for b in _members(und[a] & ch[p] & ch[q]))
             for c, d in ((p, q), (q, p)):  # R4: a~c, c->d, d->b
-                if d in g.ch[c]:
-                    for a in g.adj[c]:
-                        check.update((a, b) for b in g.und[a] & g.ch[d])
+                if ch[c] >> d & 1:
+                    for a in _members(adj[c]):
+                        check.update((a, b) for b in _members(und[a] & ch[d]))
         todo = set()
         for a, b in check:
             for u, v in ((a, b), (b, a)):
-                if v in g.und[u] and _meek_rule(g, u, v):
+                if und[u] >> v & 1 and _meek_rule(g, u, v):
                     g.orient(u, v)
                     todo.add(_canon(u, v))
-        changed |= todo
-    todo = set(pairs) | changed
+        oriented |= todo
+    todo = set(pairs) | oriented
     while todo:  # undo the arrows that are not strongly protected
         check = set()
         for p, q in todo:
             for a in (p, q):
-                check.update((a, b) for b in g.ch[a])
-                check.update((b, a) for b in g.pa[a])
-            if q in g.adj[p]:  # a-p->b, a-q->b no longer protects a->b
-                for a in g.und[p] & g.und[q]:
-                    check.update((a, b) for b in g.ch[a] & g.ch[p] & g.ch[q])
+                check.update((a, b) for b in _members(ch[a]))
+                check.update((b, a) for b in _members(pa[a]))
+            if adj[p] >> q & 1:  # a-p->b, a-q->b no longer protects a->b
+                for a in _members(und[p] & und[q]):
+                    check.update((a, b) for b in _members(ch[a] & ch[p] & ch[q]))
         todo = set()
         for u, v in check:
-            if v in g.ch[u] and not _protected(g, u, v, pinned):
+            if ch[u] >> v & 1 and not _protected(g, u, v, pinned):
                 g.cut(u, v)
                 g.join(u, v)
                 todo.add(_canon(u, v))
-        changed |= todo
-    return changed
 
 
 def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:
     """Project a DAG onto its Markov equivalence class representative:
     skeleton + compelled v-structure edges, closed under the Meek rules.
-    Edges touching a node in ``pinned`` keep their orientation as well: an
-    intervention on a node fixes the direction of its edges (the
-    interventional class of Hauser & Buehlmann 2012).  On a DAG the Meek
-    pass of ``recomplete`` finds no line to orient, and its second pass is
-    ReplaceUnprotected over every arrow."""
-    g = _Pdag(dag.nodes, dag.edges)
-    recomplete(g, pinned, {_canon(a, b) for a, b in dag.edges})
-    return Cpdag(dag.nodes, g.directed(), g.undirected())
+    Edges touching a node in ``pinned``, a collection of the DAG's labels,
+    keep their orientation as well: an intervention on a node fixes the
+    direction of its edges (the interventional class of Hauser & Buehlmann
+    2012).  On a DAG the Meek pass of ``recomplete`` finds no line to
+    orient, and its second pass is ReplaceUnprotected over every arrow."""
+    if isinstance(pinned, str) or not set(pinned) <= set(dag.nodes):
+        raise GraphError(f"pinned must be a collection of the DAG's node labels, got {pinned!r}")
+    names, g = _indexed(dag.nodes, dag.edges)
+    recomplete(g, _mask(k for k, v in enumerate(names) if v in pinned), {_canon(a, b) for a, b in g.directed()})
+    return Cpdag(dag.nodes, *_labelled(g, names))
 
 
 def meek_closure(g: Cpdag) -> Cpdag:
@@ -401,9 +434,9 @@ def meek_closure(g: Cpdag) -> Cpdag:
     sample-based skeletons with conflicting colliders) degrade gracefully
     instead of corrupting the graph.  The closure never un-orients an edge.
     """
-    out = _Pdag(g.nodes, g.directed, g.undirected)
+    names, out = _indexed(g.nodes, g.directed, g.undirected)
     _meek(out)
-    return Cpdag(g.nodes, out.directed(), out.undirected(), meta=dict(g.meta))
+    return Cpdag(g.nodes, *_labelled(out, names), meta=dict(g.meta))
 
 
 def consistent_extension(g: Cpdag) -> Dag:
@@ -423,9 +456,9 @@ def consistent_extension(g: Cpdag) -> Dag:
     the already-directed part (label ties first) and the result is flagged
     with ``meta["extension_fallback"] = True``.
     """
-    out = _Pdag(g.nodes, g.directed, g.undirected)
+    names, out = _indexed(g.nodes, g.directed, g.undirected)
     fallback = _extend(out)
-    return Dag(g.nodes, out.directed(), meta={"extension_fallback": fallback})
+    return Dag(g.nodes, _labelled(out, names)[0], meta={"extension_fallback": fallback})
 
 
 def _edge_status(g: Cpdag) -> dict[tuple[str, str], tuple[str, str | None]]:

@@ -1,7 +1,8 @@
 """Shared brute-force oracles for the test suite: labeled-DAG enumeration,
 (interventional) Markov-equivalence classes, extension sets, a whole-graph
 pattern projection and completion, random graph generators, a sorted-scan
-sink elimination, the exact covariance of a linear SCM and its
+sink elimination, set-based neighbour maps, clique check and reachability
+search, the exact covariance of a linear SCM and its
 ancestral subgraphs, PC answered exactly from that covariance, a
 one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
 GES insertions and a move chooser that keeps nothing between steps, a
@@ -22,7 +23,6 @@ from soilcausal.discovery import (
     _GAIN_TOL,
     _NEIGHBOR_SET_CAP,
     DiscoveryConfig,
-    _is_clique,
     _pc_core,
     _subsets,
 )
@@ -63,23 +63,68 @@ def all_dags(labels: tuple[str, ...]) -> list[frozenset[tuple[str, str]]]:
     return out
 
 
-def colliders(g: G._Pdag) -> frozenset[tuple]:
+@dataclass
+class Maps:
+    """A graph's neighbour sets, per label: parents ``pa``, children
+    ``ch``, undirected neighbours ``und`` and adjacent nodes ``adj``."""
+
+    pa: dict
+    ch: dict
+    und: dict
+    adj: dict
+
+
+def neighbour_maps(nodes, directed=(), undirected=()) -> Maps:
+    m = Maps(*({v: set() for v in nodes} for _ in range(4)))
+    for a, b in directed:
+        m.ch[a].add(b)
+        m.pa[b].add(a)
+    for a, b in undirected:
+        m.und[a].add(b)
+        m.und[b].add(a)
+    for a, b in (*directed, *undirected):
+        m.adj[a].add(b)
+        m.adj[b].add(a)
+    return m
+
+
+def is_clique(nodes, adj) -> bool:
+    return all(b in adj[a] for a, b in combinations(nodes, 2))
+
+
+def reach(succ, src, blocked=()) -> set:
+    """Labels reachable from ``src`` along ``succ`` (a label's successors)
+    through labels outside ``blocked``; ``src`` itself unless blocked."""
+    if src in blocked:
+        return set()
+    seen, stack = {src}, [src]
+    while stack:
+        for v in succ(stack.pop()):
+            if v not in seen and v not in blocked:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def colliders(nodes, directed, undirected=()) -> frozenset[tuple]:
     """Triples (a, c, b), a < b, with a->c<-b directed and a, b non-adjacent."""
+    m = neighbour_maps(nodes, directed, undirected)
     return frozenset(
         (a, c, b)
-        for c in g.nodes
-        for a, b in combinations(sorted(g.pa[c]), 2)
-        if b not in g.adj[a]
+        for c in nodes
+        for a, b in combinations(sorted(m.pa[c]), 2)
+        if b not in m.adj[a]
     )
 
 
 def project(g: G._Pdag, pinned=frozenset()) -> None:
     """Turn the DAG g in place into the (interventional) pattern of its
     class over the whole graph: every arrow that is neither in a collider
-    nor at a pinned node becomes a line, then the Meek rules close it.
-    ``graphs.recomplete`` reaches the same graph by ReplaceUnprotected."""
+    nor at a node of ``pinned`` becomes a line, then the Meek rules close
+    it.  ``graphs.recomplete`` reaches the same graph by
+    ReplaceUnprotected."""
     forced: set = set()
-    for a, c, b in colliders(g):
+    for a, c, b in colliders(g.nodes, g.directed(), g.undirected()):
         forced.update(((a, c), (b, c)))
     for a, b in g.directed():
         if (a, b) not in forced and a not in pinned and b not in pinned:
@@ -105,7 +150,7 @@ def equivalence_classes(labels, dags, pinned=frozenset()):
     for edges in dags:
         skel = frozenset(tuple(sorted(e)) for e in edges)
         at_pinned = frozenset(e for e in edges if not pinned.isdisjoint(e))
-        key = (skel, colliders(G._Pdag(labels, edges)), at_pinned)
+        key = (skel, colliders(labels, edges), at_pinned)
         classes.setdefault(key, []).append(edges)
     return classes
 
@@ -128,7 +173,7 @@ def class_cpdag(labels, members) -> G.Cpdag:
 def extension_set(pattern: G.Cpdag) -> set[frozenset]:
     """All DAGs with the pattern's skeleton, directed edges, and colliders."""
     und = sorted(pattern.undirected)
-    want = colliders(G._Pdag(pattern.nodes, pattern.directed, pattern.undirected))
+    want = colliders(pattern.nodes, pattern.directed, pattern.undirected)
     out = set()
     for bits in range(2 ** len(und)):
         edges = set(pattern.directed)
@@ -136,7 +181,7 @@ def extension_set(pattern: G.Cpdag) -> set[frozenset]:
             edges.add((a, b) if (bits >> k) & 1 else (b, a))
         if G._kahn(pattern.nodes, edges) is None:
             continue
-        if colliders(G._Pdag(pattern.nodes, edges)) == want:
+        if colliders(pattern.nodes, edges) == want:
             out.add(frozenset(edges))
     return out
 
@@ -167,12 +212,11 @@ def random_pattern(rng: random.Random, labels) -> G.Cpdag:
 def reference_consistent_extension(g: G.Cpdag) -> G.Dag:
     """``graphs.consistent_extension`` by rescanning: each round sorts the
     remaining nodes and takes the first, largest label, that qualifies as a
-    sink, testing every remaining node again.  It takes the neighbour maps
-    of a ``graphs._Pdag`` but runs its own elimination loop."""
+    sink, testing every remaining node again."""
     remaining = set(g.nodes)
     oriented = set(g.directed)
     undirected = set(g.undirected)
-    maps = G._Pdag(g.nodes, g.directed, g.undirected)
+    maps = neighbour_maps(g.nodes, g.directed, g.undirected)
     adj, children, und = maps.adj, maps.ch, maps.und
 
     def qualifies(x):
@@ -342,16 +386,18 @@ def sequential_pc_skeleton(stat, alpha, max_cond_size, warn):
 
 
 def reference_local_inserts(st, sc, y, max_parents) -> list:
-    """``discovery._local_inserts`` one x at a time: every x not adjacent to
-    y builds its own NA(y, x), T pool, sets and clique checks, and each set
-    whose base is a clique is scored on its own."""
-    pa_y = frozenset(st.pa[y])
+    """``discovery._local_inserts`` one x at a time on set-based neighbour
+    maps of the state's edges: every x not adjacent to y builds its own
+    NA(y, x), T pool, sets and clique checks, and each set whose base is a
+    clique is scored on its own."""
+    m = neighbour_maps(st.nodes, st.directed(), st.undirected())
+    pa_y = frozenset(m.pa[y])
     moves = []
     for x in st.nodes:
-        if x == y or x in st.adj[y]:
+        if x == y or x in m.adj[y]:
             continue
-        na = frozenset(n for n in st.und[y] if n in st.adj[x])
-        t_pool = [n for n in st.und[y] if n not in st.adj[x] and n != x]
+        na = frozenset(n for n in m.und[y] if n in m.adj[x])
+        t_pool = [n for n in m.und[y] if n not in m.adj[x] and n != x]
         for t in _subsets(t_pool, _NEIGHBOR_SET_CAP):
             base = na | set(t)
             scored = pa_y | base
@@ -359,9 +405,9 @@ def reference_local_inserts(st, sc, y, max_parents) -> list:
                 moves.append((x, t, base, scored, scored | {x}))
     out = []
     for x, t, base, scored, grown in moves:
-        if not _is_clique(base, st.adj):  # such an insert is never valid, so it is not scored
+        if not is_clique(base, m.adj):  # such an insert is never valid, so it is not scored
             continue
-        gain = sc.local(y, grown) - sc.local(y, scored)
+        gain = sc.local(y, sum(1 << v for v in grown)) - sc.local(y, sum(1 << v for v in scored))
         if gain > _GAIN_TOL:
             out.append((-gain, x, y, t, base))
     out.sort()
@@ -371,14 +417,15 @@ def reference_local_inserts(st, sc, y, max_parents) -> list:
 def reference_best_insert(st, sc, max_parents):
     """``discovery._Inserts.best`` with nothing kept between calls: every
     node's list from ``reference_local_inserts``, and every candidate, in
-    (-gain, x, y, T) order, checked with a fresh ``graphs.reachable``."""
+    (-gain, x, y, T) order, checked with a fresh ``reach``."""
     candidates = sorted(c for y in st.nodes for c in reference_local_inserts(st, sc, y, max_parents))
+    m = neighbour_maps(st.nodes, st.directed(), st.undirected())
 
     def semi(u):
-        return [*st.und[u], *st.ch[u]]
+        return [*m.und[u], *m.ch[u]]
 
     for gain, x, y, t, base in candidates:
-        if x not in G.reachable(semi, y, base):
+        if x not in reach(semi, y, base):
             return (gain, x, y, t), x, y, t
     return None
 

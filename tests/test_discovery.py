@@ -17,11 +17,9 @@ from soilcausal.discovery import (
     _apply_insert,
     _backward_phase,
     _Inserts,
-    _is_clique,
     _local_inserts,
     _Scorer,
     _State,
-    _status,
     _subsets,
     _turning_phase,
     ges,
@@ -35,7 +33,6 @@ from soilcausal.graphs import (
     Dag,
     consistent_extension,
     cpdag_of,
-    reachable,
     shd,
 )
 from soilcausal.ingest import Table, add_field_onehots, concat_tables, select_columns
@@ -59,9 +56,12 @@ from enumutil import (
     complete,
     continuous_table,
     induced_subdag,
+    is_clique,
+    neighbour_maps,
     pc_oracle,
     random_dag,
     random_pattern,
+    reach,
     reference_best_insert,
     reference_consistent_extension,
     reference_local_inserts,
@@ -538,7 +538,7 @@ class _RoundingScorer:
         self.calls += 1
         if self.calls > 10_000:
             raise RuntimeError("the turning phase did not end")
-        return 2e-9 if (y, set(parents)) == (0, {1}) else 0.0
+        return 2e-9 if (y, parents) == (0, 0b10) else 0.0
 
 
 def test_turning_phase_ends_when_a_turn_projects_back_onto_its_pattern():
@@ -562,21 +562,22 @@ def test_moves_complete_a_copy_and_leave_the_state(seed, d):
     pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
     pattern = cpdag_of(random_dag(rng, tuple(range(d))), pinned)
     state = _State(d, pinned, pattern.directed, pattern.undirected)
+    m = neighbour_maps(range(d), pattern.directed, pattern.undirected)
     before = _maps(state)
-    semi = lambda v: state.und[v] | state.ch[v]  # noqa: E731
+    semi = lambda v: m.und[v] | m.ch[v]  # noqa: E731
     for x, y in itertools.permutations(range(d), 2):
         directed, undirected = set(pattern.directed), set(pattern.undirected)
-        na = state.und[y] & state.adj[x]
-        if x not in state.adj[y]:
-            t = tuple(n for n in sorted(state.und[y] - state.adj[x]) if rng.random() < 0.5)
+        na = m.und[y] & m.adj[x]
+        if x not in m.adj[y]:
+            t = tuple(n for n in sorted(m.und[y] - m.adj[x]) if rng.random() < 0.5)
             move, sets = _apply_insert, t
-            valid = _is_clique(na | set(t), state.adj) and x not in reachable(semi, y, na | set(t))
+            valid = is_clique(na | set(t), m.adj) and x not in reach(semi, y, na | set(t))
             directed |= {(x, y)} | {(n, y) for n in t}
             undirected -= {(min(n, y), max(n, y)) for n in t}
-        elif x in state.pa[y] or x in state.und[y]:
+        elif x in m.pa[y] or x in m.und[y]:
             h = tuple(n for n in sorted(na) if rng.random() < 0.5)
             move, sets = _apply_delete, h
-            valid = _is_clique(na - set(h), state.adj)
+            valid = is_clique(na - set(h), m.adj)
             directed.discard((x, y))
             undirected.discard((min(x, y), max(x, y)))
             for n in h:
@@ -605,44 +606,31 @@ def test_local_recompletion_is_the_whole_graph_completion():
     # delete re-completes its copy locally, and every turn projects its
     # extension, with ``recomplete``; the result is the whole-graph
     # reference completion of the same edited edges, whose extension does
-    # not fall back.  Each state's change record and successor masks
-    # equal a full comparison with the state it was made from.  The moves
-    # seen include deletes, moves next to a pinned node, moves after a
-    # turn, and moves that shield a collider or create one
+    # not fall back.  The moves seen include deletes, moves next to a
+    # pinned node, moves after a turn, and moves that shield a collider or
+    # create one
     seen, turned = Counter(), [False]  # turned: in the search running now
-    recomplete, made, turning, delete = discovery.recomplete, _State.made, _turning_phase, _apply_delete
+    recomplete = discovery.recomplete
 
     def checked_recomplete(g, pinned, pairs):
         whole = g.copy()
-        assert not complete(whole, pinned)
-        edited = (g.directed(), g.undirected())
-        changed = recomplete(g, pinned, pairs)
+        assert not complete(whole, {v for v in g.nodes if pinned >> v & 1})
+        recomplete(g, pinned, pairs)
         assert (g.directed(), g.undirected()) == (whole.directed(), whole.undirected())
-        moved = (edited[0] ^ g.directed()) | (edited[1] ^ g.undirected())
-        assert {(min(a, b), max(a, b)) for a, b in moved} <= changed
-        seen["pinned"] += any(v in pinned for p in pairs for v in p)
-        return changed
+        seen["pinned"] += any(pinned >> v & 1 for p in pairs for v in p)
 
-    def checked_made(g, prev, pairs):
-        out = made(g, prev, pairs)
-        pairs = itertools.combinations(out.nodes, 2)
-        assert out.changed == {p: _status(prev, *p) for p in pairs if _status(prev, *p) != _status(out, *p)}
-        assert out.succ == [sum(1 << v for v in out.ch[u] | out.und[u]) for u in out.nodes]
-        before = colliders(prev)
-        seen["shield"] += any(b in out.adj[a] for a, _, b in before)
-        seen["create"] += bool(colliders(out) - before)
-        seen["after turn"] += turned[0]
-        return out
+    def counted(move, kind):
+        def run(state, *args):
+            out = move(state, *args)
+            before = colliders(state.nodes, state.directed(), state.undirected())
+            seen["shield"] += any(out.adj[a] >> b & 1 for a, _, b in before)
+            seen["create"] += bool(colliders(out.nodes, out.directed(), out.undirected()) - before)
+            seen["after turn"] += turned[0] and kind != "turned"
+            seen[kind] += out is not state
+            turned[0] |= kind == "turned" and out is not state
+            return out
 
-    def counted_turning(state, sc, cfg):
-        out = turning(state, sc, cfg)
-        turned[0] |= out is not state
-        seen["turned"] += out is not state
-        return out
-
-    def counted_delete(*args):
-        seen["delete"] += 1
-        return delete(*args)
+        return run
 
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(st.integers(0, 10**6), st.integers(3, 8), st.integers(1, 4), st.integers(0, 2))
@@ -668,17 +656,17 @@ def test_local_recompletion_is_the_whole_graph_completion():
 
     with (
         mock.patch.object(discovery, "recomplete", checked_recomplete),
-        mock.patch.object(_State, "made", checked_made),
-        mock.patch.object(discovery, "_turning_phase", counted_turning),
-        mock.patch.object(discovery, "_apply_delete", counted_delete),
+        mock.patch.object(discovery, "_apply_insert", counted(_apply_insert, "insert")),
+        mock.patch.object(discovery, "_apply_delete", counted(_apply_delete, "delete")),
+        mock.patch.object(discovery, "_turning_phase", counted(_turning_phase, "turned")),
     ):
         search()
     assert all(seen[k] for k in ("pinned", "shield", "create", "turned", "after turn", "delete")), seen
 
 
 def _maps(s):
-    """Copies of a state's neighbour maps and successor masks."""
-    return [{v: set(m[v]) for v in s.nodes} for m in (s.pa, s.ch, s.und, s.adj)] + [list(s.succ)]
+    """Copies of a state's neighbour masks."""
+    return [list(m) for m in (s.pa, s.ch, s.und, s.adj)]
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -688,27 +676,27 @@ def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
     # every insert and delete that meets Chickering's conditions (T or H of
     # up to three nodes) completes a copy locally, and equals the
     # whole-graph completion of the same edited edges, whose extension does
-    # not fall back; the move records exactly the pairs whose edges changed,
-    # and the state it copied keeps every neighbour set (a shallow copy
-    # would share them)
+    # not fall back, and the state it copied keeps every neighbour set (a
+    # shallow copy would share them)
     rng = random.Random(seed)
     pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
     pattern = cpdag_of(random_dag(rng, tuple(range(d)), p=rng.uniform(0.2, 0.7)), pinned)
     state = _State(d, pinned, pattern.directed, pattern.undirected)
+    m = neighbour_maps(range(d), pattern.directed, pattern.undirected)
     before = _maps(state)
     moves = []
     for x, y in itertools.permutations(range(d), 2):
-        na = state.und[y] & state.adj[x]
-        if x not in state.adj[y]:
-            for t in _subsets(state.und[y] - state.adj[x], 3):
+        na = m.und[y] & m.adj[x]
+        if x not in m.adj[y]:
+            for t in _subsets(m.und[y] - m.adj[x], 3):
                 base = na | set(t)
-                semi = lambda v: state.und[v] | state.ch[v]  # noqa: E731
-                if _is_clique(base, state.adj) and x not in reachable(semi, y, base):
+                semi = lambda v: m.und[v] | m.ch[v]  # noqa: E731
+                if is_clique(base, m.adj) and x not in reach(semi, y, base):
                     moves.append((_apply_insert, x, y, t, [(x, y)] + [(n, y) for n in t]))
-        elif x in state.pa[y] or x in state.und[y]:
+        elif x in m.pa[y] or x in m.und[y]:
             for h in _subsets(na, 3):
-                if _is_clique(na - set(h), state.adj):
-                    moves.append((_apply_delete, x, y, h, [(y, n) for n in h] + [(x, n) for n in h if n in state.und[x]]))
+                if is_clique(na - set(h), m.adj):
+                    moves.append((_apply_delete, x, y, h, [(y, n) for n in h] + [(x, n) for n in h if n in m.und[x]]))
     for move, x, y, sets, oriented in moves:
         got = move(state, x, y, sets)
         assert _maps(state) == before
@@ -720,8 +708,6 @@ def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
             want.orient(x, y)
         assert not complete(want, pinned)
         assert (got.directed(), got.undirected()) == (want.directed(), want.undirected())
-        pairs = itertools.combinations(range(d), 2)
-        assert got.changed == {p: _status(state, *p) for p in pairs if _status(state, *p) != _status(got, *p)}
 
 
 def test_moves_from_the_searched_patterns_recomplete_locally():
@@ -732,7 +718,6 @@ def test_moves_from_the_searched_patterns_recomplete_locally():
     assert (state.directed(), state.undirected()) == (set(), {(0, 2)})
     collider = _apply_insert(state, 1, 2, (0,))
     assert (collider.directed(), collider.undirected()) == ({(0, 2), (1, 2)}, set())
-    assert collider.changed == {(0, 2): 1, (1, 2): 0} and collider.prev is state
     shielded = _apply_insert(collider, 0, 1, ())
     assert (shielded.directed(), shielded.undirected()) == (set(), {(0, 1), (0, 2), (1, 2)})
     again = _apply_delete(shielded, 0, 1, (2,))
@@ -755,10 +740,10 @@ def test_invalid_moves_raise_and_leave_the_state(move, x, y, sets):
     chain = _State(4, ())
     for a, b in ((0, 1), (1, 2), (2, 3)):
         chain = _apply_insert(chain, a, b, ())
-    before = _maps(chain), chain.changed, chain.prev
+    before = _maps(chain)
     with pytest.raises(GraphError, match="is not a valid move"):
         move(chain, x, y, sets)
-    assert (_maps(chain), chain.changed, chain.prev) == before
+    assert _maps(chain) == before
 
 
 def test_each_learner_validates_one_pattern_per_call(monkeypatch):

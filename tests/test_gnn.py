@@ -824,7 +824,7 @@ def test_save_load_roundtrip(tmp_path):
         load_model(path, other)
 
 
-def test_parameter_lists_keep_the_checkpoint_layout():
+def test_parameter_lists_keep_the_checkpoint_layout(tmp_path):
     # the order and shapes a checkpoint stores: the convolutions input side
     # first (SAGE: weight, bias; ECC: filter weight, filter bias, bias),
     # then the head layers (weight, bias)
@@ -841,7 +841,7 @@ def test_parameter_lists_keep_the_checkpoint_layout():
     assert len({id(p) for p in model.params}) == len(model.params)
     # a fit's step trains those very tensors in that order, so Adam's
     # updates land in the model that gets saved, whose header names its size
-    from soilcausal.gnn import _checkpoint_header, _node_inputs, _stack
+    from soilcausal.gnn import _node_inputs, _stack
 
     batch = _random_batch(np.random.default_rng(11), sk, 5)
     for model in (init_sage(sk, hidden=4), init_ecc(sk, hidden=4)):
@@ -851,7 +851,9 @@ def test_parameter_lists_keep_the_checkpoint_layout():
         before = engine.pack_params(model.params)
         engine.fit(h, _stack(model, plan), batch.labels, 0.01, 1, model.kind)
         assert engine.pack_params(model.params) != before
-        assert model.hidden == _checkpoint_header(model)["hidden"] == 4
+        save_model(tmp_path / "model.bin", model)
+        header = json.loads((tmp_path / "model.bin").read_bytes().partition(b"\n")[0])
+        assert model.hidden == header["hidden"] == 4
     X = np.random.default_rng(12).standard_normal((6, 3))
     layers = baselines._mlp_fit(X, X[:, 0], (5, 4), 0.01, 2, seed=0)
     fields = [t for layer in layers for t in (layer.weight[0], layer.bias)]
@@ -922,6 +924,28 @@ def test_load_model_rejects_parameters_that_do_not_fit(tmp_path):
         path.write_bytes(line + b"\n" + engine.pack_params(params))
         with pytest.raises(SchemaError, match="checkpoint (shape|parameter count)"):
             load_model(path, sk)
+
+
+@pytest.mark.parametrize("init", [init_sage, init_ecc], ids=["sage", "ecc"])
+def test_load_model_checks_header_and_size_before_drawing_the_model(tmp_path, init):
+    # a header naming hidden=1000 would draw millions of weights: a
+    # header-only file and a hidden-16 checkpoint whose header names 1000
+    # are refused with next to no memory
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    path = tmp_path / "model.bin"
+    save_model(path, init(sk, hidden=16))
+    line, _, payload = path.read_bytes().partition(b"\n")
+    big = json.dumps({**json.loads(line), "hidden": 1000}).encode()
+    for raw in (big, big + b"\n" + payload):
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="cannot hold a model of hidden size 1000"):
+                load_model(path, sk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_load_model_rejects_unknown_kind(tmp_path):

@@ -67,6 +67,15 @@ def test_cpdag_of_keeps_the_edges_of_pinned_nodes():
     assert G.cpdag_of(dag, frozenset({"a"})) == G.Cpdag(dag.nodes, dag.edges, frozenset())
 
 
+def test_cpdag_of_rejects_pinned_labels_that_are_not_nodes():
+    # a label outside the DAG, and a string, which would be read as its
+    # characters: "ph" names the nodes h and p
+    with pytest.raises(GraphError, match="pinned"):
+        G.cpdag_of(G.Dag(("a", "b", "c"), {("a", "b")}), {"B"})
+    with pytest.raises(GraphError, match="pinned"):
+        G.cpdag_of(G.Dag(("h", "p", "x"), {("h", "p"), ("p", "x")}), "ph")
+
+
 def test_consistent_extension_lands_inside_the_class():
     classes = equivalence_classes(LABELS4, all_dags(LABELS4))
     for members in classes.values():
@@ -74,7 +83,7 @@ def test_consistent_extension_lands_inside_the_class():
         ext = G.consistent_extension(cp)
         assert ext.meta["extension_fallback"] is False
         assert ext.edges in set(members)
-        assert colliders(G._Pdag(ext.nodes, ext.edges)) == colliders(G._Pdag(cp.nodes, cp.directed, cp.undirected))
+        assert colliders(ext.nodes, ext.edges) == colliders(cp.nodes, cp.directed, cp.undirected)
 
 
 def test_v_structures_match_triple_scan():
@@ -88,7 +97,7 @@ def test_v_structures_match_triple_scan():
             for z in dag.nodes
             if (x, z) in dag.edges and (y, z) in dag.edges and tuple(sorted((x, y))) not in adj
         }
-        assert colliders(G._Pdag(dag.nodes, dag.edges)) == frozenset(oracle)
+        assert colliders(dag.nodes, dag.edges) == frozenset(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +147,8 @@ def test_meek_closure_preserves_extension_set(seed):
     if before:
         assert extension_set(closed) == before
     assert pattern.directed <= closed.directed
-    assert colliders(G._Pdag(closed.nodes, closed.directed, closed.undirected)) == colliders(
-        G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
+    assert colliders(closed.nodes, closed.directed, closed.undirected) == colliders(
+        pattern.nodes, pattern.directed, pattern.undirected
     )
     assert G.meek_closure(closed) == closed
 
@@ -151,7 +160,9 @@ def test_meek_closure_preserves_extension_set(seed):
 )
 def test_algebra_commutes_with_index_relabelling(seed, labels):
     # the greedy searches run the algebra on the indices of name-sorted
-    # columns: every result, mapped back to names, must be the named one
+    # columns: every result, mapped back to names, must be the named one.
+    # The same graphs over a shuffled node tuple give the same edges and
+    # keep the tuple as it was given: ties break by label, not by position
     names = tuple(sorted(labels))
     index = {v: k for k, v in enumerate(names)}
     nodes = tuple(range(len(names)))
@@ -173,6 +184,14 @@ def test_algebra_commutes_with_index_relabelling(seed, labels):
     dag = random_dag(rng, names)
     got, want = G.cpdag_of(G.Dag(nodes, to_index(dag.edges))), G.cpdag_of(dag)
     assert (to_names(got.directed), to_names(got.undirected)) == (want.directed, want.undirected)
+    shuffled = tuple(rng.sample(names, len(names)))
+    mixed = G.Cpdag(shuffled, named.directed, named.undirected)
+    got, want = G.meek_closure(mixed), G.meek_closure(named)
+    assert (got.nodes, got.directed, got.undirected) == (shuffled, want.directed, want.undirected)
+    got, want = G.consistent_extension(mixed), G.consistent_extension(named)
+    assert (got.nodes, got.edges, got.meta) == (shuffled, want.edges, want.meta)
+    got, want = G.cpdag_of(G.Dag(shuffled, dag.edges)), G.cpdag_of(dag)
+    assert (got.nodes, got.directed, got.undirected) == (shuffled, want.directed, want.undirected)
 
 
 def test_consistent_extension_fallback_is_flagged_and_acyclic():
@@ -216,12 +235,12 @@ def test_complete_in_place_equals_the_public_composition(seed, n):
     # that with ``cpdag_of`` (``recomplete`` over every edge), and the
     # extension keeps the sorted scan's fallback flag
     rng = random.Random(seed)
-    pattern = random_pattern(rng, tuple(f"v{k:02d}" for k in range(n)))
+    pattern = random_pattern(rng, tuple(range(n)))
     pinned = frozenset(v for v in pattern.nodes if rng.random() < 0.3)
     ext = G.consistent_extension(pattern)
     assert ext.meta == reference_consistent_extension(pattern).meta
     want = G.cpdag_of(ext, pinned)
-    g = G._Pdag(pattern.nodes, pattern.directed, pattern.undirected)
+    g = G._Pdag(n, pattern.directed, pattern.undirected)
     assert complete(g, pinned) is ext.meta["extension_fallback"]
     assert (g.directed(), g.undirected()) == (want.directed, want.undirected)
 
@@ -229,7 +248,7 @@ def test_complete_in_place_equals_the_public_composition(seed, n):
 def test_extension_rejects_a_directed_cycle():
     # the editable graph is not validated; sink elimination refuses a
     # cycle as the validated Cpdag would
-    g = G._Pdag(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")})
+    g = G._Pdag(3, {(0, 1), (1, 2), (2, 0)})
     with pytest.raises(GraphError, match="cycle in directed part"):
         G._extend(g)
 
@@ -245,24 +264,26 @@ def test_single_undirected_edge_orients_by_label():
 
 
 def test_chain_ancestors_and_parents():
+    # A -> B -> C as indices 0 -> 1 -> 2: reachability over the parents
     dag = G.Dag(("A", "B", "C"), {("A", "B"), ("B", "C")})
-    parents = G._Pdag(dag.nodes, dag.edges).pa.__getitem__
-    assert G.reachable(parents, "C") == {"A", "B", "C"}
-    assert G.reachable(parents, "A") == {"A"}
+    names, g = G._indexed(dag.nodes, dag.edges)
+    assert names == ["A", "B", "C"]
+    assert G.reachable(g.pa, 2) == 0b111
+    assert G.reachable(g.pa, 0) == 0b001
     assert G.in_neighbors(dag, "C") == {"B"}
 
 
 def test_empty_graph_ancestors():
-    dag = G.Dag(("x", "y"), frozenset())
-    assert G.reachable(lambda v: G.in_neighbors(dag, v), "x") == {"x"}
+    assert G.reachable(G._Pdag(2).pa, 0) == 0b01
 
 
 def test_reachable_stops_at_blocked_nodes():
-    succ = {"a": "bc", "b": "d", "c": "d", "d": "", "e": "a"}.__getitem__
-    assert G.reachable(succ, "a") == {"a", "b", "c", "d"}
-    assert G.reachable(succ, "a", blocked={"b"}) == {"a", "c", "d"}
-    assert G.reachable(succ, "a", blocked={"b", "c"}) == {"a"}
-    assert G.reachable(succ, "a", blocked={"a"}) == set()
+    # a -> b, c; b -> d; c -> d; e -> a, as indices 0..4
+    succ = [0b00110, 0b01000, 0b01000, 0, 0b00001]
+    assert G.reachable(succ, 0) == 0b01111
+    assert G.reachable(succ, 0, blocked=0b00010) == 0b01101
+    assert G.reachable(succ, 0, blocked=0b00110) == 0b00001
+    assert G.reachable(succ, 0, blocked=0b00001) == 0
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -277,6 +298,7 @@ def test_ancestors_equal_reachability_closure(seed):
     m = np.zeros((10, 10), dtype=bool)
     for a, b in dag.edges:
         m[idx[a], idx[b]] = True
+    parents = [sum(1 << idx[a] for a in G.in_neighbors(dag, v)) for v in labels]
     # ancestors through unblocked nodes: reachability over the parents
     for blocked in (set(), set(rng.sample(labels, 3))):
         free = np.array([v not in blocked for v in labels])
@@ -285,7 +307,8 @@ def test_ancestors_equal_reachability_closure(seed):
             reach = reach | (reach @ reach)
         for v in labels:
             oracle = set() if v in blocked else {v} | {labels[i] for i in range(10) if reach[i, idx[v]]}
-            assert G.reachable(lambda u: G.in_neighbors(dag, u), v, blocked) == oracle
+            got = G.reachable(parents, idx[v], sum(1 << idx[u] for u in blocked))
+            assert got == sum(1 << idx[u] for u in oracle)
 
 
 def test_topological_sort_is_deterministic_and_valid():
