@@ -26,6 +26,12 @@ epoch.  Each graph model also prints the hash of its ``save_model``
 checkpoint bytes, which pins the checkpoint format and the trained
 parameters.
 
+Farms: one line each for the 60- and 400-day default farms and the
+400-day paper-width table, as sampled and before scaling, hashes the
+columns' names and kinds in schema order, the (day, field, treatment) tags
+and the rows.  These pin ``synth``'s own output, which every result above
+reads only after discovery and scaling have canonicalized it.
+
 Each hash is the first 16 hex digits of the SHA-256 of a ``loss_history``,
 predictions or scores as little-endian float64, or of JSON.
 
@@ -65,13 +71,20 @@ def _nodes(tree) -> int:
     return 1 if tree.is_leaf else 1 + _nodes(tree.left) + _nodes(tree.right)
 
 
-def _farm(n_days, paper_width):
-    """Min-max scaled (on the train rows) train and test tables, and the
-    benchmark's treatment -> intervened-columns mapping."""
+def _sampled(n_days, paper_width):
+    """The default farm's table, widened to paper width or not, before
+    scaling, and its environments."""
     scm, envs = synth.default_farm_benchmark(n_days=n_days)
     table = synth.sample_environments(scm, envs)
     if paper_width:
         table = ingest.add_field_onehots(ingest.lag_counts(table))
+    return table, envs
+
+
+def _farm(n_days, paper_width):
+    """Min-max scaled (on the train rows) train and test tables, and the
+    benchmark's treatment -> intervened-columns mapping."""
+    table, envs = _sampled(n_days, paper_width)
     train_mask = np.isin(table.treatment, synth.TRAIN_TREATMENTS)
     table = ingest.min_max_apply(table, ingest.min_max_fit(table, table.names, train_mask))
     targets = {t: sorted(nodes) for t, nodes in synth.targets_by_treatment(envs).items()}
@@ -183,6 +196,15 @@ def model_hashes():
     _mlp_line("farm-wide", train, test, epochs=1)
 
 
+def farm_hashes():
+    for name, n_days, paper_width in (("farm-narrow", 60, False), ("farm-long", 400, False), ("farm-wide", 400, True)):
+        table, _ = _sampled(n_days, paper_width)
+        columns = _json_hash([[c.name, c.kind] for c in table.schema])
+        tags = [np.datetime_as_string(table.timestamps).tolist(), table.field_id.tolist(), table.treatment.tolist()]
+        print(name, "table columns", columns, "tags", _json_hash(tags), "rows", _hash(table.rows))
+
+
 if __name__ == "__main__":
     discovery_hashes()
     model_hashes()
+    farm_hashes()

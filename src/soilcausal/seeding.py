@@ -7,6 +7,10 @@ that do not depend on execution schedule.
 
 from __future__ import annotations
 
+from numbers import Integral
+
+from .errors import ConfigError
+
 _MASK = (1 << 64) - 1
 
 
@@ -20,8 +24,12 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(master: int, *indices: int) -> int:
-    """Fold worker indices into a master seed, one mixing step per level."""
-    s = splitmix64(master & _MASK)
+    """Fold worker indices into a master seed, one mixing step per level.
+    The master seed is an int, not a bool, in [0, 2**64), so that no two
+    master seeds give the same streams; else ``ConfigError``."""
+    if isinstance(master, bool) or not isinstance(master, Integral) or not 0 <= master <= _MASK:
+        raise ConfigError(f"a master seed must be an int in [0, 2**64), got {master!r}")
+    s = splitmix64(int(master))
     for k in indices:
         s = splitmix64((s ^ ((k + 1) * 0xD1B54A32D192ED03)) & _MASK)
     return s

@@ -2,8 +2,9 @@
 
 A structural causal model over daily management events and soil state,
 sampled per field under per-treatment interventions on the ploughing
-regime.  The generating graph and its equivalence-class pattern are
-available to tests and benchmarks, so recovered structure and downstream
+regime.  The generating graph is read off the mechanisms' parents, its
+nodes (and so the columns) in the mechanisms' order.  It and its pattern
+are available to tests and benchmarks, so recovered structure and downstream
 predictive claims can be checked against truth rather than eyeballed.
 
 Sampling is ancestral: each node draws once per field in topological
@@ -19,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_count
-from .graphs import Cpdag, Dag, cpdag_of, in_neighbors, topological_sort
+from .graphs import Cpdag, Dag, cpdag_of, topological_sort
 from .ingest import ColumnSpec, Table, concat_tables
 from .seeding import derive_seed
 
 MECHANISM_KINDS = ("linear_gaussian", "bernoulli_event")
-ROLES = ("management", "soil", "target")
 
 _EPOCH = np.datetime64("2020-01-01")
 
@@ -78,43 +78,31 @@ class Mechanism:
 
 @dataclass(eq=False)
 class SCMSpec:
-    """A DAG plus one mechanism per node and a role for each node."""
+    """A structural causal model: one mechanism per node and the node to
+    predict.  Its graph ``dag`` is read off the mechanisms, as the graph an
+    SCM's structural assignments induce: the nodes in the order the
+    mechanisms come in, one edge from each parent a mechanism names."""
 
-    dag: Dag
     mechanisms: tuple[Mechanism, ...]
-    roles: dict[str, str]
+    target: str
 
     def __post_init__(self) -> None:
         self.mechanisms = tuple(self.mechanisms)
-        by_node = {}
+        nodes = tuple(m.node for m in self.mechanisms)
         for m in self.mechanisms:
-            if m.node in by_node:
+            if nodes.count(m.node) > 1:
                 raise ConfigError(f"two mechanisms for node {m.node!r}")
-            by_node[m.node] = m
-        if set(by_node) != set(self.dag.nodes):
-            raise ConfigError("mechanisms do not cover the DAG nodes exactly")
-        for node in self.dag.nodes:
-            m = by_node[node]
-            want = tuple(sorted(in_neighbors(self.dag, node)))
-            if tuple(sorted(m.parents)) != want:
-                raise ConfigError(
-                    f"mechanism parents for {node!r} disagree with the graph: "
-                    f"{sorted(m.parents)} vs {list(want)}"
-                )
+            unknown = sorted(set(m.parents) - set(nodes))
+            if unknown:
+                raise ConfigError(f"mechanism for {m.node!r} names parents without a mechanism: {unknown}")
             if m.kind == "bernoulli_event" and not 0.0 < m.base_rate < 1.0:
                 raise ConfigError(
-                    f"observational event rate for {node!r} must lie strictly "
+                    f"observational event rate for {m.node!r} must lie strictly "
                     f"inside (0, 1), got {m.base_rate}"
                 )
-        if set(self.roles) != set(self.dag.nodes):
-            raise ConfigError("roles do not cover the DAG nodes exactly")
-        bad = sorted(v for v in set(self.roles.values()) if v not in ROLES)
-        if bad:
-            raise ConfigError(f"unknown roles {bad}; expected one of {ROLES}")
-        targets = [n for n in self.dag.nodes if self.roles[n] == "target"]
-        if len(targets) != 1:
-            raise ConfigError(f"expected exactly one target node, got {targets}")
-        self.target = targets[0]
+        if self.target not in nodes:
+            raise ConfigError(f"target {self.target!r} has no mechanism")
+        self.dag = Dag(nodes, frozenset((p, m.node) for m in self.mechanisms for p in m.parents))
 
 
 @dataclass(frozen=True)
@@ -263,21 +251,6 @@ EVENT_RATES = {
     "plough": 0.35,
 }
 
-BENCHMARK_NODES = (
-    "fertilize",
-    "manure",
-    "lime",
-    "graze",
-    "mow",
-    "pesticide",
-    "plough",
-    "moisture",
-    "ph",
-    "total_n",
-    "total_c",
-    "som",
-)
-
 TRAIN_TREATMENTS = ("red", "blue")
 TEST_TREATMENT = "green"
 
@@ -324,14 +297,7 @@ def default_farm_benchmark(
     mechanisms.append(
         _linear("som", 0.5, {"total_c": 1.6, "mow": 0.4, "plough": -0.5}, 0.05)
     )
-
-    edges = frozenset(
-        (p, m.node) for m in mechanisms for p in m.parents
-    )
-    dag = Dag(BENCHMARK_NODES, edges)
-    roles = {n: ("management" if n in EVENT_RATES else "soil") for n in BENCHMARK_NODES}
-    roles["total_c"] = "target"
-    scm = SCMSpec(dag=dag, mechanisms=tuple(mechanisms), roles=roles)
+    scm = SCMSpec(mechanisms, target="total_c")
 
     plough_on = Mechanism(node="plough", kind="bernoulli_event", base_rate=1.0)
     plough_off = Mechanism(node="plough", kind="bernoulli_event", base_rate=0.0)

@@ -6,8 +6,9 @@ search, the exact covariance of a linear SCM and its
 ancestral subgraphs, PC answered exactly from that covariance, a
 one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
 GES insertions and a move chooser that keeps nothing between steps, a
-per-node-argsort CART grower, a central-difference gradient check, and a
-builder for small all-continuous tables."""
+per-node-argsort CART grower, a central-difference gradient check, a
+builder for small all-continuous tables, and the exact score optimum that
+the greedy search should find."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from soilcausal.discovery import (
     _NEIGHBOR_SET_CAP,
     DiscoveryConfig,
     _pc_core,
+    _Scorer,
     _subsets,
 )
 from soilcausal.errors import ConfigError, GraphError
@@ -561,3 +563,41 @@ def one_layer(h, graph, layer, relu):
     from soilcausal.engine import Step
 
     return Step(h, [layer._replace(graph=graph, relu=relu)]).forward()
+
+
+def exact_pattern(table, row_targets, max_parents) -> G.Cpdag:
+    """The pattern of a DAG of highest (interventional) BIC over the table's
+    columns, with at most ``max_parents`` parents per node: the dynamic
+    program over sink orders of Silander & Myllymaki (UAI 2006), scored by
+    its own ``discovery._Scorer``.  ``row_targets`` (one set of intervened
+    columns per row, or None) makes the score interventional and pins the
+    intervened nodes' edges, as ``gies`` does.  It takes about 2^d * d
+    steps, so it is for a dozen columns, not for paper width."""
+    names = tuple(sorted(table.names))
+    d = len(names)
+    sc = _Scorer(table, names, row_targets, WarningCounter())
+    size = 1 << d
+    # best[y][c]: the best (score, parent set) of y with its parents inside
+    # the set c; a set's subsets one member smaller come before it
+    best = []
+    for y in range(d):
+        small = [c for c in range(size) if not c >> y & 1 and c.bit_count() <= max_parents]
+        sc.prefetch(y, small)
+        b = [None] * size
+        for c in range(size):
+            if c >> y & 1:
+                continue
+            top = (sc.local(y, c), c) if c.bit_count() <= max_parents else (float("-inf"), 0)
+            b[c] = max([top, *(b[c & ~(1 << v)] for v in G._members(c))], key=lambda t: t[0])
+        best.append(b)
+    # sink[w]: the best (score, last node) of an order of the set w
+    sink = [(0.0, None)] + [None] * (size - 1)
+    for w in range(1, size):
+        sink[w] = max((sink[w & ~(1 << y)][0] + best[y][w & ~(1 << y)][0], y) for y in G._members(w))
+    edges, w = set(), size - 1
+    while w:
+        y = sink[w][1]
+        w &= ~(1 << y)
+        edges.update((names[p], names[y]) for p in G._members(best[y][w][1]))
+    pinned = frozenset().union(*row_targets) if row_targets is not None else frozenset()
+    return G.cpdag_of(G.Dag(names, frozenset(edges)), pinned)

@@ -307,6 +307,29 @@ def test_sizes_and_seeds_raise_config_errors(build, message):
         build()
 
 
+@pytest.mark.parametrize("seed", [2**64, -1, True, 1.5])
+@pytest.mark.parametrize("entry", ["default_farm_benchmark", "rf_train"])
+def test_master_seeds_outside_64_bits_raise_config_errors(entry, seed):
+    # masked to 64 bits, 2**64 gave seed 0's streams, -1 those of 2**64 - 1
+    # and True those of 1; 1.5 raised an untyped TypeError
+    from soilcausal.synth import default_farm_benchmark
+
+    run = {
+        "default_farm_benchmark": lambda: default_farm_benchmark(master_seed=seed, n_days=3),
+        "rf_train": lambda: rf_train(_random_table(0), n_trees=2, seed=seed),
+    }[entry]
+    with pytest.raises(ConfigError, match="seed must be an int"):
+        run()
+
+
+def test_master_seeds_at_the_ends_of_the_range_give_their_own_streams():
+    from soilcausal.synth import default_farm_benchmark
+
+    seeds = {s: tuple(e.seed for e in default_farm_benchmark(s, n_days=3)[1]) for s in (0, 1, 2**64 - 1)}
+    assert len(set(seeds.values())) == 3
+    assert tuple(e.seed for e in default_farm_benchmark(np.uint64(1), n_days=3)[1]) == seeds[1]
+
+
 def _environment(**options):
     from soilcausal.synth import EnvironmentSpec
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats as spstats
@@ -21,7 +23,6 @@ from enumutil import analytic_covariance, ancestral_subsets, induced_subdag, is_
 
 
 def _chain_scm(weight=2.0, sd=0.01):
-    dag = Dag(("x", "y"), {("x", "y")})
     mechs = (
         Mechanism(node="x", kind="linear_gaussian", intercept=0.0, noise_sd=1.0),
         Mechanism(
@@ -33,7 +34,7 @@ def _chain_scm(weight=2.0, sd=0.01):
             noise_sd=sd,
         ),
     )
-    return SCMSpec(dag=dag, mechanisms=mechs, roles={"x": "soil", "y": "target"})
+    return SCMSpec(mechs, target="y")
 
 
 # --- dataclass validation ---------------------------------------------------
@@ -59,38 +60,44 @@ def test_mechanism_validation():
     Mechanism(node="x", kind="bernoulli_event", base_rate=1.0)
 
 
-def test_scm_validation_parent_mismatch():
-    dag = Dag(("x", "y"), {("x", "y")})
-    mechs = (
-        Mechanism(node="x", kind="linear_gaussian", noise_sd=1.0),
-        Mechanism(node="y", kind="linear_gaussian", noise_sd=1.0),  # missing parent x
-    )
-    with pytest.raises(ConfigError):
-        SCMSpec(dag=dag, mechanisms=mechs, roles={"x": "soil", "y": "target"})
-
-
 def test_scm_validation_strict_observational_rate():
-    dag = Dag(("e",), set())
     with pytest.raises(ConfigError):
-        SCMSpec(
-            dag=dag,
-            mechanisms=(Mechanism(node="e", kind="bernoulli_event", base_rate=1.0),),
-            roles={"e": "target"},
-        )
+        SCMSpec((Mechanism(node="e", kind="bernoulli_event", base_rate=1.0),), target="e")
 
 
-def test_scm_validation_roles():
-    dag = Dag(("x", "y"), {("x", "y")})
-    mechs = (
-        Mechanism(node="x", kind="linear_gaussian", noise_sd=1.0),
-        Mechanism(
-            node="y", kind="linear_gaussian", parents=("x",), weights=(1.0,), noise_sd=1.0
-        ),
+def _gauss(node, *parents):
+    return Mechanism(
+        node=node, kind="linear_gaussian", parents=parents, weights=(1.0,) * len(parents), noise_sd=1.0
     )
-    with pytest.raises(ConfigError):
-        SCMSpec(dag=dag, mechanisms=mechs, roles={"x": "soil", "y": "soil"})  # no target
-    with pytest.raises(ConfigError):
-        SCMSpec(dag=dag, mechanisms=mechs, roles={"x": "boss", "y": "target"})
+
+
+@pytest.mark.parametrize(
+    "mechanisms, target, error, message",
+    [
+        ((_gauss("x"), _gauss("y", "x"), _gauss("x")), "y", ConfigError, "two mechanisms for node 'x'"),
+        ((_gauss("x"), _gauss("y", "x")), "z", ConfigError, "target 'z' has no mechanism"),
+        ((_gauss("x"), _gauss("y", "x", "w")), "y", ConfigError, "names parents without a mechanism: ['w']"),
+        (
+            (Mechanism(node="e", kind="bernoulli_event", base_rate=0.0), _gauss("y", "e")),
+            "y",
+            ConfigError,
+            "observational event rate for 'e' must lie strictly inside (0, 1), got 0.0",
+        ),
+        ((_gauss("x", "z"), _gauss("y", "x"), _gauss("z", "y")), "y", GraphError, "directed cycle"),
+    ],
+    ids=["two-mechanisms", "target-without-mechanism", "unknown-parent", "event-rate", "cycle"],
+)
+def test_scm_validation(mechanisms, target, error, message):
+    # the graph is read off the mechanisms, so each fault is one of theirs
+    with pytest.raises(error, match=re.escape(message)):
+        SCMSpec(mechanisms, target)
+
+
+def test_scm_graph_is_read_off_the_mechanisms():
+    scm = SCMSpec((_gauss("b", "c"), _gauss("a", "b", "c"), _gauss("c")), target="a")
+    # nodes in the given order, which is not a topological one
+    assert scm.dag == Dag(("b", "a", "c"), {("c", "b"), ("b", "a"), ("c", "a")})
+    assert scm.target == "a"
 
 
 def test_environment_validation():
@@ -106,10 +113,18 @@ def test_environment_validation():
 
 def test_benchmark_composition():
     scm, envs = default_farm_benchmark()
-    assert len(scm.dag.nodes) == 12
+    # the mechanisms' order is the column order of every sampled table
+    assert scm.dag.nodes == (
+        "fertilize", "manure", "lime", "graze", "mow", "pesticide", "plough",
+        "moisture", "ph", "total_n", "total_c", "som",
+    )
+    assert scm.dag.edges == frozenset({
+        ("plough", "ph"), ("lime", "ph"),
+        ("fertilize", "total_n"), ("manure", "total_n"), ("graze", "total_n"),
+        ("ph", "total_c"), ("total_n", "total_c"), ("moisture", "total_c"),
+        ("total_c", "som"), ("mow", "som"), ("plough", "som"),
+    })
     assert scm.target == "total_c"
-    assert scm.roles["som"] == "soil"
-    assert sum(1 for r in scm.roles.values() if r == "management") == 7
     by_treatment = {}
     for e in envs:
         by_treatment.setdefault(e.treatment, []).append(e)
@@ -268,7 +283,6 @@ def test_root_moments_converge():
 
 
 def test_logistic_event_conditional_rates():
-    dag = Dag(("x", "y"), {("x", "y")})
     mechs = (
         Mechanism(node="x", kind="bernoulli_event", base_rate=0.5),
         Mechanism(
@@ -279,7 +293,7 @@ def test_logistic_event_conditional_rates():
             base_rate=0.2,
         ),
     )
-    scm = SCMSpec(dag=dag, mechanisms=mechs, roles={"x": "management", "y": "target"})
+    scm = SCMSpec(mechs, target="y")
     env = EnvironmentSpec(label="a", treatment="red", n_days=20_000, seed=3)
     t = sample_environment(scm, env)
     x, y = t.column("x"), t.column("y")
@@ -353,14 +367,13 @@ def test_analytic_covariance_overrides_and_errors():
         analytic_covariance(scm, {"nope": 0.5})
     with pytest.raises(ConfigError):
         analytic_covariance(scm, {"ph": 0.5})
-    dag = Dag(("x", "y"), {("x", "y")})
     mechs = (
         Mechanism(node="x", kind="bernoulli_event", base_rate=0.5),
         Mechanism(
             node="y", kind="bernoulli_event", parents=("x",), weights=(1.0,), base_rate=0.2
         ),
     )
-    scm2 = SCMSpec(dag=dag, mechanisms=mechs, roles={"x": "management", "y": "target"})
+    scm2 = SCMSpec(mechs, target="y")
     with pytest.raises(ConfigError):
         analytic_covariance(scm2)
 
@@ -376,7 +389,6 @@ def test_true_cpdag_fully_oriented_on_benchmark():
 
 
 def test_true_cpdag_chain_stays_undirected():
-    dag = Dag(("a", "b", "c"), {("a", "b"), ("b", "c")})
     mechs = (
         Mechanism(node="a", kind="linear_gaussian", noise_sd=1.0),
         Mechanism(
@@ -386,9 +398,7 @@ def test_true_cpdag_chain_stays_undirected():
             node="c", kind="linear_gaussian", parents=("b",), weights=(1.0,), noise_sd=1.0
         ),
     )
-    scm = SCMSpec(
-        dag=dag, mechanisms=mechs, roles={"a": "soil", "b": "soil", "c": "target"}
-    )
+    scm = SCMSpec(mechs, target="c")
     pat = true_cpdag(scm)
     assert pat.directed == frozenset()
     assert pat.undirected == frozenset({("a", "b"), ("b", "c")})
