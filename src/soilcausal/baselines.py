@@ -79,16 +79,22 @@ def _features_of(table) -> tuple[str, ...]:
     return names
 
 
+def _feature_matrix(table, names) -> np.ndarray:
+    """Rows x ``names``, for training and prediction (``require_finite``)."""
+    X = table.matrix(names)
+    require_finite(X, "features", table)
+    return X
+
+
 def _design(table) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Features (rows x sorted names), labels and names.  ``NumericError``
     for no rows, or naming the first row with a non-finite value."""
     names = _features_of(table)
-    X, y = table.matrix(names), table.column(table.target)
-    if X.shape[0] == 0:
-        raise NumericError(f"bad design shapes {X.shape} / {y.shape}")
+    y = table.column(table.target)
+    if y.shape[0] == 0:
+        raise NumericError(f"bad design shapes {(0, len(names))} / {y.shape}")
     require_finite(y, "label", table)
-    require_finite(X, "features", table)
-    return X, y, names
+    return _feature_matrix(table, names), y, names
 
 
 def _presort(xt) -> np.ndarray:
@@ -434,7 +440,7 @@ class RandomForest:
     target: str
 
 
-def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -> RandomForest:
+def rf_train(table, n_trees: int = 100, seed: int = 0) -> RandomForest:
     """Bagged variance-reduction trees; sqrt(d) features per split,
     unlimited depth, min leaf 2.  Rows are already canonically ordered by
     the table itself, so bootstrap indices are order-independent.  All
@@ -443,17 +449,14 @@ def rf_train(table, n_trees: int = 100, seed: int = 0, bootstrap: bool = True) -
     require_count(seed, 0, f"seed must be an int >= 0, got {seed!r}")
     X, y, names = _design(table)
     n, d = X.shape
-    samples = [
-        np.random.default_rng(derive_seed(seed, t)).integers(0, n, size=n) if bootstrap else np.arange(n)
-        for t in range(n_trees)
-    ]
+    samples = [np.random.default_rng(derive_seed(seed, t)).integers(0, n, size=n) for t in range(n_trees)]
     rngs = [np.random.default_rng(derive_seed(seed, t, 1)) for t in range(n_trees)]
     trees = _grow_forest(X.T.copy(), y, samples, None, 2, rngs, max(1, int(np.sqrt(d))))
     return RandomForest(trees=trees, feature_names=names, target=table.target)
 
 
 def rf_predict(model: RandomForest, table) -> np.ndarray:
-    X = table.matrix(model.feature_names)
+    X = _feature_matrix(table, model.feature_names)
     acc = np.zeros(X.shape[0], dtype=np.float64)
     for tree in model.trees:
         acc += tree_predict(tree, X)
@@ -500,7 +503,7 @@ def gbt_train(table, n_estimators: int = 100, max_depth: int = 20, lr: float = 0
 
 
 def gbt_predict(model: GbtModel, table) -> np.ndarray:
-    X = table.matrix(model.feature_names)
+    X = _feature_matrix(table, model.feature_names)
     acc = np.full(X.shape[0], model.init_value, dtype=np.float64)
     for tree in model.trees:
         acc += model.lr * tree_predict(tree, X)
@@ -574,8 +577,7 @@ def mlp_train(table, epochs: int = 500, seed: int = 0) -> MlpModel:
 
 
 def mlp_predict(model: MlpModel, table) -> np.ndarray:
-    X = table.matrix(model.feature_names)
-    return _mlp_forward(X, model.layers)
+    return _mlp_forward(_feature_matrix(table, model.feature_names), model.layers)
 
 
 # ---------------------------------------------------------------------------

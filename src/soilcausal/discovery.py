@@ -31,12 +31,12 @@ one reachability search.  PC prunes a boolean adjacency matrix level by
 level, then builds the ``_Pdag`` of what is left, orients the colliders
 and runs the Meek rules on it.  Each greedy move edits a copy of the
 current state and completes that copy in place with
-``graphs.recomplete``, which re-reads only the edges near the ones that
-change.  A move checks Chickering's validity conditions again first and
-raises ``GraphError`` when they fail.  The turning phase projects its
-turned extension with the same ``recomplete``, over every edge.  No
-``Dag`` or ``Cpdag`` is built on the way; each learner names its result
-with ``graphs._labelled`` and validates one ``Cpdag``.
+``graphs.recomplete``, which re-reads only the edges at the ends of the
+pairs that change.  A move checks Chickering's validity conditions again
+first and raises ``GraphError`` when they fail.  The turning phase
+projects its turned extension with the same ``recomplete``, over every
+edge.  No ``Dag`` or ``Cpdag`` is built on the way; each learner names its
+result with ``graphs._labelled`` and validates one ``Cpdag``.
 
 ``ges`` and ``gies`` share one greedy core.  It runs on the index labels,
 so the graph algebra breaks ties exactly as it would on the names.  One
@@ -482,7 +482,8 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
     from: the next pass would pick the same turn again."""
     while True:
         ext = st.copy()
-        sc.warn.extension_fallbacks += _extend(ext)
+        if _extend(ext):  # every state is a pattern, which sink elimination extends
+            raise GraphError("the turning phase's state has no consistent extension")
         pa = ext.pa
 
         best = None

@@ -16,9 +16,10 @@ reachability search, over successor bitmasks.  The public functions map
 their labels to the indices of the sorted labels and back, through
 ``_indexed`` and ``_labelled``; the learners name their results with the
 same ``_labelled``.  One projection, ``recomplete``, turns the graph into
-the pattern of its class: it serves ``cpdag_of``, GIES's turning phase and
-every greedy move.  The validated frozen types ``Dag`` and ``Cpdag`` are
-built only at the boundary, once per public result.
+the pattern of its class, re-reading only the edges at the ends of the
+pairs that changed: it serves ``cpdag_of``, GIES's turning phase and every
+greedy move.  The validated frozen types ``Dag`` and ``Cpdag`` are built
+only at the boundary, once per public result.
 
 Conventions
 -----------
@@ -359,25 +360,25 @@ def recomplete(g: _Pdag, pinned: int, pairs) -> None:
     shares; the pattern's arrows are among those.  Then every arrow that is
     not strongly protected becomes a line again, one at a time, which
     leaves exactly the pattern's arrows (the ``ReplaceUnprotected`` step of
-    Hauser & Buehlmann 2012).  In the old pattern no rule applied and every
-    arrow was protected, so each pass only re-reads the edges that a
-    changed pair can concern: those at its two ends, and those for which
-    it is the non-adjacent pair of R3 or of the protecting configuration
-    a-c->b, a-d->b, or the middle arrow c->d of R4."""
-    pa, ch, und, adj = g.pa, g.ch, g.und, g.adj
+    Hauser & Buehlmann 2012).
+
+    Each pass re-reads only the edges at the two ends of each pair on its
+    worklist: the edited pairs, then the pairs it changed.  In the old
+    pattern no rule applied and every arrow was protected, so a rule or a
+    protection that holds at the end involves a changed pair, and an edge
+    is read again after each change at one of its ends.  Adjacency changes
+    only in the edit, no line is made before the undo pass, and in an
+    (interventional) pattern a->b and b-c imply a->c; so R3's arrows c->b,
+    d->b are new.  An R4 left at the end with the earliest middle arrow
+    c->d would need a cycle, a reversed arrow or, by the rule that set
+    c->d, another such R4 with an earlier middle arrow.  If an insert c->d
+    shields the protection a-c->b, a-d->b and nothing at a or b changes,
+    its T is empty (else R3 orients a-d), and d->b is left unprotected
+    too; its undo re-reads a->b."""
+    pa, ch, und = g.pa, g.ch, g.und
     oriented, todo = set(), set(pairs)
     while todo:  # Meek closure
-        check = set()
-        for p, q in todo:
-            for a in (p, q):
-                check.update((a, b) for b in _members(und[a]))
-            if not adj[p] >> q & 1:  # R3: p->b<-q, a-p, a-q
-                for a in _members(und[p] & und[q]):
-                    check.update((a, b) for b in _members(und[a] & ch[p] & ch[q]))
-            for c, d in ((p, q), (q, p)):  # R4: a~c, c->d, d->b
-                if ch[c] >> d & 1:
-                    for a in _members(adj[c]):
-                        check.update((a, b) for b in _members(und[a] & ch[d]))
+        check = {(a, b) for pair in todo for a in pair for b in _members(und[a])}
         todo = set()
         for a, b in check:
             for u, v in ((a, b), (b, a)):
@@ -387,14 +388,8 @@ def recomplete(g: _Pdag, pinned: int, pairs) -> None:
         oriented |= todo
     todo = set(pairs) | oriented
     while todo:  # undo the arrows that are not strongly protected
-        check = set()
-        for p, q in todo:
-            for a in (p, q):
-                check.update((a, b) for b in _members(ch[a]))
-                check.update((b, a) for b in _members(pa[a]))
-            if adj[p] >> q & 1:  # a-p->b, a-q->b no longer protects a->b
-                for a in _members(und[p] & und[q]):
-                    check.update((a, b) for b in _members(ch[a] & ch[p] & ch[q]))
+        ends = {a for pair in todo for a in pair}
+        check = {(a, b) for a in ends for b in _members(ch[a])} | {(b, a) for a in ends for b in _members(pa[a])}
         todo = set()
         for u, v in check:
             if ch[u] >> v & 1 and not _protected(g, u, v, pinned):

@@ -202,6 +202,8 @@ class ScalerParams:
     def __post_init__(self) -> None:
         if not (len(self.columns) == len(self.mins) == len(self.maxs)):
             raise SchemaError("scaler column/min/max length mismatch")
+        if len(set(self.columns)) != len(self.columns):
+            raise SchemaError(f"scaler names a column twice: {self.columns!r}")
         for c, lo, hi in zip(self.columns, self.mins, self.maxs):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise SchemaError(f"{c}: non-finite scaler bounds ({lo}, {hi})")

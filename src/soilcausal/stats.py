@@ -46,11 +46,10 @@ _RSS_FLOOR = 1e-12  # keeps log-likelihoods finite under exact collinearity
 
 @dataclass
 class WarningCounter:
-    """Mutable tally of the numerical and graph fallbacks of one run."""
+    """Mutable tally of the fallbacks of one run."""
 
     singular_fallbacks: int = 0
     empty_interventional: int = 0
-    extension_fallbacks: int = 0  # GIES turning-phase patterns with no consistent extension
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from soilcausal.baselines import (
     cart_train,
     gbt_predict,
     gbt_train,
+    mlp_predict,
     mlp_train,
     random_skeleton,
     rf_predict,
@@ -124,6 +125,19 @@ def _reference_forest(table, n_trees, seed, bootstrap):
     return trees
 
 
+def _forest(table, n_trees, seed, bootstrap):
+    """``rf_train``'s trees or, without ``bootstrap``, the trees that
+    ``_grow_forest`` grows from every row once with ``rf_train``'s per-tree
+    generators."""
+    if bootstrap:
+        return rf_train(table, n_trees, seed).trees
+    X, y, _ = baselines._design(table)
+    n, d = X.shape
+    samples = [np.arange(n) for _ in range(n_trees)]
+    rngs = [np.random.default_rng(derive_seed(seed, t, 1)) for t in range(n_trees)]
+    return baselines._grow_forest(X.T.copy(), y, samples, None, 2, rngs, max(1, int(np.sqrt(d))))
+
+
 def _reference_boosting(table, n_estimators, max_depth, lr=0.1):
     """``gbt_train``'s trees and losses from ``reference_cart_train`` and
     ``tree_predict``."""
@@ -155,7 +169,7 @@ def test_forest_and_boosting_match_reference_models(seed):
 )
 def test_forest_and_boosting_match_reference_on_tied_designs(n, seed, n_trees, bootstrap, max_depth):
     table = _random_table(seed, n=n)
-    assert rf_train(table, n_trees, seed, bootstrap).trees == _reference_forest(table, n_trees, seed, bootstrap)
+    assert _forest(table, n_trees, seed, bootstrap) == _reference_forest(table, n_trees, seed, bootstrap)
     gbt = gbt_train(table, n_estimators=2, max_depth=max_depth)
     assert (gbt.trees, gbt.loss_history) == _reference_boosting(table, 2, max_depth)
 
@@ -188,9 +202,9 @@ def test_forest_grown_in_lock_step_matches_reference(n, seed, n_trees, bootstrap
     blocks of mixed lengths."""
     table = _decisive_table(seed, n, d + 3) if decisive else _random_table(seed, n=n, d=d)
     want = _reference_forest(table, n_trees, seed, bootstrap)
-    assert rf_train(table, n_trees, seed, bootstrap).trees == want
+    assert _forest(table, n_trees, seed, bootstrap) == want
     with mock.patch.multiple(baselines, _BLOCK_WASTE=0, _BLOCK_CELLS=64):
-        assert rf_train(table, n_trees, seed, bootstrap).trees == want
+        assert _forest(table, n_trees, seed, bootstrap) == want
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -257,7 +271,7 @@ def test_forest_and_boosting_invariant_to_column_order():
 
 def test_forest_and_boosting_reject_an_empty_table():
     table = continuous_table(("a", "b", "y"), np.zeros((0, 3)), target="y")
-    for train in (lambda: rf_train(table, 2), lambda: rf_train(table, 2, bootstrap=False), lambda: gbt_train(table, 2)):
+    for train in (lambda: rf_train(table, 2), lambda: gbt_train(table, 2)):
         with pytest.raises(NumericError, match="bad design shapes"):
             train()
 
@@ -428,6 +442,29 @@ def test_baselines_reject_non_finite_inputs_by_row(train, column, what, bad):
     table = continuous_table(("a", "b", "t"), rows, target="t")
     with pytest.raises(NumericError, match=f"non-finite {what} in row 3 .f0, 2020-06-04, obs."):
         train(table)
+
+
+@pytest.mark.parametrize(
+    "train, predict",
+    [
+        (lambda t: rf_train(t, n_trees=2), rf_predict),
+        (lambda t: gbt_train(t, n_estimators=2), gbt_predict),
+        (lambda t: mlp_train(t, epochs=1), mlp_predict),
+    ],
+    ids=["rf", "gbt", "mlp"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_baselines_predict_rejects_non_finite_features_by_row(train, predict, bad):
+    # the first row with a non-finite feature is named; a prediction does
+    # not read the label, so a non-finite one is no error
+    rows = np.random.default_rng(3).standard_normal((8, 3))
+    model = train(continuous_table(("a", "b", "t"), rows, target="t"))
+    rows[[0, 5], [1, 0]] = bad
+    rows[2, 2] = np.nan
+    with pytest.raises(NumericError, match=r"non-finite features in row 0 .f0, 2020-06-01, obs."):
+        predict(model, continuous_table(("a", "b", "t"), rows, target="t"))
+    rows[[0, 5], [1, 0]] = 0.0
+    assert np.isfinite(predict(model, continuous_table(("a", "b", "t"), rows, target="t"))).all()
 
 
 @pytest.mark.parametrize("where", ["label", "feature"])

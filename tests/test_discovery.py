@@ -549,6 +549,15 @@ def test_turning_phase_ends_when_a_turn_projects_back_onto_its_pattern():
     assert (got.directed(), got.undirected()) == (set(), {(0, 1)})
 
 
+def test_turning_phase_raises_when_its_state_has_no_extension():
+    # a state that is not a pattern: the chordless cycle 0 - 1 - 2 - 3 - 0
+    # has no consistent extension, and the phase raises instead of turning
+    # a fallback's edges
+    state = _State(4, (), (), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(GraphError, match="no consistent extension"):
+        _turning_phase(state, _RoundingScorer(), DiscoveryConfig(max_parents=3))
+
+
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(2, 8))
 def test_moves_complete_a_copy_and_leave_the_state(seed, d):
@@ -650,9 +659,7 @@ def test_local_recompletion_is_the_whole_graph_completion():
                 hit = rng.choice(d, size=int(rng.integers(1, 3)), replace=False)
                 data[len(rows) : len(rows) + 60, hit] = rng.normal(size=(60, len(hit)))
                 rows += [frozenset(names[k] for k in hit)] * 60
-        warn = WarningCounter()
-        discovery._greedy_search(continuous_table(names, data), DiscoveryConfig(max_parents=max_parents), rows, warn)
-        assert warn.extension_fallbacks == 0
+        discovery._greedy_search(continuous_table(names, data), DiscoveryConfig(max_parents=max_parents), rows, WarningCounter())
 
     with (
         mock.patch.object(discovery, "recomplete", checked_recomplete),
@@ -669,18 +676,12 @@ def _maps(s):
     return [list(m) for m in (s.pa, s.ch, s.und, s.adj)]
 
 
-@settings(deadline=None, max_examples=60, derandomize=True)
-@given(st.integers(0, 10**6), st.integers(3, 8))
-def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
-    # the interventional pattern of a random DAG with random pinned nodes:
-    # every insert and delete that meets Chickering's conditions (T or H of
-    # up to three nodes) completes a copy locally, and equals the
-    # whole-graph completion of the same edited edges, whose extension does
-    # not fall back, and the state it copied keeps every neighbour set (a
-    # shallow copy would share them)
-    rng = random.Random(seed)
-    pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
-    pattern = cpdag_of(random_dag(rng, tuple(range(d)), p=rng.uniform(0.2, 0.7)), pinned)
+def _every_valid_move_recompletes_locally(d, pinned, pattern):
+    """Every insert and delete from ``pattern`` that meets Chickering's
+    conditions (T or H of up to three nodes) completes a copy locally, and
+    equals the whole-graph completion of the same edited edges, whose
+    extension does not fall back, and the state it copied keeps every
+    neighbour set (a shallow copy would share them)."""
     state = _State(d, pinned, pattern.directed, pattern.undirected)
     m = neighbour_maps(range(d), pattern.directed, pattern.undirected)
     before = _maps(state)
@@ -708,6 +709,29 @@ def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
             want.orient(x, y)
         assert not complete(want, pinned)
         assert (got.directed(), got.undirected()) == (want.directed(), want.undirected())
+    return len(moves)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(4, 9))
+def test_every_valid_move_from_a_pattern_recompletes_locally(seed, d):
+    # the interventional pattern of a random DAG with random pinned nodes
+    rng = random.Random(seed)
+    pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
+    pattern = cpdag_of(random_dag(rng, tuple(range(d)), p=rng.uniform(0.2, 0.7)), pinned)
+    _every_valid_move_recompletes_locally(d, pinned, pattern)
+
+
+def test_every_valid_move_from_every_small_pattern_recompletes_locally():
+    # every interventional pattern on 2 to 4 nodes with at most one pinned
+    # node, and every valid move from it
+    moves = 0
+    for d in (2, 3, 4):
+        nodes, dags = tuple(range(d)), all_dags(tuple(range(d)))
+        for pinned in [frozenset()] + [frozenset({v}) for v in nodes]:
+            for pattern in {cpdag_of(Dag(nodes, edges), pinned) for edges in dags}:
+                moves += _every_valid_move_recompletes_locally(d, pinned, pattern)
+    assert moves == 15084
 
 
 def test_moves_from_the_searched_patterns_recomplete_locally():

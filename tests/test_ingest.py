@@ -198,6 +198,16 @@ def test_min_max_errors():
         I.min_max_apply(other, params)
 
 
+def test_min_max_rejects_a_column_named_twice():
+    # applying the pair would scale x twice and leave it outside [0, 1]
+    t = mk([I.ColumnSpec("x", "continuous"), I.ColumnSpec("y", "continuous")],
+           [[2.0, 0.0], [4.0, 1.0], [6.0, 2.0]], [0, 1, 2])
+    with pytest.raises(SchemaError, match="names a column twice"):
+        I.min_max_fit(t, ["x", "y", "x"], np.ones(3, dtype=bool))
+    with pytest.raises(SchemaError, match="names a column twice"):
+        I.ScalerParams(("x", "x"), (2.0, 2.0), (6.0, 6.0), fitted_on=3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
 def test_min_max_rejects_non_finite_train_values_and_bounds(bad):
     # a NaN or infinite train cell would give NaN bounds, and scaling would
