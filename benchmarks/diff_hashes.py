@@ -4,13 +4,14 @@ bit-identical.
 
     python benchmarks/diff_hashes.py [REV]
 
-``REV`` defaults to ``HEAD``.  The script checks ``REV`` out into a
-temporary directory with ``git worktree add --detach``, runs that tree's
-own ``benchmarks/output_hashes.py`` against that tree's ``src`` and then
-this checkout's against this checkout's ``src`` (its working files, edits
+``REV`` defaults to ``HEAD``.  The script extracts ``REV`` into a
+temporary directory with ``git archive`` and ``tar``, runs that tree's own
+``benchmarks/output_hashes.py`` against that tree's ``src`` and then this
+checkout's against this checkout's ``src`` (its working files, edits
 included), prints a unified diff of the two outputs and exits 1 on any
-difference.  The worktree is removed at the end.  It needs no network;
-each ``output_hashes.py`` run takes a few seconds.
+difference.  It writes nothing under ``.git``, and the temporary directory
+goes at the end.  It needs no network; each ``output_hashes.py`` run takes
+a few seconds.
 """
 
 import difflib
@@ -32,14 +33,11 @@ def hashes(tree: Path) -> list[str]:
 
 
 def main(rev: str) -> int:
-    git = ["git", "-C", str(ROOT), "worktree"]
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "rev"
-        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
-        try:
-            old = hashes(tree)
-        finally:
-            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+        tree = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+        old = hashes(tree)
     new = hashes(ROOT)
     diff = list(difflib.unified_diff(old, new, rev, "checkout"))
     sys.stdout.writelines(diff)

@@ -69,7 +69,7 @@ def test_ges_forward_phase(benchmark, wide_train, wide):
     names, _ = wide
 
     def forward():
-        st = discovery._State(len(names), ())
+        st = graphs._Pdag(len(names))
         sc = discovery._Scorer(wide_train, names, None, stats.WarningCounter())
         return discovery._forward_phase(st, discovery._Inserts(sc, discovery.DiscoveryConfig().max_parents))
 
@@ -98,13 +98,12 @@ def test_learner_wide(benchmark, wide_train, targets, learner):
 def test_extension_step_wide(benchmark, wide_train, targets):
     cfg = discovery.DiscoveryConfig(use_interventions=True)
     pattern = discovery.gies(wide_train, cfg, targets, warn=stats.WarningCounter())
-    names, start = graphs._indexed(pattern.nodes, pattern.directed, pattern.undirected)
-    pinned = graphs._mask(k for k, v in enumerate(names) if v in pattern.meta["intervened"])
+    names, start = graphs._indexed(pattern.nodes, pattern.directed, pattern.undirected, pattern.meta["intervened"])
 
     def step():
         g = start.copy()
         graphs._extend(g)
-        graphs.recomplete(g, pinned, {graphs._canon(a, b) for a, b in g.directed()})
+        graphs.recomplete(g, {graphs._canon(a, b) for a, b in g.directed()})
         return g
 
     out = benchmark(step)
@@ -117,7 +116,7 @@ def test_move_wide(benchmark, wide_train, wide):
     names, _ = wide
     sc = discovery._Scorer(wide_train, names, None, stats.WarningCounter())
     inserts = discovery._Inserts(sc, discovery.DiscoveryConfig().max_parents)
-    st = discovery._State(len(names), ())
+    st = graphs._Pdag(len(names))
     for _ in range(100):
         st = discovery._apply_insert(st, *inserts.best(st)[1:])
     move = inserts.best(st)[1:]

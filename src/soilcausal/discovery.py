@@ -29,14 +29,15 @@ neighbour sets are bitmasks over the index labels 0..d-1 of the
 name-sorted columns, and edit it in place; ``graphs.reachable`` is their
 one reachability search.  PC prunes a boolean adjacency matrix level by
 level, then builds the ``_Pdag`` of what is left, orients the colliders
-and runs the Meek rules on it.  Each greedy move edits a copy of the
-current state and completes that copy in place with
-``graphs.recomplete``, which re-reads only the edges at the ends of the
-pairs that change.  A move checks Chickering's validity conditions again
-first and raises ``GraphError`` when they fail.  The turning phase
-projects its turned extension with the same ``recomplete``, over every
-edge.  No ``Dag`` or ``Cpdag`` is built on the way; each learner names its
-result with ``graphs._labelled`` and validates one ``Cpdag``.
+and runs the Meek rules on it.  The greedy state is a pattern that pins
+the columns some row intervenes on.  Each move edits a copy of it and
+completes that copy in place with ``graphs.recomplete``, which re-reads
+only the edges at the ends of the pairs that change.  A move checks
+Chickering's validity conditions again first and raises ``GraphError``
+when they fail.  The turning phase projects its turned extension with the
+same ``recomplete``, over every edge.  No ``Dag`` or ``Cpdag`` is built on
+the way; each learner names its result with ``graphs._labelled`` and
+validates one ``Cpdag``.
 
 ``ges`` and ``gies`` share one greedy core.  It runs on the index labels,
 so the graph algebra breaks ties exactly as it would on the names.  One
@@ -69,11 +70,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, require_count, require_level
+from .errors import ConfigError, GraphError, require_count, require_labels, require_level
 from .graphs import (
     Cpdag,
     _canon,
     _extend,
+    _indexed,
     _is_clique,
     _labelled,
     _mask,
@@ -285,18 +287,6 @@ class _Scorer:
 _NEIGHBOR_SET_CAP = 3  # largest T/H subset tried per insert/delete candidate
 
 
-class _State(_Pdag):
-    """The current (interventional) pattern over the index labels 0..d-1,
-    and the bitmask ``intervened`` of the nodes whose edges interventions
-    pin.  The moves take a state for the pattern of its class, as every
-    state the search makes is; one built from given edges must be one
-    too."""
-
-    def __init__(self, d: int, intervened, directed=(), undirected=()):
-        super().__init__(d, directed, undirected)
-        self.intervened = _mask(intervened)
-
-
 def _semi(g: _Pdag) -> list:
     """Each node's semi-directed successors, its children and undirected
     neighbours, as bitmasks."""
@@ -309,7 +299,7 @@ def _subsets(pool, cap):
         yield from itertools.combinations(pool, size)
 
 
-def _local_inserts(st: _State, sc: _Scorer, y: int, max_parents) -> list:
+def _local_inserts(st: _Pdag, sc: _Scorer, y: int, max_parents) -> list:
     """Insert(x, y, T) candidates that pass every check local to y, as
     sorted (-gain, x, y, T, base) tuples, base a bitmask: gain above
     tolerance, at most ``max_parents`` parents, and base = NA(y, x) | T a
@@ -365,11 +355,11 @@ class _Inserts:
 
     def __init__(self, sc: _Scorer, max_parents):
         self.sc, self.max_parents = sc, max_parents
-        self.seen: _State | None = None
+        self.seen: _Pdag | None = None
         self.lists: dict[int, list] = {}
         self.reach: dict[tuple[int, int], int] = {}
 
-    def _catch_up(self, st: _State) -> None:
+    def _catch_up(self, st: _Pdag) -> None:
         old, self.seen = self.seen, st
         if old is None:  # nothing is kept yet
             return
@@ -385,7 +375,7 @@ class _Inserts:
         if succ:
             self.reach = {k: r for k, r in self.reach.items() if not r & succ}
 
-    def best(self, st: _State):
+    def best(self, st: _Pdag):
         self._catch_up(st)
         for y in st.nodes:
             if y not in self.lists:
@@ -401,7 +391,7 @@ class _Inserts:
         return None
 
 
-def _delete_candidates(st: _State, sc: _Scorer):
+def _delete_candidates(st: _Pdag, sc: _Scorer):
     """Valid single-edge deletions: Delete(x, y, H)."""
     best = None
     # both roles of an undirected edge appear
@@ -423,7 +413,7 @@ def _delete_candidates(st: _State, sc: _Scorer):
     return best
 
 
-def _apply_insert(st: _State, x, y, t) -> _State:
+def _apply_insert(st: _Pdag, x, y, t) -> _Pdag:
     """Insert(x, y, T): x->y, and T's undirected edges at y oriented into
     y.  It is valid (Chickering 2002, Theorem 15) when x and y are not
     adjacent, T holds neighbours of y not adjacent to x, NA(y, x) | T is a
@@ -441,11 +431,11 @@ def _apply_insert(st: _State, x, y, t) -> _State:
     g.orient(x, y)
     for n in t:
         g.orient(n, y)
-    recomplete(g, g.intervened, {_canon(x, y), *(_canon(n, y) for n in t)})
+    recomplete(g, {_canon(x, y), *(_canon(n, y) for n in t)})
     return g
 
 
-def _apply_delete(st: _State, x, y, h) -> _State:
+def _apply_delete(st: _Pdag, x, y, h) -> _Pdag:
     """Delete(x, y, H): cut x->y or x-y and orient y-n and x-n as y->n and
     x->n for n in H.  It is valid (Chickering 2002, Theorem 17) when H holds
     neighbours of y adjacent to x and the rest of those is a clique; else
@@ -459,31 +449,30 @@ def _apply_delete(st: _State, x, y, h) -> _State:
         g.orient(y, n)
         if g.und[x] >> n & 1:
             g.orient(x, n)
-    recomplete(g, g.intervened, {_canon(x, y), *(_canon(a, n) for n in h for a in (x, y))})
+    recomplete(g, {_canon(x, y), *(_canon(a, n) for n in h for a in (x, y))})
     return g
 
 
-def _forward_phase(st: _State, inserts: _Inserts) -> _State:
+def _forward_phase(st: _Pdag, inserts: _Inserts) -> _Pdag:
     while (got := inserts.best(st)) is not None:
         st = _apply_insert(st, *got[1:])
     return st
 
 
-def _backward_phase(st: _State, sc) -> _State:
+def _backward_phase(st: _Pdag, sc) -> _Pdag:
     while (got := _delete_candidates(st, sc)) is not None:
         st = _apply_delete(st, *got[1:])
     return st
 
 
-def _turning_phase(st: _State, sc, cfg) -> _State:
+def _turning_phase(st: _Pdag, sc, cfg) -> _Pdag:
     """Reverse directed edges of a class representative whenever the swap
     strictly improves the (interventional) score and keeps acyclicity.
     The phase ends when a turn projects back onto the pattern it started
     from: the next pass would pick the same turn again."""
     while True:
         ext = st.copy()
-        if _extend(ext):  # every state is a pattern, which sink elimination extends
-            raise GraphError("the turning phase's state has no consistent extension")
+        _extend(ext)  # every pattern has an extension; a state that is none raises
         pa = ext.pa
 
         best = None
@@ -510,7 +499,7 @@ def _turning_phase(st: _State, sc, cfg) -> _State:
         _, a, b = best
         ext.cut(a, b)
         ext.orient(b, a)
-        recomplete(ext, ext.intervened, {_canon(u, v) for u, v in ext.directed()})
+        recomplete(ext, {_canon(u, v) for u, v in ext.directed()})
         if (ext.pa, ext.und) == (st.pa, st.und):  # parents and lines fix every edge
             return st
         st = ext
@@ -528,8 +517,7 @@ def _greedy_search(table, cfg, row_targets, warn) -> Cpdag:
     names = tuple(sorted(table.names))
     sc = _Scorer(table, names, row_targets, warn)
     turning = row_targets is not None
-    intervened = frozenset().union(*row_targets) if turning else frozenset()
-    st = _State(len(names), (k for k, n in enumerate(names) if n in intervened))
+    st = _indexed(names, pinned=frozenset().union(*row_targets) if turning else ())[1]
     inserts = _Inserts(sc, cfg.max_parents)
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -555,17 +543,12 @@ def per_row_targets(table, intervention_targets) -> list[frozenset]:
     targets = {} if intervention_targets is None else intervention_targets
     if not isinstance(targets, Mapping):
         raise ConfigError(f"intervention targets must map treatment -> columns, got {targets!r}")
-    mapping = {}
-    for t, nodes in targets.items():
-        try:
-            if isinstance(nodes, str):
-                raise TypeError
-            mapping[str(t)] = frozenset(nodes)  # TypeError: no iterable, or unhashable items
-        except TypeError:
-            raise ConfigError(f"treatment {t!r} must name a collection of columns, got {nodes!r}") from None
-    unknown = sorted(
-        n for s in mapping.values() for n in s if n not in set(table.names)
-    )
+    mapping = {
+        str(t): require_labels(nodes, ConfigError(f"treatment {t!r} must name a collection of columns, got {nodes!r}"))
+        for t, nodes in targets.items()
+    }
+    # repr orders labels of any types, which need not compare with each other
+    unknown = sorted(set().union(*mapping.values()) - set(table.names), key=repr)
     if unknown:
         raise ConfigError(f"intervention targets name unknown columns {unknown}")
     return [mapping.get(t, frozenset()) for t in table.treatment]

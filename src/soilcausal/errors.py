@@ -1,6 +1,6 @@
-"""Shared exception types and the checks of count, rate and level arguments
-that raise them.  The exit codes named below are those of the command-line
-interface that ROADMAP item 1 plans; no module maps them yet."""
+"""Shared exception types and the checks of count, rate, level and label
+arguments that raise them.  The exit codes named below are those of the
+command-line interface that ROADMAP item 1 plans; no module maps them yet."""
 
 import math
 from numbers import Integral, Real
@@ -41,3 +41,14 @@ def require_level(value, message: str) -> None:
     bool, strictly between 0 and 1 (a significance level)."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < 1.0:
         raise ConfigError(message)
+
+
+def require_labels(value, error: Exception) -> frozenset:
+    """``value`` as a frozenset; ``error`` for a string (one label, not the
+    collection of its characters), a non-iterable or an unhashable item."""
+    if not isinstance(value, str):
+        try:
+            return frozenset(value)
+        except TypeError:
+            pass
+    raise error

@@ -8,11 +8,11 @@ map commutes with every operation.
 
 Every edit goes through one editable graph, ``_Pdag``, over the index
 labels 0..d-1, which keeps each node's parents, children, undirected
-neighbours and adjacent nodes as int bitmasks: Meek closure and sink
-elimination orient and extend it in place, and so do the learners in
-``discovery``.  This module owns that format, with ``_mask`` and
-``_members`` to convert a bitmask, and ``reachable``, the one
-reachability search, over successor bitmasks.  The public functions map
+neighbours and adjacent nodes, and its pinned nodes, as int bitmasks: Meek
+closure and sink elimination orient and extend it in place, and so do the
+learners in ``discovery``.  This module owns that format, with ``_mask``
+and ``_members`` to convert a bitmask, ``reachable``, the one reachability
+search, and ``_order``, the one topological order.  The public functions map
 their labels to the indices of the sorted labels and back, through
 ``_indexed`` and ``_labelled``; the learners name their results with the
 same ``_labelled``.  One projection, ``recomplete``, turns the graph into
@@ -35,36 +35,13 @@ Conventions
 from __future__ import annotations
 
 import copy
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .errors import GraphError
+from .errors import GraphError, require_labels
 
 
 def _canon(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
-
-
-def _kahn(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Topological order with lexicographic tie-breaking, or None on a cycle."""
-    nodes = list(nodes)
-    indeg = {v: 0 for v in nodes}
-    out: dict[str, list[str]] = {v: [] for v in nodes}
-    for a, b in edges:
-        indeg[b] += 1
-        out[a].append(b)
-    ready = [v for v in nodes if indeg[v] == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order if len(order) == len(nodes) else None
 
 
 def checked_graph(nodes, *edge_sets):
@@ -102,7 +79,7 @@ class Dag:
         nodes, edges = checked_graph(self.nodes, self.edges)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
-        if _kahn(self.nodes, self.edges) is None:
+        if _order(_indexed(nodes, edges)[1]) is None:
             raise GraphError("directed cycle")
 
 
@@ -129,7 +106,7 @@ class Cpdag:
             raise GraphError("pair directed in both directions")
         if dir_pairs & self.undirected:
             raise GraphError("pair both directed and undirected")
-        if _kahn(self.nodes, self.directed) is None:
+        if _order(_indexed(nodes, directed)[1]) is None:
             raise GraphError("cycle in directed part")
 
 
@@ -155,13 +132,14 @@ class _Pdag:
     """The one editable partially directed graph, over the index labels
     0..d-1: per node the bitmasks of its parents ``pa``, children ``ch``,
     undirected neighbours ``und`` and their union ``adj`` (bit w of
-    ``pa[v]`` is set when w->v).  Meek closure, sink elimination, class
-    projection and the learners edit it in place.  It is not validated;
-    ``Dag`` and ``Cpdag`` are built from it where a result leaves the graph
-    algebra."""
+    ``pa[v]`` is set when w->v), and the bitmask ``pinned`` of the nodes
+    whose edges keep their orientation.  Meek closure, sink elimination,
+    class projection and the learners edit it in place, unvalidated; the
+    ``Dag`` or ``Cpdag`` of a result that leaves the algebra validates it."""
 
-    def __init__(self, d: int, directed=(), undirected=()):
+    def __init__(self, d: int, directed=(), undirected=(), pinned: int = 0):
         self.nodes = range(d)
+        self.pinned = pinned
         self.pa, self.ch, self.und, self.adj = ([0] * d for _ in range(4))
         for a, b in directed:
             self.orient(a, b)
@@ -169,8 +147,7 @@ class _Pdag:
             self.join(a, b)
 
     def copy(self):
-        """A copy whose edits leave this graph as it is; any other
-        attribute (of a subclass) is shared."""
+        """A copy whose edits leave this graph as it is."""
         g = copy.copy(self)
         g.pa, g.ch, g.und, g.adj = list(self.pa), list(self.ch), list(self.und), list(self.adj)
         return g
@@ -205,17 +182,31 @@ class _Pdag:
         return {(a, b) for a in self.nodes for b in _members(self.und[a] >> a + 1 << a + 1)}
 
 
-def _indexed(nodes, directed=(), undirected=()) -> tuple[list, _Pdag]:
-    """The labels ``nodes`` sorted, and the ``_Pdag`` of the given edges
-    over their indices.  Index k is the k-th smallest label, so every tie
-    that the algebra breaks by index is the one over labels."""
+def _indexed(nodes, directed=(), undirected=(), pinned=()) -> tuple[list, _Pdag]:
+    """The labels ``nodes`` sorted, and the ``_Pdag`` of the given edges and
+    pinned labels over their indices.  Index k is the k-th smallest label,
+    so every tie that the algebra breaks by index is the one over labels."""
     names = sorted(nodes)
     index = {v: k for k, v in enumerate(names)}
     return names, _Pdag(
         len(names),
         [(index[a], index[b]) for a, b in directed],
         [(index[a], index[b]) for a, b in undirected],
+        _mask(index[v] for v in pinned),
     )
+
+
+def _order(g: _Pdag) -> list | None:
+    """The topological order of g's arrows, lowest ready index first (the
+    smallest by label, over ``_indexed``), or None on a directed cycle."""
+    order, done = [], 0
+    ready = _mask(v for v in g.nodes if not g.pa[v])
+    while ready:
+        v = (ready & -ready).bit_length() - 1
+        order.append(v)
+        done |= 1 << v
+        ready = ready & ~done | _mask(w for w in _members(g.ch[v]) if not g.pa[w] & ~done)
+    return order if len(order) == len(g.nodes) else None
 
 
 def _labelled(g: _Pdag, names) -> tuple[set, set]:
@@ -229,7 +220,8 @@ def _labelled(g: _Pdag, names) -> tuple[set, set]:
 
 def topological_sort(g: Dag) -> tuple[str, ...]:
     """Deterministic topological order, ties broken by label."""
-    return tuple(_kahn(g.nodes, g.edges))
+    names, h = _indexed(g.nodes, g.edges)
+    return tuple(names[k] for k in _order(h))
 
 
 def in_neighbors(g: Dag, node: str) -> frozenset[str]:
@@ -298,10 +290,9 @@ def _meek(g: _Pdag) -> None:
                     break
 
 
-def _extend(g: _Pdag) -> bool:
-    """Orient every undirected edge of g in place by sink elimination (see
-    ``consistent_extension``).  True when no node qualified as a sink and
-    the fallback oriented the rest."""
+def _extend(g: _Pdag) -> None:
+    """Orient every undirected edge of g in place by sink elimination, or
+    raise GraphError (see ``consistent_extension``)."""
     # Every edge between a removed node and the rest points into the removed
     # node, and edges among the rest are never edited, so g itself, read
     # around ``removed``, is the graph over the nodes not yet eliminated.
@@ -321,23 +312,16 @@ def _extend(g: _Pdag) -> bool:
         removed |= 1 << x
         sinks &= ~(1 << x)
         sinks |= _mask(y for y in _members(g.adj[x] & ~removed) if qualifies(y))
-    if removed.bit_count() == len(g.nodes):
-        return False
-    order = _kahn(g.nodes, g.directed())
-    if order is None:  # sinks add no cycle, so the input had one
-        raise GraphError("cycle in directed part")
-    pos = {v: i for i, v in enumerate(order)}
-    for a, b in sorted(g.undirected()):
-        g.orient(*((a, b) if pos[a] < pos[b] else (b, a)))
-    return True
+    if removed.bit_count() != len(g.nodes):
+        raise GraphError("the pattern has no consistent extension")
 
 
-def _protected(g: _Pdag, a, b, pinned: int) -> bool:
-    """Whether the arrow a->b is strongly protected in g: it touches a node
-    of the bitmask ``pinned``, or it sits in one of the configurations
+def _protected(g: _Pdag, a, b) -> bool:
+    """Whether the arrow a->b is strongly protected in g: it touches a
+    pinned node, or it sits in one of the configurations
     c->a->b (c, b non-adjacent), a->b<-c (c, a non-adjacent), a->c->b, or
     a-c->b, a-d->b (c, d non-adjacent)."""
-    if (pinned >> a | pinned >> b) & 1:
+    if (g.pinned >> a | g.pinned >> b) & 1:
         return True
     pa_b, adj = g.pa[b], g.adj
     if g.pa[a] & ~adj[b] or pa_b & ~(adj[a] | 1 << a) or g.ch[a] & pa_b:
@@ -345,13 +329,13 @@ def _protected(g: _Pdag, a, b, pinned: int) -> bool:
     return not _is_clique(g.und[a] & pa_b, adj)
 
 
-def recomplete(g: _Pdag, pinned: int, pairs) -> None:
+def recomplete(g: _Pdag, pairs) -> None:
     """Turn g in place into the (interventional) pattern of its class, for
     a graph g that was such a pattern until the edges of the node pairs
     ``pairs`` were edited, and whose edited form has a consistent
-    extension, as every valid greedy move's has.  ``pinned`` is the
-    bitmask of the nodes whose edges keep their orientation.  A DAG is the
-    empty pattern with every adjacent pair edited (see ``cpdag_of``).
+    extension, as every valid greedy move's has.  The edges at the nodes
+    of ``g.pinned`` keep their orientation.  A DAG is the empty pattern
+    with every adjacent pair edited (see ``cpdag_of``).
 
     Every consistent extension of g has g's skeleton, its colliders and its
     arrows at pinned nodes, and the pattern is the Meek closure of those
@@ -392,7 +376,7 @@ def recomplete(g: _Pdag, pinned: int, pairs) -> None:
         check = {(a, b) for a in ends for b in _members(ch[a])} | {(b, a) for a in ends for b in _members(pa[a])}
         todo = set()
         for u, v in check:
-            if ch[u] >> v & 1 and not _protected(g, u, v, pinned):
+            if ch[u] >> v & 1 and not _protected(g, u, v):
                 g.cut(u, v)
                 g.join(u, v)
                 todo.add(_canon(u, v))
@@ -406,10 +390,12 @@ def cpdag_of(dag: Dag, pinned=frozenset()) -> Cpdag:
     direction of its edges (the interventional class of Hauser & Buehlmann
     2012).  On a DAG the Meek pass of ``recomplete`` finds no line to
     orient, and its second pass is ReplaceUnprotected over every arrow."""
-    if isinstance(pinned, str) or not set(pinned) <= set(dag.nodes):
-        raise GraphError(f"pinned must be a collection of the DAG's node labels, got {pinned!r}")
-    names, g = _indexed(dag.nodes, dag.edges)
-    recomplete(g, _mask(k for k, v in enumerate(names) if v in pinned), {_canon(a, b) for a, b in g.directed()})
+    error = GraphError(f"pinned must be a collection of the DAG's node labels, got {pinned!r}")
+    pinned = require_labels(pinned, error)
+    if not pinned <= set(dag.nodes):
+        raise error
+    names, g = _indexed(dag.nodes, dag.edges, pinned=pinned)
+    recomplete(g, {_canon(a, b) for a, b in g.directed()})
     return Cpdag(dag.nodes, *_labelled(g, names))
 
 
@@ -446,14 +432,14 @@ def consistent_extension(g: Cpdag) -> Dag:
     neighbours' edges, and a node not adjacent to x keeps its verdict, so
     only x's neighbours are tested again.
 
-    If no node qualifies the pattern admits no consistent extension; the
-    leftover undirected edges are then oriented along a topological order of
-    the already-directed part (label ties first) and the result is flagged
-    with ``meta["extension_fallback"] = True``.
+    A node qualifies whenever the remaining graph has a consistent
+    extension, and removing it leaves a graph that still has one (Dor &
+    Tarsi 1992), so elimination stalls only on a pattern without one, such
+    as a chordless cycle of lines, and then raises ``GraphError``.
     """
     names, out = _indexed(g.nodes, g.directed, g.undirected)
-    fallback = _extend(out)
-    return Dag(g.nodes, _labelled(out, names)[0], meta={"extension_fallback": fallback})
+    _extend(out)
+    return Dag(g.nodes, _labelled(out, names)[0])
 
 
 def _edge_status(g: Cpdag) -> dict[tuple[str, str], tuple[str, str | None]]:

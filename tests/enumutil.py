@@ -1,8 +1,9 @@
-"""Shared brute-force oracles for the test suite: labeled-DAG enumeration,
-(interventional) Markov-equivalence classes, extension sets, a whole-graph
-pattern projection and completion, random graph generators, a sorted-scan
-sink elimination, set-based neighbour maps, clique check and reachability
-search, the exact covariance of a linear SCM and its
+"""Shared brute-force oracles for the test suite: an acyclicity check and
+``outcome``, which reads a ``GraphError`` as its message, labeled-DAG
+enumeration, (interventional) Markov-equivalence classes, extension sets,
+a whole-graph pattern projection and completion, random graph generators,
+a sorted-scan sink elimination, set-based neighbour maps, clique check and
+reachability search, the exact covariance of a linear SCM and its
 ancestral subgraphs, PC answered exactly from that covariance, a
 one-test-at-a-time PC skeleton search, a one-x-at-a-time enumeration of
 GES insertions and a move chooser that keeps nothing between steps, a
@@ -49,6 +50,20 @@ def continuous_table(names, rows, target=None):
     )
 
 
+def acyclic(labels, edges) -> bool:
+    """Whether no edge a->b has a directed path from b back to a."""
+    ch = neighbour_maps(labels, edges).ch
+    return not any(a in reach(ch.__getitem__, b) for a, b in edges)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the message of the ``GraphError`` it raises."""
+    try:
+        return f(*args)
+    except GraphError as e:
+        return str(e)
+
+
 def all_dags(labels: tuple[str, ...]) -> list[frozenset[tuple[str, str]]]:
     """Every labeled DAG edge set over `labels` (pair-state enumeration)."""
     pairs = list(combinations(labels, 2))
@@ -60,7 +75,7 @@ def all_dags(labels: tuple[str, ...]) -> list[frozenset[tuple[str, str]]]:
                 edges.add((a, b))
             elif state == 2:
                 edges.add((b, a))
-        if G._kahn(labels, edges) is not None:
+        if acyclic(labels, edges):
             out.append(frozenset(edges))
     return out
 
@@ -119,29 +134,27 @@ def colliders(nodes, directed, undirected=()) -> frozenset[tuple]:
     )
 
 
-def project(g: G._Pdag, pinned=frozenset()) -> None:
+def project(g: G._Pdag) -> None:
     """Turn the DAG g in place into the (interventional) pattern of its
     class over the whole graph: every arrow that is neither in a collider
-    nor at a node of ``pinned`` becomes a line, then the Meek rules close
-    it.  ``graphs.recomplete`` reaches the same graph by
-    ReplaceUnprotected."""
+    nor at a pinned node becomes a line, then the Meek rules close it.
+    ``graphs.recomplete`` reaches the same graph by ReplaceUnprotected."""
     forced: set = set()
     for a, c, b in colliders(g.nodes, g.directed(), g.undirected()):
         forced.update(((a, c), (b, c)))
     for a, b in g.directed():
-        if (a, b) not in forced and a not in pinned and b not in pinned:
+        if (a, b) not in forced and not (g.pinned >> a | g.pinned >> b) & 1:
             g.cut(a, b)
             g.join(a, b)
     G._meek(g)
 
 
-def complete(g: G._Pdag, pinned=frozenset()) -> bool:
+def complete(g: G._Pdag) -> None:
     """Chickering's completion in place, over the whole graph: orient the
     PDAG g into a member of its class by sink elimination, then ``project``
-    that member.  True when the extension fell back."""
-    fallback = G._extend(g)
-    project(g, pinned)
-    return fallback
+    that member.  GraphError when g has no consistent extension."""
+    G._extend(g)
+    project(g)
 
 
 def equivalence_classes(labels, dags, pinned=frozenset()):
@@ -181,7 +194,7 @@ def extension_set(pattern: G.Cpdag) -> set[frozenset]:
         edges = set(pattern.directed)
         for k, (a, b) in enumerate(und):
             edges.add((a, b) if (bits >> k) & 1 else (b, a))
-        if G._kahn(pattern.nodes, edges) is None:
+        if not acyclic(pattern.nodes, edges):
             continue
         if colliders(pattern.nodes, edges) == want:
             out.add(frozenset(edges))
@@ -214,10 +227,10 @@ def random_pattern(rng: random.Random, labels) -> G.Cpdag:
 def reference_consistent_extension(g: G.Cpdag) -> G.Dag:
     """``graphs.consistent_extension`` by rescanning: each round sorts the
     remaining nodes and takes the first, largest label, that qualifies as a
-    sink, testing every remaining node again."""
+    sink, testing every remaining node again.  GraphError when no node
+    qualifies."""
     remaining = set(g.nodes)
     oriented = set(g.directed)
-    undirected = set(g.undirected)
     maps = neighbour_maps(g.nodes, g.directed, g.undirected)
     adj, children, und = maps.adj, maps.ch, maps.und
 
@@ -229,21 +242,16 @@ def reference_consistent_extension(g: G.Cpdag) -> G.Dag:
     while remaining:
         x = next((v for v in sorted(remaining, reverse=True) if qualifies(v)), None)
         if x is None:
-            order = G._kahn(g.nodes, oriented)
-            pos = {v: i for i, v in enumerate(order)}
-            for a, b in sorted(undirected):
-                oriented.add((a, b) if pos[a] < pos[b] else (b, a))
-            return G.Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": True})
+            raise GraphError("the pattern has no consistent extension")
         oriented.update((y, x) for y in und[x])
         remaining.discard(x)
         for y in adj.pop(x, set()):
             adj[y].discard(x)
             und[y].discard(x)
             children[y].discard(x)
-            undirected.discard(G._canon(x, y))
         und.pop(x, None)
         children.pop(x, None)
-    return G.Dag(g.nodes, frozenset(oriented), meta={"extension_fallback": False})
+    return G.Dag(g.nodes, frozenset(oriented))
 
 
 def analytic_covariance(scm, rate_overrides: dict[str, float] | None = None) -> np.ndarray:

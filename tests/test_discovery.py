@@ -19,7 +19,6 @@ from soilcausal.discovery import (
     _Inserts,
     _local_inserts,
     _Scorer,
-    _State,
     _subsets,
     _turning_phase,
     ges,
@@ -31,6 +30,8 @@ from soilcausal.errors import ConfigError, GraphError, NumericError
 from soilcausal.graphs import (
     Cpdag,
     Dag,
+    _mask,
+    _Pdag,
     consistent_extension,
     cpdag_of,
     shd,
@@ -61,6 +62,7 @@ from enumutil import (
     induced_subdag,
     is_clique,
     neighbour_maps,
+    outcome,
     pc_oracle,
     random_dag,
     random_pattern,
@@ -476,7 +478,7 @@ def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
     data[:, -1] = data[:, 0]
     names = tuple(f"c{k}" for k in nodes)
     pattern = random_pattern(rng, nodes)
-    state = _State(d, (), pattern.directed, pattern.undirected)
+    state = _Pdag(d, pattern.directed, pattern.undirected)
     got_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
     want_sc = _Scorer(continuous_table(names, data), names, None, WarningCounter())
     for y in nodes:
@@ -485,8 +487,7 @@ def test_grouped_inserts_match_one_x_at_a_time(seed, d, max_parents):
         assert got == [cand[:4] for cand in reference_local_inserts(state, want_sc, y, max_parents)]
     assert got_sc.cache == want_sc.cache
     assert got_sc.warn == want_sc.warn
-    got, want = consistent_extension(pattern), reference_consistent_extension(pattern)
-    assert (got, got.meta) == (want, want.meta)
+    assert outcome(consistent_extension, pattern) == outcome(reference_consistent_extension, pattern)
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
@@ -511,7 +512,7 @@ def test_kept_inserts_choose_the_reference_move(seed, d, max_parents, interventi
     sc = _Scorer(table, names, rows, WarningCounter())
     ref_sc = _Scorer(table, names, rows, WarningCounter())
     cfg = DiscoveryConfig(max_parents=max_parents)
-    inserts, state, steps = _Inserts(sc, max_parents), _State(d, intervened), 0
+    inserts, state, steps = _Inserts(sc, max_parents), _Pdag(d, pinned=_mask(intervened)), 0
     for _ in range(3):
         while True:
             got = inserts.best(state)
@@ -544,7 +545,7 @@ class _RoundingScorer:
 def test_turning_phase_ends_when_a_turn_projects_back_onto_its_pattern():
     # the turn of the covered edge in 0 - 1 projects back onto 0 - 1, so
     # every pass would extend the same pattern and pick the same turn
-    state = _State(2, (), (), [(0, 1)])
+    state = _Pdag(2, undirected=[(0, 1)])
     got = _turning_phase(state, _RoundingScorer(), DiscoveryConfig(max_parents=3))
     assert (got.directed(), got.undirected()) == (set(), {(0, 1)})
 
@@ -553,7 +554,7 @@ def test_turning_phase_raises_when_its_state_has_no_extension():
     # a state that is not a pattern: the chordless cycle 0 - 1 - 2 - 3 - 0
     # has no consistent extension, and the phase raises instead of turning
     # a fallback's edges
-    state = _State(4, (), (), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    state = _Pdag(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(GraphError, match="no consistent extension"):
         _turning_phase(state, _RoundingScorer(), DiscoveryConfig(max_parents=3))
 
@@ -564,13 +565,13 @@ def test_moves_complete_a_copy_and_leave_the_state(seed, d):
     # every insert and delete on the interventional pattern of a random DAG,
     # with random T/H sets and pinned nodes: a valid move returns its own
     # completed graph, equal to extending and projecting the edited edge
-    # sets through the validated types without a fallback, and an invalid
-    # one raises; either way the state it copied keeps every neighbour set
-    # (a shallow copy would share them)
+    # sets through the validated types, and an invalid one raises; either
+    # way the state it copied keeps every neighbour set (a shallow copy
+    # would share them)
     rng = random.Random(seed)
     pinned = frozenset(v for v in range(d) if rng.random() < 0.3)
     pattern = cpdag_of(random_dag(rng, tuple(range(d))), pinned)
-    state = _State(d, pinned, pattern.directed, pattern.undirected)
+    state = _Pdag(d, pattern.directed, pattern.undirected, _mask(pinned))
     m = neighbour_maps(range(d), pattern.directed, pattern.undirected)
     before = _maps(state)
     semi = lambda v: m.und[v] | m.ch[v]  # noqa: E731
@@ -606,7 +607,6 @@ def test_moves_complete_a_copy_and_leave_the_state(seed, d):
         ext = consistent_extension(Cpdag(state.nodes, directed, undirected))
         want = cpdag_of(ext, pinned)
         assert (got.directed(), got.undirected()) == (want.directed, want.undirected)
-        assert not ext.meta["extension_fallback"]
 
 
 def test_local_recompletion_is_the_whole_graph_completion():
@@ -614,19 +614,19 @@ def test_local_recompletion_is_the_whole_graph_completion():
     # blocks of rows that intervene on random columns: every insert and
     # delete re-completes its copy locally, and every turn projects its
     # extension, with ``recomplete``; the result is the whole-graph
-    # reference completion of the same edited edges, whose extension does
-    # not fall back.  The moves seen include deletes, moves next to a
-    # pinned node, moves after a turn, and moves that shield a collider or
-    # create one
+    # reference completion of the same edited edges, which raises if they
+    # have no consistent extension.  The moves seen include deletes, moves
+    # next to a pinned node, moves after a turn, and moves that shield a
+    # collider or create one
     seen, turned = Counter(), [False]  # turned: in the search running now
     recomplete = discovery.recomplete
 
-    def checked_recomplete(g, pinned, pairs):
+    def checked_recomplete(g, pairs):
         whole = g.copy()
-        assert not complete(whole, {v for v in g.nodes if pinned >> v & 1})
-        recomplete(g, pinned, pairs)
+        complete(whole)
+        recomplete(g, pairs)
         assert (g.directed(), g.undirected()) == (whole.directed(), whole.undirected())
-        seen["pinned"] += any(pinned >> v & 1 for p in pairs for v in p)
+        seen["pinned"] += any(g.pinned >> v & 1 for p in pairs for v in p)
 
     def counted(move, kind):
         def run(state, *args):
@@ -679,10 +679,10 @@ def _maps(s):
 def _every_valid_move_recompletes_locally(d, pinned, pattern):
     """Every insert and delete from ``pattern`` that meets Chickering's
     conditions (T or H of up to three nodes) completes a copy locally, and
-    equals the whole-graph completion of the same edited edges, whose
-    extension does not fall back, and the state it copied keeps every
-    neighbour set (a shallow copy would share them)."""
-    state = _State(d, pinned, pattern.directed, pattern.undirected)
+    equals the whole-graph completion of the same edited edges, and the
+    state it copied keeps every neighbour set (a shallow copy would share
+    them)."""
+    state = _Pdag(d, pattern.directed, pattern.undirected, _mask(pinned))
     m = neighbour_maps(range(d), pattern.directed, pattern.undirected)
     before = _maps(state)
     moves = []
@@ -707,7 +707,7 @@ def _every_valid_move_recompletes_locally(d, pinned, pattern):
             want.orient(a, b)
         if move is _apply_insert:
             want.orient(x, y)
-        assert not complete(want, pinned)
+        complete(want)
         assert (got.directed(), got.undirected()) == (want.directed(), want.undirected())
     return len(moves)
 
@@ -738,7 +738,7 @@ def test_moves_from_the_searched_patterns_recomplete_locally():
     # 0 - 2, then Insert(1, 2, {0}) creates the collider 0 -> 2 <- 1,
     # Insert(0, 1, {}) shields it, and Delete(0, 1, {2}) creates it again,
     # each completed locally
-    state = _apply_insert(_State(3, ()), 0, 2, ())
+    state = _apply_insert(_Pdag(3), 0, 2, ())
     assert (state.directed(), state.undirected()) == (set(), {(0, 2)})
     collider = _apply_insert(state, 1, 2, (0,))
     assert (collider.directed(), collider.undirected()) == ({(0, 2), (1, 2)}, set())
@@ -761,7 +761,7 @@ def test_invalid_moves_raise_and_leave_the_state(move, x, y, sets):
     # a move that fails Chickering's conditions has no local completion,
     # and the search never makes one: it raises before editing anything.
     # The state is the chain 0 - 1 - 2 - 3 that inserts make
-    chain = _State(4, ())
+    chain = _Pdag(4)
     for a, b in ((0, 1), (1, 2), (2, 3)):
         chain = _apply_insert(chain, a, b, ())
     before = _maps(chain)
@@ -984,11 +984,14 @@ def test_per_row_targets_validation():
         ({"red": "plough"}, "treatment 'red' must name a collection"),
         ({"red": None}, "treatment 'red' must name a collection"),
         ({"red": [["plough"]]}, "treatment 'red' must name a collection"),
+        ({"red": [1, "zz"]}, r"unknown columns \['zz', 1\]"),
+        ({"red": [None, "zz"], "blue": ["zz"]}, r"unknown columns \['zz', None\]"),
     ],
 )
 def test_per_row_targets_rejects_malformed_targets(targets, message):
     # a string is one column name, not the characters of one; a list is
-    # no column name
+    # no column name; unknown names of types that do not compare are
+    # named once each
     scm, envs = _pooled(30)
     t = sample_environments(scm, envs[:2])
     with pytest.raises(ConfigError, match=message):

@@ -10,7 +10,7 @@ independent recomputations exactly.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +27,7 @@ from enumutil import (
     complete,
     equivalence_classes,
     extension_set,
+    outcome,
     random_dag,
     random_pattern,
     reference_consistent_extension,
@@ -65,15 +66,21 @@ def test_cpdag_of_keeps_the_edges_of_pinned_nodes():
     assert G.cpdag_of(dag) == G.Cpdag(dag.nodes, frozenset(), {("a", "b"), ("b", "c")})
     assert G.cpdag_of(dag, frozenset({"c"})) == G.Cpdag(dag.nodes, {("b", "c")}, {("a", "b")})
     assert G.cpdag_of(dag, frozenset({"a"})) == G.Cpdag(dag.nodes, dag.edges, frozenset())
+    # any iterable of labels, read once
+    assert G.cpdag_of(dag, iter(["c"])) == G.cpdag_of(dag, frozenset({"c"}))
 
 
 def test_cpdag_of_rejects_pinned_labels_that_are_not_nodes():
-    # a label outside the DAG, and a string, which would be read as its
-    # characters: "ph" names the nodes h and p
+    # a label outside the DAG, a string, which would be read as its
+    # characters ("ph" names the nodes h and p), an unhashable label and
+    # no collection at all
     with pytest.raises(GraphError, match="pinned"):
         G.cpdag_of(G.Dag(("a", "b", "c"), {("a", "b")}), {"B"})
     with pytest.raises(GraphError, match="pinned"):
         G.cpdag_of(G.Dag(("h", "p", "x"), {("h", "p"), ("p", "x")}), "ph")
+    for pinned in ([["a"]], 5, None):
+        with pytest.raises(GraphError, match="pinned"):
+            G.cpdag_of(G.Dag(("a", "b", "c"), {("a", "b")}), pinned)
 
 
 def test_consistent_extension_lands_inside_the_class():
@@ -81,7 +88,6 @@ def test_consistent_extension_lands_inside_the_class():
     for members in classes.values():
         cp = class_cpdag(LABELS4, members)
         ext = G.consistent_extension(cp)
-        assert ext.meta["extension_fallback"] is False
         assert ext.edges in set(members)
         assert colliders(ext.nodes, ext.edges) == colliders(cp.nodes, cp.directed, cp.undirected)
 
@@ -178,9 +184,9 @@ def test_algebra_commutes_with_index_relabelling(seed, labels):
     indexed = G.Cpdag(nodes, to_index(named.directed), to_index(named.undirected))
     got, want = G.meek_closure(indexed), G.meek_closure(named)
     assert (to_names(got.directed), to_names(got.undirected)) == (want.directed, want.undirected)
-    got, want = G.consistent_extension(indexed), G.consistent_extension(named)
-    assert to_names(got.edges) == want.edges
-    assert got.meta == want.meta
+    # a pattern without a consistent extension raises in every labelling
+    ext, got = outcome(G.consistent_extension, named), outcome(G.consistent_extension, indexed)
+    assert (got == ext) if isinstance(ext, str) else (to_names(got.edges) == ext.edges)
     dag = random_dag(rng, names)
     got, want = G.cpdag_of(G.Dag(nodes, to_index(dag.edges))), G.cpdag_of(dag)
     assert (to_names(got.directed), to_names(got.undirected)) == (want.directed, want.undirected)
@@ -188,16 +194,16 @@ def test_algebra_commutes_with_index_relabelling(seed, labels):
     mixed = G.Cpdag(shuffled, named.directed, named.undirected)
     got, want = G.meek_closure(mixed), G.meek_closure(named)
     assert (got.nodes, got.directed, got.undirected) == (shuffled, want.directed, want.undirected)
-    got, want = G.consistent_extension(mixed), G.consistent_extension(named)
-    assert (got.nodes, got.edges, got.meta) == (shuffled, want.edges, want.meta)
+    got = outcome(G.consistent_extension, mixed)
+    assert (got == ext) if isinstance(ext, str) else ((got.nodes, got.edges) == (shuffled, ext.edges))
     got, want = G.cpdag_of(G.Dag(shuffled, dag.edges)), G.cpdag_of(dag)
     assert (got.nodes, got.directed, got.undirected) == (shuffled, want.directed, want.undirected)
 
 
-def test_consistent_extension_fallback_is_flagged_and_acyclic():
+def test_consistent_extension_raises_without_an_extension():
     # An undirected chain is extendable: sanity-check the happy path first.
     cp = G.Cpdag(("a", "b", "c"), frozenset(), {("a", "b"), ("b", "c")})
-    assert G.consistent_extension(cp).meta["extension_fallback"] is False
+    assert G.consistent_extension(cp).edges in extension_set(cp)
 
     # A chordless undirected 4-cycle admits no completion: every acyclic
     # orientation puts two in-edges from non-adjacent nodes on some corner.
@@ -207,49 +213,52 @@ def test_consistent_extension_fallback_is_flagged_and_acyclic():
         {("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")},
     )
     assert extension_set(stuck) == set()
-    ext = G.consistent_extension(stuck)
-    assert ext.meta["extension_fallback"] is True
-    assert ext.edges == frozenset({("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")})
+    with pytest.raises(GraphError, match="the pattern has no consistent extension"):
+        G.consistent_extension(stuck)
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(1, 12))
 def test_consistent_extension_matches_the_sorted_scan(seed, n):
     # random PDAGs, most of them no CPDAG and many with no extension, and
-    # their Meek closures: the kept sink set picks the scan's node each round
+    # their Meek closures: the kept sink set picks the scan's node each
+    # round, and both raise where no node qualifies
     rng = random.Random(seed)
     pattern = random_pattern(rng, tuple(f"v{k:02d}" for k in range(n)))
     for g in (pattern, G.meek_closure(pattern)):
-        got, want = G.consistent_extension(g), reference_consistent_extension(g)
-        assert got == want
-        assert got.meta == want.meta
+        assert outcome(G.consistent_extension, g) == outcome(reference_consistent_extension, g)
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(1, 12))
 @example(0, 3)  # every node is eliminated as a sink
-@example(0, 12)  # no sink is left: the fallback orients the rest
+@example(0, 12)  # no sink is left: both raise
 def test_complete_in_place_equals_the_public_composition(seed, n):
     # the whole-graph reference completion on one editable graph, with a
     # random pinned set, equals extending to a validated Dag and projecting
-    # that with ``cpdag_of`` (``recomplete`` over every edge), and the
-    # extension keeps the sorted scan's fallback flag
+    # that with ``cpdag_of`` (``recomplete`` over every edge), or raises
+    # with it
     rng = random.Random(seed)
     pattern = random_pattern(rng, tuple(range(n)))
     pinned = frozenset(v for v in pattern.nodes if rng.random() < 0.3)
-    ext = G.consistent_extension(pattern)
-    assert ext.meta == reference_consistent_extension(pattern).meta
-    want = G.cpdag_of(ext, pinned)
-    g = G._Pdag(n, pattern.directed, pattern.undirected)
-    assert complete(g, pinned) is ext.meta["extension_fallback"]
-    assert (g.directed(), g.undirected()) == (want.directed, want.undirected)
+    g = G._Pdag(n, pattern.directed, pattern.undirected, G._mask(pinned))
+
+    def completed():
+        complete(g)
+        return g.directed(), g.undirected()
+
+    def composed():
+        want = G.cpdag_of(G.consistent_extension(pattern), pinned)
+        return want.directed, want.undirected
+
+    assert outcome(completed) == outcome(composed)
 
 
 def test_extension_rejects_a_directed_cycle():
-    # the editable graph is not validated; sink elimination refuses a
-    # cycle as the validated Cpdag would
+    # the editable graph is not validated; sink elimination finds no sink
+    # on a cycle, which has no consistent extension
     g = G._Pdag(3, {(0, 1), (1, 2), (2, 0)})
-    with pytest.raises(GraphError, match="cycle in directed part"):
+    with pytest.raises(GraphError, match="no consistent extension"):
         G._extend(g)
 
 
@@ -317,6 +326,11 @@ def test_topological_sort_is_deterministic_and_valid():
     assert order == ("c", "d", "b", "a")  # ties by label
     pos = {v: i for i, v in enumerate(order)}
     assert all(pos[x] < pos[y] for x, y in dag.edges)
+    # every DAG on 4 labels, its nodes given in reverse: the order is the
+    # smallest topological permutation by label, which ``synth`` samples in
+    for edges in all_dags(LABELS4):
+        valid = [p for p in permutations(LABELS4) if all(p.index(x) < p.index(y) for x, y in edges)]
+        assert G.topological_sort(G.Dag(LABELS4[::-1], edges)) == min(valid)
 
 
 def test_validation_errors():
@@ -332,7 +346,7 @@ def test_validation_errors():
         G.Cpdag(("a", "b"), {("a", "b")}, {("a", "b")})
     with pytest.raises(GraphError):
         G.Cpdag(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")}, frozenset())
-    assert G._kahn(("a", "b"), {("a", "b"), ("b", "a")}) is None
+    assert G._order(G._Pdag(2, {(0, 1), (1, 0)})) is None
 
 
 # each graph type's edge input, as a function of one edge set over a, b, c
