@@ -1,8 +1,6 @@
 """Train tables shared by the layer benchmarks: the default farm sampled
 at 60 or 400 days, min-max scaled on and restricted to the train rows."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -14,15 +12,8 @@ def _train_table(paper_width: bool, n_days: int = 400):
     table = synth.sample_environments(scm, envs)
     if paper_width:
         table = ingest.add_field_onehots(ingest.lag_counts(table))
-    train = np.isin(table.treatment, synth.TRAIN_TREATMENTS)
-    table = ingest.min_max_apply(table, ingest.min_max_fit(table, table.names, train))
-    return replace(
-        table,
-        rows=table.rows[train],
-        timestamps=table.timestamps[train],
-        field_id=table.field_id[train],
-        treatment=table.treatment[train],
-    )
+    train, _ = ingest.split_by_treatment(table, synth.TRAIN_TREATMENTS, [synth.TEST_TREATMENT])
+    return ingest.min_max_apply(train, ingest.min_max_fit(train, train.names, np.ones(train.n, dtype=bool)))
 
 
 @pytest.fixture(scope="session")

@@ -41,22 +41,11 @@ predictions or scores as little-endian float64, or of JSON.
 import hashlib
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from soilcausal import baselines, discovery, gnn, ingest, stats, synth
-
-
-def _rows(table, mask):
-    return replace(
-        table,
-        rows=table.rows[mask],
-        timestamps=table.timestamps[mask],
-        field_id=table.field_id[mask],
-        treatment=table.treatment[mask],
-    )
 
 
 def _hash(arr) -> str:
@@ -85,10 +74,10 @@ def _farm(n_days, paper_width):
     """Min-max scaled (on the train rows) train and test tables, and the
     benchmark's treatment -> intervened-columns mapping."""
     table, envs = _sampled(n_days, paper_width)
-    train_mask = np.isin(table.treatment, synth.TRAIN_TREATMENTS)
-    table = ingest.min_max_apply(table, ingest.min_max_fit(table, table.names, train_mask))
+    train, held_out = ingest.split_by_treatment(table, synth.TRAIN_TREATMENTS, [synth.TEST_TREATMENT])
+    scaler = ingest.min_max_fit(train, train.names, np.ones(train.n, dtype=bool))
     targets = {t: sorted(nodes) for t, nodes in synth.targets_by_treatment(envs).items()}
-    return _rows(table, train_mask), _rows(table, table.treatment == synth.TEST_TREATMENT), targets
+    return ingest.min_max_apply(train, scaler), ingest.min_max_apply(held_out[synth.TEST_TREATMENT], scaler), targets
 
 
 class _RecordingScorer(discovery._Scorer):

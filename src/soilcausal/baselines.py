@@ -48,6 +48,7 @@ import numpy as np
 from . import engine
 from .errors import ConfigError, NumericError, require_count, require_rate
 from .gnn import GraphSkeleton
+from .graphs import sorted_labels
 from .ingest import require_finite
 from .seeding import derive_seed
 
@@ -589,7 +590,7 @@ def random_skeleton(nodes, target: str, n_edges: int = 50, seed: int = 0) -> Gra
     replacement over the sorted nodes, so the edges do not depend on the
     order ``nodes`` comes in; cycles allowed (message passing does not need
     a DAG)."""
-    nodes = tuple(sorted(nodes))
+    nodes = tuple(sorted_labels(nodes))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     message = f"asked for {n_edges!r} edges, an int between 0 and the {len(pairs)} ordered pairs that exist"
     require_count(n_edges, 0, message)

@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -102,7 +103,7 @@ def skeleton_from_pattern(pattern, nodes, target: str) -> GraphSkeleton:
     for a, b in pattern.undirected:
         edges.append((a, b))
         edges.append((b, a))
-    return GraphSkeleton(nodes=tuple(sorted(nodes)), edges=tuple(edges), target=target)
+    return GraphSkeleton(nodes=tuple(graphs.sorted_labels(nodes)), edges=tuple(edges), target=target)
 
 
 class ConvLayer(NamedTuple):
@@ -123,7 +124,10 @@ class LayerPlan:
 def layer_plan(skeleton: GraphSkeleton, depth: int) -> LayerPlan:
     """The target's receptive field, layer by layer, for ``depth``
     convolutions: a layer's in-set is its output nodes and their
-    in-neighbors.  Each fit and each prediction builds its own."""
+    in-neighbors.  Each fit and each prediction builds its own.
+    GraphError unless ``depth`` is an int, not a bool, of at least 0."""
+    if isinstance(depth, bool) or not isinstance(depth, Integral) or depth < 0:
+        raise GraphError(f"a convolution depth must be an int >= 0, got {depth!r}")
     slot = {node: i for i, node in enumerate(skeleton.nodes)}
     nbrs = [[slot[a] for a in skeleton.in_neighbors(node)] for node in skeleton.nodes]
     sets = [[slot[skeleton.target]]]  # output sets, from the target outward
@@ -146,8 +150,6 @@ def prune_to_target(skeleton: GraphSkeleton, hops: int) -> GraphSkeleton:
     nodes a stack of ``hops`` convolutions reads (``layer_plan``'s
     first in-set).  Training on it gives the same predictions and
     gradients as on the full skeleton."""
-    if hops < 0:
-        raise GraphError("hops must be nonnegative")
     keep = {skeleton.nodes[i] for i in layer_plan(skeleton, hops).reads}
     nodes = tuple(n for n in skeleton.nodes if n in keep)
     edges = tuple((a, b) for a, b in skeleton.edges if a in keep and b in keep)

@@ -25,7 +25,8 @@ Conventions
 -----------
 * An edge is a non-string pair, a 2-tuple or 2-list, of known and distinct
   labels; ``checked_graph`` checks the labels and edges of ``Dag``,
-  ``Cpdag`` and ``gnn.GraphSkeleton`` in this one place.
+  ``Cpdag`` and ``gnn.GraphSkeleton`` in this one place, and
+  ``sorted_labels`` the labels' order.
 * Directed edges are ordered ``(src, dst)`` pairs.
 * Undirected edges are stored canonically as ``(min, max)`` pairs and are
   never represented as two opposing directed edges.
@@ -44,15 +45,25 @@ def _canon(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def sorted_labels(nodes) -> list:
+    """The labels ``nodes`` in ascending order; GraphError for labels that
+    cannot be sorted against each other, such as 1 and "a"."""
+    try:
+        return sorted(nodes)
+    except TypeError as exc:
+        raise GraphError(f"node labels cannot be sorted against each other ({exc})") from exc
+
+
 def checked_graph(nodes, *edge_sets):
     """The labels ``nodes`` as a tuple, then each of ``edge_sets`` as a
-    frozenset of ``(a, b)`` tuples.  GraphError on a repeated label, an edge
-    that is not a tuple or list of two labels, a self-loop or an endpoint
-    outside ``nodes``."""
+    frozenset of ``(a, b)`` tuples.  GraphError on a repeated label, labels
+    that cannot be sorted against each other, an edge that is not a tuple or
+    list of two labels, a self-loop or an endpoint outside ``nodes``."""
     nodes = tuple(nodes)
     known = set(nodes)
     if len(known) != len(nodes):
         raise GraphError("duplicate node labels")
+    sorted_labels(nodes)
 
     def pair(e):
         if not isinstance(e, (tuple, list)) or len(e) != 2:

@@ -6,6 +6,11 @@ canonicalizes row order to (field_id, date) with a stable sort, so every
 downstream artifact is order-independent by design, and rejects a NaT day or
 a repeated (field, day) with SchemaError.
 
+The protocol's one row split, ``split_by_treatment``, selects the train
+rows and each held-out treatment's rows by their treatment tags.  It holds
+out whole fields: a field with rows on the train side and on a held-out
+side is a ConfigError, so no held-out field's rows reach training.
+
 Column kinds:
     continuous   real-valued observable (pH, totalC, lag counts, ...)
     one_hot      0/1 indicator, one column per label of its source_group
@@ -22,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, SchemaError
+from .errors import ConfigError, NumericError, SchemaError, require_labels
 
 KINDS = ("continuous", "one_hot", "event_count")
 
@@ -253,6 +258,61 @@ def select_columns(table: Table, names: Sequence[str]) -> Table:
         rows=table.rows[:, idx],
         target=table.target if table.target in names else "",
     )
+
+
+# ---------------------------------------------------------------------------
+# the protocol's row split
+# ---------------------------------------------------------------------------
+
+
+def _take_rows(table: Table, mask: np.ndarray) -> Table:
+    """Sub-table of the rows where ``mask`` holds, same schema and order."""
+    return replace(
+        table,
+        rows=table.rows[mask],
+        timestamps=table.timestamps[mask],
+        field_id=table.field_id[mask],
+        treatment=table.treatment[mask],
+    )
+
+
+def split_by_treatment(table: Table, train, held_out) -> tuple[Table, dict[str, Table]]:
+    """The train table, of the rows whose treatment is in ``train``, and one
+    table per treatment in ``held_out``, keyed by name in sorted order.
+    Rows whose treatment is on neither side are dropped.
+
+    ``train`` and ``held_out`` are collections of treatment names.
+    ConfigError for a bare string in place of one, an empty side, a name on
+    both sides, a treatment that no row carries, or a field with rows on
+    the train side and on a held-out side (the split holds out whole
+    fields)."""
+    sides = []
+    for side, names in (("train", train), ("held-out", held_out)):
+        names = require_labels(
+            names, ConfigError(f"{side} treatments must be a collection of names, got {names!r}")
+        )
+        if not names:
+            raise ConfigError(f"no {side} treatment named")
+        sides.append(names)
+    train, held_out = sides
+    if both := train & held_out:
+        raise ConfigError(f"treatments named on both sides of the split: {sorted(both, key=repr)}")
+    if unknown := (train | held_out) - set(table.treatment.tolist()):
+        raise ConfigError(f"no row has treatment {sorted(unknown, key=repr)}")
+    in_train = np.isin(table.treatment, sorted(train))
+    shared = np.intersect1d(
+        table.field_id[in_train], table.field_id[np.isin(table.treatment, sorted(held_out))]
+    )
+    if len(shared):
+        field = str(shared[0])
+        tags = set(table.treatment[table.field_id == field].tolist())
+        raise ConfigError(
+            f"field {field!r} has rows in train treatments {sorted(tags & train)} "
+            f"and in held-out treatments {sorted(tags & held_out)}"
+        )
+    return _take_rows(table, in_train), {
+        name: _take_rows(table, table.treatment == name) for name in sorted(held_out)
+    }
 
 
 # ---------------------------------------------------------------------------

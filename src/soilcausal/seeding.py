@@ -23,13 +23,20 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+def _word(value, what: str) -> int:
+    """``value`` as a Python int; ``ConfigError`` unless it is an int, not a
+    bool, in [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value <= _MASK:
+        raise ConfigError(f"{what} must be an int in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def derive_seed(master: int, *indices: int) -> int:
     """Fold worker indices into a master seed, one mixing step per level.
-    The master seed is an int, not a bool, in [0, 2**64), so that no two
-    master seeds give the same streams; else ``ConfigError``."""
-    if isinstance(master, bool) or not isinstance(master, Integral) or not 0 <= master <= _MASK:
-        raise ConfigError(f"a master seed must be an int in [0, 2**64), got {master!r}")
-    s = splitmix64(int(master))
+    The master seed and each index are ints, not bools, in [0, 2**64), so
+    that no two of them give the same streams (a NumPy integer gives the
+    Python int's); else ``ConfigError``."""
+    s = splitmix64(_word(master, "a master seed"))
     for k in indices:
-        s = splitmix64((s ^ ((k + 1) * 0xD1B54A32D192ED03)) & _MASK)
+        s = splitmix64((s ^ ((_word(k, "a seed index") + 1) * 0xD1B54A32D192ED03)) & _MASK)
     return s

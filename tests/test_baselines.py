@@ -344,6 +344,16 @@ def test_master_seeds_at_the_ends_of_the_range_give_their_own_streams():
     assert tuple(e.seed for e in default_farm_benchmark(np.uint64(1), n_days=3)[1]) == seeds[1]
 
 
+@pytest.mark.parametrize("index", [2**64, -1, True, 1.5], ids=repr)
+def test_seed_indices_outside_64_bits_raise_config_errors(index):
+    # -1 gave the streams of 2**64 - 1 and True those of 1, 1.5 raised an
+    # untyped TypeError and a NumPy integer an untyped OverflowError
+    with pytest.raises(ConfigError, match=re.escape(f"a seed index must be an int in [0, 2**64), got {index!r}")):
+        derive_seed(1, 0, index)
+    assert derive_seed(1, np.int64(3), np.uint64(2**64 - 1)) == derive_seed(1, 3, 2**64 - 1)
+    assert derive_seed(1, 2**64 - 1) != derive_seed(1, 0)
+
+
 def _environment(**options):
     from soilcausal.synth import EnvironmentSpec
 

@@ -36,7 +36,7 @@ from soilcausal.graphs import (
     cpdag_of,
     shd,
 )
-from soilcausal.ingest import Table, add_field_onehots, concat_tables, select_columns
+from soilcausal.ingest import Table, add_field_onehots, concat_tables, select_columns, split_by_treatment
 from soilcausal.stats import WarningCounter, suff_stat
 from soilcausal.synth import (
     EnvironmentSpec,
@@ -45,6 +45,7 @@ from soilcausal.synth import (
     default_farm_benchmark,
     sample_environment,
     sample_environments,
+    TEST_TREATMENT,
     TRAIN_TREATMENTS,
     targets_by_treatment,
     true_cpdag,
@@ -94,8 +95,6 @@ def _pooled(n_days, envs=None, scm=None):
     if scm is None:
         scm, all_envs = default_farm_benchmark()
         envs = all_envs if envs is None else envs
-    from dataclasses import replace
-
     return scm, [replace(e, n_days=n_days) for e in envs]
 
 
@@ -348,14 +347,7 @@ def test_discovery_at_width_matches_recorded_outputs():
     want = json.loads((Path(__file__).parent / "data" / "discovery_golden.json").read_text())
     scm, envs = default_farm_benchmark(n_days=60)
     table = add_field_onehots(sample_environments(scm, envs))
-    keep = np.isin(table.treatment, TRAIN_TREATMENTS)
-    table = replace(
-        table,
-        rows=table.rows[keep],
-        timestamps=table.timestamps[keep],
-        field_id=table.field_id[keep],
-        treatment=table.treatment[keep],
-    )
+    table, _ = split_by_treatment(table, TRAIN_TREATMENTS, [TEST_TREATMENT])
     assert (table.n, len(table.names)) == (want["rows"], want["columns"])
     targets = {t: sorted(nodes) for t, nodes in targets_by_treatment(envs).items()}
     learners = {

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -104,6 +105,14 @@ def test_skeleton_takes_lists_as_tuples():
         assert np.array_equal(got.reads, want.reads) and len(got.layers) == len(want.layers) == depth
         for a, b in zip(got.layers, want.layers):
             assert np.array_equal(a.self_index, b.self_index) and np.array_equal(a.agg, b.agg)
+
+
+@pytest.mark.parametrize("depth", [-1, 1.5, None, True], ids=repr)
+def test_layer_plan_rejects_a_bad_depth(depth):
+    # -1 once gave a plan with no layers; 1.5 and None raised from range
+    sk = GraphSkeleton(nodes=("a", "t"), edges=(("a", "t"),), target="t")
+    with pytest.raises(GraphError, match=re.escape(f"a convolution depth must be an int >= 0, got {depth!r}")):
+        layer_plan(sk, depth)
 
 
 def test_layer_plan_node_sets():

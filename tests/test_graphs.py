@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import soilcausal.graphs as G
 from soilcausal.errors import GraphError
-from soilcausal.gnn import GraphSkeleton
+from soilcausal.baselines import random_skeleton
+from soilcausal.gnn import GraphSkeleton, skeleton_from_pattern
 
 from enumutil import (
     LABELS4,
@@ -369,6 +370,24 @@ def test_every_edge_input_rejects_a_malformed_edge(make, edge):
 @pytest.mark.parametrize("make", EDGE_INPUTS.values(), ids=EDGE_INPUTS.keys())
 def test_every_edge_input_reads_list_pairs_as_tuples(make):
     assert make([["a", "b"], ["b", "c"]]) == make({("a", "b"), ("b", "c")})
+
+
+# each call that takes node labels, as a function of the labels
+LABEL_INPUTS = {
+    "Dag": lambda nodes: G.Dag(nodes, ()),
+    "Cpdag": lambda nodes: G.Cpdag(nodes, (), ()),
+    "GraphSkeleton": lambda nodes: GraphSkeleton(nodes, (), target="a"),
+    "skeleton_from_pattern": lambda nodes: skeleton_from_pattern(G.Cpdag(("a",), (), ()), nodes, "a"),
+    "random_skeleton": lambda nodes: random_skeleton(nodes, "a", 1),
+}
+
+
+@pytest.mark.parametrize("make", LABEL_INPUTS.values(), ids=LABEL_INPUTS.keys())
+def test_every_label_input_rejects_labels_that_do_not_sort(make):
+    # the labels' order breaks every tie; 1 and "a" once raised a bare
+    # TypeError from the sort, and GraphSkeleton accepted them
+    with pytest.raises(GraphError, match="cannot be sorted against each other"):
+        make((1, "a"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import soilcausal.ingest as I
 from soilcausal.errors import ConfigError, NumericError, SchemaError
@@ -108,7 +108,9 @@ def test_one_row_per_field_and_day():
         replace(t1, timestamps=days(5, 5))
 
     # a row-mask subset, built by `replace` on the masked arrays as the
-    # benchmark protocol builds its train and test tables, stays valid
+    # benchmark protocol builds its train and test tables, stays valid, and
+    # it is the train table of `split_by_treatment`, which the benchmark's
+    # own copy of the selection must not drift from
     t = mk(spec, [[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1],
            fields=["a", "a", "b", "b"], treatments=["red", "red", "green", "green"])
     mask = t.treatment == "red"
@@ -116,6 +118,7 @@ def test_one_row_per_field_and_day():
                   field_id=t.field_id[mask], treatment=t.treatment[mask])
     assert sub.field_id.tolist() == ["a", "a"]
     assert sub.column("x").tolist() == [1.0, 2.0]
+    assert sub.equals(I.split_by_treatment(t, ["red"], ["green"])[0])
 
 
 def test_validate_model_ready():
@@ -317,6 +320,96 @@ def test_concat_tables_restores_canonical_order():
     out = I.concat_tables([t1, t2])
     assert out.field_id.tolist() == ["a", "b"]
     assert out.column("x").tolist() == [2.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# the protocol's row split
+# ---------------------------------------------------------------------------
+
+_TREATMENTS = ("red", "blue", "green", "yellow")
+
+
+@st.composite
+def _tagged_records(draw):
+    """(field, day, treatment, value) records of up to six fields, each
+    under one treatment, in random order, with a train and a held-out set
+    of the treatments present (each treatment train, held out or neither)."""
+    records = []
+    for k in range(draw(st.integers(2, 6))):
+        trt = draw(st.sampled_from(_TREATMENTS))
+        for day in draw(st.sets(st.integers(0, 9), min_size=1, max_size=4)):
+            records.append((f"f{k}", day, trt, draw(st.floats(-1e3, 1e3))))
+    present = sorted({r[2] for r in records})
+    roles = draw(st.lists(st.sampled_from(["train", "held", "neither"]), min_size=len(present), max_size=len(present)))
+    train = {t for t, role in zip(present, roles) if role == "train"}
+    held = {t for t, role in zip(present, roles) if role == "held"}
+    assume(train and held)
+    return draw(st.permutations(records)), train, held
+
+
+def _tagged_table(records):
+    fields, day_offsets, treatments, values = zip(*records)
+    return mk([I.ColumnSpec("x", "continuous")], [[v] for v in values], day_offsets,
+              fields=fields, treatments=treatments)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tagged_records(), st.randoms(use_true_random=False))
+def test_split_by_treatment_partitions_the_named_rows(drawn, rnd):
+    records, train_names, held_names = drawn
+    train, held = I.split_by_treatment(_tagged_table(records), train_names, held_names)
+    assert list(held) == sorted(held_names)
+    # the sides put back together are the input restricted to the named
+    # treatments; the other rows are dropped
+    named = _tagged_table([r for r in records if r[2] in train_names | held_names])
+    assert I.concat_tables([train, *held.values()]).equals(named)
+    # the input's row order reaches no output table
+    shuffled = list(records)
+    rnd.shuffle(shuffled)
+    train2, held2 = I.split_by_treatment(_tagged_table(shuffled), train_names, held_names)
+    assert train2.equals(train) and held2.keys() == held.keys()
+    assert all(held2[t].equals(held[t]) for t in held)
+    # no held-out field has a row in training
+    for t in held.values():
+        assert not set(t.field_id.tolist()) & set(train.field_id.tolist())
+
+
+def _three_systems():
+    return mk([I.ColumnSpec("x", "continuous")], [[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 0],
+              fields=["a", "a", "b", "c"], treatments=["red", "red", "blue", "green"])
+
+
+@pytest.mark.parametrize(
+    "train, held_out, message",
+    [
+        ("red", ["green"], "train treatments must be a collection of names, got 'red'"),
+        (["red"], "green", "held-out treatments must be a collection of names, got 'green'"),
+        ([], ["green"], "no train treatment named"),
+        (["red"], (), "no held-out treatment named"),
+        (["red", "green"], {"green"}, "treatments named on both sides of the split: ['green']"),
+        (["red", "purple"], ["green"], "no row has treatment ['purple']"),
+        (["red"], ["green", 7], "no row has treatment [7]"),
+    ],
+)
+def test_split_by_treatment_rejects_bad_sides(train, held_out, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        I.split_by_treatment(_three_systems(), train, held_out)
+
+
+def test_split_by_treatment_rejects_a_field_on_both_sides(tmp_path):
+    # field a's first day is tagged green and its other days blue: the CSV
+    # reads and validates, but an unchecked split would put the site's rows
+    # on both sides, where the protocol holds out whole systems
+    t = mk([I.ColumnSpec("x", "continuous")], [[1.0], [2.0], [3.0], [4.0]], [0, 1, 2, 0],
+           fields=["a", "a", "a", "b"], treatments=["green", "blue", "blue", "blue"], target="x")
+    path = tmp_path / "mixed.csv"
+    I.write_csv(t, str(path))
+    back = I.read_csv(str(path))
+    I.validate_model_ready(back)
+    with pytest.raises(ConfigError, match=re.escape(
+        "field 'a' has rows in train treatments ['blue'] and in held-out treatments ['green']"
+    )):
+        I.split_by_treatment(back, ["blue"], ["green"])
 
 
 # ---------------------------------------------------------------------------

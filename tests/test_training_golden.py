@@ -18,7 +18,6 @@ Without names it re-records every entry.
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,23 +27,12 @@ from soilcausal import baselines, gnn, ingest, synth
 GOLDEN = Path(__file__).parent / "data" / "training_golden.json"
 
 
-def _rows(table, mask):
-    return replace(
-        table,
-        rows=table.rows[mask],
-        timestamps=table.timestamps[mask],
-        field_id=table.field_id[mask],
-        treatment=table.treatment[mask],
-    )
-
-
 def _outputs() -> dict:
     scm, envs = synth.default_farm_benchmark(n_days=10)
     table = synth.sample_environments(scm, envs)
-    train_mask = np.isin(table.treatment, synth.TRAIN_TREATMENTS)
-    table = ingest.min_max_apply(table, ingest.min_max_fit(table, table.names, train_mask))
-    train = _rows(table, train_mask)
-    test = _rows(table, table.treatment == synth.TEST_TREATMENT)
+    train, held_out = ingest.split_by_treatment(table, synth.TRAIN_TREATMENTS, [synth.TEST_TREATMENT])
+    scaler = ingest.min_max_fit(train, train.names, np.ones(train.n, dtype=bool))
+    train, test = ingest.min_max_apply(train, scaler), ingest.min_max_apply(held_out[synth.TEST_TREATMENT], scaler)
 
     nodes = tuple(sorted(table.names))
     skeleton = gnn.GraphSkeleton(nodes=nodes, edges=tuple(scm.dag.edges), target=scm.target)
